@@ -72,7 +72,8 @@ use crate::slices::{ModuleScope, SlicePlan};
 /// (7: profile-slice keys — module entries compose per-module profile
 /// slice fingerprints, the build tier keys on the slice vector plus a
 /// residual slice, and scope sidecars joined the entry encoding.)
-pub const CACHE_FORMAT: u32 = 7;
+/// (8: the options signature lost the unread `NaimConfig::cache_pools`.)
+pub const CACHE_FORMAT: u32 = 8;
 
 /// First line of `manifest.tsv`.
 const MANIFEST_SCHEMA: &str = "cmo.cache.v1";
@@ -960,7 +961,6 @@ fn options_signature_impl(options: &BuildOptions, include_db: bool) -> String {
     enc.write_f64(n.thresholds.ir_compaction);
     enc.write_f64(n.thresholds.st_compaction);
     enc.write_f64(n.thresholds.offload);
-    enc.write_usize(n.cache_pools);
     enc.write_u64(n.compact_cost_per_byte);
     enc.write_u64(n.disk_cost_per_byte);
     enc.write_u64(n.fetch_cost_per_byte);

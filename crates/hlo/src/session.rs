@@ -400,15 +400,21 @@ impl HloSession {
     /// Propagates loader failures while draining pools.
     pub fn into_parts(mut self) -> Result<SessionParts, NaimError> {
         let mut bodies = Vec::with_capacity(self.routine_pool.len());
-        for i in 0..self.routine_pool.len() {
-            let rid = RoutineId::from_index(i);
-            bodies.push(self.body(rid)?.clone());
+        for &pool in &self.routine_pool {
+            bodies.push(self.loader.take(pool)?.into_routine());
         }
         let mut symtabs = Vec::with_capacity(self.symtab_pool.len());
-        for m in 0..self.symtab_pool.len() {
-            symtabs.push(self.symtab(ModuleId::from_index(m))?.clone());
+        for &pool in &self.symtab_pool {
+            symtabs.push(self.loader.take(pool)?.into_symtab());
         }
         Ok((self.program, bodies, symtabs, self.counts))
+    }
+
+    /// Loader pool counts per state:
+    /// `(expanded, pending, compact, offloaded)`.
+    #[cfg(test)]
+    pub(crate) fn loader_census(&self) -> (usize, usize, usize, usize) {
+        self.loader.census()
     }
 }
 

@@ -650,6 +650,32 @@ impl Transitory {
             Transitory::Routine(_) => panic!("pool holds routine IR, not a symbol table"),
         }
     }
+
+    /// The routine body, by value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this pool holds a symbol table.
+    #[must_use]
+    pub fn into_routine(self) -> RoutineBody {
+        match self {
+            Transitory::Routine(b) => b,
+            Transitory::SymTab(_) => panic!("pool holds a symbol table, not routine IR"),
+        }
+    }
+
+    /// The symbol table, by value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this pool holds routine IR.
+    #[must_use]
+    pub fn into_symtab(self) -> ModuleSymbols {
+        match self {
+            Transitory::SymTab(s) => s,
+            Transitory::Routine(_) => panic!("pool holds routine IR, not a symbol table"),
+        }
+    }
 }
 
 impl Relocatable for Transitory {

@@ -12,6 +12,8 @@ use crate::encode::{Decoder, Encoder};
 use crate::error::{DecodeError, NaimError};
 use crate::repository::{MemBackend, RepoBackend, RepoHandle, Repository};
 use cmo_telemetry::{Telemetry, TraceEvent};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// An object that has both expanded and relocatable forms (§4.2.1).
@@ -78,6 +80,8 @@ pub enum PoolState {
     Compact,
     /// Offloaded to the disk repository.
     Offloaded,
+    /// Moved out of the loader by [`Loader::take`]; the id is dead.
+    Taken,
 }
 
 /// Progressive NAIM capability levels (the four configurations of
@@ -131,9 +135,6 @@ pub struct NaimConfig {
     pub max_level: NaimLevel,
     /// Threshold fractions.
     pub thresholds: Thresholds,
-    /// Maximum number of expanded pools retained in the unload-pending
-    /// cache once NAIM is engaged.
-    pub cache_pools: usize,
     /// Simulated cost (work units) per byte compacted or uncompacted.
     pub compact_cost_per_byte: u64,
     /// Simulated cost (work units) per byte moved to or from disk.
@@ -149,8 +150,7 @@ pub struct NaimConfig {
     /// Number of shards a [`crate::ShardedLoader`] splits its pools
     /// across. Ignored by a plain [`Loader`]. Must be at least 1; the
     /// memory budget and thresholds stay program-wide regardless
-    /// (shards report into one shared accountant), while `cache_pools`
-    /// is a per-shard limit.
+    /// (shards report into one shared accountant).
     pub shards: usize,
 }
 
@@ -163,7 +163,6 @@ impl NaimConfig {
             hard_limit_bytes: None,
             max_level: NaimLevel::Offload,
             thresholds: Thresholds::default(),
-            cache_pools: 16,
             compact_cost_per_byte: 1,
             disk_cost_per_byte: 4,
             fetch_cost_per_byte: 2,
@@ -265,6 +264,7 @@ enum State<T> {
     Expanded(T),
     Compact(Vec<u8>),
     Offloaded(RepoHandle),
+    Taken,
 }
 
 #[derive(Debug)]
@@ -273,8 +273,27 @@ struct Slot<T> {
     state: State<T>,
     last_use: u64,
     unload_pending: bool,
+    /// A `&mut T` was handed out since `expanded_size` was measured, so
+    /// the next unload must re-measure the pool.
+    dirty: bool,
     expanded_size: usize,
     compact_size: usize,
+}
+
+/// The residency queues: which pool each enforcement phase evicts
+/// next, kept current by every state transition so no operation ever
+/// scans or sorts the slot table.
+///
+/// * `pending[kind]` holds exactly the expanded, unload-pending slots
+///   of that kind, keyed `(last_use, slot)`: its first element is the
+///   LRU compaction victim and a slot's rank in it is its `lru_pos`.
+/// * `compact` holds exactly the slots in compact form, keyed
+///   `(Reverse(compact_size), slot)`: its first element is the largest
+///   image (earliest slot on ties), the next offload victim.
+#[derive(Debug, Default)]
+struct Queues {
+    pending: [BTreeSet<(u64, u32)>; 2],
+    compact: BTreeSet<(Reverse<usize>, u32)>,
 }
 
 /// How a loader reports byte occupancy: a private accountant for a
@@ -338,9 +357,14 @@ pub struct Loader<T, B = MemBackend> {
     accountant: Accountant,
     repo: Repository<B>,
     slots: Vec<Slot<T>>,
+    queues: Queues,
     clock: u64,
     stats: LoaderStats,
     telemetry: Telemetry,
+    /// Bookkeeping steps performed (queue updates, rank walks, slots
+    /// visited, pools re-measured), for the complexity tests.
+    #[cfg(test)]
+    steps: u64,
     /// Global id of this loader's pool 0 (shard index within a sharded
     /// loader; 0 standalone).
     id_base: u32,
@@ -392,9 +416,12 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             accountant: Accountant::Local(MemoryAccountant::new()),
             repo,
             slots: Vec::new(),
+            queues: Queues::default(),
             clock: 0,
             stats: LoaderStats::default(),
             telemetry: Telemetry::disabled(),
+            #[cfg(test)]
+            steps: 0,
             id_base: 0,
             id_stride: 1,
             mmap_announced: false,
@@ -411,18 +438,11 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         id_base: u32,
         id_stride: u32,
     ) -> Self {
-        Loader {
-            config,
-            accountant: Accountant::Shared(accountant),
-            repo,
-            slots: Vec::new(),
-            clock: 0,
-            stats: LoaderStats::default(),
-            telemetry: Telemetry::disabled(),
-            id_base,
-            id_stride: id_stride.max(1),
-            mmap_announced: false,
-        }
+        let mut loader = Loader::with_repository(config, repo);
+        loader.accountant = Accountant::Shared(accountant);
+        loader.id_base = id_base;
+        loader.id_stride = id_stride.max(1);
+        loader
     }
 
     /// Global (externally visible) pool id for local slot `idx`.
@@ -437,14 +457,31 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         self.telemetry = telemetry;
     }
 
-    /// Rank of `idx` in the unload-pending LRU for its kind
-    /// (0 = least recently used; 0 also when not in the cache).
-    fn lru_rank(&self, idx: usize) -> u32 {
-        let kind = self.slots[idx].kind;
-        self.pending_lru(kind)
-            .iter()
-            .position(|&i| i == idx)
-            .unwrap_or(0) as u32
+    /// Counts `n` bookkeeping steps (test builds only).
+    #[inline]
+    fn step(&mut self, n: usize) {
+        #[cfg(test)]
+        {
+            self.steps += n as u64;
+        }
+        #[cfg(not(test))]
+        let _ = n;
+    }
+
+    /// Position of pending slot `idx` in the compaction LRU of its kind
+    /// (0 = next victim): the number of pending pools of that kind used
+    /// less recently. Only traces show it, so it is derived — a walk
+    /// over the slot's predecessors in the pending queue — only when a
+    /// sink is attached, and is 0 otherwise.
+    fn lru_pos(&mut self, idx: usize) -> u32 {
+        if !self.telemetry.is_enabled() {
+            return 0;
+        }
+        let slot = &self.slots[idx];
+        let key = (slot.last_use, idx as u32);
+        let rank = self.queues.pending[slot.kind as usize].range(..key).count();
+        self.step(rank);
+        rank as u32
     }
 
     /// The active configuration.
@@ -475,7 +512,8 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     }
 
     /// Number of pools currently in each state:
-    /// `(expanded, pending, compact, offloaded)`.
+    /// `(expanded, pending, compact, offloaded)`. Pools moved out by
+    /// [`Loader::take`] are in none of them.
     #[must_use]
     pub fn census(&self) -> (usize, usize, usize, usize) {
         let mut c = (0, 0, 0, 0);
@@ -485,6 +523,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
                 (State::Expanded(_), true) => c.1 += 1,
                 (State::Compact(_), _) => c.2 += 1,
                 (State::Offloaded(_), _) => c.3 += 1,
+                (State::Taken, _) => {}
             }
         }
         c
@@ -501,6 +540,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             state: State::Expanded(value),
             last_use: self.clock,
             unload_pending: false,
+            dirty: false,
             expanded_size: size,
             compact_size: 0,
         });
@@ -522,6 +562,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             state: State::Offloaded(handle),
             last_use: self.clock,
             unload_pending: false,
+            dirty: false,
             expanded_size: 0,
             compact_size: handle.len(),
         });
@@ -555,6 +596,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             (State::Expanded(_), true) => PoolState::UnloadPending,
             (State::Compact(_), _) => PoolState::Compact,
             (State::Offloaded(_), _) => PoolState::Offloaded,
+            (State::Taken, _) => PoolState::Taken,
         }
     }
 
@@ -633,13 +675,17 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             self.accountant
                 .remove(MemClass::TransitoryCompact, image_len);
             self.accountant.add(MemClass::TransitoryExpanded, size);
+            self.queues
+                .compact
+                .remove(&(Reverse(image_len), idx as u32));
+            self.step(1);
             let slot = &mut self.slots[idx];
             slot.expanded_size = size;
             slot.state = State::Expanded(value);
             self.telemetry.work(cost);
             self.telemetry.emit(TraceEvent::Pool {
                 action: "expand",
-                pool: self.external_id(idx),
+                pool,
                 kind,
                 bytes: image_len as u64,
                 lru_pos: 0,
@@ -678,7 +724,33 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// Panics if `id` was not produced by this loader.
     pub fn get_mut(&mut self, id: PoolId) -> Result<&mut T, NaimError> {
         self.touch(id)?;
-        match &mut self.slots[id.index()].state {
+        let slot = &mut self.slots[id.index()];
+        slot.dirty = true;
+        match &mut slot.state {
+            State::Expanded(v) => Ok(v),
+            _ => unreachable!("touch left pool expanded"),
+        }
+    }
+
+    /// Moves the pool's value out of the loader, loading it first if
+    /// necessary — the same hit, rescue or expansion (counters, work
+    /// units, trace events) a [`Loader::get`] would perform. The pool's
+    /// bytes leave the accounting and `id` is dead afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns a decode or repository error if re-expansion fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this loader or was already
+    /// taken.
+    pub fn take(&mut self, id: PoolId) -> Result<T, NaimError> {
+        self.touch(id)?;
+        let slot = &mut self.slots[id.index()];
+        self.accountant
+            .remove(MemClass::TransitoryExpanded, slot.expanded_size);
+        match std::mem::replace(&mut slot.state, State::Taken) {
             State::Expanded(v) => Ok(v),
             _ => unreachable!("touch left pool expanded"),
         }
@@ -690,6 +762,11 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// # Errors
     ///
     /// Returns a decode or repository error if re-expansion fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this loader or was moved out
+    /// by [`Loader::take`].
     pub fn touch(&mut self, id: PoolId) -> Result<(), NaimError> {
         let idx = id.index();
         match &self.slots[idx].state {
@@ -697,7 +774,10 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
                 self.stats.hits += 1;
                 if self.slots[idx].unload_pending {
                     // The paper's cache win: only a state change, no work.
-                    let lru_pos = self.lru_rank(idx);
+                    let lru_pos = self.lru_pos(idx);
+                    let slot = &self.slots[idx];
+                    self.queues.pending[slot.kind as usize].remove(&(slot.last_use, idx as u32));
+                    self.step(1);
                     self.stats.cache_rescues += 1;
                     self.telemetry.emit(TraceEvent::Pool {
                         action: "rescue",
@@ -708,6 +788,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
                     });
                 }
             }
+            State::Taken => panic!("pool {} was moved out by take", self.external_id(idx)),
             _ => self.expand(id)?,
         }
         self.clock += 1;
@@ -733,7 +814,9 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
                 new_size as isize - old_size as isize,
             );
             self.slots[idx].expanded_size = new_size;
+            self.step(1);
         }
+        self.slots[idx].dirty = false;
     }
 
     /// Declares that the client no longer needs `id` expanded. The pool
@@ -756,15 +839,23 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// The sharded facade uses this to batch marking (per shard) ahead
     /// of one program-wide enforcement pass.
     pub(crate) fn mark_unload(&mut self, id: PoolId) {
-        self.reaccount(id);
-        let slot = &mut self.slots[id.index()];
-        if matches!(slot.state, State::Expanded(_)) {
+        let idx = id.index();
+        // Only a pool the client could have mutated can have changed
+        // size; a pool that was merely read keeps its measurement.
+        if self.slots[idx].dirty {
+            self.reaccount(id);
+        }
+        let slot = &mut self.slots[idx];
+        if matches!(slot.state, State::Expanded(_)) && !slot.unload_pending {
             slot.unload_pending = true;
+            self.queues.pending[slot.kind as usize].insert((slot.last_use, idx as u32));
+            self.step(1);
         }
     }
 
     /// Marks every expanded pool unload-pending without enforcing.
     pub(crate) fn mark_all_unload(&mut self) {
+        self.step(self.slots.len());
         for idx in 0..self.slots.len() {
             self.mark_unload(PoolId(idx as u32));
         }
@@ -782,8 +873,10 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         self.enforce()
     }
 
+    /// Compacts pending slot `idx`, moving it from the pending queue to
+    /// the compact queue.
     fn compact_slot(&mut self, idx: usize) {
-        let lru_pos = self.lru_rank(idx);
+        let lru_pos = self.lru_pos(idx);
         let pool = self.external_id(idx);
         let slot = &mut self.slots[idx];
         if let State::Expanded(v) = &slot.state {
@@ -806,52 +899,53 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
                 .remove(MemClass::TransitoryExpanded, slot.expanded_size);
             self.accountant
                 .add(MemClass::TransitoryCompact, image.len());
+            self.queues.pending[slot.kind as usize].remove(&(slot.last_use, idx as u32));
+            self.queues
+                .compact
+                .insert((Reverse(image.len()), idx as u32));
             slot.compact_size = image.len();
             slot.unload_pending = false;
             slot.state = State::Compact(image);
+            self.step(2);
         }
     }
 
+    /// Offloads compact slot `idx` to the repository. A failed store
+    /// leaves the slot compact, image intact, and still a candidate.
     fn offload_slot(&mut self, idx: usize) -> Result<(), NaimError> {
-        // Take the image out first so we never hold a borrow across the
-        // repository call.
-        let image = match &mut self.slots[idx].state {
-            State::Compact(image) => std::mem::take(image),
-            _ => return Ok(()),
+        let State::Compact(image) = &self.slots[idx].state else {
+            return Ok(());
         };
-        let handle = self.repo.store(&image)?;
-        let cost = image.len() as u64 * self.config.disk_cost_per_byte;
+        let handle = self.repo.store(image)?;
+        let len = image.len();
+        let cost = len as u64 * self.config.disk_cost_per_byte;
         self.stats.offload_writes += 1;
-        self.stats.bytes_offloaded += image.len() as u64;
+        self.stats.bytes_offloaded += len as u64;
         self.stats.work_units += cost;
         self.telemetry.work(cost);
         self.telemetry.emit(TraceEvent::Pool {
             action: "offload",
             pool: self.external_id(idx),
             kind: kind_str(self.slots[idx].kind),
-            bytes: image.len() as u64,
+            bytes: len as u64,
             lru_pos: 0,
         });
-        self.accountant
-            .remove(MemClass::TransitoryCompact, image.len());
+        self.accountant.remove(MemClass::TransitoryCompact, len);
+        self.queues.compact.remove(&(Reverse(len), idx as u32));
         self.slots[idx].state = State::Offloaded(handle);
+        self.step(1);
         Ok(())
     }
 
-    /// Unload-pending pool indices, least recently used first, filtered
-    /// by `kind`.
-    fn pending_lru(&self, kind: PoolKind) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.kind == kind && s.unload_pending && matches!(s.state, State::Expanded(_))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        v.sort_by_key(|&i| self.slots[i].last_use);
-        v
+    /// Compacts unload-pending pools of `kind`, least recently used
+    /// first, while the accounted heap exceeds `threshold`.
+    fn compact_pending(&mut self, kind: PoolKind, threshold: usize) {
+        while self.accountant.total() > threshold {
+            let Some(&(_, idx)) = self.queues.pending[kind as usize].first() else {
+                break;
+            };
+            self.compact_slot(idx as usize);
+        }
     }
 
     /// Applies the thresholded memory policy: compaction and offloading
@@ -879,47 +973,25 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         let t_st = (budget * self.config.thresholds.st_compaction) as usize;
         let t_off = (budget * self.config.thresholds.offload) as usize;
 
-        // Each phase computes its victim order once and walks it in one
-        // batch. Compacting (or offloading) a pool never reorders the
-        // surviving candidates — a compacted slot merely leaves the
-        // pending set, and offloading never changes another slot's
-        // size — so the batch picks exactly the victims the old
-        // one-victim-per-scan loops did, without rescanning every slot
-        // per eviction.
+        // Each phase compares the heap with its threshold before it
+        // looks at a victim, and takes victims off the front of a queue
+        // the state transitions keep ordered: a sweep costs O(log n) per
+        // pool it evicts and O(1) when it evicts none.
         if self.config.max_level >= NaimLevel::CompactIr {
-            // Compact pending IR pools while over the IR threshold.
-            for idx in self.pending_lru(PoolKind::Ir) {
-                if self.accountant.total() <= t_ir {
-                    break;
-                }
-                self.compact_slot(idx);
-            }
+            self.compact_pending(PoolKind::Ir, t_ir);
         }
         if self.config.max_level >= NaimLevel::CompactAll {
-            for idx in self.pending_lru(PoolKind::SymTab) {
-                if self.accountant.total() <= t_st {
-                    break;
-                }
-                self.compact_slot(idx);
-            }
+            self.compact_pending(PoolKind::SymTab, t_st);
         }
         if self.config.max_level >= NaimLevel::Offload {
             // Offload the largest compacted images first: maximum
             // reclaimed memory per disk operation (ties to the earliest
-            // slot, matching the old scan's preference).
-            let mut candidates: Vec<usize> = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s.state, State::Compact(_)))
-                .map(|(i, _)| i)
-                .collect();
-            candidates.sort_by_key(|&i| (std::cmp::Reverse(self.slots[i].compact_size), i));
-            for idx in candidates {
-                if self.accountant.total() <= t_off {
+            // slot).
+            while self.accountant.total() > t_off {
+                let Some(&(_, idx)) = self.queues.compact.first() else {
                     break;
-                }
-                self.offload_slot(idx)?;
+                };
+                self.offload_slot(idx as usize)?;
             }
         }
         // The sweep is over: whatever the fetch arena accumulated since
@@ -994,10 +1066,7 @@ mod tests {
     }
 
     fn tiny_config() -> NaimConfig {
-        NaimConfig {
-            cache_pools: 2,
-            ..NaimConfig::with_budget(4096)
-        }
+        NaimConfig::with_budget(4096)
     }
 
     #[test]
@@ -1067,12 +1136,7 @@ mod tests {
 
     #[test]
     fn offload_engages_above_offload_threshold() {
-        let config = NaimConfig {
-            budget_bytes: 2048,
-            cache_pools: 0,
-            ..NaimConfig::with_budget(2048)
-        };
-        let mut loader: Loader<Blob> = Loader::new(config);
+        let mut loader: Loader<Blob> = Loader::new(NaimConfig::with_budget(2048));
         let mut ids = Vec::new();
         for i in 0..64 {
             let id = loader.insert(Blob::of(i, 300), PoolKind::Ir);
@@ -1104,7 +1168,6 @@ mod tests {
     fn symtab_pools_obey_their_own_threshold() {
         let config = NaimConfig {
             max_level: NaimLevel::CompactIr,
-            cache_pools: 0,
             ..NaimConfig::with_budget(2048)
         };
         let mut loader: Loader<Blob> = Loader::new(config);
@@ -1175,6 +1238,79 @@ mod tests {
         match loader.get(id) {
             Err(NaimError::UnknownPool { pool }) => assert_eq!(pool, foreign.id()),
             other => panic!("expected UnknownPool from the rescue path, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn take_costs_what_get_costs_and_moves_the_value_out() {
+        // Idle, compacting and offloading budgets: the replaced `get`
+        // is a hit, a rescue, an uncompaction or a fetch.
+        for budget in [1 << 30, 4096, 64] {
+            let build = || {
+                let mut loader: Loader<Blob> = Loader::new(NaimConfig::with_budget(budget));
+                let tel = Telemetry::enabled();
+                loader.set_telemetry(tel.clone());
+                let ids: Vec<_> = (0..16)
+                    .map(|i| loader.insert(Blob::of(i, 100), PoolKind::Ir))
+                    .collect();
+                loader.unload_all().unwrap();
+                (loader, tel, ids)
+            };
+            let (mut by_ref, ref_tel, ids) = build();
+            let (mut by_val, val_tel, _) = build();
+            for (i, &id) in ids.iter().enumerate() {
+                let expected = by_ref.get(id).unwrap().clone();
+                assert_eq!(by_val.take(id).unwrap(), expected);
+                assert_eq!(expected, Blob::of(i as u64, 100));
+                assert_eq!(by_val.state(id), PoolState::Taken);
+            }
+            assert_eq!(by_val.stats(), by_ref.stats());
+            assert_eq!(val_tel.render_trace(), ref_tel.render_trace());
+            assert_eq!(by_val.memory().class(MemClass::TransitoryExpanded), 0);
+        }
+    }
+
+    /// Bookkeeping steps of one read-only `get` + `unload` pass over
+    /// `n` pools that an earlier pass already inserted and unloaded.
+    fn read_pass_steps(n: usize, budget: usize, traced: bool) -> u64 {
+        let mut loader: Loader<Blob> = Loader::new(NaimConfig::with_budget(budget));
+        if traced {
+            loader.set_telemetry(Telemetry::enabled());
+        }
+        let ids: Vec<_> = (0..n)
+            .map(|i| {
+                let id = loader.insert(Blob::of(i as u64, 20), PoolKind::Ir);
+                loader.unload(id).unwrap();
+                id
+            })
+            .collect();
+        let (steps, compactions) = (loader.steps, loader.stats().compactions);
+        for &id in &ids {
+            loader.get(id).unwrap();
+            loader.unload(id).unwrap();
+        }
+        let engaged = loader.stats().compactions - compactions;
+        assert!(
+            engaged == 0 || engaged == n as u64,
+            "budget {budget} neither idle nor compacting on every unload"
+        );
+        loader.steps - steps
+    }
+
+    #[test]
+    fn bookkeeping_steps_grow_linearly_with_pools() {
+        // An idle budget (thresholds never engage) and one that compacts
+        // and offloads on every unload, untraced and traced.
+        for budget in [1 << 30, 64] {
+            for traced in [false, true] {
+                let small = read_pass_steps(128, budget, traced);
+                let large = read_pass_steps(512, budget, traced);
+                assert!(small > 0);
+                assert!(
+                    large <= 5 * small,
+                    "budget {budget}, traced {traced}: {small} steps for 128 pools, {large} for 512"
+                );
+            }
         }
     }
 

@@ -177,6 +177,18 @@ impl<T: Relocatable, B: RepoBackend> ShardedLoader<T, B> {
         loader.get_mut(local)
     }
 
+    /// Moves the pool's value out of the loader, loading it first if
+    /// necessary (same counters, work units and trace events as the
+    /// [`ShardedLoader::get`] it replaces); `id` is dead afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns a decode or repository error if re-expansion fails.
+    pub fn take(&mut self, id: PoolId) -> Result<T, NaimError> {
+        let (loader, local) = self.owner_mut(id);
+        loader.take(local)
+    }
+
     /// Ensures the pool is expanded and marks it recently used.
     ///
     /// # Errors
@@ -409,11 +421,7 @@ mod tests {
     }
 
     fn config(shards: usize) -> NaimConfig {
-        NaimConfig {
-            cache_pools: 2,
-            ..NaimConfig::with_budget(4096)
-        }
-        .shards(shards)
+        NaimConfig::with_budget(4096).shards(shards)
     }
 
     #[test]
@@ -509,12 +517,7 @@ mod tests {
         // expanded total. A per-shard hard check would fail before
         // other shards got a chance to compact; the facade must
         // succeed.
-        let cfg = NaimConfig {
-            cache_pools: 0,
-            ..NaimConfig::with_budget(2048)
-        }
-        .shards(4)
-        .hard_limit(64 << 10);
+        let cfg = NaimConfig::with_budget(2048).shards(4).hard_limit(64 << 10);
         let mut loader: ShardedLoader<Blob> = ShardedLoader::new(cfg);
         for i in 0..32 {
             let id = loader.insert(Blob::of(i, 100), PoolKind::Ir);
@@ -535,11 +538,7 @@ mod tests {
         // The ISSUE's smoke test: hammer the &self API from several
         // threads and check nothing panics, deadlocks, or corrupts
         // pool contents or accounting.
-        let cfg = NaimConfig {
-            cache_pools: 1,
-            ..NaimConfig::with_budget(8192)
-        }
-        .shards(4);
+        let cfg = NaimConfig::with_budget(8192).shards(4);
         let mut loader: ShardedLoader<Blob> = ShardedLoader::new(cfg);
         let ids: Vec<_> = (0..64)
             .map(|i| loader.insert(Blob::of(i, 50), PoolKind::Ir))

@@ -52,10 +52,7 @@ fn arena_recycles_after_lru_eviction() {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     let backend = StorageFile::new(Arc::clone(&storage), "repo.naim");
     let repo = Repository::create_backend(backend).expect("create repo");
-    let config = NaimConfig {
-        cache_pools: 0,
-        ..NaimConfig::with_budget(2048)
-    };
+    let config = NaimConfig::with_budget(2048);
     let tel = Telemetry::enabled();
     let mut loader: Loader<Blob, StorageFile> = Loader::with_repository(config, repo);
     loader.set_telemetry(tel.clone());
@@ -117,10 +114,7 @@ fn fetch_after_evict_of_corrupt_then_restored_record() {
     let repo = Repository::create(&repo_path).expect("create repo");
 
     // A budget so small every compacted pool is pushed to disk.
-    let config = NaimConfig {
-        cache_pools: 0,
-        ..NaimConfig::with_budget(16)
-    };
+    let config = NaimConfig::with_budget(16);
     let mut loader: Loader<Blob, std::fs::File> = Loader::with_repository(config, repo);
     let victim_blob = Blob::of(3, 300);
     let ids: Vec<_> = (0..8)

@@ -64,12 +64,8 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..60),
         budget in 256usize..16_384,
         level in arb_level(),
-        cache in 0usize..8,
     ) {
-        let config = NaimConfig {
-            cache_pools: cache,
-            ..NaimConfig::with_budget(budget).max_level(level)
-        };
+        let config = NaimConfig::with_budget(budget).max_level(level);
         let mut loader: Loader<Payload> = Loader::new(config);
         // The reference model: plain Vec of expected contents.
         let mut model: Vec<Vec<i64>> = Vec::new();

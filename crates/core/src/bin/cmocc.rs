@@ -596,36 +596,60 @@ fn emit_slices(plan: &SlicePlan, bcache: &mut BuildCache, tel: &Telemetry) {
     }
 }
 
-/// Plans profile slices from scope sidecars *before* any module-tier
-/// probe. Pre-compiled object inputs derive their scope directly;
-/// source inputs read the sidecar stored under their source
-/// fingerprint alone. Returns `None` without a profile database, or
-/// when any surviving source is missing its sidecar — the
-/// all-or-nothing rule: the caller then compiles everything, replans
-/// from the fresh objects, and seeds the sidecars, so composed keys
-/// planned either way always agree.
-fn plan_from_sidecars(
+/// Compiles the source inputs at positions `which` over the worker
+/// pool and puts the survivors in `slots`; failures are reported (or,
+/// under `--keep-going`, absorbed) in input order.
+fn compile_sources(
+    cli: &Cli,
+    tel: &Telemetry,
+    faults: &mut FaultStats,
     inputs: &[Option<LoadedInput>],
-    fps: &[String],
+    which: &[usize],
+    slots: &mut [Option<IlObject>],
+) -> Result<(), Failure> {
+    let compiled = cmo::try_run_jobs(which.len(), cli.jobs, |_, k| {
+        let Some(LoadedInput::Source { module, source }) = &inputs[which[k]] else {
+            unreachable!("only source inputs are compiled");
+        };
+        maybe_injected_panic(module);
+        cmo::compile_module(module, source)
+            .map_err(|e| format!("{}:{e}", cli.inputs[which[k]].display()))
+    });
+    let results = compiled
+        .into_iter()
+        .enumerate()
+        .map(|(k, r)| {
+            let flat = match r {
+                Ok(Ok(value)) => Ok(value),
+                Ok(Err(msg)) => Err(LoadFailure::Diag(msg)),
+                Err(e) => Err(LoadFailure::Panic(e.payload)),
+            };
+            (which[k], flat)
+        })
+        .collect();
+    absorb_failures(cli, tel, faults, results, |i, obj| slots[i] = Some(obj))
+}
+
+/// Plans profile slices over the inputs that have a scope (`found`,
+/// by input position; degraded inputs have none and own no slice).
+fn plan_slices(
+    found: Vec<Option<ModuleScope>>,
+    db: &ProfileDb,
     options: &BuildOptions,
     bcache: &mut BuildCache,
     tel: &Telemetry,
-) -> Option<InputSlices> {
-    let db = options.profile.as_ref()?;
+) -> InputSlices {
     let mut scopes = Vec::new();
-    let mut slot_of = vec![None; inputs.len()];
-    for (i, input) in inputs.iter().enumerate() {
-        let scope = match input {
-            Some(LoadedInput::Object(obj)) => ModuleScope::of_object(obj),
-            Some(LoadedInput::Source { .. }) => bcache.get_scope(&fps[i])?,
-            None => continue, // degraded at the read stage
-        };
-        slot_of[i] = Some(scopes.len());
-        scopes.push(scope);
+    let mut slot_of = vec![None; found.len()];
+    for (i, scope) in found.into_iter().enumerate() {
+        if let Some(scope) = scope {
+            slot_of[i] = Some(scopes.len());
+            scopes.push(scope);
+        }
     }
     let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
     emit_slices(&plan, bcache, tel);
-    Some(InputSlices { plan, slot_of })
+    InputSlices { plan, slot_of }
 }
 
 /// [`load_objects`] with the incremental cache in the loop: inputs are
@@ -637,10 +661,9 @@ fn plan_from_sidecars(
 /// `--keep-going` contribute neither).
 ///
 /// With `+P` the module tier keys on composed
-/// `(source, profile-slice)` fingerprints via [`plan_from_sidecars`];
-/// a hit under a composed key is a retained hit. A bootstrap run (any
-/// sidecar missing) probes nothing and seeds scopes and composed
-/// entries for the next build.
+/// `(source, profile-slice)` fingerprints; a hit
+/// under a composed key is a retained hit, and a one-module edit
+/// misses on that module alone.
 fn load_objects_cached(
     cli: &Cli,
     options: &BuildOptions,
@@ -668,10 +691,12 @@ fn load_objects_cached(
     })?;
     inputs.resize_with(cli.inputs.len(), || None);
     let mut fps = vec![String::new(); inputs.len()];
+    let mut slots: Vec<Option<IlObject>> = vec![None; inputs.len()];
     for (i, input) in inputs.iter().enumerate() {
         match input {
             Some(LoadedInput::Object(obj)) => {
                 fps[i] = cmo::object_fingerprint(&obj.module_name, &obj.to_bytes());
+                slots[i] = Some(obj.clone());
             }
             Some(LoadedInput::Source { module, source }) => {
                 fps[i] = cmo::module_fingerprint(module, source);
@@ -679,91 +704,68 @@ fn load_objects_cached(
             None => {} // already degraded at the read stage
         }
     }
-    let plan = plan_from_sidecars(&inputs, &fps, options, bcache, tel);
-    let bootstrap = options.profile.is_some() && plan.is_none();
-    let mut slots: Vec<Option<IlObject>> = (0..inputs.len()).map(|_| None).collect();
-    let mut misses: Vec<usize> = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        match input {
-            Some(LoadedInput::Object(obj)) => slots[i] = Some(obj.clone()),
-            Some(LoadedInput::Source { module, .. }) => {
-                // A profiled bootstrap probes nothing: composed keys
-                // are unknown until every module's scope exists.
-                let probed = match &plan {
-                    Some(slices) => bcache.get_module(module, &slices.key_for(i, &fps[i]), tel),
-                    None if bootstrap => None,
-                    None => bcache.get_module(module, &fps[i], tel),
-                };
-                match probed {
-                    Some(obj) => {
-                        if plan.is_some() {
-                            bcache.record_retained_hit();
-                        }
-                        slots[i] = Some(obj);
-                    }
-                    None => misses.push(i),
+    // Slices are planned *before* any module-tier probe. Object inputs
+    // derive their scope directly; source inputs read the sidecar
+    // stored under their source fingerprint alone, and a source
+    // without one (new or edited, or a cold cache) is compiled now and
+    // its scope derived from the fresh object and stored. A scope is a
+    // pure function of the object, so composed keys planned either way
+    // agree.
+    let plan = match options.profile.as_ref() {
+        None => None,
+        Some(db) => {
+            let mut found: Vec<Option<ModuleScope>> = inputs
+                .iter()
+                .enumerate()
+                .map(|(i, input)| match input {
+                    Some(LoadedInput::Object(obj)) => Some(ModuleScope::of_object(obj)),
+                    Some(LoadedInput::Source { .. }) => bcache.get_scope(&fps[i]),
+                    None => None, // degraded at the read stage
+                })
+                .collect();
+            let unscoped: Vec<usize> = (0..inputs.len())
+                .filter(|&i| inputs[i].is_some() && found[i].is_none())
+                .collect();
+            compile_sources(cli, tel, faults, &inputs, &unscoped, &mut slots)?;
+            for &i in &unscoped {
+                if let Some(obj) = &slots[i] {
+                    let scope = ModuleScope::of_object(obj);
+                    bcache.put_scope(&fps[i], &scope);
+                    found[i] = Some(scope);
                 }
             }
-            None => {} // already degraded at the read stage
+            Some(plan_slices(found, db, options, bcache, tel))
+        }
+    };
+    let mut misses: Vec<(usize, String)> = Vec::new();
+    for (i, input) in inputs.iter().enumerate() {
+        let Some(LoadedInput::Source { module, .. }) = input else {
+            continue; // objects need no entry, degraded inputs have none
+        };
+        let key = match &plan {
+            Some(slices) if slices.slot_of[i].is_none() => continue, // failed to compile
+            Some(slices) => slices.key_for(i, &fps[i]),
+            None => fps[i].clone(),
+        };
+        match bcache.get_module(module, &key, tel) {
+            Some(obj) => {
+                if plan.is_some() {
+                    bcache.record_retained_hit();
+                }
+                slots[i] = Some(obj);
+            }
+            None => misses.push((i, key)),
         }
     }
-    let compiled = cmo::try_run_jobs(misses.len(), cli.jobs, |_, k| {
-        let Some(LoadedInput::Source { module, source }) = &inputs[misses[k]] else {
-            unreachable!("only source inputs can miss the cache");
-        };
-        maybe_injected_panic(module);
-        cmo::compile_module(module, source)
-            .map_err(|e| format!("{}:{e}", cli.inputs[misses[k]].display()))
-    });
-    let results = compiled
-        .into_iter()
-        .enumerate()
-        .map(|(k, r)| {
-            let flat = match r {
-                Ok(Ok(value)) => Ok(value),
-                Ok(Err(msg)) => Err(LoadFailure::Diag(msg)),
-                Err(e) => Err(LoadFailure::Panic(e.payload)),
-            };
-            (misses[k], flat)
-        })
+    let uncompiled: Vec<usize> = misses
+        .iter()
+        .map(|(i, _)| *i)
+        .filter(|&i| slots[i].is_none())
         .collect();
-    absorb_failures(cli, tel, faults, results, |i, obj| {
-        let Some(LoadedInput::Source { module, .. }) = &inputs[i] else {
-            unreachable!("only source inputs can miss the cache");
-        };
-        match &plan {
-            Some(slices) => bcache.put_module(module, &slices.key_for(i, &fps[i]), &obj, tel),
-            None if bootstrap => {} // stored below, once the plan exists
-            None => bcache.put_module(module, &fps[i], &obj, tel),
-        }
-        slots[i] = Some(obj);
-    })?;
-    if bootstrap {
-        // Every scope now exists (degraded modules excepted): replan
-        // from the objects in hand and seed the sidecars plus the
-        // composed entries for the sources that compiled.
-        let db = options
-            .profile
-            .as_ref()
-            .expect("bootstrap implies a profile");
-        let mut scopes = Vec::new();
-        let mut slot_of = vec![None; inputs.len()];
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(obj) = slot {
-                slot_of[i] = Some(scopes.len());
-                scopes.push(ModuleScope::of_object(obj));
-            }
-        }
-        let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
-        emit_slices(&plan, bcache, tel);
-        let seeded = InputSlices { plan, slot_of };
-        for (i, slot) in slots.iter().enumerate() {
-            let (Some(LoadedInput::Source { module, .. }), Some(obj)) = (&inputs[i], slot) else {
-                continue; // objects need no entry, degraded modules have none
-            };
-            let slot = seeded.slot_of[i].expect("surviving modules own a slice");
-            bcache.put_scope(&fps[i], &scopes[slot]);
-            bcache.put_module(module, &seeded.key_for(i, &fps[i]), obj, tel);
+    compile_sources(cli, tel, faults, &inputs, &uncompiled, &mut slots)?;
+    for (i, key) in &misses {
+        if let (Some(LoadedInput::Source { module, .. }), Some(obj)) = (&inputs[*i], &slots[*i]) {
+            bcache.put_module(module, key, obj, tel);
         }
     }
     let mut objects = Vec::with_capacity(slots.len());

@@ -23,6 +23,7 @@ use cmo_vm::{profile_from_run, run, ExecResult, MachineImage, RunConfig};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// Optimization level, mirroring the paper's option set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -457,13 +458,14 @@ impl Compiler {
     /// ([`CacheStats::profile_retained_hits`]).
     ///
     /// Slices are planned from [`ModuleScope`] sidecars stored next to
-    /// each object under the source fingerprint alone. When any
-    /// module's sidecar is missing (a cold cache, or a cache written
-    /// before slicing existed), no module-tier probes happen at all:
-    /// every module compiles, scopes are derived from the fresh
-    /// objects, and entries plus sidecars are stored for next time —
-    /// the all-or-nothing rule that keeps composed keys identical
-    /// between sidecar-planned and object-derived runs.
+    /// each object under the source fingerprint alone. A scope is
+    /// profile-independent and a pure function of the object, so a
+    /// module whose sidecar is missing (new or edited source, a cold
+    /// cache, or one written before slicing existed) is compiled
+    /// first and its scope derived from the fresh object: planned and
+    /// derived scopes mix freely, composed keys come out the same
+    /// either way, and a one-module edit still hits on every other
+    /// module.
     ///
     /// Without a profile database this is exactly
     /// [`Compiler::add_sources_cached`].
@@ -481,73 +483,71 @@ impl Compiler {
         let Some(db) = options.profile.as_ref() else {
             return self.add_sources_cached(modules, options.jobs, bcache, tel);
         };
+        let jobs = options.jobs.max(1);
+        let compile_all = |which: &[usize]| {
+            run_jobs(which.len(), jobs, |_, k| {
+                let (module, source) = &modules[which[k]];
+                cmo_frontend::compile_module(module, source)
+            })
+        };
         let fps: Vec<String> = modules
             .iter()
             .map(|(module, source)| cache::module_fingerprint(module, source))
             .collect();
-        let sidecars: Option<Vec<ModuleScope>> =
+
+        // Scopes: from the sidecar where there is one, else from the
+        // module's freshly compiled object.
+        let mut slots: Vec<Option<IlObject>> = vec![None; modules.len()];
+        let mut scopes: Vec<Option<ModuleScope>> =
             fps.iter().map(|fp| bcache.get_scope(fp)).collect();
-        let hits = if let Some(scopes) = sidecars {
-            // Every sidecar present: plan slices up front and probe
-            // composed keys, all on the calling thread in input order.
-            let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
-            emit_slices(&plan, bcache, tel);
-            let mut slots: Vec<Option<IlObject>> = Vec::with_capacity(modules.len());
-            let mut misses: Vec<usize> = Vec::new();
-            for (i, (module, _)) in modules.iter().enumerate() {
-                let composed = plan.composed_fp(i, &fps[i]);
-                match bcache.get_module(module, &composed, tel) {
-                    Some(obj) => {
-                        bcache.record_retained_hit();
-                        slots.push(Some(obj));
-                    }
-                    None => {
-                        slots.push(None);
-                        misses.push(i);
-                    }
+        let unscoped: Vec<usize> = (0..modules.len())
+            .filter(|&i| scopes[i].is_none())
+            .collect();
+        for (k, obj) in compile_all(&unscoped).into_iter().enumerate() {
+            let obj = obj?;
+            let scope = ModuleScope::of_object(&obj);
+            bcache.put_scope(&fps[unscoped[k]], &scope);
+            scopes[unscoped[k]] = Some(scope);
+            slots[unscoped[k]] = Some(obj);
+        }
+        let scopes: Vec<ModuleScope> = scopes
+            .into_iter()
+            .map(|scope| scope.expect("every scope fetched or derived"))
+            .collect();
+        let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
+        emit_slices(&plan, bcache, tel);
+
+        // Probe composed keys, on the calling thread in input order.
+        let composed: Vec<String> = (0..modules.len())
+            .map(|i| plan.composed_fp(i, &fps[i]))
+            .collect();
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, (module, _)) in modules.iter().enumerate() {
+            match bcache.get_module(module, &composed[i], tel) {
+                Some(obj) => {
+                    bcache.record_retained_hit();
+                    slots[i] = Some(obj);
                 }
+                None => misses.push(i),
             }
-            let hits = modules.len() - misses.len();
-            let compiled = run_jobs(misses.len(), options.jobs.max(1), |_, k| {
-                let (module, source) = &modules[misses[k]];
-                cmo_frontend::compile_module(module, source)
-            });
-            for (k, obj) in compiled.into_iter().enumerate() {
-                slots[misses[k]] = Some(obj?);
+        }
+        let uncompiled: Vec<usize> = misses
+            .iter()
+            .copied()
+            .filter(|&i| slots[i].is_none())
+            .collect();
+        for (k, obj) in compile_all(&uncompiled).into_iter().enumerate() {
+            slots[uncompiled[k]] = Some(obj?);
+        }
+        for (i, slot) in slots.into_iter().enumerate() {
+            let obj = slot.expect("every slot filled by hit or compile");
+            if misses.binary_search(&i).is_ok() {
+                bcache.put_module(&modules[i].0, &composed[i], &obj, tel);
             }
-            for (i, slot) in slots.into_iter().enumerate() {
-                let obj = slot.expect("every slot filled by hit or compile");
-                if misses.binary_search(&i).is_ok() {
-                    let composed = plan.composed_fp(i, &fps[i]);
-                    bcache.put_module(&modules[i].0, &composed, &obj, tel);
-                }
-                self.objects.push(obj);
-            }
-            hits
-        } else {
-            // At least one sidecar is missing: compile everything,
-            // derive scopes from the fresh objects, and seed both the
-            // composed entries and the sidecars.
-            let compiled = run_jobs(modules.len(), options.jobs.max(1), |_, i| {
-                cmo_frontend::compile_module(&modules[i].0, &modules[i].1)
-            });
-            let mut objects = Vec::with_capacity(modules.len());
-            for obj in compiled {
-                objects.push(obj?);
-            }
-            let scopes: Vec<ModuleScope> = objects.iter().map(ModuleScope::of_object).collect();
-            let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
-            emit_slices(&plan, bcache, tel);
-            for (i, obj) in objects.into_iter().enumerate() {
-                bcache.put_scope(&fps[i], &scopes[i]);
-                let composed = plan.composed_fp(i, &fps[i]);
-                bcache.put_module(&modules[i].0, &composed, &obj, tel);
-                self.objects.push(obj);
-            }
-            0
-        };
+            self.objects.push(obj);
+        }
         self.fingerprints.extend(fps);
-        Ok(hits)
+        Ok(modules.len() - misses.len())
     }
 
     /// Adds a pre-compiled IL object (e.g. read back from disk, the
@@ -890,7 +890,14 @@ pub fn build_objects(
     } else {
         None
     };
-    let dead_set: BTreeSet<usize> = dead.iter().map(|r| r.index()).collect();
+    let mut is_dead = vec![false; bodies.len()];
+    for r in &dead {
+        is_dead[r.index()] = true;
+    }
+    // Each job takes its routine's maintained counts out of its slot;
+    // a job index is claimed exactly once, so no lock is contended.
+    let maintained_counts: Vec<Mutex<Option<Vec<u64>>>> =
+        maintained_counts.into_iter().map(Mutex::new).collect();
     let llo_phase = tel.phase("llo");
     // Per-routine LLO is the pipeline's embarrassingly-parallel stage
     // (the LTRANS-style fan-out): each routine lowers independently
@@ -903,11 +910,11 @@ pub fn build_objects(
     let lowered: Vec<LoweredRoutine> = run_jobs(bodies.len(), options.jobs.max(1), |worker, i| {
         let body = &bodies[i];
         let rid = RoutineId::from_index(i);
-        let name = program.name(program.routine(rid).name).to_owned();
-        if dead_set.contains(&i) {
+        let name = program.name(program.routine(rid).name);
+        if is_dead[i] {
             // Dead routine elimination: skip all LLO work, emit a stub.
             return LoweredRoutine {
-                name,
+                name: name.to_owned(),
                 code: vec![cmo_vm::MInstr::Ret { value: None }],
                 frame_slots: 0,
                 probes: Vec::new(),
@@ -917,10 +924,11 @@ pub fn build_objects(
             };
         }
         let block_counts = if options.pbo {
-            match &maintained_counts[i] {
-                Some(c) => Some(c.clone()),
-                None => db.and_then(|db| correlated_counts(db, &name, body)),
-            }
+            let maintained = maintained_counts[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            maintained.or_else(|| db.and_then(|db| correlated_counts(db, name, body)))
         } else {
             None
         };

@@ -177,6 +177,61 @@ fn editing_one_module_recompiles_only_that_module() {
 }
 
 #[test]
+fn editing_one_module_under_pbo_recompiles_only_that_module() {
+    let dir = workdir("dirtypbo");
+    let (util, app) = write_sources(&dir);
+    let cache = dir.join("cache");
+    let db = dir.join("train.db");
+    let trained = cmocc()
+        .args(["+I", "--run", "-", "--profile-out"])
+        .arg(&db)
+        .args([&util, &app])
+        .output()
+        .unwrap();
+    assert!(trained.status.success());
+    let profiled = |tag: &str| {
+        let trace = dir.join(format!("{tag}.trace"));
+        let out = cmocc()
+            .args(["+O4", "+P"])
+            .arg(&db)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .args(["--report", "--trace"])
+            .arg(&trace)
+            .args([&util, &app])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            std::fs::read_to_string(&trace).unwrap(),
+        )
+    };
+
+    profiled("cold");
+    // The edited module has no scope sidecar yet; the other one must
+    // still be planned from its sidecar and hit.
+    std::fs::write(&util, UTIL.replace("factor: int = 3", "factor: int = 4")).unwrap();
+    let (out, trace) = profiled("dirty");
+    assert!(trace.contains(r#""action":"miss","scope":"module","name":"util""#));
+    assert!(trace.contains(r#""action":"hit","scope":"module","name":"app""#));
+    assert!(
+        out.contains("cache: 1 module hits, 1 misses"),
+        "unexpected cache line: {out}"
+    );
+    assert!(
+        out.contains("1 retained hits"),
+        "unexpected slice line: {out}"
+    );
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn corrupted_cache_falls_back_to_identical_full_recompile() {
     let dir = workdir("corrupt");
     write_sources(&dir);
@@ -271,6 +326,103 @@ fn api_level_cached_build_replays_and_counts_hits() {
     cc.add_sources(&modules, 1).unwrap();
     let uncached = cc.build(&options).unwrap();
     assert_eq!(uncached.image.to_bytes(), cold.image.to_bytes());
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `+O4 +P` cached build of `modules` against `cache_dir` at `jobs`
+/// workers: (front-end hits, build output, rendered trace).
+fn profiled_cached_build(
+    cache_dir: &Path,
+    modules: &[(String, String)],
+    db: &cmo::ProfileDb,
+    jobs: usize,
+) -> (usize, cmo::BuildOutput, String) {
+    let tel = Telemetry::enabled();
+    let options = BuildOptions::new(OptLevel::O4)
+        .with_profile_db(db.clone())
+        .with_jobs(jobs)
+        .with_telemetry(tel.clone());
+    let mut cache = BuildCache::open(cache_dir).unwrap();
+    let mut cc = Compiler::new();
+    let hits = cc
+        .add_sources_cached_with(modules, &options, &mut cache)
+        .unwrap();
+    let out = cc.build_cached(&options, &mut cache).unwrap();
+    (hits, out, tel.render_trace())
+}
+
+#[test]
+fn one_module_edit_under_pbo_recompiles_only_that_module() {
+    let dir = workdir("pboedit");
+    let mut modules = vec![
+        ("util".to_owned(), UTIL.to_owned()),
+        (
+            "mid".to_owned(),
+            "extern fn scale(x: int) -> int;\n\
+             fn twice(x: int) -> int { return scale(x) + scale(x + 1); }\n"
+                .to_owned(),
+        ),
+        (
+            "leaf".to_owned(),
+            "fn bump(x: int) -> int { return x + 7; }\n".to_owned(),
+        ),
+        (
+            "app".to_owned(),
+            "extern fn twice(x: int) -> int;\n\
+             extern fn bump(x: int) -> int;\n\
+             fn main() -> int {\n\
+                 var i: int = 0;\n\
+                 var acc: int = 0;\n\
+                 while (i < 40) { acc = acc + twice(i) + bump(i); i = i + 1; }\n\
+                 return acc % 1000;\n\
+             }\n"
+            .to_owned(),
+        ),
+    ];
+    let n = modules.len();
+    let db = {
+        let mut cc = Compiler::new();
+        cc.add_sources(&modules, 1).unwrap();
+        let train = cc.build(&BuildOptions::instrumented()).unwrap();
+        train.run_for_profile(&[]).unwrap()
+    };
+
+    // Two identical cold caches, one per worker count, so both
+    // rebuilds meet the cache exactly as the cold build left it.
+    let caches = [dir.join("cache-j1"), dir.join("cache-j4")];
+    for cache_dir in &caches {
+        let (hits, cold, _) = profiled_cached_build(cache_dir, &modules, &db, 1);
+        assert_eq!(hits, 0);
+        assert_eq!(cold.report.cache.module_misses, n as u64);
+    }
+
+    // The edit: one new routine in one module.
+    modules[2]
+        .1
+        .push_str("fn unused_extra(x: int) -> int { return x * 5; }\n");
+    let uncached = {
+        let mut cc = Compiler::new();
+        cc.add_sources(&modules, 1).unwrap();
+        cc.build(&BuildOptions::new(OptLevel::O4).with_profile_db(db.clone()))
+            .unwrap()
+    };
+    let mut traces = Vec::new();
+    for (cache_dir, jobs) in caches.iter().zip([1, 4]) {
+        let (hits, out, trace) = profiled_cached_build(cache_dir, &modules, &db, jobs);
+        assert_eq!(hits, n - 1, "-j{jobs}: every untouched module hits");
+        assert_eq!(out.report.cache.module_hits, (n - 1) as u64);
+        assert_eq!(out.report.cache.module_misses, 1);
+        assert_eq!(out.report.cache.profile_retained_hits, (n - 1) as u64);
+        assert!(out.report.replayed.is_none(), "the edit re-keys the build");
+        assert_eq!(
+            out.image.to_bytes(),
+            uncached.image.to_bytes(),
+            "-j{jobs}: image differs from an uncached build of the edited sources"
+        );
+        traces.push(trace);
+    }
+    assert_eq!(traces[0], traces[1], "trace differs between -j1 and -j4");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -358,35 +358,26 @@ impl Instr {
         }
     }
 
-    /// Appends the registers this instruction reads to `out`.
-    pub fn uses_into(&self, out: &mut Vec<VReg>) {
-        match self {
-            Instr::Const { .. } | Instr::Input { .. } => {}
-            Instr::Bin { lhs, rhs, .. } => {
-                out.push(*lhs);
-                out.push(*rhs);
-            }
+    /// The registers this instruction reads, in operand order: up to
+    /// two fixed operand slots, then a call's argument list.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+        const NONE: VReg = VReg(0);
+        let (fixed, n_fixed, args): ([VReg; 2], usize, &[VReg]) = match self {
+            Instr::Const { .. }
+            | Instr::Input { .. }
+            | Instr::LoadLocal { .. }
+            | Instr::LoadGlobal { .. } => ([NONE; 2], 0, &[]),
+            Instr::Bin { lhs, rhs, .. } => ([*lhs, *rhs], 2, &[]),
             Instr::Un { src, .. }
             | Instr::Mov { src, .. }
             | Instr::StoreLocal { src, .. }
             | Instr::StoreGlobal { src, .. }
-            | Instr::Output { src } => out.push(*src),
-            Instr::LoadLocal { .. } | Instr::LoadGlobal { .. } => {}
-            Instr::LoadElem { index, .. } => out.push(*index),
-            Instr::StoreElem { index, src, .. } => {
-                out.push(*index);
-                out.push(*src);
-            }
-            Instr::Call { args, .. } => out.extend_from_slice(args),
-        }
-    }
-
-    /// The registers this instruction reads.
-    #[must_use]
-    pub fn uses(&self) -> Vec<VReg> {
-        let mut v = Vec::new();
-        self.uses_into(&mut v);
-        v
+            | Instr::Output { src } => ([*src, NONE], 1, &[]),
+            Instr::LoadElem { index, .. } => ([*index, NONE], 1, &[]),
+            Instr::StoreElem { index, src, .. } => ([*index, *src], 2, &[]),
+            Instr::Call { args, .. } => ([NONE; 2], 0, args),
+        };
+        fixed.into_iter().take(n_fixed).chain(args.iter().copied())
     }
 
     /// Returns `true` if deleting this instruction can change observable
@@ -425,16 +416,17 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks, in branch order.
-    #[must_use]
-    pub fn successors(&self) -> Vec<Block> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    /// Successor blocks, in branch order (at most two, by value).
+    pub fn successors(&self) -> impl ExactSizeIterator<Item = Block> {
+        const NONE: Block = Block(0);
+        let (blocks, n) = match self {
+            Terminator::Jump(b) => ([*b, NONE], 1),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return(_) => vec![],
-        }
+            } => ([*then_bb, *else_bb], 2),
+            Terminator::Return(_) => ([NONE; 2], 0),
+        };
+        blocks.into_iter().take(n)
     }
 
     /// The register the terminator reads, if any.
@@ -461,7 +453,7 @@ mod tests {
             rhs: VReg(2),
         };
         assert_eq!(i.def(), Some(VReg(3)));
-        assert_eq!(i.uses(), vec![VReg(1), VReg(2)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(1), VReg(2)]);
         assert!(!i.has_side_effects());
     }
 
@@ -474,20 +466,20 @@ mod tests {
             site: CallSiteId(0),
         };
         assert_eq!(i.def(), None);
-        assert_eq!(i.uses(), vec![VReg(5)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(5)]);
         assert!(i.has_side_effects());
     }
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jump(Block(4)).successors(), vec![Block(4)]);
-        assert!(Terminator::Return(None).successors().is_empty());
+        assert!(Terminator::Jump(Block(4)).successors().eq([Block(4)]));
+        assert_eq!(Terminator::Return(None).successors().len(), 0);
         let b = Terminator::Branch {
             cond: VReg(0),
             then_bb: Block(1),
             else_bb: Block(2),
         };
-        assert_eq!(b.successors(), vec![Block(1), Block(2)]);
+        assert!(b.successors().eq([Block(1), Block(2)]));
         assert_eq!(b.use_reg(), Some(VReg(0)));
     }
 

@@ -5,7 +5,59 @@
 //! pays fewer taken-branch penalties and packs hot code densely for the
 //! i-cache. Without profile data, source order is kept.
 
+use crate::scratch;
 use cmo_ir::{Block, RoutineBody};
+
+/// Reusable table for [`LayoutScratch::order_into`].
+#[derive(Default)]
+pub(crate) struct LayoutScratch {
+    placed: Vec<bool>,
+}
+
+impl LayoutScratch {
+    /// [`order_blocks`], writing the ordering into `order`.
+    pub(crate) fn order_into(
+        &mut self,
+        body: &RoutineBody,
+        counts: Option<&[u64]>,
+        order: &mut Vec<Block>,
+    ) {
+        let n = body.blocks.len();
+        order.clear();
+        let Some(counts) = counts else {
+            order.extend((0..n).map(Block::from_index));
+            return;
+        };
+        let count = |b: Block| counts.get(b.index()).copied().unwrap_or(0);
+        let placed = &mut self.placed;
+        placed.clear();
+        placed.resize(n, false);
+        let mut cur = Some(Block(0));
+        loop {
+            match cur {
+                Some(b) if !placed[b.index()] => {
+                    placed[b.index()] = true;
+                    order.push(b);
+                    cur = body.blocks[b.index()]
+                        .term
+                        .successors()
+                        .filter(|s| !placed[s.index()])
+                        .max_by(|a, b| count(*a).cmp(&count(*b)).then(b.cmp(a)));
+                }
+                _ => {
+                    // Start a new chain at the hottest unplaced block.
+                    cur = (0..n)
+                        .map(Block::from_index)
+                        .filter(|b| !placed[b.index()])
+                        .max_by(|a, b| count(*a).cmp(&count(*b)).then(b.cmp(a)));
+                    if cur.is_none() {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Computes a block ordering. `counts[b]` is the execution count of
 /// block `b` (from the profile database, or maintained by HLO through
@@ -18,38 +70,9 @@ use cmo_ir::{Block, RoutineBody};
 /// deterministic (§6.2).
 #[must_use]
 pub fn order_blocks(body: &RoutineBody, counts: Option<&[u64]>) -> Vec<Block> {
-    let n = body.blocks.len();
-    let Some(counts) = counts else {
-        return (0..n).map(Block::from_index).collect();
-    };
-    let count = |b: Block| counts.get(b.index()).copied().unwrap_or(0);
-    let mut placed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut cur = Some(Block(0));
-    loop {
-        match cur {
-            Some(b) if !placed[b.index()] => {
-                placed[b.index()] = true;
-                order.push(b);
-                cur = body.blocks[b.index()]
-                    .term
-                    .successors()
-                    .into_iter()
-                    .filter(|s| !placed[s.index()])
-                    .max_by(|a, b| count(*a).cmp(&count(*b)).then(b.cmp(a)));
-            }
-            _ => {
-                // Start a new chain at the hottest unplaced block.
-                cur = (0..n)
-                    .map(Block::from_index)
-                    .filter(|b| !placed[b.index()])
-                    .max_by(|a, b| count(*a).cmp(&count(*b)).then(b.cmp(a)));
-                if cur.is_none() {
-                    return order;
-                }
-            }
-        }
-    }
+    let mut order = Vec::with_capacity(body.blocks.len());
+    scratch::with(|s| s.layout.order_into(body, counts, &mut order));
+    order
 }
 
 #[cfg(test)]

@@ -24,12 +24,16 @@
 //!
 //! LLO working memory genuinely grows super-linearly with routine size
 //! (liveness is O(blocks × vregs)); [`LoweredRoutine::llo_work_bytes`]
-//! reports it, reproducing the LLO curve discussed under Figure 4.
+//! reports that footprint by formula, reproducing the LLO curve
+//! discussed under Figure 4. The tables themselves are per-thread
+//! scratch reused from routine to routine (see ARCHITECTURE.md, "LLO
+//! per-routine pipeline"), so lowering allocates only its outputs.
 
 pub mod layout;
 mod lower;
 pub mod opt;
 pub mod regalloc;
+mod scratch;
 
 pub use lower::{
     lower_routine, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort, OptEffortOpt,

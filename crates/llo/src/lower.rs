@@ -1,14 +1,12 @@
 //! Machine-code emission.
 
-use crate::layout::order_blocks;
-use crate::opt;
-use crate::regalloc::{allocate, Loc, MAX_ARGS, NUM_ALLOCATABLE};
+use crate::regalloc::{Loc, MAX_ARGS, NUM_ALLOCATABLE};
+use crate::scratch::{self, LloScratch};
 use cmo_ir::{
     Block, GlobalId, Instr, MemBase, Program, RoutineBody, RoutineId, Terminator, UnOp, VReg,
 };
 use cmo_profile::{ProbeKind, RoutineShape};
 use cmo_vm::{MInstr, Reg};
-use std::collections::HashMap;
 
 /// How hard LLO works, mirroring the HP-UX option levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -118,7 +116,9 @@ pub struct LoweredRoutine {
     pub probes: Vec<ProbeKind>,
     /// Structural shape after optimization, for profile correlation.
     pub shape: RoutineShape,
-    /// Peak LLO working memory for this routine (liveness tables).
+    /// Peak LLO working memory for this routine: the liveness and
+    /// interval tables' size by formula from its block and vreg counts,
+    /// whatever the reused per-thread scratch actually holds.
     pub llo_work_bytes: usize,
     /// IL instructions after local optimization.
     pub il_after_opt: u32,
@@ -136,15 +136,28 @@ pub fn shape_of(body: &RoutineBody) -> RoutineShape {
     }
 }
 
+/// Reusable tables for [`lower_routine`].
+#[derive(Default)]
+pub(crate) struct LowerScratch {
+    /// Block counts, maintained through local optimization.
+    counts: Vec<u64>,
+    /// Block emission order.
+    order: Vec<Block>,
+    /// Frame slot of each local's base.
+    local_base: Vec<u32>,
+    /// Code offset of each block, indexed by block.
+    block_offset: Vec<u32>,
+    /// Fixups: (code index, target block) to patch to block offsets.
+    fixups: Vec<(usize, Block)>,
+}
+
 struct Emitter<'a> {
     code: Vec<MInstr>,
     locs: &'a [Loc],
-    /// Frame slot of each local's base.
-    local_base: Vec<u32>,
+    local_base: &'a [u32],
     /// First frame slot of the spill area.
     spill_base: u32,
-    /// Fixups: (code index, target block) to patch to block offsets.
-    fixups: Vec<(usize, Block)>,
+    fixups: &'a mut Vec<(usize, Block)>,
     scratch_next: u8,
 }
 
@@ -210,8 +223,26 @@ pub fn lower_routine(
     globals: &GlobalLayout,
     options: &LloOptions,
 ) -> LoweredRoutine {
+    scratch::with(|s| lower_with(s, rid, body, program, globals, options))
+}
+
+fn lower_with(
+    scratch: &mut LloScratch,
+    rid: RoutineId,
+    body: &RoutineBody,
+    program: &Program,
+    globals: &GlobalLayout,
+    options: &LloOptions,
+) -> LoweredRoutine {
     let meta = program.routine(rid);
     let name = program.name(meta.name).to_owned();
+    let LowerScratch {
+        counts,
+        order,
+        local_base,
+        block_offset,
+        fixups,
+    } = &mut scratch.lower;
 
     // 1. Local optimization on a working copy. Block counts arrive in
     //    the pre-optimization (frontend/HLO) block-id domain and are
@@ -219,40 +250,48 @@ pub fn lower_routine(
     //    builds skip IL optimization entirely so probes map 1:1 onto
     //    that stable domain — this is what keeps the profile database
     //    correlated across option levels (§3, §6.2).
-    let mut body = body.clone();
     let mut counts = options.block_counts.as_deref().map(|c| {
-        let mut v = c.to_vec();
-        v.resize(body.blocks.len(), 0);
-        v
+        counts.clear();
+        counts.extend_from_slice(c);
+        counts.resize(body.blocks.len(), 0);
+        counts
     });
-    if options.effort.0 >= OptEffort::O2 && !options.instrument {
-        opt::optimize_with_counts(&mut body, counts.as_mut());
-    }
-    let shape = shape_of(&body);
+    let optimized;
+    let body = if options.effort.0 >= OptEffort::O2 && !options.instrument {
+        let mut copy = body.clone();
+        scratch.opt.optimize(&mut copy, counts.as_deref_mut());
+        optimized = copy;
+        &optimized
+    } else {
+        body
+    };
+    let shape = shape_of(body);
 
     // 2. Layout.
-    let order = order_blocks(&body, counts.as_deref());
+    let counts = counts.map(|c| c.as_slice());
+    scratch.layout.order_into(body, counts, order);
 
     // 3. Register allocation.
-    let alloc = allocate(&body, &order);
+    let (spill_slots, llo_work_bytes) = scratch.alloc.allocate(body, order);
 
     // 4. Frame layout: locals first (arrays get contiguous slots),
     //    spill area after.
-    let mut local_base = Vec::with_capacity(body.locals.len());
+    local_base.clear();
     let mut next_slot = 0u32;
     for decl in &body.locals {
         local_base.push(next_slot);
         next_slot += decl.ty.slots();
     }
     let spill_base = next_slot;
-    let frame_slots = next_slot + alloc.spill_slots;
+    let frame_slots = next_slot + spill_slots;
 
+    fixups.clear();
     let mut e = Emitter {
         code: Vec::with_capacity(body.instr_count() * 2),
-        locs: &alloc.locs,
+        locs: &scratch.alloc.locs,
         local_base,
         spill_base,
-        fixups: Vec::new(),
+        fixups,
         scratch_next: 0,
     };
     let mut probes: Vec<ProbeKind> = Vec::new();
@@ -267,9 +306,10 @@ pub fn lower_routine(
         });
     }
 
-    let mut block_offset: HashMap<Block, u32> = HashMap::new();
+    block_offset.clear();
+    block_offset.resize(body.blocks.len(), 0);
     for (pos, &b) in order.iter().enumerate() {
-        block_offset.insert(b, e.code.len() as u32);
+        block_offset[b.index()] = e.code.len() as u32;
         if options.instrument {
             probes.push(ProbeKind::Block(b.index() as u32));
             e.code.push(MInstr::Probe {
@@ -325,8 +365,8 @@ pub fn lower_routine(
     }
 
     // Patch branch targets.
-    for (idx, target) in e.fixups.clone() {
-        let off = block_offset[&target];
+    for &(idx, target) in e.fixups.iter() {
+        let off = block_offset[target.index()];
         match &mut e.code[idx] {
             MInstr::Jmp { target } | MInstr::Br { target, .. } => *target = off,
             other => unreachable!("fixup on non-branch {other:?}"),
@@ -339,7 +379,7 @@ pub fn lower_routine(
         frame_slots,
         probes,
         shape,
-        llo_work_bytes: alloc.work_bytes,
+        llo_work_bytes,
         il_after_opt: body.instr_count() as u32,
     }
 }

@@ -7,9 +7,14 @@
 //! elimination, and unreachable-block removal. They also run *after*
 //! inlining, which is where the paper's CMO wins materialize: inlined
 //! constants feed folding, and inlined branches become redundant.
+//!
+//! Every pass keeps its working tables in an `OptScratch` that the
+//! calling thread reuses from routine to routine: facts are dense
+//! vectors indexed by vreg / local, so a routine costs no hashing and
+//! no per-block or per-instruction allocation.
 
-use cmo_ir::{BinOp, Block, BlockData, Const, Instr, Local, RoutineBody, Terminator, UnOp, VReg};
-use std::collections::HashMap;
+use crate::scratch::{self, step};
+use cmo_ir::{BinOp, Block, Const, Instr, Local, RoutineBody, Terminator, UnOp, VReg};
 
 /// Statistics from one optimization run, for diagnostics and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,164 +70,475 @@ fn fold_un(op: UnOp, v: Const) -> Option<Const> {
     })
 }
 
+/// "`dst` currently equals `src`", as learned from a `mov` or a
+/// forwarded store. The fact is present while its `epoch` is the
+/// current block's and `src` still has the version it had when the
+/// fact was recorded.
+#[derive(Clone, Copy)]
+struct CopyFact {
+    epoch: u64,
+    src: VReg,
+    src_version: u32,
+}
+
+const NO_COPY: CopyFact = CopyFact {
+    epoch: 0,
+    src: VReg(0),
+    src_version: 0,
+};
+
+/// What the propagator knows about one vreg (or one scalar local; a
+/// local has no `version`) inside the current block.
+#[derive(Clone, Copy)]
+struct Facts {
+    /// Epoch at which `konst` was recorded; 0 = never / removed.
+    konst_epoch: u64,
+    konst: Const,
+    copy: CopyFact,
+    /// Bumped at every definition of this vreg: invalidates, in O(1),
+    /// every copy fact that names it as source.
+    version: u32,
+}
+
+const NO_FACTS: Facts = Facts {
+    konst_epoch: 0,
+    konst: Const::I(0),
+    copy: NO_COPY,
+    version: 0,
+};
+
+/// Chains longer than this are followed no further.
+const MAX_COPY_HOPS: u32 = 64;
+
+/// Reusable tables for the passes below.
+#[derive(Default)]
+pub(crate) struct OptScratch {
+    /// Current block's epoch. Bumping it empties every fact table at
+    /// once; it never wraps (u64, one bump per block).
+    epoch: u64,
+    vregs: Vec<Facts>,
+    locals: Vec<Facts>,
+    /// `dead_code_elim`: reads of each vreg / loads of each local.
+    use_count: Vec<u32>,
+    load_count: Vec<u32>,
+    /// `merge_blocks` / `remove_unreachable`.
+    pred_count: Vec<u32>,
+    reachable: Vec<bool>,
+    work: Vec<Block>,
+    remap: Vec<Block>,
+}
+
+impl OptScratch {
+    fn vconst(&self, r: VReg) -> Option<Const> {
+        let f = &self.vregs[r.index()];
+        (f.konst_epoch == self.epoch).then_some(f.konst)
+    }
+
+    fn set_vconst(&mut self, r: VReg, c: Const) {
+        let f = &mut self.vregs[r.index()];
+        f.konst_epoch = self.epoch;
+        f.konst = c;
+    }
+
+    fn lconst(&self, l: Local) -> Option<Const> {
+        let f = &self.locals[l.index()];
+        (f.konst_epoch == self.epoch).then_some(f.konst)
+    }
+
+    /// The source of `fact` if the fact is still present.
+    fn copy_source(&self, fact: CopyFact) -> Option<VReg> {
+        (fact.epoch == self.epoch && self.vregs[fact.src.index()].version == fact.src_version)
+            .then_some(fact.src)
+    }
+
+    fn copy_fact(&self, src: VReg) -> CopyFact {
+        CopyFact {
+            epoch: self.epoch,
+            src,
+            src_version: self.vregs[src.index()].version,
+        }
+    }
+
+    /// Follows `r` through the copy chain to its earliest equivalent.
+    fn resolve(&self, mut r: VReg) -> VReg {
+        let mut hops = 0;
+        while let Some(s) = self.copy_source(self.vregs[r.index()].copy) {
+            step(1);
+            r = s;
+            hops += 1;
+            if hops > MAX_COPY_HOPS {
+                break;
+            }
+        }
+        r
+    }
+
+    pub(crate) fn const_and_copy_prop(&mut self, body: &mut RoutineBody) -> OptStats {
+        let mut stats = OptStats::default();
+        if self.vregs.len() < body.n_vregs as usize {
+            self.vregs.resize(body.n_vregs as usize, NO_FACTS);
+        }
+        if self.locals.len() < body.locals.len() {
+            self.locals.resize(body.locals.len(), NO_FACTS);
+        }
+        for block in &mut body.blocks {
+            // Facts are per block: a new epoch forgets them all.
+            self.epoch += 1;
+            for instr in &mut block.instrs {
+                step(1);
+                // Rewrite sources through copy chains first.
+                let mut changed = false;
+                let mut rewrite = |r: &mut VReg| {
+                    let s = self.resolve(*r);
+                    changed |= s != *r;
+                    *r = s;
+                };
+                match instr {
+                    Instr::Bin { lhs, rhs, .. } => {
+                        rewrite(lhs);
+                        rewrite(rhs);
+                    }
+                    Instr::Un { src, .. }
+                    | Instr::Mov { src, .. }
+                    | Instr::StoreLocal { src, .. }
+                    | Instr::StoreGlobal { src, .. }
+                    | Instr::Output { src } => rewrite(src),
+                    Instr::LoadElem { index, .. } => rewrite(index),
+                    Instr::StoreElem { index, src, .. } => {
+                        rewrite(index);
+                        rewrite(src);
+                    }
+                    Instr::Call { args, .. } => args.iter_mut().for_each(rewrite),
+                    _ => {}
+                }
+                stats.copies += usize::from(changed);
+
+                // A new definition invalidates stale facts about dst,
+                // and (by the version bump) every copy *from* dst.
+                if let Some(d) = instr.def() {
+                    let f = &mut self.vregs[d.index()];
+                    f.konst_epoch = 0;
+                    f.copy.epoch = 0;
+                    f.version = f.version.wrapping_add(1);
+                }
+
+                // Learn facts / fold.
+                let folded = match *instr {
+                    Instr::Const { dst, value } => {
+                        self.set_vconst(dst, value);
+                        None
+                    }
+                    Instr::Mov { dst, src } => {
+                        let c = self.vconst(src);
+                        if c.is_none() {
+                            self.vregs[dst.index()].copy = self.copy_fact(src);
+                        }
+                        c.map(|c| (dst, c))
+                    }
+                    Instr::Bin { dst, op, lhs, rhs } => self
+                        .vconst(lhs)
+                        .zip(self.vconst(rhs))
+                        .and_then(|(a, b)| fold_bin(op, a, b))
+                        .map(|c| (dst, c)),
+                    Instr::Un { dst, op, src } => self
+                        .vconst(src)
+                        .and_then(|v| fold_un(op, v))
+                        .map(|c| (dst, c)),
+                    Instr::StoreLocal { local, src } => {
+                        // The local now holds a constant or a copy of
+                        // `src`, never both.
+                        self.locals[local.index()] = match self.vconst(src) {
+                            Some(c) => Facts {
+                                konst_epoch: self.epoch,
+                                konst: c,
+                                ..NO_FACTS
+                            },
+                            None => Facts {
+                                copy: self.copy_fact(src),
+                                ..NO_FACTS
+                            },
+                        };
+                        None
+                    }
+                    Instr::LoadLocal { dst, local } => {
+                        let c = self.lconst(local);
+                        if c.is_none() {
+                            if let Some(v) = self.copy_source(self.locals[local.index()].copy) {
+                                *instr = Instr::Mov { dst, src: v };
+                                self.vregs[dst.index()].copy = self.copy_fact(v);
+                                stats.copies += 1;
+                            }
+                        }
+                        c.map(|c| (dst, c))
+                    }
+                    _ => None,
+                };
+                if let Some((dst, value)) = folded {
+                    self.set_vconst(dst, value);
+                    *instr = Instr::Const { dst, value };
+                    stats.folded += 1;
+                }
+            }
+
+            // Fold constant branch conditions.
+            if let Terminator::Branch {
+                cond,
+                then_bb,
+                else_bb,
+            } = block.term
+            {
+                if let Some(c) = self.vconst(self.resolve(cond)) {
+                    block.term = Terminator::Jump(if c.is_zero() { else_bb } else { then_bb });
+                    stats.branches += 1;
+                }
+            }
+        }
+        stats
+    }
+
+    pub(crate) fn merge_blocks(&mut self, body: &mut RoutineBody) -> OptStats {
+        let mut stats = OptStats::default();
+        let n = body.blocks.len();
+
+        // Branch with both edges equal -> jump.
+        for block in &mut body.blocks {
+            if let Terminator::Branch {
+                then_bb, else_bb, ..
+            } = block.term
+            {
+                if then_bb == else_bb {
+                    block.term = Terminator::Jump(then_bb);
+                    stats.branches += 1;
+                }
+            }
+        }
+
+        // Jump threading: resolve chains of empty jump-only blocks.
+        let thread = |mut b: Block, body: &RoutineBody| -> Block {
+            let mut hops = 0;
+            loop {
+                let target = &body.blocks[b.index()];
+                match target.term {
+                    Terminator::Jump(next) if target.instrs.is_empty() && next != b && hops < n => {
+                        b = next;
+                        hops += 1;
+                    }
+                    _ => return b,
+                }
+            }
+        };
+        for i in 0..n {
+            let threaded = match body.blocks[i].term {
+                Terminator::Jump(t) => Terminator::Jump(thread(t, body)),
+                Terminator::Branch {
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => Terminator::Branch {
+                    cond,
+                    then_bb: thread(then_bb, body),
+                    else_bb: thread(else_bb, body),
+                },
+                Terminator::Return(_) => continue,
+            };
+            body.blocks[i].term = threaded;
+        }
+
+        // Merge single-predecessor jump targets into their predecessor.
+        let pred_count = &mut self.pred_count;
+        pred_count.clear();
+        pred_count.resize(n, 0);
+        for block in &body.blocks {
+            for s in block.term.successors() {
+                pred_count[s.index()] += 1;
+            }
+        }
+        for a in 0..n {
+            while let Terminator::Jump(b) = body.blocks[a].term {
+                if b.index() == a || b.index() == 0 || pred_count[b.index()] != 1 {
+                    break;
+                }
+                let mut merged = std::mem::take(&mut body.blocks[b.index()].instrs);
+                let term =
+                    std::mem::replace(&mut body.blocks[b.index()].term, Terminator::Return(None));
+                // Leave b as an unreachable husk; remove_unreachable
+                // renumbers later.
+                pred_count[b.index()] = 0;
+                body.blocks[a].instrs.append(&mut merged);
+                body.blocks[a].term = term;
+                stats.unreachable += 1;
+            }
+        }
+        stats
+    }
+
+    pub(crate) fn dead_code_elim(&mut self, body: &mut RoutineBody) -> OptStats {
+        // Count every read once; removals then keep the counts exact,
+        // so later rounds need no recount.
+        let use_count = &mut self.use_count;
+        use_count.clear();
+        use_count.resize(body.n_vregs as usize, 0);
+        // Array locals are kept conservatively (any element access
+        // pins the whole array): they start with a load nothing takes
+        // back.
+        let load_count = &mut self.load_count;
+        load_count.clear();
+        load_count.extend(body.locals.iter().map(|d| u32::from(d.ty.is_array())));
+        for block in &body.blocks {
+            for instr in &block.instrs {
+                for u in instr.uses() {
+                    use_count[u.index()] += 1;
+                }
+                if let Instr::LoadLocal { local, .. } = instr {
+                    load_count[local.index()] += 1;
+                }
+            }
+            if let Some(u) = block.term.use_reg() {
+                use_count[u.index()] += 1;
+            }
+        }
+        let mut stats = OptStats::default();
+        loop {
+            // Set when a removal takes the last read of a vreg or
+            // local: its definitions, possibly earlier in the sweep,
+            // are dead now, so sweep again.
+            let mut exposed = false;
+            for block in &mut body.blocks {
+                block.instrs.retain(|i| {
+                    let dead = match i {
+                        Instr::StoreLocal { local, .. } => load_count[local.index()] == 0,
+                        _ => {
+                            !i.has_side_effects()
+                                && i.def().is_some_and(|d| use_count[d.index()] == 0)
+                        }
+                    };
+                    if dead {
+                        stats.dead += 1;
+                        for u in i.uses() {
+                            use_count[u.index()] -= 1;
+                            exposed |= use_count[u.index()] == 0;
+                        }
+                        if let Instr::LoadLocal { local, .. } = i {
+                            load_count[local.index()] -= 1;
+                            exposed |= load_count[local.index()] == 0;
+                        }
+                    }
+                    !dead
+                });
+            }
+            if !exposed {
+                return stats;
+            }
+        }
+    }
+
+    pub(crate) fn remove_unreachable(
+        &mut self,
+        body: &mut RoutineBody,
+        counts: Option<&mut Vec<u64>>,
+    ) -> OptStats {
+        let mut stats = OptStats::default();
+        let n = body.blocks.len();
+        let reachable = &mut self.reachable;
+        reachable.clear();
+        reachable.resize(n, false);
+        let work = &mut self.work;
+        work.clear();
+        work.push(Block(0));
+        let mut n_reachable = 0;
+        while let Some(b) = work.pop() {
+            if reachable[b.index()] {
+                continue;
+            }
+            reachable[b.index()] = true;
+            n_reachable += 1;
+            for s in body.blocks[b.index()].term.successors() {
+                if !reachable[s.index()] {
+                    work.push(s);
+                }
+            }
+        }
+        if n_reachable == n {
+            return stats;
+        }
+        stats.unreachable = n - n_reachable;
+
+        // Survivors move down in place, keeping their relative order.
+        let remap = &mut self.remap;
+        remap.clear();
+        let mut next = 0;
+        remap.extend(reachable.iter().map(|&keep| {
+            let new = if keep { next } else { u32::MAX };
+            next += u32::from(keep);
+            Block(new)
+        }));
+        let mut old = 0;
+        body.blocks.retain(|_| {
+            old += 1;
+            reachable[old - 1]
+        });
+        if let Some(counts) = counts {
+            counts.resize(n, 0);
+            let mut old = 0;
+            counts.retain(|_| {
+                old += 1;
+                reachable[old - 1]
+            });
+        }
+        for block in &mut body.blocks {
+            match &mut block.term {
+                Terminator::Jump(b) => *b = remap[b.index()],
+                Terminator::Branch {
+                    then_bb, else_bb, ..
+                } => {
+                    *then_bb = remap[then_bb.index()];
+                    *else_bb = remap[else_bb.index()];
+                }
+                Terminator::Return(_) => {}
+            }
+        }
+        stats
+    }
+
+    pub(crate) fn optimize(
+        &mut self,
+        body: &mut RoutineBody,
+        mut counts: Option<&mut Vec<u64>>,
+    ) -> OptStats {
+        let mut total = OptStats::default();
+        for _ in 0..12 {
+            let m = self.merge_blocks(body);
+            let a = self.const_and_copy_prop(body);
+            let b = self.dead_code_elim(body);
+            let c = self.remove_unreachable(body, counts.as_deref_mut());
+            total.folded += a.folded;
+            total.copies += a.copies;
+            total.branches += a.branches + m.branches;
+            total.dead += b.dead;
+            total.unreachable += c.unreachable + m.unreachable;
+            if m.unreachable + m.branches + a.folded + a.branches + b.dead + c.unreachable == 0 {
+                break;
+            }
+        }
+        total
+    }
+}
+
 /// Per-block constant and copy propagation.
 ///
 /// Returns the number of folds and propagated copies. Virtual-register
-/// and local-scalar values are tracked within each block; both maps are
-/// conservatively cleared at block entry (vregs may be live across
+/// and local-scalar values are tracked within each block; all facts are
+/// conservatively forgotten at block entry (vregs may be live across
 /// blocks after inlining, but then they are not redefined here, so
 /// per-block tracking of *definitions seen in this block* is sound).
 /// Local scalars also forward the last stored vreg (`store l, v; ... ;
 /// x = load l` becomes `x = mov v`), which is what makes inlined
 /// argument traffic disappear after block merging.
+///
+/// Vreg and local ids must be in range for `body` (as
+/// `cmo_ir::validate` checks); the same holds for every pass here.
 pub fn const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
-    let mut stats = OptStats::default();
-    for block in &mut body.blocks {
-        // Known constant value of a vreg / local, within this block.
-        let mut vconst: HashMap<VReg, Const> = HashMap::new();
-        let mut lconst: HashMap<Local, Const> = HashMap::new();
-        // Last vreg stored to a local, within this block.
-        let mut lcopy: HashMap<Local, VReg> = HashMap::new();
-        // Copy chains: vreg -> earlier equivalent vreg.
-        let mut copy_of: HashMap<VReg, VReg> = HashMap::new();
-
-        let resolve = |copy_of: &HashMap<VReg, VReg>, mut r: VReg| -> VReg {
-            let mut hops = 0;
-            while let Some(&s) = copy_of.get(&r) {
-                r = s;
-                hops += 1;
-                if hops > 64 {
-                    break;
-                }
-            }
-            r
-        };
-
-        for instr in &mut block.instrs {
-            // Rewrite sources through copy chains first.
-            let before = instr.clone();
-            match instr {
-                Instr::Bin { lhs, rhs, .. } => {
-                    *lhs = resolve(&copy_of, *lhs);
-                    *rhs = resolve(&copy_of, *rhs);
-                }
-                Instr::Un { src, .. }
-                | Instr::Mov { src, .. }
-                | Instr::StoreLocal { src, .. }
-                | Instr::StoreGlobal { src, .. }
-                | Instr::Output { src } => *src = resolve(&copy_of, *src),
-                Instr::LoadElem { index, .. } => *index = resolve(&copy_of, *index),
-                Instr::StoreElem { index, src, .. } => {
-                    *index = resolve(&copy_of, *index);
-                    *src = resolve(&copy_of, *src);
-                }
-                Instr::Call { args, .. } => {
-                    for a in args.iter_mut() {
-                        *a = resolve(&copy_of, *a);
-                    }
-                }
-                _ => {}
-            }
-            if *instr != before {
-                stats.copies += 1;
-            }
-
-            // A new definition invalidates stale facts about dst.
-            if let Some(d) = instr.def() {
-                vconst.remove(&d);
-                copy_of.remove(&d);
-                // Anything copying from d is now stale.
-                copy_of.retain(|_, v| *v != d);
-                lcopy.retain(|_, v| *v != d);
-            }
-
-            // Learn facts / fold.
-            match instr {
-                Instr::Const { dst, value } => {
-                    vconst.insert(*dst, *value);
-                }
-                Instr::Mov { dst, src } => {
-                    if let Some(&c) = vconst.get(src) {
-                        vconst.insert(*dst, c);
-                        *instr = Instr::Const {
-                            dst: *dst,
-                            value: c,
-                        };
-                        stats.folded += 1;
-                    } else {
-                        copy_of.insert(*dst, *src);
-                    }
-                }
-                Instr::Bin { dst, op, lhs, rhs } => {
-                    if let (Some(&a), Some(&b)) = (vconst.get(lhs), vconst.get(rhs)) {
-                        if let Some(c) = fold_bin(*op, a, b) {
-                            vconst.insert(*dst, c);
-                            *instr = Instr::Const {
-                                dst: *dst,
-                                value: c,
-                            };
-                            stats.folded += 1;
-                        }
-                    }
-                }
-                Instr::Un { dst, op, src } => {
-                    if let Some(&v) = vconst.get(src) {
-                        if let Some(c) = fold_un(*op, v) {
-                            vconst.insert(*dst, c);
-                            *instr = Instr::Const {
-                                dst: *dst,
-                                value: c,
-                            };
-                            stats.folded += 1;
-                        }
-                    }
-                }
-                Instr::StoreLocal { local, src } => {
-                    match vconst.get(src) {
-                        Some(&c) => {
-                            lconst.insert(*local, c);
-                            lcopy.remove(local);
-                        }
-                        None => {
-                            lconst.remove(local);
-                            lcopy.insert(*local, *src);
-                        }
-                    };
-                }
-                Instr::LoadLocal { dst, local } => {
-                    if let Some(&c) = lconst.get(local) {
-                        vconst.insert(*dst, c);
-                        *instr = Instr::Const {
-                            dst: *dst,
-                            value: c,
-                        };
-                        stats.folded += 1;
-                    } else if let Some(&v) = lcopy.get(local) {
-                        let dst = *dst;
-                        *instr = Instr::Mov { dst, src: v };
-                        copy_of.insert(dst, v);
-                        stats.copies += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Fold constant branch conditions.
-        if let Terminator::Branch {
-            cond,
-            then_bb,
-            else_bb,
-        } = block.term
-        {
-            let cond = resolve(&copy_of, cond);
-            if let Some(&c) = vconst.get(&cond) {
-                block.term = Terminator::Jump(if c.is_zero() { else_bb } else { then_bb });
-                stats.branches += 1;
-            }
-        }
-    }
-    stats
+    scratch::with(|s| s.opt.const_and_copy_prop(body))
 }
 
 /// Straightens control flow: threads jumps through empty blocks,
@@ -232,77 +548,7 @@ pub fn const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
 /// block ends in a jump to the single-predecessor callee entry, and
 /// after merging, constant arguments flow into the callee body.
 pub fn merge_blocks(body: &mut RoutineBody) -> OptStats {
-    let mut stats = OptStats::default();
-    let n = body.blocks.len();
-
-    // Branch with both edges equal -> jump.
-    for block in &mut body.blocks {
-        if let Terminator::Branch {
-            then_bb, else_bb, ..
-        } = block.term
-        {
-            if then_bb == else_bb {
-                block.term = Terminator::Jump(then_bb);
-                stats.branches += 1;
-            }
-        }
-    }
-
-    // Jump threading: resolve chains of empty jump-only blocks.
-    let thread = |mut b: Block, body: &RoutineBody| -> Block {
-        let mut hops = 0;
-        loop {
-            let target = &body.blocks[b.index()];
-            match target.term {
-                Terminator::Jump(next) if target.instrs.is_empty() && next != b && hops < n => {
-                    b = next;
-                    hops += 1;
-                }
-                _ => return b,
-            }
-        }
-    };
-    for i in 0..n {
-        let term = body.blocks[i].term.clone();
-        body.blocks[i].term = match term {
-            Terminator::Jump(t) => Terminator::Jump(thread(t, body)),
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => Terminator::Branch {
-                cond,
-                then_bb: thread(then_bb, body),
-                else_bb: thread(else_bb, body),
-            },
-            r @ Terminator::Return(_) => r,
-        };
-    }
-
-    // Merge single-predecessor jump targets into their predecessor.
-    let mut pred_count = vec![0usize; n];
-    for block in &body.blocks {
-        for s in block.term.successors() {
-            pred_count[s.index()] += 1;
-        }
-    }
-    for a in 0..n {
-        while let Terminator::Jump(b) = body.blocks[a].term {
-            if b.index() == a || b.index() == 0 || pred_count[b.index()] != 1 {
-                break;
-            }
-            let merged = std::mem::take(&mut body.blocks[b.index()].instrs);
-            let term =
-                std::mem::replace(&mut body.blocks[b.index()].term, Terminator::Return(None));
-            // Leave b as an unreachable husk; remove_unreachable
-            // renumbers later.
-            pred_count[b.index()] = 0;
-            body.blocks[a].instrs.extend(merged);
-            body.blocks[a].term = term;
-            stats.unreachable += 1;
-        }
-    }
-    stats
+    scratch::with(|s| s.opt.merge_blocks(body))
 }
 
 /// Removes instructions whose results are never used anywhere in the
@@ -310,57 +556,7 @@ pub fn merge_blocks(body: &mut RoutineBody) -> OptStats {
 /// locals that are never loaded (after inlining and propagation,
 /// parameter-passing slots die this way). Iterates to a fixed point.
 pub fn dead_code_elim(body: &mut RoutineBody) -> OptStats {
-    let mut stats = OptStats::default();
-    loop {
-        let mut used = vec![false; body.n_vregs as usize];
-        let mut mark = |r: VReg| {
-            if let Some(slot) = used.get_mut(r.index()) {
-                *slot = true;
-            }
-        };
-        // Scalar locals that are ever loaded; array locals are kept
-        // conservatively (any element access pins the whole array).
-        let mut local_read = vec![false; body.locals.len()];
-        for (i, decl) in body.locals.iter().enumerate() {
-            if decl.ty.is_array() {
-                local_read[i] = true;
-            }
-        }
-        for block in &body.blocks {
-            for instr in &block.instrs {
-                for u in instr.uses() {
-                    mark(u);
-                }
-                if let Instr::LoadLocal { local, .. } = instr {
-                    local_read[local.index()] = true;
-                }
-            }
-            if let Some(u) = block.term.use_reg() {
-                mark(u);
-            }
-        }
-        let mut removed = 0;
-        for block in &mut body.blocks {
-            block.instrs.retain(|i| {
-                let dead = match i {
-                    Instr::StoreLocal { local, .. } => !local_read[local.index()],
-                    _ => {
-                        !i.has_side_effects()
-                            && i.def()
-                                .is_some_and(|d| !used.get(d.index()).copied().unwrap_or(true))
-                    }
-                };
-                if dead {
-                    removed += 1;
-                }
-                !dead
-            });
-        }
-        stats.dead += removed;
-        if removed == 0 {
-            return stats;
-        }
-    }
+    scratch::with(|s| s.opt.dead_code_elim(body))
 }
 
 /// Removes blocks unreachable from the entry, remapping block ids and
@@ -370,61 +566,7 @@ pub fn dead_code_elim(body: &mut RoutineBody) -> OptStats {
 /// correlates profile information from the database with current
 /// program structures").
 pub fn remove_unreachable(body: &mut RoutineBody, counts: Option<&mut Vec<u64>>) -> OptStats {
-    let mut stats = OptStats::default();
-    let n = body.blocks.len();
-    let mut reachable = vec![false; n];
-    let mut work = vec![Block(0)];
-    while let Some(b) = work.pop() {
-        if reachable[b.index()] {
-            continue;
-        }
-        reachable[b.index()] = true;
-        for s in body.blocks[b.index()].term.successors() {
-            if !reachable[s.index()] {
-                work.push(s);
-            }
-        }
-    }
-    if reachable.iter().all(|&r| r) {
-        return stats;
-    }
-    let mut remap = vec![Block(u32::MAX); n];
-    let mut new_blocks: Vec<BlockData> = Vec::new();
-    for (i, keep) in reachable.iter().enumerate() {
-        if *keep {
-            remap[i] = Block::from_index(new_blocks.len());
-            new_blocks.push(body.blocks[i].clone());
-        } else {
-            stats.unreachable += 1;
-        }
-    }
-    if let Some(counts) = counts {
-        counts.resize(n, 0);
-        let mut new_counts = vec![0u64; new_blocks.len()];
-        for (i, keep) in reachable.iter().enumerate() {
-            if *keep {
-                new_counts[remap[i].index()] = counts[i];
-            }
-        }
-        *counts = new_counts;
-    }
-    for block in &mut new_blocks {
-        block.term = match block.term.clone() {
-            Terminator::Jump(b) => Terminator::Jump(remap[b.index()]),
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => Terminator::Branch {
-                cond,
-                then_bb: remap[then_bb.index()],
-                else_bb: remap[else_bb.index()],
-            },
-            r @ Terminator::Return(_) => r,
-        };
-    }
-    body.blocks = new_blocks;
-    stats
+    scratch::with(|s| s.opt.remove_unreachable(body, counts))
 }
 
 /// The full local optimization pipeline, iterated until quiescent.
@@ -435,30 +577,15 @@ pub fn optimize(body: &mut RoutineBody) -> OptStats {
 /// [`optimize`], additionally maintaining a block-count vector through
 /// every structural change so profile-guided layout downstream sees
 /// correlated data.
-pub fn optimize_with_counts(body: &mut RoutineBody, mut counts: Option<&mut Vec<u64>>) -> OptStats {
-    let mut total = OptStats::default();
-    for _ in 0..12 {
-        let m = merge_blocks(body);
-        let a = const_and_copy_prop(body);
-        let b = dead_code_elim(body);
-        let c = remove_unreachable(body, counts.as_deref_mut());
-        total.folded += a.folded;
-        total.copies += a.copies;
-        total.branches += a.branches + m.branches;
-        total.dead += b.dead;
-        total.unreachable += c.unreachable + m.unreachable;
-        if m.unreachable + m.branches + a.folded + a.branches + b.dead + c.unreachable == 0 {
-            break;
-        }
-    }
-    total
+pub fn optimize_with_counts(body: &mut RoutineBody, counts: Option<&mut Vec<u64>>) -> OptStats {
+    scratch::with(|s| s.opt.optimize(body, counts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cmo_frontend::compile_module;
-    use cmo_ir::link_objects;
+    use cmo_ir::{link_objects, BlockData};
 
     fn body_of(src: &str) -> RoutineBody {
         let obj = compile_module("m", src).unwrap();
@@ -649,5 +776,50 @@ mod count_tests {
         let mut without = make();
         optimize(&mut without);
         assert_eq!(with, without, "count maintenance must not affect code");
+    }
+}
+
+#[cfg(test)]
+mod complexity_tests {
+    use super::*;
+    use crate::scratch::STEPS;
+    use cmo_ir::BlockData;
+
+    /// Steps `const_and_copy_prop` takes over one block of `n`
+    /// instructions, alternating `d = mov root` / `t = add d, root`
+    /// with fresh `d` and `t`: every `mov` leaves a copy fact that
+    /// stays live to the end of the block, and every instruction is a
+    /// definition that has to invalidate what it makes stale.
+    fn prop_steps(n: usize) -> u64 {
+        let mut body = RoutineBody::new();
+        let root = body.new_vreg();
+        let mut block = BlockData::new(Terminator::Return(Some(root)));
+        block.instrs.push(Instr::Input { dst: root });
+        for _ in 0..n / 2 {
+            let d = body.new_vreg();
+            block.instrs.push(Instr::Mov { dst: d, src: root });
+            let t = body.new_vreg();
+            block.instrs.push(Instr::Bin {
+                dst: t,
+                op: BinOp::Add,
+                lhs: d,
+                rhs: root,
+            });
+        }
+        body.blocks.push(block);
+        let before = STEPS.get();
+        let stats = const_and_copy_prop(&mut body);
+        assert_eq!(stats.copies, n / 2, "every add's lhs was a live copy");
+        STEPS.get() - before
+    }
+
+    #[test]
+    fn propagation_is_linear_in_block_length() {
+        let (small, large) = (prop_steps(512), prop_steps(2048));
+        // Scanning the live facts at each definition made this ~16x.
+        assert!(
+            large <= 5 * small,
+            "{small} steps for 512 instructions, {large} for 2048"
+        );
     }
 }

@@ -8,6 +8,7 @@
 //! reports it so the memory experiments can plot LLO alongside HLO.
 
 use crate::layout::order_blocks;
+use crate::scratch::{self, step};
 use cmo_ir::{Block, RoutineBody};
 use cmo_vm::Reg;
 
@@ -39,47 +40,208 @@ pub struct AllocResult {
     pub spill_slots: u32,
     /// Block emission order used for linearization.
     pub order: Vec<Block>,
-    /// Peak allocator working memory in bytes (liveness bit vectors
-    /// plus interval tables).
+    /// Allocator working memory in bytes (liveness bit vectors plus
+    /// interval tables), by formula from the block and vreg counts.
     pub work_bytes: usize,
 }
 
-struct BitMatrix {
-    words_per_row: usize,
+/// Reusable tables for [`AllocScratch::allocate`].
+#[derive(Default)]
+pub(crate) struct AllocScratch {
+    /// Four `n_blocks × words_per_row` bit planes, back to back: use,
+    /// def, live-in, live-out.
     bits: Vec<u64>,
+    block_start: Vec<usize>,
+    block_end: Vec<usize>,
+    start: Vec<usize>,
+    end: Vec<usize>,
+    intervals: Vec<usize>,
+    active: Vec<usize>,
+    free: Vec<u8>,
+    /// Location of each virtual register after the last `allocate`.
+    pub(crate) locs: Vec<Loc>,
 }
 
-impl BitMatrix {
-    fn new(rows: usize, cols: usize) -> Self {
-        let words_per_row = cols.div_ceil(64);
-        BitMatrix {
-            words_per_row,
-            bits: vec![0; rows * words_per_row],
+fn test_bit(row: &[u64], col: usize) -> bool {
+    row[col / 64] & (1 << (col % 64)) != 0
+}
+
+fn set_bit(row: &mut [u64], col: usize) {
+    row[col / 64] |= 1 << (col % 64);
+}
+
+/// Calls `f(col)` for every set bit of `row`, ascending.
+fn for_each_bit(row: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in row.iter().enumerate() {
+        step(1);
+        let mut rest = word;
+        while rest != 0 {
+            step(1);
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
         }
     }
+}
 
-    fn set(&mut self, row: usize, col: usize) {
-        self.bits[row * self.words_per_row + col / 64] |= 1 << (col % 64);
-    }
+impl AllocScratch {
+    /// Liveness + linear scan for `body` linearized in `order`; leaves
+    /// the locations in `self.locs` and returns `(spill_slots,
+    /// work_bytes)`.
+    pub(crate) fn allocate(&mut self, body: &RoutineBody, order: &[Block]) -> (u32, usize) {
+        let n_blocks = body.blocks.len();
+        let n_vregs = body.n_vregs as usize;
+        let words = n_vregs.div_ceil(64);
+        let plane = n_blocks * words;
+        self.bits.clear();
+        self.bits.resize(4 * plane, 0);
+        let (use_m, rest) = self.bits.split_at_mut(plane);
+        let (def_m, rest) = rest.split_at_mut(plane);
+        let (live_in, live_out) = rest.split_at_mut(plane);
+        let row = |b: usize| b * words..(b + 1) * words;
 
-    fn get(&self, row: usize, col: usize) -> bool {
-        self.bits[row * self.words_per_row + col / 64] & (1 << (col % 64)) != 0
-    }
-
-    fn union_row_from(&mut self, row: usize, other: &BitMatrix, other_row: usize) -> bool {
-        let mut changed = false;
-        for w in 0..self.words_per_row {
-            let add = other.bits[other_row * other.words_per_row + w];
-            let cell = &mut self.bits[row * self.words_per_row + w];
-            let new = *cell | add;
-            changed |= new != *cell;
-            *cell = new;
+        // use[b] = read before written in b; def[b] = written in b.
+        for (b, block) in body.blocks.iter().enumerate() {
+            let (use_b, def_b) = (&mut use_m[row(b)], &mut def_m[row(b)]);
+            for instr in &block.instrs {
+                for u in instr.uses() {
+                    if !test_bit(def_b, u.index()) {
+                        set_bit(use_b, u.index());
+                    }
+                }
+                if let Some(d) = instr.def() {
+                    set_bit(def_b, d.index());
+                }
+            }
+            if let Some(u) = block.term.use_reg() {
+                if !test_bit(def_b, u.index()) {
+                    set_bit(use_b, u.index());
+                }
+            }
         }
-        changed
-    }
 
-    fn bytes(&self) -> usize {
-        self.bits.len() * 8
+        // Backward iterative live-in/live-out.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..n_blocks).rev() {
+                for succ in body.blocks[b].term.successors() {
+                    for (out, &inn) in live_out[row(b)].iter_mut().zip(&live_in[row(succ.index())])
+                    {
+                        changed |= inn & !*out != 0;
+                        *out |= inn;
+                    }
+                }
+                // in[b] = use[b] ∪ (out[b] − def[b])
+                for w in row(b) {
+                    let add = use_m[w] | (live_out[w] & !def_m[w]);
+                    changed |= add & !live_in[w] != 0;
+                    live_in[w] |= add;
+                }
+            }
+        }
+
+        // Linear positions in emission order: each block occupies
+        // [start, start + len + 1] (terminator gets its own position).
+        let (block_start, block_end) = (&mut self.block_start, &mut self.block_end);
+        block_start.clear();
+        block_start.resize(n_blocks, 0);
+        block_end.clear();
+        block_end.resize(n_blocks, 0);
+        let mut pos = 0usize;
+        for &b in order {
+            block_start[b.index()] = pos;
+            pos += body.blocks[b.index()].instrs.len() + 1;
+            block_end[b.index()] = pos - 1;
+        }
+
+        // Intervals: [first, last] position at which each vreg is live
+        // or mentioned.
+        const UNSET: usize = usize::MAX;
+        let (start, end) = (&mut self.start, &mut self.end);
+        start.clear();
+        start.resize(n_vregs, UNSET);
+        end.clear();
+        end.resize(n_vregs, 0);
+        let mut touch = |v: usize, p: usize| {
+            start[v] = start[v].min(p);
+            end[v] = end[v].max(p);
+        };
+        for &b in order {
+            let bi = b.index();
+            for_each_bit(&live_in[row(bi)], |v| touch(v, block_start[bi]));
+            for_each_bit(&live_out[row(bi)], |v| touch(v, block_end[bi]));
+            let mut p = block_start[bi];
+            for instr in &body.blocks[bi].instrs {
+                step(1);
+                for u in instr.uses() {
+                    touch(u.index(), p);
+                }
+                if let Some(d) = instr.def() {
+                    touch(d.index(), p);
+                }
+                p += 1;
+            }
+            if let Some(u) = body.blocks[bi].term.use_reg() {
+                touch(u.index(), p);
+            }
+        }
+
+        // Linear scan (Poletto–Sarkar).
+        let intervals = &mut self.intervals;
+        intervals.clear();
+        intervals.extend((0..n_vregs).filter(|&v| start[v] != UNSET));
+        // Keys are distinct, so the unstable sort (which, unlike the
+        // stable one, needs no buffer) gives the one possible order.
+        intervals.sort_unstable_by_key(|&v| (start[v], v));
+        let locs = &mut self.locs;
+        locs.clear();
+        locs.resize(n_vregs, Loc::Reg(Reg(0)));
+        let active = &mut self.active; // vregs in registers, sorted by end
+        active.clear();
+        let free = &mut self.free;
+        free.clear();
+        free.extend((0..NUM_ALLOCATABLE).rev());
+        let mut next_spill = 0u32;
+        for &v in intervals.iter() {
+            // Expire: `active` is sorted by end, so the intervals that
+            // ended before this one starts are a prefix of it.
+            let expired = active.partition_point(|&a| end[a] < start[v]);
+            for a in active.drain(..expired) {
+                if let Loc::Reg(r) = locs[a] {
+                    free.push(r.0);
+                }
+            }
+            let insert_at = |active: &[usize]| {
+                active
+                    .binary_search_by(|&a| end[a].cmp(&end[v]).then(a.cmp(&v)))
+                    .unwrap_or_else(|e| e)
+            };
+            if let Some(r) = free.pop() {
+                locs[v] = Loc::Reg(Reg(r));
+                active.insert(insert_at(active), v);
+            } else {
+                // Spill whichever of (current, furthest active) ends last.
+                let last = *active.last().expect("active nonempty when no free regs");
+                if end[last] > end[v] {
+                    locs[v] = locs[last];
+                    locs[last] = Loc::Spill(next_spill);
+                    next_spill += 1;
+                    active.pop();
+                    active.insert(insert_at(active), v);
+                } else {
+                    locs[v] = Loc::Spill(next_spill);
+                    next_spill += 1;
+                }
+            }
+        }
+
+        // The modelled footprint of a from-scratch run (four liveness
+        // planes plus the interval and block-position tables), not
+        // what this reused scratch happens to hold.
+        let work_bytes = 4 * plane * std::mem::size_of::<u64>()
+            + n_vregs * 2 * std::mem::size_of::<usize>()
+            + n_blocks * 2 * std::mem::size_of::<usize>();
+        (next_spill, work_bytes)
     }
 }
 
@@ -87,169 +249,15 @@ impl BitMatrix {
 /// (pass the layout order so live ranges match emission order).
 #[must_use]
 pub fn allocate(body: &RoutineBody, order: &[Block]) -> AllocResult {
-    let n_blocks = body.blocks.len();
-    let n_vregs = body.n_vregs as usize;
-
-    // use[b] = read before written in b; def[b] = written in b.
-    let mut use_m = BitMatrix::new(n_blocks, n_vregs);
-    let mut def_m = BitMatrix::new(n_blocks, n_vregs);
-    let mut uses_buf = Vec::new();
-    for (b, block) in body.blocks.iter().enumerate() {
-        for instr in &block.instrs {
-            uses_buf.clear();
-            instr.uses_into(&mut uses_buf);
-            for &u in &uses_buf {
-                if !def_m.get(b, u.index()) {
-                    use_m.set(b, u.index());
-                }
-            }
-            if let Some(d) = instr.def() {
-                def_m.set(b, d.index());
-            }
+    scratch::with(|s| {
+        let (spill_slots, work_bytes) = s.alloc.allocate(body, order);
+        AllocResult {
+            locs: s.alloc.locs.clone(),
+            spill_slots,
+            order: order.to_vec(),
+            work_bytes,
         }
-        if let Some(u) = block.term.use_reg() {
-            if !def_m.get(b, u.index()) {
-                use_m.set(b, u.index());
-            }
-        }
-    }
-
-    // Backward iterative live-in/live-out.
-    let mut live_in = BitMatrix::new(n_blocks, n_vregs);
-    let mut live_out = BitMatrix::new(n_blocks, n_vregs);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..n_blocks).rev() {
-            for succ in body.blocks[b].term.successors() {
-                changed |= live_out.union_row_from(b, &live_in, succ.index());
-            }
-            // in[b] = use[b] ∪ (out[b] − def[b])
-            changed |= live_in.union_row_from(b, &use_m, b);
-            changed |= {
-                let mut c = false;
-                for w in 0..live_in.words_per_row {
-                    let add = live_out.bits[b * live_out.words_per_row + w]
-                        & !def_m.bits[b * def_m.words_per_row + w];
-                    let cell = &mut live_in.bits[b * live_in.words_per_row + w];
-                    let new = *cell | add;
-                    c |= new != *cell;
-                    *cell = new;
-                }
-                c
-            };
-        }
-    }
-
-    // Linear positions in emission order: each block occupies
-    // [start, start + len + 1] (terminator gets its own position).
-    let mut block_start = vec![0usize; n_blocks];
-    let mut block_end = vec![0usize; n_blocks];
-    let mut pos = 0usize;
-    for &b in order {
-        block_start[b.index()] = pos;
-        pos += body.blocks[b.index()].instrs.len() + 1;
-        block_end[b.index()] = pos - 1;
-    }
-
-    // Intervals.
-    const UNSET: usize = usize::MAX;
-    let mut start = vec![UNSET; n_vregs];
-    let mut end = vec![0usize; n_vregs];
-    let touch = |v: usize, p: usize, start: &mut Vec<usize>, end: &mut Vec<usize>| {
-        if start[v] == UNSET || p < start[v] {
-            start[v] = p;
-        }
-        if p > end[v] {
-            end[v] = p;
-        }
-    };
-    for &b in order {
-        let bi = b.index();
-        for v in 0..n_vregs {
-            if live_in.get(bi, v) {
-                touch(v, block_start[bi], &mut start, &mut end);
-            }
-            if live_out.get(bi, v) {
-                touch(v, block_end[bi], &mut start, &mut end);
-            }
-        }
-        let mut p = block_start[bi];
-        for instr in &body.blocks[bi].instrs {
-            uses_buf.clear();
-            instr.uses_into(&mut uses_buf);
-            for &u in &uses_buf {
-                touch(u.index(), p, &mut start, &mut end);
-            }
-            if let Some(d) = instr.def() {
-                touch(d.index(), p, &mut start, &mut end);
-            }
-            p += 1;
-        }
-        if let Some(u) = body.blocks[bi].term.use_reg() {
-            touch(u.index(), p, &mut start, &mut end);
-        }
-    }
-
-    // Linear scan (Poletto–Sarkar).
-    let mut intervals: Vec<usize> = (0..n_vregs).filter(|&v| start[v] != UNSET).collect();
-    intervals.sort_by_key(|&v| (start[v], v));
-    let mut locs = vec![Loc::Reg(Reg(0)); n_vregs];
-    let mut active: Vec<usize> = Vec::new(); // vregs, sorted by end
-    let mut free: Vec<u8> = (0..NUM_ALLOCATABLE).rev().collect();
-    let mut next_spill = 0u32;
-    for &v in &intervals {
-        // Expire.
-        let mut i = 0;
-        while i < active.len() {
-            let a = active[i];
-            if end[a] < start[v] {
-                if let Loc::Reg(r) = locs[a] {
-                    free.push(r.0);
-                }
-                active.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if let Some(r) = free.pop() {
-            locs[v] = Loc::Reg(Reg(r));
-            let at = active
-                .binary_search_by(|&a| end[a].cmp(&end[v]).then(a.cmp(&v)))
-                .unwrap_or_else(|e| e);
-            active.insert(at, v);
-        } else {
-            // Spill whichever of (current, furthest active) ends last.
-            let last = *active.last().expect("active nonempty when no free regs");
-            if end[last] > end[v] {
-                locs[v] = locs[last];
-                locs[last] = Loc::Spill(next_spill);
-                next_spill += 1;
-                active.pop();
-                let at = active
-                    .binary_search_by(|&a| end[a].cmp(&end[v]).then(a.cmp(&v)))
-                    .unwrap_or_else(|e| e);
-                active.insert(at, v);
-            } else {
-                locs[v] = Loc::Spill(next_spill);
-                next_spill += 1;
-            }
-        }
-    }
-
-    let work_bytes = use_m.bytes()
-        + def_m.bytes()
-        + live_in.bytes()
-        + live_out.bytes()
-        + n_vregs * 2 * std::mem::size_of::<usize>()
-        + n_blocks * 2 * std::mem::size_of::<usize>();
-
-    AllocResult {
-        locs,
-        spill_slots: next_spill,
-        order: order.to_vec(),
-        work_bytes,
-    }
+    })
 }
 
 /// Convenience: allocation with a fresh layout order.
@@ -357,6 +365,51 @@ mod tests {
         assert!(
             mem_ratio > size_ratio,
             "liveness memory should grow faster than code size ({mem_ratio:.1} vs {size_ratio:.1})"
+        );
+    }
+
+    /// Interval-derivation steps of `allocate` on `n_blocks` blocks in
+    /// a chain, each reading and writing 16 vregs of its own, with one
+    /// value live through all of them.
+    fn interval_steps(n_blocks: usize) -> u64 {
+        use cmo_ir::{BlockData, Instr, Terminator};
+        let mut body = RoutineBody::new();
+        let through = body.new_vreg();
+        for b in 0..n_blocks {
+            let term = if b + 1 < n_blocks {
+                Terminator::Jump(Block::from_index(b + 1))
+            } else {
+                Terminator::Return(Some(through))
+            };
+            let mut block = BlockData::new(term);
+            if b == 0 {
+                block.instrs.push(Instr::Input { dst: through });
+            }
+            for _ in 0..16 {
+                let v = body.new_vreg();
+                block.instrs.push(Instr::Input { dst: v });
+                block.instrs.push(Instr::Output { src: v });
+            }
+            body.blocks.push(block);
+        }
+        let order = order_blocks(&body, None);
+        // Liveness and the scan count nothing: the steps are the
+        // interval derivation's alone.
+        let before = crate::scratch::STEPS.get();
+        let alloc = allocate(&body, &order);
+        assert_eq!(alloc.spill_slots, 0);
+        crate::scratch::STEPS.get() - before
+    }
+
+    #[test]
+    fn interval_derivation_does_not_test_every_vreg_in_every_block() {
+        // 4x the blocks and 4x the vregs. Testing each vreg's bit in
+        // each block made this ~14x; what is left of blocks x vregs
+        // is one step per 64-vreg word.
+        let (small, large) = (interval_steps(4), interval_steps(16));
+        assert!(
+            large <= 5 * small,
+            "{small} steps for 4 blocks, {large} for 16"
         );
     }
 }

@@ -155,3 +155,70 @@ fn input_stream_drives_control_flow() {
     );
     assert_eq!(v, 15);
 }
+
+/// Source no stack can recurse through: each kind of nesting a million
+/// (or, for the wordier ones, a hundred thousand) levels deep. Compiled
+/// on `run_jobs` workers, whose stacks are a quarter of the main
+/// thread's, each is a positioned diagnostic — not an abort.
+#[test]
+fn absurd_nesting_is_a_diagnostic_on_worker_threads() {
+    let expr = |open: &str, close: &str, depth: usize| {
+        format!(
+            "fn main() -> int {{ return {}1{}; }}",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    };
+    let modules: Vec<(String, String)> = [
+        expr("(", ")", 1_000_000),
+        expr("-", "", 1_000_000),
+        expr("!(", ")", 500_000),
+        expr("int(", ")", 100_000),
+        expr("main(", ")", 100_000),
+        format!(
+            "fn main() {{ {} {} }}",
+            "while (1) {".repeat(100_000),
+            "}".repeat(100_000)
+        ),
+        format!(
+            "fn main() {{ if (1) {{ }} {} }}",
+            "else if (1) { }".repeat(100_000)
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, src)| (format!("deep{i}"), src))
+    .collect();
+    for (name, source) in &modules {
+        // One at a time, so each is the first error of its batch; a
+        // second module makes `add_sources` use worker threads.
+        let batch = [
+            (name.clone(), source.clone()),
+            ("ok".to_owned(), "fn f() { }".to_owned()),
+        ];
+        let err = Compiler::new().add_sources(&batch, 2).unwrap_err();
+        let cmo::BuildError::Frontend(e) = err else {
+            panic!("{name}: {err}");
+        };
+        assert_eq!(e.message, "nesting deeper than 256", "{name}");
+        assert_eq!(e.pos.line, 1, "{name}");
+    }
+}
+
+/// What the nesting limit does not limit: an operator chain is parsed
+/// by a loop, and lowered by one too, however long it is.
+#[test]
+fn long_operator_chains_compile_on_worker_threads() {
+    let sum = format!(
+        "fn main() -> int {{ return 0{}; }}",
+        " + 1 - 2 + 3".repeat(100_000)
+    );
+    let batch = [
+        ("sum".to_owned(), sum),
+        ("ok".to_owned(), "fn f() { }".to_owned()),
+    ];
+    let mut cc = Compiler::new();
+    cc.add_sources(&batch, 2).unwrap();
+    let out = cc.build(&BuildOptions::new(OptLevel::O1)).unwrap();
+    assert_eq!(out.run(&[]).unwrap().returned, 200_000);
+}

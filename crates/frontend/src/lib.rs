@@ -59,13 +59,16 @@
 mod ast;
 mod lexer;
 mod lower;
+mod names;
 mod parser;
 
 pub use ast::{
-    BinExprOp, Expr, ExprKind, Item, Module as AstModule, Param, Stmt, StmtKind, TypeName, UnExprOp,
+    BinExprOp, Expr, ExprId, ExprKind, Item, Module as AstModule, Param, Span, Stmt, StmtId,
+    StmtKind, TypeName, UnExprOp,
 };
-pub use lexer::{Lexer, Token, TokenKind};
+pub use lexer::{Lexer, LineTable, Punct, Token, TokenKind, Tokens};
 pub use lower::lower_module;
+pub use names::{Kw, NameId, NameTable};
 pub use parser::parse_module;
 
 use cmo_ir::IlObject;
@@ -120,8 +123,9 @@ impl Error for FrontendError {}
 ///
 /// # Errors
 ///
-/// Returns the first lexical, syntactic, or semantic error.
+/// Returns the first lexical error; if there is none, the first
+/// syntactic one; if there is none, the first semantic one.
 pub fn compile_module(name: &str, source: &str) -> Result<IlObject, FrontendError> {
     let module = parse_module(source)?;
-    lower_module(name, &module, source.lines().count() as u32)
+    lower_module(name, &module)
 }

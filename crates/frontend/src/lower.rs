@@ -4,20 +4,28 @@
 //! [`cmo_ir`] builders. Cross-module references (declared with
 //! `extern`) are emitted as name-based references and resolved later by
 //! IL linking, matching the paper's object-file-centric flow (§6.1).
+//!
+//! Every table here is a `Vec` indexed by [`NameId`]; no name is
+//! hashed or compared as text. The object's string table still sees
+//! each name exactly when it always did — at the global's or routine's
+//! definition, or at the first reference a body makes to it — so
+//! symbols are numbered, and objects encoded, as before.
 
 use crate::ast::*;
-use crate::{FrontendError, Pos};
+use crate::names::NameId;
+use crate::FrontendError;
 use cmo_ir::{
-    BinOp, GlobalInit, IlObject, IlObjectBuilder, Linkage, Local, RoutineBuilder, Signature, Ty,
-    UnOp, VReg, VarTy,
+    BinOp, Block, GlobalInit, IlObject, IlObjectBuilder, Linkage, Local, RoutineBuilder, Signature,
+    Sym, Ty, UnOp, VReg, VarTy,
 };
-use std::collections::HashMap;
 
-fn scalar_ty(t: TypeName, pos: Pos) -> Result<Ty, FrontendError> {
+fn scalar_ty(t: TypeName) -> Ty {
     match t {
-        TypeName::Int => Ok(Ty::I64),
-        TypeName::Float => Ok(Ty::F64),
-        _ => Err(FrontendError::new(pos, "array type not allowed here")),
+        TypeName::Int => Ty::I64,
+        TypeName::Float => Ty::F64,
+        TypeName::IntArray(_) | TypeName::FloatArray(_) => {
+            unreachable!("the parser admits only scalar parameter and return types")
+        }
     }
 }
 
@@ -30,18 +38,51 @@ fn var_ty(t: TypeName) -> VarTy {
     }
 }
 
-#[derive(Clone)]
+/// A function's signature; the parameter types are
+/// `Lowerer::sig_tys[first..first + arity]`.
+#[derive(Clone, Copy)]
 struct FnSig {
-    params: Vec<Ty>,
+    first: u32,
+    arity: u32,
     ret: Option<Ty>,
 }
 
-#[derive(Default)]
-struct ModuleEnv {
-    /// Module-visible globals (defined here or extern): name → type.
-    globals: HashMap<String, VarTy>,
+/// A function-local variable, live while `epoch` is the current
+/// function's.
+#[derive(Clone, Copy)]
+struct VarSlot {
+    epoch: u32,
+    local: Local,
+    ty: VarTy,
+}
+
+/// Where a variable name resolves to.
+#[derive(Clone, Copy)]
+enum Place {
+    Local(Local),
+    Global(NameId),
+}
+
+/// Module-wide lowering state. The four name tables are indexed by
+/// [`NameId::index`].
+struct Lowerer<'m, 's> {
+    ast: &'m Module<'s>,
+    /// Module-visible globals (defined here or extern).
+    globals: Vec<Option<VarTy>>,
     /// Module-visible functions (defined here or extern).
-    functions: HashMap<String, FnSig>,
+    functions: Vec<Option<FnSig>>,
+    sig_tys: Vec<Ty>,
+    /// Each name's symbol in the object's string table, from the first
+    /// reference a body makes to it.
+    syms: Vec<Option<Sym>>,
+    /// The current function's parameters and variables. Starting a
+    /// function bumps `epoch`, which empties the table.
+    vars: Vec<VarSlot>,
+    epoch: u32,
+    /// Innermost-last stack of `(continue target, break target)`.
+    loops: Vec<(Block, Block)>,
+    /// Pending right operands of the operator chains being lowered.
+    spine: Vec<(BinExprOp, ExprId, u32)>,
 }
 
 /// Lowers a parsed module to an IL object.
@@ -50,130 +91,117 @@ struct ModuleEnv {
 ///
 /// Returns the first semantic error: duplicate or unknown names, type
 /// mismatches, bad initializers, or misused arrays.
-pub fn lower_module(
-    name: &str,
-    module: &Module,
-    source_lines: u32,
-) -> Result<IlObject, FrontendError> {
-    let mut env = ModuleEnv::default();
+pub fn lower_module(name: &str, module: &Module<'_>) -> Result<IlObject, FrontendError> {
+    let n_names = module.names.len();
+    let mut cx = Lowerer {
+        ast: module,
+        globals: vec![None; n_names],
+        functions: vec![None; n_names],
+        sig_tys: Vec::new(),
+        syms: vec![None; n_names],
+        vars: vec![
+            VarSlot {
+                epoch: 0,
+                local: Local(0),
+                ty: VarTy::scalar(Ty::I64),
+            };
+            n_names
+        ],
+        epoch: 0,
+        loops: Vec::new(),
+        spine: Vec::new(),
+    };
 
     // Collect module-level declarations first so definitions can call
     // forward and across modules.
     for item in &module.items {
-        match item {
-            Item::Global { name, ty, pos, .. } | Item::ExternGlobal { name, ty, pos } => {
-                if env.globals.insert(name.clone(), var_ty(*ty)).is_some() {
-                    return Err(FrontendError::new(
-                        *pos,
-                        format!("duplicate global `{name}`"),
-                    ));
+        match *item {
+            Item::Global {
+                name, ty, offset, ..
+            }
+            | Item::ExternGlobal { name, ty, offset } => {
+                if cx.globals[name.index()].replace(var_ty(ty)).is_some() {
+                    return Err(
+                        cx.error(offset, format!("duplicate global `{}`", module.name(name)))
+                    );
                 }
             }
             Item::Function {
                 name,
                 params,
                 ret,
-                pos,
+                offset,
                 ..
             } => {
-                let sig = FnSig {
-                    params: params
-                        .iter()
-                        .map(|p| scalar_ty(p.ty, p.pos))
-                        .collect::<Result<_, _>>()?,
-                    ret: ret.map(|r| scalar_ty(r, *pos)).transpose()?,
-                };
-                if env.functions.insert(name.clone(), sig).is_some() {
-                    return Err(FrontendError::new(
-                        *pos,
-                        format!("duplicate function `{name}`"),
-                    ));
-                }
+                let params = module.param_run(params).iter().map(|p| p.ty);
+                cx.declare_function(name, params, ret, offset)?;
             }
             Item::ExternFn {
                 name,
                 params,
                 ret,
-                pos,
+                offset,
             } => {
-                let sig = FnSig {
-                    params: params
-                        .iter()
-                        .map(|t| scalar_ty(*t, *pos))
-                        .collect::<Result<_, _>>()?,
-                    ret: ret.map(|r| scalar_ty(r, *pos)).transpose()?,
-                };
-                if env.functions.insert(name.clone(), sig).is_some() {
-                    return Err(FrontendError::new(
-                        *pos,
-                        format!("duplicate function `{name}`"),
-                    ));
-                }
+                let params = module.extern_param_run(params).iter().copied();
+                cx.declare_function(name, params, ret, offset)?;
             }
         }
     }
 
     let mut builder = IlObjectBuilder::new(name);
-    builder.source_lines(source_lines);
+    builder.source_lines(module.lines.line_count());
 
     for item in &module.items {
-        match item {
+        match *item {
             Item::Global {
                 name,
                 ty,
                 internal,
                 scalar_init,
                 array_init,
-                pos,
+                offset,
             } => {
-                let vt = var_ty(*ty);
-                let init = lower_init(vt, scalar_init.as_ref(), array_init.as_deref(), *pos)?;
-                let linkage = if *internal {
+                let vt = var_ty(ty);
+                let init = cx.lower_init(vt, scalar_init, array_init, offset)?;
+                let linkage = if internal {
                     Linkage::Internal
                 } else {
                     Linkage::Export
                 };
-                builder.global(name, vt, linkage, init);
+                builder.global(module.name(name), vt, linkage, init);
             }
             Item::Function {
                 name,
                 params,
-                ret,
                 body,
                 internal,
-                pos,
                 lines,
+                ..
             } => {
+                let FnSig { first, arity, ret } =
+                    cx.functions[name.index()].expect("declared by the first pass");
                 let sig = Signature::new(
-                    params
-                        .iter()
-                        .map(|p| scalar_ty(p.ty, p.pos))
-                        .collect::<Result<_, _>>()?,
-                    ret.map(|r| scalar_ty(r, *pos)).transpose()?,
+                    cx.sig_tys[first as usize..(first + arity) as usize].to_vec(),
+                    ret,
                 );
-                let mut f = if *internal {
-                    builder.internal_routine(name, sig.clone())
+                let mut f = if internal {
+                    builder.internal_routine(module.name(name), sig)
                 } else {
-                    builder.routine(name, sig.clone())
+                    builder.routine(module.name(name), sig)
                 };
-                f.source_lines(*lines);
+                f.source_lines(lines);
+                cx.epoch += 1;
                 let mut fl = FnLowerer {
-                    env: &env,
+                    cx: &mut cx,
                     f,
-                    vars: HashMap::new(),
-                    ret: sig.ret,
-                    loops: Vec::new(),
+                    ret,
                 };
-                for (i, p) in params.iter().enumerate() {
+                for (i, p) in module.param_run(params).iter().enumerate() {
                     let local = fl.f.param(i);
-                    if fl
-                        .vars
-                        .insert(p.name.clone(), (local, var_ty(p.ty)))
-                        .is_some()
-                    {
-                        return Err(FrontendError::new(
-                            p.pos,
-                            format!("duplicate parameter `{}`", p.name),
+                    if fl.declare_var(p.name, local, var_ty(p.ty)) {
+                        return Err(fl.cx.error(
+                            p.offset,
+                            format!("duplicate parameter `{}`", module.name(p.name)),
                         ));
                     }
                 }
@@ -186,98 +214,175 @@ pub fn lower_module(
     Ok(builder.finish())
 }
 
-fn const_int(e: &Expr) -> Option<i64> {
-    match &e.kind {
-        ExprKind::IntLit(v) => Some(*v),
-        ExprKind::Un(UnExprOp::Neg, inner) => const_int(inner).map(i64::wrapping_neg),
-        _ => None,
+impl Lowerer<'_, '_> {
+    fn error(&self, offset: u32, message: impl Into<String>) -> FrontendError {
+        FrontendError::new(self.ast.pos(offset), message)
     }
-}
 
-fn const_float(e: &Expr) -> Option<f64> {
-    match &e.kind {
-        ExprKind::FloatLit(v) => Some(*v),
-        ExprKind::IntLit(v) => Some(*v as f64),
-        ExprKind::Un(UnExprOp::Neg, inner) => const_float(inner).map(|v| -v),
-        _ => None,
-    }
-}
-
-fn lower_init(
-    vt: VarTy,
-    scalar: Option<&Expr>,
-    array: Option<&[Expr]>,
-    pos: Pos,
-) -> Result<GlobalInit, FrontendError> {
-    match (vt.is_array(), scalar, array) {
-        (_, None, None) => Ok(GlobalInit::Zero),
-        (false, Some(e), None) => match vt.scalar {
-            Ty::I64 => const_int(e)
-                .map(|v| GlobalInit::Scalar(cmo_ir::Const::I(v)))
-                .ok_or_else(|| {
-                    FrontendError::new(e.pos, "global initializer must be an integer constant")
-                }),
-            Ty::F64 => const_float(e)
-                .map(|v| GlobalInit::Scalar(cmo_ir::Const::F(v)))
-                .ok_or_else(|| {
-                    FrontendError::new(e.pos, "global initializer must be a float constant")
-                }),
-        },
-        (true, None, Some(elems)) => {
-            if elems.len() > vt.slots() as usize {
-                return Err(FrontendError::new(
-                    pos,
-                    format!(
-                        "initializer has {} elements for an array of {}",
-                        elems.len(),
-                        vt.slots()
-                    ),
-                ));
-            }
-            match vt.scalar {
-                Ty::I64 => {
-                    let mut vals = Vec::with_capacity(elems.len());
-                    for e in elems {
-                        vals.push(const_int(e).ok_or_else(|| {
-                            FrontendError::new(e.pos, "array initializer must be integer constants")
-                        })?);
-                    }
-                    Ok(GlobalInit::IntArray(vals))
-                }
-                Ty::F64 => {
-                    let mut vals = Vec::with_capacity(elems.len());
-                    for e in elems {
-                        vals.push(const_float(e).ok_or_else(|| {
-                            FrontendError::new(e.pos, "array initializer must be float constants")
-                        })?);
-                    }
-                    Ok(GlobalInit::FloatArray(vals))
-                }
-            }
+    fn declare_function(
+        &mut self,
+        name: NameId,
+        params: impl Iterator<Item = TypeName>,
+        ret: Option<TypeName>,
+        offset: u32,
+    ) -> Result<(), FrontendError> {
+        let first = self.sig_tys.len();
+        self.sig_tys.extend(params.map(scalar_ty));
+        let sig = FnSig {
+            first: first as u32,
+            arity: (self.sig_tys.len() - first) as u32,
+            ret: ret.map(scalar_ty),
+        };
+        if self.functions[name.index()].replace(sig).is_some() {
+            return Err(self.error(
+                offset,
+                format!("duplicate function `{}`", self.ast.name(name)),
+            ));
         }
-        (false, None, Some(_)) => Err(FrontendError::new(
-            pos,
-            "scalar global cannot take an array initializer",
-        )),
-        (true, Some(_), None) => Err(FrontendError::new(
-            pos,
-            "array global needs a bracketed initializer",
-        )),
-        _ => unreachable!("parser produces at most one initializer"),
+        Ok(())
+    }
+
+    fn const_int(&self, e: &Expr) -> Option<i64> {
+        match e.kind {
+            ExprKind::IntLit(v) => Some(v),
+            ExprKind::Un(UnExprOp::Neg, inner) => {
+                self.const_int(self.ast.expr(inner)).map(i64::wrapping_neg)
+            }
+            _ => None,
+        }
+    }
+
+    fn const_float(&self, e: &Expr) -> Option<f64> {
+        match e.kind {
+            ExprKind::FloatLit(v) => Some(v),
+            ExprKind::IntLit(v) => Some(v as f64),
+            ExprKind::Un(UnExprOp::Neg, inner) => {
+                self.const_float(self.ast.expr(inner)).map(|v| -v)
+            }
+            _ => None,
+        }
+    }
+
+    fn lower_init(
+        &self,
+        vt: VarTy,
+        scalar: Option<ExprId>,
+        array: Option<Span>,
+        offset: u32,
+    ) -> Result<GlobalInit, FrontendError> {
+        match (vt.is_array(), scalar, array) {
+            (_, None, None) => Ok(GlobalInit::Zero),
+            (false, Some(e), None) => {
+                let e = self.ast.expr(e);
+                match vt.scalar {
+                    Ty::I64 => self
+                        .const_int(e)
+                        .map(|v| GlobalInit::Scalar(cmo_ir::Const::I(v)))
+                        .ok_or_else(|| {
+                            self.error(e.offset, "global initializer must be an integer constant")
+                        }),
+                    Ty::F64 => self
+                        .const_float(e)
+                        .map(|v| GlobalInit::Scalar(cmo_ir::Const::F(v)))
+                        .ok_or_else(|| {
+                            self.error(e.offset, "global initializer must be a float constant")
+                        }),
+                }
+            }
+            (true, None, Some(elems)) => {
+                let elems = self.ast.expr_run(elems);
+                if elems.len() > vt.slots() as usize {
+                    return Err(self.error(
+                        offset,
+                        format!(
+                            "initializer has {} elements for an array of {}",
+                            elems.len(),
+                            vt.slots()
+                        ),
+                    ));
+                }
+                match vt.scalar {
+                    Ty::I64 => {
+                        let mut vals = Vec::with_capacity(elems.len());
+                        for e in elems {
+                            vals.push(self.const_int(e).ok_or_else(|| {
+                                self.error(e.offset, "array initializer must be integer constants")
+                            })?);
+                        }
+                        Ok(GlobalInit::IntArray(vals))
+                    }
+                    Ty::F64 => {
+                        let mut vals = Vec::with_capacity(elems.len());
+                        for e in elems {
+                            vals.push(self.const_float(e).ok_or_else(|| {
+                                self.error(e.offset, "array initializer must be float constants")
+                            })?);
+                        }
+                        Ok(GlobalInit::FloatArray(vals))
+                    }
+                }
+            }
+            (false, None, Some(_)) => {
+                Err(self.error(offset, "scalar global cannot take an array initializer"))
+            }
+            (true, Some(_), None) => {
+                Err(self.error(offset, "array global needs a bracketed initializer"))
+            }
+            _ => unreachable!("parser produces at most one initializer"),
+        }
     }
 }
 
-struct FnLowerer<'a, 'b> {
-    env: &'a ModuleEnv,
-    f: RoutineBuilder<'b>,
-    vars: HashMap<String, (Local, VarTy)>,
+struct FnLowerer<'a, 'm, 's> {
+    cx: &'a mut Lowerer<'m, 's>,
+    f: RoutineBuilder<'a>,
     ret: Option<Ty>,
-    /// Innermost-last stack of `(continue target, break target)`.
-    loops: Vec<(cmo_ir::Block, cmo_ir::Block)>,
 }
 
-impl FnLowerer<'_, '_> {
-    fn lower_body(&mut self, body: &[Stmt]) -> Result<(), FrontendError> {
+impl FnLowerer<'_, '_, '_> {
+    fn name(&self, id: NameId) -> &str {
+        self.cx.ast.name(id)
+    }
+
+    /// Declares a local; `true` if the function already has one by
+    /// that name.
+    fn declare_var(&mut self, name: NameId, local: Local, ty: VarTy) -> bool {
+        let slot = &mut self.cx.vars[name.index()];
+        let duplicate = slot.epoch == self.cx.epoch;
+        *slot = VarSlot {
+            epoch: self.cx.epoch,
+            local,
+            ty,
+        };
+        duplicate
+    }
+
+    /// Resolves a variable name: locals shadow globals.
+    fn resolve(&self, name: NameId) -> Option<(Place, VarTy)> {
+        let slot = self.cx.vars[name.index()];
+        if slot.epoch == self.cx.epoch {
+            return Some((Place::Local(slot.local), slot.ty));
+        }
+        self.cx.globals[name.index()].map(|ty| (Place::Global(name), ty))
+    }
+
+    fn unknown_variable(&self, name: NameId, offset: u32) -> FrontendError {
+        self.cx
+            .error(offset, format!("unknown variable `{}`", self.name(name)))
+    }
+
+    /// The object-file symbol of `name`, interning it if no body has
+    /// referred to it yet.
+    fn sym(&mut self, name: NameId) -> Sym {
+        if let Some(sym) = self.cx.syms[name.index()] {
+            return sym;
+        }
+        let sym = self.f.intern(self.cx.ast.name(name));
+        self.cx.syms[name.index()] = Some(sym);
+        sym
+    }
+
+    fn lower_body(&mut self, body: Span) -> Result<(), FrontendError> {
         self.lower_stmts(body)?;
         if !self.f.is_terminated() {
             // Fall off the end: return the type's zero (keeps the
@@ -297,8 +402,9 @@ impl FnLowerer<'_, '_> {
         Ok(())
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<(), FrontendError> {
-        for s in stmts {
+    fn lower_stmts(&mut self, stmts: Span) -> Result<(), FrontendError> {
+        let ast = self.cx.ast;
+        for s in ast.stmt_run(stmts) {
             if self.f.is_terminated() {
                 // Unreachable code after return: skip it (the paper's
                 // optimizer would delete it anyway).
@@ -309,102 +415,99 @@ impl FnLowerer<'_, '_> {
         Ok(())
     }
 
+    /// Lowers a condition and branches on it.
+    fn lower_branch(
+        &mut self,
+        cond: ExprId,
+        then_bb: Block,
+        else_bb: Block,
+    ) -> Result<(), FrontendError> {
+        let cond = self.cx.ast.expr(cond);
+        let (cv, ct) = self.lower_expr(cond)?;
+        self.expect_ty(Ty::I64, ct, cond.offset)?;
+        self.f.branch(cv, then_bb, else_bb);
+        Ok(())
+    }
+
     fn lower_stmt(&mut self, s: &Stmt) -> Result<(), FrontendError> {
-        match &s.kind {
+        let ast = self.cx.ast;
+        match s.kind {
             StmtKind::Var { name, ty, init } => {
-                if self.vars.contains_key(name) {
-                    return Err(FrontendError::new(
-                        s.pos,
-                        format!("duplicate variable `{name}`"),
+                let vt = var_ty(ty);
+                let local = self.f.local(vt);
+                if self.declare_var(name, local, vt) {
+                    return Err(self.cx.error(
+                        s.offset,
+                        format!("duplicate variable `{}`", self.name(name)),
                     ));
                 }
-                let vt = var_ty(*ty);
-                let local = self.f.local(vt);
-                self.vars.insert(name.clone(), (local, vt));
                 if let Some(e) = init {
                     if vt.is_array() {
-                        return Err(FrontendError::new(
-                            s.pos,
-                            "array variables cannot take initializers",
-                        ));
+                        return Err(self
+                            .cx
+                            .error(s.offset, "array variables cannot take initializers"));
                     }
+                    let e = ast.expr(e);
                     let (v, t) = self.lower_expr(e)?;
-                    self.expect_ty(vt.scalar, t, e.pos)?;
+                    self.expect_ty(vt.scalar, t, e.offset)?;
                     self.f.store_local(local, v);
                 }
                 Ok(())
             }
             StmtKind::Assign { name, value } => {
+                let value = ast.expr(value);
                 let (v, t) = self.lower_expr(value)?;
-                if let Some(&(local, vt)) = self.vars.get(name) {
-                    if vt.is_array() {
-                        return Err(FrontendError::new(
-                            s.pos,
-                            format!("cannot assign whole array `{name}`"),
-                        ));
-                    }
-                    self.expect_ty(vt.scalar, t, value.pos)?;
-                    self.f.store_local(local, v);
-                    return Ok(());
+                let (place, vt) = self
+                    .resolve(name)
+                    .ok_or_else(|| self.unknown_variable(name, s.offset))?;
+                if vt.is_array() {
+                    return Err(self.cx.error(
+                        s.offset,
+                        format!("cannot assign whole array `{}`", self.name(name)),
+                    ));
                 }
-                if let Some(&vt) = self.env.globals.get(name) {
-                    if vt.is_array() {
-                        return Err(FrontendError::new(
-                            s.pos,
-                            format!("cannot assign whole array `{name}`"),
-                        ));
+                self.expect_ty(vt.scalar, t, value.offset)?;
+                match place {
+                    Place::Local(local) => self.f.store_local(local, v),
+                    Place::Global(name) => {
+                        let sym = self.sym(name);
+                        self.f.store_global_sym(sym, v);
                     }
-                    self.expect_ty(vt.scalar, t, value.pos)?;
-                    self.f.store_global(name, v);
-                    return Ok(());
                 }
-                Err(FrontendError::new(
-                    s.pos,
-                    format!("unknown variable `{name}`"),
-                ))
+                Ok(())
             }
             StmtKind::AssignElem { name, index, value } => {
+                let (index, value) = (ast.expr(index), ast.expr(value));
                 let (iv, it) = self.lower_expr(index)?;
-                self.expect_ty(Ty::I64, it, index.pos)?;
+                self.expect_ty(Ty::I64, it, index.offset)?;
                 let (vv, vt_val) = self.lower_expr(value)?;
-                if let Some(&(local, vt)) = self.vars.get(name) {
-                    if !vt.is_array() {
-                        return Err(FrontendError::new(
-                            s.pos,
-                            format!("`{name}` is not an array"),
-                        ));
-                    }
-                    self.expect_ty(vt.scalar, vt_val, value.pos)?;
-                    self.f.store_elem_local(local, iv, vv);
-                    return Ok(());
+                let (place, vt) = self
+                    .resolve(name)
+                    .ok_or_else(|| self.unknown_variable(name, s.offset))?;
+                if !vt.is_array() {
+                    return Err(self
+                        .cx
+                        .error(s.offset, format!("`{}` is not an array", self.name(name))));
                 }
-                if let Some(&vt) = self.env.globals.get(name) {
-                    if !vt.is_array() {
-                        return Err(FrontendError::new(
-                            s.pos,
-                            format!("`{name}` is not an array"),
-                        ));
+                self.expect_ty(vt.scalar, vt_val, value.offset)?;
+                match place {
+                    Place::Local(local) => self.f.store_elem_local(local, iv, vv),
+                    Place::Global(name) => {
+                        let sym = self.sym(name);
+                        self.f.store_elem_global_sym(sym, iv, vv);
                     }
-                    self.expect_ty(vt.scalar, vt_val, value.pos)?;
-                    self.f.store_elem_global(name, iv, vv);
-                    return Ok(());
                 }
-                Err(FrontendError::new(
-                    s.pos,
-                    format!("unknown variable `{name}`"),
-                ))
+                Ok(())
             }
             StmtKind::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                let (cv, ct) = self.lower_expr(cond)?;
-                self.expect_ty(Ty::I64, ct, cond.pos)?;
                 let then_b = self.f.new_block();
                 let else_b = self.f.new_block();
                 let join = self.f.new_block();
-                self.f.branch(cv, then_b, else_b);
+                self.lower_branch(cond, then_b, else_b)?;
                 self.f.switch_to(then_b);
                 self.lower_stmts(then_body)?;
                 if !self.f.is_terminated() {
@@ -424,13 +527,11 @@ impl FnLowerer<'_, '_> {
                 let exit = self.f.new_block();
                 self.f.jump(header);
                 self.f.switch_to(header);
-                let (cv, ct) = self.lower_expr(cond)?;
-                self.expect_ty(Ty::I64, ct, cond.pos)?;
-                self.f.branch(cv, body_b, exit);
+                self.lower_branch(cond, body_b, exit)?;
                 self.f.switch_to(body_b);
-                self.loops.push((header, exit));
+                self.cx.loops.push((header, exit));
                 self.lower_stmts(body)?;
-                self.loops.pop();
+                self.cx.loops.pop();
                 if !self.f.is_terminated() {
                     self.f.jump(header);
                 }
@@ -443,43 +544,41 @@ impl FnLowerer<'_, '_> {
                 step,
                 body,
             } => {
-                self.lower_stmt(init)?;
+                self.lower_stmt(ast.stmt(init))?;
                 let header = self.f.new_block();
                 let body_b = self.f.new_block();
                 let step_b = self.f.new_block();
                 let exit = self.f.new_block();
                 self.f.jump(header);
                 self.f.switch_to(header);
-                let (cv, ct) = self.lower_expr(cond)?;
-                self.expect_ty(Ty::I64, ct, cond.pos)?;
-                self.f.branch(cv, body_b, exit);
+                self.lower_branch(cond, body_b, exit)?;
                 self.f.switch_to(body_b);
                 // `continue` re-enters at the step, not the header.
-                self.loops.push((step_b, exit));
+                self.cx.loops.push((step_b, exit));
                 self.lower_stmts(body)?;
-                self.loops.pop();
+                self.cx.loops.pop();
                 if !self.f.is_terminated() {
                     self.f.jump(step_b);
                 }
                 self.f.switch_to(step_b);
-                self.lower_stmt(step)?;
+                self.lower_stmt(ast.stmt(step))?;
                 self.f.jump(header);
                 self.f.switch_to(exit);
                 Ok(())
             }
-            StmtKind::Break => match self.loops.last() {
+            StmtKind::Break => match self.cx.loops.last() {
                 Some(&(_, exit)) => {
                     self.f.jump(exit);
                     Ok(())
                 }
-                None => Err(FrontendError::new(s.pos, "`break` outside of a loop")),
+                None => Err(self.cx.error(s.offset, "`break` outside of a loop")),
             },
-            StmtKind::Continue => match self.loops.last() {
+            StmtKind::Continue => match self.cx.loops.last() {
                 Some(&(next, _)) => {
                     self.f.jump(next);
                     Ok(())
                 }
-                None => Err(FrontendError::new(s.pos, "`continue` outside of a loop")),
+                None => Err(self.cx.error(s.offset, "`continue` outside of a loop")),
             },
             StmtKind::Return(value) => match (self.ret, value) {
                 (None, None) => {
@@ -487,44 +586,45 @@ impl FnLowerer<'_, '_> {
                     Ok(())
                 }
                 (Some(rt), Some(e)) => {
+                    let e = ast.expr(e);
                     let (v, t) = self.lower_expr(e)?;
-                    self.expect_ty(rt, t, e.pos)?;
+                    self.expect_ty(rt, t, e.offset)?;
                     self.f.ret(Some(v));
                     Ok(())
                 }
-                (None, Some(e)) => {
-                    Err(FrontendError::new(e.pos, "procedure cannot return a value"))
-                }
-                (Some(_), None) => Err(FrontendError::new(s.pos, "function must return a value")),
+                (None, Some(e)) => Err(self
+                    .cx
+                    .error(ast.expr(e).offset, "procedure cannot return a value")),
+                (Some(_), None) => Err(self.cx.error(s.offset, "function must return a value")),
             },
             StmtKind::Output(e) => {
-                let (v, t) = self.lower_expr(e)?;
                 // output() accepts both types; floats are emitted as
                 // raw bits into the checksum.
-                let _ = t;
+                let (v, _) = self.lower_expr(ast.expr(e))?;
                 self.f.output(v);
                 Ok(())
             }
             StmtKind::Expr(e) => {
-                if let ExprKind::Call(name, args) = &e.kind {
+                let e = ast.expr(e);
+                if let ExprKind::Call(name, args) = e.kind {
                     // Call for effect: discard any result.
-                    let (arg_regs, _) = self.check_call(name, args, e.pos)?;
-                    self.f.call_void(name, arg_regs);
-                    Ok(())
+                    let (arg_regs, _) = self.check_call(name, args, e.offset)?;
+                    let sym = self.sym(name);
+                    self.f.call_void_sym(sym, arg_regs);
                 } else {
-                    let _ = self.lower_expr(e)?;
-                    Ok(())
+                    self.lower_expr(e)?;
                 }
+                Ok(())
             }
         }
     }
 
-    fn expect_ty(&self, want: Ty, got: Ty, pos: Pos) -> Result<(), FrontendError> {
+    fn expect_ty(&self, want: Ty, got: Ty, offset: u32) -> Result<(), FrontendError> {
         if want == got {
             Ok(())
         } else {
-            Err(FrontendError::new(
-                pos,
+            Err(self.cx.error(
+                offset,
                 format!(
                     "type mismatch: expected {want}, found {got} (use int()/float() to convert)"
                 ),
@@ -534,118 +634,111 @@ impl FnLowerer<'_, '_> {
 
     fn check_call(
         &mut self,
-        name: &str,
-        args: &[Expr],
-        pos: Pos,
+        name: NameId,
+        args: Span,
+        offset: u32,
     ) -> Result<(Vec<VReg>, Option<Ty>), FrontendError> {
-        let sig = self
-            .env
-            .functions
-            .get(name)
-            .cloned()
-            .ok_or_else(|| FrontendError::new(pos, format!("unknown function `{name}`")))?;
-        if sig.params.len() != args.len() {
-            return Err(FrontendError::new(
-                pos,
+        let sig = self.cx.functions[name.index()].ok_or_else(|| {
+            self.cx
+                .error(offset, format!("unknown function `{}`", self.name(name)))
+        })?;
+        if sig.arity as usize != args.len() {
+            return Err(self.cx.error(
+                offset,
                 format!(
-                    "`{name}` takes {} arguments, {} given",
-                    sig.params.len(),
+                    "`{}` takes {} arguments, {} given",
+                    self.name(name),
+                    sig.arity,
                     args.len()
                 ),
             ));
         }
+        let ast = self.cx.ast;
         let mut regs = Vec::with_capacity(args.len());
-        for (a, &want) in args.iter().zip(&sig.params) {
+        for (i, a) in ast.expr_run(args).iter().enumerate() {
             let (v, t) = self.lower_expr(a)?;
-            self.expect_ty(want, t, a.pos)?;
+            self.expect_ty(self.cx.sig_tys[sig.first as usize + i], t, a.offset)?;
             regs.push(v);
         }
         Ok((regs, sig.ret))
     }
 
     fn lower_expr(&mut self, e: &Expr) -> Result<(VReg, Ty), FrontendError> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok((self.f.const_i64(*v), Ty::I64)),
-            ExprKind::FloatLit(v) => Ok((self.f.const_f64(*v), Ty::F64)),
+        let ast = self.cx.ast;
+        match e.kind {
+            ExprKind::IntLit(v) => Ok((self.f.const_i64(v), Ty::I64)),
+            ExprKind::FloatLit(v) => Ok((self.f.const_f64(v), Ty::F64)),
             ExprKind::Name(name) => {
-                if let Some(&(local, vt)) = self.vars.get(name) {
-                    if vt.is_array() {
-                        return Err(FrontendError::new(
-                            e.pos,
-                            format!("array `{name}` must be indexed"),
-                        ));
-                    }
-                    return Ok((self.f.load_local(local), vt.scalar));
+                let (place, vt) = self
+                    .resolve(name)
+                    .ok_or_else(|| self.unknown_variable(name, e.offset))?;
+                if vt.is_array() {
+                    return Err(self.cx.error(
+                        e.offset,
+                        format!("array `{}` must be indexed", self.name(name)),
+                    ));
                 }
-                if let Some(&vt) = self.env.globals.get(name) {
-                    if vt.is_array() {
-                        return Err(FrontendError::new(
-                            e.pos,
-                            format!("array `{name}` must be indexed"),
-                        ));
+                let v = match place {
+                    Place::Local(local) => self.f.load_local(local),
+                    Place::Global(name) => {
+                        let sym = self.sym(name);
+                        self.f.load_global_sym(sym)
                     }
-                    return Ok((self.f.load_global(name), vt.scalar));
-                }
-                Err(FrontendError::new(
-                    e.pos,
-                    format!("unknown variable `{name}`"),
-                ))
+                };
+                Ok((v, vt.scalar))
             }
             ExprKind::Index(name, index) => {
+                let index = ast.expr(index);
                 let (iv, it) = self.lower_expr(index)?;
-                self.expect_ty(Ty::I64, it, index.pos)?;
-                if let Some(&(local, vt)) = self.vars.get(name) {
-                    if !vt.is_array() {
-                        return Err(FrontendError::new(
-                            e.pos,
-                            format!("`{name}` is not an array"),
-                        ));
-                    }
-                    return Ok((self.f.load_elem_local(local, iv), vt.scalar));
+                self.expect_ty(Ty::I64, it, index.offset)?;
+                let (place, vt) = self
+                    .resolve(name)
+                    .ok_or_else(|| self.unknown_variable(name, e.offset))?;
+                if !vt.is_array() {
+                    return Err(self
+                        .cx
+                        .error(e.offset, format!("`{}` is not an array", self.name(name))));
                 }
-                if let Some(&vt) = self.env.globals.get(name) {
-                    if !vt.is_array() {
-                        return Err(FrontendError::new(
-                            e.pos,
-                            format!("`{name}` is not an array"),
-                        ));
+                let v = match place {
+                    Place::Local(local) => self.f.load_elem_local(local, iv),
+                    Place::Global(name) => {
+                        let sym = self.sym(name);
+                        self.f.load_elem_global_sym(sym, iv)
                     }
-                    return Ok((self.f.load_elem_global(name, iv), vt.scalar));
-                }
-                Err(FrontendError::new(
-                    e.pos,
-                    format!("unknown variable `{name}`"),
-                ))
+                };
+                Ok((v, vt.scalar))
             }
             ExprKind::Un(op, inner) => {
-                let (v, t) = self.lower_expr(inner)?;
+                let (v, t) = self.lower_expr(ast.expr(inner))?;
                 match (op, t) {
                     (UnExprOp::Neg, Ty::I64) => Ok((self.f.un(UnOp::Neg, v), Ty::I64)),
                     (UnExprOp::Neg, Ty::F64) => Ok((self.f.un(UnOp::FNeg, v), Ty::F64)),
                     (UnExprOp::Not, Ty::I64) => Ok((self.f.un(UnOp::Not, v), Ty::I64)),
                     (UnExprOp::Not, Ty::F64) => {
-                        Err(FrontendError::new(e.pos, "`!` requires an integer operand"))
+                        Err(self.cx.error(e.offset, "`!` requires an integer operand"))
                     }
                 }
             }
-            ExprKind::Bin(op, l, r) => self.lower_bin(*op, l, r, e.pos),
+            ExprKind::Bin(..) => self.lower_bin_chain(e),
             ExprKind::Call(name, args) => {
-                let (regs, ret) = self.check_call(name, args, e.pos)?;
+                let (regs, ret) = self.check_call(name, args, e.offset)?;
                 let ret = ret.ok_or_else(|| {
-                    FrontendError::new(e.pos, format!("`{name}` returns no value"))
+                    self.cx
+                        .error(e.offset, format!("`{}` returns no value", self.name(name)))
                 })?;
-                Ok((self.f.call(name, regs), ret))
+                let sym = self.sym(name);
+                Ok((self.f.call_sym(sym, regs), ret))
             }
             ExprKind::Input => Ok((self.f.input(), Ty::I64)),
             ExprKind::ToFloat(inner) => {
-                let (v, t) = self.lower_expr(inner)?;
+                let (v, t) = self.lower_expr(ast.expr(inner))?;
                 match t {
                     Ty::I64 => Ok((self.f.un(UnOp::I2F, v), Ty::F64)),
                     Ty::F64 => Ok((v, Ty::F64)),
                 }
             }
             ExprKind::ToInt(inner) => {
-                let (v, t) = self.lower_expr(inner)?;
+                let (v, t) = self.lower_expr(ast.expr(inner))?;
                 match t {
                     Ty::F64 => Ok((self.f.un(UnOp::F2I, v), Ty::I64)),
                     Ty::I64 => Ok((v, Ty::I64)),
@@ -654,27 +747,45 @@ impl FnLowerer<'_, '_> {
         }
     }
 
-    fn lower_bin(
+    /// Lowers a binary operation: left operand, right operand, then
+    /// the operator. `a + b + c + ...` parses into a tree as deep on
+    /// the left as the chain is long (the parser loops over it, so the
+    /// nesting limit does not bound it); walking that spine with an
+    /// explicit stack keeps lowering's recursion within the nesting
+    /// limit too.
+    fn lower_bin_chain(&mut self, e: &Expr) -> Result<(VReg, Ty), FrontendError> {
+        let ast = self.cx.ast;
+        let base = self.cx.spine.len();
+        let mut leftmost = e;
+        while let ExprKind::Bin(op, l, r) = leftmost.kind {
+            self.cx.spine.push((op, r, leftmost.offset));
+            leftmost = ast.expr(l);
+        }
+        let (mut lv, mut lt) = self.lower_expr(leftmost)?;
+        while self.cx.spine.len() > base {
+            let (op, r, offset) = self.cx.spine.pop().expect("longer than base");
+            let (rv, rt) = self.lower_expr(ast.expr(r))?;
+            (lv, lt) = self.emit_bin(op, (lv, lt), (rv, rt), offset)?;
+        }
+        Ok((lv, lt))
+    }
+
+    fn emit_bin(
         &mut self,
         op: BinExprOp,
-        l: &Expr,
-        r: &Expr,
-        pos: Pos,
+        (lv, lt): (VReg, Ty),
+        (rv, rt): (VReg, Ty),
+        offset: u32,
     ) -> Result<(VReg, Ty), FrontendError> {
-        let (lv, lt) = self.lower_expr(l)?;
-        let (rv, rt) = self.lower_expr(r)?;
         if lt != rt {
-            return Err(FrontendError::new(
-                pos,
+            return Err(self.cx.error(
+                offset,
                 format!("operands have different types ({lt} vs {rt})"),
             ));
         }
         let int_only = |this: &mut Self, irop: BinOp| -> Result<(VReg, Ty), FrontendError> {
             if lt != Ty::I64 {
-                return Err(FrontendError::new(
-                    pos,
-                    "operator requires integer operands",
-                ));
+                return Err(this.cx.error(offset, "operator requires integer operands"));
             }
             Ok((this.f.bin(irop, lv, rv), Ty::I64))
         };
@@ -725,10 +836,9 @@ impl FnLowerer<'_, '_> {
                 };
                 Ok((self.f.bin(irop, ln, rn), Ty::I64))
             }
-            (BinExprOp::And | BinExprOp::Or, Ty::F64) => Err(FrontendError::new(
-                pos,
-                "logical operators require integer operands",
-            )),
+            (BinExprOp::And | BinExprOp::Or, Ty::F64) => Err(self
+                .cx
+                .error(offset, "logical operators require integer operands")),
         }
     }
 }

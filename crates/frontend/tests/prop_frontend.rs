@@ -60,6 +60,66 @@ proptest! {
         cmo_ir::validate::validate_unit(&unit.program, &unit.bodies).expect("validates");
     }
 
+    /// Deep nesting: any mix of nesting constructs, up to several
+    /// hundred levels, compiles (and links and validates) when it is
+    /// at most 256 levels deep and is the nesting diagnostic when it
+    /// is deeper — never a stack overflow.
+    #[test]
+    fn deep_nesting_compiles_or_is_diagnosed(
+        blocks in proptest::collection::vec(0u8..3, 0..200),
+        exprs in proptest::collection::vec(0u8..6, 0..400),
+    ) {
+        // The function body is the first level.
+        let mut depth = 1;
+        let mut src = String::from(
+            "global a: int[4];\nfn id(x: int) -> int { return x; }\nfn main() -> int {\n",
+        );
+        for b in &blocks {
+            let (open, levels) = match b {
+                0 => ("if (1) {", 1),
+                1 => ("while (0) {", 1),
+                // The `else if` is one level, its block another.
+                _ => ("if (0) { } else if (1) {", 2),
+            };
+            src.push_str(open);
+            depth += levels;
+        }
+        src.push_str("\nvar v: int = ");
+        let nest: Vec<(&str, &str)> = exprs
+            .iter()
+            .map(|e| match e {
+                0 => ("(", ")"),
+                1 => ("-", ""),
+                2 => ("!", ""),
+                3 => ("int(", ")"),
+                4 => ("id(", ")"),
+                _ => ("a[", "]"),
+            })
+            .collect();
+        for (open, _) in &nest {
+            src.push_str(open);
+        }
+        src.push('1');
+        for (_, close) in nest.iter().rev() {
+            src.push_str(close);
+        }
+        depth += nest.len();
+        src.push_str(";\n");
+        src.push_str(&"}".repeat(blocks.len()));
+        src.push_str("\nreturn 0; }\n");
+        match compile_module("deep", &src) {
+            Ok(obj) => {
+                prop_assert!(depth <= 256, "{depth} levels compiled");
+                let unit = cmo_ir::link_objects(vec![obj]).expect("links");
+                cmo_ir::validate::validate_unit(&unit.program, &unit.bodies).expect("validates");
+            }
+            Err(e) => {
+                prop_assert!(depth > 256, "{depth} levels: {e}");
+                prop_assert_eq!(e.message, "nesting deeper than 256");
+            }
+        }
+    }
+
     #[test]
     fn error_positions_are_in_range(junk in "[a-z{}();=]{1,80}") {
         if let Err(e) = compile_module("m", &junk) {

@@ -34,6 +34,9 @@ use crate::types::{Const, Signature, VarTy};
 #[derive(Debug, Default)]
 pub struct IlObjectBuilder {
     obj: IlObject,
+    /// The buffer a [`RoutineBuilder`] gathers its current block in,
+    /// kept here between routines so it is allocated once per object.
+    block_buf: Vec<Instr>,
 }
 
 impl IlObjectBuilder {
@@ -46,6 +49,7 @@ impl IlObjectBuilder {
                 language: "mlc",
                 ..IlObject::default()
             },
+            block_buf: Vec::new(),
         }
     }
 
@@ -125,6 +129,11 @@ pub struct RoutineBuilder<'a> {
     source_lines: u32,
     body: RoutineBody,
     cur: Block,
+    /// Instructions emitted into `cur` since it became current. A
+    /// block is usually filled in one go, so it is gathered here and
+    /// moved into the body in one exactly-sized piece, instead of
+    /// growing (and re-copying) a vector per block.
+    pending: Vec<Instr>,
     terminated: bool,
 }
 
@@ -135,6 +144,7 @@ impl<'a> RoutineBuilder<'a> {
             body.new_local(VarTy::scalar(p), true);
         }
         body.blocks.push(BlockData::new(Terminator::Return(None)));
+        let pending = std::mem::take(&mut owner.block_buf);
         RoutineBuilder {
             owner,
             name: name.to_owned(),
@@ -143,6 +153,7 @@ impl<'a> RoutineBuilder<'a> {
             source_lines: 0,
             body,
             cur: Block(0),
+            pending,
             terminated: false,
         }
     }
@@ -185,8 +196,16 @@ impl<'a> RoutineBuilder<'a> {
     /// Panics if `b` does not exist.
     pub fn switch_to(&mut self, b: Block) {
         assert!(b.index() < self.body.blocks.len(), "no such block {b}");
+        self.flush();
         self.cur = b;
         self.terminated = false;
+    }
+
+    /// Moves the pending instructions to the end of the current block.
+    fn flush(&mut self) {
+        let instrs = &mut self.body.blocks[self.cur.index()].instrs;
+        instrs.reserve_exact(self.pending.len());
+        instrs.append(&mut self.pending);
     }
 
     /// The current block.
@@ -207,7 +226,7 @@ impl<'a> RoutineBuilder<'a> {
             "emitting into terminated block {}; switch_to a new block first",
             self.cur
         );
-        self.body.blocks[self.cur.index()].instrs.push(i);
+        self.pending.push(i);
     }
 
     /// Emits `dst = value` and returns `dst`.
@@ -260,9 +279,23 @@ impl<'a> RoutineBuilder<'a> {
         self.push(Instr::StoreLocal { local, src });
     }
 
+    /// Interns `name` in the owning object's string table.
+    ///
+    /// A frontend that keeps its own name-to-[`Sym`] memo calls this on
+    /// a name's first use and the `*_sym` emitters from then on; the
+    /// by-name emitters do exactly that on every use.
+    pub fn intern(&mut self, name: &str) -> Sym {
+        self.owner.intern(name)
+    }
+
     /// Emits a load from the named global.
     pub fn load_global(&mut self, name: &str) -> VReg {
         let sym = self.owner.intern(name);
+        self.load_global_sym(sym)
+    }
+
+    /// Emits a load from the global named by `sym`.
+    pub fn load_global_sym(&mut self, sym: Sym) -> VReg {
         let dst = self.body.new_vreg();
         self.push(Instr::LoadGlobal {
             dst,
@@ -274,6 +307,11 @@ impl<'a> RoutineBuilder<'a> {
     /// Emits a store to the named global.
     pub fn store_global(&mut self, name: &str, src: VReg) {
         let sym = self.owner.intern(name);
+        self.store_global_sym(sym, src);
+    }
+
+    /// Emits a store to the global named by `sym`.
+    pub fn store_global_sym(&mut self, sym: Sym, src: VReg) {
         self.push(Instr::StoreGlobal {
             global: GlobalRef::Name(sym),
             src,
@@ -303,6 +341,11 @@ impl<'a> RoutineBuilder<'a> {
     /// Emits an indexed load from a named global array.
     pub fn load_elem_global(&mut self, name: &str, index: VReg) -> VReg {
         let sym = self.owner.intern(name);
+        self.load_elem_global_sym(sym, index)
+    }
+
+    /// Emits an indexed load from the global array named by `sym`.
+    pub fn load_elem_global_sym(&mut self, sym: Sym, index: VReg) -> VReg {
         let dst = self.body.new_vreg();
         self.push(Instr::LoadElem {
             dst,
@@ -315,6 +358,11 @@ impl<'a> RoutineBuilder<'a> {
     /// Emits an indexed store to a named global array.
     pub fn store_elem_global(&mut self, name: &str, index: VReg, src: VReg) {
         let sym = self.owner.intern(name);
+        self.store_elem_global_sym(sym, index, src);
+    }
+
+    /// Emits an indexed store to the global array named by `sym`.
+    pub fn store_elem_global_sym(&mut self, sym: Sym, index: VReg, src: VReg) {
         self.push(Instr::StoreElem {
             base: MemBase::Global(GlobalRef::Name(sym)),
             index,
@@ -325,6 +373,11 @@ impl<'a> RoutineBuilder<'a> {
     /// Emits a call whose result is used.
     pub fn call(&mut self, callee: &str, args: Vec<VReg>) -> VReg {
         let sym = self.owner.intern(callee);
+        self.call_sym(sym, args)
+    }
+
+    /// Emits a call to the routine named by `sym` whose result is used.
+    pub fn call_sym(&mut self, sym: Sym, args: Vec<VReg>) -> VReg {
         let dst = self.body.new_vreg();
         let site = self.body.new_site();
         self.push(Instr::Call {
@@ -339,6 +392,11 @@ impl<'a> RoutineBuilder<'a> {
     /// Emits a call whose result (if any) is discarded.
     pub fn call_void(&mut self, callee: &str, args: Vec<VReg>) {
         let sym = self.owner.intern(callee);
+        self.call_void_sym(sym, args);
+    }
+
+    /// Emits a call to the routine named by `sym`, discarding any result.
+    pub fn call_void_sym(&mut self, sym: Sym, args: Vec<VReg>) {
         let site = self.body.new_site();
         self.push(Instr::Call {
             dst: None,
@@ -386,7 +444,9 @@ impl<'a> RoutineBuilder<'a> {
     }
 
     /// Completes the routine and adds it to the owning object builder.
-    pub fn finish(self) {
+    pub fn finish(mut self) {
+        self.flush();
+        self.owner.block_buf = std::mem::take(&mut self.pending);
         let name = self.owner.intern(&self.name);
         let source_lines = if self.source_lines > 0 {
             self.source_lines

@@ -7,13 +7,12 @@
 //! shadow exports, and two modules may define internal symbols with the
 //! same name without conflict.
 
-use crate::ids::{GlobalId, ModuleId, RoutineId};
+use crate::ids::{GlobalId, RoutineId, Sym};
 use crate::instr::{CalleeRef, GlobalRef, Instr, MemBase};
-use crate::module::{Linkage, ModuleInfo, ModuleSymbols};
+use crate::module::{GlobalInit, Linkage, ModuleInfo, ModuleSymbols};
 use crate::object::IlObject;
 use crate::program::{GlobalMeta, Program};
 use crate::routine::{RoutineBody, RoutineMeta};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -124,33 +123,47 @@ pub struct LinkedUnit {
     pub program: Program,
     /// Routine bodies, indexed by [`RoutineId`]; fully resolved.
     pub bodies: Vec<RoutineBody>,
-    /// Module symbol tables, indexed by [`ModuleId`]; names re-interned
+    /// Module symbol tables, indexed by [`crate::ModuleId`]; names re-interned
     /// into the program interner.
     pub symtabs: Vec<ModuleSymbols>,
 }
 
-struct ModuleScope {
-    routines: HashMap<String, RoutineId>,
-    globals: HashMap<String, GlobalId>,
+/// Sentinel for a table slot whose name has not been resolved yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// What each of one object's own [`Sym`]s resolves to, as a routine and
+/// as a global (two namespaces). Pass 1 fills in the module's own
+/// definitions, which shadow exports; pass 2 fills in an export the
+/// first time a body references it, so a name is looked up by text at
+/// most once per object.
+struct ObjectScope {
+    routines: Vec<u32>,
+    globals: Vec<u32>,
 }
 
 /// Links IL objects into a program, resolving all symbolic references.
+///
+/// Routine bodies, signatures and initializers are moved out of
+/// `objects`, not copied. The accounted sizes of the result
+/// ([`RoutineBody::heap_bytes`] and friends) count vector capacity, so
+/// every moved vector is trimmed to its length: a linked unit accounts
+/// the same bytes whether its objects came from a frontend, a decoder
+/// or a clone.
 ///
 /// # Errors
 ///
 /// Returns a [`LinkError`] for undefined symbols, duplicate
 /// definitions, or interface mismatches.
-pub fn link_objects(objects: Vec<IlObject>) -> Result<LinkedUnit, LinkError> {
+pub fn link_objects(mut objects: Vec<IlObject>) -> Result<LinkedUnit, LinkError> {
     let mut program = Program::new();
     let mut bodies: Vec<RoutineBody> = Vec::new();
     let mut symtabs: Vec<ModuleSymbols> = Vec::new();
-    let mut scopes: Vec<ModuleScope> = Vec::new();
-    // Exported name → (defining module name, id), for duplicate checks.
-    let mut exported_routines: HashMap<String, (String, RoutineId)> = HashMap::new();
-    let mut exported_globals: HashMap<String, (String, GlobalId)> = HashMap::new();
+    let mut scopes: Vec<ObjectScope> = Vec::with_capacity(objects.len());
 
     // Pass 1: register every definition in the program symbol table.
-    for obj in &objects {
+    // Exported names are found again through the program's own
+    // by-symbol tables.
+    for obj in &mut objects {
         let module_sym = program.interner_mut().intern(&obj.module_name);
         let module_id = program.add_module(ModuleInfo {
             name: module_sym,
@@ -158,26 +171,31 @@ pub fn link_objects(objects: Vec<IlObject>) -> Result<LinkedUnit, LinkError> {
             source_lines: obj.source_lines,
             language: obj.language,
         });
-        let mut scope = ModuleScope {
-            routines: HashMap::new(),
-            globals: HashMap::new(),
+        let mut scope = ObjectScope {
+            routines: vec![UNRESOLVED; obj.strings.len()],
+            globals: vec![UNRESOLVED; obj.strings.len()],
+        };
+        let defined_twice = |scope: &ObjectScope, name: Sym| {
+            scope.globals[name.index()] != UNRESOLVED || scope.routines[name.index()] != UNRESOLVED
         };
 
         let mut symtab = ModuleSymbols::new();
-        for (slot, g) in obj.symbols.globals.iter().enumerate() {
-            let gname = obj.strings.resolve(g.name).to_owned();
-            if scope.globals.contains_key(&gname) || scope.routines.contains_key(&gname) {
+        let globals = std::mem::take(&mut obj.symbols.globals);
+        for (slot, mut g) in globals.into_iter().enumerate() {
+            let gname = obj.strings.resolve(g.name);
+            if defined_twice(&scope, g.name) {
                 return Err(LinkError::DuplicateLocal {
                     module: obj.module_name.clone(),
-                    name: gname,
+                    name: gname.to_owned(),
                 });
             }
-            let prog_sym = program.interner_mut().intern(&gname);
+            let prog_sym = program.interner_mut().intern(gname);
             if g.linkage == Linkage::Export {
-                if let Some((first, _)) = exported_globals.get(&gname) {
+                if let Some(first) = program.find_global_sym(prog_sym) {
+                    let first = program.module(program.global(first).module).name;
                     return Err(LinkError::DuplicateExport {
-                        name: gname,
-                        first: first.clone(),
+                        name: gname.to_owned(),
+                        first: program.name(first).to_owned(),
                         second: obj.module_name.clone(),
                     });
                 }
@@ -189,79 +207,72 @@ pub fn link_objects(objects: Vec<IlObject>) -> Result<LinkedUnit, LinkError> {
                 ty: g.ty,
                 linkage: g.linkage,
             });
-            if g.linkage == Linkage::Export {
-                exported_globals.insert(gname.clone(), (obj.module_name.clone(), gid));
+            scope.globals[g.name.index()] = gid.0;
+            g.name = prog_sym;
+            match &mut g.init {
+                GlobalInit::IntArray(v) => v.shrink_to_fit(),
+                GlobalInit::FloatArray(v) => v.shrink_to_fit(),
+                GlobalInit::Zero | GlobalInit::Scalar(_) => {}
             }
-            scope.globals.insert(gname, gid);
-            let mut resolved = g.clone();
-            resolved.name = prog_sym;
-            symtab.globals.push(resolved);
+            symtab.globals.push(g);
         }
         symtabs.push(symtab);
 
-        for def in &obj.routines {
-            let rname = obj.strings.resolve(def.name).to_owned();
-            if scope.routines.contains_key(&rname) || scope.globals.contains_key(&rname) {
+        // The accounted program bytes count this list's capacity, and
+        // it has always been what collecting the ids gave: four slots
+        // at least.
+        let n = obj.routines.len();
+        let mut rids = Vec::with_capacity(if n == 0 { 0 } else { n.max(4) });
+        for def in std::mem::take(&mut obj.routines) {
+            let rname = obj.strings.resolve(def.name);
+            if defined_twice(&scope, def.name) {
                 return Err(LinkError::DuplicateLocal {
                     module: obj.module_name.clone(),
-                    name: rname,
+                    name: rname.to_owned(),
                 });
             }
-            let prog_sym = program.interner_mut().intern(&rname);
+            let prog_sym = program.interner_mut().intern(rname);
             if def.linkage == Linkage::Export {
-                if let Some((first, _)) = exported_routines.get(&rname) {
+                if let Some(first) = program.find_routine_sym(prog_sym) {
+                    let first = program.module(program.routine(first).module).name;
                     return Err(LinkError::DuplicateExport {
-                        name: rname,
-                        first: first.clone(),
+                        name: rname.to_owned(),
+                        first: program.name(first).to_owned(),
                         second: obj.module_name.clone(),
                     });
                 }
             }
+            let mut sig = def.sig;
+            sig.params.shrink_to_fit();
             let rid = program.add_routine(RoutineMeta {
                 name: prog_sym,
                 module: module_id,
-                sig: def.sig.clone(),
+                sig,
                 linkage: def.linkage,
                 source_lines: def.source_lines,
                 il_size: u32::try_from(def.body.instr_count()).unwrap_or(u32::MAX),
             });
-            if def.linkage == Linkage::Export {
-                exported_routines.insert(rname.clone(), (obj.module_name.clone(), rid));
-            }
-            scope.routines.insert(rname, rid);
-            bodies.push(def.body.clone());
+            scope.routines[def.name.index()] = rid.0;
+            rids.push(rid);
+            bodies.push(def.body);
         }
+        program.module_mut_internal(module_id).routines = rids;
         scopes.push(scope);
     }
 
-    // Record per-module routine lists.
-    for (m, scope) in scopes.iter().enumerate() {
-        let mut rids: Vec<RoutineId> = scope.routines.values().copied().collect();
-        rids.sort_unstable();
-        let module_id = ModuleId::from_index(m);
-        for &rid in &rids {
-            debug_assert_eq!(program.routine(rid).module, module_id);
-        }
-        // Safe: modules were added in order.
-        let info = &mut program_module_mut(&mut program, module_id);
-        info.routines = rids;
-    }
-
-    // Pass 2: resolve every reference inside every body.
-    let mut body_index = 0usize;
-    for (m, obj) in objects.iter().enumerate() {
-        let scope = &scopes[m];
-        for _def in &obj.routines {
-            let body = &mut bodies[body_index];
-            body_index += 1;
-            resolve_body(
-                body,
-                obj,
-                scope,
-                &exported_routines,
-                &exported_globals,
-                &program,
-            )?;
+    // Pass 2: resolve every reference inside every body, module by
+    // module in routine order.
+    let mut rest = bodies.as_mut_slice();
+    for ((obj, scope), info) in objects.iter().zip(&mut scopes).zip(program.modules()) {
+        let (mine, others) = rest.split_at_mut(info.routines.len());
+        rest = others;
+        let mut resolver = Resolver {
+            obj,
+            scope,
+            program: &program,
+        };
+        for body in mine {
+            resolver.resolve_body(body)?;
         }
     }
 
@@ -272,110 +283,112 @@ pub fn link_objects(objects: Vec<IlObject>) -> Result<LinkedUnit, LinkError> {
     })
 }
 
-fn program_module_mut(program: &mut Program, m: ModuleId) -> &mut ModuleInfo {
-    // Program exposes only immutable module access publicly; linking is
-    // the one construction site that patches routine lists in.
-    let modules = program.modules().len();
-    assert!(m.index() < modules);
-    // Re-add through a small internal helper on Program.
-    program.module_mut_internal(m)
+struct Resolver<'a> {
+    obj: &'a IlObject,
+    scope: &'a mut ObjectScope,
+    program: &'a Program,
 }
 
-fn resolve_body(
-    body: &mut RoutineBody,
-    obj: &IlObject,
-    scope: &ModuleScope,
-    exported_routines: &HashMap<String, (String, RoutineId)>,
-    exported_globals: &HashMap<String, (String, GlobalId)>,
-    program: &Program,
-) -> Result<(), LinkError> {
-    let module = obj.module_name.clone();
-    let resolve_global = |sym| -> Result<GlobalId, LinkError> {
-        let name = obj.strings.resolve(sym);
-        scope
-            .globals
-            .get(name)
-            .copied()
-            .or_else(|| exported_globals.get(name).map(|&(_, id)| id))
-            .ok_or_else(|| LinkError::Undefined {
-                module: module.clone(),
-                name: name.to_owned(),
-            })
-    };
-    let resolve_callee = |sym| -> Result<RoutineId, LinkError> {
-        let name = obj.strings.resolve(sym);
-        scope
-            .routines
-            .get(name)
-            .copied()
-            .or_else(|| exported_routines.get(name).map(|&(_, id)| id))
-            .ok_or_else(|| LinkError::Undefined {
-                module: module.clone(),
-                name: name.to_owned(),
-            })
-    };
-    let check_shape = |gid: GlobalId, want_array: bool| -> Result<GlobalId, LinkError> {
-        let meta = program.global(gid);
+impl Resolver<'_> {
+    fn undefined(&self, sym: Sym) -> LinkError {
+        LinkError::Undefined {
+            module: self.obj.module_name.clone(),
+            name: self.obj.strings.resolve(sym).to_owned(),
+        }
+    }
+
+    /// The program symbol an exported `sym` would carry, if any module
+    /// defines that name at all.
+    fn program_sym(&self, sym: Sym) -> Option<Sym> {
+        self.program
+            .interner()
+            .lookup(self.obj.strings.resolve(sym))
+    }
+
+    fn global(&mut self, sym: Sym, want_array: bool) -> Result<GlobalId, LinkError> {
+        if self.scope.globals[sym.index()] == UNRESOLVED {
+            let exported = self
+                .program_sym(sym)
+                .and_then(|s| self.program.find_global_sym(s))
+                .ok_or_else(|| self.undefined(sym))?;
+            self.scope.globals[sym.index()] = exported.0;
+        }
+        let gid = GlobalId(self.scope.globals[sym.index()]);
+        let meta = self.program.global(gid);
         if meta.ty.is_array() == want_array {
             Ok(gid)
         } else {
             Err(LinkError::KindMismatch {
-                module: module.clone(),
-                name: program.name(meta.name).to_owned(),
+                module: self.obj.module_name.clone(),
+                name: self.program.name(meta.name).to_owned(),
             })
         }
-    };
+    }
 
-    for block in &mut body.blocks {
-        for instr in &mut block.instrs {
-            match instr {
-                Instr::LoadGlobal { global, .. } | Instr::StoreGlobal { global, .. } => {
-                    if let GlobalRef::Name(sym) = *global {
-                        let gid = check_shape(resolve_global(sym)?, false)?;
-                        *global = GlobalRef::Id(gid);
-                    }
-                }
-                Instr::LoadElem { base, .. } | Instr::StoreElem { base, .. } => {
-                    if let MemBase::Global(GlobalRef::Name(sym)) = *base {
-                        let gid = check_shape(resolve_global(sym)?, true)?;
-                        *base = MemBase::Global(GlobalRef::Id(gid));
-                    }
-                }
-                Instr::Call {
-                    callee, args, dst, ..
-                } => {
-                    if let CalleeRef::Name(sym) = *callee {
-                        let rid = resolve_callee(sym)?;
-                        let meta = program.routine(rid);
-                        if meta.sig.arity() != args.len() {
-                            return Err(LinkError::ArityMismatch {
-                                module: module.clone(),
-                                callee: program.name(meta.name).to_owned(),
-                                expected: meta.sig.arity(),
-                                got: args.len(),
-                            });
+    fn callee(&mut self, sym: Sym) -> Result<RoutineId, LinkError> {
+        if self.scope.routines[sym.index()] == UNRESOLVED {
+            let exported = self
+                .program_sym(sym)
+                .and_then(|s| self.program.find_routine_sym(s))
+                .ok_or_else(|| self.undefined(sym))?;
+            self.scope.routines[sym.index()] = exported.0;
+        }
+        Ok(RoutineId(self.scope.routines[sym.index()]))
+    }
+
+    fn resolve_body(&mut self, body: &mut RoutineBody) -> Result<(), LinkError> {
+        body.blocks.shrink_to_fit();
+        body.locals.shrink_to_fit();
+        for block in &mut body.blocks {
+            block.instrs.shrink_to_fit();
+            for instr in &mut block.instrs {
+                match instr {
+                    Instr::LoadGlobal { global, .. } | Instr::StoreGlobal { global, .. } => {
+                        if let GlobalRef::Name(sym) = *global {
+                            *global = GlobalRef::Id(self.global(sym, false)?);
                         }
-                        if dst.is_some() && meta.sig.ret.is_none() {
-                            return Err(LinkError::ReturnMismatch {
-                                module: module.clone(),
-                                callee: program.name(meta.name).to_owned(),
-                            });
-                        }
-                        *callee = CalleeRef::Id(rid);
                     }
+                    Instr::LoadElem { base, .. } | Instr::StoreElem { base, .. } => {
+                        if let MemBase::Global(GlobalRef::Name(sym)) = *base {
+                            *base = MemBase::Global(GlobalRef::Id(self.global(sym, true)?));
+                        }
+                    }
+                    Instr::Call {
+                        callee, args, dst, ..
+                    } => {
+                        args.shrink_to_fit();
+                        if let CalleeRef::Name(sym) = *callee {
+                            let rid = self.callee(sym)?;
+                            let meta = self.program.routine(rid);
+                            if meta.sig.arity() != args.len() {
+                                return Err(LinkError::ArityMismatch {
+                                    module: self.obj.module_name.clone(),
+                                    callee: self.program.name(meta.name).to_owned(),
+                                    expected: meta.sig.arity(),
+                                    got: args.len(),
+                                });
+                            }
+                            if dst.is_some() && meta.sig.ret.is_none() {
+                                return Err(LinkError::ReturnMismatch {
+                                    module: self.obj.module_name.clone(),
+                                    callee: self.program.name(meta.name).to_owned(),
+                                });
+                            }
+                            *callee = CalleeRef::Id(rid);
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::IlObjectBuilder;
-    use crate::module::GlobalInit;
     use crate::types::{Signature, Ty, VarTy};
 
     fn two_module_program() -> Vec<IlObject> {

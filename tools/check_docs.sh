@@ -39,6 +39,12 @@ run +I --run 500 --profile-out train.db lib.cmo app.cmo
 run +O4 +P train.db --report --run 500 lib.cmo app.cmo
 run -j4 +O4 --report --run 500 lib.cmo app.cmo
 
+# --- Object bytes feed every cache key: they may not drift ---
+# (examples/mlc/OBJECTS.cksum is regenerated only with a CACHE_FORMAT bump.)
+run -c app.mlc hot.mlc lib.mlc prog.mlc util.mlc
+cksum app.cmo hot.cmo lib.cmo prog.cmo util.cmo | diff "$repo_root/examples/mlc/OBJECTS.cksum" - \
+    || { echo "check_docs: examples/mlc objects differ from OBJECTS.cksum" >&2; exit 1; }
+
 # --- Structured telemetry: --report-json / --trace ---
 run +O4 +P train.db --report-json r.json --trace t.jsonl lib.cmo app.cmo
 grep -q '"cmo.report.v1"' r.json || { echo "check_docs: r.json missing cmo.report.v1 schema" >&2; exit 1; }

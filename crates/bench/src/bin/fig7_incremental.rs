@@ -16,92 +16,240 @@
 //! * `warm`    — nothing changed, whole build replays from the cache;
 //! * `dirty1`  — one module edited, front end re-runs for it alone;
 //! * `recover` — torn repository rolled back on open, then rebuilt;
+//! * `cold+P` / `warm+P` / `dirty1+P` — the first three under `+O4 +P`,
+//!   where every cached build also plans profile slices;
 //! * `retrain` — sources unchanged, profile database retrained: with
 //!   module-granular profile slices only the modules whose observable
 //!   slice moved recompile, the rest are retained hits.
+//!
+//! Every scenario is repeated (9 times; 3 under `--smoke`) from the
+//! same restored cache state, and its wall time reported as median and
+//! median absolute deviation. Two columns are deterministic and gated:
+//! `objects_decoded` (cache hits actually decoded into IL objects) and
+//! `repo_bytes_appended` (bytes the build added to `repo.naim`) — both
+//! zero on a warm replay.
 //!
 //! Run with `cargo run --release -p cmo-bench --bin fig7_incremental`.
 //! Flags: `--smoke` (quarter-scale app), `--json-out <path>` (write a
 //! `cmo.bench.v1` snapshot for `bench-diff`).
 
-use cmo::{BuildCache, BuildOptions, Compiler, OptLevel, ProfileDb, SliceGranularity, Telemetry};
+use cmo::{BuildCache, BuildOptions, BuildOutput, Compiler, OptLevel, SliceGranularity};
 use cmo_bench::{bench_args, write_csv, BenchReport, BenchRow};
 use cmo_profile::ProbeKey;
 use cmo_synth::{generate, mcad_preset};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// One cached build: what it produced and what it cost.
+struct Sample {
+    hits: usize,
+    out: BuildOutput,
+    ms: f64,
+    objects_decoded: u64,
+    repo_bytes_appended: u64,
+}
+
+/// `BuildCache::open` + cached front end + cached build on the cache
+/// in `dir`, timed end to end.
+fn cached_build(dir: &Path, modules: &[(String, String)], options: &BuildOptions) -> Sample {
+    let t0 = Instant::now();
+    let mut cache = BuildCache::open(dir).expect("open cache");
+    let mut cc = Compiler::new();
+    let hits = cc
+        .add_sources_cached_with(modules, options, &mut cache)
+        .expect("front end");
+    let out = cc.build_cached(options, &mut cache).expect("build");
+    Sample {
+        hits,
+        ms: t0.elapsed().as_secs_f64() * 1e3,
+        objects_decoded: cache.objects_decoded(),
+        repo_bytes_appended: cache.repo_bytes_appended(),
+        out,
+    }
+}
+
+/// Replaces the flat directory `dst` with a copy of `src` (an absent
+/// `src` leaves `dst` absent: the empty cache).
+fn restore(src: &Path, dst: &Path) {
+    let _ = std::fs::remove_dir_all(dst);
+    if !src.exists() {
+        return;
+    }
+    std::fs::create_dir_all(dst).expect("create cache dir");
+    for entry in std::fs::read_dir(src).expect("read snapshot") {
+        let entry = entry.expect("snapshot entry");
+        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy cache file");
+    }
+}
+
+/// Median and median absolute deviation.
+fn median_mad(samples: &[f64]) -> (f64, f64) {
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let mid = median(&mut samples.to_vec());
+    let mad = median(&mut samples.iter().map(|s| (s - mid).abs()).collect());
+    (mid, mad)
+}
+
+/// Everything the scenarios share: where the caches live, how often to
+/// repeat, and the rows collected so far.
+struct Bench {
+    scratch: PathBuf,
+    reps: usize,
+    ref_input: Vec<i64>,
+    /// Run checksum every scenario must reproduce.
+    checksum: Option<u64>,
+    csv: Vec<String>,
+    rows: Vec<BenchRow>,
+}
+
+impl Bench {
+    fn dir(&self, name: &str) -> PathBuf {
+        self.scratch.join(name)
+    }
+
+    /// Runs `op` `reps` times, each on the cache `work` restored from
+    /// the snapshot `from`, and records one row (`op` times itself, so
+    /// it may first prepare the cache untimed). Returns the median wall
+    /// time; `work` keeps the last repetition's state for the next
+    /// scenario to snapshot.
+    fn scenario(
+        &mut self,
+        name: &str,
+        (from, work): (&Path, &Path),
+        base_ms: Option<f64>,
+        op: &dyn Fn(&Path) -> Sample,
+    ) -> (f64, Sample) {
+        let mut samples: Vec<Sample> = (0..self.reps)
+            .map(|_| {
+                restore(from, work);
+                op(work)
+            })
+            .collect();
+        let times: Vec<f64> = samples.iter().map(|s| s.ms).collect();
+        let (ms, mad) = median_mad(&times);
+        let last = samples.pop().expect("at least one repetition");
+        for s in &samples {
+            assert_eq!(
+                (s.hits, s.objects_decoded, s.repo_bytes_appended),
+                (last.hits, last.objects_decoded, last.repo_bytes_appended),
+                "{name}: repetitions from one cache state differ"
+            );
+        }
+        // The cache must never change what the program computes.
+        let run = last.out.run(&self.ref_input).expect("run");
+        let expected = *self.checksum.get_or_insert(run.checksum);
+        assert_eq!(run.checksum, expected, "{name} changed behaviour");
+        let replayed = last.out.report.cache.build_hits > 0;
+        let speedup = base_ms.unwrap_or(ms) / ms;
+        println!(
+            "{:>9} {:>8} {:>7} {:>9.2} {:>7.2} {:>12} {:>8} {:>10} {:>8.2}",
+            name,
+            last.hits,
+            if replayed { "yes" } else { "no" },
+            ms,
+            mad,
+            last.out.report.compile_work,
+            last.objects_decoded,
+            last.repo_bytes_appended,
+            speedup
+        );
+        self.csv.push(format!(
+            "{},{},{},{:.2},{:.2},{},{},{},{:.3}",
+            name,
+            last.hits,
+            u8::from(replayed),
+            ms,
+            mad,
+            last.out.report.compile_work,
+            last.objects_decoded,
+            last.repo_bytes_appended,
+            speedup
+        ));
+        let unified = last.out.compile_report();
+        let mut row = BenchRow::new(name);
+        row.int("frontend_hits", last.hits as u64)
+            .int("build_replayed", u64::from(replayed))
+            .int("compile_work", last.out.report.compile_work)
+            .int("work_units", last.out.report.loader.work_units)
+            .int("fetch_work_units", last.out.report.loader.fetch_work_units)
+            .int("peak_bytes", unified.peak_bytes() as u64)
+            .int("objects_decoded", last.objects_decoded)
+            .int("repo_bytes_appended", last.repo_bytes_appended)
+            .float("wall_ms", ms)
+            .float("wall_mad_ms", mad)
+            .float("speedup_vs_cold", speedup);
+        self.rows.push(row);
+        (ms, last)
+    }
+
+    /// `cold`, `warm` and `dirty1` (names suffixed with `tag`) under
+    /// `options`; leaves the cold + dirty1 cache in `dir("work")` and
+    /// returns the cold build's median wall time.
+    fn cold_warm_dirty(
+        &mut self,
+        tag: &str,
+        modules: &[(String, String)],
+        dirty: &[(String, String)],
+        options: &BuildOptions,
+    ) -> f64 {
+        let (empty, cold, work) = (self.dir("empty"), self.dir("cold"), self.dir("work"));
+        let (cold_ms, _) = self.scenario(&format!("cold{tag}"), (&empty, &work), None, &|dir| {
+            cached_build(dir, modules, options)
+        });
+        restore(&work, &cold);
+        self.scenario(
+            &format!("warm{tag}"),
+            (&cold, &work),
+            Some(cold_ms),
+            &|dir| cached_build(dir, modules, options),
+        );
+        self.scenario(
+            &format!("dirty1{tag}"),
+            (&cold, &work),
+            Some(cold_ms),
+            &|dir| cached_build(dir, dirty, options),
+        );
+        cold_ms
+    }
+}
 
 fn main() {
     let args = bench_args();
     let scale = if args.smoke { 0.25 } else { 0.5 };
     let app = generate(&mcad_preset("mcad1", scale));
-    let cache_dir = std::env::temp_dir().join(format!("cmo-fig7-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let options = BuildOptions::new(OptLevel::O4);
-    let tel = Telemetry::disabled();
-
-    println!(
-        "Figure 7: incremental recompilation on {} ({} lines, {} modules)",
-        app.name,
-        app.total_lines,
-        app.modules.len()
-    );
-    println!(
-        "{:>8} {:>10} {:>8} {:>10} {:>12} {:>9}",
-        "scenario", "fe_hits", "replay", "build ms", "work units", "speedup"
-    );
-
-    let mut rows = Vec::new();
-    let mut json_rows: Vec<BenchRow> = Vec::new();
-    let mut baseline = None;
-    let mut build = |scenario: &str, modules: &[(String, String)]| {
-        let t0 = Instant::now();
-        let mut cache = BuildCache::open(&cache_dir).expect("open cache");
-        let mut cc = Compiler::new();
-        let hits = cc
-            .add_sources_cached(modules, 1, &mut cache, &tel)
-            .expect("front end");
-        let out = cc.build_cached(&options, &mut cache).expect("build");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let run = out.run(&app.ref_input).expect("run");
-        let replayed = out.report.cache.build_hits > 0;
-        // The cache must never change what the program computes.
-        let checksum = run.checksum;
-        let (base_ms, base_checksum) = *baseline.get_or_insert((ms, checksum));
-        assert_eq!(checksum, base_checksum, "{scenario} changed behaviour");
-        let speedup = base_ms / ms;
-        println!(
-            "{:>8} {:>10} {:>8} {:>10.1} {:>12} {:>9.2}",
-            scenario,
-            hits,
-            if replayed { "yes" } else { "no" },
-            ms,
-            out.report.compile_work,
-            speedup
-        );
-        rows.push(format!(
-            "{},{},{},{:.2},{},{:.3}",
-            scenario,
-            hits,
-            u8::from(replayed),
-            ms,
-            out.report.compile_work,
-            speedup
-        ));
-        let unified = out.compile_report();
-        let mut row = BenchRow::new(scenario);
-        row.int("frontend_hits", hits as u64)
-            .int("build_replayed", u64::from(replayed))
-            .int("compile_work", out.report.compile_work)
-            .int("work_units", out.report.loader.work_units)
-            .int("fetch_work_units", out.report.loader.fetch_work_units)
-            .int("peak_bytes", unified.peak_bytes() as u64)
-            .float("wall_ms", ms)
-            .float("speedup_vs_cold", speedup);
-        json_rows.push(row);
+    let scratch = std::env::temp_dir().join(format!("cmo-fig7-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let mut bench = Bench {
+        scratch: scratch.clone(),
+        reps: if args.smoke { 3 } else { 9 },
+        ref_input: app.ref_input.clone(),
+        checksum: None,
+        csv: Vec::new(),
+        rows: Vec::new(),
     };
 
-    build("cold", &app.modules);
-    build("warm", &app.modules);
+    println!(
+        "Figure 7: incremental recompilation on {} ({} lines, {} modules), median of {}",
+        app.name,
+        app.total_lines,
+        app.modules.len(),
+        bench.reps
+    );
+    println!(
+        "{:>9} {:>8} {:>7} {:>9} {:>7} {:>12} {:>8} {:>10} {:>8}",
+        "scenario",
+        "fe_hits",
+        "replay",
+        "build ms",
+        "mad",
+        "work units",
+        "decoded",
+        "appended",
+        "speedup"
+    );
 
     // Edit one module: append a routine nothing calls. The program's
     // behaviour is unchanged, but the module's fingerprint — and with
@@ -110,21 +258,39 @@ fn main() {
     dirty[0]
         .1
         .push_str("\nfn fig7_touched(x: int) -> int { return x; }\n");
-    build("dirty1", &dirty);
+
+    let plain = BuildOptions::new(OptLevel::O4);
+    let cold_ms = bench.cold_warm_dirty("", &app.modules, &dirty, &plain);
 
     // Crash recovery: tear the repository's tail, as a kill -9 during
     // an append would. open() truncates back to the last well-framed
     // record, invalidates dangling manifest entries, and the rebuild
     // must reproduce the same program — the cost shown is the price of
     // recovering instead of starting cold.
-    {
-        let repo = cache_dir.join("repo.naim");
+    let (torn, work) = (bench.dir("torn"), bench.dir("work"));
+    restore(&work, &torn);
+    let tear = |dir: &Path| {
+        let repo = dir.join("repo.naim");
         let mut bytes = std::fs::read(&repo).expect("read repo");
         let keep = bytes.len().saturating_sub(bytes.len() / 4);
         bytes.truncate(keep);
         std::fs::write(&repo, &bytes).expect("tear repo");
-    }
-    build("recover", &dirty);
+    };
+    bench.scenario("recover", (&torn, &work), Some(cold_ms), &|dir| {
+        tear(dir);
+        cached_build(dir, &dirty, &plain)
+    });
+
+    // The same three scenarios under +O4 +P: every cached build now
+    // also fetches scope sidecars and plans profile slices.
+    let mut cc = Compiler::new();
+    cc.add_sources(&app.modules, 1).expect("front end");
+    let train = cc
+        .build(&BuildOptions::instrumented())
+        .expect("train build");
+    let db1 = train.run_for_profile(&app.ref_input).expect("training run");
+    let profiled = BuildOptions::new(OptLevel::O4).with_profile_db(db1.clone());
+    bench.cold_warm_dirty("+P", &app.modules, &dirty, &profiled);
 
     // Retrain: the sources are untouched but the profile database is
     // not — the situation §6.2's feedback flow hits on every fresh
@@ -134,17 +300,6 @@ fn main() {
     // retained hit, and the image still matches a cold build under the
     // new database byte for byte.
     {
-        let retrain_dir =
-            std::env::temp_dir().join(format!("cmo-fig7-retrain-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&retrain_dir);
-        let mut cc = Compiler::new();
-        for (module, source) in &app.modules {
-            cc.add_source(module, source).expect("front end");
-        }
-        let train = cc
-            .build(&BuildOptions::instrumented())
-            .expect("train build");
-        let db1 = train.run_for_profile(&app.ref_input).expect("training run");
         // The retrained database: one routine's hot block moves, as a
         // shifted workload would move it.
         let (name, shape) = db1
@@ -161,101 +316,50 @@ fn main() {
         // one cluster, so cluster-granular slices all observe the
         // perturbed routine; module granularity keeps the blast radius
         // to the modules that can actually see it.
-        let profiled = |db: &ProfileDb| {
+        let sliced = |db: &cmo::ProfileDb| {
             BuildOptions::new(OptLevel::O4)
                 .with_profile_db(db.clone())
                 .with_slice_granularity(SliceGranularity::Module)
         };
-
         // Cold profiled build: seeds the composed entries and the
         // scope sidecars the warm build plans from.
-        let c0 = Instant::now();
-        {
-            let mut cache = BuildCache::open(&retrain_dir).expect("open cache");
-            let mut cold = Compiler::new();
-            cold.add_sources_cached_with(&app.modules, &profiled(&db1), &mut cache)
-                .expect("cold front end");
-            cold.build_cached(&profiled(&db1), &mut cache)
-                .expect("cold build");
-        }
-        let cold_ms = c0.elapsed().as_secs_f64() * 1e3;
-
-        // The measured scenario: same sources, retrained database.
-        let t0 = Instant::now();
-        let mut cache = BuildCache::open(&retrain_dir).expect("open cache");
-        let mut warm = Compiler::new();
-        let hits = warm
-            .add_sources_cached_with(&app.modules, &profiled(&db2), &mut cache)
-            .expect("warm front end");
-        let out = warm
-            .build_cached(&profiled(&db2), &mut cache)
-            .expect("warm build");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-
+        let seeded = bench.dir("retrain-cold");
+        let cold = cached_build(&seeded, &app.modules, &sliced(&db1));
+        let work = bench.dir("work");
+        let (_, warm) = bench.scenario("retrain", (&seeded, &work), Some(cold.ms), &|dir| {
+            cached_build(dir, &app.modules, &sliced(&db2))
+        });
         // The cache must change neither the image nor the behaviour.
-        let fresh = cc.build(&profiled(&db2)).expect("fresh build");
+        let fresh = cc.build(&sliced(&db2)).expect("fresh build");
         assert_eq!(
-            out.image.code, fresh.image.code,
+            warm.out.image.code, fresh.image.code,
             "retrain-warm image must match a cold build of the same database"
         );
-        let run = out.run(&app.ref_input).expect("run");
-        let (_, base_checksum) = baseline.expect("cold ran first");
-        assert_eq!(run.checksum, base_checksum, "retrain changed behaviour");
-
-        let retained = out.report.cache.profile_retained_hits;
-        let replayed = out.report.cache.build_hits > 0;
-        let speedup = cold_ms / ms;
+        let stats = warm.out.report.cache;
         println!(
-            "{:>8} {:>10} {:>8} {:>10.1} {:>12} {:>9.2}",
-            "retrain",
-            hits,
-            if replayed { "yes" } else { "no" },
-            ms,
-            out.report.compile_work,
-            speedup
+            "          profile slices: {} planned, {} stale, {} retained hits",
+            stats.profile_slices, stats.profile_stale_slices, stats.profile_retained_hits
         );
-        println!(
-            "         profile slices: {} planned, {} stale, {} retained hits",
-            out.report.cache.profile_slices, out.report.cache.profile_stale_slices, retained
-        );
-        rows.push(format!(
-            "retrain,{},{},{:.2},{},{:.3}",
-            hits,
-            u8::from(replayed),
-            ms,
-            out.report.compile_work,
-            speedup
-        ));
-        let unified = out.compile_report();
-        let mut row = BenchRow::new("retrain");
-        row.int("frontend_hits", hits as u64)
-            .int("build_replayed", u64::from(replayed))
-            .int("compile_work", out.report.compile_work)
-            .int("work_units", out.report.loader.work_units)
-            .int("fetch_work_units", out.report.loader.fetch_work_units)
-            .int("peak_bytes", unified.peak_bytes() as u64)
-            .int("profile_slices", out.report.cache.profile_slices)
-            .int("retained_hits", retained)
-            .float("wall_ms", ms)
-            .float("speedup_vs_cold", speedup);
-        json_rows.push(row);
-        let _ = std::fs::remove_dir_all(&retrain_dir);
+        let row = bench.rows.last_mut().expect("retrain row");
+        row.int("profile_slices", stats.profile_slices)
+            .int("retained_hits", stats.profile_retained_hits);
     }
 
     write_csv(
         "fig7_incremental.csv",
-        "scenario,frontend_hits,build_replayed,build_ms,work_units,speedup_vs_cold",
-        &rows,
+        "scenario,frontend_hits,build_replayed,build_ms,mad_ms,work_units,objects_decoded,repo_bytes_appended,speedup_vs_cold",
+        &bench.csv,
     );
     if let Some(path) = &args.json_out {
         let mut snapshot = BenchReport::new("fig7", args.smoke);
-        snapshot.rows = json_rows;
+        snapshot.rows = bench.rows;
         snapshot.write(path);
     }
-    let _ = std::fs::remove_dir_all(&cache_dir);
+    let _ = std::fs::remove_dir_all(&scratch);
     println!();
     println!("A warm rebuild replays the image and report from the cache (§6.1's");
-    println!("make flow, extended to the whole optimizing link); editing one");
-    println!("module re-runs the front end for that module only. A torn");
-    println!("repository is rolled back on open and rebuilt, never trusted.");
+    println!("make flow, extended to the whole optimizing link) without decoding");
+    println!("an object or writing a byte; editing one module re-runs the front");
+    println!("end for that module only. A torn repository is rolled back on open");
+    println!("and rebuilt, never trusted.");
 }

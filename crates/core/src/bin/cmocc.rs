@@ -84,9 +84,9 @@
 //! | 101 | internal bug (uncontained panic) |
 
 use cmo::{
-    build_objects_cached, BuildCache, BuildError, BuildOptions, CompileReport, DiskStorage,
-    FaultStats, ModuleScope, NaimConfig, OptLevel, ProfileDb, RemoteStorage, RetryPolicy,
-    SliceGranularity, SlicePlan, Storage, TcpTransport, Telemetry, TieredStorage, TraceEvent,
+    build_objects, BuildCache, BuildError, BuildOptions, CompileReport, DiskStorage, FaultStats,
+    ModuleInput, NaimConfig, OptLevel, ProfileDb, RemoteStorage, RetryPolicy, SliceGranularity,
+    Storage, TcpTransport, Telemetry, TieredStorage, TraceEvent,
 };
 use cmo_ir::IlObject;
 use std::path::{Path, PathBuf};
@@ -426,7 +426,9 @@ enum LoadFailure {
     Panic(String),
 }
 
-/// Folds the per-input load results. Without `--keep-going` the first
+/// Folds the load results, each tagged with its input's command-line
+/// position; `keep` gets a survivor's index in `results`. Without
+/// `--keep-going` the first
 /// diagnostic aborts (and a panic re-raises as an internal bug); with
 /// it, each failure becomes a stderr diagnostic plus `degraded` /
 /// `job-panic` trace events, and the survivors go on.
@@ -437,9 +439,9 @@ fn absorb_failures<T>(
     results: Vec<(usize, Result<T, LoadFailure>)>,
     mut keep: impl FnMut(usize, T),
 ) -> Result<(), Failure> {
-    for (i, result) in results {
+    for (k, (i, result)) in results.into_iter().enumerate() {
         match result {
-            Ok(value) => keep(i, value),
+            Ok(value) => keep(k, value),
             Err(failure) => {
                 let module = module_name(&cli.inputs[i]);
                 let msg = match &failure {
@@ -517,40 +519,29 @@ fn load_objects(
     let results = cmo::try_run_jobs(cli.inputs.len(), cli.jobs, |_, i| {
         load_one(&cli.inputs[i], cli.compile_only)
     });
-    let results = results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let flat = match r {
-                Ok(Ok(value)) => Ok(value),
-                Ok(Err(msg)) => Err(LoadFailure::Diag(msg)),
-                Err(e) => Err(LoadFailure::Panic(e.payload)),
-            };
-            (i, flat)
-        })
-        .collect();
     let mut objects = Vec::with_capacity(cli.inputs.len());
-    absorb_failures(cli, tel, faults, results, |_, (obj, written)| {
-        if let Some(out) = written {
-            println!("wrote {}", out.display());
-        }
-        objects.push(obj);
-    })?;
+    absorb_failures(
+        cli,
+        tel,
+        faults,
+        flatten(results, |i| i),
+        |_, (obj, written)| {
+            if let Some(out) = written {
+                println!("wrote {}", out.display());
+            }
+            objects.push(obj);
+        },
+    )?;
     Ok(objects)
 }
 
-/// One classified input file: either a pre-compiled IL object or MLC
-/// source still to be compiled (or fetched from the cache).
-enum LoadedInput {
-    Object(IlObject),
-    Source { module: String, source: String },
-}
-
-fn read_one(path: &Path) -> Result<LoadedInput, String> {
+/// Reads and classifies one input file: a pre-compiled IL object, or
+/// MLC source still to be compiled (or found in the cache).
+fn read_one(path: &Path) -> Result<ModuleInput, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if IlObject::is_il_object(&bytes) {
         let obj = IlObject::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        return Ok(LoadedInput::Object(obj));
+        return Ok(ModuleInput::Object(obj));
     }
     let source = String::from_utf8(bytes).map_err(|_| {
         format!(
@@ -558,64 +549,18 @@ fn read_one(path: &Path) -> Result<LoadedInput, String> {
             path.display()
         )
     })?;
-    Ok(LoadedInput::Source {
+    Ok(ModuleInput::Source {
         module: module_name(path),
         source,
     })
 }
 
-/// The slice plan for one cached profiled build: the computed
-/// [`SlicePlan`] plus the mapping from input position to plan
-/// position (degraded inputs own no slice).
-struct InputSlices {
-    plan: SlicePlan,
-    slot_of: Vec<Option<usize>>,
-}
-
-impl InputSlices {
-    /// The composed `(source fingerprint, slice fingerprint)` cache
-    /// key for the input at position `i`.
-    fn key_for(&self, i: usize, fp: &str) -> String {
-        let slot = self.slot_of[i].expect("planned inputs own a slice");
-        self.plan.composed_fp(slot, fp)
-    }
-}
-
-/// Emits one `profile_slice` trace event per planned slice (in input
-/// order, on the main thread) and folds the slice counters into the
-/// cache stats — the CLI mirror of the driver's slice bookkeeping.
-fn emit_slices(plan: &SlicePlan, bcache: &mut BuildCache, tel: &Telemetry) {
-    for slice in &plan.slices {
-        bcache.record_profile_slice(slice.stale);
-        tel.emit(TraceEvent::ProfileSlice {
-            module: slice.module.clone(),
-            routines: slice.routines,
-            stale: slice.stale,
-            fp: slice.fp.clone(),
-        });
-    }
-}
-
-/// Compiles the source inputs at positions `which` over the worker
-/// pool and puts the survivors in `slots`; failures are reported (or,
-/// under `--keep-going`, absorbed) in input order.
-fn compile_sources(
-    cli: &Cli,
-    tel: &Telemetry,
-    faults: &mut FaultStats,
-    inputs: &[Option<LoadedInput>],
-    which: &[usize],
-    slots: &mut [Option<IlObject>],
-) -> Result<(), Failure> {
-    let compiled = cmo::try_run_jobs(which.len(), cli.jobs, |_, k| {
-        let Some(LoadedInput::Source { module, source }) = &inputs[which[k]] else {
-            unreachable!("only source inputs are compiled");
-        };
-        maybe_injected_panic(module);
-        cmo::compile_module(module, source)
-            .map_err(|e| format!("{}:{e}", cli.inputs[which[k]].display()))
-    });
-    let results = compiled
+/// Flattens a worker pool's results into per-input load outcomes.
+fn flatten<T>(
+    results: Vec<Result<Result<T, String>, cmo::JobError>>,
+    position: impl Fn(usize) -> usize,
+) -> Vec<(usize, Result<T, LoadFailure>)> {
+    results
         .into_iter()
         .enumerate()
         .map(|(k, r)| {
@@ -624,166 +569,79 @@ fn compile_sources(
                 Ok(Err(msg)) => Err(LoadFailure::Diag(msg)),
                 Err(e) => Err(LoadFailure::Panic(e.payload)),
             };
-            (which[k], flat)
+            (position(k), flat)
         })
-        .collect();
-    absorb_failures(cli, tel, faults, results, |i, obj| slots[i] = Some(obj))
-}
-
-/// Plans profile slices over the inputs that have a scope (`found`,
-/// by input position; degraded inputs have none and own no slice).
-fn plan_slices(
-    found: Vec<Option<ModuleScope>>,
-    db: &ProfileDb,
-    options: &BuildOptions,
-    bcache: &mut BuildCache,
-    tel: &Telemetry,
-) -> InputSlices {
-    let mut scopes = Vec::new();
-    let mut slot_of = vec![None; found.len()];
-    for (i, scope) in found.into_iter().enumerate() {
-        if let Some(scope) = scope {
-            slot_of[i] = Some(scopes.len());
-            scopes.push(scope);
-        }
-    }
-    let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
-    emit_slices(&plan, bcache, tel);
-    InputSlices { plan, slot_of }
+        .collect()
 }
 
 /// [`load_objects`] with the incremental cache in the loop: inputs are
-/// read and classified over the worker pool, then probed against the
-/// cache *on the main thread in input order* (so cache trace events
-/// are deterministic at any `-j`); only the misses are compiled, again
-/// over the worker pool. Returns the objects plus their per-module
-/// fingerprints for the whole-build key (failed modules under
-/// `--keep-going` contribute neither).
-///
-/// With `+P` the module tier keys on composed
-/// `(source, profile-slice)` fingerprints; a hit
-/// under a composed key is a retained hit, and a one-module edit
-/// misses on that module alone.
+/// read and classified over the worker pool, then handed to the
+/// driver's cached front end ([`cmo::Compiler::add_inputs_cached`]) —
+/// the same probe → defer flow the library's `add_sources_cached*`
+/// run, with this binary's compile step plugged in: sources compile
+/// over the `-j` pool, and a failing one is reported or, under
+/// `--keep-going`, absorbed (it then contributes no module, slice or
+/// fingerprint). Cache hits stay undecoded in the returned driver
+/// until the link — or `-c`'s object writer — needs them.
 fn load_objects_cached(
     cli: &Cli,
     options: &BuildOptions,
     bcache: &mut BuildCache,
     tel: &Telemetry,
     faults: &mut FaultStats,
-) -> Result<(Vec<IlObject>, Vec<String>), Failure> {
+) -> Result<cmo::Compiler, Failure> {
     let reads = cmo::try_run_jobs(cli.inputs.len(), cli.jobs, |_, i| read_one(&cli.inputs[i]));
-    let mut inputs: Vec<Option<LoadedInput>> = Vec::with_capacity(reads.len());
-    let results = reads
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let flat = match r {
-                Ok(Ok(value)) => Ok(value),
-                Ok(Err(msg)) => Err(LoadFailure::Diag(msg)),
-                Err(e) => Err(LoadFailure::Panic(e.payload)),
-            };
-            (i, flat)
-        })
-        .collect();
-    absorb_failures(cli, tel, faults, results, |i, input| {
-        inputs.resize_with(i, || None);
-        inputs.push(Some(input));
+    // `paths[k]` is the command-line position of the k-th input that
+    // survived the read stage.
+    let mut paths = Vec::with_capacity(reads.len());
+    let mut inputs = Vec::with_capacity(reads.len());
+    absorb_failures(cli, tel, faults, flatten(reads, |i| i), |i, input| {
+        paths.push(i);
+        inputs.push(input);
     })?;
-    inputs.resize_with(cli.inputs.len(), || None);
-    let mut fps = vec![String::new(); inputs.len()];
-    let mut slots: Vec<Option<IlObject>> = vec![None; inputs.len()];
-    for (i, input) in inputs.iter().enumerate() {
-        match input {
-            Some(LoadedInput::Object(obj)) => {
-                fps[i] = cmo::object_fingerprint(&obj.module_name, &obj.to_bytes());
-                slots[i] = Some(obj.clone());
-            }
-            Some(LoadedInput::Source { module, source }) => {
-                fps[i] = cmo::module_fingerprint(module, source);
-            }
-            None => {} // already degraded at the read stage
-        }
-    }
-    // Slices are planned *before* any module-tier probe. Object inputs
-    // derive their scope directly; source inputs read the sidecar
-    // stored under their source fingerprint alone, and a source
-    // without one (new or edited, or a cold cache) is compiled now and
-    // its scope derived from the fresh object and stored. A scope is a
-    // pure function of the object, so composed keys planned either way
-    // agree.
-    let plan = match options.profile.as_ref() {
-        None => None,
-        Some(db) => {
-            let mut found: Vec<Option<ModuleScope>> = inputs
-                .iter()
-                .enumerate()
-                .map(|(i, input)| match input {
-                    Some(LoadedInput::Object(obj)) => Some(ModuleScope::of_object(obj)),
-                    Some(LoadedInput::Source { .. }) => bcache.get_scope(&fps[i]),
-                    None => None, // degraded at the read stage
-                })
-                .collect();
-            let unscoped: Vec<usize> = (0..inputs.len())
-                .filter(|&i| inputs[i].is_some() && found[i].is_none())
-                .collect();
-            compile_sources(cli, tel, faults, &inputs, &unscoped, &mut slots)?;
-            for &i in &unscoped {
-                if let Some(obj) = &slots[i] {
-                    let scope = ModuleScope::of_object(obj);
-                    bcache.put_scope(&fps[i], &scope);
-                    found[i] = Some(scope);
-                }
-            }
-            Some(plan_slices(found, db, options, bcache, tel))
-        }
-    };
-    let mut misses: Vec<(usize, String)> = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        let Some(LoadedInput::Source { module, .. }) = input else {
-            continue; // objects need no entry, degraded inputs have none
-        };
-        let key = match &plan {
-            Some(slices) if slices.slot_of[i].is_none() => continue, // failed to compile
-            Some(slices) => slices.key_for(i, &fps[i]),
-            None => fps[i].clone(),
-        };
-        match bcache.get_module(module, &key, tel) {
-            Some(obj) => {
-                if plan.is_some() {
-                    bcache.record_retained_hit();
-                }
-                slots[i] = Some(obj);
-            }
-            None => misses.push((i, key)),
-        }
-    }
-    let uncompiled: Vec<usize> = misses
+    let is_source: Vec<bool> = inputs
         .iter()
-        .map(|(i, _)| *i)
-        .filter(|&i| slots[i].is_none())
+        .map(|input| matches!(input, ModuleInput::Source { .. }))
         .collect();
-    compile_sources(cli, tel, faults, &inputs, &uncompiled, &mut slots)?;
-    for (i, key) in &misses {
-        if let (Some(LoadedInput::Source { module, .. }), Some(obj)) = (&inputs[*i], &slots[*i]) {
-            bcache.put_module(module, key, obj, tel);
+    let mut kept = vec![true; inputs.len()];
+    let mut cc = cmo::Compiler::new();
+    cc.add_inputs_cached::<Failure>(inputs, options, bcache, &mut |inputs, which| {
+        let compiled = cmo::try_run_jobs(which.len(), cli.jobs, |_, k| {
+            let ModuleInput::Source { module, source } = &inputs[which[k]] else {
+                unreachable!("only source inputs are compiled");
+            };
+            maybe_injected_panic(module);
+            cmo::compile_module(module, source)
+                .map_err(|e| format!("{}:{e}", cli.inputs[paths[which[k]]].display()))
+        });
+        let mut objects: Vec<Option<IlObject>> = which.iter().map(|_| None).collect();
+        let results = flatten(compiled, |k| paths[which[k]]);
+        absorb_failures(cli, tel, faults, results, |k, obj| objects[k] = Some(obj))?;
+        for (k, obj) in objects.iter().enumerate() {
+            kept[which[k]] &= obj.is_some();
+        }
+        Ok(objects)
+    })?;
+    if cli.compile_only {
+        let survivors = (0..kept.len()).filter(|&k| kept[k]);
+        let objects = cc.objects(Some(bcache), tel).map_err(|e| e.to_string())?;
+        for (k, obj) in survivors.zip(&objects) {
+            if is_source[k] {
+                let out = cli.inputs[paths[k]].with_extension("cmo");
+                std::fs::write(&out, obj.to_bytes())
+                    .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+                println!("wrote {}", out.display());
+            }
         }
     }
-    let mut objects = Vec::with_capacity(slots.len());
-    let mut kept_fps = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        let Some(obj) = slot else {
-            continue; // degraded module: no object, no fingerprint
-        };
-        if cli.compile_only && matches!(inputs[i], Some(LoadedInput::Source { .. })) {
-            let out = cli.inputs[i].with_extension("cmo");
-            std::fs::write(&out, obj.to_bytes())
-                .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-            println!("wrote {}", out.display());
-        }
-        kept_fps.push(fps[i].clone());
-        objects.push(obj);
-    }
-    Ok((objects, kept_fps))
+    Ok(cc)
+}
+
+/// What the load stage hands the build: a driver whose cache hits are
+/// still pending, or (no cache) the objects themselves.
+enum Loaded {
+    Cached(cmo::Compiler),
+    Objects(Vec<IlObject>),
 }
 
 /// The exit code of a run that otherwise succeeded: 3 when the cache
@@ -923,11 +781,17 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
         options.naim = options.naim.clone().shards(shards);
     }
     let mut faults = FaultStats::default();
-    let (objects, fingerprints) = {
+    let loaded = {
         let _parse = tel.phase("parse");
         match bcache.as_mut() {
-            Some(cache) => load_objects_cached(cli, &options, cache, &tel, &mut faults)?,
-            None => (load_objects(cli, &tel, &mut faults)?, Vec::new()),
+            Some(cache) => Loaded::Cached(load_objects_cached(
+                cli,
+                &options,
+                cache,
+                &tel,
+                &mut faults,
+            )?),
+            None => Loaded::Objects(load_objects(cli, &tel, &mut faults)?),
         }
     };
     if !faults.degraded.is_empty() {
@@ -949,15 +813,30 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
         }
         return Ok(success_code(bcache.as_ref()));
     }
-    let isolate_objects = cli.isolate.then(|| objects.clone());
-    let out = build_objects_cached(objects, &fingerprints, &options, bcache.as_mut()).map_err(
-        |e| match e {
-            BuildError::Naim(inner) => format!(
-                "optimizer out of memory: {inner}\n(hint: raise --budget or lower --sel, §5)"
-            ),
-            other => other.to_string(),
-        },
-    )?;
+    // The driver `--isolate` bisects over: the cached one as it is, or
+    // the uncached objects added to a fresh one.
+    let (built, isolate_cc) = match loaded {
+        Loaded::Cached(cc) => {
+            let cache = bcache.as_mut().expect("a cached load went through a cache");
+            (cc.build_cached(&options, cache), cli.isolate.then_some(cc))
+        }
+        Loaded::Objects(objects) => {
+            let isolate_cc = cli.isolate.then(|| {
+                let mut cc = cmo::Compiler::new();
+                for obj in &objects {
+                    cc.add_object(obj.clone());
+                }
+                cc
+            });
+            (build_objects(objects, &options), isolate_cc)
+        }
+    };
+    let out = built.map_err(|e| match e {
+        BuildError::Naim(inner) => {
+            format!("optimizer out of memory: {inner}\n(hint: raise --budget or lower --sel, §5)")
+        }
+        other => other.to_string(),
+    })?;
     println!(
         "linked {} instructions across {} routines",
         out.image.code_size(),
@@ -1057,11 +936,7 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             println!("wrote profile database to {}", path.display());
         }
-        if let Some(objects) = isolate_objects {
-            let mut cc = cmo::Compiler::new();
-            for obj in objects {
-                cc.add_object(obj);
-            }
+        if let Some(cc) = isolate_cc {
             let isolation =
                 cmo::isolate_inline_ops(&cc, &options, input).map_err(|e| e.to_string())?;
             match isolation.report.first_faulty_op {

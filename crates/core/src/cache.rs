@@ -11,13 +11,22 @@
 //! * `manifest.tsv` — a text index mapping cache keys (module and
 //!   build fingerprints) to the content hashes of their entries.
 //!
-//! Entries are rehydrated through the ordinary NAIM eager-swizzling
-//! path: the cache registers the stored pool image with its private
-//! [`Loader`] via [`Loader::insert_offloaded`] and fetches it like any
-//! offloaded pool. Any repository error on the way back — a short
+//! Records are read on the direct path: [`Repository::fetch_ref`] hands
+//! back a CRC-verified borrowed slice (a memory-mapped view, or the
+//! repository's scratch arena) and the entry is decoded straight from
+//! it — no loader, no pool handle, no intermediate owned entry. A
+//! module-tier hit is not decoded at all at probe time: it comes back
+//! as a [`CachedObject`], the stored object file's verified bytes,
+//! which the driver decodes only if the build tier misses and the link
+//! needs the object. Any repository error on the way back — a short
 //! read, a CRC mismatch, a stale index — degrades to a cache miss with
 //! an `"invalidate"` trace event and a full recompilation of the
 //! affected module; a corrupt cache can cost time, never correctness.
+//! That holds for the one kind of damage only a decode can find
+//! (CRC-valid bytes that are not an object), which
+//! [`BuildCache::materialize`] reports late, after the probe counted a
+//! hit: the counters are corrected to what an eager decode would have
+//! reported.
 //!
 //! # Determinism
 //!
@@ -33,7 +42,15 @@
 //!
 //! All I/O goes through the [`Storage`] trait (so tests can interpose
 //! `FaultyStorage`), and [`BuildCache::persist`] commits a generation
-//! in a fixed order:
+//! — when this session changed one: a session that stored no record,
+//! added or dropped no manifest line, repaired nothing on open and ran
+//! no GC has nothing to make durable, and its persist writes nothing
+//! (a no-change build leaves all three files byte-identical and issues
+//! no fsync). The one exception is a cache on a two-tier storage stack:
+//! the commit's barriers are the only points at which the remote tier
+//! is written (and, on a fresh machine, at which what read-through
+//! populated locally is fsynced), so such a session always commits.
+//! The commit runs in a fixed order:
 //!
 //! 1. append the repository index segment, then **fsync** `repo.naim`;
 //! 2. atomically replace `commit.journal` (write temp → fsync →
@@ -51,10 +68,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
-use cmo_ir::IlObject;
+use cmo_ir::{IlObject, ObjectDecodeError};
 use cmo_naim::{
-    ContentHash, DecodeError, Decoder, DiskStorage, Encoder, Loader, NaimConfig, NaimError,
-    PoolKind, Relocatable, Repository, Storage, StorageFile,
+    ContentHash, DecodeError, Decoder, DiskStorage, Encoder, NaimError, Repository, Storage,
+    StorageFile,
 };
 use cmo_telemetry::{Telemetry, TraceEvent};
 use cmo_vm::MachineImage;
@@ -151,11 +168,6 @@ impl CacheStats {
             self.profile_stale_slices += 1;
         }
     }
-
-    /// Records one module-tier hit under a composed profile-slice key.
-    pub fn record_retained_hit(&mut self) {
-        self.profile_retained_hits += 1;
-    }
 }
 
 /// Outcome of one [`BuildCache::gc`] compaction.
@@ -169,107 +181,98 @@ pub struct GcStats {
     pub pruned_lines: u64,
 }
 
-/// One value stored in the cache repository.
-///
-/// The discriminant byte leads the relocatable image so a manifest
-/// line pointing at the wrong kind of record is detected and
-/// invalidated rather than misinterpreted.
-#[derive(Debug, Clone)]
-pub enum CacheEntry {
-    /// A front-end output: one module's IL object.
-    Object(IlObject),
-    /// A fully linked machine image for a whole build.
-    Image(MachineImage),
-    /// The unified compile report stored next to an image (boxed: the
-    /// report struct dwarfs the other variants).
-    Report(Box<CompileReport>),
-    /// A module's profile-slice scope sidecar, keyed on the *source*
-    /// fingerprint alone (the scope is profile-independent structure),
-    /// so warm builds can plan slices before probing for objects.
-    Scope(ModuleScope),
-}
-
+// Every record leads with a kind tag, so a manifest line pointing at
+// the wrong kind of record is detected and invalidated rather than
+// misinterpreted.
+/// A front-end output: one module's IL object file bytes.
 const TAG_OBJECT: u8 = 1;
+/// A fully linked machine image for a whole build.
 const TAG_IMAGE: u8 = 2;
+/// The unified compile report stored next to an image.
 const TAG_REPORT: u8 = 3;
+/// A module's profile-slice scope sidecar, keyed on the *source*
+/// fingerprint alone (the scope is profile-independent structure), so
+/// warm builds can plan slices before probing for objects.
 const TAG_SCOPE: u8 = 4;
 
-impl Relocatable for CacheEntry {
-    fn compact(&self, enc: &mut Encoder) {
-        match self {
-            CacheEntry::Object(obj) => {
-                enc.write_u8(TAG_OBJECT);
-                enc.write_bytes(&obj.to_bytes());
-            }
-            CacheEntry::Image(image) => {
-                enc.write_u8(TAG_IMAGE);
-                image.encode(enc);
-            }
-            CacheEntry::Report(report) => {
-                enc.write_u8(TAG_REPORT);
-                report.encode(enc);
-            }
-            CacheEntry::Scope(scope) => {
-                enc.write_u8(TAG_SCOPE);
-                scope.encode(enc);
-            }
-        }
+/// A module-tier cache hit that has not been decoded: the stored object
+/// file's bytes, CRC-verified and copied out of the repository at probe
+/// time, so the handle outlives the cache and costs a replay nothing
+/// but the copy.
+#[derive(Debug, Clone)]
+pub struct CachedObject {
+    /// Module-tier key the record was found under.
+    key: String,
+    hash: ContentHash,
+    /// Whether `key` composes a profile-slice fingerprint.
+    composed: bool,
+    bytes: Arc<[u8]>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`CachedObject::decode`] calls on this thread.
+    pub(crate) static DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl CachedObject {
+    /// The module-tier key the record was found under.
+    pub(crate) fn key(&self) -> &str {
+        &self.key
     }
 
-    fn uncompact(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let offset = dec.position();
-        match dec.read_u8()? {
-            TAG_OBJECT => {
-                let bytes = dec.read_bytes()?;
-                let obj = IlObject::from_bytes(bytes).map_err(|_| DecodeError::Corrupt {
-                    what: "cached IL object failed to decode",
-                })?;
-                Ok(CacheEntry::Object(obj))
-            }
-            TAG_IMAGE => Ok(CacheEntry::Image(MachineImage::decode(dec)?)),
-            TAG_REPORT => Ok(CacheEntry::Report(Box::new(CompileReport::decode(dec)?))),
-            TAG_SCOPE => Ok(CacheEntry::Scope(ModuleScope::decode(dec)?)),
-            tag => Err(DecodeError::BadTag { tag, offset }),
-        }
-    }
-
-    fn expanded_bytes(&self) -> usize {
-        match self {
-            CacheEntry::Object(obj) => obj.to_bytes().len(),
-            CacheEntry::Image(image) => image.approx_bytes(),
-            CacheEntry::Report(report) => std::mem::size_of_val(report.as_ref()),
-            CacheEntry::Scope(scope) => std::mem::size_of_val(scope),
-        }
+    /// Decodes the stored object.
+    ///
+    /// # Errors
+    ///
+    /// The bytes passed their CRC, so an error means the record was
+    /// stored damaged (or forged); callers recompile the module.
+    pub fn decode(&self) -> Result<IlObject, ObjectDecodeError> {
+        #[cfg(test)]
+        DECODES.with(|d| d.set(d.get() + 1));
+        IlObject::from_bytes(&self.bytes)
     }
 }
 
 /// Outcome of a raw manifest + repository probe.
-enum Fetched {
+enum Fetched<T> {
     /// Entry came back intact; payload size on disk in bytes.
-    Hit(Box<CacheEntry>, u64),
+    Hit(T, u64),
     /// No manifest line for the key.
     Missing,
     /// Manifest line existed but the entry could not be fetched intact;
-    /// the line has been dropped.
+    /// the line has been dropped and the record evicted.
     Invalid,
+    /// The line points at an intact record of another kind (payload
+    /// size in bytes); the line has been dropped.
+    WrongKind(u64),
 }
 
 /// A persistent build cache rooted at a directory.
 ///
 /// Opened by `cmocc --cache-dir` (or [`BuildCache::open`] directly),
 /// consulted by [`crate::Compiler::add_sources_cached`] for per-module
-/// front-end reuse and by [`crate::build_objects_cached`] for
+/// front-end reuse and by [`crate::Compiler::build_cached`] for
 /// whole-build replay, and flushed with [`BuildCache::persist`].
 #[derive(Debug)]
 pub struct BuildCache {
     storage: Arc<dyn Storage>,
-    loader: Loader<CacheEntry, StorageFile>,
+    repo: Repository<StorageFile>,
     manifest: BTreeMap<String, ContentHash>,
     stats: CacheStats,
     /// Crash-recovery repairs performed while opening (rollbacks,
     /// truncations, recreations). Non-zero means persistent state was
     /// repaired and the build will recompile what was lost.
     recovered: u64,
+    /// Whether this session's generation differs from the committed
+    /// one: a record stored, a manifest line added or dropped, a repair
+    /// on open, or a GC. [`BuildCache::persist`] commits only then.
+    dirty: bool,
+    /// Length of `repo.naim` when this session opened it (zero for a
+    /// repository this session created).
+    opened_len: u64,
+    /// Module-tier hits [`BuildCache::materialize`] decoded.
+    objects_decoded: u64,
 }
 
 impl BuildCache {
@@ -376,15 +379,21 @@ impl BuildCache {
         } else {
             read_manifest(storage.as_ref())
         };
+        let opened_len = if fresh { 0 } else { storage.size(REPO_FILE)? };
         Ok(BuildCache {
             storage,
-            loader: Loader::with_repository(NaimConfig::disabled(), repo),
+            repo,
             manifest,
             stats: CacheStats {
                 enabled: true,
                 ..CacheStats::default()
             },
             recovered,
+            // A repaired store commits, so the rebuilt index (and, after
+            // a recreation, the emptied manifest) is written back.
+            dirty: recovered > 0,
+            opened_len,
+            objects_decoded: 0,
         })
     }
 
@@ -415,42 +424,105 @@ impl BuildCache {
     /// Number of records in the underlying repository (tests/bench).
     #[must_use]
     pub fn record_count(&self) -> usize {
-        self.loader.repository().record_count()
+        self.repo.record_count()
     }
 
-    /// Probes the cache for a module's front-end output.
+    /// Module-tier hits decoded into objects this session (bench): zero
+    /// on a whole-build replay, one per clean module after an edit.
+    #[must_use]
+    pub fn objects_decoded(&self) -> u64 {
+        self.objects_decoded
+    }
+
+    /// Bytes this session has appended to `repo.naim` so far (bench):
+    /// zero after a no-change build.
+    #[must_use]
+    pub fn repo_bytes_appended(&self) -> u64 {
+        self.storage
+            .size(REPO_FILE)
+            .map_or(0, |len| len.saturating_sub(self.opened_len))
+    }
+
+    /// Probes the cache for a module's front-end output under `key`
+    /// (the source fingerprint, or with `composed` the source
+    /// fingerprint composed with the module's profile-slice
+    /// fingerprint — a hit then also counts as a *retained* hit). A
+    /// hit hands back the stored bytes undecoded.
     ///
     /// Emits a module-scope `"hit"`, `"miss"`, or `"invalidate"` trace
     /// event; an invalidated entry also counts as a miss because the
     /// module will be recompiled.
-    pub fn get_module(&mut self, module: &str, fp: &str, tel: &Telemetry) -> Option<IlObject> {
-        match self.fetch(&format!("mod:{fp}")) {
-            Fetched::Hit(entry, bytes) => match *entry {
-                CacheEntry::Object(obj) => {
-                    self.stats.module_hits += 1;
-                    emit(tel, "hit", "module", module, bytes);
-                    Some(obj)
-                }
-                _ => {
-                    self.manifest.remove(&format!("mod:{fp}"));
-                    self.stats.invalidations += 1;
-                    self.stats.module_misses += 1;
-                    emit(tel, "invalidate", "module", module, bytes);
-                    None
-                }
-            },
-            Fetched::Missing => {
-                self.stats.module_misses += 1;
-                emit(tel, "miss", "module", module, 0);
-                None
-            }
-            Fetched::Invalid => {
-                self.stats.invalidations += 1;
-                self.stats.module_misses += 1;
-                emit(tel, "invalidate", "module", module, 0);
-                None
-            }
+    pub fn get_module(
+        &mut self,
+        module: &str,
+        key: &str,
+        composed: bool,
+        tel: &Telemetry,
+    ) -> Option<CachedObject> {
+        let object = |dec: &mut Decoder<'_>| dec.read_bytes().map(Arc::<[u8]>::from);
+        let (action, bytes, hit) = match self.fetch(&format!("mod:{key}"), TAG_OBJECT, object) {
+            Fetched::Hit((hash, bytes), len) => (
+                "hit",
+                len,
+                Some(CachedObject {
+                    key: key.to_owned(),
+                    hash,
+                    composed,
+                    bytes,
+                }),
+            ),
+            Fetched::Missing => ("miss", 0, None),
+            Fetched::Invalid => ("invalidate", 0, None),
+            Fetched::WrongKind(len) => ("invalidate", len, None),
+        };
+        if hit.is_some() {
+            self.stats.module_hits += 1;
+            self.stats.profile_retained_hits += u64::from(composed);
+        } else {
+            self.stats.module_misses += 1;
+            self.stats.invalidations += u64::from(action == "invalidate");
         }
+        emit(tel, action, "module", module, bytes);
+        hit
+    }
+
+    /// Decodes a deferred module hit, now that the link needs it.
+    ///
+    /// `None` means the CRC-valid bytes are not an object: damage only
+    /// a decode can find, reported like any damage found at probe time
+    /// — the manifest line is dropped, the record evicted, an
+    /// `"invalidate"` event emitted — and the hit the probe counted is
+    /// re-counted as the miss it turned out to be. The caller
+    /// recompiles the module from its source.
+    pub fn materialize(
+        &mut self,
+        module: &str,
+        hit: &CachedObject,
+        tel: &Telemetry,
+    ) -> Option<IlObject> {
+        if let Ok(obj) = hit.decode() {
+            self.objects_decoded += 1;
+            return Some(obj);
+        }
+        // Once per record: a second link of the same driver finds the
+        // line gone (or re-pointed at the recompiled object) and only
+        // recompiles again.
+        let line = format!("mod:{}", hit.key);
+        if self.manifest.get(&line) == Some(&hit.hash) {
+            self.drop_line(&line);
+            self.repo.evict(hit.hash);
+            // The hit may have been counted by an earlier session of
+            // this cache directory, hence saturating.
+            let stats = &mut self.stats;
+            stats.module_hits = stats.module_hits.saturating_sub(1);
+            stats.profile_retained_hits = stats
+                .profile_retained_hits
+                .saturating_sub(u64::from(hit.composed));
+            stats.module_misses += 1;
+            stats.invalidations += 1;
+            emit(tel, "invalidate", "module", module, 0);
+        }
+        None
     }
 
     /// Stores a module's front-end output under its fingerprint.
@@ -458,7 +530,10 @@ impl BuildCache {
     /// Storing never fails the build: an unwritable repository leaves
     /// the cache cold for the next run, nothing more.
     pub fn put_module(&mut self, module: &str, fp: &str, obj: &IlObject, tel: &Telemetry) {
-        if let Some(bytes) = self.store(format!("mod:{fp}"), &CacheEntry::Object(obj.clone())) {
+        let stored = self.store(format!("mod:{fp}"), TAG_OBJECT, |enc| {
+            enc.write_bytes(&obj.to_bytes());
+        });
+        if let Some(bytes) = stored {
             emit(tel, "store", "module", module, bytes);
         }
     }
@@ -471,31 +546,20 @@ impl BuildCache {
     /// trace. A missing or damaged sidecar just means this build
     /// cannot plan slices before compiling.
     pub fn get_scope(&mut self, fp: &str) -> Option<ModuleScope> {
-        match self.fetch(&format!("scope:{fp}")) {
-            Fetched::Hit(entry, _) => match *entry {
-                CacheEntry::Scope(scope) => Some(scope),
-                _ => {
-                    self.manifest.remove(&format!("scope:{fp}"));
-                    None
-                }
-            },
-            Fetched::Missing | Fetched::Invalid => None,
+        match self.fetch(&format!("scope:{fp}"), TAG_SCOPE, ModuleScope::decode) {
+            Fetched::Hit((_, scope), _) => Some(scope),
+            _ => None,
         }
     }
 
     /// Stores a module's scope sidecar under its source fingerprint.
     pub fn put_scope(&mut self, fp: &str, scope: &ModuleScope) {
-        self.store(format!("scope:{fp}"), &CacheEntry::Scope(scope.clone()));
+        self.store(format!("scope:{fp}"), TAG_SCOPE, |enc| scope.encode(enc));
     }
 
     /// Records one planned profile slice in this build's counters.
     pub fn record_profile_slice(&mut self, stale: bool) {
         self.stats.record_profile_slice(stale);
-    }
-
-    /// Records one module-tier hit under a composed profile-slice key.
-    pub fn record_retained_hit(&mut self) {
-        self.stats.record_retained_hit();
     }
 
     /// Probes the cache for a whole build: the linked image plus the
@@ -505,42 +569,12 @@ impl BuildCache {
         key: &str,
         tel: &Telemetry,
     ) -> Option<(MachineImage, CompileReport)> {
-        let image = match self.fetch(&format!("img:{key}")) {
-            Fetched::Hit(entry, bytes) => match *entry {
-                CacheEntry::Image(image) => Some((image, bytes)),
-                _ => {
-                    self.manifest.remove(&format!("img:{key}"));
-                    self.stats.invalidations += 1;
-                    emit(tel, "invalidate", "build", key, 0);
-                    None
-                }
-            },
-            Fetched::Invalid => {
-                self.manifest.remove(&format!("img:{key}"));
-                self.stats.invalidations += 1;
-                emit(tel, "invalidate", "build", key, 0);
-                None
-            }
-            Fetched::Missing => None,
-        };
-        let report = match self.fetch(&format!("rpt:{key}")) {
-            Fetched::Hit(entry, bytes) => match *entry {
-                CacheEntry::Report(report) => Some((*report, bytes)),
-                _ => {
-                    self.manifest.remove(&format!("rpt:{key}"));
-                    self.stats.invalidations += 1;
-                    emit(tel, "invalidate", "build", key, 0);
-                    None
-                }
-            },
-            Fetched::Invalid => {
-                self.manifest.remove(&format!("rpt:{key}"));
-                self.stats.invalidations += 1;
-                emit(tel, "invalidate", "build", key, 0);
-                None
-            }
-            Fetched::Missing => None,
-        };
+        let image = self.get_build_part(&format!("img:{key}"), TAG_IMAGE, key, tel, |dec| {
+            MachineImage::decode(dec)
+        });
+        let report = self.get_build_part(&format!("rpt:{key}"), TAG_REPORT, key, tel, |dec| {
+            CompileReport::decode(dec)
+        });
         match (image, report) {
             (Some((image, ib)), Some((report, rb))) => {
                 self.stats.build_hits += 1;
@@ -554,6 +588,27 @@ impl BuildCache {
         }
     }
 
+    /// One half of a whole-build entry and its payload size; a damaged
+    /// or mis-kinded half is invalidated under the build key's name.
+    fn get_build_part<T>(
+        &mut self,
+        line: &str,
+        tag: u8,
+        key: &str,
+        tel: &Telemetry,
+        decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
+    ) -> Option<(T, u64)> {
+        match self.fetch(line, tag, decode) {
+            Fetched::Hit((_, part), bytes) => Some((part, bytes)),
+            Fetched::Missing => None,
+            Fetched::Invalid | Fetched::WrongKind(_) => {
+                self.stats.invalidations += 1;
+                emit(tel, "invalidate", "build", key, 0);
+                None
+            }
+        }
+    }
+
     /// Stores a whole build's image and report under the build key.
     pub fn put_build(
         &mut self,
@@ -562,11 +617,8 @@ impl BuildCache {
         report: &CompileReport,
         tel: &Telemetry,
     ) {
-        let ib = self.store(format!("img:{key}"), &CacheEntry::Image(image.clone()));
-        let rb = self.store(
-            format!("rpt:{key}"),
-            &CacheEntry::Report(Box::new(report.clone())),
-        );
+        let ib = self.store(format!("img:{key}"), TAG_IMAGE, |enc| image.encode(enc));
+        let rb = self.store(format!("rpt:{key}"), TAG_REPORT, |enc| report.encode(enc));
         if let (Some(ib), Some(rb)) = (ib, rb) {
             emit(tel, "store", "build", key, ib + rb);
         }
@@ -578,12 +630,21 @@ impl BuildCache {
     /// A process killed at any point leaves either the previous
     /// generation or this one — never a mix.
     ///
+    /// A session that changed nothing has no generation to commit and
+    /// touches no file: everything it read is the committed generation
+    /// already, and any repair made on open was applied to the files
+    /// then (and marked the session dirty). Over a remote tier the
+    /// commit is also the publication step, so it always runs.
+    ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the cache directory is no
     /// longer writable.
     pub fn persist(&mut self) -> Result<(), NaimError> {
-        self.loader.repository_mut().flush_index()?;
+        if !self.dirty && self.storage.remote_stats().is_none() {
+            return Ok(());
+        }
+        self.repo.flush_index()?;
         self.storage.sync(REPO_FILE)?;
         let committed = self.storage.size(REPO_FILE)?;
         write_atomic(
@@ -596,6 +657,7 @@ impl BuildCache {
             MANIFEST_FILE,
             self.render_manifest().as_bytes(),
         )?;
+        self.dirty = false;
         Ok(())
     }
 
@@ -615,7 +677,8 @@ impl BuildCache {
     /// Bytes a [`BuildCache::gc`] compaction would reclaim right now:
     /// current `repo.naim` size minus the exact size of a generation
     /// holding only the records the manifest still references. Stale
-    /// index segments (every [`BuildCache::persist`] appends one),
+    /// index segments (every committing [`BuildCache::persist`] appends
+    /// one),
     /// evicted corrupt records, and rolled-back-then-re-stored copies
     /// all count as dead.
     ///
@@ -628,13 +691,12 @@ impl BuildCache {
             return Ok(0);
         }
         let size = self.storage.size(REPO_FILE)?;
-        let repo = self.loader.repository();
         let live: Vec<_> = self
             .manifest
             .values()
-            .filter_map(|&hash| repo.lookup(hash))
+            .filter_map(|&hash| self.repo.lookup(hash))
             .collect();
-        Ok(size.saturating_sub(repo.compacted_size(&live)))
+        Ok(size.saturating_sub(self.repo.compacted_size(&live)))
     }
 
     /// Mark-and-sweep compaction: copies every record the manifest
@@ -663,9 +725,9 @@ impl BuildCache {
     /// reopens to either the old or the new generation, never a mix:
     /// before the rename the old file is untouched (the orphan temp is
     /// swept on open), after it the new file is never longer than the
-    /// journaled bound so no rollback can bite it. The loader is then
-    /// rebuilt so any memory-mapped view of the pre-swap file is
-    /// dropped and reopened against the new generation.
+    /// journaled bound so no rollback can bite it. The repository is
+    /// then reopened so any memory-mapped view of the pre-swap file is
+    /// dropped and remapped against the new generation.
     ///
     /// # Errors
     ///
@@ -684,7 +746,7 @@ impl BuildCache {
             if alive.contains_key(&hash) {
                 continue;
             }
-            match self.loader.repository().lookup(hash) {
+            match self.repo.lookup(hash) {
                 Some(handle) => {
                     alive.insert(hash, true);
                     order.push((hash, handle));
@@ -699,9 +761,9 @@ impl BuildCache {
             Repository::create_backend(StorageFile::new(Arc::clone(&self.storage), GC_TEMP_FILE))?;
         let mut live_records = 0u64;
         for (hash, handle) in order {
-            match self.loader.repository_mut().fetch(handle) {
+            match self.repo.fetch_ref(handle) {
                 Ok(bytes) => {
-                    new_repo.store(&bytes)?;
+                    new_repo.store(bytes)?;
                     live_records += 1;
                 }
                 // Live I/O failure: abort; the old generation and the
@@ -753,12 +815,12 @@ impl BuildCache {
             MANIFEST_FILE,
             self.render_manifest().as_bytes(),
         )?;
-        // Reopen against the new generation: the old loader's backend
-        // may hold a memory-mapped view of the pre-swap file, which the
-        // rename does not invalidate.
-        let repo =
+        // Reopen against the new generation: the old backend may hold
+        // a memory-mapped view of the pre-swap file, which the rename
+        // does not invalidate.
+        self.repo =
             Repository::open_backend(StorageFile::new(Arc::clone(&self.storage), REPO_FILE))?;
-        self.loader = Loader::with_repository(NaimConfig::disabled(), repo);
+        self.dirty = true;
         let stats = GcStats {
             reclaimed_bytes: old_size.saturating_sub(new_size),
             live_records,
@@ -776,37 +838,68 @@ impl BuildCache {
         Ok(stats)
     }
 
-    fn fetch(&mut self, key: &str) -> Fetched {
+    /// Reads the record `key` names on the direct path: manifest line →
+    /// content hash → CRC-verified borrowed bytes → `decode`, which sees
+    /// the payload past its kind tag. Returns the record's content hash
+    /// beside the decoded value.
+    fn fetch<T>(
+        &mut self,
+        key: &str,
+        tag: u8,
+        decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
+    ) -> Fetched<(ContentHash, T)> {
         let Some(&hash) = self.manifest.get(key) else {
             return Fetched::Missing;
         };
-        let Some(handle) = self.loader.repository().lookup(hash) else {
-            self.manifest.remove(key);
+        let Some(handle) = self.repo.lookup(hash) else {
+            self.drop_line(key);
             return Fetched::Invalid;
         };
         let bytes = handle.len() as u64;
-        let pid = self.loader.insert_offloaded(handle, PoolKind::Ir);
-        match self.loader.get(pid) {
-            Ok(entry) => Fetched::Hit(Box::new(entry.clone()), bytes),
-            Err(_) => {
-                self.manifest.remove(key);
+        // `Err(intact)`: whether the record is sound, just not this kind.
+        let decoded = match self.repo.fetch_ref(handle) {
+            Err(_) => Err(false),
+            Ok(payload) => {
+                let mut dec = Decoder::new(payload);
+                match dec.read_u8() {
+                    Ok(found) if found == tag => decode(&mut dec).map_err(|_| false),
+                    Ok(TAG_OBJECT..=TAG_SCOPE) => Err(true),
+                    _ => Err(false),
+                }
+            }
+        };
+        match decoded {
+            Ok(value) => Fetched::Hit((hash, value), bytes),
+            Err(intact) => {
+                self.drop_line(key);
+                if intact {
+                    return Fetched::WrongKind(bytes);
+                }
                 // Unindex the corrupt record too, or a re-store of the
                 // same payload would dedup right back onto it.
-                self.loader.repository_mut().evict(hash);
+                self.repo.evict(hash);
                 Fetched::Invalid
             }
         }
     }
 
-    /// Compacts and stores `entry`, returning the payload size, or
-    /// `None` when the repository refused the write.
-    fn store(&mut self, key: String, entry: &CacheEntry) -> Option<u64> {
+    /// Drops a manifest line (the next commit rewrites the manifest
+    /// without it).
+    fn drop_line(&mut self, key: &str) {
+        self.dirty |= self.manifest.remove(key).is_some();
+    }
+
+    /// Encodes an entry (`tag`, then whatever `encode` writes) and
+    /// stores it under `key`, returning the payload size, or `None`
+    /// when the repository refused the write.
+    fn store(&mut self, key: String, tag: u8, encode: impl FnOnce(&mut Encoder)) -> Option<u64> {
         let mut enc = Encoder::with_capacity(1024);
-        entry.compact(&mut enc);
-        let image = enc.into_bytes();
-        let handle = self.loader.repository_mut().store(&image).ok()?;
-        let hash = self.loader.repository().hash_of(handle)?;
+        enc.write_u8(tag);
+        encode(&mut enc);
+        let handle = self.repo.store(&enc.into_bytes()).ok()?;
+        let hash = self.repo.hash_of(handle)?;
         self.manifest.insert(key, hash);
+        self.dirty = true;
         Some(handle.len() as u64)
     }
 }
@@ -980,13 +1073,13 @@ fn options_signature_impl(options: &BuildOptions, include_db: bool) -> String {
 /// options signature. Any dirty module, added module, removed module,
 /// reordering, option change, or profile change produces a new key.
 #[must_use]
-pub fn build_key(module_fps: &[String], options: &BuildOptions) -> String {
+pub fn build_key<S: AsRef<str>>(module_fps: &[S], options: &BuildOptions) -> String {
     let mut enc = Encoder::with_capacity(64 + module_fps.len() * 36);
     enc.write_u32(CACHE_FORMAT);
     enc.write_str("build");
     enc.write_usize(module_fps.len());
     for fp in module_fps {
-        enc.write_str(fp);
+        enc.write_str(fp.as_ref());
     }
     enc.write_str(&options_signature(options));
     ContentHash::of(&enc.into_bytes()).to_hex()
@@ -1003,14 +1096,18 @@ pub fn build_key(module_fps: &[String], options: &BuildOptions) -> String {
 /// module's slice — and therefore this key — while every other slice,
 /// and every module-tier composed key, stays put.
 #[must_use]
-pub fn build_key_sliced(module_fps: &[String], plan: &SlicePlan, options: &BuildOptions) -> String {
+pub fn build_key_sliced<S: AsRef<str>>(
+    module_fps: &[S],
+    plan: &SlicePlan,
+    options: &BuildOptions,
+) -> String {
     debug_assert_eq!(module_fps.len(), plan.slices.len());
     let mut enc = Encoder::with_capacity(64 + module_fps.len() * 72);
     enc.write_u32(CACHE_FORMAT);
     enc.write_str("build-sliced");
     enc.write_usize(module_fps.len());
     for fp in module_fps {
-        enc.write_str(fp);
+        enc.write_str(fp.as_ref());
     }
     for slice in &plan.slices {
         enc.write_str(&slice.fp);
@@ -1043,13 +1140,13 @@ mod tests {
         let fp = module_fingerprint("m", "fn main() -> int { return 7; }");
         {
             let mut cache = BuildCache::open(&dir).expect("open");
-            assert!(cache.get_module("m", &fp, &tel).is_none());
+            assert!(cache.get_module("m", &fp, false, &tel).is_none());
             cache.put_module("m", &fp, &obj, &tel);
             cache.persist().expect("persist");
         }
         let mut cache = BuildCache::open(&dir).expect("reopen");
-        let back = cache.get_module("m", &fp, &tel).expect("warm hit");
-        assert_eq!(back.to_bytes(), obj.to_bytes());
+        let back = cache.get_module("m", &fp, false, &tel).expect("warm hit");
+        assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
         assert_eq!(cache.stats().module_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1095,7 +1192,7 @@ mod tests {
         std::fs::write(&repo, &bytes).expect("write");
 
         let mut cache = BuildCache::open(&dir).expect("reopen");
-        assert!(cache.get_module("m", &fp, &tel).is_none());
+        assert!(cache.get_module("m", &fp, false, &tel).is_none());
         let stats = cache.stats();
         assert_eq!(stats.invalidations + stats.module_misses, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1117,7 +1214,7 @@ mod tests {
 
         let mut cache = BuildCache::open(&dir).expect("recreate");
         assert_eq!(cache.record_count(), 0);
-        assert!(cache.get_module("m", "fp", &tel).is_none());
+        assert!(cache.get_module("m", "fp", false, &tel).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1146,7 +1243,7 @@ mod tests {
             "uncommitted suffix must be rolled back"
         );
         assert!(
-            cache.get_module("m", &fp, &tel).is_some(),
+            cache.get_module("m", &fp, false, &tel).is_some(),
             "committed generation must survive the rollback"
         );
         let trace = traced.render_trace();
@@ -1193,11 +1290,21 @@ mod tests {
         let fp = module_fingerprint("m", "src");
         let mut cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
         cache.put_module("m", &fp, &obj, &tel);
-        // Every persist appends a fresh index segment; repeated warm
-        // builds are exactly how a real cache accretes dead weight.
+        // Every committing persist appends a fresh index segment;
+        // sessions that each change a little are how a real cache
+        // accretes dead weight. (Re-pointing a line is such a change;
+        // a persist with nothing to commit appends nothing.)
         for _ in 0..30 {
+            cache.put_module("m", &fp, &obj, &tel);
             cache.persist().unwrap();
         }
+        let committed = storage.size(REPO_FILE).unwrap();
+        cache.persist().unwrap();
+        assert_eq!(
+            storage.size(REPO_FILE).unwrap(),
+            committed,
+            "a clean persist must not append"
+        );
         let size_before = storage.size(REPO_FILE).unwrap();
         let dead = cache.dead_bytes().unwrap();
         assert!(
@@ -1219,12 +1326,16 @@ mod tests {
         assert_eq!(cache.stats().gc_runs, 1);
         // The swapped-in generation serves the same bytes, both through
         // the rebuilt loader and through a cold reopen.
-        let back = cache.get_module("m", &fp, &tel).expect("hit after gc");
-        assert_eq!(back.to_bytes(), obj.to_bytes());
+        let back = cache
+            .get_module("m", &fp, false, &tel)
+            .expect("hit after gc");
+        assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
         let mut reopened = BuildCache::open_on(storage, &tel).unwrap();
         assert_eq!(reopened.recovered(), 0, "gc must commit cleanly");
-        let back = reopened.get_module("m", &fp, &tel).expect("hit on reopen");
-        assert_eq!(back.to_bytes(), obj.to_bytes());
+        let back = reopened
+            .get_module("m", &fp, false, &tel)
+            .expect("hit on reopen");
+        assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
     }
 
     #[test]
@@ -1281,7 +1392,7 @@ mod tests {
 
         let mut cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
         assert!(
-            cache.get_module("m", &fp, &tel).is_none(),
+            cache.get_module("m", &fp, false, &tel).is_none(),
             "must invalidate"
         );
         // The probe evicted the corrupt record; without the eviction
@@ -1317,7 +1428,7 @@ mod tests {
         storage.write(REPO_FILE, &bytes).unwrap();
 
         let mut cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
-        assert!(cache.get_module("m", &fp, &tel).is_none());
+        assert!(cache.get_module("m", &fp, false, &tel).is_none());
         // Recompile path: the same payload is re-stored as a fresh
         // record (eviction keeps dedup from pointing at the corpse).
         cache.put_module("m", &fp, &obj, &tel);
@@ -1325,8 +1436,185 @@ mod tests {
         cache.gc(&tel).unwrap();
         let mut reopened = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
         assert_eq!(reopened.record_count(), 1, "only the good copy survives");
-        let back = reopened.get_module("m", &fp, &tel).expect("hit");
-        assert_eq!(back.to_bytes(), obj.to_bytes());
+        let back = reopened.get_module("m", &fp, false, &tel).expect("hit");
+        assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
+    }
+
+    /// How the stored object of one module gets damaged.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        /// A flipped payload byte on disk: CRC mismatch.
+        Crc,
+        /// The file cut short under a live index: short read.
+        Truncation,
+        /// The manifest line re-pointed at an intact scope sidecar.
+        WrongTag,
+        /// The line re-pointed at CRC-valid bytes that are no object.
+        Garbage,
+    }
+
+    /// Whatever the damage and whenever it is found — at the probe, or
+    /// for [`Damage::Garbage`] only when the link decodes the pending
+    /// hit — it costs a recompile of that module and nothing else: same
+    /// image as an uncached build at every `-j`, the counters an eager
+    /// decode at probe time would have reported, and a healed cache.
+    #[test]
+    fn damaged_module_records_cost_only_a_recompile() {
+        use cmo_naim::MemStorage;
+        let sources = |a_body: &str| -> Vec<(String, String)> {
+            vec![
+                (
+                    "a".to_owned(),
+                    format!("fn fa(x: int) -> int {{ return {a_body}; }}"),
+                ),
+                (
+                    "b".to_owned(),
+                    "fn fb(x: int) -> int { return x + 2; }".to_owned(),
+                ),
+                (
+                    "c".to_owned(),
+                    "extern fn fa(x: int) -> int;
+                     extern fn fb(x: int) -> int;
+                     fn main() -> int { return fa(3) + fb(4); }"
+                        .to_owned(),
+                ),
+            ]
+        };
+        let db = {
+            let mut cc = crate::Compiler::new();
+            cc.add_sources(&sources("x * 2"), 1).unwrap();
+            let train = cc.build(&BuildOptions::instrumented()).unwrap();
+            train.run_for_profile(&[]).unwrap()
+        };
+        let options = |jobs: usize, tel: &Telemetry| {
+            BuildOptions::new(OptLevel::O4)
+                .with_profile_db(db.clone())
+                .with_jobs(jobs)
+                .with_telemetry(tel.clone())
+        };
+        let cold = Arc::new(MemStorage::new());
+        {
+            let tel = Telemetry::disabled();
+            let mut cache =
+                BuildCache::open_on(Arc::clone(&cold) as Arc<dyn Storage>, &tel).unwrap();
+            let mut cc = crate::Compiler::new();
+            cc.add_sources_cached_with(&sources("x * 2"), &options(1, &tel), &mut cache)
+                .unwrap();
+            cc.build_cached(&options(1, &tel), &mut cache).unwrap();
+        }
+        // The session under test edits `a` (so the build tier misses and
+        // the link needs every object) and finds `c`'s record damaged.
+        let edited = sources("x * 3");
+        let uncached = {
+            let mut cc = crate::Compiler::new();
+            cc.add_sources(&edited, 1).unwrap();
+            cc.build(&options(1, &Telemetry::disabled())).unwrap()
+        };
+        let c_bytes = cmo_frontend::compile_module("c", &edited[2].1)
+            .unwrap()
+            .to_bytes();
+        let c_fp = module_fingerprint("c", &edited[2].1);
+        for damage in [
+            Damage::Crc,
+            Damage::Truncation,
+            Damage::WrongTag,
+            Damage::Garbage,
+        ] {
+            for jobs in [1, 4] {
+                let storage = Arc::new(cold.snapshot());
+                let file = storage.read(REPO_FILE).unwrap();
+                let c_at = file
+                    .windows(c_bytes.len())
+                    .position(|w| w == c_bytes)
+                    .expect("c's object is in the repository");
+                if let Damage::Crc = damage {
+                    let mut file = file.clone();
+                    file[c_at + 20] ^= 0x40;
+                    storage.write(REPO_FILE, &file).unwrap();
+                }
+                let tel = Telemetry::enabled();
+                let mut cache =
+                    BuildCache::open_on(Arc::clone(&storage) as Arc<dyn Storage>, &tel).unwrap();
+                let c_line = cache
+                    .manifest
+                    .keys()
+                    .find(|key| key.starts_with(&format!("mod:{c_fp}")))
+                    .expect("c has a module line")
+                    .clone();
+                match damage {
+                    Damage::Crc => {}
+                    Damage::Truncation => storage
+                        .truncate(REPO_FILE, (c_at + c_bytes.len() / 2) as u64)
+                        .unwrap(),
+                    Damage::WrongTag => {
+                        let scope = cache.manifest[&format!("scope:{c_fp}")];
+                        cache.manifest.insert(c_line, scope);
+                    }
+                    Damage::Garbage => {
+                        let handle = cache.repo.store(&[TAG_OBJECT, 4, b'j', b'u', b'n', b'k']);
+                        let hash = cache.repo.hash_of(handle.unwrap()).unwrap();
+                        cache.manifest.insert(c_line, hash);
+                    }
+                }
+                let mut cc = crate::Compiler::new();
+                let hits = cc
+                    .add_sources_cached_with(&edited, &options(jobs, &tel), &mut cache)
+                    .unwrap();
+                let late = matches!(damage, Damage::Garbage);
+                assert_eq!(
+                    hits,
+                    1 + usize::from(late),
+                    "{damage:?}: hits at probe time"
+                );
+                let out = cc.build_cached(&options(jobs, &tel), &mut cache).unwrap();
+                assert_eq!(
+                    out.image.to_bytes(),
+                    uncached.image.to_bytes(),
+                    "{damage:?} -j{jobs}: image differs from an uncached build"
+                );
+                // What an eager decode at probe time reports: `a` edited
+                // (miss), `b` intact (retained hit), `c` invalidated.
+                let stats = cache.stats();
+                assert_eq!(
+                    (
+                        stats.module_hits,
+                        stats.module_misses,
+                        stats.invalidations,
+                        stats.profile_retained_hits
+                    ),
+                    (1, 2, 1, 1),
+                    "{damage:?} -j{jobs}"
+                );
+                assert_eq!(out.report.cache, stats, "{damage:?}: stored report agrees");
+                assert_eq!(cache.objects_decoded(), 1, "{damage:?}: only `b` decodes");
+                let trace = tel.render_trace();
+                let hit = trace.find(r#""action":"hit","scope":"module","name":"c""#);
+                let invalidate = trace
+                    .find(r#""action":"invalidate","scope":"module","name":"c""#)
+                    .unwrap_or_else(|| panic!("{damage:?}: no invalidate event: {trace}"));
+                match hit {
+                    Some(hit) => assert!(late && hit < invalidate, "{damage:?}: {trace}"),
+                    None => assert!(!late, "{damage:?}: a late invalidate follows a hit"),
+                }
+                assert!(
+                    trace[invalidate..].contains(r#""action":"store","scope":"module","name":"c""#),
+                    "{damage:?}: the recompiled module is stored afresh: {trace}"
+                );
+                // Healed: the next session hits everywhere and replays.
+                drop(cache);
+                let tel = Telemetry::disabled();
+                let mut cache =
+                    BuildCache::open_on(Arc::clone(&storage) as Arc<dyn Storage>, &tel).unwrap();
+                let mut cc = crate::Compiler::new();
+                let hits = cc
+                    .add_sources_cached_with(&edited, &options(jobs, &tel), &mut cache)
+                    .unwrap();
+                assert_eq!(hits, 3, "{damage:?} -j{jobs}: healed cache hits everywhere");
+                let warm = cc.build_cached(&options(jobs, &tel), &mut cache).unwrap();
+                assert!(warm.report.replayed.is_some());
+                assert_eq!(cache.stats().invalidations, 0);
+            }
+        }
     }
 
     #[test]
@@ -1420,16 +1708,18 @@ mod tests {
             // Raw records straight into the repository: GC copies bytes
             // without decoding them, so arbitrary payloads are fair.
             for (i, payload) in payloads.iter().enumerate() {
-                let handle = cache.loader.repository_mut().store(payload).unwrap();
-                let hash = cache.loader.repository().hash_of(handle).unwrap();
+                let handle = cache.repo.store(payload).unwrap();
+                let hash = cache.repo.hash_of(handle).unwrap();
                 cache.manifest.insert(format!("mod:{i}"), hash);
             }
             for (i, payload) in payloads.iter().enumerate() {
                 if evict_mask & (1 << (i % 32)) != 0 {
-                    cache.loader.repository_mut().evict(ContentHash::of(payload));
+                    cache.repo.evict(ContentHash::of(payload));
                 }
             }
             for _ in 0..extra_flushes {
+                // The raw stores above bypassed the dirty tracking.
+                cache.dirty = true;
                 cache.persist().unwrap();
             }
             // Expectations, computed exactly as the mark phase sees them.
@@ -1438,8 +1728,7 @@ mod tests {
                 .iter()
                 .map(|(key, &hash)| {
                     let body = cache
-                        .loader
-                        .repository()
+                        .repo
                         .lookup(hash)
                         .map(|_| payloads.iter().find(|p| ContentHash::of(p) == hash).unwrap().clone());
                     (key.clone(), body)
@@ -1457,11 +1746,10 @@ mod tests {
                     Some(expected) => {
                         let &hash = cache.manifest.get(&key).expect("live key pruned");
                         let handle = cache
-                            .loader
-                            .repository()
+                            .repo
                             .lookup(hash)
                             .expect("live record dropped");
-                        let back = cache.loader.repository_mut().fetch(handle).unwrap();
+                        let back = cache.repo.fetch(handle).unwrap();
                         prop_assert_eq!(&back, &expected);
                     }
                     None => prop_assert!(

@@ -1,7 +1,7 @@
 //! The compilation driver: HP-UX-style option levels over the full
 //! pipeline.
 
-use crate::cache::{self, BuildCache, CacheStats};
+use crate::cache::{self, BuildCache, CacheStats, CachedObject};
 use crate::parallel::run_jobs;
 use crate::report::{CompileReport, FaultStats};
 use crate::slices::{ModuleScope, SliceGranularity, SlicePlan};
@@ -344,13 +344,115 @@ impl BuildOutput {
     }
 }
 
+/// One input of a cached front-end batch
+/// ([`Compiler::add_inputs_cached`]).
+#[derive(Debug, Clone)]
+pub enum ModuleInput {
+    /// MLC source: probed in the cache, compiled on a miss.
+    Source {
+        /// The module's name.
+        module: String,
+        /// Its source text.
+        source: String,
+    },
+    /// A pre-compiled IL object (the `make` flow of §6.1): never
+    /// probed, keyed on its own bytes.
+    Object(IlObject),
+}
+
+/// The compile step of a cached front-end batch
+/// ([`Compiler::add_inputs_cached`]): compiles the source inputs at the
+/// given positions, one result entry per position.
+pub type CompileStep<'a, E> =
+    dyn FnMut(&[ModuleInput], &[usize]) -> Result<Vec<Option<IlObject>>, E> + 'a;
+
+/// Where a slot's IL object is.
+#[derive(Debug, Clone)]
+enum SlotObject {
+    /// In hand: compiled this session, or added as an object.
+    Ready(IlObject),
+    /// A module-tier cache hit, still the stored bytes. Decoded when —
+    /// and only if — a link needs it; the source stays alongside so a
+    /// record that turns out undecodable costs a recompile, no more.
+    Pending {
+        hit: CachedObject,
+        module: String,
+        source: String,
+    },
+}
+
+/// Everything the driver knows about one added module.
+#[derive(Debug, Clone)]
+struct ModuleSlot {
+    /// Content fingerprint: the module's incremental-cache key.
+    fingerprint: String,
+    /// Profile-slice scope, when a profiled cached add fetched or
+    /// derived it (a pure function of the object either way).
+    scope: Option<ModuleScope>,
+    object: SlotObject,
+}
+
+/// The slice plan a cached add computed over exactly the current
+/// slots, with everything besides their scopes it was computed from.
+#[derive(Debug, Clone)]
+struct Planned {
+    plan: SlicePlan,
+    db: ProfileDb,
+    granularity: SliceGranularity,
+    small_callee_il: u32,
+    hot_site_min_count: u64,
+    hot_callee_il: u32,
+}
+
+impl Planned {
+    fn new(plan: SlicePlan, db: &ProfileDb, options: &BuildOptions) -> Self {
+        Planned {
+            plan,
+            db: db.clone(),
+            granularity: options.slice_granularity,
+            small_callee_il: options.inline.small_callee_il,
+            hot_site_min_count: options.inline.hot_site_min_count,
+            hot_callee_il: options.inline.hot_callee_il,
+        }
+    }
+
+    /// Whether planning under `options` (whose database is `db`) would
+    /// reproduce this plan.
+    fn holds_for(&self, db: &ProfileDb, options: &BuildOptions) -> bool {
+        self.granularity == options.slice_granularity
+            && self.small_callee_il == options.inline.small_callee_il
+            && self.hot_site_min_count == options.inline.hot_site_min_count
+            && self.hot_callee_il == options.inline.hot_callee_il
+            && self.db == *db
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Front-end compilations on this thread.
+    static COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// `IlObject` clones made to feed a link, on this thread.
+    static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The front end, counted in test builds.
+fn compile(module: &str, source: &str) -> Result<IlObject, FrontendError> {
+    #[cfg(test)]
+    COMPILES.with(|c| c.set(c.get() + 1));
+    cmo_frontend::compile_module(module, source)
+}
+
 /// The compiler driver: collects modules, builds at any option level.
+///
+/// Each added module is one slot: fingerprint, optional scope, and its
+/// object — either in hand or a *pending* cache hit that is decoded
+/// only when a link consumes it. A whole-build replay consumes none.
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
-    objects: Vec<IlObject>,
-    /// Per-module content fingerprints, parallel to `objects`, used as
-    /// incremental-cache keys.
-    fingerprints: Vec<String>,
+    slots: Vec<ModuleSlot>,
+    /// Set by a profiled cached add into an empty driver; any later
+    /// add clears it.
+    planned: Option<Planned>,
 }
 
 impl Compiler {
@@ -360,16 +462,23 @@ impl Compiler {
         Self::default()
     }
 
+    fn push_ready(&mut self, fingerprint: String, obj: IlObject) {
+        self.planned = None;
+        self.slots.push(ModuleSlot {
+            fingerprint,
+            scope: None,
+            object: SlotObject::Ready(obj),
+        });
+    }
+
     /// Compiles an MLC source module and adds its IL object.
     ///
     /// # Errors
     ///
     /// Returns frontend diagnostics.
     pub fn add_source(&mut self, module: &str, source: &str) -> Result<(), BuildError> {
-        let obj = cmo_frontend::compile_module(module, source)?;
-        self.fingerprints
-            .push(cache::module_fingerprint(module, source));
-        self.objects.push(obj);
+        let obj = compile(module, source)?;
+        self.push_ready(cache::module_fingerprint(module, source), obj);
         Ok(())
     }
 
@@ -378,7 +487,7 @@ impl Compiler {
     /// objects in batch order. Modules are independent compilation
     /// units, so this parallelizes trivially; with multiple failures
     /// the reported error is the first by batch position, independent
-    /// of scheduling.
+    /// of scheduling. A failed batch adds nothing.
     ///
     /// # Errors
     ///
@@ -389,12 +498,12 @@ impl Compiler {
         jobs: usize,
     ) -> Result<(), BuildError> {
         let objects = run_jobs(modules.len(), jobs.max(1), |_, i| {
-            cmo_frontend::compile_module(&modules[i].0, &modules[i].1)
-        });
+            compile(&modules[i].0, &modules[i].1)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         for (obj, (module, source)) in objects.into_iter().zip(modules) {
-            self.fingerprints
-                .push(cache::module_fingerprint(module, source));
-            self.objects.push(obj?);
+            self.push_ready(cache::module_fingerprint(module, source), obj);
         }
         Ok(())
     }
@@ -406,9 +515,13 @@ impl Compiler {
     /// calling thread in batch order, so traces stay deterministic at
     /// every job count. Returns the number of cache hits.
     ///
+    /// A hit is counted and traced here but not decoded: the slot
+    /// holds the stored bytes until a link needs the object.
+    ///
     /// # Errors
     ///
-    /// Returns frontend diagnostics for the recompiled modules.
+    /// Returns frontend diagnostics for the recompiled modules; a
+    /// failed batch adds nothing.
     pub fn add_sources_cached(
         &mut self,
         modules: &[(String, String)],
@@ -416,37 +529,13 @@ impl Compiler {
         bcache: &mut BuildCache,
         tel: &Telemetry,
     ) -> Result<usize, BuildError> {
-        let base = self.objects.len();
-        let mut slots: Vec<Option<IlObject>> = Vec::with_capacity(modules.len());
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, (module, source)) in modules.iter().enumerate() {
-            let fp = cache::module_fingerprint(module, source);
-            match bcache.get_module(module, &fp, tel) {
-                Some(obj) => slots.push(Some(obj)),
-                None => {
-                    slots.push(None);
-                    misses.push(i);
-                }
-            }
-            self.fingerprints.push(fp);
-        }
-        let hits = modules.len() - misses.len();
-        let compiled = run_jobs(misses.len(), jobs.max(1), |_, k| {
-            let (module, source) = &modules[misses[k]];
-            cmo_frontend::compile_module(module, source)
-        });
-        for (k, obj) in compiled.into_iter().enumerate() {
-            slots[misses[k]] = Some(obj?);
-        }
-        for (i, slot) in slots.into_iter().enumerate() {
-            let obj = slot.expect("every slot filled by hit or compile");
-            if misses.binary_search(&i).is_ok() {
-                let (module, _) = &modules[i];
-                bcache.put_module(module, &self.fingerprints[base + i], &obj, tel);
-            }
-            self.objects.push(obj);
-        }
-        Ok(hits)
+        self.add_batch(
+            source_inputs(modules),
+            None,
+            tel,
+            bcache,
+            &mut |inputs, which| compile_batch(inputs, which, jobs),
+        )
     }
 
     /// Like [`Compiler::add_sources_cached`], but profile-slice aware:
@@ -465,103 +554,265 @@ impl Compiler {
     /// first and its scope derived from the fresh object: planned and
     /// derived scopes mix freely, composed keys come out the same
     /// either way, and a one-module edit still hits on every other
-    /// module.
+    /// module. The plan stays with the driver, so a
+    /// [`Compiler::build_cached`] under the same options keys the
+    /// build tier without planning again.
     ///
     /// Without a profile database this is exactly
     /// [`Compiler::add_sources_cached`].
     ///
     /// # Errors
     ///
-    /// Returns frontend diagnostics for the recompiled modules.
+    /// Returns frontend diagnostics for the recompiled modules; a
+    /// failed batch adds nothing.
     pub fn add_sources_cached_with(
         &mut self,
         modules: &[(String, String)],
         options: &BuildOptions,
         bcache: &mut BuildCache,
     ) -> Result<usize, BuildError> {
-        let tel = &options.telemetry;
-        let Some(db) = options.profile.as_ref() else {
-            return self.add_sources_cached(modules, options.jobs, bcache, tel);
-        };
-        let jobs = options.jobs.max(1);
-        let compile_all = |which: &[usize]| {
-            run_jobs(which.len(), jobs, |_, k| {
-                let (module, source) = &modules[which[k]];
-                cmo_frontend::compile_module(module, source)
-            })
-        };
-        let fps: Vec<String> = modules
+        let jobs = options.jobs;
+        self.add_inputs_cached(
+            source_inputs(modules),
+            options,
+            bcache,
+            &mut |inputs, which| compile_batch(inputs, which, jobs),
+        )
+    }
+
+    /// The cached front end over classified inputs, with the caller's
+    /// compile step: `compile(inputs, which)` compiles the source
+    /// inputs at positions `which` (over whatever worker pool it likes)
+    /// and returns one entry per position — `None` for a module the
+    /// caller chose to drop (`cmocc --keep-going`), which then gets no
+    /// slot, no slice and no cache entry — or an error, which abandons
+    /// the batch with nothing added.
+    ///
+    /// This is the one implementation of the probe → defer flow that
+    /// [`Compiler::add_sources_cached`],
+    /// [`Compiler::add_sources_cached_with`] and `cmocc` all go
+    /// through: fingerprint; with a profile database, fetch or derive
+    /// scopes, plan slices and compose keys; probe the module tier on
+    /// the calling thread in input order, keeping each hit as pending
+    /// bytes; compile and store the misses. Returns the number of
+    /// cache hits.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compile` returns.
+    pub fn add_inputs_cached<E>(
+        &mut self,
+        inputs: Vec<ModuleInput>,
+        options: &BuildOptions,
+        bcache: &mut BuildCache,
+        compile: &mut CompileStep<'_, E>,
+    ) -> Result<usize, E> {
+        let slicing = options.profile.as_ref().map(|db| (db, options));
+        self.add_batch(inputs, slicing, &options.telemetry, bcache, compile)
+    }
+
+    fn add_batch<E>(
+        &mut self,
+        inputs: Vec<ModuleInput>,
+        slicing: Option<(&ProfileDb, &BuildOptions)>,
+        tel: &Telemetry,
+        bcache: &mut BuildCache,
+        compile: &mut CompileStep<'_, E>,
+    ) -> Result<usize, E> {
+        let n = inputs.len();
+        let fps: Vec<String> = inputs
             .iter()
-            .map(|(module, source)| cache::module_fingerprint(module, source))
-            .collect();
-
-        // Scopes: from the sidecar where there is one, else from the
-        // module's freshly compiled object.
-        let mut slots: Vec<Option<IlObject>> = vec![None; modules.len()];
-        let mut scopes: Vec<Option<ModuleScope>> =
-            fps.iter().map(|fp| bcache.get_scope(fp)).collect();
-        let unscoped: Vec<usize> = (0..modules.len())
-            .filter(|&i| scopes[i].is_none())
-            .collect();
-        for (k, obj) in compile_all(&unscoped).into_iter().enumerate() {
-            let obj = obj?;
-            let scope = ModuleScope::of_object(&obj);
-            bcache.put_scope(&fps[unscoped[k]], &scope);
-            scopes[unscoped[k]] = Some(scope);
-            slots[unscoped[k]] = Some(obj);
-        }
-        let scopes: Vec<ModuleScope> = scopes
-            .into_iter()
-            .map(|scope| scope.expect("every scope fetched or derived"))
-            .collect();
-        let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
-        emit_slices(&plan, bcache, tel);
-
-        // Probe composed keys, on the calling thread in input order.
-        let composed: Vec<String> = (0..modules.len())
-            .map(|i| plan.composed_fp(i, &fps[i]))
-            .collect();
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, (module, _)) in modules.iter().enumerate() {
-            match bcache.get_module(module, &composed[i], tel) {
-                Some(obj) => {
-                    bcache.record_retained_hit();
-                    slots[i] = Some(obj);
+            .map(|input| match input {
+                ModuleInput::Source { module, source } => cache::module_fingerprint(module, source),
+                ModuleInput::Object(obj) => {
+                    cache::object_fingerprint(&obj.module_name, &obj.to_bytes())
                 }
-                None => misses.push(i),
-            }
-        }
-        let uncompiled: Vec<usize> = misses
-            .iter()
-            .copied()
-            .filter(|&i| slots[i].is_none())
+            })
             .collect();
-        for (k, obj) in compile_all(&uncompiled).into_iter().enumerate() {
-            slots[uncompiled[k]] = Some(obj?);
-        }
-        for (i, slot) in slots.into_iter().enumerate() {
-            let obj = slot.expect("every slot filled by hit or compile");
-            if misses.binary_search(&i).is_ok() {
-                bcache.put_module(&modules[i].0, &composed[i], &obj, tel);
+        // Objects compiled in this call, and the sources `compile`
+        // dropped, by input position.
+        let mut fresh: Vec<Option<IlObject>> = (0..n).map(|_| None).collect();
+        let mut dropped = vec![false; n];
+        let mut compile_into =
+            |which: &[usize], fresh: &mut [Option<IlObject>], dropped: &mut [bool]| {
+                for (&i, obj) in which.iter().zip(compile(&inputs, which)?) {
+                    dropped[i] = obj.is_none();
+                    fresh[i] = obj;
+                }
+                Ok(())
+            };
+
+        // Scopes come from the object in hand, else from the sidecar,
+        // else from a compile now; slices are planned over every input
+        // that has one, *before* any module-tier probe.
+        let mut scopes: Vec<Option<ModuleScope>> = vec![None; n];
+        let mut plan = None;
+        if let Some((db, options)) = slicing {
+            for (i, input) in inputs.iter().enumerate() {
+                scopes[i] = match input {
+                    ModuleInput::Object(obj) => Some(ModuleScope::of_object(obj)),
+                    ModuleInput::Source { .. } => bcache.get_scope(&fps[i]),
+                };
             }
-            self.objects.push(obj);
+            let unscoped: Vec<usize> = (0..n).filter(|&i| scopes[i].is_none()).collect();
+            compile_into(&unscoped, &mut fresh, &mut dropped)?;
+            for &i in &unscoped {
+                if let Some(obj) = &fresh[i] {
+                    let scope = ModuleScope::of_object(obj);
+                    bcache.put_scope(&fps[i], &scope);
+                    scopes[i] = Some(scope);
+                }
+            }
+            // `compute` wants the scopes contiguous; they return to
+            // their positions right after.
+            let planned: Vec<ModuleScope> = scopes.iter_mut().filter_map(Option::take).collect();
+            let computed =
+                SlicePlan::compute(&planned, db, options.slice_granularity, &options.inline);
+            emit_slices(&computed, bcache, tel);
+            let mut planned = planned.into_iter();
+            for (i, scope) in scopes.iter_mut().enumerate() {
+                if !dropped[i] {
+                    *scope = planned.next();
+                }
+            }
+            plan = Some(computed);
         }
-        self.fingerprints.extend(fps);
-        Ok(modules.len() - misses.len())
+
+        // Probe on the calling thread in input order; a hit stays
+        // pending. `keys[i]` is the module-tier key of a missed source.
+        let mut hits: Vec<Option<CachedObject>> = vec![None; n];
+        let mut keys: Vec<Option<String>> = vec![None; n];
+        let mut n_hits = 0;
+        let mut slice_at = 0;
+        for (i, input) in inputs.iter().enumerate() {
+            if dropped[i] {
+                continue;
+            }
+            let key = plan
+                .as_ref()
+                .map(|plan| plan.composed_fp(slice_at, &fps[i]));
+            slice_at += 1;
+            let ModuleInput::Source { module, .. } = input else {
+                continue; // objects need no entry
+            };
+            let key = key.unwrap_or_else(|| fps[i].clone());
+            match bcache.get_module(module, &key, plan.is_some(), tel) {
+                Some(hit) => {
+                    hits[i] = Some(hit);
+                    n_hits += 1;
+                }
+                None => keys[i] = Some(key),
+            }
+        }
+        let uncompiled: Vec<usize> = (0..n)
+            .filter(|&i| keys[i].is_some() && fresh[i].is_none())
+            .collect();
+        compile_into(&uncompiled, &mut fresh, &mut dropped)?;
+        for (i, input) in inputs.iter().enumerate() {
+            if let (ModuleInput::Source { module, .. }, Some(key), Some(obj)) =
+                (input, &keys[i], &fresh[i])
+            {
+                bcache.put_module(module, key, obj, tel);
+            }
+        }
+
+        // Only now, with nothing left that can fail, do slots appear.
+        let was_empty = self.slots.is_empty();
+        let mut dropped_any = false;
+        for (i, (input, fingerprint)) in inputs.into_iter().zip(fps).enumerate() {
+            if dropped[i] {
+                dropped_any = true;
+                continue;
+            }
+            let object = match (input, fresh[i].take(), hits[i].take()) {
+                (ModuleInput::Object(obj), ..) | (_, Some(obj), _) => SlotObject::Ready(obj),
+                (ModuleInput::Source { module, source }, None, Some(hit)) => SlotObject::Pending {
+                    hit,
+                    module,
+                    source,
+                },
+                (ModuleInput::Source { .. }, None, None) => {
+                    unreachable!("a live source is a hit or was compiled")
+                }
+            };
+            self.slots.push(ModuleSlot {
+                fingerprint,
+                scope: scopes[i].take(),
+                object,
+            });
+        }
+        // A module dropped after planning leaves the plan one slice
+        // too long for the slots; the build plans again.
+        self.planned = match (plan, slicing) {
+            (Some(plan), Some((db, options))) if was_empty && !dropped_any => {
+                Some(Planned::new(plan, db, options))
+            }
+            _ => None,
+        };
+        Ok(n_hits)
     }
 
     /// Adds a pre-compiled IL object (e.g. read back from disk, the
     /// `make` flow of §6.1).
     pub fn add_object(&mut self, obj: IlObject) {
-        self.fingerprints
-            .push(cache::object_fingerprint(&obj.module_name, &obj.to_bytes()));
-        self.objects.push(obj);
+        let fingerprint = cache::object_fingerprint(&obj.module_name, &obj.to_bytes());
+        self.push_ready(fingerprint, obj);
     }
 
     /// Number of modules added.
     #[must_use]
     pub fn n_modules(&self) -> usize {
-        self.objects.len()
+        self.slots.len()
+    }
+
+    /// The objects one link of this driver consumes, by value and in
+    /// module order: objects in hand are cloned, pending cache hits are
+    /// decoded straight from their stored bytes (through `bcache` when
+    /// there is one, which keeps its counters and manifest honest).
+    ///
+    /// A pending record that fails to decode is recompiled from the
+    /// slot's source — and, with a cache, invalidated and stored
+    /// afresh, exactly as if the probe had found the damage.
+    ///
+    /// # Errors
+    ///
+    /// Frontend diagnostics, should such a recompile fail.
+    pub fn objects(
+        &self,
+        mut bcache: Option<&mut BuildCache>,
+        tel: &Telemetry,
+    ) -> Result<Vec<IlObject>, BuildError> {
+        let mut objects = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            objects.push(match &slot.object {
+                SlotObject::Ready(obj) => {
+                    #[cfg(test)]
+                    CLONES.with(|c| c.set(c.get() + 1));
+                    obj.clone()
+                }
+                SlotObject::Pending {
+                    hit,
+                    module,
+                    source,
+                } => {
+                    let decoded = match bcache.as_deref_mut() {
+                        Some(bcache) => bcache.materialize(module, hit, tel),
+                        None => hit.decode().ok(),
+                    };
+                    match decoded {
+                        Some(obj) => obj,
+                        None => {
+                            let obj = compile(module, source)?;
+                            if let Some(bcache) = bcache.as_deref_mut() {
+                                bcache.put_module(module, hit.key(), &obj, tel);
+                            }
+                            obj
+                        }
+                    }
+                }
+            });
+        }
+        Ok(objects)
     }
 
     /// Builds the program at the requested options.
@@ -571,36 +822,187 @@ impl Compiler {
     /// Link errors, optimizer out-of-memory (hard NAIM limit), or a
     /// missing `main`.
     pub fn build(&self, options: &BuildOptions) -> Result<BuildOutput, BuildError> {
-        build_objects(self.objects.clone(), options)
+        build_objects(self.objects(None, &options.telemetry)?, options)
     }
 
-    /// Like [`Compiler::build`], but consults `bcache` for a
-    /// whole-build replay first and stores the result on a miss. See
-    /// [`build_objects_cached`].
+    /// Like [`Compiler::build`], but with the incremental cache in the
+    /// loop.
+    ///
+    /// The driver derives a whole-build key from the slots'
+    /// fingerprints and the options signature — with a profile
+    /// attached, from the per-module slice fingerprints plus the
+    /// residual instead of the monolithic database bytes, reusing the
+    /// plan a cached add under the same options left behind — and
+    /// probes the build tier *before* touching any object. On a hit,
+    /// the linked image and the cold run's stored unified report come
+    /// straight from the cache: HLO, LLO, and linking are skipped, no
+    /// pending object is decoded, and a build-scope `"replay"` trace
+    /// event records the shortcut. On a miss the pending objects are
+    /// decoded, the build runs normally and its image and report are
+    /// stored for next time.
+    ///
+    /// Cached and uncached builds of the same inputs produce
+    /// byte-identical images; warm and cold `--report-json` documents
+    /// are byte-identical because the warm run replays the stored
+    /// report instead of recomputing one.
     ///
     /// # Errors
     ///
-    /// See [`Compiler::build`]; additionally propagates cache
-    /// persistence I/O failures.
+    /// See [`Compiler::build`]. Cache *persistence* failures (a full
+    /// disk at commit time) never fail the build: they degrade to a
+    /// `degraded` trace event and the next run starts colder.
     pub fn build_cached(
         &self,
         options: &BuildOptions,
         bcache: &mut BuildCache,
     ) -> Result<BuildOutput, BuildError> {
-        build_objects_cached(
-            self.objects.clone(),
-            &self.fingerprints,
-            options,
-            Some(bcache),
-        )
+        let tel = options.telemetry.clone();
+        // Opportunistic compaction: when the caller set a dead-byte
+        // threshold and the repository has crossed it, compact before
+        // the probes. Like persistence, GC failures degrade rather
+        // than fail — a build that compiles correctly must not die
+        // over cache hygiene.
+        if let Some(threshold) = options.gc_threshold_bytes {
+            let outcome = match bcache.dead_bytes() {
+                Ok(dead) if dead > threshold => bcache.gc(&tel).map(|_| ()),
+                Ok(_) => Ok(()),
+                Err(e) => Err(e),
+            };
+            if let Err(e) = outcome {
+                tel.emit(TraceEvent::Degraded {
+                    component: "cache",
+                    name: "gc".to_owned(),
+                    error: e.to_string(),
+                });
+            }
+        }
+        let fps: Vec<&str> = self.fingerprints().collect();
+        // Objects, if keying the build already had to produce them.
+        let mut objects = None;
+        let key = match options.profile.as_ref() {
+            None => cache::build_key(&fps, options),
+            Some(db) => match &self.planned {
+                Some(planned) if planned.holds_for(db, options) => {
+                    cache::build_key_sliced(&fps, &planned.plan, options)
+                }
+                _ => {
+                    let scopes = self.scopes(bcache, &mut objects, &tel)?;
+                    let plan =
+                        SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
+                    cache::build_key_sliced(&fps, &plan, options)
+                }
+            },
+        };
+        if let Some((image, stored)) = bcache.get_build(&key, &tel) {
+            tel.emit(TraceEvent::Cache {
+                action: "replay",
+                scope: "build",
+                name: key.clone(),
+                bytes: 0,
+            });
+            let report = BuildReport {
+                cmo_modules: stored.cmo_modules,
+                total_modules: stored.total_modules,
+                cmo_loc: stored.cmo_loc,
+                total_loc: stored.total_loc,
+                hlo: stored.hlo,
+                clusters: stored.clusters,
+                loader: stored.loader,
+                peak_memory: stored.memory,
+                llo_peak_bytes: stored.llo_peak_bytes,
+                compile_work: stored.compile_work,
+                image_instrs: stored.image_instrs,
+                cache: bcache.stats(),
+                faults: stored.faults.clone(),
+                phases: stored.phases.clone(),
+                replayed: Some(stored),
+            };
+            persist_or_degrade(bcache, &tel);
+            return Ok(BuildOutput { image, report });
+        }
+        let objects = match objects {
+            Some(objects) => objects,
+            None => self.objects(Some(bcache), &tel)?,
+        };
+        let mut out = build_objects(objects, options)?;
+        // Snapshot the cache counters *before* building the report
+        // that gets stored, so the stored report equals the one this
+        // cold run emits — the warm replay then matches byte for byte.
+        // The remote tier's counters are snapshotted at the same point
+        // for the same reason (the put/persist pushes below
+        // deliberately land after the snapshot on every path).
+        out.report.cache = bcache.stats();
+        out.report.faults.remote = bcache.remote_stats();
+        let stored = CompileReport::from_build(&out.report);
+        bcache.put_build(&key, &out.image, &stored, &tel);
+        persist_or_degrade(bcache, &tel);
+        Ok(out)
     }
 
-    /// The per-module content fingerprints, parallel to the added
-    /// objects.
-    #[must_use]
-    pub fn fingerprints(&self) -> &[String] {
-        &self.fingerprints
+    /// Every slot's scope, for a build that must plan its own slices
+    /// (modules added outside a profiled cached add, or under other
+    /// options): the slot's own, else derived from the object in hand,
+    /// else the sidecar, else — decoding everything once, into
+    /// `objects`, for the build to reuse — derived from the decoded
+    /// object.
+    fn scopes(
+        &self,
+        bcache: &mut BuildCache,
+        objects: &mut Option<Vec<IlObject>>,
+        tel: &Telemetry,
+    ) -> Result<Vec<ModuleScope>, BuildError> {
+        let mut scopes = Vec::with_capacity(self.slots.len());
+        for (i, slot) in self.slots.iter().enumerate() {
+            let scope = match (&slot.scope, &slot.object) {
+                (Some(scope), _) => scope.clone(),
+                (None, SlotObject::Ready(obj)) => ModuleScope::of_object(obj),
+                (None, SlotObject::Pending { .. }) => match bcache.get_scope(&slot.fingerprint) {
+                    Some(scope) => scope,
+                    None => {
+                        if objects.is_none() {
+                            *objects = Some(self.objects(Some(bcache), tel)?);
+                        }
+                        ModuleScope::of_object(&objects.as_ref().expect("just filled")[i])
+                    }
+                },
+            };
+            scopes.push(scope);
+        }
+        Ok(scopes)
     }
+
+    /// The per-module content fingerprints, in module order.
+    pub fn fingerprints(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.slots.iter().map(|slot| slot.fingerprint.as_str())
+    }
+}
+
+/// The `(module, source)` pairs of the `add_sources*` entry points as
+/// batch inputs. The copy is what a pending slot keeps its source in.
+fn source_inputs(modules: &[(String, String)]) -> Vec<ModuleInput> {
+    modules
+        .iter()
+        .map(|(module, source)| ModuleInput::Source {
+            module: module.clone(),
+            source: source.clone(),
+        })
+        .collect()
+}
+
+/// The library's compile step for [`Compiler::add_inputs_cached`]:
+/// every listed source over `jobs` workers, first error by position.
+fn compile_batch(
+    inputs: &[ModuleInput],
+    which: &[usize],
+    jobs: usize,
+) -> Result<Vec<Option<IlObject>>, BuildError> {
+    run_jobs(which.len(), jobs.max(1), |_, k| match &inputs[which[k]] {
+        ModuleInput::Source { module, source } => compile(module, source).map(Some),
+        ModuleInput::Object(_) => unreachable!("only source inputs are compiled"),
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()
+    .map_err(BuildError::Frontend)
 }
 
 /// Emits one `profile_slice` trace event per planned slice (in module
@@ -984,114 +1386,6 @@ pub fn build_objects(
     Ok(BuildOutput { image, report })
 }
 
-/// [`build_objects`] with an optional incremental cache.
-///
-/// With a cache attached, the driver derives a whole-build key from
-/// the per-module fingerprints (`module_fps`, parallel to `objects`)
-/// and the options signature. On a hit, the linked image and the cold
-/// run's stored unified report come straight from the cache — HLO,
-/// LLO, and linking are skipped entirely and a build-scope `"replay"`
-/// trace event records the shortcut. On a miss the build runs
-/// normally and its image and report are stored for next time.
-///
-/// Cached and uncached builds of the same inputs produce
-/// byte-identical images; warm and cold `--report-json` documents are
-/// byte-identical because the warm run replays the stored report
-/// instead of recomputing one.
-///
-/// # Errors
-///
-/// See [`build_objects`]. Cache *persistence* failures (a full disk at
-/// commit time) never fail the build: they degrade to a `degraded`
-/// trace event and the next run starts colder.
-pub fn build_objects_cached(
-    objects: Vec<IlObject>,
-    module_fps: &[String],
-    options: &BuildOptions,
-    bcache: Option<&mut BuildCache>,
-) -> Result<BuildOutput, BuildError> {
-    let Some(bcache) = bcache else {
-        return build_objects(objects, options);
-    };
-    let tel = options.telemetry.clone();
-    // Opportunistic compaction: when the caller set a dead-byte
-    // threshold and the repository has crossed it, compact before the
-    // probes. Like persistence, GC failures degrade rather than fail —
-    // a build that compiles correctly must not die over cache hygiene.
-    if let Some(threshold) = options.gc_threshold_bytes {
-        let outcome = match bcache.dead_bytes() {
-            Ok(dead) if dead > threshold => bcache.gc(&tel).map(|_| ()),
-            Ok(_) => Ok(()),
-            Err(e) => Err(e),
-        };
-        if let Err(e) = outcome {
-            tel.emit(TraceEvent::Degraded {
-                component: "cache",
-                name: "gc".to_owned(),
-                error: e.to_string(),
-            });
-        }
-    }
-    debug_assert_eq!(
-        module_fps.len(),
-        objects.len(),
-        "one fingerprint per object"
-    );
-    // With a profile attached, the build tier keys on the vector of
-    // per-module slice fingerprints (plus the residual) instead of the
-    // monolithic database bytes; scopes re-derived from the objects in
-    // hand are identical to the sidecar-planned ones, so the key is
-    // stable across cold and warm runs.
-    let key = match options.profile.as_ref() {
-        Some(db) => {
-            let scopes: Vec<ModuleScope> = objects.iter().map(ModuleScope::of_object).collect();
-            let plan = SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
-            cache::build_key_sliced(module_fps, &plan, options)
-        }
-        None => cache::build_key(module_fps, options),
-    };
-    if let Some((image, stored)) = bcache.get_build(&key, &tel) {
-        tel.emit(TraceEvent::Cache {
-            action: "replay",
-            scope: "build",
-            name: key.clone(),
-            bytes: 0,
-        });
-        let report = BuildReport {
-            cmo_modules: stored.cmo_modules,
-            total_modules: stored.total_modules,
-            cmo_loc: stored.cmo_loc,
-            total_loc: stored.total_loc,
-            hlo: stored.hlo,
-            clusters: stored.clusters,
-            loader: stored.loader,
-            peak_memory: stored.memory,
-            llo_peak_bytes: stored.llo_peak_bytes,
-            compile_work: stored.compile_work,
-            image_instrs: stored.image_instrs,
-            cache: bcache.stats(),
-            faults: stored.faults.clone(),
-            phases: stored.phases.clone(),
-            replayed: Some(stored),
-        };
-        persist_or_degrade(bcache, &tel);
-        return Ok(BuildOutput { image, report });
-    }
-    let mut out = build_objects(objects, options)?;
-    // Snapshot the cache counters *before* building the report that
-    // gets stored, so the stored report equals the one this cold run
-    // emits — the warm replay then matches byte for byte. The remote
-    // tier's counters are snapshotted at the same point for the same
-    // reason (the put/persist pushes below deliberately land after the
-    // snapshot on every path).
-    out.report.cache = bcache.stats();
-    out.report.faults.remote = bcache.remote_stats();
-    let stored = CompileReport::from_build(&out.report);
-    bcache.put_build(&key, &out.image, &stored, &tel);
-    persist_or_degrade(bcache, &tel);
-    Ok(out)
-}
-
 /// Commits the cache, downgrading a persist failure (full disk,
 /// revoked permissions) to a `degraded` trace event: a build that
 /// compiled correctly must not fail because its *cache* could not be
@@ -1285,7 +1579,8 @@ mod tests {
         let train = cc.build(&BuildOptions::instrumented()).unwrap();
         let db1 = train.run_for_profile(&[]).unwrap();
         // The retrain: only the island's internal counts move.
-        let island_shape = crate::slices::ModuleScope::of_object(&cc.objects[2])
+        let island = cmo_frontend::compile_module(&modules[2].0, &modules[2].1).unwrap();
+        let island_shape = crate::slices::ModuleScope::of_object(&island)
             .routines
             .iter()
             .find(|r| r.name == "island")
@@ -1345,6 +1640,229 @@ mod tests {
             .unwrap();
         assert!(j4.report.replayed.is_some(), "build tier replays");
         assert_eq!(j4.image.code, fresh.image.code);
+    }
+
+    /// A `Storage` that forwards to a [`MemStorage`] and counts every
+    /// operation that changes a file.
+    #[derive(Debug, Default)]
+    struct CountingStorage {
+        inner: cmo_naim::MemStorage,
+        mutations: std::sync::atomic::AtomicU64,
+    }
+
+    impl CountingStorage {
+        fn mutated(&self) -> u64 {
+            self.mutations.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn count(&self) {
+            self.mutations
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    impl cmo_naim::Storage for CountingStorage {
+        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.read(name)
+        }
+        fn write(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
+            self.count();
+            self.inner.write(name, data)
+        }
+        fn append(&self, name: &str, data: &[u8]) -> std::io::Result<u64> {
+            self.count();
+            self.inner.append(name, data)
+        }
+        fn read_at(&self, name: &str, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+            self.inner.read_at(name, offset, len)
+        }
+        fn size(&self, name: &str) -> std::io::Result<u64> {
+            self.inner.size(name)
+        }
+        fn truncate(&self, name: &str, len: u64) -> std::io::Result<()> {
+            self.count();
+            self.inner.truncate(name, len)
+        }
+        fn sync(&self, name: &str) -> std::io::Result<()> {
+            self.count();
+            self.inner.sync(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> std::io::Result<()> {
+            self.count();
+            self.inner.rename(from, to)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn remove(&self, name: &str) -> std::io::Result<()> {
+            self.count();
+            self.inner.remove(name)
+        }
+    }
+
+    /// Six modules: `main` calls a chain of five one-routine modules.
+    fn six_modules() -> Vec<(String, String)> {
+        let mut modules: Vec<(String, String)> = (0..5)
+            .map(|i| {
+                (
+                    format!("m{i}"),
+                    format!("fn f{i}(x: int) -> int {{ return x * {} + {i}; }}\n", i + 2),
+                )
+            })
+            .collect();
+        let externs: String = (0..5)
+            .map(|i| format!("extern fn f{i}(x: int) -> int;\n"))
+            .collect();
+        let calls: String = (0..5).map(|i| format!("acc = acc + f{i}(i);\n")).collect();
+        modules.push((
+            "app".to_owned(),
+            format!(
+                "{externs}fn main() -> int {{\n var i: int = 0;\n var acc: int = 0;\n \
+                 while (i < 30) {{\n {calls} i = i + 1;\n }}\n return acc % 1000;\n}}\n"
+            ),
+        ));
+        modules
+    }
+
+    fn trained(modules: &[(String, String)]) -> ProfileDb {
+        let mut cc = Compiler::new();
+        cc.add_sources(modules, 1).unwrap();
+        let train = cc.build(&BuildOptions::instrumented()).unwrap();
+        train.run_for_profile(&[]).unwrap()
+    }
+
+    /// What one cached `+O4 +P` session did, by the step counters.
+    struct Session {
+        out: BuildOutput,
+        decodes: u64,
+        clones: u64,
+        compiles: u64,
+        plans: u64,
+    }
+
+    fn cached_session(
+        storage: &std::sync::Arc<CountingStorage>,
+        modules: &[(String, String)],
+        add_db: &ProfileDb,
+        build_db: &ProfileDb,
+    ) -> Session {
+        use crate::cache::DECODES;
+        use crate::slices::PLANS;
+        let options = |db: &ProfileDb| BuildOptions::new(OptLevel::O4).with_profile_db(db.clone());
+        let counters = || {
+            (
+                DECODES.with(std::cell::Cell::get),
+                CLONES.with(std::cell::Cell::get),
+                COMPILES.with(std::cell::Cell::get),
+                PLANS.with(std::cell::Cell::get),
+            )
+        };
+        let before = counters();
+        let storage: std::sync::Arc<dyn cmo_naim::Storage> = storage.clone();
+        let mut cache = BuildCache::open_on(storage, &Telemetry::disabled()).unwrap();
+        let mut cc = Compiler::new();
+        cc.add_sources_cached_with(modules, &options(add_db), &mut cache)
+            .unwrap();
+        let out = cc.build_cached(&options(build_db), &mut cache).unwrap();
+        let after = counters();
+        Session {
+            out,
+            decodes: after.0 - before.0,
+            clones: after.1 - before.1,
+            compiles: after.2 - before.2,
+            plans: after.3 - before.3,
+        }
+    }
+
+    fn cache_files(storage: &CountingStorage) -> Vec<Vec<u8>> {
+        use cmo_naim::Storage;
+        ["repo.naim", "manifest.tsv", "commit.journal"]
+            .iter()
+            .map(|name| storage.read(name).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_replay_decodes_nothing_plans_once_and_writes_nothing() {
+        let modules = six_modules();
+        let db = trained(&modules);
+        let storage = std::sync::Arc::new(CountingStorage::default());
+        let cold = cached_session(&storage, &modules, &db, &db);
+        assert_eq!(cold.compiles, 6);
+        assert_eq!(cold.plans, 1);
+        assert!(storage.mutated() > 0, "a cold build commits");
+
+        let (files, mutated) = (cache_files(&storage), storage.mutated());
+        let warm = cached_session(&storage, &modules, &db, &db);
+        assert!(warm.out.report.replayed.is_some());
+        assert_eq!(warm.out.report.cache.module_hits, 6);
+        assert_eq!(
+            (warm.decodes, warm.clones, warm.compiles, warm.plans),
+            (0, 0, 0, 1)
+        );
+        assert_eq!(
+            storage.mutated(),
+            mutated,
+            "a replay must not touch storage"
+        );
+        assert_eq!(cache_files(&storage), files);
+        assert_eq!(warm.out.image.to_bytes(), cold.out.image.to_bytes());
+    }
+
+    #[test]
+    fn a_one_module_edit_decodes_the_rest_and_compiles_one() {
+        let mut modules = six_modules();
+        let db = trained(&modules);
+        let storage = std::sync::Arc::new(CountingStorage::default());
+        cached_session(&storage, &modules, &db, &db);
+        modules[2]
+            .1
+            .push_str("fn untouched_extra(x: int) -> int { return x; }\n");
+        let edit = cached_session(&storage, &modules, &db, &db);
+        assert!(edit.out.report.replayed.is_none());
+        assert_eq!(edit.out.report.cache.module_hits, 5);
+        // The edited module has no sidecar, so it is compiled (once)
+        // for its scope and that object is the one that links.
+        assert_eq!(
+            (edit.decodes, edit.clones, edit.compiles, edit.plans),
+            (5, 1, 1, 1)
+        );
+        let mut cc = Compiler::new();
+        cc.add_sources(&modules, 1).unwrap();
+        let uncached = cc
+            .build(&BuildOptions::new(OptLevel::O4).with_profile_db(db))
+            .unwrap();
+        assert_eq!(edit.out.image.to_bytes(), uncached.image.to_bytes());
+    }
+
+    #[test]
+    fn building_under_another_profile_plans_again_and_misses() {
+        let modules = six_modules();
+        let db = trained(&modules);
+        let storage = std::sync::Arc::new(CountingStorage::default());
+        cached_session(&storage, &modules, &db, &db);
+        let mut retrained = db.clone();
+        let (name, shape) = db
+            .iter()
+            .map(|(name, p)| (name.to_owned(), p.shape))
+            .next()
+            .unwrap();
+        retrained.record(
+            &[(cmo_profile::ProbeKey::block(&name, 0), 9_000)],
+            &[(name, shape)],
+        );
+        // Sources added under `db`, built under `retrained`: the plan
+        // left by the add no longer holds.
+        let other = cached_session(&storage, &modules, &db, &retrained);
+        assert_eq!(other.plans, 2);
+        assert!(other.out.report.replayed.is_none());
+        assert_eq!(other.decodes, 6, "every hit is decoded for the link");
+        let mut cc = Compiler::new();
+        cc.add_sources(&modules, 1).unwrap();
+        let uncached = cc
+            .build(&BuildOptions::new(OptLevel::O4).with_profile_db(retrained))
+            .unwrap();
+        assert_eq!(other.out.image.to_bytes(), uncached.image.to_bytes());
     }
 
     #[test]

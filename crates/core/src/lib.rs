@@ -59,11 +59,11 @@ mod slices;
 
 pub use cache::{
     build_key, build_key_sliced, module_fingerprint, object_fingerprint, options_signature,
-    BuildCache, CacheEntry, CacheStats, GcStats, CACHE_FORMAT,
+    BuildCache, CacheStats, CachedObject, GcStats, CACHE_FORMAT,
 };
 pub use driver::{
-    build_objects, build_objects_cached, BuildError, BuildOptions, BuildOutput, BuildReport,
-    Compiler, OptLevel,
+    build_objects, BuildError, BuildOptions, BuildOutput, BuildReport, CompileStep, Compiler,
+    ModuleInput, OptLevel,
 };
 pub use isolate::{isolate_faulty_op, isolate_inline_ops, InlineIsolation, IsolationReport};
 pub use parallel::{default_jobs, run_jobs, try_run_jobs, JobError};

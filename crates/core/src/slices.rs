@@ -35,9 +35,9 @@
 use cmo_hlo::InlineOptions;
 use cmo_ir::{CalleeRef, IlObject};
 use cmo_llo::shape_of;
-use cmo_naim::{DecodeError, Decoder, Encoder};
-use cmo_profile::{Freshness, ProfileDb, RoutineShape};
-use std::collections::{BTreeMap, BTreeSet};
+use cmo_naim::{ContentHash, DecodeError, Decoder, Encoder};
+use cmo_profile::{write_slice_header, ProfileDb, RoutineProfile, RoutineShape};
+use std::collections::HashMap;
 
 /// How wide a module's profile-slice scope reaches
 /// (`cmocc --profile-slice-granularity`).
@@ -208,7 +208,7 @@ pub struct ModuleSlice {
     /// Routine names in the slice's scope.
     pub routines: u64,
     /// Whether any in-scope routine's recorded shape no longer matches
-    /// the current code — the §6.2 [`Freshness::Stale`] signal. Stale
+    /// the current code — the §6.2 [`cmo_profile::Freshness::Stale`] signal. Stale
     /// slices still key deterministically (the source fingerprint
     /// covers the current code, the slice fingerprint the recorded
     /// data), but they are surfaced in the report and trace because
@@ -230,34 +230,71 @@ pub struct SlicePlan {
     pub residual_fp: String,
 }
 
-/// Union-find over scope-name indices, mirroring the cluster
-/// partitioner's merge structure (without its size cap — a superset
-/// component can only widen a scope, never corrupt it).
+/// Union-find over dense name ids, mirroring the cluster partitioner's
+/// merge structure (without its size cap — a superset component can
+/// only widen a scope, never corrupt it).
 struct NameSets {
-    parent: Vec<usize>,
+    parent: Vec<u32>,
 }
 
 impl NameSets {
     fn new(n: usize) -> Self {
         NameSets {
-            parent: (0..n).collect(),
+            parent: (0..n as u32).collect(),
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let up = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = up;
+            x = up;
         }
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent[ra.max(rb)] = ra.min(rb);
+            self.parent[ra.max(rb) as usize] = ra.min(rb);
         }
     }
+}
+
+/// Every routine name a plan talks about, numbered densely in first-seen
+/// order.
+#[derive(Default)]
+struct NameTable<'a> {
+    ids: HashMap<&'a str, u32>,
+    names: Vec<&'a str>,
+}
+
+impl<'a> NameTable<'a> {
+    fn id(&mut self, name: &'a str) -> u32 {
+        let next = self.names.len() as u32;
+        *self.ids.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            next
+        })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`SlicePlan::compute`] calls on this thread.
+    pub(crate) static PLANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Loop iterations of [`SlicePlan::compute`] on this thread, for
+    /// the complexity guard.
+    static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts `n` loop iterations (test builds only).
+#[inline]
+fn step(n: usize) {
+    #[cfg(test)]
+    STEPS.with(|s| s.set(s.get() + n as u64));
+    #[cfg(not(test))]
+    let _ = n;
 }
 
 impl SlicePlan {
@@ -271,8 +308,287 @@ impl SlicePlan {
     /// in the same order. The selectivity `targets` refinement is
     /// deliberately ignored — it is itself profile-derived, and a
     /// superset coupling only widens scopes.
+    ///
+    /// Everything runs on dense name ids: names are interned and ranked
+    /// (sorted) once, the database is joined against the ranking in
+    /// one merge pass that also encodes each routine's slice record
+    /// once, each coupling component's member list is built once (in
+    /// rank order, so it is already sorted), and a module's slice is
+    /// the slice header plus its members' records concatenated in rank
+    /// order — byte for byte what [`ProfileDb::slice_bytes`] produces
+    /// for the same name set, so the fingerprints are those of the
+    /// name-keyed implementation this replaced.
     #[must_use]
     pub fn compute(
+        scopes: &[ModuleScope],
+        db: &ProfileDb,
+        granularity: SliceGranularity,
+        inline: &InlineOptions,
+    ) -> SlicePlan {
+        #[cfg(test)]
+        PLANS.with(|p| p.set(p.get() + 1));
+
+        // Ids for every name we may talk about; the first definition
+        // of a name supplies its size.
+        let mut table = NameTable::default();
+        let mut defs: Vec<u32> = Vec::new();
+        let mut callees: Vec<u32> = Vec::new();
+        let mut defined_il: Vec<Option<u32>> = Vec::new();
+        for scope in scopes {
+            for r in &scope.routines {
+                let id = table.id(&r.name);
+                defs.push(id);
+                if defined_il.len() <= id as usize {
+                    defined_il.push(Some(r.il_size));
+                }
+                step(1);
+            }
+        }
+        for scope in scopes {
+            for r in &scope.routines {
+                for (_, callee) in &r.callees {
+                    callees.push(table.id(callee));
+                    step(1);
+                }
+            }
+        }
+        let names = table.names;
+        let n = names.len();
+        defined_il.resize(n, None);
+
+        // Rank: ids in name order — the order slice records appear in.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by_key(|&id| names[id as usize]);
+        let mut rank = vec![0u32; n];
+        for (at, &id) in order.iter().enumerate() {
+            rank[id as usize] = at as u32;
+        }
+        step(n);
+
+        // Join the database (name order) against the ranking, encoding
+        // each known routine's slice record once.
+        let mut profile: Vec<Option<&RoutineProfile>> = vec![None; n];
+        let mut record: Vec<std::ops::Range<usize>> = vec![0..0; n];
+        let mut records = Encoder::with_capacity(64 * n);
+        let mut db_ids: Vec<Option<u32>> = Vec::new();
+        let mut ranked = order.iter().copied().peekable();
+        for (name, p) in db.iter() {
+            while ranked.next_if(|&id| names[id as usize] < name).is_some() {}
+            let id = ranked.next_if(|&id| names[id as usize] == name);
+            if let Some(id) = id {
+                let start = records.len();
+                p.write_slice_record(name, &mut records);
+                record[id as usize] = start..records.len();
+                profile[id as usize] = Some(p);
+            }
+            db_ids.push(id);
+            step(1);
+        }
+        let records = records.into_bytes();
+
+        // The cluster partitioner only considers cloning when profiles
+        // are present, with `min_callee_il` raised to the hot-inline
+        // bound; mirror that construction (slices exist only when a
+        // profile is attached).
+        let clone_min_count = cmo_hlo::CloneOptions::default().min_count;
+        let may_couple = |caller: u32, site: u32, callee_il: u32| {
+            let count = profile[caller as usize]
+                .and_then(|p| p.sites.get(site as usize).copied())
+                .unwrap_or(0);
+            let inline_couples = callee_il <= inline.small_callee_il
+                || (count >= inline.hot_site_min_count && callee_il <= inline.hot_callee_il);
+            let clone_couples = count >= clone_min_count && callee_il > inline.hot_callee_il;
+            inline_couples || clone_couples
+        };
+        // Calls `edge(caller, callee)` for every coupled call edge of
+        // the routines `defs[at..]` covers, in scope order. An extern
+        // with no body anywhere has nothing to inline and never couples.
+        let coupled_edges = |scope: &ModuleScope,
+                             def_at: usize,
+                             callee_at: &mut usize,
+                             edge: &mut dyn FnMut(u32, u32)| {
+            for (r, &caller) in scope.routines.iter().zip(&defs[def_at..]) {
+                for (site, _) in &r.callees {
+                    let callee = callees[*callee_at];
+                    *callee_at += 1;
+                    if let Some(callee_il) = defined_il[callee as usize] {
+                        if may_couple(caller, *site, callee_il) {
+                            edge(caller, callee);
+                        }
+                    }
+                    step(1);
+                }
+            }
+        };
+
+        // Coupled-name components, each member list in rank order
+        // (Cluster only; Module keeps the direct edges, Whole ignores
+        // the graph entirely).
+        let mut sets = NameSets::new(n);
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        if granularity == SliceGranularity::Cluster {
+            let (mut def_at, mut callee_at) = (0, 0);
+            for scope in scopes {
+                coupled_edges(scope, def_at, &mut callee_at, &mut |a, b| sets.union(a, b));
+                def_at += scope.routines.len();
+            }
+            members.resize(n, Vec::new());
+            for &id in &order {
+                members[sets.find(id) as usize].push(id);
+                step(1);
+            }
+        }
+
+        // One slice per module: its ids in rank order, then the header
+        // and the present members' records. Modules whose scope closes
+        // over the same components share one slice.
+        let mut in_union = vec![false; n];
+        let mut bytes: Vec<u8> = Vec::new();
+        let mut fingerprint = |ids: &[u32]| -> String {
+            let present = ids
+                .iter()
+                .filter(|&&id| profile[id as usize].is_some())
+                .count();
+            let mut header = Encoder::with_capacity(16);
+            write_slice_header(&mut header, present);
+            bytes.clear();
+            bytes.extend_from_slice(&header.into_bytes());
+            for &id in ids {
+                in_union[id as usize] = true;
+                bytes.extend_from_slice(&records[record[id as usize].clone()]);
+            }
+            step(ids.len());
+            ContentHash::of(&bytes).to_hex()
+        };
+        let mut by_components: HashMap<Vec<u32>, (u64, String)> = HashMap::new();
+        let mut whole: Option<String> = None;
+        let mut slices = Vec::with_capacity(scopes.len());
+        let (mut def_at, mut callee_at) = (0, 0);
+        for scope in scopes {
+            let own = &defs[def_at..def_at + scope.routines.len()];
+            let (routines, fp) = match granularity {
+                SliceGranularity::Whole => (
+                    n as u64,
+                    whole.get_or_insert_with(|| fingerprint(&order)).clone(),
+                ),
+                SliceGranularity::Module => {
+                    let mut ids = own.to_vec();
+                    coupled_edges(scope, def_at, &mut callee_at, &mut |_, callee| {
+                        ids.push(callee);
+                    });
+                    ids.sort_unstable_by_key(|&id| rank[id as usize]);
+                    ids.dedup();
+                    (ids.len() as u64, fingerprint(&ids))
+                }
+                SliceGranularity::Cluster => {
+                    let mut roots: Vec<u32> = own.iter().map(|&id| sets.find(id)).collect();
+                    roots.sort_unstable();
+                    roots.dedup();
+                    by_components
+                        .entry(roots)
+                        .or_insert_with_key(|roots| match roots.as_slice() {
+                            [root] => {
+                                let ids = &members[*root as usize];
+                                (ids.len() as u64, fingerprint(ids))
+                            }
+                            roots => {
+                                let mut ids: Vec<u32> = roots
+                                    .iter()
+                                    .flat_map(|&root| members[root as usize].iter().copied())
+                                    .collect();
+                                ids.sort_unstable_by_key(|&id| rank[id as usize]);
+                                (ids.len() as u64, fingerprint(&ids))
+                            }
+                        })
+                        .clone()
+                }
+            };
+            // A module's own routines are in its scope at every
+            // granularity, so staleness is theirs alone to report.
+            let stale = scope
+                .routines
+                .iter()
+                .zip(own)
+                .any(|(r, &id)| profile[id as usize].is_some_and(|p| p.shape != r.shape));
+            step(own.len());
+            slices.push(ModuleSlice {
+                module: scope.module.clone(),
+                routines,
+                stale,
+                fp,
+            });
+            def_at += scope.routines.len();
+        }
+
+        // The residual: database routines no slice observed, in name
+        // order — foreign names, and known names outside every scope.
+        let residual: Vec<(&str, &RoutineProfile)> = db
+            .iter()
+            .zip(&db_ids)
+            .filter(|(_, id)| !id.is_some_and(|id| in_union[id as usize]))
+            .map(|(entry, _)| entry)
+            .collect();
+        let mut enc = Encoder::with_capacity(64 + residual.len() * 48);
+        write_slice_header(&mut enc, residual.len());
+        for (name, p) in residual {
+            p.write_slice_record(name, &mut enc);
+        }
+        step(db_ids.len());
+        SlicePlan {
+            slices,
+            residual_fp: ContentHash::of(&enc.into_bytes()).to_hex(),
+        }
+    }
+
+    /// The composed module-tier fingerprint: source fingerprint plus
+    /// this module's slice fingerprint.
+    #[must_use]
+    pub fn composed_fp(&self, i: usize, source_fp: &str) -> String {
+        format!("{source_fp}+p{}", self.slices[i].fp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmo_profile::{Freshness, ProbeKey, ProfileDb};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Union-find over scope-name indices, mirroring the cluster
+    /// partitioner's merge structure (without its size cap — a superset
+    /// component can only widen a scope, never corrupt it).
+    struct RefNameSets {
+        parent: Vec<usize>,
+    }
+
+    impl RefNameSets {
+        fn new(n: usize) -> Self {
+            RefNameSets {
+                parent: (0..n).collect(),
+            }
+        }
+
+        fn find(&mut self, mut x: usize) -> usize {
+            while self.parent[x] != x {
+                self.parent[x] = self.parent[self.parent[x]];
+                x = self.parent[x];
+            }
+            x
+        }
+
+        fn union(&mut self, a: usize, b: usize) {
+            let (ra, rb) = (self.find(a), self.find(b));
+            if ra != rb {
+                self.parent[ra.max(rb)] = ra.min(rb);
+            }
+        }
+    }
+
+    /// The name-keyed `SlicePlan::compute` this module shipped with before
+    /// the dense-id rewrite, kept verbatim as the reference the rewrite
+    /// must match field for field.
+    fn ref_compute(
         scopes: &[ModuleScope],
         db: &ProfileDb,
         granularity: SliceGranularity,
@@ -311,7 +627,7 @@ impl SlicePlan {
         };
         // Coupled-name components (used by Cluster; Module keeps only
         // the direct edges; Whole ignores the graph entirely).
-        let mut sets = NameSets::new(index.len());
+        let mut sets = RefNameSets::new(index.len());
         if granularity == SliceGranularity::Cluster {
             for scope in scopes {
                 for r in &scope.routines {
@@ -382,18 +698,208 @@ impl SlicePlan {
         }
     }
 
-    /// The composed module-tier fingerprint: source fingerprint plus
-    /// this module's slice fingerprint.
-    #[must_use]
-    pub fn composed_fp(&self, i: usize, source_fp: &str) -> String {
-        format!("{source_fp}+p{}", self.slices[i].fp)
-    }
-}
+    const GRANULARITIES: [SliceGranularity; 3] = [
+        SliceGranularity::Module,
+        SliceGranularity::Cluster,
+        SliceGranularity::Whole,
+    ];
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cmo_profile::{ProbeKey, ProfileDb};
+    fn assert_matches_reference(scopes: &[ModuleScope], db: &ProfileDb, inline: &InlineOptions) {
+        for granularity in GRANULARITIES {
+            assert_eq!(
+                SlicePlan::compute(scopes, db, granularity, inline),
+                ref_compute(scopes, db, granularity, inline),
+                "{granularity:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_plan_equals_the_reference_on_mcad1() {
+        let app = cmo_synth::generate(&cmo_synth::mcad_preset("mcad1", 0.125));
+        let mut cc = crate::Compiler::new();
+        cc.add_sources(&app.modules, 1).expect("compiles");
+        let train = cc
+            .build(&crate::BuildOptions::instrumented())
+            .expect("train build");
+        let mut db = train.run_for_profile(&app.train_input).expect("train run");
+        let scopes: Vec<ModuleScope> = app
+            .modules
+            .iter()
+            .map(|(module, source)| {
+                ModuleScope::of_object(
+                    &cmo_frontend::compile_module(module, source).expect("compiles"),
+                )
+            })
+            .collect();
+        let inline = InlineOptions::default();
+        assert_matches_reference(&scopes, &db, &inline);
+        let plan = SlicePlan::compute(&scopes, &db, SliceGranularity::Cluster, &inline);
+        assert!(
+            plan.slices.iter().any(|s| s.routines > 1),
+            "mcad1 couples routines across modules"
+        );
+        // A retrain against changed code (one stale routine) and a
+        // routine from another program version (residual).
+        let stale = &scopes[0].routines[0];
+        db.record(
+            &[(ProbeKey::block(&stale.name, 0), 77)],
+            &[(
+                stale.name.clone(),
+                RoutineShape {
+                    n_blocks: stale.shape.n_blocks + 1,
+                    ..stale.shape
+                },
+            )],
+        );
+        db.record(
+            &[(ProbeKey::site("ghost", 0), 9_999)],
+            &[("ghost".to_owned(), RoutineShape::default())],
+        );
+        assert_matches_reference(&scopes, &db, &inline);
+        assert!(
+            SlicePlan::compute(&scopes, &db, SliceGranularity::Cluster, &inline).slices[0].stale
+        );
+    }
+
+    /// A generated routine: index into the name pool, IL size, whether
+    /// the database saw the current shape, and `(site, callee)` edges.
+    type GenRoutine = (usize, u32, bool, Vec<(u32, usize)>);
+
+    /// Names `0..DEFINED` may be defined (by several modules at once);
+    /// the rest of the pool are externs no module gives a body.
+    const DEFINED: usize = 10;
+    const POOL: usize = 13;
+
+    fn pool_name(i: usize) -> String {
+        if i < DEFINED {
+            format!("r{i}")
+        } else {
+            format!("ext{i}")
+        }
+    }
+
+    fn scopes_from(modules: &[Vec<GenRoutine>]) -> Vec<ModuleScope> {
+        modules
+            .iter()
+            .enumerate()
+            .map(|(m, routines)| ModuleScope {
+                module: format!("m{m}"),
+                routines: routines
+                    .iter()
+                    .map(|(name, il_size, _, callees)| ScopeRoutine {
+                        name: pool_name(*name),
+                        il_size: *il_size,
+                        shape: RoutineShape {
+                            n_blocks: 2,
+                            n_sites: 3,
+                            fingerprint: u64::from(*il_size),
+                        },
+                        callees: callees
+                            .iter()
+                            .map(|(site, callee)| (*site, pool_name(*callee)))
+                            .collect(),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Generated scope sets: duplicate routine names across (and
+        /// within) modules, externs without bodies, hot and cold sites
+        /// on both sides of every coupling threshold, stale shapes,
+        /// routines the database never saw, and foreign database
+        /// routines no module mentions.
+        #[test]
+        fn dense_plan_equals_the_reference_on_generated_scopes(
+            modules in proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        0..DEFINED,
+                        prop_oneof![Just(5u32), Just(30), Just(100), Just(400)],
+                        any::<bool>(),
+                        proptest::collection::vec((0u32..3, 0..POOL), 0..4),
+                    ),
+                    0..4,
+                ),
+                1..6,
+            ),
+            counts in proptest::collection::vec(
+                (0..POOL + 2, 0u32..3, prop_oneof![Just(0u64), Just(3), Just(1_000), Just(100_000)]),
+                0..12,
+            ),
+        ) {
+            let scopes = scopes_from(&modules);
+            let mut db = ProfileDb::new();
+            for (routine, (_, _, fresh, _)) in scopes
+                .iter()
+                .flat_map(|s| &s.routines)
+                .zip(modules.iter().flatten())
+            {
+                let shape = RoutineShape {
+                    n_blocks: routine.shape.n_blocks + u32::from(!fresh),
+                    ..routine.shape
+                };
+                db.record(&[], &[(routine.name.clone(), shape)]);
+            }
+            for (name, site, count) in counts {
+                // Past the pool: routines of another program version.
+                let name = if name < POOL { pool_name(name) } else { format!("ghost{name}") };
+                db.record(&[(ProbeKey::site(&name, site), count)], &[]);
+            }
+            assert_matches_reference(&scopes, &db, &InlineOptions::default());
+            assert_matches_reference(&scopes, &ProfileDb::new(), &InlineOptions::default());
+        }
+    }
+
+    /// Steps `compute` takes over `copies` disjoint copies of one
+    /// four-module program (so component sizes stay fixed while the
+    /// module count grows).
+    fn steps_for(copies: usize, granularity: SliceGranularity) -> u64 {
+        let mut scopes = Vec::new();
+        let mut db = ProfileDb::new();
+        for c in 0..copies {
+            for m in 0..4 {
+                let routines = (0..6)
+                    .map(|r| ScopeRoutine {
+                        name: format!("c{c}m{m}r{r}"),
+                        il_size: 10 + 40 * r,
+                        shape: RoutineShape::default(),
+                        callees: (0..3)
+                            .map(|s| (s, format!("c{c}m{}r{}", (m + 1) % 4, (r + s) % 6)))
+                            .collect(),
+                    })
+                    .collect::<Vec<_>>();
+                for r in &routines {
+                    db.record(
+                        &[(ProbeKey::site(&r.name, 1), 5_000)],
+                        &[(r.name.clone(), r.shape)],
+                    );
+                }
+                scopes.push(ModuleScope {
+                    module: format!("c{c}m{m}"),
+                    routines,
+                });
+            }
+        }
+        let inline = InlineOptions::default();
+        let before = STEPS.with(std::cell::Cell::get);
+        let plan = SlicePlan::compute(&scopes, &db, granularity, &inline);
+        assert_eq!(plan, ref_compute(&scopes, &db, granularity, &inline));
+        STEPS.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn planning_steps_grow_linearly_with_modules() {
+        for granularity in GRANULARITIES {
+            let (small, large) = (steps_for(8, granularity), steps_for(32, granularity));
+            assert!(
+                large <= 5 * small,
+                "{granularity:?}: {small} steps for 32 modules, {large} for 128"
+            );
+        }
+    }
 
     fn scopes_for(sources: &[(&str, &str)]) -> Vec<ModuleScope> {
         sources

@@ -330,6 +330,134 @@ fn api_level_cached_build_replays_and_counts_hits() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn failed_add_leaves_the_compiler_consistent() {
+    let dir = workdir("failedadd");
+    let cache_dir = dir.join("cache");
+    let good = vec![
+        ("util".to_owned(), UTIL.to_owned()),
+        ("app".to_owned(), APP.to_owned()),
+    ];
+    let mut bad = good.clone();
+    bad[1].1 = "fn main( -> int { return 0; }".to_owned();
+    let options = BuildOptions::new(OptLevel::O4);
+    let tel = Telemetry::disabled();
+
+    let mut cache = BuildCache::open(&cache_dir).unwrap();
+    let mut cc = Compiler::new();
+    assert!(cc.add_sources(&bad, 1).is_err());
+    assert_eq!((cc.n_modules(), cc.fingerprints().len()), (0, 0));
+    assert!(cc.add_sources_cached(&bad, 1, &mut cache, &tel).is_err());
+    assert_eq!((cc.n_modules(), cc.fingerprints().len()), (0, 0));
+    assert!(cc
+        .add_sources_cached_with(&bad, &options, &mut cache)
+        .is_err());
+    assert_eq!((cc.n_modules(), cc.fingerprints().len()), (0, 0));
+
+    // The corrected re-add builds under the key a fresh driver computes:
+    // the fresh driver's build replays it.
+    cc.add_sources_cached(&good, 1, &mut cache, &tel).unwrap();
+    assert_eq!((cc.n_modules(), cc.fingerprints().len()), (2, 2));
+    let built = cc.build_cached(&options, &mut cache).unwrap();
+    assert!(built.report.replayed.is_none());
+    drop(cache);
+
+    let mut cache = BuildCache::open(&cache_dir).unwrap();
+    let mut fresh = Compiler::new();
+    fresh
+        .add_sources_cached(&good, 1, &mut cache, &tel)
+        .unwrap();
+    assert!(cc.fingerprints().eq(fresh.fingerprints()));
+    let warm = fresh.build_cached(&options, &mut cache).unwrap();
+    assert!(warm.report.replayed.is_some(), "built under another key");
+    assert_eq!(warm.image.to_bytes(), built.image.to_bytes());
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Damage only a decode can find, through the CLI: `app`'s manifest
+/// line re-pointed at a CRC-valid record that is no object. The probe
+/// counts a hit; when `util` is edited the link needs `app`, the decode
+/// fails, and the build recompiles `app` — exit 3, the image of an
+/// uncached build, a healed cache.
+#[test]
+fn undecodable_record_found_at_link_time_costs_only_a_recompile() {
+    use cmo_naim::{ContentHash, Repository};
+    let dir = workdir("latedamage");
+    let (util, app) = write_sources(&dir);
+    let pristine = dir.join("pristine");
+    build(&dir, &pristine, "1", "cold");
+    {
+        let repo_path = pristine.join("repo.naim");
+        let junk = [1u8, 4, b'j', b'u', b'n', b'k']; // object tag, 4 bytes of no object
+        let mut repo = Repository::open(&repo_path).unwrap();
+        repo.store(&junk).unwrap();
+        repo.flush_index().unwrap();
+        drop(repo);
+        let app_line = format!("mod:{}\t", cmo::module_fingerprint("app", APP));
+        let manifest: String = std::fs::read_to_string(pristine.join("manifest.tsv"))
+            .unwrap()
+            .lines()
+            .map(|line| match line.strip_prefix(&app_line) {
+                Some(_) => format!("{app_line}{}\n", ContentHash::of(&junk).to_hex()),
+                None => format!("{line}\n"),
+            })
+            .collect();
+        assert!(manifest.contains(&ContentHash::of(&junk).to_hex()));
+        std::fs::write(pristine.join("manifest.tsv"), manifest).unwrap();
+        let committed = std::fs::metadata(&repo_path).unwrap().len();
+        std::fs::write(
+            pristine.join("commit.journal"),
+            format!("cmo.journal.v1\n{committed}\n"),
+        )
+        .unwrap();
+    }
+
+    std::fs::write(&util, UTIL.replace("factor: int = 3", "factor: int = 4")).unwrap();
+    let uncached = cmocc()
+        .args(["+O4", "--emit-asm", "--run", "-"])
+        .args([&util, &app])
+        .output()
+        .unwrap();
+    assert!(uncached.status.success());
+    let uncached = String::from_utf8_lossy(&uncached.stdout).into_owned();
+    for jobs in ["1", "4"] {
+        let cache = dir.join(format!("cache-j{jobs}"));
+        std::fs::create_dir_all(&cache).unwrap();
+        for file in ["repo.naim", "manifest.tsv", "commit.journal"] {
+            std::fs::copy(pristine.join(file), cache.join(file)).unwrap();
+        }
+        let (out, _, trace) = build_expecting(&dir, &cache, jobs, &format!("hurt{jobs}"), 3);
+        let hit = trace
+            .find(r#""action":"hit","scope":"module","name":"app""#)
+            .expect("the probe counts a hit");
+        let invalidate = trace
+            .find(r#""action":"invalidate","scope":"module","name":"app""#)
+            .expect("the link-time decode invalidates it");
+        assert!(hit < invalidate, "-j{jobs}: {trace}");
+        assert!(
+            out.contains("cache: 0 module hits, 2 misses, 1 invalidations"),
+            "-j{jobs}: counters differ from an eager decode's: {out}"
+        );
+        // The disassembly and the run line, past the report.
+        let image = |stdout: &str| -> Vec<String> {
+            stdout
+                .lines()
+                .skip_while(|line| !line.contains("; routine #"))
+                .map(str::to_owned)
+                .collect()
+        };
+        assert_eq!(image(&out), image(&uncached), "-j{jobs}: image differs");
+        assert!(image(&out)
+            .iter()
+            .any(|l| l.starts_with("ran main: returned")));
+        let (_, _, healed) = build(&dir, &cache, jobs, &format!("healed{jobs}"));
+        assert!(healed.contains(r#""action":"replay","scope":"build""#));
+    }
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `+O4 +P` cached build of `modules` against `cache_dir` at `jobs`
 /// workers: (front-end hits, build output, rendered trace).
 fn profiled_cached_build(
@@ -427,6 +555,14 @@ fn one_module_edit_under_pbo_recompiles_only_that_module() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// One-line edits the GC tests bloat a cache with.
+const EDITS: usize = 20;
+
+/// `util` after the `i`-th one-line edit.
+fn edited_util(i: usize) -> String {
+    UTIL.replace("factor: int = 3", &format!("factor: int = {}", 4 + i))
+}
+
 #[test]
 fn gc_cache_compacts_the_repository_and_keeps_warm_replay_byte_identical() {
     let dir = workdir("gccli");
@@ -434,11 +570,16 @@ fn gc_cache_compacts_the_repository_and_keeps_warm_replay_byte_identical() {
     let cache = dir.join("cache");
 
     let (cold_out, cold_json, _) = build(&dir, &cache, "1", "cold");
-    // Each warm rebuild persists a fresh index segment, so the dead
-    // share of the repository climbs well past 50%.
-    for i in 0..20 {
+    // A rebuild that changes nothing commits nothing, so bloat the way
+    // real use does: each edit of one module commits a generation whose
+    // fresh index segment orphans the previous one, and the dead share
+    // of the repository climbs well past 50%.
+    for i in 0..EDITS {
+        std::fs::write(dir.join("util.mlc"), edited_util(i)).unwrap();
         build(&dir, &cache, "1", &format!("bloat{i}"));
     }
+    // Back to the original sources, whose keys are still in the manifest.
+    std::fs::write(dir.join("util.mlc"), UTIL).unwrap();
     let repo = cache.join("repo.naim");
     let size_bloated = std::fs::metadata(&repo).unwrap().len();
 
@@ -531,18 +672,21 @@ fn gc_threshold_compacts_during_cached_build_without_changing_output() {
     ];
     let options = BuildOptions::new(OptLevel::O4);
 
-    let run = |options: &BuildOptions| {
+    let run = |modules: &[(String, String)], options: &BuildOptions| {
         let mut cache = BuildCache::open(&cache_dir).unwrap();
         let mut cc = Compiler::new();
-        cc.add_sources_cached(&modules, 1, &mut cache, &Telemetry::disabled())
+        cc.add_sources_cached(modules, 1, &mut cache, &Telemetry::disabled())
             .unwrap();
         cc.build_cached(options, &mut cache).unwrap()
     };
-    let cold = run(&options);
-    // Every cached build persists a fresh index segment, orphaning the
-    // previous one: warm rebuilds steadily grow the dead-byte share.
-    for _ in 0..20 {
-        run(&options);
+    let cold = run(&modules, &options);
+    // Every build that stores something persists a fresh index segment,
+    // orphaning the previous one: edits steadily grow the dead-byte
+    // share. (A warm rebuild stores nothing and appends nothing.)
+    for i in 0..EDITS {
+        let mut edited = modules.clone();
+        edited[0].1 = edited_util(i);
+        run(&edited, &options);
     }
     let repo = cache_dir.join("repo.naim");
     let size_bloated = std::fs::metadata(&repo).unwrap().len();
@@ -552,7 +696,7 @@ fn gc_threshold_compacts_during_cached_build_without_changing_output() {
     let gc_options = BuildOptions::new(OptLevel::O4)
         .with_gc_threshold_bytes(0)
         .with_telemetry(tel.clone());
-    let compacted = run(&gc_options);
+    let compacted = run(&modules, &gc_options);
     let trace = tel.render_trace();
     assert!(
         trace.contains(r#""event":"cache","action":"gc""#),
@@ -575,7 +719,7 @@ fn gc_threshold_compacts_during_cached_build_without_changing_output() {
         compacted.compile_report().to_json(),
         cold.compile_report().to_json()
     );
-    let warm = run(&options);
+    let warm = run(&modules, &options);
     assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
 
     std::fs::remove_dir_all(&dir).unwrap();

@@ -30,6 +30,7 @@
 use cmo_naim::{ContentHash, DecodeError, Decoder, Encoder};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// What a probe counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -121,6 +122,34 @@ impl RoutineProfile {
     pub fn entry_count(&self) -> u64 {
         self.blocks.first().copied().unwrap_or(0)
     }
+
+    /// Appends this routine's record of a profile slice: its name, its
+    /// recorded shape and its full block/site count vectors. A slice
+    /// ([`ProfileDb::slice_bytes`]) is [`write_slice_header`] followed
+    /// by the records of its present routines in name order, so a
+    /// planner fingerprinting many overlapping slices can encode each
+    /// routine once and concatenate.
+    pub fn write_slice_record(&self, name: &str, enc: &mut Encoder) {
+        enc.write_str(name);
+        enc.write_u32(self.shape.n_blocks);
+        enc.write_u32(self.shape.n_sites);
+        enc.write_u64(self.shape.fingerprint);
+        enc.write_usize(self.blocks.len());
+        for &c in &self.blocks {
+            enc.write_u64(c);
+        }
+        enc.write_usize(self.sites.len());
+        for &c in &self.sites {
+            enc.write_u64(c);
+        }
+    }
+}
+
+/// Opens a profile-slice encoding that `records` routine records
+/// ([`RoutineProfile::write_slice_record`]) will follow.
+pub fn write_slice_header(enc: &mut Encoder, records: usize) {
+    enc.write_str("cmo-pslice");
+    enc.write_usize(records);
 }
 
 /// A deterministic FNV-1a hash, used for shape fingerprints.
@@ -141,9 +170,13 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u64>) -> u64 {
 /// Keys are routine names (a [`BTreeMap`], so iteration order is
 /// deterministic, per the §6.2 reproducibility discipline). Multiple
 /// instrumented runs accumulate into the same database.
+///
+/// The map is shared copy-on-write: build options carry the database
+/// by value and are cloned freely, so a clone is a reference count and
+/// two handles on one map compare equal without walking it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileDb {
-    routines: BTreeMap<String, RoutineProfile>,
+    routines: Arc<BTreeMap<String, RoutineProfile>>,
     runs: u32,
 }
 
@@ -173,8 +206,9 @@ impl ProfileDb {
     /// `shapes` carries the instrumentation-time shape of each routine.
     pub fn record(&mut self, counts: &[(ProbeKey, u64)], shapes: &[(String, RoutineShape)]) {
         self.runs += 1;
+        let routines = Arc::make_mut(&mut self.routines);
         for (name, shape) in shapes {
-            let entry = self.routines.entry(name.clone()).or_default();
+            let entry = routines.entry(name.clone()).or_default();
             if entry.shape != *shape {
                 // The code changed since the last run: restart counts
                 // for this routine at the new shape.
@@ -189,7 +223,7 @@ impl ProfileDb {
                 .resize(entry.sites.len().max(shape.n_sites as usize), 0);
         }
         for (key, count) in counts {
-            let entry = self.routines.entry(key.routine.clone()).or_default();
+            let entry = routines.entry(key.routine.clone()).or_default();
             match key.kind {
                 ProbeKind::Block(b) => {
                     let i = b as usize;
@@ -263,7 +297,7 @@ impl ProfileDb {
     #[must_use]
     pub fn ranked_sites(&self) -> Vec<(String, u32, u64)> {
         let mut v: Vec<(String, u32, u64)> = Vec::new();
-        for (name, p) in &self.routines {
+        for (name, p) in self.routines.iter() {
             for (i, &c) in p.sites.iter().enumerate() {
                 v.push((name.clone(), i as u32, c));
             }
@@ -280,8 +314,9 @@ impl ProfileDb {
     /// several machines).
     pub fn merge(&mut self, other: &ProfileDb) {
         self.runs += other.runs;
-        for (name, p) in &other.routines {
-            let entry = self.routines.entry(name.clone()).or_default();
+        let routines = Arc::make_mut(&mut self.routines);
+        for (name, p) in other.routines.iter() {
+            let entry = routines.entry(name.clone()).or_default();
             if entry.blocks.is_empty() && entry.sites.is_empty() {
                 *entry = p.clone();
                 continue;
@@ -307,7 +342,7 @@ impl ProfileDb {
         let mut enc = Encoder::with_capacity(256);
         enc.write_u32(self.runs);
         enc.write_usize(self.routines.len());
-        for (name, p) in &self.routines {
+        for (name, p) in self.routines.iter() {
             enc.write_str(name);
             enc.write_u32(p.shape.n_blocks);
             enc.write_u32(p.shape.n_sites);
@@ -360,7 +395,10 @@ impl ProfileDb {
                 },
             );
         }
-        Ok(ProfileDb { routines, runs })
+        Ok(ProfileDb {
+            routines: Arc::new(routines),
+            runs,
+        })
     }
 
     /// Iterates over `(routine name, profile)` in name order.
@@ -398,21 +436,9 @@ impl ProfileDb {
             .filter_map(|name| self.routines.get(*name).map(|p| (name, p)))
             .collect();
         let mut enc = Encoder::with_capacity(64 + present.len() * 48);
-        enc.write_str("cmo-pslice");
-        enc.write_usize(present.len());
+        write_slice_header(&mut enc, present.len());
         for (name, p) in present {
-            enc.write_str(name);
-            enc.write_u32(p.shape.n_blocks);
-            enc.write_u32(p.shape.n_sites);
-            enc.write_u64(p.shape.fingerprint);
-            enc.write_usize(p.blocks.len());
-            for &c in &p.blocks {
-                enc.write_u64(c);
-            }
-            enc.write_usize(p.sites.len());
-            for &c in &p.sites {
-                enc.write_u64(c);
-            }
+            p.write_slice_record(name, &mut enc);
         }
         enc.into_bytes()
     }

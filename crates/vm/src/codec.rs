@@ -471,18 +471,6 @@ impl MachineImage {
         }
         Ok(image)
     }
-
-    /// Rough in-memory footprint, for loader accounting of cached
-    /// images.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.code.len() * std::mem::size_of::<MInstr>()
-            + self.routines.len() * std::mem::size_of::<MRoutineInfo>()
-            + self.globals.len() * 8
-            + self.probes.len() * 48
-            + self.shapes.len() * 48
-            + std::mem::size_of::<Self>()
-    }
 }
 
 #[cfg(test)]

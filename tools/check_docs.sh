@@ -52,16 +52,25 @@ grep -q '"cmo.trace.v1"' t.jsonl || { echo "check_docs: t.jsonl missing cmo.trac
 
 # --- Incremental recompilation: --cache-dir cold then warm ---
 run +O4 --cache-dir .cmo-cache --report-json cold.json lib.mlc app.mlc
-run +O4 --cache-dir .cmo-cache --report-json warm.json lib.mlc app.mlc
-cmp cold.json warm.json || { echo "check_docs: warm cache report differs from cold" >&2; exit 1; }
 [[ -f .cmo-cache/repo.naim && -f .cmo-cache/manifest.tsv ]] \
     || { echo "check_docs: cache dir missing repo.naim/manifest.tsv" >&2; exit 1; }
+committed="$(cd .cmo-cache && cksum repo.naim manifest.tsv commit.journal)"
+run +O4 --cache-dir .cmo-cache --report-json warm.json lib.mlc app.mlc
+cmp cold.json warm.json || { echo "check_docs: warm cache report differs from cold" >&2; exit 1; }
+# A build that changes nothing commits nothing: no byte of the cache moves.
+[[ "$(cd .cmo-cache && cksum repo.naim manifest.tsv commit.journal)" == "$committed" ]] \
+    || { echo "check_docs: the warm build rewrote the cache it only read" >&2; exit 1; }
 
 # --- Zero-copy toggle: --no-mmap must not change the report ---
 run +O4 --cache-dir .cmo-cache-plain --no-mmap --report-json plain.json lib.mlc app.mlc
 cmp cold.json plain.json || { echo "check_docs: --no-mmap changed the report" >&2; exit 1; }
 
 # --- Cache compaction: --gc-cache shrinks repo.naim, replay intact ---
+# (An edit commits a second generation; its index segment orphans the
+# first one, which is the dead weight the compaction reclaims.)
+printf '\nfn check_docs_touched(x: int) -> int { return x; }\n' >> lib.mlc
+run +O4 --cache-dir .cmo-cache lib.mlc app.mlc
+cp "$repo_root/examples/mlc/lib.mlc" lib.mlc
 before=$(wc -c < .cmo-cache/repo.naim)
 run --gc-cache --cache-dir .cmo-cache
 after=$(wc -c < .cmo-cache/repo.naim)

@@ -14,20 +14,28 @@
 //!
 //! * `cold`    — empty cache, everything compiles and is stored;
 //! * `warm`    — nothing changed, whole build replays from the cache;
-//! * `dirty1`  — one module edited, front end re-runs for it alone;
+//! * `dirty1`  — one module edited (a routine nothing calls appended):
+//!   the front end re-runs for it alone, and the code tier replays
+//!   every live routine's lowering;
+//! * `dirty1-live` — one line of a reachable routine's body edited:
+//!   that routine (and whatever its change reaches through HLO) is
+//!   lowered again, the rest replayed;
 //! * `recover` — torn repository rolled back on open, then rebuilt;
-//! * `cold+P` / `warm+P` / `dirty1+P` — the first three under `+O4 +P`,
-//!   where every cached build also plans profile slices;
+//! * `cold+P` / `warm+P` / `dirty1+P` / `dirty1-live+P` — the first
+//!   four under `+O4 +P`, where every cached build also plans profile
+//!   slices;
 //! * `retrain` — sources unchanged, profile database retrained: with
 //!   module-granular profile slices only the modules whose observable
 //!   slice moved recompile, the rest are retained hits.
 //!
 //! Every scenario is repeated (9 times; 3 under `--smoke`) from the
 //! same restored cache state, and its wall time reported as median and
-//! median absolute deviation. Two columns are deterministic and gated:
-//! `objects_decoded` (cache hits actually decoded into IL objects) and
-//! `repo_bytes_appended` (bytes the build added to `repo.naim`) — both
-//! zero on a warm replay.
+//! median absolute deviation. Four columns are deterministic and gated:
+//! `objects_decoded` (cache hits actually decoded into IL objects),
+//! `repo_bytes_appended` (bytes the build added to `repo.naim`), and
+//! the work split `routines_lowered` / `routines_replayed` (live
+//! routines `lower_routine` ran on / taken from the code tier) — all
+//! zero on a warm replay, which performs no work at all.
 //!
 //! Run with `cargo run --release -p cmo-bench --bin fig7_incremental`.
 //! Flags: `--smoke` (quarter-scale app), `--json-out <path>` (write a
@@ -40,6 +48,9 @@ use cmo_synth::{generate, mcad_preset};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+/// `(module name, source)` pairs, as the driver takes them.
+type Sources = [(String, String)];
+
 /// One cached build: what it produced and what it cost.
 struct Sample {
     hits: usize,
@@ -47,6 +58,21 @@ struct Sample {
     ms: f64,
     objects_decoded: u64,
     repo_bytes_appended: u64,
+    routines_lowered: u64,
+    routines_replayed: u64,
+}
+
+impl Sample {
+    /// The deterministic counters every repetition must reproduce.
+    fn counters(&self) -> (usize, u64, u64, u64, u64) {
+        (
+            self.hits,
+            self.objects_decoded,
+            self.repo_bytes_appended,
+            self.routines_lowered,
+            self.routines_replayed,
+        )
+    }
 }
 
 /// `BuildCache::open` + cached front end + cached build on the cache
@@ -64,6 +90,8 @@ fn cached_build(dir: &Path, modules: &[(String, String)], options: &BuildOptions
         ms: t0.elapsed().as_secs_f64() * 1e3,
         objects_decoded: cache.objects_decoded(),
         repo_bytes_appended: cache.repo_bytes_appended(),
+        routines_lowered: cache.routines_lowered(),
+        routines_replayed: cache.routines_replayed(),
         out,
     }
 }
@@ -133,8 +161,8 @@ impl Bench {
         let last = samples.pop().expect("at least one repetition");
         for s in &samples {
             assert_eq!(
-                (s.hits, s.objects_decoded, s.repo_bytes_appended),
-                (last.hits, last.objects_decoded, last.repo_bytes_appended),
+                s.counters(),
+                last.counters(),
                 "{name}: repetitions from one cache state differ"
             );
         }
@@ -145,7 +173,7 @@ impl Bench {
         let replayed = last.out.report.cache.build_hits > 0;
         let speedup = base_ms.unwrap_or(ms) / ms;
         println!(
-            "{:>9} {:>8} {:>7} {:>9.2} {:>7.2} {:>12} {:>8} {:>10} {:>8.2}",
+            "{:>13} {:>8} {:>7} {:>9.2} {:>7.2} {:>12} {:>8} {:>10} {:>8} {:>9} {:>8.2}",
             name,
             last.hits,
             if replayed { "yes" } else { "no" },
@@ -154,10 +182,12 @@ impl Bench {
             last.out.report.compile_work,
             last.objects_decoded,
             last.repo_bytes_appended,
+            last.routines_lowered,
+            last.routines_replayed,
             speedup
         );
         self.csv.push(format!(
-            "{},{},{},{:.2},{:.2},{},{},{},{:.3}",
+            "{},{},{},{:.2},{:.2},{},{},{},{},{},{:.3}",
             name,
             last.hits,
             u8::from(replayed),
@@ -166,6 +196,8 @@ impl Bench {
             last.out.report.compile_work,
             last.objects_decoded,
             last.repo_bytes_appended,
+            last.routines_lowered,
+            last.routines_replayed,
             speedup
         ));
         let unified = last.out.compile_report();
@@ -178,6 +210,8 @@ impl Bench {
             .int("peak_bytes", unified.peak_bytes() as u64)
             .int("objects_decoded", last.objects_decoded)
             .int("repo_bytes_appended", last.repo_bytes_appended)
+            .int("routines_lowered", last.routines_lowered)
+            .int("routines_replayed", last.routines_replayed)
             .float("wall_ms", ms)
             .float("wall_mad_ms", mad)
             .float("speedup_vs_cold", speedup);
@@ -185,14 +219,14 @@ impl Bench {
         (ms, last)
     }
 
-    /// `cold`, `warm` and `dirty1` (names suffixed with `tag`) under
-    /// `options`; leaves the cold + dirty1 cache in `dir("work")` and
-    /// returns the cold build's median wall time.
+    /// `cold`, `warm`, `dirty1-live` and `dirty1` (names suffixed with
+    /// `tag`) under `options`; leaves the cold + dirty1 cache in
+    /// `dir("work")` and returns the cold build's median wall time.
     fn cold_warm_dirty(
         &mut self,
         tag: &str,
-        modules: &[(String, String)],
-        dirty: &[(String, String)],
+        modules: &Sources,
+        (dirty, dirty_live): (&Sources, &Sources),
         options: &BuildOptions,
     ) -> f64 {
         let (empty, cold, work) = (self.dir("empty"), self.dir("cold"), self.dir("work"));
@@ -206,11 +240,27 @@ impl Bench {
             Some(cold_ms),
             &|dir| cached_build(dir, modules, options),
         );
-        self.scenario(
+        let (_, live) = self.scenario(
+            &format!("dirty1-live{tag}"),
+            (&cold, &work),
+            Some(cold_ms),
+            &|dir| cached_build(dir, dirty_live, options),
+        );
+        let (_, dead) = self.scenario(
             &format!("dirty1{tag}"),
             (&cold, &work),
             Some(cold_ms),
             &|dir| cached_build(dir, dirty, options),
+        );
+        // What the code tier is for: an edit re-lowers what it changed.
+        assert_eq!(
+            dead.routines_lowered, 0,
+            "dirty1{tag}: no live routine changed"
+        );
+        assert!(
+            (1..=3).contains(&live.routines_lowered),
+            "dirty1-live{tag}: {} routines lowered for a one-line edit",
+            live.routines_lowered
         );
         cold_ms
     }
@@ -239,7 +289,7 @@ fn main() {
         bench.reps
     );
     println!(
-        "{:>9} {:>8} {:>7} {:>9} {:>7} {:>12} {:>8} {:>10} {:>8}",
+        "{:>13} {:>8} {:>7} {:>9} {:>7} {:>12} {:>8} {:>10} {:>8} {:>9} {:>8}",
         "scenario",
         "fe_hits",
         "replay",
@@ -248,6 +298,8 @@ fn main() {
         "work units",
         "decoded",
         "appended",
+        "lowered",
+        "replayed",
         "speedup"
     );
 
@@ -259,20 +311,32 @@ fn main() {
         .1
         .push_str("\nfn fig7_touched(x: int) -> int { return x; }\n");
 
+    // Edit one line of a routine that runs: `main` gains a variable it
+    // never reads. Its body, frame and code change (and with them its
+    // code-tier key and the image); what the program computes does not.
+    let mut dirty_live = app.modules.clone();
+    dirty_live[0].1 = dirty_live[0].1.replace(
+        "    var it: int = 0;\n",
+        "    var it: int = 0; var fig7_spare: int = 7;\n",
+    );
+    assert_ne!(dirty_live[0].1, app.modules[0].1, "main's body edit took");
+
     let plain = BuildOptions::new(OptLevel::O4);
-    let cold_ms = bench.cold_warm_dirty("", &app.modules, &dirty, &plain);
+    let cold_ms = bench.cold_warm_dirty("", &app.modules, (&dirty, &dirty_live), &plain);
 
     // Crash recovery: tear the repository's tail, as a kill -9 during
     // an append would. open() truncates back to the last well-framed
     // record, invalidates dangling manifest entries, and the rebuild
     // must reproduce the same program — the cost shown is the price of
-    // recovering instead of starting cold.
+    // recovering instead of starting cold. (A fifth of the file: into
+    // the image the edit's build appended last, as a crash during that
+    // append would leave it, and short of the object stored before it.)
     let (torn, work) = (bench.dir("torn"), bench.dir("work"));
     restore(&work, &torn);
     let tear = |dir: &Path| {
         let repo = dir.join("repo.naim");
         let mut bytes = std::fs::read(&repo).expect("read repo");
-        let keep = bytes.len().saturating_sub(bytes.len() / 4);
+        let keep = bytes.len().saturating_sub(bytes.len() / 5);
         bytes.truncate(keep);
         std::fs::write(&repo, &bytes).expect("tear repo");
     };
@@ -290,7 +354,7 @@ fn main() {
         .expect("train build");
     let db1 = train.run_for_profile(&app.ref_input).expect("training run");
     let profiled = BuildOptions::new(OptLevel::O4).with_profile_db(db1.clone());
-    bench.cold_warm_dirty("+P", &app.modules, &dirty, &profiled);
+    bench.cold_warm_dirty("+P", &app.modules, (&dirty, &dirty_live), &profiled);
 
     // Retrain: the sources are untouched but the profile database is
     // not — the situation §6.2's feedback flow hits on every fresh
@@ -347,7 +411,7 @@ fn main() {
 
     write_csv(
         "fig7_incremental.csv",
-        "scenario,frontend_hits,build_replayed,build_ms,mad_ms,work_units,objects_decoded,repo_bytes_appended,speedup_vs_cold",
+        "scenario,frontend_hits,build_replayed,build_ms,mad_ms,work_units,objects_decoded,repo_bytes_appended,routines_lowered,routines_replayed,speedup_vs_cold",
         &bench.csv,
     );
     if let Some(path) = &args.json_out {
@@ -360,6 +424,7 @@ fn main() {
     println!("A warm rebuild replays the image and report from the cache (§6.1's");
     println!("make flow, extended to the whole optimizing link) without decoding");
     println!("an object or writing a byte; editing one module re-runs the front");
-    println!("end for that module only. A torn repository is rolled back on open");
-    println!("and rebuilt, never trusted.");
+    println!("end for that module and the low-level optimizer for the routines the");
+    println!("edit changed. A torn repository is rolled back on open and rebuilt,");
+    println!("never trusted.");
 }

@@ -5,11 +5,26 @@
 //! files:
 //!
 //! * `repo.naim` — a versioned, checksummed [`Repository`] of
-//!   relocatable pool images, each a compacted [`CacheEntry`]
-//!   (a front-end IL object, a linked machine image, or a stored
-//!   compile report);
+//!   relocatable pool images, each one tagged entry (a front-end IL
+//!   object, a scope sidecar, a module's code slot, a linked machine
+//!   image, or a stored compile report);
 //! * `manifest.tsv` — a text index mapping cache keys (module and
-//!   build fingerprints) to the content hashes of their entries.
+//!   build fingerprints, code-slot names) to the content hashes of
+//!   their entries.
+//!
+//! Three tiers answer, cheapest reuse first. The **build tier** replays
+//! a whole image and report when nothing changed. The **module tier**
+//! spares the front end for every unchanged source. Between them the
+//! **code tier** spares the low-level optimizer for every routine whose
+//! post-HLO body did not change: one slot per (module, opt level,
+//! instrumentation) — manifest line `code:{mode}:{module}` — holds the
+//! `cmo_llo::memo` entries that module's live routines used in the
+//! last build, keyed id-free so link order and routine numbering do not
+//! matter. A build fetches each slot once (`BuildCache::get_code`),
+//! workers look entries up in the copied-out bytes, and afterwards only
+//! the slots whose key set changed are rewritten — replaced, never
+//! merged (`BuildCache::put_code`); see ARCHITECTURE.md, "The code
+//! tier".
 //!
 //! Records are read on the direct path: [`Repository::fetch_ref`] hands
 //! back a CRC-verified borrowed slice (a memory-mapped view, or the
@@ -69,6 +84,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use cmo_ir::{IlObject, ObjectDecodeError};
+use cmo_llo::memo::CodeKey;
 use cmo_naim::{
     ContentHash, DecodeError, Decoder, DiskStorage, Encoder, NaimError, Repository, Storage,
     StorageFile,
@@ -194,6 +210,9 @@ const TAG_REPORT: u8 = 3;
 /// fingerprint alone (the scope is profile-independent structure), so
 /// warm builds can plan slices before probing for objects.
 const TAG_SCOPE: u8 = 4;
+/// One module's code-tier slot: the lowered routines its live routines
+/// used in the last build under one mode, keyed id-free.
+const TAG_CODE: u8 = 5;
 
 /// A module-tier cache hit that has not been decoded: the stored object
 /// file's bytes, CRC-verified and copied out of the repository at probe
@@ -215,6 +234,14 @@ thread_local! {
     pub(crate) static DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`BuildCache::get_code`] calls on this thread.
+    pub(crate) static CODE_FETCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// [`BuildCache::put_code`] calls on this thread.
+    pub(crate) static CODE_STORES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl CachedObject {
     /// The module-tier key the record was found under.
     pub(crate) fn key(&self) -> &str {
@@ -232,6 +259,75 @@ impl CachedObject {
         DECODES.with(|d| d.set(d.get() + 1));
         IlObject::from_bytes(&self.bytes)
     }
+}
+
+/// Bytes of one row of a code slot's table: a 128-bit key and the end
+/// offset of its entry, both little-endian.
+const CODE_ROW: usize = 20;
+
+/// A code slot's table: `(key, end of its entry)`, ascending by key.
+type CodeRows = Vec<(CodeKey, usize)>;
+
+/// One module's code-tier slot as fetched: `(key, entry end)` rows
+/// sorted by key, and the entries they delimit, back to back in the
+/// same order. CRC-verified, validated and copied out of the repository
+/// on the calling thread, so workers can search and decode from it
+/// without touching the cache.
+#[derive(Debug)]
+pub(crate) struct CodeSlot {
+    hash: ContentHash,
+    rows: CodeRows,
+    entries: Vec<u8>,
+}
+
+impl CodeSlot {
+    /// Reads and checks a slot's payload: the table is whole rows,
+    /// keys strictly ascend, entry ends never descend and the last one
+    /// is the end of the entries. Both parts are bounds-checked slices
+    /// of the record, so what is allocated is sized by bytes that are
+    /// there, never by a stated length.
+    fn decode(dec: &mut Decoder<'_>) -> Result<(CodeRows, Vec<u8>), DecodeError> {
+        const BAD_TABLE: DecodeError = DecodeError::Corrupt {
+            what: "code slot table does not describe its entries",
+        };
+        let table = dec.read_bytes()?;
+        let entries = dec.read_bytes()?;
+        if !dec.is_at_end() || table.len() % CODE_ROW != 0 {
+            return Err(BAD_TABLE);
+        }
+        let mut rows = CodeRows::with_capacity(table.len() / CODE_ROW);
+        for row in table.chunks_exact(CODE_ROW) {
+            let (key, end) = row.split_at(16);
+            let key = CodeKey(u128::from_le_bytes(key.try_into().expect("16-byte key")));
+            let end = u32::from_le_bytes(end.try_into().expect("4-byte offset")) as usize;
+            if rows.last().is_some_and(|&(k, e)| key <= k || end < e) {
+                return Err(BAD_TABLE);
+            }
+            rows.push((key, end));
+        }
+        if rows.last().map_or(0, |&(_, end)| end) != entries.len() {
+            return Err(BAD_TABLE);
+        }
+        Ok((rows, entries.to_vec()))
+    }
+
+    /// Whether the slot holds exactly `keys` (ascending, distinct).
+    pub(crate) fn holds(&self, keys: impl Iterator<Item = CodeKey>) -> bool {
+        self.rows.iter().map(|&(key, _)| key).eq(keys)
+    }
+
+    /// The encoded entry stored under `key`.
+    pub(crate) fn find(&self, key: CodeKey) -> Option<&[u8]> {
+        let at = self.rows.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        let start = at.checked_sub(1).map_or(0, |before| self.rows[before].1);
+        Some(&self.entries[start..self.rows[at].1])
+    }
+}
+
+/// Manifest line of the code slot of `module` under `mode`. The name is
+/// escaped so that no module name can break the line-per-entry file.
+fn code_line(mode: &str, module: &str) -> String {
+    format!("code:{mode}:{}", module.escape_debug())
 }
 
 /// Outcome of a raw manifest + repository probe.
@@ -273,6 +369,10 @@ pub struct BuildCache {
     opened_len: u64,
     /// Module-tier hits [`BuildCache::materialize`] decoded.
     objects_decoded: u64,
+    /// Live routines the last build took from the code tier.
+    routines_replayed: u64,
+    /// Live routines the last build lowered.
+    routines_lowered: u64,
 }
 
 impl BuildCache {
@@ -394,6 +494,8 @@ impl BuildCache {
             dirty: recovered > 0,
             opened_len,
             objects_decoded: 0,
+            routines_replayed: 0,
+            routines_lowered: 0,
         })
     }
 
@@ -441,6 +543,29 @@ impl BuildCache {
         self.storage
             .size(REPO_FILE)
             .map_or(0, |len| len.saturating_sub(self.opened_len))
+    }
+
+    /// Live routines whose code the last build through this cache
+    /// decoded from the code tier instead of lowering (bench): all of
+    /// them after an edit that changed no live routine, zero on a cold
+    /// build or a whole-build replay.
+    #[must_use]
+    pub fn routines_replayed(&self) -> u64 {
+        self.routines_replayed
+    }
+
+    /// Live routines the last build through this cache ran
+    /// `lower_routine` on (bench): every one on a cold build, only the
+    /// changed ones after an edit, zero on a whole-build replay.
+    #[must_use]
+    pub fn routines_lowered(&self) -> u64 {
+        self.routines_lowered
+    }
+
+    /// Records how the last build's live routines were obtained.
+    pub(crate) fn record_routines(&mut self, replayed: u64, lowered: u64) {
+        self.routines_replayed = replayed;
+        self.routines_lowered = lowered;
     }
 
     /// Probes the cache for a module's front-end output under `key`
@@ -560,6 +685,93 @@ impl BuildCache {
     /// Records one planned profile slice in this build's counters.
     pub fn record_profile_slice(&mut self, stale: bool) {
         self.stats.record_profile_slice(stale);
+    }
+
+    /// Fetches the code slot of `module` under `mode` (opt level and
+    /// instrumentation; see [`code_mode`]), emitting a code-scope
+    /// `"hit"`, `"miss"` or `"invalidate"` event. A slot that cannot be
+    /// fetched intact, is of another kind, or whose table does not
+    /// describe its entries is dropped and counted as an invalidation:
+    /// its routines are lowered afresh and the slot stored anew.
+    pub(crate) fn get_code(
+        &mut self,
+        mode: &str,
+        module: &str,
+        tel: &Telemetry,
+    ) -> Option<CodeSlot> {
+        #[cfg(test)]
+        CODE_FETCHES.with(|c| c.set(c.get() + 1));
+        let line = code_line(mode, module);
+        let (action, bytes, slot) = match self.fetch(&line, TAG_CODE, CodeSlot::decode) {
+            Fetched::Hit((hash, (rows, entries)), len) => (
+                "hit",
+                len,
+                Some(CodeSlot {
+                    hash,
+                    rows,
+                    entries,
+                }),
+            ),
+            Fetched::Missing => ("miss", 0, None),
+            Fetched::Invalid => ("invalidate", 0, None),
+            Fetched::WrongKind(len) => ("invalidate", len, None),
+        };
+        self.stats.invalidations += u64::from(action == "invalidate");
+        emit(tel, action, "code", module, bytes);
+        slot
+    }
+
+    /// Reports an entry of `slot` that passed the slot's checks but
+    /// would not decode against its routine's reference tables — damage
+    /// only a worker's decode can find, so it is reported after the
+    /// fact, like [`BuildCache::materialize`]'s: the line is dropped,
+    /// the record evicted, an `"invalidate"` event emitted.
+    pub(crate) fn invalidate_code(
+        &mut self,
+        mode: &str,
+        module: &str,
+        slot: &CodeSlot,
+        tel: &Telemetry,
+    ) {
+        let line = code_line(mode, module);
+        if self.manifest.get(&line) == Some(&slot.hash) {
+            self.drop_line(&line);
+            self.repo.evict(slot.hash);
+            self.stats.invalidations += 1;
+            emit(tel, "invalidate", "code", module, 0);
+        }
+    }
+
+    /// Replaces the code slot of `module` under `mode` with exactly
+    /// `entries` (sorted by key, keys distinct). The previous record
+    /// becomes dead bytes for the next [`BuildCache::gc`].
+    pub(crate) fn put_code(
+        &mut self,
+        mode: &str,
+        module: &str,
+        entries: &[(CodeKey, &[u8])],
+        tel: &Telemetry,
+    ) {
+        #[cfg(test)]
+        CODE_STORES.with(|c| c.set(c.get() + 1));
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut table = Vec::with_capacity(entries.len() * CODE_ROW);
+        let mut body = Vec::with_capacity(entries.iter().map(|(_, e)| e.len()).sum());
+        for (key, entry) in entries {
+            body.extend_from_slice(entry);
+            let Ok(end) = u32::try_from(body.len()) else {
+                return; // a 4 GiB module: not worth a wider offset
+            };
+            table.extend_from_slice(&key.0.to_le_bytes());
+            table.extend_from_slice(&end.to_le_bytes());
+        }
+        let stored = self.store(code_line(mode, module), TAG_CODE, |enc| {
+            enc.write_bytes(&table);
+            enc.write_bytes(&body);
+        });
+        if let Some(bytes) = stored {
+            emit(tel, "store", "code", module, bytes);
+        }
     }
 
     /// Probes the cache for a whole build: the linked image plus the
@@ -863,7 +1075,7 @@ impl BuildCache {
                 let mut dec = Decoder::new(payload);
                 match dec.read_u8() {
                     Ok(found) if found == tag => decode(&mut dec).map_err(|_| false),
-                    Ok(TAG_OBJECT..=TAG_SCOPE) => Err(true),
+                    Ok(TAG_OBJECT..=TAG_CODE) => Err(true),
                     _ => Err(false),
                 }
             }
@@ -982,6 +1194,20 @@ pub fn object_fingerprint(module: &str, bytes: &[u8]) -> String {
     enc.write_str(module);
     enc.write_bytes(bytes);
     ContentHash::of(&enc.into_bytes()).to_hex()
+}
+
+/// The code tier's slot mode: one slot per module for each opt level
+/// and instrumentation setting, so a `+I` training build and the
+/// `+O4 +P` build it feeds keep separate slots and neither evicts the
+/// other's entries.
+#[must_use]
+pub(crate) fn code_mode(options: &BuildOptions) -> String {
+    let level = match options.level {
+        OptLevel::O1 => 1,
+        OptLevel::O2 => 2,
+        OptLevel::O4 => 4,
+    };
+    format!("o{level}{}", if options.instrument { "i" } else { "" })
 }
 
 /// Digest of every build option that can change the produced image or
@@ -1574,6 +1800,13 @@ mod tests {
                 );
                 // What an eager decode at probe time reports: `a` edited
                 // (miss), `b` intact (retained hit), `c` invalidated.
+                // The truncation also cuts off the three code slots the
+                // cold build stored after the objects.
+                let cut_slots = if let Damage::Truncation = damage {
+                    3
+                } else {
+                    0
+                };
                 let stats = cache.stats();
                 assert_eq!(
                     (
@@ -1582,7 +1815,7 @@ mod tests {
                         stats.invalidations,
                         stats.profile_retained_hits
                     ),
-                    (1, 2, 1, 1),
+                    (1, 2, 1 + cut_slots, 1),
                     "{damage:?} -j{jobs}"
                 );
                 assert_eq!(out.report.cache, stats, "{damage:?}: stored report agrees");
@@ -1613,6 +1846,244 @@ mod tests {
                 let warm = cc.build_cached(&options(jobs, &tel), &mut cache).unwrap();
                 assert!(warm.report.replayed.is_some());
                 assert_eq!(cache.stats().invalidations, 0);
+            }
+        }
+    }
+
+    /// How the code slot of one module gets damaged.
+    #[derive(Debug, Clone, Copy)]
+    enum CodeDamage {
+        /// A flipped payload byte on disk: CRC mismatch.
+        Crc,
+        /// The file cut short under a live index: short read.
+        Truncation,
+        /// The line re-pointed at an intact scope sidecar.
+        WrongTag,
+        /// The line re-pointed at CRC-valid bytes that are no slot.
+        Garbage,
+        /// A table length far beyond the record.
+        LengthBomb,
+        /// A table row whose entry ends beyond the entries.
+        OffsetBeyond,
+        /// A sound slot whose entry, under the right key, names a
+        /// callee ordinal the routine's body has no reference for.
+        BadOrdinal,
+    }
+
+    /// Whatever the damage and whenever it is found — when the slot is
+    /// fetched, or for [`CodeDamage::BadOrdinal`] only when a worker
+    /// decodes the entry — it costs a re-lowering of that module's
+    /// routines and nothing else: same image as an uncached build at
+    /// every `-j`, one invalidation, and a healed slot.
+    #[test]
+    fn damaged_code_records_cost_only_a_relowering() {
+        use cmo_llo::memo::{encode_entry, BodyRefs};
+        use cmo_naim::MemStorage;
+        let sources = |extra: &str| -> Vec<(String, String)> {
+            vec![
+                (
+                    "a".to_owned(),
+                    format!("fn fa(x: int) -> int {{ return x * 2; }}\n{extra}"),
+                ),
+                (
+                    "b".to_owned(),
+                    "fn fb(x: int) -> int { return x + 2; }".to_owned(),
+                ),
+                (
+                    "c".to_owned(),
+                    "extern fn fa(x: int) -> int;
+                     extern fn fb(x: int) -> int;
+                     fn main() -> int { return fa(input()) + fb(input()); }"
+                        .to_owned(),
+                ),
+            ]
+        };
+        let db = {
+            let mut cc = crate::Compiler::new();
+            cc.add_sources(&sources(""), 1).unwrap();
+            let train = cc.build(&BuildOptions::instrumented()).unwrap();
+            train.run_for_profile(&[3, 4]).unwrap()
+        };
+        // Inlining off, so `main` keeps its two calls: relocation and
+        // the ordinal check have something to do.
+        let options = |jobs: usize, tel: &Telemetry| {
+            let mut options = BuildOptions::new(OptLevel::O4)
+                .with_profile_db(db.clone())
+                .with_jobs(jobs)
+                .with_telemetry(tel.clone());
+            options.inline.small_callee_il = 0;
+            options.inline.hot_callee_il = 0;
+            options
+        };
+        let session = |storage: &Arc<MemStorage>,
+                       modules: &[(String, String)],
+                       jobs: usize,
+                       tel: &Telemetry,
+                       damage: &mut dyn FnMut(&mut BuildCache)| {
+            let mut cache =
+                BuildCache::open_on(Arc::clone(storage) as Arc<dyn Storage>, tel).unwrap();
+            damage(&mut cache);
+            let mut cc = crate::Compiler::new();
+            cc.add_sources_cached_with(modules, &options(jobs, tel), &mut cache)
+                .unwrap();
+            let out = cc.build_cached(&options(jobs, tel), &mut cache).unwrap();
+            (out, cache)
+        };
+        let cold = Arc::new(MemStorage::new());
+        session(&cold, &sources(""), 1, &Telemetry::disabled(), &mut |_| {});
+        // The session under test appends a dead routine to `a` — the
+        // build tier misses, `main` in `c` is unchanged — and finds
+        // `c`'s slot damaged.
+        let edited = sources("fn extra(x: int) -> int { return x; }");
+        let uncached = {
+            let mut cc = crate::Compiler::new();
+            cc.add_sources(&edited, 1).unwrap();
+            cc.build(&options(1, &Telemetry::disabled())).unwrap()
+        };
+        let line = code_line("o4", "c");
+        for damage in [
+            CodeDamage::Crc,
+            CodeDamage::Truncation,
+            CodeDamage::WrongTag,
+            CodeDamage::Garbage,
+            CodeDamage::LengthBomb,
+            CodeDamage::OffsetBeyond,
+            CodeDamage::BadOrdinal,
+        ] {
+            for jobs in [1, 4] {
+                let storage = Arc::new(cold.snapshot());
+                let tel = Telemetry::enabled();
+                let mut apply = |cache: &mut BuildCache| {
+                    let hash = cache.manifest[&line];
+                    let handle = cache.repo.lookup(hash).expect("c has a slot");
+                    let payload = cache.repo.fetch(handle).unwrap();
+                    let file = storage.read(REPO_FILE).unwrap();
+                    let at = file
+                        .windows(payload.len())
+                        .position(|w| w == payload)
+                        .expect("the slot is in the repository");
+                    let forge = |cache: &mut BuildCache, bytes: &[u8]| {
+                        let handle = cache.repo.store(bytes).unwrap();
+                        let hash = cache.repo.hash_of(handle).unwrap();
+                        cache.manifest.insert(line.clone(), hash);
+                    };
+                    // The real slot: one row (`main`'s key), one entry.
+                    let key = &payload[2..18];
+                    assert_eq!((payload[0], payload[1]), (TAG_CODE, CODE_ROW as u8));
+                    match damage {
+                        CodeDamage::Crc => {
+                            let mut file = file.clone();
+                            file[at + payload.len() / 2] ^= 0x40;
+                            storage.write(REPO_FILE, &file).unwrap();
+                        }
+                        CodeDamage::Truncation => storage
+                            .truncate(REPO_FILE, (at + payload.len() / 2) as u64)
+                            .unwrap(),
+                        CodeDamage::WrongTag => {
+                            let scope = *cache
+                                .manifest
+                                .iter()
+                                .find(|(k, _)| k.starts_with("scope:"))
+                                .expect("a scope sidecar")
+                                .1;
+                            cache.manifest.insert(line.clone(), scope);
+                        }
+                        CodeDamage::Garbage => forge(cache, &[TAG_CODE, 4, b'j', b'u', b'n', b'k']),
+                        CodeDamage::LengthBomb => forge(
+                            cache,
+                            &[TAG_CODE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0],
+                        ),
+                        CodeDamage::OffsetBeyond => {
+                            let mut enc = Encoder::new();
+                            enc.write_u8(TAG_CODE);
+                            enc.write_bytes(&[key, &u32::MAX.to_le_bytes()[..]].concat());
+                            enc.write_bytes(&[1, 2, 3]);
+                            forge(cache, &enc.into_bytes());
+                        }
+                        CodeDamage::BadOrdinal => {
+                            // A routine that calls the ninth of nine
+                            // callees, stored as `main`'s lowering.
+                            let refs = BodyRefs {
+                                callees: (0..9).map(cmo_ir::RoutineId).collect(),
+                                globals: Vec::new(),
+                            };
+                            let lowered = cmo_llo::LoweredRoutine {
+                                name: String::new(),
+                                code: vec![
+                                    cmo_vm::MInstr::Call {
+                                        routine: 8,
+                                        args: Vec::new(),
+                                        dst: None,
+                                    },
+                                    cmo_vm::MInstr::Ret { value: None },
+                                ],
+                                frame_slots: 0,
+                                probes: Vec::new(),
+                                shape: cmo_profile::RoutineShape {
+                                    n_blocks: 1,
+                                    n_sites: 1,
+                                    fingerprint: 0,
+                                },
+                                llo_work_bytes: 0,
+                                il_after_opt: 1,
+                            };
+                            let entry =
+                                encode_entry(&lowered, &refs, &cmo_llo::GlobalLayout::default())
+                                    .unwrap();
+                            let mut enc = Encoder::new();
+                            enc.write_u8(TAG_CODE);
+                            enc.write_bytes(
+                                &[key, &(entry.len() as u32).to_le_bytes()[..]].concat(),
+                            );
+                            enc.write_bytes(&entry);
+                            forge(cache, &enc.into_bytes());
+                        }
+                    }
+                };
+                let (out, cache) = session(&storage, &edited, jobs, &tel, &mut apply);
+                assert_eq!(
+                    out.image.to_bytes(),
+                    uncached.image.to_bytes(),
+                    "{damage:?} -j{jobs}: image differs from an uncached build"
+                );
+                let stats = cache.stats();
+                assert_eq!(stats.invalidations, 1, "{damage:?} -j{jobs}");
+                assert_eq!(out.report.cache, stats, "{damage:?}: stored report agrees");
+                assert_eq!(
+                    (cache.routines_lowered(), cache.routines_replayed()),
+                    (1, 2),
+                    "{damage:?} -j{jobs}: only `main` is lowered"
+                );
+                let trace = tel.render_trace();
+                let hit = trace.find(r#""action":"hit","scope":"code","name":"c""#);
+                let invalidate = trace
+                    .find(r#""action":"invalidate","scope":"code","name":"c""#)
+                    .unwrap_or_else(|| panic!("{damage:?}: no invalidate event: {trace}"));
+                let late = matches!(damage, CodeDamage::BadOrdinal);
+                match hit {
+                    Some(hit) => assert!(late && hit < invalidate, "{damage:?}: {trace}"),
+                    None => assert!(!late, "{damage:?}: a late invalidate follows a hit"),
+                }
+                assert!(
+                    trace[invalidate..].contains(r#""action":"store","scope":"code","name":"c""#),
+                    "{damage:?}: the slot is stored afresh: {trace}"
+                );
+                assert_eq!(
+                    trace.matches(r#""action":"store","scope":"code""#).count(),
+                    1,
+                    "{damage:?}: no other slot is rewritten: {trace}"
+                );
+                // Healed: another edit replays all three routines.
+                drop(cache);
+                let again = sources("fn extra(x: int) -> int { return x + 1; }");
+                let tel = Telemetry::disabled();
+                let (_, cache) = session(&storage, &again, jobs, &tel, &mut |_| {});
+                assert_eq!(cache.stats().invalidations, 0, "{damage:?} -j{jobs}");
+                assert_eq!(
+                    (cache.routines_lowered(), cache.routines_replayed()),
+                    (0, 3),
+                    "{damage:?} -j{jobs}: healed slot"
+                );
             }
         }
     }

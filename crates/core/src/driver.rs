@@ -1,7 +1,7 @@
 //! The compilation driver: HP-UX-style option levels over the full
 //! pipeline.
 
-use crate::cache::{self, BuildCache, CacheStats, CachedObject};
+use crate::cache::{self, BuildCache, CacheStats, CachedObject, CodeSlot};
 use crate::parallel::run_jobs;
 use crate::report::{CompileReport, FaultStats};
 use crate::slices::{ModuleScope, SliceGranularity, SlicePlan};
@@ -12,6 +12,7 @@ use cmo_hlo::{
 };
 use cmo_ir::{link_objects, IlObject, LinkError, Program, RoutineBody, RoutineId};
 use cmo_link::{assemble, CallArc, LinkOptions};
+use cmo_llo::memo::{decode_entry, encode_entry, routine_key, CodeKey};
 use cmo_llo::{
     lower_routine, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort, OptEffortOpt,
 };
@@ -433,6 +434,8 @@ thread_local! {
     static COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// `IlObject` clones made to feed a link, on this thread.
     static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// `lower_routine` calls on this thread (all of a `-j1` build's).
+    static LOWERINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The front end, counted in test builds.
@@ -917,6 +920,7 @@ impl Compiler {
                 phases: stored.phases.clone(),
                 replayed: Some(stored),
             };
+            bcache.record_routines(0, 0);
             persist_or_degrade(bcache, &tel);
             return Ok(BuildOutput { image, report });
         }
@@ -924,7 +928,7 @@ impl Compiler {
             Some(objects) => objects,
             None => self.objects(Some(bcache), &tel)?,
         };
-        let mut out = build_objects(objects, options)?;
+        let mut out = build_objects_with(objects, options, Some(bcache))?;
         // Snapshot the cache counters *before* building the report
         // that gets stored, so the stored report equals the one this
         // cold run emits — the warm replay then matches byte for byte.
@@ -1074,6 +1078,27 @@ fn arcs_from(
 pub fn build_objects(
     objects: Vec<IlObject>,
     options: &BuildOptions,
+) -> Result<BuildOutput, BuildError> {
+    build_objects_with(objects, options, None)
+}
+
+/// One live routine's passage through the code tier.
+struct CodeUse {
+    key: CodeKey,
+    /// The entry encoded from a fresh lowering; `None` when the slot's
+    /// entry under `key` was replayed.
+    fresh: Option<Vec<u8>>,
+    /// The slot had an entry under `key` that would not decode.
+    damaged: bool,
+}
+
+/// [`build_objects`], with the incremental cache's code tier in the LLO
+/// stage when there is a cache: each live routine is looked up under
+/// its id-free key in its module's slot and lowered only on a miss.
+fn build_objects_with(
+    objects: Vec<IlObject>,
+    options: &BuildOptions,
+    mut bcache: Option<&mut BuildCache>,
 ) -> Result<BuildOutput, BuildError> {
     let tel = options.telemetry.clone();
     let unit = {
@@ -1301,21 +1326,35 @@ pub fn build_objects(
     let maintained_counts: Vec<Mutex<Option<Vec<u64>>>> =
         maintained_counts.into_iter().map(Mutex::new).collect();
     let llo_phase = tel.phase("llo");
+    // The code tier's slots, one per module, fetched on the calling
+    // thread in module order (as every cache access is) and shared
+    // read-only with the workers.
+    let mode = cache::code_mode(options);
+    let module_name = |m: usize| program.name(program.modules()[m].name);
+    let slots: Option<Vec<Option<CodeSlot>>> = bcache.as_deref_mut().map(|bcache| {
+        (0..program.modules().len())
+            .map(|m| bcache.get_code(&mode, module_name(m), &tel))
+            .collect()
+    });
     // Per-routine LLO is the pipeline's embarrassingly-parallel stage
     // (the LTRANS-style fan-out): each routine lowers independently
-    // against shared read-only program state. Jobs are keyed by routine
-    // index and merged in index order below, so the lowered code — and
-    // every downstream byte — is identical at any `-j`. Workers tag
-    // their telemetry handle with a worker id and advance only the
-    // work clock (commutative adds); no events are emitted here, which
-    // is what keeps traces byte-identical across job counts.
-    let lowered: Vec<LoweredRoutine> = run_jobs(bodies.len(), options.jobs.max(1), |worker, i| {
+    // against shared read-only program state — or, with a cache, is
+    // decoded from its module's slot when an entry under its id-free
+    // key is there, the two being arms of one step. Jobs are keyed by
+    // routine index and merged in index order below, so the lowered
+    // code — and every downstream byte — is identical at any `-j`.
+    // Workers tag their telemetry handle with a worker id and advance
+    // only the work clock (commutative adds, the same on either arm);
+    // no events are emitted here, which is what keeps traces
+    // byte-identical across job counts.
+    let jobs = run_jobs(bodies.len(), options.jobs.max(1), |worker, i| {
         let body = &bodies[i];
         let rid = RoutineId::from_index(i);
-        let name = program.name(program.routine(rid).name);
+        let meta = program.routine(rid);
+        let name = program.name(meta.name);
         if is_dead[i] {
             // Dead routine elimination: skip all LLO work, emit a stub.
-            return LoweredRoutine {
+            let stub = LoweredRoutine {
                 name: name.to_owned(),
                 code: vec![cmo_vm::MInstr::Ret { value: None }],
                 frame_slots: 0,
@@ -1324,6 +1363,7 @@ pub fn build_objects(
                 llo_work_bytes: 0,
                 il_after_opt: 0,
             };
+            return (stub, None);
         }
         let block_counts = if options.pbo {
             let maintained = maintained_counts[i]
@@ -1343,16 +1383,58 @@ pub fn build_objects(
             instrument: options.instrument,
             block_counts,
         };
-        let lr = lower_routine(rid, body, &program, &layout, &llo_opts);
+        // With a cache the routine is keyed, and the entry its module's
+        // slot holds under that key — if any, and if it decodes — is
+        // the lowering; otherwise the routine is lowered, and with a
+        // cache the result encoded for the slot.
+        let keyed = slots.as_ref().map(|slots| {
+            let (key, refs) = routine_key(rid, body, &program, &layout, &llo_opts);
+            let stored = slots[meta.module.index()]
+                .as_ref()
+                .and_then(|slot| slot.find(key));
+            (key, refs, stored)
+        });
+        let decoded = keyed
+            .as_ref()
+            .and_then(|(_, refs, stored)| Some(decode_entry((*stored)?, name, refs, &layout)));
+        let (lr, code_use) = match (decoded, keyed) {
+            (Some(Ok(lr)), Some((key, ..))) => {
+                let replayed = CodeUse {
+                    key,
+                    fresh: None,
+                    damaged: false,
+                };
+                (lr, Some(replayed))
+            }
+            (decoded, keyed) => {
+                let lr = lower(rid, body, &program, &layout, &llo_opts);
+                let code_use = keyed.and_then(|(key, refs, _)| {
+                    // A routine whose lowering cannot be encoded stays
+                    // out of its slot and is lowered every build.
+                    let fresh = encode_entry(&lr, &refs, &layout)?;
+                    Some(CodeUse {
+                        key,
+                        fresh: Some(fresh),
+                        damaged: decoded.is_some(),
+                    })
+                });
+                (lr, code_use)
+            }
+        };
         tel.for_worker(worker)
             .work(u64::from(lr.il_after_opt) * 3 + (lr.llo_work_bytes as u64) / 256);
-        lr
+        (lr, code_use)
     });
     // Stable merge: fold per-routine results into the report in routine
     // order, regardless of which worker produced them.
+    let (lowered, code_uses): (Vec<LoweredRoutine>, Vec<Option<CodeUse>>) =
+        jobs.into_iter().unzip();
     for lr in &lowered {
         report.llo_peak_bytes = report.llo_peak_bytes.max(lr.llo_work_bytes);
         report.compile_work += u64::from(lr.il_after_opt) * 3 + (lr.llo_work_bytes as u64) / 256;
+    }
+    if let (Some(bcache), Some(slots)) = (bcache, &slots) {
+        store_code_slots(bcache, &mode, &program, &is_dead, slots, &code_uses, &tel);
     }
     drop(llo_phase);
 
@@ -1384,6 +1466,80 @@ pub fn build_objects(
     report.image_instrs = image.code_size();
     report.phases = tel.phases();
     Ok(BuildOutput { image, report })
+}
+
+/// `lower_routine`, counted in test builds.
+fn lower(
+    rid: RoutineId,
+    body: &RoutineBody,
+    program: &Program,
+    layout: &GlobalLayout,
+    options: &LloOptions,
+) -> LoweredRoutine {
+    #[cfg(test)]
+    LOWERINGS.with(|c| c.set(c.get() + 1));
+    lower_routine(rid, body, program, layout, options)
+}
+
+/// The code tier's write half, on the calling thread in module order
+/// after the LLO merge: a slot whose live routines used exactly the
+/// keys it already holds is left alone (an unchanged module appends
+/// nothing); any other is *replaced* by the entries this build used —
+/// replayed ones copied from the old slot, the rest freshly encoded —
+/// never merged with what it held, so a slot cannot outgrow its
+/// module. A slot in which a worker found an undecodable entry is
+/// invalidated first and always rewritten.
+fn store_code_slots(
+    bcache: &mut BuildCache,
+    mode: &str,
+    program: &Program,
+    is_dead: &[bool],
+    slots: &[Option<CodeSlot>],
+    code_uses: &[Option<CodeUse>],
+    tel: &Telemetry,
+) {
+    let mut by_module: Vec<Vec<&CodeUse>> = vec![Vec::new(); slots.len()];
+    let (mut replayed, mut live) = (0u64, 0u64);
+    for (i, code_use) in code_uses.iter().enumerate() {
+        live += u64::from(!is_dead[i]);
+        if let Some(code_use) = code_use {
+            replayed += u64::from(code_use.fresh.is_none());
+            let module = program.routine(RoutineId::from_index(i)).module;
+            by_module[module.index()].push(code_use);
+        }
+    }
+    bcache.record_routines(replayed, live - replayed);
+    for (m, (mut uses, slot)) in by_module.into_iter().zip(slots).enumerate() {
+        let module = program.name(program.modules()[m].name);
+        // Routines of one module with one key share one entry.
+        uses.sort_by_key(|u| u.key);
+        uses.dedup_by_key(|u| u.key);
+        let damaged = uses.iter().any(|u| u.damaged);
+        if let (true, Some(slot)) = (damaged, slot) {
+            bcache.invalidate_code(mode, module, slot, tel);
+        }
+        if !damaged
+            && slot
+                .as_ref()
+                .is_some_and(|s| s.holds(uses.iter().map(|u| u.key)))
+        {
+            continue;
+        }
+        let entries: Vec<(CodeKey, &[u8])> = uses
+            .iter()
+            .map(|u| {
+                let bytes = match &u.fresh {
+                    Some(bytes) => bytes.as_slice(),
+                    None => slot
+                        .as_ref()
+                        .and_then(|s| s.find(u.key))
+                        .expect("a replayed entry came from this slot"),
+                };
+                (u.key, bytes)
+            })
+            .collect();
+        bcache.put_code(mode, module, &entries, tel);
+    }
 }
 
 /// Commits the cache, downgrading a persist failure (full disk,
@@ -1863,6 +2019,122 @@ mod tests {
             .build(&BuildOptions::new(OptLevel::O4).with_profile_db(retrained))
             .unwrap();
         assert_eq!(other.out.image.to_bytes(), uncached.image.to_bytes());
+    }
+
+    /// What one cached `+O4 +P` session did to the code tier, with
+    /// inlining off so every routine `main` calls stays a live routine
+    /// of its own module.
+    struct CodeSession {
+        out: BuildOutput,
+        lowerings: u64,
+        fetches: u64,
+        stores: u64,
+        replayed: u64,
+        lowered: u64,
+    }
+
+    fn no_inlining(db: &ProfileDb) -> BuildOptions {
+        let mut options = BuildOptions::new(OptLevel::O4).with_profile_db(db.clone());
+        options.inline.small_callee_il = 0;
+        options.inline.hot_callee_il = 0;
+        options
+    }
+
+    fn code_session(
+        storage: &std::sync::Arc<CountingStorage>,
+        modules: &[(String, String)],
+        db: &ProfileDb,
+    ) -> CodeSession {
+        use crate::cache::{CODE_FETCHES, CODE_STORES};
+        let counters = || {
+            (
+                LOWERINGS.with(std::cell::Cell::get),
+                CODE_FETCHES.with(std::cell::Cell::get),
+                CODE_STORES.with(std::cell::Cell::get),
+            )
+        };
+        let before = counters();
+        let storage: std::sync::Arc<dyn cmo_naim::Storage> = storage.clone();
+        let mut cache = BuildCache::open_on(storage, &Telemetry::disabled()).unwrap();
+        let mut cc = Compiler::new();
+        cc.add_sources_cached_with(modules, &no_inlining(db), &mut cache)
+            .unwrap();
+        let out = cc.build_cached(&no_inlining(db), &mut cache).unwrap();
+        let after = counters();
+        CodeSession {
+            out,
+            lowerings: after.0 - before.0,
+            fetches: after.1 - before.1,
+            stores: after.2 - before.2,
+            replayed: cache.routines_replayed(),
+            lowered: cache.routines_lowered(),
+        }
+    }
+
+    fn uncached_image(modules: &[(String, String)], db: &ProfileDb) -> Vec<u8> {
+        let mut cc = Compiler::new();
+        cc.add_sources(modules, 1).unwrap();
+        cc.build(&no_inlining(db)).unwrap().image.to_bytes()
+    }
+
+    #[test]
+    fn a_cold_cached_build_lowers_every_live_routine_once_and_stores_a_slot_per_module() {
+        let modules = six_modules();
+        let db = trained(&modules);
+        let storage = std::sync::Arc::new(CountingStorage::default());
+        let cold = code_session(&storage, &modules, &db);
+        // `main` and the five routines it calls.
+        assert_eq!((cold.lowerings, cold.lowered, cold.replayed), (6, 6, 0));
+        assert_eq!((cold.fetches, cold.stores), (6, 6));
+        assert_eq!(cold.out.image.to_bytes(), uncached_image(&modules, &db));
+
+        // Nothing changed: the build tier answers before any slot is read.
+        let warm = code_session(&storage, &modules, &db);
+        assert!(warm.out.report.replayed.is_some());
+        assert_eq!((warm.lowerings, warm.fetches, warm.stores), (0, 0, 0));
+        assert_eq!((warm.lowered, warm.replayed), (0, 0));
+    }
+
+    #[test]
+    fn an_edit_that_changes_no_live_routine_lowers_nothing_and_stores_no_slot() {
+        let mut modules = six_modules();
+        let db = trained(&modules);
+        let storage = std::sync::Arc::new(CountingStorage::default());
+        code_session(&storage, &modules, &db);
+        // A new routine nothing calls: dead, and ahead of `main` in
+        // link order, so every later routine's id moves.
+        modules[2]
+            .1
+            .push_str("fn untouched_extra(x: int) -> int { return x; }\n");
+        let edit = code_session(&storage, &modules, &db);
+        assert!(edit.out.report.replayed.is_none());
+        assert_eq!((edit.lowerings, edit.lowered, edit.replayed), (0, 0, 6));
+        assert_eq!((edit.fetches, edit.stores), (6, 0));
+        assert_eq!(edit.out.image.to_bytes(), uncached_image(&modules, &db));
+    }
+
+    #[test]
+    fn a_body_edit_of_a_live_routine_lowers_it_alone_and_rewrites_its_slot_alone() {
+        let mut modules = six_modules();
+        let db = trained(&modules);
+        let storage = std::sync::Arc::new(CountingStorage::default());
+        code_session(&storage, &modules, &db);
+        modules[2].1 = modules[2].1.replace("x * 4 + 2", "x * 4 + 3");
+        assert_ne!(modules, six_modules(), "the edit took");
+        let edit = code_session(&storage, &modules, &db);
+        assert!(edit.out.report.replayed.is_none());
+        assert_eq!((edit.lowerings, edit.lowered, edit.replayed), (1, 1, 5));
+        assert_eq!((edit.fetches, edit.stores), (6, 1));
+        assert_eq!(edit.out.image.to_bytes(), uncached_image(&modules, &db));
+
+        // Replace, not merge: the slot now holds the edited body's
+        // entry alone, so going back (past the build tier, by way of an
+        // unrelated dead routine) lowers the old body again.
+        let mut reverted = six_modules();
+        reverted[4].1.push_str("fn bump() -> int { return 1; }\n");
+        let back = code_session(&storage, &reverted, &db);
+        assert!(back.out.report.replayed.is_none());
+        assert_eq!((back.lowerings, back.stores), (1, 1));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The driver's parallel sections (front-end lowering, per-routine LLO)
 //! all follow one shape: `n` independent jobs, each producing a result
 //! keyed by its index, merged back in index order. [`try_run_jobs`] is
-//! that shape: workers pull job indices from a shared queue (an atomic
+//! that shape: workers — the calling thread and `workers - 1` threads
+//! spawned beside it — pull job indices from a shared queue (an atomic
 //! cursor), write results into index-keyed slots, and the caller gets a
 //! `Vec` in job order — so the *output* is independent of which worker
 //! ran which job, and byte-identical across `-j` levels.
@@ -58,8 +59,9 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// in job order, with each panic contained as a [`JobError`].
 ///
 /// `f` is called once per job index `i` in `0..n_jobs`, with the id of
-/// the executing worker as its first argument (0 when running inline,
-/// `1..=workers` on pool threads). Worker ids exist for telemetry
+/// the executing worker as its first argument (0 when running inline;
+/// in pool mode 1 on the calling thread and `2..=workers` on the
+/// threads spawned beside it). Worker ids exist for telemetry
 /// tagging only — results are keyed by job index, never by worker.
 pub fn try_run_jobs<R, F>(n_jobs: usize, workers: usize, f: F) -> Vec<Result<R, JobError>>
 where
@@ -78,20 +80,27 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, JobError>>>> =
         (0..n_jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for worker in 1..=workers.min(n_jobs) {
-            let cursor = &cursor;
-            let slots = &slots;
-            let guarded = &guarded;
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n_jobs {
-                    break;
-                }
-                let result = guarded(worker as u32, i);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
+    let work = |worker: u32| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n_jobs {
+            break;
         }
+        let result = guarded(worker, i);
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+    };
+    // The calling thread is worker 1 and `workers - 1` threads are
+    // spawned beside it. A caller parked behind `workers` fresh
+    // threads does the same work on an idle machine, but leaves every
+    // fan-out waiting for the scheduler to place all of its workers;
+    // at `-j nproc` beside a busy neighbour that cost as much as the
+    // fan-out saved. With the caller already on a core and pulling
+    // jobs, a late or slow helper costs only the jobs it did not take.
+    std::thread::scope(|s| {
+        for worker in 2..=workers.min(n_jobs) {
+            let work = &work;
+            s.spawn(move || work(worker as u32));
+        }
+        work(1);
     });
     slots
         .into_iter()
@@ -158,6 +167,24 @@ mod tests {
     fn pool_mode_uses_nonzero_worker_ids() {
         let out = run_jobs(64, 4, |w, _| w);
         assert!(out.iter().all(|&w| (1..=4).contains(&w)));
+    }
+
+    #[test]
+    fn the_calling_thread_is_worker_one_of_the_pool() {
+        // Four jobs that each wait for the other three: every worker,
+        // the caller included, takes exactly one.
+        let barrier = std::sync::Barrier::new(4);
+        let out = run_jobs(4, 4, |w, _| {
+            barrier.wait();
+            (w, std::thread::current().id())
+        });
+        let caller = std::thread::current().id();
+        let mut workers: Vec<u32> = out.iter().map(|&(w, _)| w).collect();
+        workers.sort_unstable();
+        assert_eq!(workers, vec![1, 2, 3, 4]);
+        for (w, thread) in out {
+            assert_eq!(w == 1, thread == caller);
+        }
     }
 
     #[test]

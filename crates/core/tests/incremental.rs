@@ -239,11 +239,15 @@ fn corrupted_cache_falls_back_to_identical_full_recompile() {
 
     let (cold_out, _, _) = build(&dir, &cache, "1", "cold");
 
-    // Flip one byte in the stored records region of the repository.
+    // Flip one byte of a record every build reads: the first module
+    // object (an unchanged build replays before reading a code slot).
     let repo = cache.join("repo.naim");
     let mut bytes = std::fs::read(&repo).unwrap();
-    let mid = bytes.len() / 3;
-    bytes[mid] ^= 0xFF;
+    let at = bytes
+        .windows(5)
+        .position(|w| w == b"scale")
+        .expect("util's object names its routine");
+    bytes[at] ^= 0xFF;
     std::fs::write(&repo, &bytes).unwrap();
 
     // The fallback succeeds but flags the corruption via exit code 3.
@@ -454,6 +458,93 @@ fn undecodable_record_found_at_link_time_costs_only_a_recompile() {
         let (_, _, healed) = build(&dir, &cache, jobs, &format!("healed{jobs}"));
         assert!(healed.contains(r#""action":"replay","scope":"build""#));
     }
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The code tier's damage path through `cmocc`: `app`'s code slot is
+/// re-pointed at a CRC-valid record that is no slot. The next edit's
+/// build finds it when it fetches the slots, lowers `app`'s routines
+/// afresh — exit 3, the image of an uncached build — and stores a sound
+/// slot, so the edit after that replays `main` without a complaint.
+#[test]
+fn damaged_code_slot_costs_only_a_relowering() {
+    use cmo_naim::{ContentHash, Repository};
+    let dir = workdir("codedamage");
+    let (util, app) = write_sources(&dir);
+    let cache = dir.join("cache");
+    build(&dir, &cache, "1", "cold");
+    {
+        let repo_path = cache.join("repo.naim");
+        let junk = [5u8, 4, b'j', b'u', b'n', b'k']; // code tag, no table
+        let mut repo = Repository::open(&repo_path).unwrap();
+        repo.store(&junk).unwrap();
+        repo.flush_index().unwrap();
+        drop(repo);
+        let manifest: String = std::fs::read_to_string(cache.join("manifest.tsv"))
+            .unwrap()
+            .lines()
+            .map(|line| match line.strip_prefix("code:o4:app\t") {
+                Some(_) => format!("code:o4:app\t{}\n", ContentHash::of(&junk).to_hex()),
+                None => format!("{line}\n"),
+            })
+            .collect();
+        assert!(manifest.contains(&ContentHash::of(&junk).to_hex()));
+        std::fs::write(cache.join("manifest.tsv"), manifest).unwrap();
+        let committed = std::fs::metadata(&repo_path).unwrap().len();
+        std::fs::write(
+            cache.join("commit.journal"),
+            format!("cmo.journal.v1\n{committed}\n"),
+        )
+        .unwrap();
+    }
+
+    // An edit that leaves `main` as it was: a routine nothing calls.
+    let edited = format!("{UTIL}fn spare(x: int) -> int {{ return x; }}\n");
+    std::fs::write(&util, &edited).unwrap();
+    let uncached = cmocc()
+        .args(["+O4", "--emit-asm", "--run", "-"])
+        .args([&util, &app])
+        .output()
+        .unwrap();
+    assert!(uncached.status.success());
+    let uncached = String::from_utf8_lossy(&uncached.stdout).into_owned();
+    let image = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .skip_while(|line| !line.contains("; routine #"))
+            .map(str::to_owned)
+            .collect()
+    };
+
+    let (out, _, trace) = build_expecting(&dir, &cache, "4", "hurt", 3);
+    let invalidate = trace
+        .find(r#""action":"invalidate","scope":"code","name":"app""#)
+        .unwrap_or_else(|| panic!("the slot fetch invalidates it: {trace}"));
+    assert!(
+        trace[invalidate..].contains(r#""action":"store","scope":"code","name":"app""#),
+        "{trace}"
+    );
+    assert!(
+        out.contains("cache: 1 module hits, 1 misses, 1 invalidations"),
+        "{out}"
+    );
+    assert_eq!(image(&out), image(&uncached), "image differs");
+    assert!(image(&out)
+        .iter()
+        .any(|l| l.starts_with("ran main: returned")));
+
+    std::fs::write(
+        &util,
+        format!("{edited}fn spare2() -> int {{ return 2; }}\n"),
+    )
+    .unwrap();
+    let (_, _, healed) = build(&dir, &cache, "1", "healed");
+    assert!(
+        healed.contains(r#""action":"hit","scope":"code","name":"app""#)
+            && !healed.contains(r#""action":"store","scope":"code""#),
+        "{healed}"
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -181,8 +181,9 @@ fn absurd_nesting_is_a_diagnostic_on_worker_threads() {
             "}".repeat(100_000)
         ),
         format!(
-            "fn main() {{ if (1) {{ }} {} }}",
-            "else if (1) { }".repeat(100_000)
+            "fn main() {{ {} {} }}",
+            "if (1) {".repeat(257),
+            "}".repeat(257)
         ),
     ]
     .into_iter()
@@ -205,8 +206,43 @@ fn absurd_nesting_is_a_diagnostic_on_worker_threads() {
     }
 }
 
-/// What the nesting limit does not limit: an operator chain is parsed
-/// by a loop, and lowered by one too, however long it is.
+/// What the nesting limit does not limit: an `else if` chain is parsed
+/// by a loop, and lowered by one too, however long it is — a dispatcher
+/// with an arm per module is ordinary code. On the default test-thread
+/// stack, through every level's optimizer, the chain selects the right
+/// arm.
+#[test]
+fn a_thousand_arm_else_if_chain_compiles_and_selects_the_right_arm() {
+    let arms: String = (1..1000)
+        .map(|k| format!(" else if (sel == {k}) {{ r = {}; }}", k * 7 + 1))
+        .collect();
+    let source = format!(
+        "fn main() -> int {{\n var sel: int = input();\n var r: int = 0;\n \
+         if (sel == 0) {{ r = 1; }}{arms} else {{ r = -1; }}\n return r;\n}}\n"
+    );
+    let mut cc = Compiler::new();
+    cc.add_source("chain", &source).unwrap();
+    for level in [OptLevel::O1, OptLevel::O2, OptLevel::O4] {
+        let out = cc.build(&BuildOptions::new(level)).unwrap();
+        for (sel, want) in [
+            (0, 1),
+            (1, 8),
+            (500, 3501),
+            (999, 6994),
+            (1000, -1),
+            (-5, -1),
+        ] {
+            assert_eq!(
+                out.run(&[sel]).unwrap().returned,
+                want,
+                "{level:?} sel {sel}"
+            );
+        }
+    }
+}
+
+/// Nor an operator chain: parsed by a loop, and lowered by one too,
+/// however long it is.
 #[test]
 fn long_operator_chains_compile_on_worker_threads() {
     let sum = format!(

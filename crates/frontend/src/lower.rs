@@ -81,6 +81,9 @@ struct Lowerer<'m, 's> {
     epoch: u32,
     /// Innermost-last stack of `(continue target, break target)`.
     loops: Vec<(Block, Block)>,
+    /// Join blocks of the `else if` chains being lowered, innermost
+    /// arm last.
+    joins: Vec<Block>,
     /// Pending right operands of the operator chains being lowered.
     spine: Vec<(BinExprOp, ExprId, u32)>,
 }
@@ -109,6 +112,7 @@ pub fn lower_module(name: &str, module: &Module<'_>) -> Result<IlObject, Fronten
         ],
         epoch: 0,
         loops: Vec::new(),
+        joins: Vec::new(),
         spine: Vec::new(),
     };
 
@@ -500,25 +504,49 @@ impl FnLowerer<'_, '_, '_> {
                 Ok(())
             }
             StmtKind::If {
-                cond,
-                then_body,
-                else_body,
+                mut cond,
+                mut then_body,
+                mut else_body,
             } => {
-                let then_b = self.f.new_block();
-                let else_b = self.f.new_block();
-                let join = self.f.new_block();
-                self.lower_branch(cond, then_b, else_b)?;
-                self.f.switch_to(then_b);
-                self.lower_stmts(then_body)?;
-                if !self.f.is_terminated() {
-                    self.f.jump(join);
+                // An else branch that is a single `if` (the `else if`
+                // sugar) continues this loop instead of recursing, so a
+                // chain lowers in constant stack however long it is —
+                // to the blocks the recursion would have made: each
+                // arm's join is entered, innermost first, once the last
+                // else branch is done.
+                let mark = self.cx.joins.len();
+                loop {
+                    let then_b = self.f.new_block();
+                    let else_b = self.f.new_block();
+                    self.cx.joins.push(self.f.new_block());
+                    self.lower_branch(cond, then_b, else_b)?;
+                    self.f.switch_to(then_b);
+                    self.lower_stmts(then_body)?;
+                    if !self.f.is_terminated() {
+                        self.f.jump(self.cx.joins[self.cx.joins.len() - 1]);
+                    }
+                    self.f.switch_to(else_b);
+                    match ast.stmt_run(else_body) {
+                        [Stmt {
+                            kind:
+                                StmtKind::If {
+                                    cond: c,
+                                    then_body: t,
+                                    else_body: e,
+                                },
+                            ..
+                        }] => (cond, then_body, else_body) = (*c, *t, *e),
+                        _ => break,
+                    }
                 }
-                self.f.switch_to(else_b);
                 self.lower_stmts(else_body)?;
-                if !self.f.is_terminated() {
-                    self.f.jump(join);
+                while self.cx.joins.len() > mark {
+                    let join = self.cx.joins.pop().expect("an arm is open");
+                    if !self.f.is_terminated() {
+                        self.f.jump(join);
+                    }
+                    self.f.switch_to(join);
                 }
-                self.f.switch_to(join);
                 Ok(())
             }
             StmtKind::While { cond, body } => {

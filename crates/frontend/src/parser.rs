@@ -25,6 +25,9 @@ struct Parser<'s> {
     /// list moves to its arena as one run.
     stmt_stack: Vec<Stmt>,
     expr_stack: Vec<Expr>,
+    /// Arms `(condition, body, offset of the `if`)` of the `else if`
+    /// chains being parsed, innermost chain last.
+    arm_stack: Vec<(ExprId, Span, u32)>,
     /// The parameter list being parsed.
     param_buf: Vec<Param>,
     extern_param_buf: Vec<TypeName>,
@@ -365,25 +368,41 @@ impl Parser<'_> {
                 stmt(StmtKind::Var { name, ty, init })
             }
             TokenKind::Kw(Kw::If) => {
-                self.bump();
-                let cond = self.parse_condition()?;
-                let then_body = self.parse_block()?;
-                let else_body = if self.eat_kw(Kw::Else) {
-                    if self.at_kw(Kw::If) {
-                        // `else if` sugar: an else branch of one `if`.
-                        let nested_if = self.nested(self.here(), Self::parse_stmt)?;
-                        self.ast.push_stmts([nested_if])
-                    } else {
-                        self.parse_block()?
+                // An `else if` chain nests no deeper than its first
+                // `if`, however long it is: its arms are collected by
+                // this loop, so `depth` bounds recursion only, and then
+                // folded from the tail into the nested `if`s the sugar
+                // stands for — each later `if` the one statement of the
+                // previous arm's else branch.
+                let mark = self.arm_stack.len();
+                let mut else_body = loop {
+                    let offset = self.bump().offset;
+                    let cond = self.parse_condition()?;
+                    let then_body = self.parse_block()?;
+                    self.arm_stack.push((cond, then_body, offset));
+                    if !self.eat_kw(Kw::Else) {
+                        break Span::default();
                     }
-                } else {
-                    Span::default()
+                    if !self.at_kw(Kw::If) {
+                        break self.parse_block()?;
+                    }
                 };
-                stmt(StmtKind::If {
-                    cond,
-                    then_body,
-                    else_body,
-                })
+                loop {
+                    let (cond, then_body, offset) =
+                        self.arm_stack.pop().expect("the chain has an arm");
+                    let arm = Stmt {
+                        kind: StmtKind::If {
+                            cond,
+                            then_body,
+                            else_body,
+                        },
+                        offset,
+                    };
+                    if self.arm_stack.len() == mark {
+                        break Ok(arm);
+                    }
+                    else_body = self.ast.push_stmts([arm]);
+                }
             }
             TokenKind::Kw(Kw::Break) => {
                 self.bump();
@@ -649,6 +668,7 @@ pub fn parse_module(source: &str) -> Result<Module<'_>, FrontendError> {
         depth: 0,
         stmt_stack: Vec::new(),
         expr_stack: Vec::new(),
+        arm_stack: Vec::new(),
         param_buf: Vec::new(),
         extern_param_buf: Vec::new(),
     };
@@ -888,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn blocks_and_else_if_chains_count_as_nesting() {
+    fn blocks_count_as_nesting_and_else_if_chains_do_not() {
         let blocks = |depth: usize| {
             format!(
                 "fn f() {{ {} {} }}",
@@ -901,17 +921,23 @@ mod tests {
             parse_module(&blocks(256)).unwrap_err().message,
             "nesting deeper than 256"
         );
-        // Each `else if` sits one level inside the previous one, and
-        // its block one level inside it.
-        let chain = |links: usize| {
+        // An `else if` chain is as deep as its first `if`, however
+        // long; `if`s nested in blocks still count.
+        let chain = format!(
+            "fn f() {{ if (1) {{ }} {} else {{ }} }}",
+            "else if (1) { }".repeat(5000)
+        );
+        assert!(parse_module(&chain).is_ok());
+        let ifs = |depth: usize| {
             format!(
-                "fn f() {{ if (1) {{ }} {} }}",
-                "else if (1) { }".repeat(links)
+                "fn f() {{ {} {} }}",
+                "if (1) {".repeat(depth),
+                "}".repeat(depth)
             )
         };
-        assert!(parse_module(&chain(254)).is_ok());
+        assert!(parse_module(&ifs(255)).is_ok());
         assert_eq!(
-            parse_module(&chain(255)).unwrap_err().message,
+            parse_module(&ifs(256)).unwrap_err().message,
             "nesting deeper than 256"
         );
     }

@@ -78,8 +78,8 @@ proptest! {
             let (open, levels) = match b {
                 0 => ("if (1) {", 1),
                 1 => ("while (0) {", 1),
-                // The `else if` is one level, its block another.
-                _ => ("if (0) { } else if (1) {", 2),
+                // An `else if` is no deeper than its `if`.
+                _ => ("if (0) { } else if (1) {", 1),
             };
             src.push_str(open);
             depth += levels;

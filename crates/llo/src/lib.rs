@@ -22,6 +22,11 @@
 //!    probes (`+I`), producing relocatable per-routine code the linker
 //!    concatenates.
 //!
+//! None of these steps inspects *which* routine a call targets or
+//! *which* global an access names, so a lowering can be memoized under
+//! an id-free key and relocated on reuse: [`memo`] is that key and the
+//! relocatable byte form (the incremental cache's code tier).
+//!
 //! LLO working memory genuinely grows super-linearly with routine size
 //! (liveness is O(blocks × vregs)); [`LoweredRoutine::llo_work_bytes`]
 //! reports that footprint by formula, reproducing the LLO curve
@@ -31,6 +36,7 @@
 
 pub mod layout;
 mod lower;
+pub mod memo;
 pub mod opt;
 pub mod regalloc;
 mod scratch;

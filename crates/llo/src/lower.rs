@@ -104,7 +104,7 @@ impl GlobalLayout {
 /// The output of lowering one routine: relocatable code (jump targets
 /// are routine-relative; call operands are program [`RoutineId`]s) plus
 /// metadata for the linker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredRoutine {
     /// Routine name.
     pub name: String,

@@ -87,7 +87,11 @@ fn read_opt_reg(dec: &mut Decoder<'_>) -> Result<Option<Reg>, DecodeError> {
     })
 }
 
-fn encode_instr(enc: &mut Encoder, instr: &MInstr) {
+/// Appends one instruction's relocatable encoding to `enc` — the
+/// per-instruction half of [`MachineImage::encode`], shared with the
+/// LLO code tier so lowered routines and linked images agree on one
+/// instruction format.
+pub fn encode_instr(enc: &mut Encoder, instr: &MInstr) {
     match instr {
         MInstr::LdImm { dst, value } => {
             enc.write_u8(0);
@@ -223,7 +227,12 @@ fn encode_instr(enc: &mut Encoder, instr: &MInstr) {
     }
 }
 
-fn decode_instr(dec: &mut Decoder<'_>) -> Result<MInstr, DecodeError> {
+/// Decodes one instruction written by [`encode_instr`].
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on truncation or an unknown tag.
+pub fn decode_instr(dec: &mut Decoder<'_>) -> Result<MInstr, DecodeError> {
     let at = dec.position();
     let tag = dec.read_u8()?;
     Ok(match tag {

@@ -27,7 +27,10 @@ mod exec;
 mod image;
 mod minstr;
 
-pub use codec::IMAGE_MAGIC;
+/// The byte-stream types of [`encode_instr`] / [`decode_instr`] and the
+/// image codec, re-exported so their callers need no second dependency.
+pub use cmo_naim::{DecodeError, Decoder, Encoder};
+pub use codec::{decode_instr, encode_instr, IMAGE_MAGIC};
 pub use cost::{CostModel, ICacheConfig};
 pub use disasm::{disassemble, disassemble_routine};
 pub use exec::{run, ExecError, ExecResult, RunConfig};

@@ -9,10 +9,12 @@
 //! mixes every `output()` value order-sensitively plus `main`'s return,
 //! so any miscompile that changes observable behaviour is caught.
 
-use cmo::{BuildOptions, NaimConfig, OptLevel};
+use cmo::{BuildCache, BuildOptions, Compiler, NaimConfig, OptLevel, Telemetry};
+use cmo_naim::{MemStorage, Storage};
 use cmo_repro::harness::{compiler_for, train_profile};
 use cmo_synth::{generate, SynthSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn spec_from(seed: u64, modules: usize, levels: usize, float_frac: f64) -> SynthSpec {
     SynthSpec {
@@ -71,6 +73,66 @@ proptest! {
                 r.returned,
                 reference.returned
             );
+        }
+    }
+
+    /// Cache transparency, code tier included: a cached build — cold,
+    /// after a link-order shuffle, after a one-module edit, each
+    /// against the cache the previous one left — emits exactly the
+    /// image of an uncached build of the same sources, while taking
+    /// the lowerings it can from the cache.
+    #[test]
+    fn cached_builds_equal_uncached_images(
+        seed in 0u64..10_000,
+        modules in 2usize..6,
+        levels in 3usize..7,
+        float_frac in 0.0f64..0.7,
+        sel in 0.0f64..100.0,
+    ) {
+        let app = generate(&spec_from(seed, modules, levels, float_frac));
+        let cc = compiler_for(&app).unwrap();
+        let db = train_profile(&cc, &app.train_input).unwrap();
+        let options = BuildOptions::new(OptLevel::O4)
+            .with_profile_db(db)
+            .with_selectivity(sel);
+        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+
+        let mut shuffled = app.modules.clone();
+        shuffled.rotate_left(1 + seed as usize % (modules - 1));
+        let mut edited = shuffled.clone();
+        let victim = seed as usize % modules;
+        edited[victim]
+            .1
+            .push_str("\nfn diff_spare(x: int) -> int { return x * 3 + 1; }\n");
+        for (what, sources) in [("cold", &app.modules), ("shuffled", &shuffled), ("edited", &edited)] {
+            let mut uncached = Compiler::new();
+            uncached.add_sources(sources, 1).unwrap();
+            let uncached = uncached.build(&options).unwrap();
+
+            let mut cache = BuildCache::open_on(Arc::clone(&storage), &Telemetry::disabled()).unwrap();
+            let mut cached = Compiler::new();
+            cached.add_sources_cached_with(sources, &options, &mut cache).unwrap();
+            let cached = cached.build_cached(&options, &mut cache).unwrap();
+            prop_assert!(cached.report.replayed.is_none(), "{}: a different build", what);
+            prop_assert_eq!(
+                cached.image.to_bytes(),
+                uncached.image.to_bytes(),
+                "{} cached build diverged on seed {}",
+                what,
+                seed
+            );
+            prop_assert_eq!(cache.stats().invalidations, 0);
+            if what == "cold" {
+                prop_assert_eq!(cache.routines_replayed(), 0);
+            } else {
+                prop_assert!(
+                    cache.routines_replayed() > 0,
+                    "{} build replayed none of {} routines on seed {}",
+                    what,
+                    cache.routines_lowered(),
+                    seed
+                );
+            }
         }
     }
 

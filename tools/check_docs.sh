@@ -98,6 +98,42 @@ grep -q '2 module hits, 1 misses' <<< "$rt_warm" \
 grep -q '3 planned, 0 stale, 2 retained hits' <<< "$rt_warm" \
     || { echo "check_docs: retrain-warm profile-slice line differs from README" >&2; exit 1; }
 
+# --- The code tier: an edit re-lowers only the routines it changed ---
+# (Mirrors CI's incr-edit job. A routine nothing calls is appended to
+# one module: every live routine's lowering is replayed from its code
+# slot, no slot is rewritten, the trace is the same at -j1 and -j4 and
+# the image is an uncached build's. Then one line of a live routine's
+# body changes: exactly its module's slot is stored again.)
+asm() { # asm <file> <cmocc args>: the disassembly alone, into <file>
+    local out="$1"
+    shift
+    step=$((step + 1))
+    echo "check_docs [$step]: cmocc $* --emit-asm > $out"
+    "$cmocc" "$@" --emit-asm | grep -v '^wrote ' > "$out"
+}
+cp "$repo_root"/examples/mlc/{util,hot,prog}.mlc .
+run +O4 +P rt-train.db --cache-dir .cmo-cache-ie util.mlc hot.mlc prog.mlc
+printf '\nfn check_docs_spare(x: int) -> int { return x; }\n' >> util.mlc
+cp -r .cmo-cache-ie .cmo-cache-ie4
+asm ie-j1.asm +O4 +P rt-train.db -j1 --cache-dir .cmo-cache-ie --trace ie-j1.jsonl util.mlc hot.mlc prog.mlc
+asm ie-j4.asm +O4 +P rt-train.db -j4 --cache-dir .cmo-cache-ie4 --trace ie-j4.jsonl util.mlc hot.mlc prog.mlc
+cmp ie-j1.jsonl ie-j4.jsonl || { echo "check_docs: the edit's trace differs between -j1 and -j4" >&2; exit 1; }
+asm ie-uncached.asm +O4 +P rt-train.db util.mlc hot.mlc prog.mlc
+cmp ie-j1.asm ie-uncached.asm && cmp ie-j4.asm ie-uncached.asm \
+    || { echo "check_docs: the edit's cached image differs from an uncached build" >&2; exit 1; }
+grep -q '"action":"hit","scope":"code"' ie-j1.jsonl \
+    || { echo "check_docs: the edit fetched no code slot" >&2; exit 1; }
+if grep -q '"action":"store","scope":"code"' ie-j1.jsonl; then
+    echo "check_docs: an edit that changed no live routine rewrote a code slot" >&2; exit 1
+fi
+sed -i 's/a = a + 2;/a = a + 3;/' hot.mlc
+run +O4 +P rt-train.db --cache-dir .cmo-cache-ie --trace ie-live.jsonl util.mlc hot.mlc prog.mlc
+[[ "$(grep -c '"action":"store","scope":"code"' ie-live.jsonl)" -eq 1 ]] \
+    || { echo "check_docs: a one-line body edit should store exactly one code slot" >&2; exit 1; }
+grep -q '"action":"store","scope":"code","name":"hot"' ie-live.jsonl \
+    || { echo "check_docs: the rewritten slot is not the edited module's" >&2; exit 1; }
+cp "$repo_root"/examples/mlc/{util,hot}.mlc .
+
 # --- Shared remote cache: cold through the daemon, dead-daemon build
 # --- degrades but succeeds, fresh machine replays warm from the daemon
 cmocached="$(dirname "$cmocc")/cmocached"

@@ -1,8 +1,13 @@
 //! The program call graph: a global (always-resident) object.
+//!
+//! The graph itself is derived data — laid out from scratch, from the
+//! session's resident per-routine summaries and maintained site
+//! counts, whenever a phase needs it, and released when dropped. No
+//! routine body is loaded to build it.
 
 use crate::session::HloSession;
-use cmo_ir::{CallSiteId, Instr, RoutineId};
-use cmo_naim::NaimError;
+use cmo_ir::{CallSiteId, RoutineId};
+use cmo_naim::{MemCharge, NaimError};
 
 /// One call edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,52 +24,48 @@ pub struct CallEdge {
 
 /// The call graph, rebuilt from scratch whenever needed (derived-data
 /// discipline, §4.1): edges in deterministic (caller, site) order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CallGraph {
     /// All edges, sorted by `(caller, site)`.
     pub edges: Vec<CallEdge>,
     /// First edge index per routine (length = routines + 1).
     index: Vec<u32>,
+    /// The graph's bytes in the session's derived-data accounting,
+    /// for as long as the graph lives.
+    _charge: Option<MemCharge>,
 }
 
 impl CallGraph {
-    /// Builds the call graph by scanning every routine body once,
-    /// unloading each after its scan — the read-in pass of §5 that
-    /// keeps only "a minimum amount of analysis" resident.
+    /// Lays the call graph out from the session's routine summaries
+    /// and maintained site counts — §5's "minimum amount of analysis"
+    /// kept resident, so that no body is loaded here.
     ///
     /// # Errors
     ///
-    /// Propagates loader failures.
+    /// Never fails — the summaries are resident. The `Result` is what
+    /// callers written against the body-scanning signature expect.
     pub fn build(session: &mut HloSession) -> Result<Self, NaimError> {
         let n = session.n_routines();
-        let mut edges = Vec::new();
+        let summaries = session.summaries();
+        let routines = || (0..n).map(RoutineId::from_index);
+        let mut edges = Vec::with_capacity(routines().map(|r| summaries.calls(r).len()).sum());
         let mut index = Vec::with_capacity(n + 1);
-        for i in 0..n {
-            let rid = RoutineId::from_index(i);
+        for caller in routines() {
             index.push(edges.len() as u32);
-            let body = session.body(rid)?;
-            let mut local: Vec<(CallSiteId, RoutineId)> = Vec::new();
-            for block in &body.blocks {
-                for instr in &block.instrs {
-                    if let Instr::Call { callee, site, .. } = instr {
-                        local.push((*site, callee.id()));
-                    }
-                }
-            }
-            local.sort_by_key(|&(s, _)| s);
-            for (site, callee) in local {
-                edges.push(CallEdge {
-                    caller: rid,
-                    site,
-                    callee,
-                    count: session.site_count(rid, site.0),
-                });
-            }
-            session.unload(rid)?;
+            edges.extend(summaries.calls(caller).map(|(site, callee)| CallEdge {
+                caller,
+                site,
+                callee,
+                count: session.site_count(caller, site.0),
+            }));
         }
         index.push(edges.len() as u32);
-        let graph = CallGraph { edges, index };
-        session.account_derived(graph.heap_bytes() as isize);
+        let mut graph = CallGraph {
+            edges,
+            index,
+            _charge: None,
+        };
+        graph._charge = Some(session.charge_derived(graph.heap_bytes()));
         Ok(graph)
     }
 
@@ -432,7 +433,11 @@ mod tests {
             }
         }
         index.push(all.len() as u32);
-        CallGraph { edges: all, index }
+        CallGraph {
+            edges: all,
+            index,
+            _charge: None,
+        }
     }
 
     #[test]
@@ -501,18 +506,25 @@ mod tests {
     }
 
     #[test]
-    fn build_unloads_bodies() {
-        let mut s = session(&[("a", "fn main() -> int { return 1; }")]);
-        let _ = CallGraph::build(&mut s).unwrap();
-        // After the scan pass a pool may still be cached expanded
-        // (unload-pending) or already evicted, but none is left
-        // pinned-expanded.
-        let (expanded, pending, compact, offloaded) = s.loader_census();
-        assert_eq!(expanded, 0);
-        // One routine body and one module symbol table.
-        assert_eq!(pending + compact + offloaded, 2);
-        // And a second build still works (pools can be reloaded).
-        let cg2 = CallGraph::build(&mut s).unwrap();
-        assert!(cg2.edges.is_empty());
+    fn build_loads_no_body_and_releases_its_charge() {
+        let mut s = session(&[
+            (
+                "a",
+                "extern fn g() -> int;\nfn main() -> int { return g() + g(); }",
+            ),
+            ("b", "fn g() -> int { return 1; }"),
+        ]);
+        let stats = s.loader_stats();
+        let derived = s.memory().class(cmo_naim::MemClass::Derived);
+        let cg = CallGraph::build(&mut s).unwrap();
+        assert_eq!(cg.edges.len(), 2);
+        assert_eq!(s.loader_stats(), stats, "not one pool access");
+        assert!(s.body_accesses.iter().all(|&n| n == 0));
+        assert_eq!(
+            s.memory().class(cmo_naim::MemClass::Derived),
+            derived + cg.heap_bytes()
+        );
+        drop(cg);
+        assert_eq!(s.memory().class(cmo_naim::MemClass::Derived), derived);
     }
 }

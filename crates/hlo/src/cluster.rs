@@ -4,18 +4,23 @@
 //!
 //! 1. [`plan_clusters`] condenses the call graph into independent
 //!    clusters (no coupled edge leaves a cluster) and *extracts* each
-//!    cluster's member bodies and maintained counts out of the main
-//!    session into self-contained [`ClusterInput`]s.
+//!    cluster's call lists and maintained counts out of the main
+//!    session into self-contained [`ClusterInput`]s. Member bodies are
+//!    extracted only for a cluster with an edge between two distinct
+//!    members; every edge of any other (*inert*) cluster is
+//!    self-recursive or cross-cluster, and both are rejected before a
+//!    body is read.
 //! 2. [`run_cluster`] optimizes one cluster against a **private** NAIM
 //!    loader and a **private** telemetry sink — no shared mutable
 //!    state, so the driver may fan clusters out across worker threads.
 //!    Clones are created under *provisional* routine ids above the
-//!    pre-pass id space.
+//!    pre-pass id space. It hands back only the members it changed.
 //! 3. [`merge_outcomes`] folds outcomes back in ascending cluster
-//!    order: bodies, counts and il sizes are written back, provisional
-//!    clone ids are remapped to their final program ids, loader
-//!    activity is absorbed as a concurrent peak, and trace records are
-//!    re-stamped onto the main work clock.
+//!    order: changed bodies, counts and il sizes are written back and
+//!    their summaries refreshed, provisional clone ids are remapped to
+//!    their final program ids, loader activity is absorbed as a
+//!    concurrent peak, and trace records are re-stamped onto the main
+//!    work clock.
 //!
 //! Because every merge step is keyed on the cluster *index* — never on
 //! completion order — `HloStats`, `InlineStats`, the compile report
@@ -26,8 +31,8 @@ use crate::clone::{const_sig_key, site_const_args, specialize, CloneOptions, Clo
 use crate::inline::{splice_call, InlineOptions, InlineStats};
 use crate::session::HloSession;
 use cmo_ir::{
-    CallSiteId, Instr, Linkage, ModuleId, Program, RoutineBody, RoutineId, RoutineMeta, Signature,
-    Transitory,
+    CallSiteId, Instr, Linkage, ModuleId, Program, RoutineBody, RoutineId, RoutineMeta,
+    RoutineSummary, Signature, Transitory,
 };
 use cmo_naim::{
     Loader, LoaderStats, MemClass, MemorySnapshot, NaimConfig, NaimError, PoolId, PoolKind,
@@ -41,15 +46,19 @@ use std::collections::BTreeMap;
 const CLUSTER_POOL_BASE: u32 = 1_000_000;
 
 /// A self-contained unit of parallel HLO work: one cluster's member
-/// routines with their bodies and maintained profile counts, extracted
-/// from the session at plan time.
+/// routines with their call lists and maintained profile counts,
+/// extracted from the session at plan time.
 #[derive(Debug)]
 pub struct ClusterInput {
     /// Cluster index (position in the plan; also the merge order).
     index: usize,
     /// Member routines, ascending.
     members: Vec<RoutineId>,
+    /// One body per member — or none at all for an inert cluster,
+    /// whose verdicts all come from `calls`.
     bodies: Vec<RoutineBody>,
+    /// Each member's `(site, callee)` list, from its summary.
+    calls: Vec<Vec<(CallSiteId, RoutineId)>>,
     counts: Vec<Option<Vec<u64>>>,
     site_counts: Vec<BTreeMap<u32, u64>>,
     il_size: Vec<u32>,
@@ -98,15 +107,24 @@ struct PendingClone {
     site_counts: BTreeMap<u32, u64>,
 }
 
+/// A member whose body a splice or a clone retarget rewrote, with the
+/// maintained data that moved with it.
+#[derive(Debug)]
+struct ChangedMember {
+    rid: RoutineId,
+    body: RoutineBody,
+    counts: Option<Vec<u64>>,
+    site_counts: BTreeMap<u32, u64>,
+    il_size: u32,
+}
+
 /// Everything one finished cluster hands back for the index-ordered
 /// merge.
 #[derive(Debug)]
 pub struct ClusterOutcome {
-    members: Vec<RoutineId>,
-    bodies: Vec<RoutineBody>,
-    counts: Vec<Option<Vec<u64>>>,
-    site_counts: Vec<BTreeMap<u32, u64>>,
-    il_size: Vec<u32>,
+    /// The members this cluster changed, ascending; the rest are
+    /// still exactly what the session holds.
+    changed: Vec<ChangedMember>,
     pending: Vec<PendingClone>,
     /// Inline counters for this cluster.
     pub inline_stats: InlineStats,
@@ -163,15 +181,29 @@ pub fn plan_clusters(
             });
         }
     }
+    // A cluster can inline or clone only across an edge between two
+    // distinct members; without one its bodies stay where they are.
+    let mut active = vec![false; partition.clusters.len()];
+    for e in &graph.edges {
+        if e.caller != e.callee && partition.same_cluster(e.caller, e.callee) {
+            active[partition.cluster_of[e.caller.index()] as usize] = true;
+        }
+    }
+    drop(graph);
     let mut inputs = Vec::with_capacity(partition.clusters.len());
     for (index, cluster) in partition.clusters.iter().enumerate() {
-        let mut bodies = Vec::with_capacity(cluster.members.len());
-        let mut counts = Vec::with_capacity(cluster.members.len());
-        let mut site_counts = Vec::with_capacity(cluster.members.len());
-        let mut il_size = Vec::with_capacity(cluster.members.len());
+        let n = cluster.members.len();
+        let mut bodies = Vec::with_capacity(if active[index] { n } else { 0 });
+        let mut calls = Vec::with_capacity(n);
+        let mut counts = Vec::with_capacity(n);
+        let mut site_counts = Vec::with_capacity(n);
+        let mut il_size = Vec::with_capacity(n);
         for &rid in &cluster.members {
-            bodies.push(session.body(rid)?.clone());
-            session.unload(rid)?;
+            if active[index] {
+                bodies.push(session.body(rid)?.clone());
+                session.unload(rid)?;
+            }
+            calls.push(session.summaries().calls(rid).collect());
             counts.push(session.block_counts(rid).map(<[u64]>::to_vec));
             site_counts.push(session.site_counts_of(rid).clone());
             il_size.push(session.program.routine(rid).il_size);
@@ -180,6 +212,7 @@ pub fn plan_clusters(
             index,
             members: cluster.members.clone(),
             bodies,
+            calls,
             counts,
             site_counts,
             il_size,
@@ -204,7 +237,13 @@ struct ClusterCx<'a> {
     /// `slot_of[member] = slot`; non-members are absent (cross-cluster).
     slot_of: BTreeMap<RoutineId, usize>,
     loader: Loader<Transitory>,
+    /// One pool per member; empty for an inert cluster.
     pool: Vec<PoolId>,
+    /// Each member's `(site, callee)` list, kept equal to its body's by
+    /// the splice that rewrites it.
+    calls: Vec<Vec<(CallSiteId, RoutineId)>>,
+    /// Members a splice or a retarget rewrote.
+    changed: Vec<bool>,
     counts: Vec<Option<Vec<u64>>>,
     site_counts: Vec<BTreeMap<u32, u64>>,
     il_size: Vec<u32>,
@@ -254,39 +293,29 @@ impl<'a> ClusterCx<'a> {
         self.loader.unload(self.pool[self.slot_of[&rid]])
     }
 
-    /// Rebuilds the cluster-local call graph (derived-data discipline):
-    /// every member body is scanned once and unloaded. Edges to
-    /// non-member callees are kept — they are what the inline core
-    /// rejects as `cross_cluster`.
-    fn local_graph(&mut self) -> Result<Vec<CallEdge>, NaimError> {
-        let mut edges = Vec::new();
-        for slot in 0..self.members.len() {
-            let rid = self.members[slot];
-            let body = self.body(rid)?;
-            let mut local: Vec<(CallSiteId, RoutineId)> = Vec::new();
-            for block in &body.blocks {
-                for instr in &block.instrs {
-                    if let Instr::Call { callee, site, .. } = instr {
-                        local.push((*site, callee.id()));
-                    }
-                }
-            }
-            local.sort_by_key(|&(s, _)| s);
-            for (site, callee) in local {
-                edges.push(CallEdge {
-                    caller: rid,
-                    site,
-                    callee,
-                    count: self.site_count(rid, site.0),
-                });
-            }
-            self.unload(rid)?;
+    /// Lays out the cluster-local call graph from the members' call
+    /// lists (derived-data discipline: charged here, released by
+    /// [`ClusterCx::release_graph`]). Edges to non-member callees are
+    /// kept — they are what the inline core rejects as `cross_cluster`.
+    fn local_graph(&mut self) -> Vec<CallEdge> {
+        let mut edges = Vec::with_capacity(self.calls.iter().map(Vec::len).sum());
+        for (slot, &caller) in self.members.iter().enumerate() {
+            edges.extend(self.calls[slot].iter().map(|&(site, callee)| CallEdge {
+                caller,
+                site,
+                callee,
+                count: self.site_count(caller, site.0),
+            }));
         }
-        self.loader.account(
-            MemClass::Derived,
-            (edges.capacity() * std::mem::size_of::<CallEdge>()) as isize,
-        );
-        Ok(edges)
+        self.loader
+            .account(MemClass::Derived, graph_bytes(&edges) as isize);
+        edges
+    }
+
+    /// Drops a graph from [`ClusterCx::local_graph`] and its charge.
+    fn release_graph(&mut self, graph: Vec<CallEdge>) {
+        self.loader
+            .account(MemClass::Derived, -(graph_bytes(&graph) as isize));
     }
 
     fn inline_event(
@@ -308,6 +337,10 @@ impl<'a> ClusterCx<'a> {
             count,
         }
     }
+}
+
+fn graph_bytes(edges: &Vec<CallEdge>) -> usize {
+    edges.capacity() * std::mem::size_of::<CallEdge>()
 }
 
 struct Candidate {
@@ -336,7 +369,7 @@ fn inline_core(
     let tel = cx.tel.clone();
 
     for _pass in 0..options.max_passes {
-        let graph = cx.local_graph()?;
+        let graph = cx.local_graph();
         let mut candidates: Vec<Candidate> = Vec::new();
         for e in &graph {
             if e.caller == e.callee {
@@ -392,6 +425,7 @@ fn inline_core(
                 tel.emit(cx.inline_event(e.caller, e.callee, e.site, false, reason, count));
             }
         }
+        cx.release_graph(graph);
         if candidates.is_empty() {
             break;
         }
@@ -457,6 +491,7 @@ fn inline_core(
                 continue;
             };
             let new_il = caller_body.instr_count() as u32;
+            let new_calls = RoutineSummary::of(caller_body).calls;
             did_any = true;
             ops_done += 1;
             stats.inlines += 1;
@@ -497,6 +532,8 @@ fn inline_core(
                 cx.site_counts[caller_slot].insert(new.0, (old_count as f64 * scale) as u64);
             }
             cx.il_size[caller_slot] = new_il;
+            cx.calls[caller_slot] = new_calls;
+            cx.changed[caller_slot] = true;
             cx.unload(c.caller)?;
             cx.unload(c.callee)?;
         }
@@ -514,11 +551,11 @@ fn inline_core(
 /// materialized at merge time.
 fn clone_core(cx: &mut ClusterCx, options: &CloneOptions) -> Result<CloneStats, NaimError> {
     let mut stats = CloneStats::default();
-    let graph = cx.local_graph()?;
+    let graph = cx.local_graph();
     // (callee, const signature) -> provisional clone id.
     let mut clone_cache: BTreeMap<(RoutineId, String), RoutineId> = BTreeMap::new();
 
-    for e in graph {
+    for e in &graph {
         if stats.clones >= u64::from(options.max_clones) {
             break;
         }
@@ -610,15 +647,22 @@ fn clone_core(cx: &mut ClusterCx, options: &CloneOptions) -> Result<CloneStats, 
                 }
             }
         }
+        let caller_slot = cx.slot(e.caller);
+        if let Some(call) = cx.calls[caller_slot].iter_mut().find(|c| c.0 == e.site) {
+            call.1 = clone_id;
+        }
+        cx.changed[caller_slot] = true;
         cx.unload(e.caller)?;
         stats.retargeted += 1;
     }
+    cx.release_graph(graph);
     cx.loader.unload_all()?;
     Ok(stats)
 }
 
-/// Optimizes one cluster in isolation: member bodies move into a
-/// private NAIM loader (same thresholds, disjoint pool-id namespace),
+/// Optimizes one cluster in isolation: member bodies (none, for an
+/// inert cluster) go into a private NAIM loader (same thresholds,
+/// disjoint pool-id namespace),
 /// decisions are traced into a private sink tagged with the cluster's
 /// *virtual* worker id (`index + 1`, so the trace is identical at every
 /// `-j`), and the op budget — if any — caps this cluster's inline
@@ -678,6 +722,8 @@ pub fn run_cluster(
             .collect(),
         loader,
         pool,
+        calls: input.calls.clone(),
+        changed: vec![false; input.members.len()],
         counts: input.counts.clone(),
         site_counts: input.site_counts.clone(),
         il_size: input.il_size.clone(),
@@ -700,21 +746,38 @@ pub fn run_cluster(
     };
     tel.work(clone_stats.clones * 150);
 
-    let mut bodies = Vec::with_capacity(cx.members.len());
+    let mut changed = Vec::new();
     for slot in 0..cx.members.len() {
+        if !cx.changed[slot] {
+            continue;
+        }
         let rid = cx.members[slot];
-        bodies.push(cx.body(rid)?.clone());
+        // Taken, so the pool leaves the cluster's accounting now
+        // rather than staying pinned beside every other changed member;
+        // cloned, to shed the spare capacity the splices left, which
+        // would otherwise stay accounted (and allocated) until
+        // write-out.
+        let body = cx.loader.take(cx.pool[slot])?.into_routine().clone();
+        #[cfg(test)]
+        assert_eq!(
+            RoutineSummary::of(&body).calls,
+            cx.calls[slot],
+            "stale call list of {rid}"
+        );
+        changed.push(ChangedMember {
+            rid,
+            body,
+            counts: cx.counts[slot].take(),
+            site_counts: std::mem::take(&mut cx.site_counts[slot]),
+            il_size: cx.il_size[slot],
+        });
     }
     cx.loader.unload_all()?;
     let loader_stats = cx.loader.stats();
     let peak = cx.loader.memory();
     let (records, work) = tel.drain_records();
     Ok(ClusterOutcome {
-        members: cx.members,
-        bodies,
-        counts: cx.counts,
-        site_counts: cx.site_counts,
-        il_size: cx.il_size,
+        changed,
         pending: cx.pending,
         inline_stats,
         clone_stats,
@@ -756,10 +819,11 @@ pub fn run_clusters_seq(
 }
 
 /// Folds cluster outcomes back into the session in ascending cluster
-/// order: transformed bodies, counts and il sizes are written back,
-/// pending clones are registered (remapping their provisional callee
-/// ids — in member bodies *and* in the clone bodies themselves, which
-/// may embed retargeted sites), loader activity is absorbed as a
+/// order: changed bodies, counts and il sizes are written back (with
+/// the summary of the body as written), pending clones are registered
+/// (remapping their provisional callee ids — in member bodies *and* in
+/// the clone bodies themselves, which may embed retargeted sites —
+/// before either is summarized), loader activity is absorbed as a
 /// concurrent peak over the at-split snapshot, and trace records are
 /// re-stamped onto the main work clock. Returns the summed stats.
 ///
@@ -792,11 +856,7 @@ pub fn merge_outcomes(
             }
         };
         let ClusterOutcome {
-            members,
-            bodies,
-            counts,
-            site_counts,
-            il_size,
+            changed,
             pending,
             inline_stats,
             clone_stats,
@@ -805,19 +865,19 @@ pub fn merge_outcomes(
             records,
             work,
         } = outcome;
-        let mut bodies = bodies.into_iter();
-        let mut counts = counts.into_iter();
-        let mut site_counts = site_counts.into_iter();
-        for (slot, &rid) in members.iter().enumerate() {
-            let mut body = bodies.next().expect("one body per member");
-            remap(&mut body);
-            *session.body_mut(rid)? = body;
-            session.set_counts(
+        for member in changed {
+            let ChangedMember {
                 rid,
-                counts.next().expect("counts per member"),
-                site_counts.next().expect("site counts per member"),
-            );
-            session.program.routine_mut(rid).il_size = il_size[slot];
+                mut body,
+                counts,
+                site_counts,
+                il_size,
+            } = member;
+            remap(&mut body);
+            session.set_summary(rid, &RoutineSummary::of(&body));
+            *session.body_mut(rid)? = body;
+            session.set_counts(rid, counts, site_counts);
+            session.program.routine_mut(rid).il_size = il_size;
             session.unload(rid)?;
         }
         for (q, p) in pending.into_iter().enumerate() {
@@ -844,9 +904,13 @@ pub fn merge_outcomes(
         session.absorb_cluster_loader(&plan.at_split, &loader_stats, &peak);
         session.telemetry().clone().absorb_records(records, work);
     }
+    session.settle_summaries();
     session.unload_all()?;
     session.stats.inlines += inline_total.inlines;
     session.stats.sites_considered += inline_total.considered;
     session.stats.clones += clone_total.clones;
     Ok((inline_total, clone_total))
 }
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,493 @@
+//! Summary-is-truth: the resident per-routine summaries must equal a
+//! fresh scan of the bodies at every phase boundary, and the analyses
+//! that read them must touch no body.
+//!
+//! Mutation checklist — each of these edits turns the named tests red
+//! (re-run them when touching anything that writes a routine body):
+//!
+//! * `inline_core` does not refresh `cx.calls` after a splice →
+//!   `second_pass_sees_the_sites_the_first_pass_copied` (through the
+//!   `stale call list` assertion in `run_cluster`, as every inlining
+//!   test).
+//! * `clone_core` does not patch `cx.calls` after a retarget → the same
+//!   assertion, under `clone_is_reachable_through_the_retargeted_site`.
+//! * `merge_outcomes` does not `set_summary` a changed member (spliced
+//!   or retargeted) → `clone_is_reachable_through_the_retargeted_site`,
+//!   `summaries_stay_true_at_every_phase_boundary`.
+//! * `fold_globals` does not `set_summary` after rewriting a body →
+//!   `facts_rebuilt_after_the_fold_see_the_folded_bodies`,
+//!   `summaries_stay_true_at_every_phase_boundary`.
+//! * `merge_outcomes` summarizes a member or a clone before `remap` →
+//!   `nested_clone_summary_names_final_ids`,
+//!   `summaries_stay_true_at_every_phase_boundary`.
+
+use crate::{
+    fold_globals, merge_outcomes, plan_clusters, run_cluster, CallGraph, CloneOptions, GlobalFacts,
+    HloSession, HloStats, InlineOptions, PartitionStats,
+};
+use cmo::{run_jobs, BuildOptions, Compiler};
+use cmo_frontend::compile_module;
+use cmo_ir::{link_objects, LinkedUnit, RoutineId};
+use cmo_naim::{LoaderStats, MemClass, NaimConfig, NaimLevel};
+use cmo_profile::{ProbeKey, ProfileDb, RoutineShape};
+use cmo_select::coarse_select;
+use cmo_synth::{generate, mcad_preset, SynthApp};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+fn unit_of(modules: &[(String, String)]) -> LinkedUnit {
+    let objects = modules
+        .iter()
+        .map(|(name, src)| compile_module(name, src).unwrap())
+        .collect();
+    link_objects(objects).unwrap()
+}
+
+fn session(srcs: &[(&str, &str)], db: Option<&ProfileDb>) -> HloSession {
+    let modules: Vec<(String, String)> = srcs
+        .iter()
+        .map(|&(n, s)| (n.to_owned(), s.to_owned()))
+        .collect();
+    HloSession::new(unit_of(&modules), NaimConfig::default(), db).unwrap()
+}
+
+/// `mcad1` at an eighth of the benchmark's scale, with its trained
+/// profile.
+fn mcad() -> &'static (SynthApp, ProfileDb) {
+    static APP: OnceLock<(SynthApp, ProfileDb)> = OnceLock::new();
+    APP.get_or_init(|| {
+        let app = generate(&mcad_preset("mcad1", 0.125));
+        let mut cc = Compiler::new();
+        cc.add_sources(&app.modules, 1).unwrap();
+        let db = cc
+            .build(&BuildOptions::instrumented())
+            .unwrap()
+            .run_for_profile(&app.train_input)
+            .unwrap();
+        (app, db)
+    })
+}
+
+/// What one run of the HLO pipeline did, seen from outside the bodies.
+struct Run {
+    hlo: HloStats,
+    partition: PartitionStats,
+    loader: LoaderStats,
+    peak: usize,
+    /// Routines of clusters that got no bodies.
+    inert: Vec<RoutineId>,
+    /// `body` / `body_mut` calls per routine up to (not including)
+    /// `into_parts`.
+    accesses: Vec<u32>,
+    /// Members the clusters handed back.
+    changed: usize,
+    /// Routines whose `body_mut` the merge called.
+    written: usize,
+}
+
+/// The driver's HLO stage (`cmo::build_objects`, mirrored as in
+/// `benchmark/src/staged.rs`), with the oracle run at every phase
+/// boundary when asked.
+fn pipeline(
+    unit: LinkedUnit,
+    db: Option<&ProfileDb>,
+    selectivity: Option<f64>,
+    naim: NaimConfig,
+    jobs: usize,
+    oracle: bool,
+) -> Run {
+    let targets: Option<BTreeSet<RoutineId>> = selectivity.map(|pct| {
+        let db = db.expect("selectivity needs a profile");
+        let plan = coarse_select(&unit.program, &unit.bodies, db, pct).unwrap();
+        plan.hot_routines.iter().copied().collect()
+    });
+    let mut session = HloSession::new(unit, naim, db).unwrap();
+    let check = |session: &mut HloSession, phase: &str| {
+        if oracle {
+            session.assert_summaries_match_bodies(phase);
+        }
+    };
+    check(&mut session, "read-in");
+
+    let facts = GlobalFacts::build(&mut session).unwrap();
+    let fold_targets: Vec<RoutineId> = match &targets {
+        Some(t) => t.iter().copied().collect(),
+        None => (0..session.n_routines())
+            .map(RoutineId::from_index)
+            .collect(),
+    };
+    fold_globals(&mut session, &facts, &fold_targets).unwrap();
+    drop(facts);
+    session.unload_all().unwrap();
+    check(&mut session, "fold_globals");
+
+    let mut inline_opts = InlineOptions {
+        targets,
+        ..InlineOptions::default()
+    };
+    if db.is_none() {
+        inline_opts.small_callee_il = inline_opts.small_callee_il.max(80);
+    }
+    let clone_opts = db.is_some().then(|| CloneOptions {
+        min_callee_il: inline_opts.hot_callee_il,
+        targets: inline_opts.targets.clone(),
+        ..CloneOptions::default()
+    });
+    let before_plan = session.body_accesses.clone();
+    let plan = plan_clusters(&mut session, Some(&inline_opts), clone_opts.as_ref()).unwrap();
+    let inert: Vec<RoutineId> = plan
+        .inputs()
+        .iter()
+        .filter(|input| input.bodies.is_empty())
+        .flat_map(|input| input.members.iter().copied())
+        .collect();
+    for r in &inert {
+        assert_eq!(
+            session.body_accesses[r.index()],
+            before_plan[r.index()],
+            "plan_clusters loaded inert {r}"
+        );
+    }
+
+    let config = session.loader_config();
+    let program = &session.program;
+    let tel = session.telemetry().clone();
+    let outcomes: Vec<_> = run_jobs(plan.inputs().len(), jobs, |_, i| {
+        run_cluster(
+            program,
+            &plan,
+            i,
+            &config,
+            Some(&inline_opts),
+            clone_opts.as_ref(),
+            None,
+            &tel,
+        )
+        .unwrap()
+    });
+    let changed = outcomes.iter().map(|o| o.changed.len()).sum();
+    let before_merge = session.body_accesses.clone();
+    merge_outcomes(&mut session, &plan, outcomes).unwrap();
+    let written = before_merge
+        .iter()
+        .zip(&session.body_accesses)
+        .filter(|(before, after)| after > before)
+        .count();
+    check(&mut session, "merge_outcomes");
+
+    let graph = CallGraph::build(&mut session).unwrap();
+    let main = session.program.main_routine().unwrap();
+    let reach = graph.reachable_from(main);
+    session.record_dead_routines(reach.iter().filter(|&&r| !r).count() as u64);
+    drop(graph);
+    session.unload_all().unwrap();
+    check(&mut session, "the final call graph");
+
+    let run = Run {
+        hlo: session.stats(),
+        partition: plan.stats(),
+        loader: session.loader_stats(),
+        peak: session.memory().peak_total,
+        inert,
+        accesses: session.body_accesses.clone(),
+        changed,
+        written,
+    };
+    session.into_parts().unwrap();
+    run
+}
+
+/// The NAIM-off peak of the all-CMO `+O4 +P` build, for sizing a tight
+/// budget the way the benchmark's `naim_tight` does.
+fn naim_off_peak() -> usize {
+    static PEAK: OnceLock<usize> = OnceLock::new();
+    *PEAK.get_or_init(|| {
+        let (app, db) = mcad();
+        let unit = unit_of(&app.modules);
+        pipeline(unit, Some(db), None, NaimConfig::disabled(), 1, false).peak
+    })
+}
+
+fn tight() -> NaimConfig {
+    NaimConfig::with_budget(naim_off_peak() / 12).max_level(NaimLevel::Offload)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 4,
+        .. ProptestConfig::default()
+    })]
+
+    /// The oracle, over link order × {`+O4`, `+O4 +P`, `+O4 +P` at
+    /// 20 %} × {NAIM off, tight with offload} × {`-j1`, `-j4`}: after
+    /// read-in, after the fold, after the merge (clones registered,
+    /// provisional ids remapped) and before `into_parts`.
+    #[test]
+    fn summaries_stay_true_at_every_phase_boundary(rotate in 0usize..6) {
+        let (app, db) = mcad();
+        let mut modules = app.modules.clone();
+        modules.rotate_left(rotate);
+        for (db, sel) in [(None, None), (Some(db), None), (Some(db), Some(20.0))] {
+            let mut seen: Option<(HloStats, PartitionStats)> = None;
+            for naim in [NaimConfig::disabled(), tight()] {
+                for jobs in [1, 4] {
+                    let run = pipeline(unit_of(&modules), db, sel, naim.clone(), jobs, true);
+                    // Memory configuration and fan-out change nothing
+                    // but effort.
+                    let got = (run.hlo, run.partition);
+                    prop_assert_eq!(*seen.get_or_insert(got), got);
+                }
+            }
+            if db.is_some() && sel.is_none() {
+                let (hlo, _) = seen.unwrap();
+                prop_assert!(hlo.inlines > 0 && hlo.clones > 0, "{:?}", hlo);
+            }
+        }
+    }
+}
+
+#[test]
+fn whole_program_analyses_load_no_body_and_release_their_charge() {
+    let (app, db) = mcad();
+    let mut s = HloSession::new(unit_of(&app.modules), tight(), Some(db)).unwrap();
+    let stats = s.loader_stats();
+    let derived = s.memory().class(MemClass::Derived);
+
+    let facts = GlobalFacts::build(&mut s).unwrap();
+    assert!(facts.read.iter().any(|&r| r) && facts.written.iter().any(|&w| w));
+    assert!(s.memory().class(MemClass::Derived) > derived);
+    drop(facts);
+    assert_eq!(s.memory().class(MemClass::Derived), derived);
+
+    let graph = CallGraph::build(&mut s).unwrap();
+    assert!(!graph.edges.is_empty());
+    assert_eq!(
+        s.memory().class(MemClass::Derived),
+        derived + graph.heap_bytes()
+    );
+    drop(graph);
+    assert_eq!(s.memory().class(MemClass::Derived), derived);
+
+    // The partition-time graph dies with `plan_clusters`.
+    let plan = plan_clusters(&mut s, Some(&InlineOptions::default()), None).unwrap();
+    assert_eq!(s.memory().class(MemClass::Derived), derived);
+    drop(plan);
+
+    assert!(s.body_accesses.iter().any(|&n| n > 0), "active clusters");
+    let mut s = HloSession::new(unit_of(&app.modules), tight(), Some(db)).unwrap();
+    GlobalFacts::build(&mut s).unwrap();
+    CallGraph::build(&mut s).unwrap();
+    assert_eq!(
+        s.loader_stats(),
+        stats,
+        "zero hits, expansions, compactions"
+    );
+    assert!(s.body_accesses.iter().all(|&n| n == 0));
+}
+
+#[test]
+fn tight_budget_touches_an_inert_routine_twice_and_writes_back_only_changes() {
+    let (app, db) = mcad();
+    let run = pipeline(unit_of(&app.modules), Some(db), None, tight(), 1, false);
+    assert!(run.loader.offload_writes > 0, "the budget must bite");
+    assert!(run.loader.compactions > 0);
+    assert!(
+        run.loader.compactions * 10 <= run.loader.pools * 30,
+        "{} compactions over {} pools",
+        run.loader.compactions,
+        run.loader.pools
+    );
+    // An inert routine is expanded for the fold and again for
+    // write-out (`into_parts`, after this count), never in between.
+    assert!(!run.inert.is_empty());
+    for r in &run.inert {
+        assert_eq!(run.accesses[r.index()], 1, "{r}: the fold only");
+    }
+    // The merge writes exactly the members the clusters changed.
+    assert!(run.changed > 0);
+    assert_eq!(run.written, run.changed);
+    assert!(run.changed as u64 <= run.hlo.inlines + run.hlo.clones * 4);
+}
+
+#[test]
+fn a_three_pass_inline_cluster_charges_one_graph_at_a_time() {
+    // main -> a -> b -> c, main first so that each pass inlines one
+    // level into main and the next pass must look again: three graphs
+    // of at most three edges each, then the clone core's.
+    let mut s = session(
+        &[(
+            "m",
+            r#"
+            fn main() -> int { return a(); }
+            static fn a() -> int { return b() + 1; }
+            static fn b() -> int { return c() + 1; }
+            static fn c() -> int { return 5; }
+            "#,
+        )],
+        None,
+    );
+    let opts = InlineOptions::default();
+    let plan = plan_clusters(&mut s, Some(&opts), Some(&CloneOptions::default())).unwrap();
+    assert_eq!(plan.inputs().len(), 1);
+    let outcome = run_cluster(
+        &s.program,
+        &plan,
+        0,
+        &s.loader_config(),
+        Some(&opts),
+        Some(&CloneOptions::default()),
+        None,
+        s.telemetry(),
+    )
+    .unwrap();
+    assert!(outcome.inline_stats.inlines >= 3);
+    let one_graph = 3 * std::mem::size_of::<crate::CallEdge>();
+    assert!(outcome.peak.peak_class(MemClass::Derived) <= one_graph);
+    assert_eq!(outcome.peak.class(MemClass::Derived), 0, "all released");
+}
+
+#[test]
+fn second_pass_sees_the_sites_the_first_pass_copied() {
+    // `main` comes first, so pass one splices `middle`'s original body
+    // (with its call to `inner` under a fresh site id) into `main`
+    // before `middle` itself is rewritten; only a refreshed call list
+    // shows pass two that new site.
+    let mut s = session(
+        &[(
+            "m",
+            r#"
+            fn main() -> int { return middle(); }
+            static fn middle() -> int { return inner() + 1; }
+            static fn inner() -> int { return 5; }
+            "#,
+        )],
+        None,
+    );
+    crate::inline_pass(&mut s, &InlineOptions::default()).unwrap();
+    s.assert_summaries_match_bodies("inline_pass");
+    let main = s.program.find_routine("main").unwrap();
+    assert_eq!(s.summaries().calls(main).len(), 0, "both levels inlined");
+}
+
+#[test]
+fn facts_rebuilt_after_the_fold_see_the_folded_bodies() {
+    let mut s = session(
+        &[(
+            "m",
+            r#"
+            global ro_config: int = 7;
+            global write_only_log: int = 0;
+            fn main() -> int { write_only_log = input(); return ro_config; }
+            "#,
+        )],
+        None,
+    );
+    let facts = GlobalFacts::build(&mut s).unwrap();
+    let main = s.program.find_routine("main").unwrap();
+    fold_globals(&mut s, &facts, &[main]).unwrap();
+    let after = GlobalFacts::build(&mut s).unwrap();
+    assert!(after.read.iter().all(|&r| !r), "the load was folded");
+    assert!(after.written.iter().all(|&w| !w), "the store was removed");
+    s.assert_summaries_match_bodies("fold_globals");
+}
+
+/// A profile that makes every site of every routine hot.
+fn all_hot(unit: &LinkedUnit) -> ProfileDb {
+    let mut db = ProfileDb::new();
+    let mut probes = Vec::new();
+    let mut shapes = Vec::new();
+    for (i, body) in unit.bodies.iter().enumerate() {
+        let meta = unit.program.routine(RoutineId::from_index(i));
+        let name = unit.program.name(meta.name);
+        probes.push((ProbeKey::block(name, 0), 1000));
+        for site in 0..body.next_site {
+            probes.push((ProbeKey::site(name, site), 1000));
+        }
+        shapes.push((
+            name.to_owned(),
+            RoutineShape {
+                n_blocks: body.blocks.len() as u32,
+                n_sites: body.next_site,
+                fingerprint: body.fingerprint(),
+            },
+        ));
+    }
+    db.record(&probes, &shapes);
+    db
+}
+
+/// A callee too big to inline, specializable on `mode`.
+fn big(name: &str, inner: &str) -> String {
+    let arm: String = (0..40)
+        .map(|i| format!("acc = acc + (acc / (mode + {})) % 97;", i + 2))
+        .collect();
+    format!(
+        "fn {name}(x: int, mode: int) -> int {{
+            var acc: int = x;
+            if (mode == 0) {{ acc = acc + {inner}; }} else {{ {arm} }}
+            return acc;
+        }}"
+    )
+}
+
+fn cloned(srcs: &[(&str, &str)]) -> (HloSession, usize) {
+    let modules: Vec<(String, String)> = srcs
+        .iter()
+        .map(|&(n, s)| (n.to_owned(), s.to_owned()))
+        .collect();
+    let db = all_hot(&unit_of(&modules));
+    let mut s = HloSession::new(unit_of(&modules), NaimConfig::default(), Some(&db)).unwrap();
+    let before = s.n_routines();
+    crate::clone_pass(&mut s, &CloneOptions::default()).unwrap();
+    s.assert_summaries_match_bodies("clone_pass");
+    (s, before)
+}
+
+#[test]
+fn clone_is_reachable_through_the_retargeted_site() {
+    let lib = big("work", "1");
+    let (mut s, before) = cloned(&[
+        (
+            "app",
+            "extern fn work(x: int, mode: int) -> int;\nfn main() -> int { return work(input(), 0); }",
+        ),
+        ("lib", &lib),
+    ]);
+    assert_eq!(s.n_routines(), before + 1);
+    let graph = CallGraph::build(&mut s).unwrap();
+    let main = s.program.main_routine().unwrap();
+    let reach = graph.reachable_from(main);
+    assert!(reach[before], "main now calls the clone");
+    let work = s.program.find_routine("work").unwrap();
+    assert!(!reach[work.index()], "and nothing calls the original");
+}
+
+#[test]
+fn nested_clone_summary_names_final_ids() {
+    // Two clusters that each clone. In the second, `mid` is defined
+    // before `top`, so `mid`'s site is retargeted to `leaf`'s clone
+    // first and `mid`'s own clone — taken for `top` — embeds that
+    // provisional id, which the first cluster's clone has shifted.
+    let solo = big("solo", "1");
+    let leaf = big("leaf", "1");
+    let mid = big("mid", "leaf(x, 0)");
+    let (mut s, before) = cloned(&[
+        (
+            "a",
+            &format!("{solo}\nfn first() -> int {{ return solo(input(), 0); }}"),
+        ),
+        (
+            "b",
+            &format!("{leaf}\n{mid}\nfn top() -> int {{ return mid(input(), 0); }}"),
+        ),
+        (
+            "c",
+            "extern fn first() -> int;\nextern fn top() -> int;\nfn main() -> int { return first() + top(); }",
+        ),
+    ]);
+    assert_eq!(s.n_routines(), before + 3, "solo, leaf and mid clones");
+    let graph = CallGraph::build(&mut s).unwrap();
+    let reach = graph.reachable_from(s.program.main_routine().unwrap());
+    assert!(reach[before..].iter().all(|&r| r), "every clone is called");
+}

@@ -3,10 +3,11 @@
 //!
 //! "Information about global or module private variable usage can only
 //! be determined if all routines that can access a variable are
-//! examined, not just the performance-critical ones" (§5). HLO
-//! therefore reads in *all* code once to collect [`GlobalFacts`], even
-//! under selectivity; only the subsequent transformations are limited
-//! to selected routines.
+//! examined, not just the performance-critical ones" (§5). Every
+//! routine is examined once, at read-in, into a resident summary;
+//! [`GlobalFacts`] are the union of those summaries, even under
+//! selectivity, and only the subsequent transformations are limited to
+//! selected routines.
 //!
 //! These whole-program facts are also what stands in for code the
 //! cluster-partitioned inliner cannot see: a cross-cluster callee is
@@ -14,72 +15,50 @@
 //! effect on the caller's cluster is summarized entirely by the facts
 //! folded here before the partition is taken.
 
-use crate::callgraph::CallGraph;
 use crate::session::HloSession;
-use cmo_ir::{Const, GlobalId, GlobalRef, Instr, MemBase, RoutineId};
-use cmo_naim::NaimError;
+use cmo_ir::{Const, GlobalId, Instr, MemBase, RoutineId, RoutineSummary};
+use cmo_naim::{MemCharge, NaimError};
 
 /// Whole-program read/write facts about global variables.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct GlobalFacts {
     /// `read[g]`: some routine loads `g`.
     pub read: Vec<bool>,
     /// `written[g]`: some routine stores `g`.
     pub written: Vec<bool>,
-}
-
-fn global_of_base(base: &MemBase) -> Option<GlobalId> {
-    match base {
-        MemBase::Global(GlobalRef::Id(g)) => Some(*g),
-        _ => None,
-    }
+    /// The facts' bytes in the session's derived-data accounting, for
+    /// as long as the facts live.
+    _charge: Option<MemCharge>,
 }
 
 impl GlobalFacts {
-    /// Scans every routine once (unloading after), recording which
-    /// globals are read and written anywhere in the program.
+    /// Unions the read and write sets of every routine's resident
+    /// summary: which globals are read and written anywhere in the
+    /// program. No body is loaded.
     ///
     /// # Errors
     ///
-    /// Propagates loader failures.
+    /// Never fails — the summaries are resident. The `Result` is what
+    /// callers written against the body-scanning signature expect.
     pub fn build(session: &mut HloSession) -> Result<Self, NaimError> {
         let n_globals = session.program.globals().len();
         let mut facts = GlobalFacts {
             read: vec![false; n_globals],
             written: vec![false; n_globals],
+            _charge: Some(session.charge_derived(n_globals * 2)),
         };
-        for i in 0..session.n_routines() {
-            let rid = RoutineId::from_index(i);
-            let body = session.body(rid)?;
-            for block in &body.blocks {
-                for instr in &block.instrs {
-                    match instr {
-                        Instr::LoadGlobal { global, .. } => {
-                            facts.read[global.id().index()] = true;
-                        }
-                        Instr::StoreGlobal { global, .. } => {
-                            facts.written[global.id().index()] = true;
-                        }
-                        Instr::LoadElem { base, .. } => {
-                            if let Some(g) = global_of_base(base) {
-                                facts.read[g.index()] = true;
-                            }
-                        }
-                        Instr::StoreElem { base, .. } => {
-                            if let Some(g) = global_of_base(base) {
-                                facts.written[g.index()] = true;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+        let summaries = session.summaries();
+        for rid in (0..session.n_routines()).map(RoutineId::from_index) {
+            for g in summaries.reads(rid) {
+                facts.read[g.index()] = true;
             }
-            session.unload(rid)?;
-            // One work unit per routine scanned: the deterministic
+            for g in summaries.writes(rid) {
+                facts.written[g.index()] = true;
+            }
+            // One work unit per routine examined: the deterministic
             // stand-in for analysis time on the telemetry clock.
             session.telemetry().work(1);
         }
-        session.account_derived((n_globals * 2) as isize);
         Ok(facts)
     }
 }
@@ -129,6 +108,18 @@ pub fn fold_globals(
     let mut folded = 0u64;
     let mut removed = 0u64;
     for &rid in targets {
+        session.telemetry().work(1);
+        // Only a routine that loads a foldable global or stores a
+        // never-read one has anything to rewrite; the rest stay
+        // unloaded.
+        let summaries = session.summaries();
+        if !summaries
+            .reads(rid)
+            .any(|g| init_const[g.index()].is_some())
+            && summaries.writes(rid).all(|g| facts.read[g.index()])
+        {
+            continue;
+        }
         let body = session.body_mut(rid)?;
         for block in &mut body.blocks {
             for instr in &mut block.instrs {
@@ -144,120 +135,22 @@ pub fn fold_globals(
             }
             let before = block.instrs.len();
             block.instrs.retain(|i| match i {
-                Instr::StoreGlobal { global, .. } => facts.read[global.id().index()],
-                Instr::StoreElem { base, .. } => match global_of_base(base) {
-                    Some(g) => facts.read[g.index()],
-                    None => true,
-                },
+                Instr::StoreGlobal { global, .. }
+                | Instr::StoreElem {
+                    base: MemBase::Global(global),
+                    ..
+                } => facts.read[global.id().index()],
                 _ => true,
             });
             removed += (before - block.instrs.len()) as u64;
         }
+        let summary = RoutineSummary::of(body);
+        session.set_summary(rid, &summary);
         session.unload(rid)?;
-        session.telemetry().work(1);
     }
     session.stats.globals_folded += folded;
     session.stats.dead_stores_removed += removed;
     Ok(())
-}
-
-/// Transitive mod/ref summaries: which globals each routine may read
-/// or write, directly or through calls. Bit-matrix representation,
-/// fixed-point over the call graph.
-#[derive(Debug, Clone)]
-pub struct ModRef {
-    n_globals: usize,
-    words: usize,
-    reads: Vec<u64>,
-    writes: Vec<u64>,
-}
-
-impl ModRef {
-    /// Builds summaries for every routine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates loader failures.
-    pub fn build(session: &mut HloSession, graph: &CallGraph) -> Result<Self, NaimError> {
-        let n_globals = session.program.globals().len();
-        let n = session.n_routines();
-        let words = n_globals.div_ceil(64).max(1);
-        let mut mr = ModRef {
-            n_globals,
-            words,
-            reads: vec![0; n * words],
-            writes: vec![0; n * words],
-        };
-        // Direct facts.
-        for i in 0..n {
-            let rid = RoutineId::from_index(i);
-            let body = session.body(rid)?;
-            for block in &body.blocks {
-                for instr in &block.instrs {
-                    match instr {
-                        Instr::LoadGlobal { global, .. } => mr.set_read(rid, global.id()),
-                        Instr::StoreGlobal { global, .. } => mr.set_write(rid, global.id()),
-                        Instr::LoadElem { base, .. } => {
-                            if let Some(g) = global_of_base(base) {
-                                mr.set_read(rid, g);
-                            }
-                        }
-                        Instr::StoreElem { base, .. } => {
-                            if let Some(g) = global_of_base(base) {
-                                mr.set_write(rid, g);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            session.unload(rid)?;
-        }
-        // Transitive closure over calls.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for e in &graph.edges {
-                let (cr, cw) = (e.caller.index(), e.callee.index());
-                for w in 0..words {
-                    let add_r = mr.reads[cw * words + w] & !mr.reads[cr * words + w];
-                    let add_w = mr.writes[cw * words + w] & !mr.writes[cr * words + w];
-                    if add_r != 0 {
-                        mr.reads[cr * words + w] |= add_r;
-                        changed = true;
-                    }
-                    if add_w != 0 {
-                        mr.writes[cr * words + w] |= add_w;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        session.account_derived((mr.reads.len() * 16) as isize);
-        Ok(mr)
-    }
-
-    fn set_read(&mut self, r: RoutineId, g: GlobalId) {
-        self.reads[r.index() * self.words + g.index() / 64] |= 1 << (g.index() % 64);
-    }
-
-    fn set_write(&mut self, r: RoutineId, g: GlobalId) {
-        self.writes[r.index() * self.words + g.index() / 64] |= 1 << (g.index() % 64);
-    }
-
-    /// May `r` (transitively) read `g`?
-    #[must_use]
-    pub fn reads(&self, r: RoutineId, g: GlobalId) -> bool {
-        debug_assert!(g.index() < self.n_globals);
-        self.reads[r.index() * self.words + g.index() / 64] & (1 << (g.index() % 64)) != 0
-    }
-
-    /// May `r` (transitively) write `g`?
-    #[must_use]
-    pub fn writes(&self, r: RoutineId, g: GlobalId) -> bool {
-        debug_assert!(g.index() < self.n_globals);
-        self.writes[r.index() * self.words + g.index() / 64] & (1 << (g.index() % 64)) != 0
-    }
 }
 
 #[cfg(test)]
@@ -334,25 +227,6 @@ mod tests {
             .filter(|i| matches!(i, Instr::StoreGlobal { .. }))
             .count();
         assert_eq!(stores, 1, "only the counter store remains");
-    }
-
-    #[test]
-    fn modref_is_transitive() {
-        let mut s = session(&[
-            (
-                "a",
-                "extern fn touch();\nglobal g: int = 0;\nfn main() -> int { touch(); return 0; }",
-            ),
-            ("b", "extern global g: int;\nfn touch() { g = g + 1; }"),
-        ]);
-        let cg = CallGraph::build(&mut s).unwrap();
-        let mr = ModRef::build(&mut s, &cg).unwrap();
-        let main = s.program.find_routine("main").unwrap();
-        let touch = s.program.find_routine("touch").unwrap();
-        let g = GlobalId::from_index(0);
-        assert!(mr.writes(touch, g));
-        assert!(mr.reads(touch, g));
-        assert!(mr.writes(main, g), "main writes g through touch");
     }
 
     #[test]

@@ -10,10 +10,14 @@
 //!
 //! Every routine body and module symbol table lives in a NAIM pool
 //! behind the [`cmo_naim::Loader`]; HLO loads what it needs for the
-//! current task and requests unloads when done (§4.2). Analysis
-//! results (the call graph annotations, mod/ref summaries, maintained
-//! block counts) are *derived* data: recomputed from scratch, never
-//! kept incrementally up to date, freely discarded (§4.1).
+//! current task and requests unloads when done (§4.2). What the
+//! whole-program analyses need from a body — its call sites and the
+//! globals it touches — is kept as a small resident summary per
+//! routine, refreshed by whoever writes the body, so building the call
+//! graph or the global facts loads nothing. Analysis results (the call
+//! graph, the global facts) are *derived* data: recomputed from
+//! scratch, never kept incrementally up to date, freely discarded and
+//! released from the accounting when dropped (§4.1).
 //!
 //! The inliner honours *operation limits* (§6.3): a cap on the number
 //! of inline operations performed, binary-searchable by the automatic
@@ -41,5 +45,5 @@ pub use cluster::{
     ClusterPlan,
 };
 pub use inline::{inline_pass, InlineOptions, InlineStats};
-pub use ipa::{fold_globals, GlobalFacts, ModRef};
+pub use ipa::{fold_globals, GlobalFacts};
 pub use session::{HloSession, HloStats};

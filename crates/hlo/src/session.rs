@@ -1,8 +1,11 @@
 //! The HLO optimization session: program state behind the NAIM loader.
 
-use cmo_ir::{LinkedUnit, ModuleId, Program, RoutineBody, RoutineId, Transitory};
+use cmo_ir::{
+    LinkedUnit, ModuleId, Program, RoutineBody, RoutineId, RoutineSummary, SummaryTable, Transitory,
+};
 use cmo_naim::{
-    LoaderStats, MemClass, MemorySnapshot, NaimConfig, NaimError, PoolId, PoolKind, ShardedLoader,
+    LoaderStats, MemCharge, MemClass, MemorySnapshot, NaimConfig, NaimError, PoolId, PoolKind,
+    ShardedLoader,
 };
 use cmo_profile::{ProfileDb, RoutineShape};
 use cmo_telemetry::Telemetry;
@@ -43,8 +46,11 @@ pub struct HloStats {
 /// [`HloSession::body`] / [`HloSession::body_mut`] so the loader can
 /// manage residency, and phases call [`HloSession::unload_all`] at
 /// their boundaries ("clients simply request that all unneeded pools
-/// are unloaded", §4.3). The session is `Send`, so the driver may move
-/// it between pipeline threads.
+/// are unloaded", §4.3). Beside the pools the session keeps one
+/// resident [`RoutineSummary`] per routine — call sites and direct
+/// global accesses — refreshed by whoever writes a body, so
+/// whole-program analyses never load one. The session is `Send`, so
+/// the driver may move it between pipeline threads.
 #[derive(Debug)]
 pub struct HloSession {
     /// The program symbol tables (global objects, always resident).
@@ -52,6 +58,11 @@ pub struct HloSession {
     loader: ShardedLoader<Transitory>,
     routine_pool: Vec<PoolId>,
     symtab_pool: Vec<PoolId>,
+    /// Resident per-routine summaries (global data): always equal to
+    /// `RoutineSummary::of` of the routine's current body.
+    summaries: SummaryTable,
+    /// Bytes of `summaries` currently charged to `MemClass::Global`.
+    summary_bytes: usize,
     /// Maintained block execution counts per routine (derived data;
     /// correlated from the profile db at session start and kept up to
     /// date by transformations).
@@ -68,6 +79,10 @@ pub struct HloSession {
     /// Peak memory absorbed from per-cluster loaders, folded as a
     /// concurrent peak on top of the at-split snapshot.
     folded_peak: MemorySnapshot,
+    /// `body` / `body_mut` calls per routine, for the
+    /// who-touches-a-body tests.
+    #[cfg(test)]
+    pub(crate) body_accesses: Vec<u32>,
 }
 
 /// Shape of a body as HLO sees it (for profile correlation).
@@ -124,7 +139,9 @@ impl HloSession {
         let mut site_counts = Vec::with_capacity(bodies.len());
         let mut stale = Vec::with_capacity(bodies.len());
         let mut routine_pool = Vec::with_capacity(bodies.len());
+        let mut summaries = SummaryTable::default();
         for (i, body) in bodies.iter().enumerate() {
+            summaries.push(&RoutineSummary::of(body));
             let rid = RoutineId::from_index(i);
             let name = program.name(program.routine(rid).name);
             let (blocks, sites, was_stale) = match db {
@@ -175,12 +192,19 @@ impl HloSession {
             .map(|c| c.as_ref().map_or(0, |v| v.len() * 8 + 24))
             .sum();
         loader.account(MemClass::Derived, derived as isize);
+        summaries.shrink_to_fit();
+        let summary_bytes = summaries.heap_bytes();
+        loader.account(MemClass::Global, summary_bytes as isize);
         loader.enforce()?;
         Ok(HloSession {
             program,
             loader,
+            #[cfg(test)]
+            body_accesses: vec![0; routine_pool.len()],
             routine_pool,
             symtab_pool,
+            summaries,
+            summary_bytes,
             counts,
             site_counts,
             stale,
@@ -211,6 +235,8 @@ impl HloSession {
     ///
     /// Propagates loader failures.
     pub fn body(&mut self, rid: RoutineId) -> Result<&RoutineBody, NaimError> {
+        #[cfg(test)]
+        self.count_access(rid);
         let pool = self.routine_pool[rid.index()];
         Ok(self.loader.get(pool)?.routine())
     }
@@ -221,6 +247,8 @@ impl HloSession {
     ///
     /// Propagates loader failures.
     pub fn body_mut(&mut self, rid: RoutineId) -> Result<&mut RoutineBody, NaimError> {
+        #[cfg(test)]
+        self.count_access(rid);
         let pool = self.routine_pool[rid.index()];
         Ok(self.loader.get_mut(pool)?.routine_mut())
     }
@@ -307,9 +335,32 @@ impl HloSession {
         self.stats.dead_routines = n;
     }
 
-    /// Records extra derived-data bytes (analysis results).
-    pub fn account_derived(&mut self, delta: isize) {
-        self.loader.account(MemClass::Derived, delta);
+    /// Charges an analysis result's bytes as derived data until the
+    /// returned guard — kept inside the result — is dropped.
+    pub(crate) fn charge_derived(&self, bytes: usize) -> MemCharge {
+        self.loader.charge(MemClass::Derived, bytes)
+    }
+
+    /// The resident per-routine summaries.
+    pub(crate) fn summaries(&self) -> &SummaryTable {
+        &self.summaries
+    }
+
+    /// Records the summary of a body the caller has just written. Every
+    /// writer of a routine body must call this with
+    /// `RoutineSummary::of` of the body it holds.
+    pub(crate) fn set_summary(&mut self, rid: RoutineId, summary: &RoutineSummary) {
+        self.summaries.set(rid, summary);
+    }
+
+    /// Brings the `Global` charge for the summaries up to date after a
+    /// batch of [`HloSession::set_summary`] / clone registrations.
+    pub(crate) fn settle_summaries(&mut self) {
+        self.summaries.shrink_to_fit();
+        let now = self.summaries.heap_bytes();
+        self.loader
+            .account(MemClass::Global, now as isize - self.summary_bytes as isize);
+        self.summary_bytes = now;
     }
 
     /// Maintained block counts for `rid`, if profile data existed.
@@ -368,12 +419,13 @@ impl HloSession {
 
     /// Registers a new routine created by optimization (cloning): adds
     /// its metadata to the program symbol table and its body to a new
-    /// NAIM pool, with maintained counts.
+    /// NAIM pool, with maintained counts and its summary (the caller
+    /// settles the summary charge once per batch).
     ///
     /// # Errors
     ///
     /// Propagates loader failures.
-    pub fn add_cloned_routine(
+    pub(crate) fn add_cloned_routine(
         &mut self,
         meta: cmo_ir::RoutineMeta,
         body: RoutineBody,
@@ -382,6 +434,9 @@ impl HloSession {
     ) -> Result<RoutineId, NaimError> {
         let rid = self.program.add_routine(meta);
         debug_assert_eq!(rid.index(), self.routine_pool.len());
+        self.summaries.push(&RoutineSummary::of(&body));
+        #[cfg(test)]
+        self.body_accesses.push(0);
         let pool = self.loader.insert(Transitory::Routine(body), PoolKind::Ir);
         self.loader.unload(pool)?;
         self.routine_pool.push(pool);
@@ -410,11 +465,27 @@ impl HloSession {
         Ok((self.program, bodies, symtabs, self.counts))
     }
 
-    /// Loader pool counts per state:
-    /// `(expanded, pending, compact, offloaded)`.
     #[cfg(test)]
-    pub(crate) fn loader_census(&self) -> (usize, usize, usize, usize) {
-        self.loader.census()
+    fn count_access(&mut self, rid: RoutineId) {
+        self.body_accesses[rid.index()] += 1;
+    }
+
+    /// The summary-is-truth oracle: every resident summary equals a
+    /// fresh scan of the routine's current body. Tests call it at each
+    /// phase boundary.
+    #[cfg(test)]
+    pub(crate) fn assert_summaries_match_bodies(&mut self, phase: &str) {
+        for i in 0..self.n_routines() {
+            let rid = RoutineId::from_index(i);
+            let pool = self.routine_pool[i];
+            let fresh = RoutineSummary::of(self.loader.get(pool).unwrap().routine());
+            self.loader.unload(pool).unwrap();
+            assert_eq!(
+                self.summaries.get(rid),
+                fresh,
+                "stale summary of {rid} after {phase}"
+            );
+        }
     }
 }
 

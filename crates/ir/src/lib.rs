@@ -56,6 +56,7 @@ mod print;
 mod program;
 mod relocs;
 mod routine;
+mod summary;
 mod types;
 pub mod validate;
 
@@ -70,4 +71,5 @@ pub use print::print_routine;
 pub use program::{GlobalMeta, Program};
 pub use relocs::Transitory;
 pub use routine::{BlockData, LocalDecl, RoutineBody, RoutineMeta};
+pub use summary::{RoutineSummary, SummaryTable};
 pub use types::{Const, Signature, Ty, VarTy};

@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The three storage classes of §4.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -285,6 +286,35 @@ impl SharedAccountant {
             self.peak[s].store(self.current[s].load(Ordering::Relaxed), Ordering::Relaxed);
         }
         self.peak_total.store(self.total(), Ordering::Relaxed);
+    }
+}
+
+/// Bytes charged to a [`SharedAccountant`] for exactly as long as the
+/// structure that owns this guard lives. Derived data is "always
+/// recomputable, never persisted" (§4.1): an analysis result holds one
+/// of these, so its bytes leave the accounting when it is dropped and
+/// the reported peak is a peak of live data.
+#[derive(Debug)]
+pub struct MemCharge {
+    accountant: Arc<SharedAccountant>,
+    class: MemClass,
+    bytes: usize,
+}
+
+impl MemCharge {
+    pub(crate) fn new(accountant: Arc<SharedAccountant>, class: MemClass, bytes: usize) -> Self {
+        accountant.add(class, bytes);
+        MemCharge {
+            accountant,
+            class,
+            bytes,
+        }
+    }
+}
+
+impl Drop for MemCharge {
+    fn drop(&mut self) {
+        self.accountant.remove(self.class, self.bytes);
     }
 }
 

@@ -74,7 +74,7 @@ mod sharded;
 mod storage;
 mod tiered;
 
-pub use accounting::{MemClass, MemoryAccountant, MemorySnapshot, SharedAccountant};
+pub use accounting::{MemCharge, MemClass, MemoryAccountant, MemorySnapshot, SharedAccountant};
 pub use arena::Arena;
 pub use encode::{Decoder, Encoder};
 pub use error::{DecodeError, NaimError};

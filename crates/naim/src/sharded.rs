@@ -26,7 +26,7 @@
 //! telemetry events, so traces read identically whatever the shard
 //! count.
 
-use crate::accounting::{MemClass, MemorySnapshot, SharedAccountant};
+use crate::accounting::{MemCharge, MemClass, MemorySnapshot, SharedAccountant};
 use crate::error::NaimError;
 use crate::loader::{Loader, LoaderStats, NaimConfig, PoolId, PoolKind, PoolState, Relocatable};
 use crate::repository::{MemBackend, RepoBackend, Repository};
@@ -263,6 +263,13 @@ impl<T: Relocatable, B: RepoBackend> ShardedLoader<T, B> {
     /// control (global or derived data).
     pub fn account(&self, class: MemClass, delta: isize) {
         self.accountant.adjust(class, delta);
+    }
+
+    /// Like [`ShardedLoader::account`], but the bytes are released when
+    /// the returned guard is dropped.
+    #[must_use]
+    pub fn charge(&self, class: MemClass, bytes: usize) -> MemCharge {
+        MemCharge::new(Arc::clone(&self.accountant), class, bytes)
     }
 
     /// Program-wide memory accounting snapshot.

@@ -6,7 +6,7 @@
 //! each optimization level and run on the *reference* input, reporting
 //! cycles relative to the `+O2` baseline.
 
-use cmo::{BuildError, BuildOptions, Compiler, OptLevel, ProfileDb};
+use cmo::{BuildError, BuildOptions, Compiler, NaimConfig, NaimLevel, OptLevel, ProfileDb};
 use cmo_synth::SynthApp;
 
 /// Makes a driver loaded with every module of `app`.
@@ -98,4 +98,32 @@ pub fn measure_levels(app: &SynthApp, sel_percent: f64) -> Result<LevelCycles, B
         o4,
         o4_pbo,
     })
+}
+
+/// The NAIM axis of the configuration lattice at one budget: off,
+/// compaction only, and compaction with offload.
+#[must_use]
+pub fn naim_levels(budget: usize) -> [NaimConfig; 3] {
+    [
+        NaimConfig::disabled(),
+        NaimConfig::with_budget(budget).max_level(NaimLevel::CompactAll),
+        NaimConfig::with_budget(budget).max_level(NaimLevel::Offload),
+    ]
+}
+
+/// The optimizer's decisions in a rendered trace: every event that
+/// does not come from the NAIM storage layer (`pool`, `arena`, `mmap`)
+/// — `cluster`, `inline` with reason and count, `clone`,
+/// `dead_routine`, `select_*`, ... — in order, with the work-clock
+/// stamp dropped. Memory pressure moves storage events and the clock;
+/// it must not move these.
+#[must_use]
+pub fn trace_decisions(trace: &str) -> Vec<&str> {
+    let storage = ["pool", "arena", "mmap"].map(|tag| format!("\"event\":\"{tag}\""));
+    trace
+        .lines()
+        .skip(1) // the schema header
+        .filter(|line| !storage.iter().any(|tag| line.contains(tag)))
+        .map(|line| line.split_once(',').map_or(line, |(_work, rest)| rest))
+        .collect()
 }

@@ -4,8 +4,8 @@
 //! run." Nothing in this system hashes or sorts on addresses; these
 //! tests pin that discipline down.
 
-use cmo::{BuildOptions, Compiler, NaimConfig, OptLevel};
-use cmo_repro::harness::{compiler_for, train_profile};
+use cmo::{BuildOptions, Compiler, NaimConfig, OptLevel, Telemetry};
+use cmo_repro::harness::{compiler_for, naim_levels, trace_decisions, train_profile};
 use cmo_synth::{generate, spec_preset, SynthSpec};
 
 fn images_equal(a: &cmo::BuildOutput, b: &cmo::BuildOutput) -> bool {
@@ -79,4 +79,64 @@ fn naim_memory_configuration_changes_nothing_but_effort() {
     // The tight build did real NAIM work; the roomy one did none.
     assert!(tight.report.loader.compactions > 0);
     assert_eq!(roomy.report.loader.compactions, 0);
+}
+
+#[test]
+fn naim_level_and_jobs_change_no_decision() {
+    // NAIM off / compaction only / tight with offload, each at -j1 and
+    // -j4: one image, one checksum, one set of HLO and partition
+    // counters, and one sequence of optimizer decisions in the trace;
+    // across -j the whole trace, pool events included, is identical.
+    let app = generate(&SynthSpec::small("naim-axis", 5));
+    let cc = compiler_for(&app).unwrap();
+    let db = train_profile(&cc, &app.train_input).unwrap();
+    let mut reference = None;
+    for (level, naim) in ["off", "compact", "offload"]
+        .into_iter()
+        .zip(naim_levels(16 << 10))
+    {
+        let mut trace_j1 = None;
+        for jobs in [1, 4] {
+            let tel = Telemetry::enabled();
+            let out = cc
+                .build(
+                    &BuildOptions::new(OptLevel::O4)
+                        .with_profile_db(db.clone())
+                        .with_selectivity(60.0)
+                        .with_naim(naim.clone())
+                        .with_jobs(jobs)
+                        .with_telemetry(tel.clone()),
+                )
+                .unwrap();
+            let loader = out.report.loader;
+            match level {
+                "off" => assert_eq!(loader.compactions, 0),
+                "compact" => assert!(loader.compactions > 0 && loader.offload_writes == 0),
+                _ => assert!(
+                    loader.offload_writes > 0,
+                    "the budget must force offloading"
+                ),
+            }
+            let trace = tel.render_trace();
+            let decisions: Vec<String> = trace_decisions(&trace)
+                .into_iter()
+                .map(str::to_owned)
+                .collect();
+            assert!(decisions.iter().any(|d| d.contains("\"event\":\"inline\"")));
+            let got = (
+                out.image.to_bytes(),
+                out.run(&app.ref_input).unwrap().checksum,
+                out.report.hlo,
+                out.report.clusters,
+                decisions,
+            );
+            let want = reference.get_or_insert_with(|| got.clone());
+            assert!(*want == got, "{level} -j{jobs} diverged from off -j1");
+            assert_eq!(
+                *trace_j1.get_or_insert_with(|| trace.clone()),
+                trace,
+                "{level}: trace drifted at -j{jobs}"
+            );
+        }
+    }
 }

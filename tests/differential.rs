@@ -9,9 +9,9 @@
 //! mixes every `output()` value order-sensitively plus `main`'s return,
 //! so any miscompile that changes observable behaviour is caught.
 
-use cmo::{BuildCache, BuildOptions, Compiler, NaimConfig, OptLevel, Telemetry};
+use cmo::{BuildCache, BuildOptions, Compiler, OptLevel, Telemetry};
 use cmo_naim::{MemStorage, Storage};
-use cmo_repro::harness::{compiler_for, train_profile};
+use cmo_repro::harness::{compiler_for, naim_levels, trace_decisions, train_profile};
 use cmo_synth::{generate, SynthSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -140,33 +140,72 @@ proptest! {
     /// image at all — compaction and offloading are lossless, and the
     /// compiler "must behave in exactly the same way ... on a machine
     /// with the same memory configuration" (§6.2). We check something
-    /// stronger: the image is identical across *different* memory
-    /// configurations.
+    /// stronger: across *different* memory configurations (NAIM off,
+    /// compaction only, tight with offload) and job counts the image
+    /// bytes, the VM checksum, the HLO and partition counters and the
+    /// sequence of optimizer decisions in the trace are all identical,
+    /// and across job counts so is the whole trace, pool events
+    /// included.
     #[test]
     fn naim_pressure_is_invisible(
         seed in 0u64..10_000,
         budget_kib in 8usize..64,
+        sel in 0.0f64..100.0,
     ) {
         let app = generate(&spec_from(seed, 3, 5, 0.2));
         let cc = compiler_for(&app).unwrap();
         let db = train_profile(&cc, &app.train_input).unwrap();
 
-        let roomy = cc
-            .build(
-                &BuildOptions::new(OptLevel::O4)
-                    .with_profile_db(db.clone())
-                    .with_naim(NaimConfig::with_budget(1 << 30)),
-            )
-            .unwrap();
-        let tight = cc
-            .build(
-                &BuildOptions::new(OptLevel::O4)
-                    .with_profile_db(db)
-                    .with_naim(NaimConfig::with_budget(budget_kib << 10)),
-            )
-            .unwrap();
-        prop_assert_eq!(&roomy.image.code, &tight.image.code);
-        prop_assert_eq!(&roomy.image.globals, &tight.image.globals);
+        for base in [
+            BuildOptions::new(OptLevel::O4),
+            BuildOptions::new(OptLevel::O4).with_profile_db(db.clone()),
+            BuildOptions::new(OptLevel::O4)
+                .with_profile_db(db.clone())
+                .with_selectivity(sel),
+        ] {
+            let mut reference = None;
+            for naim in naim_levels(budget_kib << 10) {
+                let mut trace_j1 = None;
+                for jobs in [1, 4] {
+                    let tel = Telemetry::enabled();
+                    let out = cc
+                        .build(
+                            &base
+                                .clone()
+                                .with_naim(naim.clone())
+                                .with_jobs(jobs)
+                                .with_telemetry(tel.clone()),
+                        )
+                        .unwrap();
+                    let trace = tel.render_trace();
+                    let got = (
+                        out.image.to_bytes(),
+                        out.run(&app.ref_input).unwrap().checksum,
+                        out.report.hlo,
+                        out.report.clusters,
+                        trace_decisions(&trace)
+                            .into_iter()
+                            .map(str::to_owned)
+                            .collect::<Vec<_>>(),
+                    );
+                    let want = reference.get_or_insert_with(|| got.clone());
+                    prop_assert!(
+                        *want == got,
+                        "seed {} diverged at {:?} -j{}",
+                        seed,
+                        naim.max_level,
+                        jobs
+                    );
+                    prop_assert_eq!(
+                        trace_j1.get_or_insert_with(|| trace.clone()),
+                        &trace,
+                        "seed {}: trace drifted at -j{}",
+                        seed,
+                        jobs
+                    );
+                }
+            }
+        }
     }
 
     /// Instrumentation transparency: probes must not change behaviour.

@@ -50,6 +50,32 @@ run +O4 +P train.db --report-json r.json --trace t.jsonl lib.cmo app.cmo
 grep -q '"cmo.report.v1"' r.json || { echo "check_docs: r.json missing cmo.report.v1 schema" >&2; exit 1; }
 grep -q '"cmo.trace.v1"' t.jsonl || { echo "check_docs: t.jsonl missing cmo.trace.v1 schema" >&2; exit 1; }
 
+# --- NAIM under the tightest budget: same image, bounded effort ---
+# (Mirrors CI's tight-budget step: --budget 0 compacts and offloads on
+# every unload; the assembly must equal the unbudgeted build's at -j1
+# and -j4, the two budgeted reports must be identical, and each pool is
+# compacted at most three times per build.)
+cp "$repo_root"/examples/mlc/{util,hot,prog}.mlc .
+for files in "lib.mlc app.mlc" "util.mlc hot.mlc prog.mlc"; do
+    for j in 1 4; do
+        step=$((step + 1))
+        echo "check_docs [$step]: cmocc +O4 --budget 0 -j$j --report-json naim-j$j.json --emit-asm $files"
+        "$cmocc" +O4 --budget 0 -j$j --report-json naim-j$j.json --emit-asm $files \
+            | grep -v '^wrote ' > naim-j$j.asm
+    done
+    step=$((step + 1))
+    echo "check_docs [$step]: cmocc +O4 --emit-asm $files"
+    "$cmocc" +O4 --emit-asm $files | grep -v '^wrote ' > naim-roomy.asm
+    cmp naim-j1.asm naim-j4.asm && cmp naim-j1.asm naim-roomy.asm \
+        || { echo "check_docs: --budget 0 changed the image ($files)" >&2; exit 1; }
+    cmp naim-j1.json naim-j4.json \
+        || { echo "check_docs: budgeted report differs between -j1 and -j4 ($files)" >&2; exit 1; }
+    pools=$(sed -n 's/^ *"pools": \([0-9]*\),*$/\1/p' naim-j1.json)
+    compactions=$(sed -n 's/^ *"compactions": \([0-9]*\),*$/\1/p' naim-j1.json)
+    [[ $compactions -gt 0 && $compactions -le $((3 * pools)) ]] \
+        || { echo "check_docs: $compactions compactions over $pools pools ($files): want 1..3x" >&2; exit 1; }
+done
+
 # --- Incremental recompilation: --cache-dir cold then warm ---
 run +O4 --cache-dir .cmo-cache --report-json cold.json lib.mlc app.mlc
 [[ -f .cmo-cache/repo.naim && -f .cmo-cache/manifest.tsv ]] \

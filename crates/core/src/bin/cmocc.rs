@@ -12,7 +12,6 @@
 //!   --budget <MiB>     NAIM optimizer memory budget
 //!   -j, --jobs <N>     worker threads for front-end and LLO fan-out
 //!                      (output is byte-identical at every N)
-//!   --shards <N>       NAIM loader shard count (independent of -j)
 //!   --run <v1,v2,...>  execute main with the given input stream
 //!   --profile-out <f>  after --run of an instrumented build, write
 //!                      the profile database to <f>
@@ -102,7 +101,6 @@ struct Cli {
     selectivity: Option<f64>,
     budget_bytes: Option<usize>,
     jobs: usize,
-    shards: Option<usize>,
     run: Option<Vec<i64>>,
     profile_out: Option<PathBuf>,
     emit_asm: bool,
@@ -138,7 +136,7 @@ impl From<String> for Failure {
 
 fn usage() -> String {
     "usage: cmocc [-c] [+O1|+O2|+O4] [+P <db>] [+I] [--sel <pct>] [--budget <MiB>] \
-     [-j <N>] [--shards <N>] [--run <v1,v2,..>] [--profile-out <f>] [--emit-asm] [--report] \
+     [-j <N>] [--run <v1,v2,..>] [--profile-out <f>] [--emit-asm] [--report] \
      [--report-json <f>] [--trace <f>] [--cache-dir <dir>] [--no-cache] [--no-mmap] \
      [--gc-cache] [--gc-threshold-bytes <N>] [--remote-cache <addr>] [--remote-timeout-ms <N>] \
      [--remote-retries <N>] [--profile-slice-granularity <module|cluster|whole>] [--keep-going] \
@@ -264,7 +262,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         selectivity: None,
         budget_bytes: None,
         jobs: 1,
-        shards: None,
         run: None,
         profile_out: None,
         emit_asm: false,
@@ -324,15 +321,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     return Err(format!("bad {a} value: 0 (need at least one worker)"));
                 }
                 cli.jobs = n;
-            }
-            "--shards" => {
-                let n: usize = next("a shard count")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards value: {e}"))?;
-                if n == 0 {
-                    return Err("bad --shards value: 0 (need at least one shard)".to_owned());
-                }
-                cli.shards = Some(n);
             }
             "--run" => {
                 let spec = next("a comma-separated input list (or '-' for empty)")?;
@@ -776,9 +764,6 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
     }
     if let Some(bytes) = cli.budget_bytes {
         options = options.with_naim(NaimConfig::with_budget(bytes));
-    }
-    if let Some(shards) = cli.shards {
-        options.naim = options.naim.clone().shards(shards);
     }
     let mut faults = FaultStats::default();
     let loaded = {

@@ -41,7 +41,8 @@
 //! (CRC-valid bytes that are not an object), which
 //! [`BuildCache::materialize`] reports late, after the probe counted a
 //! hit: the counters are corrected to what an eager decode would have
-//! reported.
+//! reported. [`BuildCache::gc`] decodes every record it keeps, so a
+//! collected cache holds no such record.
 //!
 //! # Determinism
 //!
@@ -924,12 +925,13 @@ impl BuildCache {
     /// a corrupt record through the last-record-wins reopen index) —
     /// marks its lines dead.
     ///
-    /// **Sweep.** Fetch each live record (CRC-verified) and store it
-    /// into a new generation built under a temp name; a record that
-    /// fails verification on the way out is demoted to dead rather
-    /// than aborting, so GC also heals latent corruption. Content
-    /// hashes are unchanged by the copy, so surviving manifest lines
-    /// stay valid as-is.
+    /// **Sweep.** Fetch each live record (CRC-verified), decode it with
+    /// the decoder its kind tag names, and store it into a new
+    /// generation built under a temp name; a record that fails either
+    /// check on the way out is demoted to dead rather than aborting,
+    /// so GC also heals latent corruption — including CRC-valid bytes
+    /// no build has decoded yet. Content hashes are unchanged by the
+    /// copy, so surviving manifest lines stay valid as-is.
     ///
     /// **Swap.** fsync the temp, raise the journal to cover both
     /// generations, rename the temp onto `repo.naim`, then commit the
@@ -974,7 +976,7 @@ impl BuildCache {
         let mut live_records = 0u64;
         for (hash, handle) in order {
             match self.repo.fetch_ref(handle) {
-                Ok(bytes) => {
+                Ok(bytes) if record_decodes(bytes) => {
                     new_repo.store(bytes)?;
                     live_records += 1;
                 }
@@ -982,9 +984,10 @@ impl BuildCache {
                 // manifest are untouched, the orphan temp is swept on
                 // the next open.
                 Err(NaimError::Repository(e)) => return Err(NaimError::Repository(e)),
-                // Content damage (CRC, truncation): the record is dead
-                // after all; its lines get pruned below.
-                Err(_) => {
+                // Content damage (CRC, truncation, undecodable bytes):
+                // the record is dead after all; its lines get pruned
+                // below.
+                _ => {
                     alive.insert(hash, false);
                 }
             }
@@ -1116,6 +1119,22 @@ impl BuildCache {
     }
 }
 
+/// Whether a record's payload decodes as the kind its tag names — the
+/// check [`BuildCache::gc`] makes before it keeps a record.
+fn record_decodes(payload: &[u8]) -> bool {
+    let mut dec = Decoder::new(payload);
+    match dec.read_u8() {
+        Ok(TAG_OBJECT) => dec
+            .read_bytes()
+            .is_ok_and(|bytes| IlObject::from_bytes(bytes).is_ok()),
+        Ok(TAG_IMAGE) => MachineImage::decode(&mut dec).is_ok(),
+        Ok(TAG_REPORT) => CompileReport::decode(&mut dec).is_ok(),
+        Ok(TAG_SCOPE) => ModuleScope::decode(&mut dec).is_ok(),
+        Ok(TAG_CODE) => CodeSlot::decode(&mut dec).is_ok(),
+        _ => false,
+    }
+}
+
 fn emit(tel: &Telemetry, action: &'static str, scope: &'static str, name: &str, bytes: u64) {
     tel.emit(TraceEvent::Cache {
         action,
@@ -1213,10 +1232,10 @@ pub(crate) fn code_mode(options: &BuildOptions) -> String {
 /// Digest of every build option that can change the produced image or
 /// report.
 ///
-/// `jobs` and NAIM `shards` are deliberately *excluded*: the pipeline
-/// produces byte-identical output at every worker and shard count, so
-/// a cache populated at `-j4` must hit at `-j1`. The profile database
-/// participates through its full serialized content (its epoch);
+/// `jobs` is deliberately *excluded*: the pipeline produces
+/// byte-identical output at every worker count, so a cache populated
+/// at `-j4` must hit at `-j1`. The profile database participates
+/// through its full serialized content (its epoch);
 /// [`build_key_sliced`] swaps that monolithic tail for per-module
 /// slice fingerprints so retraining only re-keys moved slices.
 #[must_use]
@@ -1664,6 +1683,80 @@ mod tests {
         assert_eq!(reopened.record_count(), 1, "only the good copy survives");
         let back = reopened.get_module("m", &fp, false, &tel).expect("hit");
         assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
+    }
+
+    /// GC verifies what it keeps: a CRC-valid record its kind's decoder
+    /// rejects is dead, like a CRC failure — pruned with its line — so
+    /// the next build recompiles that module instead of finding the
+    /// damage only when an edit links it.
+    #[test]
+    fn gc_prunes_records_that_do_not_decode() {
+        use cmo_naim::MemStorage;
+        let sources: Vec<(String, String)> = [
+            ("a", "fn fa(x: int) -> int { return x * 2; }"),
+            ("b", "fn fb(x: int) -> int { return x + 2; }"),
+            (
+                "c",
+                "extern fn fa(x: int) -> int;
+                 extern fn fb(x: int) -> int;
+                 fn main() -> int { return fa(3) + fb(4); }",
+            ),
+        ]
+        .iter()
+        .map(|&(m, s)| (m.to_owned(), s.to_owned()))
+        .collect();
+        let options = BuildOptions::new(OptLevel::O4);
+        let tel = Telemetry::disabled();
+        let cold = Arc::new(MemStorage::new());
+        {
+            let mut cache =
+                BuildCache::open_on(Arc::clone(&cold) as Arc<dyn Storage>, &tel).unwrap();
+            let mut cc = crate::Compiler::new();
+            cc.add_sources_cached(&sources, 1, &mut cache, &tel)
+                .unwrap();
+            cc.build_cached(&options, &mut cache).unwrap();
+            cache.persist().unwrap();
+        }
+        let gc_of = |storage: &Arc<MemStorage>, forge: bool| {
+            let mut cache =
+                BuildCache::open_on(Arc::clone(storage) as Arc<dyn Storage>, &tel).unwrap();
+            if forge {
+                let c_line = format!("mod:{}", module_fingerprint("c", &sources[2].1));
+                let handle = cache.repo.store(&[TAG_OBJECT, 4, b'j', b'u', b'n', b'k']);
+                let hash = cache.repo.hash_of(handle.unwrap()).unwrap();
+                assert!(cache.manifest.insert(c_line, hash).is_some());
+            }
+            cache.gc(&tel).unwrap()
+        };
+        let clean = gc_of(&Arc::new(cold.snapshot()), false);
+        let storage = Arc::new(cold.snapshot());
+        let stats = gc_of(&storage, true);
+        assert_eq!(stats.pruned_lines, 1, "the forged `mod:` line is pruned");
+        assert_eq!(
+            stats.live_records,
+            clean.live_records - 1,
+            "neither c's old object nor the forgery survives"
+        );
+
+        let traced = Telemetry::enabled();
+        let mut cache = BuildCache::open_on(storage as Arc<dyn Storage>, &traced).unwrap();
+        let mut cc = crate::Compiler::new();
+        let hits = cc
+            .add_sources_cached(&sources, 1, &mut cache, &traced)
+            .unwrap();
+        assert_eq!(hits, 2, "only c recompiles");
+        let trace = traced.render_trace();
+        assert!(
+            trace.contains(r#""action":"miss","scope":"module","name":"c""#),
+            "{trace}"
+        );
+        let out = cc.build_cached(&options, &mut cache).unwrap();
+        let uncached = {
+            let mut cc = crate::Compiler::new();
+            cc.add_sources(&sources, 1).unwrap();
+            cc.build(&options).unwrap()
+        };
+        assert_eq!(out.image.to_bytes(), uncached.image.to_bytes());
     }
 
     /// How the stored object of one module gets damaged.
@@ -2176,8 +2269,20 @@ mod tests {
             let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
             let tel = Telemetry::disabled();
             let mut cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
-            // Raw records straight into the repository: GC copies bytes
-            // without decoding them, so arbitrary payloads are fair.
+            // Records straight into the repository: GC keeps only what
+            // decodes, and a one-row code slot holds any entry bytes.
+            let payloads: Vec<Vec<u8>> = payloads
+                .iter()
+                .map(|entry| {
+                    let mut table = 1u128.to_le_bytes().to_vec();
+                    table.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+                    let mut enc = Encoder::new();
+                    enc.write_u8(TAG_CODE);
+                    enc.write_bytes(&table);
+                    enc.write_bytes(entry);
+                    enc.into_bytes()
+                })
+                .collect();
             for (i, payload) in payloads.iter().enumerate() {
                 let handle = cache.repo.store(payload).unwrap();
                 let hash = cache.repo.hash_of(handle).unwrap();

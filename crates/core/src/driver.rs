@@ -1201,16 +1201,16 @@ fn build_objects_with(
             report.clusters = plan.stats();
 
             // Inline + clone, cluster by cluster. Clusters share no
-            // mutable state, so they fan out over the worker pool —
-            // except under an op limit, whose single global sequential
-            // counter (§6.3 bisection) forces the sequential path. The
-            // merge is keyed on cluster index, never completion order,
-            // so stats, report, and trace are byte-identical at any -j.
+            // mutable state, so they fan out over the worker pool (at
+            // -j1, inline on this thread) — except under an op limit,
+            // whose single global sequential counter (§6.3 bisection)
+            // forces the sequential path. The merge is keyed on cluster
+            // index, never completion order, so stats, report, and
+            // trace are byte-identical at any -j.
             {
                 let _p = tel.phase("inline");
                 let config = session.loader_config();
-                let workers = options.jobs.max(1);
-                let outcomes = if inline_opts.op_limit.is_some() || workers <= 1 {
+                let outcomes = if inline_opts.op_limit.is_some() {
                     run_clusters_seq(
                         &session.program,
                         &plan,
@@ -1221,7 +1221,7 @@ fn build_objects_with(
                     )?
                 } else {
                     let program = &session.program;
-                    let results = run_jobs(plan.inputs().len(), workers, |_, i| {
+                    let results = run_jobs(plan.inputs().len(), options.jobs.max(1), |_, i| {
                         run_cluster(
                             program,
                             &plan,

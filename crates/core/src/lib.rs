@@ -53,7 +53,6 @@ mod cache;
 mod driver;
 mod isolate;
 mod parallel;
-mod project;
 mod report;
 mod slices;
 
@@ -67,7 +66,6 @@ pub use driver::{
 };
 pub use isolate::{isolate_faulty_op, isolate_inline_ops, InlineIsolation, IsolationReport};
 pub use parallel::{default_jobs, run_jobs, try_run_jobs, JobError};
-pub use project::Project;
 pub use report::{CompileReport, FaultStats};
 pub use slices::{ModuleScope, ModuleSlice, ScopeRoutine, SliceGranularity, SlicePlan};
 

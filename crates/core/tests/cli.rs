@@ -224,10 +224,9 @@ fn bad_flag_values_are_diagnosed_not_panicked() {
         // to hit a `mib << 20` debug-mode panic).
         &["--budget", "99999999999999999999", "x.mlc"],
         &["--budget", "18446744073709551615", "x.mlc"],
-        // Worker and shard counts must be positive.
+        // Worker counts must be positive.
         &["-j", "0", "x.mlc"],
         &["--jobs", "nope", "x.mlc"],
-        &["--shards", "0", "x.mlc"],
         // -c builds no image, so image-consuming flags conflict.
         &["-c", "--run", "1", "x.mlc"],
         &["-c", "--emit-asm", "x.mlc"],
@@ -258,6 +257,12 @@ fn bad_flag_values_are_diagnosed_not_panicked() {
         );
     }
 
+    // A removed loader flag is an unknown option, not a silent no-op.
+    let out = cmocc().args(["--shards", "2", "x.mlc"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option `--shards`"), "{err}");
+
     // A missing input file is a runtime failure (exit 1), not a crash.
     let out = cmocc().arg("no-such-file.mlc").output().unwrap();
     assert_eq!(out.status.code(), Some(1));
@@ -277,15 +282,7 @@ fn jobs_flag_reproduces_report_and_trace_byte_for_byte() {
         let report = dir.join(format!("report-{tag}.json"));
         let trace = dir.join(format!("trace-{tag}.jsonl"));
         let out = cmocc()
-            .args([
-                "+O4",
-                jflag,
-                "--shards",
-                "2",
-                "--budget",
-                "1",
-                "--report-json",
-            ])
+            .args(["+O4", jflag, "--budget", "1", "--report-json"])
             .arg(&report)
             .arg("--trace")
             .arg(&trace)

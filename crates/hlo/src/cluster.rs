@@ -791,7 +791,7 @@ pub fn run_cluster(
 /// Runs every cluster sequentially, threading the inline op budget
 /// from one cluster to the next — the path the driver takes when an
 /// operation limit is set (§6.3 bisection must see one global
-/// sequential counter) and at `-j1`.
+/// sequential counter).
 ///
 /// # Errors
 ///

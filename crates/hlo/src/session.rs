@@ -4,8 +4,8 @@ use cmo_ir::{
     LinkedUnit, ModuleId, Program, RoutineBody, RoutineId, RoutineSummary, SummaryTable, Transitory,
 };
 use cmo_naim::{
-    LoaderStats, MemCharge, MemClass, MemorySnapshot, NaimConfig, NaimError, PoolId, PoolKind,
-    ShardedLoader,
+    Loader, LoaderStats, MemCharge, MemClass, MemorySnapshot, NaimConfig, NaimError, PoolId,
+    PoolKind,
 };
 use cmo_profile::{ProfileDb, RoutineShape};
 use cmo_telemetry::Telemetry;
@@ -40,9 +40,8 @@ pub struct HloStats {
 
 /// One optimization session over a linked program.
 ///
-/// Owns the always-resident program symbol information and the sharded
-/// NAIM loader holding every transitory pool (shard count comes from
-/// [`NaimConfig::shards`]). All body access goes through
+/// Owns the always-resident program symbol information and the NAIM
+/// loader holding every transitory pool. All body access goes through
 /// [`HloSession::body`] / [`HloSession::body_mut`] so the loader can
 /// manage residency, and phases call [`HloSession::unload_all`] at
 /// their boundaries ("clients simply request that all unneeded pools
@@ -55,7 +54,7 @@ pub struct HloStats {
 pub struct HloSession {
     /// The program symbol tables (global objects, always resident).
     pub program: Program,
-    loader: ShardedLoader<Transitory>,
+    loader: Loader<Transitory>,
     routine_pool: Vec<PoolId>,
     symtab_pool: Vec<PoolId>,
     /// Resident per-routine summaries (global data): always equal to
@@ -131,7 +130,7 @@ impl HloSession {
             bodies,
             symtabs,
         } = unit;
-        let mut loader = ShardedLoader::new(config);
+        let mut loader = Loader::new(config);
         loader.set_telemetry(telemetry.clone());
         loader.account(MemClass::Global, program.heap_bytes() as isize);
 
@@ -495,8 +494,8 @@ mod tests {
 
     #[test]
     fn session_is_send() {
-        // The parallel driver moves sessions (and their sharded
-        // loaders) across pipeline threads.
+        // The parallel driver moves sessions (and their loaders, whose
+        // accountant `MemCharge` guards share) across pipeline threads.
         fn assert_send<T: Send>() {}
         assert_send::<HloSession>();
     }

@@ -118,11 +118,19 @@ impl fmt::Display for MemorySnapshot {
 
 /// Tracks current and peak accounted bytes per storage class.
 ///
+/// Every [`crate::Loader`] holds one behind an `Arc`, and so does every
+/// [`MemCharge`] taken from it: a charge releases its bytes when it is
+/// dropped, possibly on another thread (the HLO session that owns the
+/// loader is `Send`), so the counters are atomics behind a `&self`
+/// API. They use relaxed ordering — accounting is a monotone max/sum
+/// structure with no cross-counter invariant that ordering could
+/// protect.
+///
 /// # Example
 ///
 /// ```
 /// use cmo_naim::{MemoryAccountant, MemClass};
-/// let mut acct = MemoryAccountant::new();
+/// let acct = MemoryAccountant::new();
 /// acct.add(MemClass::Global, 100);
 /// acct.add(MemClass::Derived, 50);
 /// acct.remove(MemClass::Derived, 50);
@@ -130,98 +138,15 @@ impl fmt::Display for MemorySnapshot {
 /// assert_eq!(snap.total(), 100);
 /// assert_eq!(snap.peak_total, 150);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct MemoryAccountant {
-    snap: MemorySnapshot,
-}
-
-impl MemoryAccountant {
-    /// Creates an accountant with all counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` newly occupied in `class`.
-    pub fn add(&mut self, class: MemClass, bytes: usize) {
-        let s = class.slot();
-        self.snap.current[s] += bytes;
-        self.snap.peak[s] = self.snap.peak[s].max(self.snap.current[s]);
-        self.snap.peak_total = self.snap.peak_total.max(self.snap.total());
-    }
-
-    /// Records `bytes` released from `class`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if more bytes are removed than are
-    /// currently accounted, which indicates an accounting bug.
-    pub fn remove(&mut self, class: MemClass, bytes: usize) {
-        let s = class.slot();
-        debug_assert!(
-            self.snap.current[s] >= bytes,
-            "accounting underflow in {class}: removing {bytes} from {}",
-            self.snap.current[s]
-        );
-        self.snap.current[s] = self.snap.current[s].saturating_sub(bytes);
-    }
-
-    /// Adjusts `class` by a signed delta.
-    ///
-    /// Negative deltas are routed through the subtraction path with a
-    /// checked sign conversion (`usize::try_from` fails exactly when
-    /// `delta < 0`), so no negative value is ever reinterpreted as a
-    /// huge unsigned size.
-    pub fn adjust(&mut self, class: MemClass, delta: isize) {
-        match usize::try_from(delta) {
-            Ok(bytes) => self.add(class, bytes),
-            Err(_) => self.remove(class, delta.unsigned_abs()),
-        }
-    }
-
-    /// Current total bytes across all classes.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.snap.total()
-    }
-
-    /// Current bytes in `class`.
-    #[must_use]
-    pub fn class(&self, class: MemClass) -> usize {
-        self.snap.class(class)
-    }
-
-    /// Returns a copy of the current snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> MemorySnapshot {
-        self.snap
-    }
-
-    /// Resets peak tracking to the current occupancy (current counters
-    /// are preserved).
-    pub fn reset_peaks(&mut self) {
-        self.snap.peak = self.snap.current;
-        self.snap.peak_total = self.snap.total();
-    }
-}
-
-/// A thread-safe accountant shared by every shard of a sharded loader.
-///
-/// Sharding the loader must not shard the *memory budget*: the paper's
-/// expand/compact/offload thresholds (§4.3) are program-wide, so all
-/// shards report into one atomic accountant and each shard's threshold
-/// decisions see the global total. Counters use relaxed atomics —
-/// accounting is a monotone max/sum structure with no cross-counter
-/// invariant that ordering could protect.
 #[derive(Debug, Default)]
-pub struct SharedAccountant {
+pub struct MemoryAccountant {
     current: [AtomicUsize; 4],
     peak: [AtomicUsize; 4],
     peak_total: AtomicUsize,
 }
 
-impl SharedAccountant {
-    /// Creates a shared accountant with all counters at zero.
+impl MemoryAccountant {
+    /// Creates an accountant with all counters at zero.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -236,17 +161,31 @@ impl SharedAccountant {
     }
 
     /// Records `bytes` released from `class`.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if more bytes are removed than are
+    /// currently accounted, which indicates an accounting bug. Release
+    /// builds saturate at zero.
     pub fn remove(&self, class: MemClass, bytes: usize) {
         let s = class.slot();
-        // fetch_update so concurrent over-removal saturates at zero
-        // instead of wrapping.
-        let _ = self.current[s].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            Some(cur.saturating_sub(bytes))
-        });
+        let before = self.current[s]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur.saturating_sub(bytes))
+            })
+            .unwrap_or_else(|cur| cur);
+        debug_assert!(
+            before >= bytes,
+            "accounting underflow in {class}: removing {bytes} from {before}"
+        );
     }
 
-    /// Adjusts `class` by a signed delta; same checked sign split as
-    /// [`MemoryAccountant::adjust`].
+    /// Adjusts `class` by a signed delta.
+    ///
+    /// Negative deltas are routed through the subtraction path with a
+    /// checked sign conversion (`usize::try_from` fails exactly when
+    /// `delta < 0`), so no negative value is ever reinterpreted as a
+    /// huge unsigned size.
     pub fn adjust(&self, class: MemClass, delta: isize) {
         match usize::try_from(delta) {
             Ok(bytes) => self.add(class, bytes),
@@ -279,8 +218,7 @@ impl SharedAccountant {
     }
 
     /// Resets peak tracking to the current occupancy (current counters
-    /// are preserved). Callers must quiesce concurrent mutation first
-    /// for the rebase to be meaningful.
+    /// are preserved).
     pub fn reset_peaks(&self) {
         for s in 0..4 {
             self.peak[s].store(self.current[s].load(Ordering::Relaxed), Ordering::Relaxed);
@@ -289,20 +227,20 @@ impl SharedAccountant {
     }
 }
 
-/// Bytes charged to a [`SharedAccountant`] for exactly as long as the
+/// Bytes charged to a [`MemoryAccountant`] for exactly as long as the
 /// structure that owns this guard lives. Derived data is "always
 /// recomputable, never persisted" (§4.1): an analysis result holds one
 /// of these, so its bytes leave the accounting when it is dropped and
 /// the reported peak is a peak of live data.
 #[derive(Debug)]
 pub struct MemCharge {
-    accountant: Arc<SharedAccountant>,
+    accountant: Arc<MemoryAccountant>,
     class: MemClass,
     bytes: usize,
 }
 
 impl MemCharge {
-    pub(crate) fn new(accountant: Arc<SharedAccountant>, class: MemClass, bytes: usize) -> Self {
+    pub(crate) fn new(accountant: Arc<MemoryAccountant>, class: MemClass, bytes: usize) -> Self {
         accountant.add(class, bytes);
         MemCharge {
             accountant,
@@ -324,7 +262,7 @@ mod tests {
 
     #[test]
     fn peaks_track_high_water_mark() {
-        let mut a = MemoryAccountant::new();
+        let a = MemoryAccountant::new();
         a.add(MemClass::TransitoryExpanded, 1000);
         a.remove(MemClass::TransitoryExpanded, 600);
         a.add(MemClass::TransitoryCompact, 100);
@@ -337,7 +275,7 @@ mod tests {
 
     #[test]
     fn adjust_handles_both_signs() {
-        let mut a = MemoryAccountant::new();
+        let a = MemoryAccountant::new();
         a.adjust(MemClass::Derived, 128);
         a.adjust(MemClass::Derived, -28);
         assert_eq!(a.class(MemClass::Derived), 100);
@@ -347,7 +285,7 @@ mod tests {
     fn adjust_never_reinterprets_a_negative_delta_as_unsigned() {
         // Regression: a negative delta cast with `as usize` would wrap
         // to an enormous addition and poison every threshold decision.
-        let mut a = MemoryAccountant::new();
+        let a = MemoryAccountant::new();
         a.add(MemClass::TransitoryExpanded, 1_000);
         a.adjust(MemClass::TransitoryExpanded, -400);
         assert_eq!(a.class(MemClass::TransitoryExpanded), 600);
@@ -359,25 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_accountant_matches_local_semantics() {
-        let a = SharedAccountant::new();
-        a.add(MemClass::TransitoryExpanded, 1000);
-        a.remove(MemClass::TransitoryExpanded, 600);
-        a.add(MemClass::TransitoryCompact, 100);
-        a.adjust(MemClass::Derived, 50);
-        a.adjust(MemClass::Derived, -50);
-        let s = a.snapshot();
-        assert_eq!(s.class(MemClass::TransitoryExpanded), 400);
-        assert_eq!(s.peak_class(MemClass::TransitoryExpanded), 1000);
-        assert_eq!(s.peak_total, 1000);
-        assert_eq!(s.total(), 500);
-        a.reset_peaks();
-        assert_eq!(a.snapshot().peak_total, 500);
-    }
-
-    #[test]
-    fn shared_accountant_is_race_free_across_threads() {
-        let a = SharedAccountant::new();
+    fn accountant_is_race_free_across_threads() {
+        let a = MemoryAccountant::new();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -393,8 +314,17 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "accounting underflow")]
+    fn over_removal_is_caught_in_debug_builds() {
+        let a = MemoryAccountant::new();
+        a.add(MemClass::Derived, 8);
+        a.remove(MemClass::Derived, 9);
+    }
+
+    #[test]
     fn reset_peaks_rebases() {
-        let mut a = MemoryAccountant::new();
+        let a = MemoryAccountant::new();
         a.add(MemClass::Global, 500);
         a.remove(MemClass::Global, 400);
         a.reset_peaks();

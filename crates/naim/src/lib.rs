@@ -70,11 +70,10 @@ mod mmap;
 mod pid;
 mod remote;
 mod repository;
-mod sharded;
 mod storage;
 mod tiered;
 
-pub use accounting::{MemCharge, MemClass, MemoryAccountant, MemorySnapshot, SharedAccountant};
+pub use accounting::{MemCharge, MemClass, MemoryAccountant, MemorySnapshot};
 pub use arena::Arena;
 pub use encode::{Decoder, Encoder};
 pub use error::{DecodeError, NaimError};
@@ -92,6 +91,5 @@ pub use repository::{
     crc32, ContentHash, MemBackend, RepoBackend, RepoHandle, RepoRecovery, RepoStats, Repository,
     REPO_MAGIC, REPO_VERSION,
 };
-pub use sharded::ShardedLoader;
 pub use storage::{DiskStorage, Fault, FaultyStorage, MemStorage, Storage, StorageFile};
 pub use tiered::TieredStorage;

@@ -7,7 +7,7 @@
 //! decided internally from the configured memory [`Thresholds`] — the
 //! scheme is transparent to clients, exactly as in §4.3.
 
-use crate::accounting::{MemClass, MemoryAccountant, MemorySnapshot, SharedAccountant};
+use crate::accounting::{MemCharge, MemClass, MemoryAccountant, MemorySnapshot};
 use crate::encode::{Decoder, Encoder};
 use crate::error::{DecodeError, NaimError};
 use crate::repository::{MemBackend, RepoBackend, RepoHandle, Repository};
@@ -50,12 +50,6 @@ impl PoolId {
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Builds a pool id from a raw index (used by the sharded facade to
-    /// translate between global and per-shard id spaces).
-    pub(crate) fn from_raw(raw: u32) -> PoolId {
-        PoolId(raw)
     }
 }
 
@@ -147,11 +141,6 @@ pub struct NaimConfig {
     /// The cost is charged identically whether a real memory map backs
     /// the view, so reports do not depend on the transport.
     pub fetch_cost_per_byte: u64,
-    /// Number of shards a [`crate::ShardedLoader`] splits its pools
-    /// across. Ignored by a plain [`Loader`]. Must be at least 1; the
-    /// memory budget and thresholds stay program-wide regardless
-    /// (shards report into one shared accountant).
-    pub shards: usize,
 }
 
 impl NaimConfig {
@@ -166,7 +155,6 @@ impl NaimConfig {
             compact_cost_per_byte: 1,
             disk_cost_per_byte: 4,
             fetch_cost_per_byte: 2,
-            shards: 1,
         }
     }
 
@@ -190,14 +178,6 @@ impl NaimConfig {
     #[must_use]
     pub fn hard_limit(mut self, bytes: usize) -> Self {
         self.hard_limit_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the shard count for sharded loaders, returning the
-    /// modified config. Values below 1 are clamped to 1.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -241,9 +221,8 @@ pub struct LoaderStats {
 impl LoaderStats {
     /// Folds another loader's counters into this one, field by field.
     ///
-    /// Used wherever several loaders present as one: the sharded
-    /// facade sums its shards, and partitioned HLO sums the private
-    /// per-cluster loaders into the session loader's totals.
+    /// Partitioned HLO uses it to sum the private per-cluster loaders
+    /// into the session loader's totals.
     pub fn absorb(&mut self, other: &LoaderStats) {
         self.pools += other.pools;
         self.hits += other.hits;
@@ -296,65 +275,18 @@ struct Queues {
     compact: BTreeSet<(Reverse<usize>, u32)>,
 }
 
-/// How a loader reports byte occupancy: a private accountant for a
-/// standalone loader, or a reference to the program-wide atomic
-/// accountant shared by every shard of a [`crate::ShardedLoader`].
-#[derive(Debug)]
-enum Accountant {
-    Local(MemoryAccountant),
-    Shared(Arc<SharedAccountant>),
-}
-
-impl Accountant {
-    fn add(&mut self, class: MemClass, bytes: usize) {
-        match self {
-            Accountant::Local(a) => a.add(class, bytes),
-            Accountant::Shared(a) => a.add(class, bytes),
-        }
-    }
-
-    fn remove(&mut self, class: MemClass, bytes: usize) {
-        match self {
-            Accountant::Local(a) => a.remove(class, bytes),
-            Accountant::Shared(a) => a.remove(class, bytes),
-        }
-    }
-
-    fn adjust(&mut self, class: MemClass, delta: isize) {
-        match self {
-            Accountant::Local(a) => a.adjust(class, delta),
-            Accountant::Shared(a) => a.adjust(class, delta),
-        }
-    }
-
-    fn total(&self) -> usize {
-        match self {
-            Accountant::Local(a) => a.total(),
-            Accountant::Shared(a) => a.total(),
-        }
-    }
-
-    fn snapshot(&self) -> MemorySnapshot {
-        match self {
-            Accountant::Local(a) => a.snapshot(),
-            Accountant::Shared(a) => a.snapshot(),
-        }
-    }
-}
-
 /// Manages the residency of transitory object pools.
 ///
-/// See the [crate docs](crate) for a usage example. A `Loader` is a
-/// single-threaded building block: one loader still serves one thread
-/// at a time, but the [`crate::ShardedLoader`] facade composes several
-/// of them (one per shard, each behind its own mutex, all reporting
-/// into one shared atomic accountant) into the thread-safe loader the
-/// parallel driver pipeline uses — the parallelization of NAIM
-/// load/unload that the paper's §8 names as future work.
+/// See the [crate docs](crate) for a usage example. A `Loader` serves
+/// one thread at a time: the HLO session owns one, and each callgraph
+/// cluster of the parallel inline/clone fan-out gets a private one
+/// (WHOPR's partition-local state), folded back into the session's
+/// counters afterwards.
 #[derive(Debug)]
 pub struct Loader<T, B = MemBackend> {
     config: NaimConfig,
-    accountant: Accountant,
+    /// Shared with every [`MemCharge`] taken from this loader.
+    accountant: Arc<MemoryAccountant>,
     repo: Repository<B>,
     slots: Vec<Slot<T>>,
     queues: Queues,
@@ -365,11 +297,9 @@ pub struct Loader<T, B = MemBackend> {
     /// visited, pools re-measured), for the complexity tests.
     #[cfg(test)]
     steps: u64,
-    /// Global id of this loader's pool 0 (shard index within a sharded
-    /// loader; 0 standalone).
+    /// Trace id of this loader's pool 0 (see [`Loader::with_ids`]).
     id_base: u32,
-    /// Distance in global-id space between consecutive local pools
-    /// (shard count within a sharded loader; 1 standalone).
+    /// Distance in trace-id space between consecutive pools.
     id_stride: u32,
     /// Set once the first zero-copy fetch has been announced in the
     /// trace, so the mmap event fires at most once per loader.
@@ -413,7 +343,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     pub fn with_repository(config: NaimConfig, repo: Repository<B>) -> Self {
         Loader {
             config,
-            accountant: Accountant::Local(MemoryAccountant::new()),
+            accountant: Arc::new(MemoryAccountant::new()),
             repo,
             slots: Vec::new(),
             queues: Queues::default(),
@@ -428,24 +358,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         }
     }
 
-    /// Creates shard `id_base` of `id_stride` total shards, reporting
-    /// into the shared program-wide accountant. Local pool `i` carries
-    /// global id `id_base + i * id_stride` in telemetry.
-    pub(crate) fn shard(
-        config: NaimConfig,
-        repo: Repository<B>,
-        accountant: Arc<SharedAccountant>,
-        id_base: u32,
-        id_stride: u32,
-    ) -> Self {
-        let mut loader = Loader::with_repository(config, repo);
-        loader.accountant = Accountant::Shared(accountant);
-        loader.id_base = id_base;
-        loader.id_stride = id_stride.max(1);
-        loader
-    }
-
-    /// Global (externally visible) pool id for local slot `idx`.
+    /// Trace (externally visible) pool id for slot `idx`.
     fn external_id(&self, idx: usize) -> u32 {
         self.id_base + idx as u32 * self.id_stride
     }
@@ -507,8 +420,15 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// Records memory occupied by structures outside the loader's
     /// control (global or derived data), so thresholds consider the
     /// whole optimizer heap.
-    pub fn account(&mut self, class: MemClass, delta: isize) {
+    pub fn account(&self, class: MemClass, delta: isize) {
         self.accountant.adjust(class, delta);
+    }
+
+    /// Like [`Loader::account`], but the bytes are released when the
+    /// returned guard is dropped.
+    #[must_use]
+    pub fn charge(&self, class: MemClass, bytes: usize) -> MemCharge {
+        MemCharge::new(Arc::clone(&self.accountant), class, bytes)
     }
 
     /// Number of pools currently in each state:
@@ -836,9 +756,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     }
 
     /// Marks `id` unload-pending without enforcing the memory policy.
-    /// The sharded facade uses this to batch marking (per shard) ahead
-    /// of one program-wide enforcement pass.
-    pub(crate) fn mark_unload(&mut self, id: PoolId) {
+    fn mark_unload(&mut self, id: PoolId) {
         let idx = id.index();
         // Only a pool the client could have mutated can have changed
         // size; a pool that was merely read keeps its measurement.
@@ -853,14 +771,6 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         }
     }
 
-    /// Marks every expanded pool unload-pending without enforcing.
-    pub(crate) fn mark_all_unload(&mut self) {
-        self.step(self.slots.len());
-        for idx in 0..self.slots.len() {
-            self.mark_unload(PoolId(idx as u32));
-        }
-    }
-
     /// Marks every expanded pool unload-pending and enforces the memory
     /// policy ("clients simply request that all unneeded pools are
     /// unloaded").
@@ -869,7 +779,10 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     ///
     /// Propagates enforcement failures (hard out-of-memory).
     pub fn unload_all(&mut self) -> Result<(), NaimError> {
-        self.mark_all_unload();
+        self.step(self.slots.len());
+        for idx in 0..self.slots.len() {
+            self.mark_unload(PoolId(idx as u32));
+        }
         self.enforce()
     }
 
@@ -958,16 +871,6 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// Returns [`NaimError::OutOfMemory`] if the heap cannot be brought
     /// under the hard limit.
     pub fn enforce(&mut self) -> Result<(), NaimError> {
-        self.enforce_unlimited()?;
-        self.check_hard_limit()
-    }
-
-    /// The threshold-driven compact/offload sweep of [`Loader::enforce`]
-    /// *without* the final hard-limit check. The sharded facade runs
-    /// this on every shard before checking the program-wide hard limit
-    /// once — a single shard over the limit is not out of memory while
-    /// other shards still hold reclaimable pending pools.
-    pub(crate) fn enforce_unlimited(&mut self) -> Result<(), NaimError> {
         let budget = self.config.budget_bytes as f64;
         let t_ir = (budget * self.config.thresholds.ir_compaction) as usize;
         let t_st = (budget * self.config.thresholds.st_compaction) as usize;
@@ -1006,13 +909,6 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
                 bytes: served,
             });
         }
-        Ok(())
-    }
-
-    /// Fails with [`NaimError::OutOfMemory`] if accounted memory (which
-    /// is program-wide when the accountant is shared) exceeds the hard
-    /// limit.
-    pub(crate) fn check_hard_limit(&self) -> Result<(), NaimError> {
         if let Some(limit) = self.config.hard_limit_bytes {
             let total = self.accountant.total();
             if total > limit {
@@ -1312,6 +1208,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn charges_count_while_held_and_release_on_drop() {
+        let loader: Loader<Blob> = Loader::new(tiny_config());
+        loader.account(MemClass::Global, 100);
+        let charge = loader.charge(MemClass::Derived, 300);
+        assert_eq!(loader.memory().class(MemClass::Derived), 300);
+        assert_eq!(loader.memory().total(), 400);
+        drop(charge);
+        let snap = loader.memory();
+        assert_eq!(snap.class(MemClass::Derived), 0);
+        assert_eq!(snap.total(), 100);
+        assert_eq!(snap.peak_class(MemClass::Derived), 300);
+        assert_eq!(snap.peak_total, 400, "the peak still covers the charge");
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! LRU and the offload candidate list from the whole slot table on
 //! every access, re-measures every pool on every unload, and ranks a
 //! pool by searching the rebuilt list. Random operation sequences run
-//! against it and against the real [`Loader`] / [`ShardedLoader`], and
-//! every observable must agree: pool states, [`LoaderStats`],
-//! [`MemorySnapshot`] (so accounted peaks), and the drained trace
+//! against it and against the real [`Loader`], and every observable
+//! must agree: pool states, [`LoaderStats`],
+//! [`cmo_naim::MemorySnapshot`] (so accounted peaks), and the drained trace
 //! records (so every work-clock stamp, victim and `lru_pos`).
 
 use cmo_naim::{
-    DecodeError, Decoder, Encoder, Loader, LoaderStats, MemClass, MemoryAccountant, MemorySnapshot,
-    NaimConfig, NaimLevel, PoolId, PoolKind, PoolState, Relocatable, RepoHandle, Repository,
-    ShardedLoader,
+    DecodeError, Decoder, Encoder, Loader, LoaderStats, MemClass, MemoryAccountant, NaimConfig,
+    NaimLevel, PoolId, PoolKind, PoolState, Relocatable, RepoHandle, Repository,
 };
 use cmo_telemetry::{Telemetry, TraceEvent};
 use proptest::prelude::*;
@@ -74,29 +73,36 @@ struct RefSlot {
     compact_size: usize,
 }
 
-/// One shard of the reference: local slot `i` is global pool
-/// `id_base + i * id_stride`.
-struct RefShard {
+/// The reference loader.
+struct RefLoader {
     config: NaimConfig,
     tel: Telemetry,
     repo: Repository,
+    acct: MemoryAccountant,
     slots: Vec<RefSlot>,
     clock: u64,
     stats: LoaderStats,
-    id_base: u32,
-    id_stride: u32,
     mmap_announced: bool,
 }
 
-impl RefShard {
-    fn external_id(&self, idx: usize) -> u32 {
-        self.id_base + idx as u32 * self.id_stride
+impl RefLoader {
+    fn new(config: &NaimConfig, tel: &Telemetry) -> Self {
+        RefLoader {
+            config: config.clone(),
+            tel: tel.clone(),
+            repo: Repository::in_memory(),
+            acct: MemoryAccountant::new(),
+            slots: Vec::new(),
+            clock: 0,
+            stats: LoaderStats::default(),
+            mmap_announced: false,
+        }
     }
 
     fn pool_event(&self, action: &'static str, idx: usize, bytes: usize, lru_pos: u32) {
         self.tel.emit(TraceEvent::Pool {
             action,
-            pool: self.external_id(idx),
+            pool: idx as u32,
             kind: kind_str(self.slots[idx].kind),
             bytes: bytes as u64,
             lru_pos,
@@ -135,7 +141,7 @@ impl RefShard {
         self.stats.pools += 1;
     }
 
-    fn expand(&mut self, acct: &mut MemoryAccountant, idx: usize) {
+    fn expand(&mut self, idx: usize) {
         let (image_len, value) = match &self.slots[idx].state {
             RefState::Expanded(_) => return,
             RefState::Offloaded(handle) => {
@@ -161,7 +167,7 @@ impl RefShard {
             }
             RefState::Compact(image) => {
                 let value = Payload::uncompact(&mut Decoder::new(image)).expect("uncompact");
-                acct.remove(MemClass::TransitoryCompact, image.len());
+                self.acct.remove(MemClass::TransitoryCompact, image.len());
                 (image.len(), value)
             }
         };
@@ -172,12 +178,12 @@ impl RefShard {
         self.tel.work(cost);
         self.pool_event("expand", idx, image_len, 0);
         let size = value.expanded_bytes();
-        acct.add(MemClass::TransitoryExpanded, size);
+        self.acct.add(MemClass::TransitoryExpanded, size);
         self.slots[idx].expanded_size = size;
         self.slots[idx].state = RefState::Expanded(value);
     }
 
-    fn touch(&mut self, acct: &mut MemoryAccountant, idx: usize) -> &mut Payload {
+    fn get_mut(&mut self, idx: usize) -> &mut Payload {
         if matches!(self.slots[idx].state, RefState::Expanded(_)) {
             self.stats.hits += 1;
             if self.slots[idx].pending {
@@ -186,7 +192,7 @@ impl RefShard {
                 self.pool_event("rescue", idx, self.slots[idx].expanded_size, lru_pos);
             }
         } else {
-            self.expand(acct, idx);
+            self.expand(idx);
         }
         self.clock += 1;
         let slot = &mut self.slots[idx];
@@ -199,11 +205,11 @@ impl RefShard {
     }
 
     /// Re-measures the pool whether or not it could have changed.
-    fn mark_unload(&mut self, acct: &mut MemoryAccountant, idx: usize) {
+    fn mark_unload(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
         if let RefState::Expanded(v) = &slot.state {
             let new_size = v.expanded_bytes();
-            acct.adjust(
+            self.acct.adjust(
                 MemClass::TransitoryExpanded,
                 new_size as isize - slot.expanded_size as isize,
             );
@@ -212,13 +218,7 @@ impl RefShard {
         }
     }
 
-    fn mark_all_unload(&mut self, acct: &mut MemoryAccountant) {
-        for idx in 0..self.slots.len() {
-            self.mark_unload(acct, idx);
-        }
-    }
-
-    fn compact_slot(&mut self, acct: &mut MemoryAccountant, idx: usize) {
+    fn compact_slot(&mut self, idx: usize) {
         let lru_pos = self.lru_rank(idx);
         let RefState::Expanded(v) = &self.slots[idx].state else {
             return;
@@ -230,15 +230,16 @@ impl RefShard {
         self.stats.work_units += cost;
         self.tel.work(cost);
         self.pool_event("compact", idx, image.len(), lru_pos);
-        acct.remove(MemClass::TransitoryExpanded, self.slots[idx].expanded_size);
-        acct.add(MemClass::TransitoryCompact, image.len());
+        self.acct
+            .remove(MemClass::TransitoryExpanded, self.slots[idx].expanded_size);
+        self.acct.add(MemClass::TransitoryCompact, image.len());
         let slot = &mut self.slots[idx];
         slot.compact_size = image.len();
         slot.pending = false;
         slot.state = RefState::Compact(image);
     }
 
-    fn offload_slot(&mut self, acct: &mut MemoryAccountant, idx: usize) {
+    fn offload_slot(&mut self, idx: usize) {
         let RefState::Compact(image) = &self.slots[idx].state else {
             return;
         };
@@ -250,31 +251,31 @@ impl RefShard {
         self.stats.work_units += cost;
         self.tel.work(cost);
         self.pool_event("offload", idx, len, 0);
-        acct.remove(MemClass::TransitoryCompact, len);
+        self.acct.remove(MemClass::TransitoryCompact, len);
         self.slots[idx].state = RefState::Offloaded(handle);
     }
 
     /// Builds and sorts every victim list before looking at a
     /// threshold.
-    fn enforce(&mut self, acct: &mut MemoryAccountant) {
+    fn enforce(&mut self) {
         let budget = self.config.budget_bytes as f64;
         let t_ir = (budget * self.config.thresholds.ir_compaction) as usize;
         let t_st = (budget * self.config.thresholds.st_compaction) as usize;
         let t_off = (budget * self.config.thresholds.offload) as usize;
         if self.config.max_level >= NaimLevel::CompactIr {
             for idx in self.pending_lru(PoolKind::Ir) {
-                if acct.total() <= t_ir {
+                if self.acct.total() <= t_ir {
                     break;
                 }
-                self.compact_slot(acct, idx);
+                self.compact_slot(idx);
             }
         }
         if self.config.max_level >= NaimLevel::CompactAll {
             for idx in self.pending_lru(PoolKind::SymTab) {
-                if acct.total() <= t_st {
+                if self.acct.total() <= t_st {
                     break;
                 }
-                self.compact_slot(acct, idx);
+                self.compact_slot(idx);
             }
         }
         if self.config.max_level >= NaimLevel::Offload {
@@ -283,10 +284,10 @@ impl RefShard {
                 .collect();
             candidates.sort_by_key(|&i| (std::cmp::Reverse(self.slots[i].compact_size), i));
             for idx in candidates {
-                if acct.total() <= t_off {
+                if self.acct.total() <= t_off {
                     break;
                 }
-                self.offload_slot(acct, idx);
+                self.offload_slot(idx);
             }
         }
         let served = self.repo.recycle_arena();
@@ -297,159 +298,38 @@ impl RefShard {
             });
         }
     }
-}
-
-/// The reference loader: `n` shards over one accountant, pool `g` in
-/// shard `g % n` at local slot `g / n`.
-struct RefLoader {
-    shards: Vec<RefShard>,
-    acct: MemoryAccountant,
-    n_pools: usize,
-}
-
-impl RefLoader {
-    fn new(config: &NaimConfig, n_shards: usize, tel: &Telemetry) -> Self {
-        let shards = (0..n_shards)
-            .map(|s| RefShard {
-                config: config.clone(),
-                tel: tel.clone(),
-                repo: Repository::in_memory(),
-                slots: Vec::new(),
-                clock: 0,
-                stats: LoaderStats::default(),
-                id_base: s as u32,
-                id_stride: n_shards as u32,
-                mmap_announced: false,
-            })
-            .collect();
-        RefLoader {
-            shards,
-            acct: MemoryAccountant::new(),
-            n_pools: 0,
-        }
-    }
-
-    fn next_shard(&mut self) -> &mut RefShard {
-        let n = self.shards.len();
-        self.n_pools += 1;
-        &mut self.shards[(self.n_pools - 1) % n]
-    }
 
     fn insert(&mut self, value: Payload, kind: PoolKind) {
         let size = value.expanded_bytes();
         self.acct.add(MemClass::TransitoryExpanded, size);
-        self.next_shard()
-            .push(kind, RefState::Expanded(value), size, 0);
+        self.push(kind, RefState::Expanded(value), size, 0);
     }
 
     fn insert_offloaded(&mut self, value: &Payload, kind: PoolKind) {
-        let shard = self.next_shard();
-        let handle = shard.repo.store(&image_of(value)).expect("store");
-        shard.push(kind, RefState::Offloaded(handle), 0, handle.len());
+        let handle = self.repo.store(&image_of(value)).expect("store");
+        self.push(kind, RefState::Offloaded(handle), 0, handle.len());
     }
 
-    fn get_mut(&mut self, pool: usize) -> &mut Payload {
-        let n = self.shards.len();
-        self.shards[pool % n].touch(&mut self.acct, pool / n)
-    }
-
-    fn enforce(&mut self) {
-        for shard in &mut self.shards {
-            shard.enforce(&mut self.acct);
-        }
-    }
-
-    fn unload(&mut self, pool: usize) {
-        let n = self.shards.len();
-        self.shards[pool % n].mark_unload(&mut self.acct, pool / n);
+    fn unload(&mut self, idx: usize) {
+        self.mark_unload(idx);
         self.enforce();
     }
 
     fn unload_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.mark_all_unload(&mut self.acct);
+        for idx in 0..self.slots.len() {
+            self.mark_unload(idx);
         }
         self.enforce();
     }
 
-    fn state(&self, pool: usize) -> PoolState {
-        let n = self.shards.len();
-        let slot = &self.shards[pool % n].slots[pool / n];
+    fn state(&self, idx: usize) -> PoolState {
+        let slot = &self.slots[idx];
         match (&slot.state, slot.pending) {
             (RefState::Expanded(_), false) => PoolState::Expanded,
             (RefState::Expanded(_), true) => PoolState::UnloadPending,
             (RefState::Compact(_), _) => PoolState::Compact,
             (RefState::Offloaded(_), _) => PoolState::Offloaded,
         }
-    }
-
-    fn stats(&self) -> LoaderStats {
-        let mut sum = LoaderStats::default();
-        for shard in &self.shards {
-            sum.absorb(&shard.stats);
-        }
-        sum
-    }
-
-    fn memory(&self) -> MemorySnapshot {
-        self.acct.snapshot()
-    }
-}
-
-// ---- the loaders under test -------------------------------------------
-
-/// A plain [`Loader`] (the only one that can adopt repository records)
-/// or the sharded facade.
-enum Real {
-    Plain(Box<Loader<Payload>>),
-    Sharded(ShardedLoader<Payload>),
-}
-
-/// Runs `$body` on whichever loader `$real` holds, bound to `$l`.
-macro_rules! on_loader {
-    ($real:expr, $l:ident => $body:expr) => {
-        match $real {
-            Real::Plain($l) => $body,
-            Real::Sharded($l) => $body,
-        }
-    };
-}
-
-impl Real {
-    fn insert(&mut self, value: Payload, kind: PoolKind) -> PoolId {
-        on_loader!(self, l => l.insert(value, kind))
-    }
-
-    fn get(&mut self, id: PoolId) -> &Payload {
-        on_loader!(self, l => l.get(id)).expect("get")
-    }
-
-    fn get_mut(&mut self, id: PoolId) -> &mut Payload {
-        on_loader!(self, l => l.get_mut(id)).expect("get_mut")
-    }
-
-    fn unload(&mut self, id: PoolId) {
-        on_loader!(self, l => l.unload(id)).expect("unload");
-    }
-
-    fn unload_all(&mut self) {
-        on_loader!(self, l => l.unload_all()).expect("unload_all");
-    }
-
-    fn enforce(&mut self) {
-        on_loader!(self, l => l.enforce()).expect("enforce");
-    }
-
-    fn state(&mut self, id: PoolId) -> PoolState {
-        on_loader!(self, l => l.state(id))
-    }
-
-    fn stats(&self) -> LoaderStats {
-        on_loader!(self, l => l.stats())
-    }
-
-    fn memory(&self) -> MemorySnapshot {
-        on_loader!(self, l => l.memory())
     }
 }
 
@@ -458,8 +338,7 @@ impl Real {
 #[derive(Clone, Debug)]
 enum Op {
     Insert(Vec<i64>, bool),
-    /// Adopted from the repository on a plain loader; an ordinary
-    /// insert on the sharded facade, which has no such entry point.
+    /// Adopted from the repository.
     InsertOffloaded(Vec<i64>, bool),
     Get(usize),
     GetMut(usize, i64),
@@ -500,8 +379,8 @@ fn arb_level() -> impl Strategy<Value = NaimLevel> {
 }
 
 proptest! {
-    // Sixty level x budget-class x shard-count combinations: enough
-    // cases to visit each several times.
+    // Twelve level x budget-class combinations: enough cases to visit
+    // each many times.
     #![proptest_config(ProptestConfig {
         cases: 512,
         ..ProptestConfig::default()
@@ -512,57 +391,47 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..120),
         budget in arb_budget(),
         level in arb_level(),
-        // 0: a plain `Loader`; n > 0: a `ShardedLoader` of n shards.
-        shards in 0usize..5,
     ) {
-        let config = NaimConfig::with_budget(budget).max_level(level).shards(shards);
+        let config = NaimConfig::with_budget(budget).max_level(level);
         let real_tel = Telemetry::enabled();
-        let mut real = if shards == 0 {
-            let mut l = Loader::new(config.clone());
-            l.set_telemetry(real_tel.clone());
-            Real::Plain(Box::new(l))
-        } else {
-            let mut l = ShardedLoader::new(config.clone());
-            l.set_telemetry(real_tel.clone());
-            Real::Sharded(l)
-        };
+        let mut real: Loader<Payload> = Loader::new(config.clone());
+        real.set_telemetry(real_tel.clone());
         let ref_tel = Telemetry::enabled();
-        let mut reference = RefLoader::new(&config, shards.max(1), &ref_tel);
+        let mut reference = RefLoader::new(&config, &ref_tel);
         let mut ids: Vec<PoolId> = Vec::new();
 
         for op in ops {
             let pick = |i: usize| i % ids.len().max(1);
             let kind_of = |symtab| if symtab { PoolKind::SymTab } else { PoolKind::Ir };
             match op {
-                Op::InsertOffloaded(data, symtab) if shards == 0 => {
-                    let value = Payload(data);
-                    let Real::Plain(l) = &mut real else { unreachable!() };
-                    let handle = l.repository_mut().store(&image_of(&value)).expect("store");
-                    ids.push(l.insert_offloaded(handle, kind_of(symtab)));
-                    reference.insert_offloaded(&value, kind_of(symtab));
-                }
-                Op::Insert(data, symtab) | Op::InsertOffloaded(data, symtab) => {
+                Op::Insert(data, symtab) => {
                     ids.push(real.insert(Payload(data.clone()), kind_of(symtab)));
                     reference.insert(Payload(data), kind_of(symtab));
                 }
+                Op::InsertOffloaded(data, symtab) => {
+                    let value = Payload(data);
+                    let handle = real.repository_mut().store(&image_of(&value)).expect("store");
+                    ids.push(real.insert_offloaded(handle, kind_of(symtab)));
+                    reference.insert_offloaded(&value, kind_of(symtab));
+                }
                 Op::Get(i) if !ids.is_empty() => {
                     let expected = reference.get_mut(pick(i)).clone();
-                    prop_assert_eq!(real.get(ids[pick(i)]), &expected);
+                    prop_assert_eq!(real.get(ids[pick(i)]).expect("get"), &expected);
                 }
                 Op::GetMut(i, v) if !ids.is_empty() => {
-                    real.get_mut(ids[pick(i)]).0.push(v);
+                    real.get_mut(ids[pick(i)]).expect("get_mut").0.push(v);
                     reference.get_mut(pick(i)).0.push(v);
                 }
                 Op::Unload(i) if !ids.is_empty() => {
-                    real.unload(ids[pick(i)]);
+                    real.unload(ids[pick(i)]).expect("unload");
                     reference.unload(pick(i));
                 }
                 Op::UnloadAll => {
-                    real.unload_all();
+                    real.unload_all().expect("unload_all");
                     reference.unload_all();
                 }
                 Op::Enforce => {
-                    real.enforce();
+                    real.enforce().expect("enforce");
                     reference.enforce();
                 }
                 _ => {}
@@ -570,8 +439,8 @@ proptest! {
             for (pool, &id) in ids.iter().enumerate() {
                 prop_assert_eq!(real.state(id), reference.state(pool), "pool {}", pool);
             }
-            prop_assert_eq!(real.stats(), reference.stats());
-            prop_assert_eq!(real.memory(), reference.memory());
+            prop_assert_eq!(real.stats(), reference.stats);
+            prop_assert_eq!(real.memory(), reference.acct.snapshot());
         }
         prop_assert_eq!(real_tel.drain_records(), ref_tel.drain_records());
     }

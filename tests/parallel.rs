@@ -1,7 +1,6 @@
 //! Determinism under parallelism (§6.2 discipline, extended to `-j`):
 //! the unified report and the event trace must be byte-identical no
-//! matter how many workers ran the build, and a sharded NAIM loader
-//! must not change what the compiler produces.
+//! matter how many workers ran the build.
 //!
 //! CI runs this suite twice with `CMO_TEST_JOBS=1` and `CMO_TEST_JOBS=4`
 //! so the "reference" level itself moves; the assertions compare every
@@ -28,7 +27,7 @@ fn jobs_levels() -> Vec<usize> {
 
 /// One instrumented build at `jobs` workers; returns (report JSON,
 /// trace JSONL, image code) for byte-for-byte comparison.
-fn build_at(jobs: usize, shards: usize) -> (String, String, Vec<u8>) {
+fn build_at(jobs: usize) -> (String, String, Vec<u8>) {
     let app = generate(&SynthSpec::small("par-det", 23));
     let cc = compiler_for(&app).unwrap();
     let db = train_profile(&cc, &app.train_input).unwrap();
@@ -36,7 +35,7 @@ fn build_at(jobs: usize, shards: usize) -> (String, String, Vec<u8>) {
     let mut opts = BuildOptions::new(OptLevel::O4)
         .with_profile_db(db)
         .with_selectivity(40.0)
-        .with_naim(NaimConfig::with_budget(64 << 10).shards(shards))
+        .with_naim(NaimConfig::with_budget(64 << 10))
         .with_jobs(jobs);
     opts.telemetry = tel.clone();
     let out = cc.build(&opts).unwrap();
@@ -51,9 +50,9 @@ fn build_at(jobs: usize, shards: usize) -> (String, String, Vec<u8>) {
 
 #[test]
 fn report_and_trace_are_byte_identical_across_jobs() {
-    let (report_1, trace_1, code_1) = build_at(1, 1);
+    let (report_1, trace_1, code_1) = build_at(1);
     for jobs in jobs_levels() {
-        let (report_j, trace_j, code_j) = build_at(jobs, 1);
+        let (report_j, trace_j, code_j) = build_at(jobs);
         assert_eq!(report_1, report_j, "report drifted at -j{jobs}");
         assert_eq!(trace_1, trace_j, "trace drifted at -j{jobs}");
         assert_eq!(code_1, code_j, "image drifted at -j{jobs}");
@@ -62,7 +61,7 @@ fn report_and_trace_are_byte_identical_across_jobs() {
 
 #[test]
 fn trace_records_worker_ids_but_sorts_on_the_work_clock() {
-    let (_, trace, _) = build_at(4, 1);
+    let (_, trace, _) = build_at(4);
     let mut last_work = 0u64;
     let mut saw_worker_field = false;
     for line in trace.lines().skip(1) {
@@ -77,25 +76,6 @@ fn trace_records_worker_ids_but_sorts_on_the_work_clock() {
         saw_worker_field |= line.contains("\"worker\":");
     }
     assert!(saw_worker_field, "trace lines carry no worker field");
-}
-
-#[test]
-fn sharded_loader_does_not_change_the_build() {
-    let (_, _, code_one_shard) = build_at(1, 1);
-    for shards in [2, 4] {
-        for jobs in jobs_levels() {
-            let (report, trace, code) = build_at(jobs, shards);
-            assert_eq!(
-                code_one_shard, code,
-                "image drifted at {shards} shards, -j{jobs}"
-            );
-            // At a fixed shard count the full telemetry must also be
-            // reproducible run-to-run and across worker counts.
-            let (report_again, trace_again, _) = build_at(jobs, shards);
-            assert_eq!(report, report_again, "report unstable at {shards} shards");
-            assert_eq!(trace, trace_again, "trace unstable at {shards} shards");
-        }
-    }
 }
 
 /// A hand-written program whose call graph partitions into several

@@ -1,0 +1,118 @@
+#!/usr/bin/env bash
+# Byte-identity against a parent commit's cmocc.
+#
+# Usage: tools/parent_identity.sh <rev>
+#
+# Builds <rev>'s cmocc in a temporary git worktree and this working
+# tree's cmocc (both --offline, over the vendored crates), then runs
+# the two binaries side by side — each in its own directory, with the
+# same relative arguments — and cmp's everything they write:
+#
+#   * --report-json, --trace, and stdout (--emit-asm plus the --run
+#     output) on both examples/mlc program sets, at +O2 / +O4 /
+#     +O4 +P train.db x -j1 / -j4 x no budget / --budget 0, after
+#     comparing the +I training runs and profile databases themselves;
+#   * a cold +O4 +P --cache-dir build by each binary (outputs and the
+#     cache files it commits), then a warm build by each of a copy of
+#     the cache the *parent* wrote — the change's warm build must hit
+#     on every module and replay the whole build.
+#
+# Prints one line per difference and a summary; exits non-zero if any
+# comparison differs or the parent's cache did not replay.
+set -euo pipefail
+
+rev="${1:?usage: tools/parent_identity.sh <rev>}"
+repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+work="$(mktemp -d)"
+cleanup() {
+    git -C "$repo_root" worktree remove --force "$work/tree" 2>/dev/null || true
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
+git -C "$repo_root" worktree add --quiet --detach "$work/tree" "$rev"
+echo "parent_identity: building $rev"
+CARGO_TARGET_DIR="$work/target" cargo build --release --offline --quiet -p cmo \
+    --manifest-path "$work/tree/Cargo.toml"
+echo "parent_identity: building the working tree"
+cargo build --release --offline --quiet -p cmo --manifest-path "$repo_root/Cargo.toml"
+parent="$work/target/release/cmocc"
+change="${CARGO_TARGET_DIR:-$repo_root/target}/release/cmocc"
+change="$(cd "$(dirname "$change")" && pwd)/cmocc"
+
+mkdir -p "$work/p" "$work/c"
+cp "$repo_root"/examples/mlc/*.mlc "$work/p/"
+cp "$repo_root"/examples/mlc/*.mlc "$work/c/"
+
+checks=0
+fails=0
+fail() {
+    echo "DIFF $*"
+    fails=$((fails + 1))
+}
+# same <file>...: the parent's and the change's copies are identical.
+same() {
+    local f
+    for f in "$@"; do
+        checks=$((checks + 1))
+        cmp -s "$work/p/$f" "$work/c/$f" || fail "$f"
+    done
+}
+# both <tag> <args>...: runs each binary in its own directory, stdout
+# to <tag>.out.
+both() {
+    local tag=$1
+    shift
+    (cd "$work/p" && "$parent" "$@" > "$tag.out")
+    (cd "$work/c" && "$change" "$@" > "$tag.out")
+}
+
+for set in "lib.mlc app.mlc:500" "util.mlc hot.mlc prog.mlc:50"; do
+    read -ra srcs <<< "${set%:*}"
+    input="${set#*:}"
+    name="${srcs[0]%.mlc}"
+    db="$name-train.db"
+    both "$name-train" +I --run "$input" --profile-out "$db" "${srcs[@]}"
+    same "$name-train.out" "$db"
+
+    for level in O2 O4 O4P; do
+        case $level in
+            O2) flags=(+O2) ;;
+            O4) flags=(+O4) ;;
+            O4P) flags=(+O4 +P "$db") ;;
+        esac
+        for j in 1 4; do
+            for budget in roomy tight; do
+                extra=()
+                [[ $budget == tight ]] && extra=(--budget 0)
+                tag="$name-$level-j$j-$budget"
+                both "$tag" "${flags[@]}" "-j$j" "${extra[@]}" --run "$input" --emit-asm \
+                    --report-json "$tag.json" --trace "$tag.jsonl" "${srcs[@]}"
+                same "$tag.out" "$tag.json" "$tag.jsonl"
+            done
+        done
+    done
+
+    for j in 1 4; do
+        tag="$name-cache-j$j"
+        args=(+O4 +P "$db" "-j$j" --run "$input" --emit-asm --cache-dir "$tag")
+        both "$tag-cold" "${args[@]}" --report-json "$tag-cold.json" \
+            --trace "$tag-cold.jsonl" "${srcs[@]}"
+        same "$tag-cold.out" "$tag-cold.json" "$tag-cold.jsonl" \
+            "$tag/repo.naim" "$tag/manifest.tsv" "$tag/commit.journal"
+        rm -rf "${work:?}/c/$tag"
+        cp -r "$work/p/$tag" "$work/c/$tag"
+        both "$tag-warm" "${args[@]}" --report-json "$tag-warm.json" \
+            --trace "$tag-warm.jsonl" "${srcs[@]}"
+        same "$tag-warm.out" "$tag-warm.json" "$tag-warm.jsonl"
+        for src in "${srcs[@]}"; do
+            grep -q "\"action\":\"hit\",\"scope\":\"module\",\"name\":\"${src%.mlc}\"" \
+                "$work/c/$tag-warm.jsonl" || fail "$tag-warm: no module hit for ${src%.mlc}"
+        done
+        grep -q '"action":"replay","scope":"build"' "$work/c/$tag-warm.jsonl" \
+            || fail "$tag-warm: the parent's cache did not replay the build"
+    done
+done
+
+echo "parent_identity: $checks comparisons against $rev, $fails differ"
+[[ $fails -eq 0 ]]

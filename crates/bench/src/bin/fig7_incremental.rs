@@ -22,11 +22,10 @@
 //!   lowered again, the rest replayed;
 //! * `recover` — torn repository rolled back on open, then rebuilt;
 //! * `cold+P` / `warm+P` / `dirty1+P` / `dirty1-live+P` — the first
-//!   four under `+O4 +P`, where every cached build also plans profile
-//!   slices;
-//! * `retrain` — sources unchanged, profile database retrained: with
-//!   module-granular profile slices only the modules whose observable
-//!   slice moved recompile, the rest are retained hits.
+//!   four under `+O4 +P`;
+//! * `retrain` — sources unchanged, profile database retrained: every
+//!   module hits (front-end objects do not depend on the profile), and
+//!   the build re-runs because its key covers the database.
 //!
 //! Every scenario is repeated (9 times; 3 under `--smoke`) from the
 //! same restored cache state, and its wall time reported as median and
@@ -41,7 +40,7 @@
 //! Flags: `--smoke` (quarter-scale app), `--json-out <path>` (write a
 //! `cmo.bench.v1` snapshot for `bench-diff`).
 
-use cmo::{BuildCache, BuildOptions, BuildOutput, Compiler, OptLevel, SliceGranularity};
+use cmo::{BuildCache, BuildOptions, BuildOutput, Compiler, OptLevel};
 use cmo_bench::{bench_args, write_csv, BenchReport, BenchRow};
 use cmo_profile::ProbeKey;
 use cmo_synth::{generate, mcad_preset};
@@ -345,8 +344,7 @@ fn main() {
         cached_build(dir, &dirty, &plain)
     });
 
-    // The same three scenarios under +O4 +P: every cached build now
-    // also fetches scope sidecars and plans profile slices.
+    // The same four scenarios under +O4 +P.
     let mut cc = Compiler::new();
     cc.add_sources(&app.modules, 1).expect("front end");
     let train = cc
@@ -358,11 +356,10 @@ fn main() {
 
     // Retrain: the sources are untouched but the profile database is
     // not — the situation §6.2's feedback flow hits on every fresh
-    // training run. Profile slices key each front-end object on the
-    // (source, observable-slice) fingerprint pair, so only the modules
-    // whose slice the retrain moved recompile; everything else is a
-    // retained hit, and the image still matches a cold build under the
-    // new database byte for byte.
+    // training run. Front-end objects are keyed on their source alone,
+    // so every module hits; the build key covers the database, so HLO,
+    // LLO and the link re-run, and the image still matches a cold build
+    // under the new database byte for byte.
     {
         // The retrained database: one routine's hot block moves, as a
         // shifted workload would move it.
@@ -376,37 +373,33 @@ fn main() {
             &[(ProbeKey::block(&name, 0), 50_000)],
             &[(name.clone(), shape)],
         );
-        // The synthetic app's hot call edges couple every module into
-        // one cluster, so cluster-granular slices all observe the
-        // perturbed routine; module granularity keeps the blast radius
-        // to the modules that can actually see it.
-        let sliced = |db: &cmo::ProfileDb| {
-            BuildOptions::new(OptLevel::O4)
-                .with_profile_db(db.clone())
-                .with_slice_granularity(SliceGranularity::Module)
-        };
-        // Cold profiled build: seeds the composed entries and the
-        // scope sidecars the warm build plans from.
+        let options =
+            |db: &cmo::ProfileDb| BuildOptions::new(OptLevel::O4).with_profile_db(db.clone());
         let seeded = bench.dir("retrain-cold");
-        let cold = cached_build(&seeded, &app.modules, &sliced(&db1));
+        let cold = cached_build(&seeded, &app.modules, &options(&db1));
         let work = bench.dir("work");
         let (_, warm) = bench.scenario("retrain", (&seeded, &work), Some(cold.ms), &|dir| {
-            cached_build(dir, &app.modules, &sliced(&db2))
+            cached_build(dir, &app.modules, &options(&db2))
         });
         // The cache must change neither the image nor the behaviour.
-        let fresh = cc.build(&sliced(&db2)).expect("fresh build");
+        let fresh = cc.build(&options(&db2)).expect("fresh build");
         assert_eq!(
             warm.out.image.code, fresh.image.code,
             "retrain-warm image must match a cold build of the same database"
         );
         let stats = warm.out.report.cache;
+        assert_eq!(
+            (stats.module_hits, stats.module_misses, stats.build_hits),
+            (app.modules.len() as u64, 0, 0),
+            "a retrain reuses every module and re-runs the build"
+        );
         println!(
-            "          profile slices: {} planned, {} stale, {} retained hits",
-            stats.profile_slices, stats.profile_stale_slices, stats.profile_retained_hits
+            "          retrain: {} module hits, {} misses",
+            stats.module_hits, stats.module_misses
         );
         let row = bench.rows.last_mut().expect("retrain row");
-        row.int("profile_slices", stats.profile_slices)
-            .int("retained_hits", stats.profile_retained_hits);
+        row.int("module_hits", stats.module_hits)
+            .int("module_misses", stats.module_misses);
     }
 
     write_csv(

@@ -51,14 +51,6 @@
 //!                      extra attempts per failed remote operation,
 //!                      backed off on a deterministic seeded schedule
 //!                      (default 2; requires --remote-cache)
-//!   --profile-slice-granularity <module|cluster|whole>
-//!                      how +P profile data projects onto cache keys:
-//!                      each module's entry composes the fingerprint
-//!                      of the profile slice its routines (and, at
-//!                      `cluster`, its hot cross-module partners) can
-//!                      observe, so a retrain invalidates only the
-//!                      modules whose counts moved (default cluster;
-//!                      requires +P and --cache-dir)
 //!   --keep-going       degraded mode: a failing module becomes a
 //!                      diagnostic, the remaining modules still build
 //!                      (and cache); the image links only if all
@@ -84,8 +76,8 @@
 
 use cmo::{
     build_objects, BuildCache, BuildError, BuildOptions, CompileReport, DiskStorage, FaultStats,
-    ModuleInput, NaimConfig, OptLevel, ProfileDb, RemoteStorage, RetryPolicy, SliceGranularity,
-    Storage, TcpTransport, Telemetry, TieredStorage, TraceEvent,
+    ModuleInput, NaimConfig, OptLevel, ProfileDb, RemoteStorage, RetryPolicy, Storage,
+    TcpTransport, Telemetry, TieredStorage, TraceEvent,
 };
 use cmo_ir::IlObject;
 use std::path::{Path, PathBuf};
@@ -115,7 +107,6 @@ struct Cli {
     remote_cache: Option<String>,
     remote_timeout_ms: Option<u64>,
     remote_retries: Option<u32>,
-    slice_granularity: Option<SliceGranularity>,
     keep_going: bool,
     isolate: bool,
 }
@@ -139,8 +130,7 @@ fn usage() -> String {
      [-j <N>] [--run <v1,v2,..>] [--profile-out <f>] [--emit-asm] [--report] \
      [--report-json <f>] [--trace <f>] [--cache-dir <dir>] [--no-cache] [--no-mmap] \
      [--gc-cache] [--gc-threshold-bytes <N>] [--remote-cache <addr>] [--remote-timeout-ms <N>] \
-     [--remote-retries <N>] [--profile-slice-granularity <module|cluster|whole>] [--keep-going] \
-     [--isolate] <files...>"
+     [--remote-retries <N>] [--keep-going] [--isolate] <files...>"
         .to_owned()
 }
 
@@ -201,13 +191,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
     if cli.remote_retries.is_some() && cli.remote_cache.is_none() {
         return Err(
             "--remote-retries requires --remote-cache (it bounds that daemon's operations)"
-                .to_owned(),
-        );
-    }
-    if cli.slice_granularity.is_some() && (cli.profile.is_none() || cli.cache_dir.is_none()) {
-        return Err(
-            "--profile-slice-granularity requires +P and --cache-dir (it projects that profile \
-             onto that cache's keys)"
                 .to_owned(),
         );
     }
@@ -276,7 +259,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         remote_cache: None,
         remote_timeout_ms: None,
         remote_retries: None,
-        slice_granularity: None,
         keep_going: false,
         isolate: false,
     };
@@ -366,9 +348,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .parse()
                         .map_err(|e| format!("bad --remote-retries value: {e}"))?,
                 );
-            }
-            "--profile-slice-granularity" => {
-                cli.slice_granularity = Some(SliceGranularity::parse(&next("a granularity")?)?);
             }
             "--keep-going" => cli.keep_going = true,
             "--isolate" => cli.isolate = true,
@@ -565,10 +544,10 @@ fn flatten<T>(
 /// [`load_objects`] with the incremental cache in the loop: inputs are
 /// read and classified over the worker pool, then handed to the
 /// driver's cached front end ([`cmo::Compiler::add_inputs_cached`]) —
-/// the same probe → defer flow the library's `add_sources_cached*`
-/// run, with this binary's compile step plugged in: sources compile
+/// the same probe → defer flow the library's `add_sources_cached_with`
+/// runs, with this binary's compile step plugged in: sources compile
 /// over the `-j` pool, and a failing one is reported or, under
-/// `--keep-going`, absorbed (it then contributes no module, slice or
+/// `--keep-going`, absorbed (it then contributes no module and no
 /// fingerprint). Cache hits stay undecoded in the returned driver
 /// until the link — or `-c`'s object writer — needs them.
 fn load_objects_cached(
@@ -756,9 +735,6 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
             .map_err(|e| format!("{}: corrupt profile database: {e}", path.display()))?;
         options = options.with_profile_db(db);
     }
-    if let Some(granularity) = cli.slice_granularity {
-        options = options.with_slice_granularity(granularity);
-    }
     if let Some(sel) = cli.selectivity {
         options = options.with_selectivity(sel);
     }
@@ -856,14 +832,6 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
                 r.cache.invalidations,
                 if r.cache.build_hits > 0 { "yes" } else { "no" }
             );
-            if r.cache.profile_slices > 0 {
-                println!(
-                    "  profile slices: {} planned, {} stale, {} retained hits",
-                    r.cache.profile_slices,
-                    r.cache.profile_stale_slices,
-                    r.cache.profile_retained_hits
-                );
-            }
         }
         if r.faults.remote.enabled {
             let rem = &r.faults.remote;

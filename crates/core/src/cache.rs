@@ -6,8 +6,8 @@
 //!
 //! * `repo.naim` — a versioned, checksummed [`Repository`] of
 //!   relocatable pool images, each one tagged entry (a front-end IL
-//!   object, a scope sidecar, a module's code slot, a linked machine
-//!   image, or a stored compile report);
+//!   object, a module's code slot, a linked machine image, or a stored
+//!   compile report);
 //! * `manifest.tsv` — a text index mapping cache keys (module and
 //!   build fingerprints, code-slot names) to the content hashes of
 //!   their entries.
@@ -95,7 +95,6 @@ use cmo_vm::MachineImage;
 
 use crate::driver::{BuildOptions, OptLevel};
 use crate::report::CompileReport;
-use crate::slices::{ModuleScope, SlicePlan};
 
 /// Cache format epoch. Bumped whenever fingerprint inputs, the entry
 /// encoding, or the manifest layout change, so stale caches from
@@ -107,7 +106,10 @@ use crate::slices::{ModuleScope, SlicePlan};
 /// slice fingerprints, the build tier keys on the slice vector plus a
 /// residual slice, and scope sidecars joined the entry encoding.)
 /// (8: the options signature lost the unread `NaimConfig::cache_pools`.)
-pub const CACHE_FORMAT: u32 = 8;
+/// (9: module entries key on the source alone, the build tier hashes
+/// the profile through `ProfileDb::fingerprint`, scope sidecars and the
+/// report's `cache.profile` counters are gone.)
+pub const CACHE_FORMAT: u32 = 9;
 
 /// First line of `manifest.tsv`.
 const MANIFEST_SCHEMA: &str = "cmo.cache.v1";
@@ -159,32 +161,6 @@ pub struct CacheStats {
     pub gc_live_records: u64,
     /// Dangling manifest lines pruned across those compactions.
     pub gc_pruned_lines: u64,
-    /// Profile slices planned for this build (one per module when a
-    /// profile database is attached; zero otherwise).
-    pub profile_slices: u64,
-    /// Slices containing at least one routine whose recorded shape no
-    /// longer matches the current code ([`Freshness::Stale`] §6.2).
-    /// Diagnostic: stale slices still key deterministically.
-    ///
-    /// [`Freshness::Stale`]: cmo_profile::Freshness::Stale
-    pub profile_stale_slices: u64,
-    /// Module-tier warm hits served under a *composed* (source +
-    /// profile-slice) key — the modules whose observable counts did
-    /// not move across a retrain.
-    pub profile_retained_hits: u64,
-}
-
-impl CacheStats {
-    /// Records one planned profile slice (and whether it was stale).
-    /// Deliberately does *not* feed `invalidations`: a stale slice is
-    /// a diagnostic, not a failed fetch, and must not flip `cmocc`'s
-    /// cache-health exit code.
-    pub fn record_profile_slice(&mut self, stale: bool) {
-        self.profile_slices += 1;
-        if stale {
-            self.profile_stale_slices += 1;
-        }
-    }
 }
 
 /// Outcome of one [`BuildCache::gc`] compaction.
@@ -207,10 +183,9 @@ const TAG_OBJECT: u8 = 1;
 const TAG_IMAGE: u8 = 2;
 /// The unified compile report stored next to an image.
 const TAG_REPORT: u8 = 3;
-/// A module's profile-slice scope sidecar, keyed on the *source*
-/// fingerprint alone (the scope is profile-independent structure), so
-/// warm builds can plan slices before probing for objects.
-const TAG_SCOPE: u8 = 4;
+// Tag 4 is retired: format-8 caches hold profile-slice scope sidecars
+// under it (`scope:` manifest lines), which no build reads and
+// `BuildCache::gc` prunes as undecodable. Never reuse it.
 /// One module's code-tier slot: the lowered routines its live routines
 /// used in the last build under one mode, keyed id-free.
 const TAG_CODE: u8 = 5;
@@ -224,8 +199,6 @@ pub struct CachedObject {
     /// Module-tier key the record was found under.
     key: String,
     hash: ContentHash,
-    /// Whether `key` composes a profile-slice fingerprint.
-    composed: bool,
     bytes: Arc<[u8]>,
 }
 
@@ -348,7 +321,7 @@ enum Fetched<T> {
 /// A persistent build cache rooted at a directory.
 ///
 /// Opened by `cmocc --cache-dir` (or [`BuildCache::open`] directly),
-/// consulted by [`crate::Compiler::add_sources_cached`] for per-module
+/// consulted by [`crate::Compiler::add_inputs_cached`] for per-module
 /// front-end reuse and by [`crate::Compiler::build_cached`] for
 /// whole-build replay, and flushed with [`BuildCache::persist`].
 #[derive(Debug)]
@@ -569,22 +542,13 @@ impl BuildCache {
         self.routines_lowered = lowered;
     }
 
-    /// Probes the cache for a module's front-end output under `key`
-    /// (the source fingerprint, or with `composed` the source
-    /// fingerprint composed with the module's profile-slice
-    /// fingerprint — a hit then also counts as a *retained* hit). A
-    /// hit hands back the stored bytes undecoded.
+    /// Probes the cache for a module's front-end output under its
+    /// fingerprint. A hit hands back the stored bytes undecoded.
     ///
     /// Emits a module-scope `"hit"`, `"miss"`, or `"invalidate"` trace
     /// event; an invalidated entry also counts as a miss because the
     /// module will be recompiled.
-    pub fn get_module(
-        &mut self,
-        module: &str,
-        key: &str,
-        composed: bool,
-        tel: &Telemetry,
-    ) -> Option<CachedObject> {
+    pub fn get_module(&mut self, module: &str, key: &str, tel: &Telemetry) -> Option<CachedObject> {
         let object = |dec: &mut Decoder<'_>| dec.read_bytes().map(Arc::<[u8]>::from);
         let (action, bytes, hit) = match self.fetch(&format!("mod:{key}"), TAG_OBJECT, object) {
             Fetched::Hit((hash, bytes), len) => (
@@ -593,7 +557,6 @@ impl BuildCache {
                 Some(CachedObject {
                     key: key.to_owned(),
                     hash,
-                    composed,
                     bytes,
                 }),
             ),
@@ -603,7 +566,6 @@ impl BuildCache {
         };
         if hit.is_some() {
             self.stats.module_hits += 1;
-            self.stats.profile_retained_hits += u64::from(composed);
         } else {
             self.stats.module_misses += 1;
             self.stats.invalidations += u64::from(action == "invalidate");
@@ -641,9 +603,6 @@ impl BuildCache {
             // this cache directory, hence saturating.
             let stats = &mut self.stats;
             stats.module_hits = stats.module_hits.saturating_sub(1);
-            stats.profile_retained_hits = stats
-                .profile_retained_hits
-                .saturating_sub(u64::from(hit.composed));
             stats.module_misses += 1;
             stats.invalidations += 1;
             emit(tel, "invalidate", "module", module, 0);
@@ -662,30 +621,6 @@ impl BuildCache {
         if let Some(bytes) = stored {
             emit(tel, "store", "module", module, bytes);
         }
-    }
-
-    /// Probes the cache for a module's scope sidecar (keyed on the
-    /// source fingerprint alone — scope is profile-independent).
-    ///
-    /// Silent by design: sidecars are planning metadata, not cached
-    /// work, so they touch neither the hit/miss counters nor the
-    /// trace. A missing or damaged sidecar just means this build
-    /// cannot plan slices before compiling.
-    pub fn get_scope(&mut self, fp: &str) -> Option<ModuleScope> {
-        match self.fetch(&format!("scope:{fp}"), TAG_SCOPE, ModuleScope::decode) {
-            Fetched::Hit((_, scope), _) => Some(scope),
-            _ => None,
-        }
-    }
-
-    /// Stores a module's scope sidecar under its source fingerprint.
-    pub fn put_scope(&mut self, fp: &str, scope: &ModuleScope) {
-        self.store(format!("scope:{fp}"), TAG_SCOPE, |enc| scope.encode(enc));
-    }
-
-    /// Records one planned profile slice in this build's counters.
-    pub fn record_profile_slice(&mut self, stale: bool) {
-        self.stats.record_profile_slice(stale);
     }
 
     /// Fetches the code slot of `module` under `mode` (opt level and
@@ -1129,7 +1064,6 @@ fn record_decodes(payload: &[u8]) -> bool {
             .is_ok_and(|bytes| IlObject::from_bytes(bytes).is_ok()),
         Ok(TAG_IMAGE) => MachineImage::decode(&mut dec).is_ok(),
         Ok(TAG_REPORT) => CompileReport::decode(&mut dec).is_ok(),
-        Ok(TAG_SCOPE) => ModuleScope::decode(&mut dec).is_ok(),
         Ok(TAG_CODE) => CodeSlot::decode(&mut dec).is_ok(),
         _ => false,
     }
@@ -1235,15 +1169,10 @@ pub(crate) fn code_mode(options: &BuildOptions) -> String {
 /// `jobs` is deliberately *excluded*: the pipeline produces
 /// byte-identical output at every worker count, so a cache populated
 /// at `-j4` must hit at `-j1`. The profile database participates
-/// through its full serialized content (its epoch);
-/// [`build_key_sliced`] swaps that monolithic tail for per-module
-/// slice fingerprints so retraining only re-keys moved slices.
+/// through [`ProfileDb::fingerprint`](cmo_profile::ProfileDb::fingerprint)
+/// — every count and shape, not the run counter no stage reads.
 #[must_use]
 pub fn options_signature(options: &BuildOptions) -> String {
-    options_signature_impl(options, true)
-}
-
-fn options_signature_impl(options: &BuildOptions, include_db: bool) -> String {
     let mut enc = Encoder::with_capacity(256);
     enc.write_u32(CACHE_FORMAT);
     enc.write_str("opts");
@@ -1305,9 +1234,7 @@ fn options_signature_impl(options: &BuildOptions, include_db: bool) -> String {
     match &options.profile {
         Some(db) => {
             enc.write_bool(true);
-            if include_db {
-                enc.write_bytes(&db.to_bytes());
-            }
+            enc.write_str(&db.fingerprint().to_hex());
         }
         None => enc.write_bool(false),
     }
@@ -1327,38 +1254,6 @@ pub fn build_key<S: AsRef<str>>(module_fps: &[S], options: &BuildOptions) -> Str
         enc.write_str(fp.as_ref());
     }
     enc.write_str(&options_signature(options));
-    ContentHash::of(&enc.into_bytes()).to_hex()
-}
-
-/// Key for a whole profile-guided build under slice keying: the
-/// ordered module fingerprints, the vector of per-module slice
-/// fingerprints, the residual slice fingerprint (database routines no
-/// module observes — they still steer the global selectivity ranking),
-/// and the options signature *without* the monolithic database tail.
-///
-/// With the whole database replaced by exactly what each module can
-/// observe, a retrain that moves one module's counts changes that
-/// module's slice — and therefore this key — while every other slice,
-/// and every module-tier composed key, stays put.
-#[must_use]
-pub fn build_key_sliced<S: AsRef<str>>(
-    module_fps: &[S],
-    plan: &SlicePlan,
-    options: &BuildOptions,
-) -> String {
-    debug_assert_eq!(module_fps.len(), plan.slices.len());
-    let mut enc = Encoder::with_capacity(64 + module_fps.len() * 72);
-    enc.write_u32(CACHE_FORMAT);
-    enc.write_str("build-sliced");
-    enc.write_usize(module_fps.len());
-    for fp in module_fps {
-        enc.write_str(fp.as_ref());
-    }
-    for slice in &plan.slices {
-        enc.write_str(&slice.fp);
-    }
-    enc.write_str(&plan.residual_fp);
-    enc.write_str(&options_signature_impl(options, false));
     ContentHash::of(&enc.into_bytes()).to_hex()
 }
 
@@ -1385,12 +1280,12 @@ mod tests {
         let fp = module_fingerprint("m", "fn main() -> int { return 7; }");
         {
             let mut cache = BuildCache::open(&dir).expect("open");
-            assert!(cache.get_module("m", &fp, false, &tel).is_none());
+            assert!(cache.get_module("m", &fp, &tel).is_none());
             cache.put_module("m", &fp, &obj, &tel);
             cache.persist().expect("persist");
         }
         let mut cache = BuildCache::open(&dir).expect("reopen");
-        let back = cache.get_module("m", &fp, false, &tel).expect("warm hit");
+        let back = cache.get_module("m", &fp, &tel).expect("warm hit");
         assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
         assert_eq!(cache.stats().module_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1416,6 +1311,19 @@ mod tests {
         // sit, never what a build produces.
         let o4 = BuildOptions::new(OptLevel::O4).with_gc_threshold_bytes(0);
         assert_eq!(options_signature(&o1), options_signature(&o4));
+        // A profile enters through its counts and shapes, never its run
+        // counter: a retrain that reproduces the counts keeps the key.
+        let mut db = cmo_profile::ProfileDb::new();
+        db.record(&[(cmo_profile::ProbeKey::block("f", 0), 1)], &[]);
+        let mut rerun = db.clone();
+        rerun.record(&[], &[]);
+        let mut moved = db.clone();
+        moved.record(&[(cmo_profile::ProbeKey::block("f", 0), 1)], &[]);
+        let profiled = |db: &cmo_profile::ProfileDb| {
+            options_signature(&BuildOptions::new(OptLevel::O4).with_profile_db(db.clone()))
+        };
+        assert_eq!(profiled(&db), profiled(&rerun));
+        assert_ne!(profiled(&db), profiled(&moved));
     }
 
     #[test]
@@ -1437,7 +1345,7 @@ mod tests {
         std::fs::write(&repo, &bytes).expect("write");
 
         let mut cache = BuildCache::open(&dir).expect("reopen");
-        assert!(cache.get_module("m", &fp, false, &tel).is_none());
+        assert!(cache.get_module("m", &fp, &tel).is_none());
         let stats = cache.stats();
         assert_eq!(stats.invalidations + stats.module_misses, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1459,7 +1367,7 @@ mod tests {
 
         let mut cache = BuildCache::open(&dir).expect("recreate");
         assert_eq!(cache.record_count(), 0);
-        assert!(cache.get_module("m", "fp", false, &tel).is_none());
+        assert!(cache.get_module("m", "fp", &tel).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1488,7 +1396,7 @@ mod tests {
             "uncommitted suffix must be rolled back"
         );
         assert!(
-            cache.get_module("m", &fp, false, &tel).is_some(),
+            cache.get_module("m", &fp, &tel).is_some(),
             "committed generation must survive the rollback"
         );
         let trace = traced.render_trace();
@@ -1571,15 +1479,11 @@ mod tests {
         assert_eq!(cache.stats().gc_runs, 1);
         // The swapped-in generation serves the same bytes, both through
         // the rebuilt loader and through a cold reopen.
-        let back = cache
-            .get_module("m", &fp, false, &tel)
-            .expect("hit after gc");
+        let back = cache.get_module("m", &fp, &tel).expect("hit after gc");
         assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
         let mut reopened = BuildCache::open_on(storage, &tel).unwrap();
         assert_eq!(reopened.recovered(), 0, "gc must commit cleanly");
-        let back = reopened
-            .get_module("m", &fp, false, &tel)
-            .expect("hit on reopen");
+        let back = reopened.get_module("m", &fp, &tel).expect("hit on reopen");
         assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
     }
 
@@ -1637,7 +1541,7 @@ mod tests {
 
         let mut cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
         assert!(
-            cache.get_module("m", &fp, false, &tel).is_none(),
+            cache.get_module("m", &fp, &tel).is_none(),
             "must invalidate"
         );
         // The probe evicted the corrupt record; without the eviction
@@ -1673,7 +1577,7 @@ mod tests {
         storage.write(REPO_FILE, &bytes).unwrap();
 
         let mut cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
-        assert!(cache.get_module("m", &fp, false, &tel).is_none());
+        assert!(cache.get_module("m", &fp, &tel).is_none());
         // Recompile path: the same payload is re-stored as a fresh
         // record (eviction keeps dedup from pointing at the corpse).
         cache.put_module("m", &fp, &obj, &tel);
@@ -1681,7 +1585,7 @@ mod tests {
         cache.gc(&tel).unwrap();
         let mut reopened = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
         assert_eq!(reopened.record_count(), 1, "only the good copy survives");
-        let back = reopened.get_module("m", &fp, false, &tel).expect("hit");
+        let back = reopened.get_module("m", &fp, &tel).expect("hit");
         assert_eq!(back.decode().unwrap().to_bytes(), obj.to_bytes());
     }
 
@@ -1712,7 +1616,7 @@ mod tests {
             let mut cache =
                 BuildCache::open_on(Arc::clone(&cold) as Arc<dyn Storage>, &tel).unwrap();
             let mut cc = crate::Compiler::new();
-            cc.add_sources_cached(&sources, 1, &mut cache, &tel)
+            cc.add_sources_cached_with(&sources, &options, &mut cache)
                 .unwrap();
             cc.build_cached(&options, &mut cache).unwrap();
             cache.persist().unwrap();
@@ -1741,8 +1645,9 @@ mod tests {
         let traced = Telemetry::enabled();
         let mut cache = BuildCache::open_on(storage as Arc<dyn Storage>, &traced).unwrap();
         let mut cc = crate::Compiler::new();
+        let traced_options = options.clone().with_telemetry(traced.clone());
         let hits = cc
-            .add_sources_cached(&sources, 1, &mut cache, &traced)
+            .add_sources_cached_with(&sources, &traced_options, &mut cache)
             .unwrap();
         assert_eq!(hits, 2, "only c recompiles");
         let trace = traced.render_trace();
@@ -1759,6 +1664,91 @@ mod tests {
         assert_eq!(out.image.to_bytes(), uncached.image.to_bytes());
     }
 
+    /// The build's stored report: an intact record of a kind no module
+    /// or code line may name.
+    fn report_record(cache: &BuildCache) -> ContentHash {
+        *cache
+            .manifest
+            .iter()
+            .find(|(key, _)| key.starts_with("rpt:"))
+            .expect("a stored report")
+            .1
+    }
+
+    /// A format-8 cache holds a `scope:` line per module, pointing at a
+    /// sidecar record under the retired tag 4. Nothing reads them; GC
+    /// prunes them like any record that does not decode, and the next
+    /// build replays as if they had never been there.
+    #[test]
+    fn gc_prunes_retired_scope_sidecars() {
+        use cmo_naim::MemStorage;
+        let source = "fn main() -> int { return 7; }";
+        let sources = vec![("m".to_owned(), source.to_owned())];
+        let db = {
+            let mut cc = crate::Compiler::new();
+            cc.add_sources(&sources, 1).unwrap();
+            let train = cc.build(&BuildOptions::instrumented()).unwrap();
+            train.run_for_profile(&[]).unwrap()
+        };
+        let options = BuildOptions::new(OptLevel::O4).with_profile_db(db);
+        let tel = Telemetry::disabled();
+        let storage = Arc::new(MemStorage::new());
+        let open = |storage: &Arc<MemStorage>| {
+            BuildCache::open_on(Arc::clone(storage) as Arc<dyn Storage>, &tel).unwrap()
+        };
+        let cold = {
+            let mut cache = open(&storage);
+            let mut cc = crate::Compiler::new();
+            cc.add_sources_cached_with(&sources, &options, &mut cache)
+                .unwrap();
+            cc.build_cached(&options, &mut cache).unwrap()
+        };
+        // A cold `+P` build stores no record under the retired tag.
+        let mut cache = open(&storage);
+        let hashes: Vec<ContentHash> = cache.manifest.values().copied().collect();
+        for hash in hashes {
+            let handle = cache.repo.lookup(hash).expect("a live record");
+            assert_ne!(cache.repo.fetch(handle).unwrap()[0], 4);
+        }
+        drop(cache);
+        let clean = open(&Arc::new(storage.snapshot())).gc(&tel).unwrap();
+
+        // What a format-8 build left beside the object: tag 4, then
+        // the module's name and routines.
+        let mut cache = open(&storage);
+        let mut enc = Encoder::new();
+        enc.write_u8(4);
+        enc.write_str("m");
+        enc.write_usize(0);
+        let handle = cache.repo.store(&enc.into_bytes()).unwrap();
+        let hash = cache.repo.hash_of(handle).unwrap();
+        let line = format!("scope:{}", module_fingerprint("m", source));
+        cache.manifest.insert(line.clone(), hash);
+        cache.dirty = true;
+        cache.persist().unwrap();
+
+        let stats = cache.gc(&tel).unwrap();
+        assert_eq!(stats.pruned_lines, 1, "the `scope:` line is pruned");
+        assert_eq!(
+            stats.live_records, clean.live_records,
+            "the sidecar is dead"
+        );
+        assert!(!cache.manifest.contains_key(&line));
+        drop(cache);
+
+        let mut cache = open(&storage);
+        assert_eq!(cache.record_count() as u64, clean.live_records);
+        let mut cc = crate::Compiler::new();
+        let hits = cc
+            .add_sources_cached_with(&sources, &options, &mut cache)
+            .unwrap();
+        assert_eq!(hits, 1);
+        let warm = cc.build_cached(&options, &mut cache).unwrap();
+        assert!(warm.report.replayed.is_some(), "the build replays");
+        assert_eq!(cache.stats().invalidations, 0);
+        assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
+    }
+
     /// How the stored object of one module gets damaged.
     #[derive(Debug, Clone, Copy)]
     enum Damage {
@@ -1766,7 +1756,8 @@ mod tests {
         Crc,
         /// The file cut short under a live index: short read.
         Truncation,
-        /// The manifest line re-pointed at an intact scope sidecar.
+        /// The manifest line re-pointed at an intact record of another
+        /// kind (the build's stored report).
         WrongTag,
         /// The line re-pointed at CRC-valid bytes that are no object.
         Garbage,
@@ -1854,20 +1845,16 @@ mod tests {
                 let tel = Telemetry::enabled();
                 let mut cache =
                     BuildCache::open_on(Arc::clone(&storage) as Arc<dyn Storage>, &tel).unwrap();
-                let c_line = cache
-                    .manifest
-                    .keys()
-                    .find(|key| key.starts_with(&format!("mod:{c_fp}")))
-                    .expect("c has a module line")
-                    .clone();
+                let c_line = format!("mod:{c_fp}");
+                assert!(cache.manifest.contains_key(&c_line), "c has a module line");
                 match damage {
                     Damage::Crc => {}
                     Damage::Truncation => storage
                         .truncate(REPO_FILE, (c_at + c_bytes.len() / 2) as u64)
                         .unwrap(),
                     Damage::WrongTag => {
-                        let scope = cache.manifest[&format!("scope:{c_fp}")];
-                        cache.manifest.insert(c_line, scope);
+                        let report = report_record(&cache);
+                        cache.manifest.insert(c_line, report);
                     }
                     Damage::Garbage => {
                         let handle = cache.repo.store(&[TAG_OBJECT, 4, b'j', b'u', b'n', b'k']);
@@ -1892,7 +1879,7 @@ mod tests {
                     "{damage:?} -j{jobs}: image differs from an uncached build"
                 );
                 // What an eager decode at probe time reports: `a` edited
-                // (miss), `b` intact (retained hit), `c` invalidated.
+                // (miss), `b` intact (hit), `c` invalidated.
                 // The truncation also cuts off the three code slots the
                 // cold build stored after the objects.
                 let cut_slots = if let Damage::Truncation = damage {
@@ -1902,13 +1889,8 @@ mod tests {
                 };
                 let stats = cache.stats();
                 assert_eq!(
-                    (
-                        stats.module_hits,
-                        stats.module_misses,
-                        stats.invalidations,
-                        stats.profile_retained_hits
-                    ),
-                    (1, 2, 1 + cut_slots, 1),
+                    (stats.module_hits, stats.module_misses, stats.invalidations),
+                    (1, 2, 1 + cut_slots),
                     "{damage:?} -j{jobs}"
                 );
                 assert_eq!(out.report.cache, stats, "{damage:?}: stored report agrees");
@@ -1950,7 +1932,8 @@ mod tests {
         Crc,
         /// The file cut short under a live index: short read.
         Truncation,
-        /// The line re-pointed at an intact scope sidecar.
+        /// The line re-pointed at an intact record of another kind
+        /// (the build's stored report).
         WrongTag,
         /// The line re-pointed at CRC-valid bytes that are no slot.
         Garbage,
@@ -2073,13 +2056,8 @@ mod tests {
                             .truncate(REPO_FILE, (at + payload.len() / 2) as u64)
                             .unwrap(),
                         CodeDamage::WrongTag => {
-                            let scope = *cache
-                                .manifest
-                                .iter()
-                                .find(|(k, _)| k.starts_with("scope:"))
-                                .expect("a scope sidecar")
-                                .1;
-                            cache.manifest.insert(line.clone(), scope);
+                            let report = report_record(cache);
+                            cache.manifest.insert(line.clone(), report);
                         }
                         CodeDamage::Garbage => forge(cache, &[TAG_CODE, 4, b'j', b'u', b'n', b'k']),
                         CodeDamage::LengthBomb => forge(
@@ -2179,73 +2157,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scope_sidecar_round_trips_and_stays_silent() {
-        let dir = tmpdir("scope-rt");
-        let obj = small_object();
-        let scope = ModuleScope::of_object(&obj);
-        {
-            let mut cache = BuildCache::open(&dir).expect("open");
-            assert!(cache.get_scope("fp").is_none());
-            cache.put_scope("fp", &scope);
-            cache.persist().expect("persist");
-        }
-        let mut cache = BuildCache::open(&dir).expect("reopen");
-        assert_eq!(cache.get_scope("fp").expect("sidecar"), scope);
-        // Sidecars are planning metadata: no hit/miss accounting.
-        let stats = cache.stats();
-        assert_eq!(stats.module_hits, 0);
-        assert_eq!(stats.module_misses, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sliced_build_key_ignores_out_of_scope_profile_motion() {
-        use crate::slices::{SliceGranularity, SlicePlan};
-        use cmo_profile::{ProbeKey, ProfileDb, RoutineShape};
-        let obj = small_object();
-        let scopes = vec![ModuleScope::of_object(&obj)];
-        let fps = vec![module_fingerprint("m", "fn main() -> int { return 7; }")];
-        let shape = scopes[0].routines[0].shape;
-        let mut db = ProfileDb::new();
-        db.record(
-            &[(ProbeKey::block("main", 0), 1)],
-            &[("main".to_owned(), shape)],
-        );
-        let mut options = BuildOptions::new(OptLevel::O4);
-        options.pbo = true;
-        options.profile = Some(db.clone());
-        let plan = |db: &ProfileDb| {
-            SlicePlan::compute(&scopes, db, SliceGranularity::Cluster, &options.inline)
-        };
-        let base = build_key_sliced(&fps, &plan(&db), &options);
-        // The same counts re-derived give the same key (slice bytes
-        // exclude the run counter and the database's storage order).
-        assert_eq!(base, build_key_sliced(&fps, &plan(&db), &options));
-        // A foreign routine (trained on another program version) lands
-        // in the residual slice: the key must move.
-        let mut foreign = db.clone();
-        foreign.record(
-            &[(ProbeKey::site("ghost", 0), 50)],
-            &[(
-                "ghost".to_owned(),
-                RoutineShape {
-                    n_blocks: 1,
-                    n_sites: 1,
-                    fingerprint: 9,
-                },
-            )],
-        );
-        assert_ne!(base, build_key_sliced(&fps, &plan(&foreign), &options));
-        // An in-scope count move re-keys too.
-        let mut moved = db.clone();
-        moved.record(
-            &[(ProbeKey::block("main", 0), 100)],
-            &[("main".to_owned(), shape)],
-        );
-        assert_ne!(base, build_key_sliced(&fps, &plan(&moved), &options));
     }
 
     use proptest::prelude::*;

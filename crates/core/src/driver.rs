@@ -4,7 +4,6 @@
 use crate::cache::{self, BuildCache, CacheStats, CachedObject, CodeSlot};
 use crate::parallel::run_jobs;
 use crate::report::{CompileReport, FaultStats};
-use crate::slices::{ModuleScope, SliceGranularity, SlicePlan};
 use cmo_frontend::FrontendError;
 use cmo_hlo::{
     fold_globals, merge_outcomes, plan_clusters, run_cluster, run_clusters_seq, CallGraph,
@@ -21,7 +20,7 @@ use cmo_profile::{Freshness, ProfileDb};
 use cmo_select::{coarse_select_traced, layered_levels, OptLayer, SelectError};
 use cmo_telemetry::{PhaseRecord, Telemetry, TraceEvent};
 use cmo_vm::{profile_from_run, run, ExecResult, MachineImage, RunConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
@@ -146,13 +145,6 @@ pub struct BuildOptions {
     /// default) never compacts. Excluded from the options signature —
     /// when the GC policy changed, the outputs did not.
     pub gc_threshold_bytes: Option<u64>,
-    /// How wide each module's profile-slice scope reaches when a
-    /// profile database is attached (`cmocc
-    /// --profile-slice-granularity`). Excluded from the options
-    /// signature: granularity only decides *which* database projection
-    /// keys an entry, and identical slice fingerprints imply identical
-    /// observable counts regardless of how the scope was drawn.
-    pub slice_granularity: SliceGranularity,
     /// Telemetry sink threaded through the whole pipeline (loader,
     /// HLO, selection, final link). Disabled (no-op) by default;
     /// enable it to collect phase timers and trace events for the
@@ -175,7 +167,6 @@ impl BuildOptions {
             layered: false,
             jobs: 1,
             gc_threshold_bytes: None,
-            slice_granularity: SliceGranularity::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -244,13 +235,6 @@ impl BuildOptions {
     #[must_use]
     pub fn with_gc_threshold_bytes(mut self, bytes: u64) -> Self {
         self.gc_threshold_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the profile-slice scope granularity.
-    #[must_use]
-    pub fn with_slice_granularity(mut self, granularity: SliceGranularity) -> Self {
-        self.slice_granularity = granularity;
         self
     }
 }
@@ -387,45 +371,7 @@ enum SlotObject {
 struct ModuleSlot {
     /// Content fingerprint: the module's incremental-cache key.
     fingerprint: String,
-    /// Profile-slice scope, when a profiled cached add fetched or
-    /// derived it (a pure function of the object either way).
-    scope: Option<ModuleScope>,
     object: SlotObject,
-}
-
-/// The slice plan a cached add computed over exactly the current
-/// slots, with everything besides their scopes it was computed from.
-#[derive(Debug, Clone)]
-struct Planned {
-    plan: SlicePlan,
-    db: ProfileDb,
-    granularity: SliceGranularity,
-    small_callee_il: u32,
-    hot_site_min_count: u64,
-    hot_callee_il: u32,
-}
-
-impl Planned {
-    fn new(plan: SlicePlan, db: &ProfileDb, options: &BuildOptions) -> Self {
-        Planned {
-            plan,
-            db: db.clone(),
-            granularity: options.slice_granularity,
-            small_callee_il: options.inline.small_callee_il,
-            hot_site_min_count: options.inline.hot_site_min_count,
-            hot_callee_il: options.inline.hot_callee_il,
-        }
-    }
-
-    /// Whether planning under `options` (whose database is `db`) would
-    /// reproduce this plan.
-    fn holds_for(&self, db: &ProfileDb, options: &BuildOptions) -> bool {
-        self.granularity == options.slice_granularity
-            && self.small_callee_il == options.inline.small_callee_il
-            && self.hot_site_min_count == options.inline.hot_site_min_count
-            && self.hot_callee_il == options.inline.hot_callee_il
-            && self.db == *db
-    }
 }
 
 #[cfg(test)]
@@ -447,15 +393,12 @@ fn compile(module: &str, source: &str) -> Result<IlObject, FrontendError> {
 
 /// The compiler driver: collects modules, builds at any option level.
 ///
-/// Each added module is one slot: fingerprint, optional scope, and its
-/// object — either in hand or a *pending* cache hit that is decoded
-/// only when a link consumes it. A whole-build replay consumes none.
+/// Each added module is one slot: its fingerprint and its object —
+/// either in hand or a *pending* cache hit that is decoded only when a
+/// link consumes it. A whole-build replay consumes none.
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
     slots: Vec<ModuleSlot>,
-    /// Set by a profiled cached add into an empty driver; any later
-    /// add clears it.
-    planned: Option<Planned>,
 }
 
 impl Compiler {
@@ -466,10 +409,8 @@ impl Compiler {
     }
 
     fn push_ready(&mut self, fingerprint: String, obj: IlObject) {
-        self.planned = None;
         self.slots.push(ModuleSlot {
             fingerprint,
-            scope: None,
             object: SlotObject::Ready(obj),
         });
     }
@@ -513,56 +454,9 @@ impl Compiler {
 
     /// Like [`Compiler::add_sources`], but consults `cache` first:
     /// modules whose fingerprint hits skip the front end entirely and
-    /// reuse the cached IL object; misses compile over `jobs` workers
-    /// and are stored for next time. All cache traffic happens on the
-    /// calling thread in batch order, so traces stay deterministic at
-    /// every job count. Returns the number of cache hits.
-    ///
-    /// A hit is counted and traced here but not decoded: the slot
-    /// holds the stored bytes until a link needs the object.
-    ///
-    /// # Errors
-    ///
-    /// Returns frontend diagnostics for the recompiled modules; a
-    /// failed batch adds nothing.
-    pub fn add_sources_cached(
-        &mut self,
-        modules: &[(String, String)],
-        jobs: usize,
-        bcache: &mut BuildCache,
-        tel: &Telemetry,
-    ) -> Result<usize, BuildError> {
-        self.add_batch(
-            source_inputs(modules),
-            None,
-            tel,
-            bcache,
-            &mut |inputs, which| compile_batch(inputs, which, jobs),
-        )
-    }
-
-    /// Like [`Compiler::add_sources_cached`], but profile-slice aware:
-    /// when `options` carries a profile database, module entries are
-    /// probed and stored under *composed* keys — the source
-    /// fingerprint plus the module's profile-slice fingerprint — so a
-    /// retrain re-keys only the modules whose observable counts moved.
-    /// A hit under a composed key is a **retained hit**
-    /// ([`CacheStats::profile_retained_hits`]).
-    ///
-    /// Slices are planned from [`ModuleScope`] sidecars stored next to
-    /// each object under the source fingerprint alone. A scope is
-    /// profile-independent and a pure function of the object, so a
-    /// module whose sidecar is missing (new or edited source, a cold
-    /// cache, or one written before slicing existed) is compiled
-    /// first and its scope derived from the fresh object: planned and
-    /// derived scopes mix freely, composed keys come out the same
-    /// either way, and a one-module edit still hits on every other
-    /// module. The plan stays with the driver, so a
-    /// [`Compiler::build_cached`] under the same options keys the
-    /// build tier without planning again.
-    ///
-    /// Without a profile database this is exactly
-    /// [`Compiler::add_sources_cached`].
+    /// reuse the cached IL object; misses compile over `options.jobs`
+    /// workers and are stored for next time. Returns the number of
+    /// cache hits. See [`Compiler::add_inputs_cached`].
     ///
     /// # Errors
     ///
@@ -574,13 +468,25 @@ impl Compiler {
         options: &BuildOptions,
         bcache: &mut BuildCache,
     ) -> Result<usize, BuildError> {
-        let jobs = options.jobs;
-        self.add_inputs_cached(
-            source_inputs(modules),
-            options,
-            bcache,
-            &mut |inputs, which| compile_batch(inputs, which, jobs),
-        )
+        // The copy is what a pending slot keeps its source in.
+        let inputs = modules
+            .iter()
+            .map(|(module, source)| ModuleInput::Source {
+                module: module.clone(),
+                source: source.clone(),
+            })
+            .collect();
+        self.add_inputs_cached(inputs, options, bcache, &mut |inputs, which| {
+            run_jobs(which.len(), options.jobs.max(1), |_, k| {
+                match &inputs[which[k]] {
+                    ModuleInput::Source { module, source } => compile(module, source).map(Some),
+                    ModuleInput::Object(_) => unreachable!("only source inputs are compiled"),
+                }
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(BuildError::Frontend)
+        })
     }
 
     /// The cached front end over classified inputs, with the caller's
@@ -588,16 +494,17 @@ impl Compiler {
     /// inputs at positions `which` (over whatever worker pool it likes)
     /// and returns one entry per position — `None` for a module the
     /// caller chose to drop (`cmocc --keep-going`), which then gets no
-    /// slot, no slice and no cache entry — or an error, which abandons
-    /// the batch with nothing added.
+    /// slot and no cache entry — or an error, which abandons the batch
+    /// with nothing added.
     ///
     /// This is the one implementation of the probe → defer flow that
-    /// [`Compiler::add_sources_cached`],
-    /// [`Compiler::add_sources_cached_with`] and `cmocc` all go
-    /// through: fingerprint; with a profile database, fetch or derive
-    /// scopes, plan slices and compose keys; probe the module tier on
-    /// the calling thread in input order, keeping each hit as pending
-    /// bytes; compile and store the misses. Returns the number of
+    /// [`Compiler::add_sources_cached_with`] and `cmocc` go through:
+    /// fingerprint every input on its content alone (front-end objects
+    /// do not depend on the profile, so it never enters a module key),
+    /// probe the module tier in input order, keeping each hit as
+    /// pending bytes, then compile and store the misses. All cache
+    /// traffic happens on the calling thread in input order, so traces
+    /// stay deterministic at every job count. Returns the number of
     /// cache hits.
     ///
     /// # Errors
@@ -610,19 +517,7 @@ impl Compiler {
         bcache: &mut BuildCache,
         compile: &mut CompileStep<'_, E>,
     ) -> Result<usize, E> {
-        let slicing = options.profile.as_ref().map(|db| (db, options));
-        self.add_batch(inputs, slicing, &options.telemetry, bcache, compile)
-    }
-
-    fn add_batch<E>(
-        &mut self,
-        inputs: Vec<ModuleInput>,
-        slicing: Option<(&ProfileDb, &BuildOptions)>,
-        tel: &Telemetry,
-        bcache: &mut BuildCache,
-        compile: &mut CompileStep<'_, E>,
-    ) -> Result<usize, E> {
-        let n = inputs.len();
+        let tel = &options.telemetry;
         let fps: Vec<String> = inputs
             .iter()
             .map(|input| match input {
@@ -632,101 +527,28 @@ impl Compiler {
                 }
             })
             .collect();
-        // Objects compiled in this call, and the sources `compile`
-        // dropped, by input position.
-        let mut fresh: Vec<Option<IlObject>> = (0..n).map(|_| None).collect();
-        let mut dropped = vec![false; n];
-        let mut compile_into =
-            |which: &[usize], fresh: &mut [Option<IlObject>], dropped: &mut [bool]| {
-                for (&i, obj) in which.iter().zip(compile(&inputs, which)?) {
-                    dropped[i] = obj.is_none();
-                    fresh[i] = obj;
-                }
-                Ok(())
-            };
-
-        // Scopes come from the object in hand, else from the sidecar,
-        // else from a compile now; slices are planned over every input
-        // that has one, *before* any module-tier probe.
-        let mut scopes: Vec<Option<ModuleScope>> = vec![None; n];
-        let mut plan = None;
-        if let Some((db, options)) = slicing {
-            for (i, input) in inputs.iter().enumerate() {
-                scopes[i] = match input {
-                    ModuleInput::Object(obj) => Some(ModuleScope::of_object(obj)),
-                    ModuleInput::Source { .. } => bcache.get_scope(&fps[i]),
-                };
-            }
-            let unscoped: Vec<usize> = (0..n).filter(|&i| scopes[i].is_none()).collect();
-            compile_into(&unscoped, &mut fresh, &mut dropped)?;
-            for &i in &unscoped {
-                if let Some(obj) = &fresh[i] {
-                    let scope = ModuleScope::of_object(obj);
-                    bcache.put_scope(&fps[i], &scope);
-                    scopes[i] = Some(scope);
-                }
-            }
-            // `compute` wants the scopes contiguous; they return to
-            // their positions right after.
-            let planned: Vec<ModuleScope> = scopes.iter_mut().filter_map(Option::take).collect();
-            let computed =
-                SlicePlan::compute(&planned, db, options.slice_granularity, &options.inline);
-            emit_slices(&computed, bcache, tel);
-            let mut planned = planned.into_iter();
-            for (i, scope) in scopes.iter_mut().enumerate() {
-                if !dropped[i] {
-                    *scope = planned.next();
-                }
-            }
-            plan = Some(computed);
-        }
-
-        // Probe on the calling thread in input order; a hit stays
-        // pending. `keys[i]` is the module-tier key of a missed source.
-        let mut hits: Vec<Option<CachedObject>> = vec![None; n];
-        let mut keys: Vec<Option<String>> = vec![None; n];
-        let mut n_hits = 0;
-        let mut slice_at = 0;
+        let mut hits: Vec<Option<CachedObject>> = vec![None; inputs.len()];
+        let mut misses = Vec::new();
+        // A hit stays pending; objects need no entry.
         for (i, input) in inputs.iter().enumerate() {
-            if dropped[i] {
-                continue;
-            }
-            let key = plan
-                .as_ref()
-                .map(|plan| plan.composed_fp(slice_at, &fps[i]));
-            slice_at += 1;
-            let ModuleInput::Source { module, .. } = input else {
-                continue; // objects need no entry
-            };
-            let key = key.unwrap_or_else(|| fps[i].clone());
-            match bcache.get_module(module, &key, plan.is_some(), tel) {
-                Some(hit) => {
-                    hits[i] = Some(hit);
-                    n_hits += 1;
+            if let ModuleInput::Source { module, .. } = input {
+                match bcache.get_module(module, &fps[i], tel) {
+                    Some(hit) => hits[i] = Some(hit),
+                    None => misses.push(i),
                 }
-                None => keys[i] = Some(key),
             }
         }
-        let uncompiled: Vec<usize> = (0..n)
-            .filter(|&i| keys[i].is_some() && fresh[i].is_none())
-            .collect();
-        compile_into(&uncompiled, &mut fresh, &mut dropped)?;
-        for (i, input) in inputs.iter().enumerate() {
-            if let (ModuleInput::Source { module, .. }, Some(key), Some(obj)) =
-                (input, &keys[i], &fresh[i])
-            {
-                bcache.put_module(module, key, obj, tel);
+        let n_hits = hits.iter().flatten().count();
+        let mut fresh: Vec<Option<IlObject>> = vec![None; inputs.len()];
+        for (&i, obj) in misses.iter().zip(compile(&inputs, &misses)?) {
+            if let (ModuleInput::Source { module, .. }, Some(obj)) = (&inputs[i], &obj) {
+                bcache.put_module(module, &fps[i], obj, tel);
             }
+            fresh[i] = obj;
         }
 
         // Only now, with nothing left that can fail, do slots appear.
-        let was_empty = self.slots.is_empty();
-        let mut dropped_any = false;
         for (i, (input, fingerprint)) in inputs.into_iter().zip(fps).enumerate() {
-            if dropped[i] {
-                dropped_any = true;
-                continue;
-            }
             let object = match (input, fresh[i].take(), hits[i].take()) {
                 (ModuleInput::Object(obj), ..) | (_, Some(obj), _) => SlotObject::Ready(obj),
                 (ModuleInput::Source { module, source }, None, Some(hit)) => SlotObject::Pending {
@@ -734,24 +556,14 @@ impl Compiler {
                     module,
                     source,
                 },
-                (ModuleInput::Source { .. }, None, None) => {
-                    unreachable!("a live source is a hit or was compiled")
-                }
+                // A miss the compile step dropped.
+                (ModuleInput::Source { .. }, None, None) => continue,
             };
             self.slots.push(ModuleSlot {
                 fingerprint,
-                scope: scopes[i].take(),
                 object,
             });
         }
-        // A module dropped after planning leaves the plan one slice
-        // too long for the slots; the build plans again.
-        self.planned = match (plan, slicing) {
-            (Some(plan), Some((db, options))) if was_empty && !dropped_any => {
-                Some(Planned::new(plan, db, options))
-            }
-            _ => None,
-        };
         Ok(n_hits)
     }
 
@@ -832,17 +644,14 @@ impl Compiler {
     /// loop.
     ///
     /// The driver derives a whole-build key from the slots'
-    /// fingerprints and the options signature — with a profile
-    /// attached, from the per-module slice fingerprints plus the
-    /// residual instead of the monolithic database bytes, reusing the
-    /// plan a cached add under the same options left behind — and
-    /// probes the build tier *before* touching any object. On a hit,
-    /// the linked image and the cold run's stored unified report come
-    /// straight from the cache: HLO, LLO, and linking are skipped, no
-    /// pending object is decoded, and a build-scope `"replay"` trace
-    /// event records the shortcut. On a miss the pending objects are
-    /// decoded, the build runs normally and its image and report are
-    /// stored for next time.
+    /// fingerprints and the options signature (which covers an attached
+    /// profile's counts and shapes) and probes the build tier *before*
+    /// touching any object. On a hit, the linked image and the cold
+    /// run's stored unified report come straight from the cache: HLO,
+    /// LLO, and linking are skipped, no pending object is decoded, and
+    /// a build-scope `"replay"` trace event records the shortcut. On a
+    /// miss the pending objects are decoded, the build runs normally
+    /// and its image and report are stored for next time.
     ///
     /// Cached and uncached builds of the same inputs produce
     /// byte-identical images; warm and cold `--report-json` documents
@@ -880,22 +689,7 @@ impl Compiler {
             }
         }
         let fps: Vec<&str> = self.fingerprints().collect();
-        // Objects, if keying the build already had to produce them.
-        let mut objects = None;
-        let key = match options.profile.as_ref() {
-            None => cache::build_key(&fps, options),
-            Some(db) => match &self.planned {
-                Some(planned) if planned.holds_for(db, options) => {
-                    cache::build_key_sliced(&fps, &planned.plan, options)
-                }
-                _ => {
-                    let scopes = self.scopes(bcache, &mut objects, &tel)?;
-                    let plan =
-                        SlicePlan::compute(&scopes, db, options.slice_granularity, &options.inline);
-                    cache::build_key_sliced(&fps, &plan, options)
-                }
-            },
-        };
+        let key = cache::build_key(&fps, options);
         if let Some((image, stored)) = bcache.get_build(&key, &tel) {
             tel.emit(TraceEvent::Cache {
                 action: "replay",
@@ -924,10 +718,7 @@ impl Compiler {
             persist_or_degrade(bcache, &tel);
             return Ok(BuildOutput { image, report });
         }
-        let objects = match objects {
-            Some(objects) => objects,
-            None => self.objects(Some(bcache), &tel)?,
-        };
+        let objects = self.objects(Some(bcache), &tel)?;
         let mut out = build_objects_with(objects, options, Some(bcache))?;
         // Snapshot the cache counters *before* building the report
         // that gets stored, so the stored report equals the one this
@@ -943,84 +734,9 @@ impl Compiler {
         Ok(out)
     }
 
-    /// Every slot's scope, for a build that must plan its own slices
-    /// (modules added outside a profiled cached add, or under other
-    /// options): the slot's own, else derived from the object in hand,
-    /// else the sidecar, else — decoding everything once, into
-    /// `objects`, for the build to reuse — derived from the decoded
-    /// object.
-    fn scopes(
-        &self,
-        bcache: &mut BuildCache,
-        objects: &mut Option<Vec<IlObject>>,
-        tel: &Telemetry,
-    ) -> Result<Vec<ModuleScope>, BuildError> {
-        let mut scopes = Vec::with_capacity(self.slots.len());
-        for (i, slot) in self.slots.iter().enumerate() {
-            let scope = match (&slot.scope, &slot.object) {
-                (Some(scope), _) => scope.clone(),
-                (None, SlotObject::Ready(obj)) => ModuleScope::of_object(obj),
-                (None, SlotObject::Pending { .. }) => match bcache.get_scope(&slot.fingerprint) {
-                    Some(scope) => scope,
-                    None => {
-                        if objects.is_none() {
-                            *objects = Some(self.objects(Some(bcache), tel)?);
-                        }
-                        ModuleScope::of_object(&objects.as_ref().expect("just filled")[i])
-                    }
-                },
-            };
-            scopes.push(scope);
-        }
-        Ok(scopes)
-    }
-
     /// The per-module content fingerprints, in module order.
     pub fn fingerprints(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
         self.slots.iter().map(|slot| slot.fingerprint.as_str())
-    }
-}
-
-/// The `(module, source)` pairs of the `add_sources*` entry points as
-/// batch inputs. The copy is what a pending slot keeps its source in.
-fn source_inputs(modules: &[(String, String)]) -> Vec<ModuleInput> {
-    modules
-        .iter()
-        .map(|(module, source)| ModuleInput::Source {
-            module: module.clone(),
-            source: source.clone(),
-        })
-        .collect()
-}
-
-/// The library's compile step for [`Compiler::add_inputs_cached`]:
-/// every listed source over `jobs` workers, first error by position.
-fn compile_batch(
-    inputs: &[ModuleInput],
-    which: &[usize],
-    jobs: usize,
-) -> Result<Vec<Option<IlObject>>, BuildError> {
-    run_jobs(which.len(), jobs.max(1), |_, k| match &inputs[which[k]] {
-        ModuleInput::Source { module, source } => compile(module, source).map(Some),
-        ModuleInput::Object(_) => unreachable!("only source inputs are compiled"),
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()
-    .map_err(BuildError::Frontend)
-}
-
-/// Emits one `profile_slice` trace event per planned slice (in module
-/// input order, on the calling thread) and folds the slice counters
-/// into the cache stats.
-fn emit_slices(plan: &SlicePlan, bcache: &mut BuildCache, tel: &Telemetry) {
-    for slice in &plan.slices {
-        bcache.record_profile_slice(slice.stale);
-        tel.emit(TraceEvent::ProfileSlice {
-            module: slice.module.clone(),
-            routines: slice.routines,
-            stale: slice.stale,
-            fp: slice.fp.clone(),
-        });
     }
 }
 
@@ -1040,25 +756,13 @@ fn correlated_counts(db: &ProfileDb, name: &str, body: &RoutineBody) -> Option<V
     }
 }
 
-/// Aggregates per-site counts into caller→callee arcs for clustering.
-fn arcs_from(
-    program: &Program,
-    bodies: &[RoutineBody],
-    site_count: impl Fn(RoutineId, u32) -> u64,
-) -> Vec<CallArc> {
-    use std::collections::BTreeMap;
+/// Sums call counts per caller→callee pair into the arcs the final
+/// link clusters on, in (caller, callee) order.
+fn call_arcs(calls: impl Iterator<Item = (RoutineId, RoutineId, u64)>) -> Vec<CallArc> {
     let mut agg: BTreeMap<(RoutineId, RoutineId), u64> = BTreeMap::new();
-    for (i, body) in bodies.iter().enumerate() {
-        let caller = RoutineId::from_index(i);
-        for block in &body.blocks {
-            for instr in &block.instrs {
-                if let cmo_ir::Instr::Call { callee, site, .. } = instr {
-                    *agg.entry((caller, callee.id())).or_insert(0) += site_count(caller, site.0);
-                }
-            }
-        }
+    for (caller, callee, count) in calls {
+        *agg.entry((caller, callee)).or_insert(0) += count;
     }
-    let _ = program;
     agg.into_iter()
         .map(|((caller, callee), weight)| CallArc {
             caller,
@@ -1265,20 +969,9 @@ fn build_objects_with(
                     });
                 }
             }
-            let maintained_arcs: Option<Vec<CallArc>> = options.pbo.then(|| {
-                use std::collections::BTreeMap;
-                let mut agg: BTreeMap<(RoutineId, RoutineId), u64> = BTreeMap::new();
-                for e in &graph.edges {
-                    *agg.entry((e.caller, e.callee)).or_insert(0) += e.count;
-                }
-                agg.into_iter()
-                    .map(|((caller, callee), weight)| CallArc {
-                        caller,
-                        callee,
-                        weight,
-                    })
-                    .collect()
-            });
+            let maintained_arcs = options
+                .pbo
+                .then(|| call_arcs(graph.edges.iter().map(|e| (e.caller, e.callee, e.count))));
             session.unload_all()?;
             drop(_cg_phase);
 
@@ -1439,16 +1132,28 @@ fn build_objects_with(
     drop(llo_phase);
 
     // === Final link: clustering + image assembly. ===
-    let arcs = match o4_arcs {
-        Some(arcs) => Some(arcs),
-        None if options.pbo => db.map(|db| {
-            arcs_from(&program, &bodies, |rid, site| {
-                let name = program.name(program.routine(rid).name);
-                db.site_count(name, site).unwrap_or(0)
-            })
-        }),
-        None => None,
-    };
+    // Below `+O4` the arcs come straight from the database's site
+    // counts.
+    let arcs = o4_arcs.or_else(|| {
+        let db = db?;
+        Some(call_arcs(bodies.iter().enumerate().flat_map(
+            |(i, body)| {
+                let caller = RoutineId::from_index(i);
+                let name = program.name(program.routine(caller).name);
+                body.blocks
+                    .iter()
+                    .flat_map(|block| &block.instrs)
+                    .filter_map(move |instr| match instr {
+                        cmo_ir::Instr::Call { callee, site, .. } => Some((
+                            caller,
+                            callee.id(),
+                            db.site_count(name, site.0).unwrap_or(0),
+                        )),
+                        _ => None,
+                    })
+            },
+        )))
+    });
     let image = {
         let _p = tel.phase("link_image");
         assemble(
@@ -1687,8 +1392,11 @@ mod tests {
         assert_eq!(a.image.code, b.image.code, "same inputs, same image (§6.2)");
     }
 
+    /// A retrain moves profile counts, never a front-end object: every
+    /// module hits, and only the build tier, whose key covers the
+    /// database, misses.
     #[test]
-    fn retrain_keeps_untouched_module_slices_warm() {
+    fn retrain_keeps_every_module_warm() {
         use cmo_naim::{MemStorage, Storage};
         use cmo_profile::ProbeKey;
         use std::sync::Arc;
@@ -1716,8 +1424,6 @@ mod tests {
                 .to_owned(),
             ),
             (
-                // Large (il > small_callee_il) and cold (one call):
-                // couples with nobody, so its slice is its own.
                 "isl".to_owned(),
                 "fn island(x: int) -> int {
                      var a: int = x;
@@ -1729,73 +1435,53 @@ mod tests {
             ),
         ];
         let mut cc = Compiler::new();
-        for (module, source) in &modules {
-            cc.add_source(module, source).unwrap();
-        }
+        cc.add_sources(&modules, 1).unwrap();
         let train = cc.build(&BuildOptions::instrumented()).unwrap();
         let db1 = train.run_for_profile(&[]).unwrap();
         // The retrain: only the island's internal counts move.
-        let island = cmo_frontend::compile_module(&modules[2].0, &modules[2].1).unwrap();
-        let island_shape = crate::slices::ModuleScope::of_object(&island)
-            .routines
-            .iter()
-            .find(|r| r.name == "island")
-            .expect("island defined")
-            .shape;
+        let island_shape = db1.routine("island").expect("island trained").shape;
         let mut db2 = db1.clone();
         db2.record(
             &[(ProbeKey::block("island", 0), 5_000)],
             &[("island".to_owned(), island_shape)],
         );
+        let opts = |db: &ProfileDb, jobs: usize| {
+            BuildOptions::new(OptLevel::O4)
+                .with_profile_db(db.clone())
+                .with_jobs(jobs)
+        };
 
-        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
         let tel = Telemetry::disabled();
-        let opts = |db: &ProfileDb| BuildOptions::new(OptLevel::O4).with_profile_db(db.clone());
+        let cold = Arc::new(MemStorage::new());
+        {
+            let mut cache =
+                BuildCache::open_on(Arc::clone(&cold) as Arc<dyn Storage>, &tel).unwrap();
+            let mut cold_cc = Compiler::new();
+            let hits = cold_cc
+                .add_sources_cached_with(&modules, &opts(&db1, 1), &mut cache)
+                .unwrap();
+            assert_eq!(hits, 0);
+            cold_cc.build_cached(&opts(&db1, 1), &mut cache).unwrap();
+        }
 
-        // Cold profiled build: everything compiles, slices are seeded.
-        let mut cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
-        let mut cold_cc = Compiler::new();
-        let hits = cold_cc
-            .add_sources_cached_with(&modules, &opts(&db1), &mut cache)
-            .unwrap();
-        assert_eq!(hits, 0);
-        assert_eq!(cache.stats().profile_slices, 3);
-        assert_eq!(cache.stats().profile_stale_slices, 0);
-        cold_cc.build_cached(&opts(&db1), &mut cache).unwrap();
-
-        // Warm build under the retrained database: only the perturbed
-        // module re-keys; the other slices are retained hits.
-        let mut warm_cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
-        let mut warm_cc = Compiler::new();
-        let hits = warm_cc
-            .add_sources_cached_with(&modules, &opts(&db2), &mut warm_cache)
-            .unwrap();
-        assert_eq!(hits, 2, "util and app slices survive the retrain");
-        assert_eq!(warm_cache.stats().profile_retained_hits, 2);
-        assert_eq!(warm_cache.stats().module_misses, 1);
-        let warm = warm_cc.build_cached(&opts(&db2), &mut warm_cache).unwrap();
-        assert!(
-            warm.report.replayed.is_none(),
-            "moved slice must re-key the build tier"
-        );
-
-        // Byte-identity bar: the retained-warm image equals a fresh
-        // cold build of the same inputs under the same database.
-        let fresh = cc.build(&opts(&db2)).unwrap();
-        assert_eq!(warm.image.code, fresh.image.code);
-
-        // Same retrain replayed at -j4: same hits, same bytes.
-        let mut j4_cache = BuildCache::open_on(Arc::clone(&storage), &tel).unwrap();
-        let mut j4_cc = Compiler::new();
-        let hits = j4_cc
-            .add_sources_cached_with(&modules, &opts(&db2).with_jobs(4), &mut j4_cache)
-            .unwrap();
-        assert_eq!(hits, 3, "second retrain build is fully warm");
-        let j4 = j4_cc
-            .build_cached(&opts(&db2).with_jobs(4), &mut j4_cache)
-            .unwrap();
-        assert!(j4.report.replayed.is_some(), "build tier replays");
-        assert_eq!(j4.image.code, fresh.image.code);
+        // Each worker count meets the cache as the cold build left it.
+        let fresh = cc.build(&opts(&db2, 1)).unwrap();
+        for jobs in [1, 4] {
+            let storage: Arc<dyn Storage> = Arc::new(cold.snapshot());
+            let mut cache = BuildCache::open_on(storage, &tel).unwrap();
+            let mut warm_cc = Compiler::new();
+            let hits = warm_cc
+                .add_sources_cached_with(&modules, &opts(&db2, jobs), &mut cache)
+                .unwrap();
+            assert_eq!(hits, modules.len(), "-j{jobs}: every module survives");
+            assert_eq!(cache.stats().module_misses, 0, "-j{jobs}");
+            let warm = warm_cc.build_cached(&opts(&db2, jobs), &mut cache).unwrap();
+            assert!(
+                warm.report.replayed.is_none(),
+                "-j{jobs}: moved counts must re-key the build tier"
+            );
+            assert_eq!(warm.image.code, fresh.image.code, "-j{jobs}");
+        }
     }
 
     /// A `Storage` that forwards to a [`MemStorage`] and counts every
@@ -1893,7 +1579,6 @@ mod tests {
         decodes: u64,
         clones: u64,
         compiles: u64,
-        plans: u64,
     }
 
     fn cached_session(
@@ -1903,14 +1588,12 @@ mod tests {
         build_db: &ProfileDb,
     ) -> Session {
         use crate::cache::DECODES;
-        use crate::slices::PLANS;
         let options = |db: &ProfileDb| BuildOptions::new(OptLevel::O4).with_profile_db(db.clone());
         let counters = || {
             (
                 DECODES.with(std::cell::Cell::get),
                 CLONES.with(std::cell::Cell::get),
                 COMPILES.with(std::cell::Cell::get),
-                PLANS.with(std::cell::Cell::get),
             )
         };
         let before = counters();
@@ -1926,7 +1609,6 @@ mod tests {
             decodes: after.0 - before.0,
             clones: after.1 - before.1,
             compiles: after.2 - before.2,
-            plans: after.3 - before.3,
         }
     }
 
@@ -1939,23 +1621,19 @@ mod tests {
     }
 
     #[test]
-    fn a_replay_decodes_nothing_plans_once_and_writes_nothing() {
+    fn a_replay_decodes_nothing_and_writes_nothing() {
         let modules = six_modules();
         let db = trained(&modules);
         let storage = std::sync::Arc::new(CountingStorage::default());
         let cold = cached_session(&storage, &modules, &db, &db);
         assert_eq!(cold.compiles, 6);
-        assert_eq!(cold.plans, 1);
         assert!(storage.mutated() > 0, "a cold build commits");
 
         let (files, mutated) = (cache_files(&storage), storage.mutated());
         let warm = cached_session(&storage, &modules, &db, &db);
         assert!(warm.out.report.replayed.is_some());
         assert_eq!(warm.out.report.cache.module_hits, 6);
-        assert_eq!(
-            (warm.decodes, warm.clones, warm.compiles, warm.plans),
-            (0, 0, 0, 1)
-        );
+        assert_eq!((warm.decodes, warm.clones, warm.compiles), (0, 0, 0));
         assert_eq!(
             storage.mutated(),
             mutated,
@@ -1977,12 +1655,9 @@ mod tests {
         let edit = cached_session(&storage, &modules, &db, &db);
         assert!(edit.out.report.replayed.is_none());
         assert_eq!(edit.out.report.cache.module_hits, 5);
-        // The edited module has no sidecar, so it is compiled (once)
-        // for its scope and that object is the one that links.
-        assert_eq!(
-            (edit.decodes, edit.clones, edit.compiles, edit.plans),
-            (5, 1, 1, 1)
-        );
+        // The edited module is compiled once, and that object is the
+        // one that links.
+        assert_eq!((edit.decodes, edit.clones, edit.compiles), (5, 1, 1));
         let mut cc = Compiler::new();
         cc.add_sources(&modules, 1).unwrap();
         let uncached = cc
@@ -2007,10 +1682,10 @@ mod tests {
             &[(cmo_profile::ProbeKey::block(&name, 0), 9_000)],
             &[(name, shape)],
         );
-        // Sources added under `db`, built under `retrained`: the plan
-        // left by the add no longer holds.
+        // Sources added under `db`, built under `retrained`: every
+        // module hits, the build key follows the database it runs under.
         let other = cached_session(&storage, &modules, &db, &retrained);
-        assert_eq!(other.plans, 2);
+        assert_eq!(other.out.report.cache.module_hits, 6);
         assert!(other.out.report.replayed.is_none());
         assert_eq!(other.decodes, 6, "every hit is decoded for the link");
         let mut cc = Compiler::new();

@@ -54,11 +54,10 @@ mod driver;
 mod isolate;
 mod parallel;
 mod report;
-mod slices;
 
 pub use cache::{
-    build_key, build_key_sliced, module_fingerprint, object_fingerprint, options_signature,
-    BuildCache, CacheStats, CachedObject, GcStats, CACHE_FORMAT,
+    build_key, module_fingerprint, object_fingerprint, options_signature, BuildCache, CacheStats,
+    CachedObject, GcStats, CACHE_FORMAT,
 };
 pub use driver::{
     build_objects, BuildError, BuildOptions, BuildOutput, BuildReport, CompileStep, Compiler,
@@ -67,7 +66,6 @@ pub use driver::{
 pub use isolate::{isolate_faulty_op, isolate_inline_ops, InlineIsolation, IsolationReport};
 pub use parallel::{default_jobs, run_jobs, try_run_jobs, JobError};
 pub use report::{CompileReport, FaultStats};
-pub use slices::{ModuleScope, ModuleSlice, ScopeRoutine, SliceGranularity, SlicePlan};
 
 // Re-export the pieces a downstream user composes with.
 pub use cmo_frontend::compile_module;

@@ -204,11 +204,6 @@ impl CompileReport {
         w.field_u64("module_misses", self.cache.module_misses);
         w.field_u64("build_hits", self.cache.build_hits);
         w.field_u64("invalidations", self.cache.invalidations);
-        w.begin_obj(Some("profile"));
-        w.field_u64("slices", self.cache.profile_slices);
-        w.field_u64("stale_slices", self.cache.profile_stale_slices);
-        w.field_u64("retained_hits", self.cache.profile_retained_hits);
-        w.end_obj();
         w.begin_obj(Some("gc"));
         w.field_u64("runs", self.cache.gc_runs);
         w.field_u64("reclaimed_bytes", self.cache.gc_reclaimed_bytes);
@@ -302,9 +297,6 @@ impl CompileReport {
         enc.write_u64(self.cache.gc_reclaimed_bytes);
         enc.write_u64(self.cache.gc_live_records);
         enc.write_u64(self.cache.gc_pruned_lines);
-        enc.write_u64(self.cache.profile_slices);
-        enc.write_u64(self.cache.profile_stale_slices);
-        enc.write_u64(self.cache.profile_retained_hits);
         enc.write_u64(self.faults.job_panics);
         enc.write_usize(self.faults.degraded.len());
         for module in &self.faults.degraded {
@@ -388,9 +380,6 @@ impl CompileReport {
             gc_reclaimed_bytes: dec.read_u64()?,
             gc_live_records: dec.read_u64()?,
             gc_pruned_lines: dec.read_u64()?,
-            profile_slices: dec.read_u64()?,
-            profile_stale_slices: dec.read_u64()?,
-            profile_retained_hits: dec.read_u64()?,
         };
         let job_panics = dec.read_u64()?;
         let n_degraded = dec.read_usize()?;
@@ -502,7 +491,6 @@ mod tests {
             "\"image\"",
             "\"work\"",
             "\"cache\"",
-            "\"profile\"",
             "\"gc\"",
             "\"faults\"",
             "\"remote\"",
@@ -531,9 +519,6 @@ mod tests {
             gc_reclaimed_bytes: 4096,
             gc_live_records: 5,
             gc_pruned_lines: 2,
-            profile_slices: 4,
-            profile_stale_slices: 1,
-            profile_retained_hits: 3,
         };
         r.faults = FaultStats {
             job_panics: 1,

@@ -257,11 +257,13 @@ fn bad_flag_values_are_diagnosed_not_panicked() {
         );
     }
 
-    // A removed loader flag is an unknown option, not a silent no-op.
-    let out = cmocc().args(["--shards", "2", "x.mlc"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown option `--shards`"), "{err}");
+    // A removed flag is an unknown option, not a silent no-op.
+    for (flag, value) in [("--shards", "2"), ("--profile-slice-granularity", "module")] {
+        let out = cmocc().args([flag, value, "x.mlc"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    }
 
     // A missing input file is a runtime failure (exit 1), not a crash.
     let out = cmocc().arg("no-such-file.mlc").output().unwrap();

@@ -28,7 +28,7 @@
 //! ```
 
 use cmo_naim::{ContentHash, DecodeError, Decoder, Encoder};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -123,13 +123,9 @@ impl RoutineProfile {
         self.blocks.first().copied().unwrap_or(0)
     }
 
-    /// Appends this routine's record of a profile slice: its name, its
-    /// recorded shape and its full block/site count vectors. A slice
-    /// ([`ProfileDb::slice_bytes`]) is [`write_slice_header`] followed
-    /// by the records of its present routines in name order, so a
-    /// planner fingerprinting many overlapping slices can encode each
-    /// routine once and concatenate.
-    pub fn write_slice_record(&self, name: &str, enc: &mut Encoder) {
+    /// Appends this routine's record: its name, its recorded shape and
+    /// its full block/site count vectors.
+    fn write_record(&self, name: &str, enc: &mut Encoder) {
         enc.write_str(name);
         enc.write_u32(self.shape.n_blocks);
         enc.write_u32(self.shape.n_sites);
@@ -143,13 +139,6 @@ impl RoutineProfile {
             enc.write_u64(c);
         }
     }
-}
-
-/// Opens a profile-slice encoding that `records` routine records
-/// ([`RoutineProfile::write_slice_record`]) will follow.
-pub fn write_slice_header(enc: &mut Encoder, records: usize) {
-    enc.write_str("cmo-pslice");
-    enc.write_usize(records);
 }
 
 /// A deterministic FNV-1a hash, used for shape fingerprints.
@@ -341,22 +330,31 @@ impl ProfileDb {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::with_capacity(256);
         enc.write_u32(self.runs);
+        self.write_routines(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Appends the routine count, then every routine's record in name
+    /// order.
+    fn write_routines(&self, enc: &mut Encoder) {
         enc.write_usize(self.routines.len());
         for (name, p) in self.routines.iter() {
-            enc.write_str(name);
-            enc.write_u32(p.shape.n_blocks);
-            enc.write_u32(p.shape.n_sites);
-            enc.write_u64(p.shape.fingerprint);
-            enc.write_usize(p.blocks.len());
-            for &c in &p.blocks {
-                enc.write_u64(c);
-            }
-            enc.write_usize(p.sites.len());
-            for &c in &p.sites {
-                enc.write_u64(c);
-            }
+            p.write_record(name, enc);
         }
-        enc.into_bytes()
+    }
+
+    /// 128-bit content fingerprint of everything a build reads from the
+    /// database: each routine's name, recorded shape and block/site
+    /// counts, in name order.
+    ///
+    /// The run counter is deliberately excluded — no compiler stage
+    /// reads it, so a retrain that reproduces identical counts must
+    /// fingerprint identically. Any count or shape change moves it.
+    #[must_use]
+    pub fn fingerprint(&self) -> ContentHash {
+        let mut enc = Encoder::with_capacity(64 + self.routines.len() * 48);
+        self.write_routines(&mut enc);
+        ContentHash::of(&enc.into_bytes())
     }
 
     /// Deserializes a database written by [`ProfileDb::to_bytes`].
@@ -404,54 +402,6 @@ impl ProfileDb {
     /// Iterates over `(routine name, profile)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &RoutineProfile)> {
         self.routines.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Canonical byte encoding of the database's projection onto
-    /// `scope` — the *profile slice* a module (and its cross-module
-    /// inline/clone candidates) can observe.
-    ///
-    /// The encoding is a pure function of the stored data inside the
-    /// scope, and nothing else:
-    ///
-    /// * scope names are deduplicated and sorted, so the slice is
-    ///   insensitive to the order (or repetition) the caller lists
-    ///   routines in;
-    /// * only routines *present* in the database are encoded — a scope
-    ///   name with no data contributes nothing, so training a brand-new
-    ///   routine changes only slices that can see it;
-    /// * a present routine contributes its recorded shape and its full
-    ///   block/site count vectors, so a counts-all-zero routine is
-    ///   distinct from an absent one (zero counts are real data: "this
-    ///   ran zero times");
-    /// * the run counter is deliberately excluded — a retrain that
-    ///   reproduces identical counts must produce identical slices.
-    #[must_use]
-    pub fn slice_bytes<'a, I>(&self, scope: I) -> Vec<u8>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let names: BTreeSet<&str> = scope.into_iter().collect();
-        let present: Vec<(&&str, &RoutineProfile)> = names
-            .iter()
-            .filter_map(|name| self.routines.get(*name).map(|p| (name, p)))
-            .collect();
-        let mut enc = Encoder::with_capacity(64 + present.len() * 48);
-        write_slice_header(&mut enc, present.len());
-        for (name, p) in present {
-            p.write_slice_record(name, &mut enc);
-        }
-        enc.into_bytes()
-    }
-
-    /// 128-bit content fingerprint of the profile slice for `scope` —
-    /// the same hash family the cache repository uses, so slice
-    /// fingerprints compose directly into cache keys.
-    #[must_use]
-    pub fn slice_fingerprint<'a, I>(&self, scope: I) -> ContentHash
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        ContentHash::of(&self.slice_bytes(scope))
     }
 }
 
@@ -583,48 +533,29 @@ mod tests {
     }
 
     #[test]
-    fn empty_database_slices_are_stable_and_all_lookups_miss() {
-        let db = ProfileDb::new();
-        assert_eq!(db.lookup("f", shape(2, 1)).0, Freshness::Missing);
-        // Every scope projects to the same (empty) slice.
-        assert_eq!(
-            db.slice_fingerprint(["f", "g"]),
-            db.slice_fingerprint(std::iter::empty::<&str>()),
-        );
-        // ... and that slice is distinct from one with data in scope.
-        let mut trained = ProfileDb::new();
-        one_run(&mut trained);
-        assert_ne!(
-            db.slice_fingerprint(["f"]),
-            trained.slice_fingerprint(["f"])
-        );
-    }
-
-    #[test]
-    fn routine_added_after_training_changes_only_slices_that_see_it() {
-        let mut db = ProfileDb::new();
-        one_run(&mut db);
-        let before_f = db.slice_fingerprint(["f"]);
-        let before_fh = db.slice_fingerprint(["f", "h"]);
-        // A later run trains a routine the first run never saw. Before
-        // that run, `h` is Missing; its arrival must not disturb slices
-        // that cannot observe it.
-        assert_eq!(db.lookup("h", shape(1, 0)).0, Freshness::Missing);
-        db.record(
-            &[(ProbeKey::block("h", 0), 9)],
-            &[("h".to_owned(), shape(1, 0))],
-        );
-        assert_eq!(db.lookup("h", shape(1, 0)).0, Freshness::Fresh);
-        assert_eq!(
-            db.slice_fingerprint(["f"]),
-            before_f,
-            "f's slice is blind to h"
-        );
-        assert_ne!(
-            db.slice_fingerprint(["f", "h"]),
-            before_fh,
-            "a scope seeing h moves"
-        );
+    fn fingerprint_excludes_run_counter_and_follows_every_count() {
+        let mut a = ProfileDb::new();
+        one_run(&mut a);
+        // The same counts over more runs: only `runs` differs.
+        let mut b = a.clone();
+        b.record(&[], &[]);
+        assert_ne!(a.runs(), b.runs());
+        assert_ne!(a.to_bytes(), b.to_bytes());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        // Any count moves it: one more block execution of g ...
+        let mut c = a.clone();
+        c.record(&[(ProbeKey::block("g", 0), 1)], &[]);
+        assert_ne!(a.fingerprint(), c.fingerprint());
+        // ... one more call through f's site ...
+        let mut d = a.clone();
+        d.record(&[(ProbeKey::site("f", 0), 1)], &[]);
+        assert_ne!(a.fingerprint(), d.fingerprint());
+        // ... and a routine instrumented but never run: all-zero counts
+        // are data ("cold"), not absence.
+        let mut e = a.clone();
+        e.record(&[], &[("h".to_owned(), shape(1, 0))]);
+        assert_eq!(e.block_count("h", 0), Some(0));
+        assert_ne!(a.fingerprint(), e.fingerprint());
     }
 
     #[test]
@@ -636,54 +567,22 @@ mod tests {
         assert_eq!(zeroed.block_count("f", 0), Some(0));
         assert_eq!(zeroed.lookup("f", shape(2, 1)).0, Freshness::Fresh);
         let absent = ProfileDb::new();
+        assert_eq!(absent.lookup("f", shape(2, 1)).0, Freshness::Missing);
         assert_ne!(
-            zeroed.slice_fingerprint(["f"]),
-            absent.slice_fingerprint(["f"]),
+            zeroed.fingerprint(),
+            absent.fingerprint(),
             "all-zero counts must not collide with no data at all"
         );
     }
 
     #[test]
-    fn slice_fingerprint_is_stable_under_routine_reordering() {
-        let mut db = ProfileDb::new();
-        one_run(&mut db);
-        db.record(
-            &[(ProbeKey::block("h", 0), 4)],
-            &[("h".to_owned(), shape(1, 0))],
-        );
-        let a = db.slice_fingerprint(["f", "g", "h"]);
-        let b = db.slice_fingerprint(["h", "f", "g"]);
-        let c = db.slice_fingerprint(["g", "h", "f", "f", "g"]);
-        assert_eq!(a, b, "scope order must not matter");
-        assert_eq!(a, c, "duplicate scope names must not matter");
-    }
-
-    #[test]
-    fn slice_excludes_run_counter_and_out_of_scope_counts() {
+    fn shape_change_in_database_always_moves_the_fingerprint() {
         let mut a = ProfileDb::new();
         one_run(&mut a);
-        let mut b = ProfileDb::new();
-        one_run(&mut b);
-        // Extra training that only touches g: f's slice is unmoved even
-        // though the database (and its run counter) changed.
-        b.record(
-            &[(ProbeKey::block("g", 0), 55)],
-            &[("g".to_owned(), shape(1, 0))],
-        );
-        assert_ne!(a.runs(), b.runs());
-        assert_ne!(a.to_bytes(), b.to_bytes());
-        assert_eq!(a.slice_fingerprint(["f"]), b.slice_fingerprint(["f"]));
-        assert_ne!(a.slice_fingerprint(["g"]), b.slice_fingerprint(["g"]));
-    }
-
-    #[test]
-    fn shape_change_in_database_always_moves_the_slice() {
-        let mut a = ProfileDb::new();
-        one_run(&mut a);
-        let before = a.slice_fingerprint(["f"]);
+        let before = a.fingerprint();
         // Retrain against changed code: record() resets the counts at
-        // the new shape, and the slice must move even if the raw count
-        // values happen to coincide.
+        // the new shape, and the fingerprint must move even if the raw
+        // count values happen to coincide.
         a.record(
             &[
                 (ProbeKey::block("f", 0), 10),
@@ -693,6 +592,23 @@ mod tests {
             &[("f".to_owned(), shape(3, 1))],
         );
         assert_eq!(a.lookup("f", shape(2, 1)).0, Freshness::Stale);
-        assert_ne!(a.slice_fingerprint(["f"]), before);
+        assert_ne!(a.fingerprint(), before);
+        // Equal counts under shapes that differ only in their structure
+        // hash.
+        let trained = |structure: u64| {
+            let mut db = ProfileDb::new();
+            db.record(
+                &[(ProbeKey::block("f", 0), 10)],
+                &[(
+                    "f".to_owned(),
+                    RoutineShape {
+                        fingerprint: structure,
+                        ..shape(2, 1)
+                    },
+                )],
+            );
+            db
+        };
+        assert_ne!(trained(1).fingerprint(), trained(2).fingerprint());
     }
 }

@@ -193,22 +193,6 @@ pub enum TraceEvent {
         /// Dangling manifest lines pruned by the same atomic rewrite.
         pruned_lines: u64,
     },
-    /// A per-module profile slice planned for an incremental build:
-    /// the projection of the profile database onto the routines this
-    /// module (and its cross-module inline/clone candidates) can
-    /// observe, fingerprinted for cache keying. Emitted once per
-    /// module, in input order, on the main thread.
-    ProfileSlice {
-        /// Module name.
-        module: String,
-        /// Routine names in the slice's scope.
-        routines: u64,
-        /// Whether any in-scope routine's recorded shape no longer
-        /// matches the current code (the §6.2 staleness signal).
-        stale: bool,
-        /// Hex 128-bit content hash of the slice.
-        fp: String,
-    },
     /// A module was placed in or out of the CMO set by selectivity.
     SelectModule {
         /// Module name.
@@ -303,7 +287,6 @@ impl TraceEvent {
             TraceEvent::SelectSite { .. } => "select_site",
             TraceEvent::SelectModule { .. } => "select_module",
             TraceEvent::Cache { .. } | TraceEvent::CacheGc { .. } => "cache",
-            TraceEvent::ProfileSlice { .. } => "profile_slice",
             TraceEvent::Recover { .. } => "recover",
             TraceEvent::Degraded { .. } => "degraded",
             TraceEvent::JobPanic { .. } => "job-panic",
@@ -394,21 +377,6 @@ impl TraceEvent {
                 out.push_str("\"module\":\"");
                 escape_into(module, out);
                 let _ = write!(out, "\",\"sites\":{sites},\"selected\":{selected}");
-            }
-            TraceEvent::ProfileSlice {
-                module,
-                routines,
-                stale,
-                fp,
-            } => {
-                out.push_str("\"module\":\"");
-                escape_into(module, out);
-                let _ = write!(
-                    out,
-                    "\",\"routines\":{routines},\"stale\":{stale},\"fp\":\""
-                );
-                escape_into(fp, out);
-                out.push('"');
             }
             TraceEvent::Cache {
                 action,

@@ -43,7 +43,7 @@ fn build(
 ) -> Result<BuildOutput, BuildError> {
     let mut cache = BuildCache::open(dir)?;
     let mut cc = Compiler::new();
-    cc.add_sources_cached(modules, 1, &mut cache, &options.telemetry)?;
+    cc.add_sources_cached_with(modules, options, &mut cache)?;
     let out = cc.build_cached(options, &mut cache)?;
     cache.persist()?;
     let stats = out.report.cache;

@@ -111,7 +111,7 @@ echo "check_docs [$step]: CMO_NO_MMAP=1 cmocc +O4 --cache-dir .cmo-cache-nomap -
 env CMO_NO_MMAP=1 "$cmocc" +O4 --cache-dir .cmo-cache-nomap --report-json nomap.json lib.mlc app.mlc
 cmp cold.json nomap.json || { echo "check_docs: CMO_NO_MMAP=1 changed the report" >&2; exit 1; }
 
-# --- Profile slices: retrain keeps unaffected modules' entries warm ---
+# --- A retrain reuses every front-end object; only the build re-runs ---
 run -c util.mlc hot.mlc prog.mlc
 run +I --run 50 --profile-out rt-train.db util.cmo hot.cmo prog.cmo
 run +O4 +P rt-train.db --cache-dir .cmo-cache-rt --report-json rt-cold.json util.mlc hot.mlc prog.mlc
@@ -119,10 +119,10 @@ run +I --run 500 --profile-out rt-retrain.db util.cmo hot.cmo prog.cmo
 rt_warm="$("$cmocc" +O4 +P rt-retrain.db --cache-dir .cmo-cache-rt --report util.mlc hot.mlc prog.mlc)"
 step=$((step + 1))
 echo "check_docs [$step]: cmocc +O4 +P rt-retrain.db --cache-dir .cmo-cache-rt --report util.mlc hot.mlc prog.mlc"
-grep -q '2 module hits, 1 misses' <<< "$rt_warm" \
-    || { echo "check_docs: retrain-warm build did not retain 2 of 3 module entries" >&2; exit 1; }
-grep -q '3 planned, 0 stale, 2 retained hits' <<< "$rt_warm" \
-    || { echo "check_docs: retrain-warm profile-slice line differs from README" >&2; exit 1; }
+grep -q 'cache: 3 module hits, 0 misses' <<< "$rt_warm" \
+    || { echo "check_docs: retrain-warm build did not reuse all 3 module entries" >&2; exit 1; }
+grep -q 'build replay: no' <<< "$rt_warm" \
+    || { echo "check_docs: retrain-warm build replayed a build of the old profile" >&2; exit 1; }
 
 # --- The code tier: an edit re-lowers only the routines it changed ---
 # (Mirrors CI's incr-edit job. A routine nothing calls is appended to

@@ -15,7 +15,10 @@
 #   * a cold +O4 +P --cache-dir build by each binary (outputs and the
 #     cache files it commits), then a warm build by each of a copy of
 #     the cache the *parent* wrote — the change's warm build must hit
-#     on every module and replay the whole build.
+#     on every module and replay the whole build. When the two trees'
+#     CACHE_FORMAT differ, every key moved by design: the change's warm
+#     build must instead miss on every module, replay nothing, and
+#     print exactly what its own cold build printed.
 #
 # Prints one line per difference and a summary; exits non-zero if any
 # comparison differs or the parent's cache did not replay.
@@ -39,6 +42,16 @@ cargo build --release --offline --quiet -p cmo --manifest-path "$repo_root/Cargo
 parent="$work/target/release/cmocc"
 change="${CARGO_TARGET_DIR:-$repo_root/target}/release/cmocc"
 change="$(cd "$(dirname "$change")" && pwd)/cmocc"
+cache_format() {
+    sed -n 's/^pub const CACHE_FORMAT: u32 = \([0-9]*\);$/\1/p' "$1/crates/core/src/cache.rs"
+}
+parent_format="$(cache_format "$work/tree")"
+change_format="$(cache_format "$repo_root")"
+[[ -n $parent_format && -n $change_format ]] \
+    || { echo "parent_identity: cannot read CACHE_FORMAT" >&2; exit 2; }
+if [[ $parent_format != "$change_format" ]]; then
+    echo "parent_identity: CACHE_FORMAT $parent_format -> $change_format: the parent's cache must miss"
+fi
 
 mkdir -p "$work/p" "$work/c"
 cp "$repo_root"/examples/mlc/*.mlc "$work/p/"
@@ -104,13 +117,25 @@ for set in "lib.mlc app.mlc:500" "util.mlc hot.mlc prog.mlc:50"; do
         cp -r "$work/p/$tag" "$work/c/$tag"
         both "$tag-warm" "${args[@]}" --report-json "$tag-warm.json" \
             --trace "$tag-warm.jsonl" "${srcs[@]}"
-        same "$tag-warm.out" "$tag-warm.json" "$tag-warm.jsonl"
+        warm="$work/c/$tag-warm.jsonl"
+        if [[ $parent_format == "$change_format" ]]; then
+            same "$tag-warm.out" "$tag-warm.json" "$tag-warm.jsonl"
+            expect=hit
+            grep -q '"action":"replay","scope":"build"' "$warm" \
+                || fail "$tag-warm: the parent's cache did not replay the build"
+        else
+            checks=$((checks + 1))
+            cmp -s <(grep -v '^wrote ' "$work/c/$tag-warm.out") \
+                <(grep -v '^wrote ' "$work/c/$tag-cold.out") \
+                || fail "$tag-warm.out: differs from the change's own cold build"
+            expect=miss
+            ! grep -q '"action":"replay"' "$warm" \
+                || fail "$tag-warm: a cache of another format replayed the build"
+        fi
         for src in "${srcs[@]}"; do
-            grep -q "\"action\":\"hit\",\"scope\":\"module\",\"name\":\"${src%.mlc}\"" \
-                "$work/c/$tag-warm.jsonl" || fail "$tag-warm: no module hit for ${src%.mlc}"
+            grep -q "\"action\":\"$expect\",\"scope\":\"module\",\"name\":\"${src%.mlc}\"" \
+                "$warm" || fail "$tag-warm: no module $expect for ${src%.mlc}"
         done
-        grep -q '"action":"replay","scope":"build"' "$work/c/$tag-warm.jsonl" \
-            || fail "$tag-warm: the parent's cache did not replay the build"
     done
 done
 

@@ -199,14 +199,13 @@ impl Bench {
             last.routines_replayed,
             speedup
         ));
-        let unified = last.out.compile_report();
         let mut row = BenchRow::new(name);
         row.int("frontend_hits", last.hits as u64)
             .int("build_replayed", u64::from(replayed))
             .int("compile_work", last.out.report.compile_work)
             .int("work_units", last.out.report.loader.work_units)
             .int("fetch_work_units", last.out.report.loader.fetch_work_units)
-            .int("peak_bytes", unified.peak_bytes() as u64)
+            .int("peak_bytes", last.out.report.peak_bytes() as u64)
             .int("objects_decoded", last.objects_decoded)
             .int("repo_bytes_appended", last.repo_bytes_appended)
             .int("routines_lowered", last.routines_lowered)

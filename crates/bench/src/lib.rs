@@ -10,8 +10,8 @@
 //! EXPERIMENTS.md for the paper-vs-measured record.
 
 use cmo::{
-    BuildCache, BuildError, BuildOptions, BuildOutput, CompileReport, Compiler, LoopbackTransport,
-    MemStorage, OptLevel, ProfileDb, RemoteStorage, RetryPolicy, Storage, Telemetry, TieredStorage,
+    BuildCache, BuildError, BuildOptions, CompileReport, Compiler, LoopbackTransport, MemStorage,
+    OptLevel, ProfileDb, RemoteStorage, RetryPolicy, Storage, Telemetry, TieredStorage,
 };
 use cmo_synth::SynthApp;
 use std::io::Write as _;
@@ -26,10 +26,8 @@ pub use json::{bench_args, parse_json, BenchArgs, BenchReport, BenchRow, BenchVa
 /// One build + one reference run, with wall-clock compile time.
 #[derive(Debug)]
 pub struct Measured {
-    /// The build (image + report).
-    pub output: BuildOutput,
-    /// The unified `cmo.report.v1` view of the build — the single
-    /// stats surface every figure binary reads.
+    /// The build's report — the single stats surface every figure
+    /// binary reads.
     pub report: CompileReport,
     /// Simulated run cycles on the reference input.
     pub cycles: u64,
@@ -88,10 +86,8 @@ pub fn measure(
         .find(|p| p.name == "hlo")
         .map_or(0, |p| p.wall_nanos);
     let r = output.run(&app.ref_input)?;
-    let report = output.compile_report();
     Ok(Measured {
-        output,
-        report,
+        report: output.report,
         cycles: r.cycles,
         checksum: r.checksum,
         compile_ms,

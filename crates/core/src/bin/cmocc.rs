@@ -22,12 +22,6 @@
 //!   --cache-dir <dir>  persistent incremental cache: unchanged
 //!                      modules skip the front end, an unchanged build
 //!                      replays the linked image and report
-//!   --no-cache         explicitly disable caching (conflicts with
-//!                      --cache-dir)
-//!   --no-mmap          disable the repository's memory-mapped read
-//!                      path; fetches copy through an arena buffer
-//!                      instead (reports are byte-identical either
-//!                      way; requires --cache-dir)
 //!   --gc-cache         mark-and-sweep compaction of the cache
 //!                      repository: live records are copied into a
 //!                      fresh generation and the old one is atomically
@@ -100,8 +94,6 @@ struct Cli {
     report_json: Option<PathBuf>,
     trace: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
-    no_cache: bool,
-    no_mmap: bool,
     gc_cache: bool,
     gc_threshold_bytes: Option<u64>,
     remote_cache: Option<String>,
@@ -128,8 +120,8 @@ impl From<String> for Failure {
 fn usage() -> String {
     "usage: cmocc [-c] [+O1|+O2|+O4] [+P <db>] [+I] [--sel <pct>] [--budget <MiB>] \
      [-j <N>] [--run <v1,v2,..>] [--profile-out <f>] [--emit-asm] [--report] \
-     [--report-json <f>] [--trace <f>] [--cache-dir <dir>] [--no-cache] [--no-mmap] \
-     [--gc-cache] [--gc-threshold-bytes <N>] [--remote-cache <addr>] [--remote-timeout-ms <N>] \
+     [--report-json <f>] [--trace <f>] [--cache-dir <dir>] [--gc-cache] \
+     [--gc-threshold-bytes <N>] [--remote-cache <addr>] [--remote-timeout-ms <N>] \
      [--remote-retries <N>] [--keep-going] [--isolate] <files...>"
         .to_owned()
 }
@@ -155,15 +147,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
                 ));
             }
         }
-    }
-    if cli.no_cache && cli.cache_dir.is_some() {
-        return Err("--no-cache conflicts with --cache-dir: pick one caching behaviour".to_owned());
-    }
-    if cli.no_mmap && cli.cache_dir.is_none() {
-        return Err(
-            "--no-mmap requires --cache-dir (it selects how the cache repository reads records)"
-                .to_owned(),
-        );
     }
     if cli.gc_cache && cli.cache_dir.is_none() {
         return Err(
@@ -252,8 +235,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         report_json: None,
         trace: None,
         cache_dir: None,
-        no_cache: false,
-        no_mmap: false,
         gc_cache: false,
         gc_threshold_bytes: None,
         remote_cache: None,
@@ -322,8 +303,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--report-json" => cli.report_json = Some(PathBuf::from(next("a path")?)),
             "--trace" => cli.trace = Some(PathBuf::from(next("a path")?)),
             "--cache-dir" => cli.cache_dir = Some(PathBuf::from(next("a directory")?)),
-            "--no-cache" => cli.no_cache = true,
-            "--no-mmap" => cli.no_mmap = true,
             "--gc-cache" => cli.gc_cache = true,
             "--gc-threshold-bytes" => {
                 cli.gc_threshold_bytes = Some(
@@ -671,8 +650,7 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
     let mut bcache = match &cli.cache_dir {
         Some(dir) => {
             let storage = DiskStorage::new(dir)
-                .map_err(|e| format!("cannot open cache at {}: {e}", dir.display()))?
-                .with_mmap(!cli.no_mmap);
+                .map_err(|e| format!("cannot open cache at {}: {e}", dir.display()))?;
             let storage: Arc<dyn Storage> = match &cli.remote_cache {
                 Some(addr) => {
                     let transport =
@@ -821,7 +799,7 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
         );
         println!(
             "  memory: peak {} bytes ({} compactions, {} offloads)",
-            r.peak_memory.peak_total, r.loader.compactions, r.loader.offload_writes
+            r.memory.peak_total, r.loader.compactions, r.loader.offload_writes
         );
         println!("  compile work: {} units", r.compile_work);
         if r.cache.enabled {
@@ -860,7 +838,7 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
         }
     }
     if let Some(path) = &cli.report_json {
-        std::fs::write(path, out.compile_report().to_json())
+        std::fs::write(path, out.report.to_json())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!("wrote report to {}", path.display());
     }

@@ -6,8 +6,8 @@
 //!
 //! * `repo.naim` — a versioned, checksummed [`Repository`] of
 //!   relocatable pool images, each one tagged entry (a front-end IL
-//!   object, a module's code slot, a linked machine image, or a stored
-//!   compile report);
+//!   object, a module's code slot, or a whole build: its linked machine
+//!   image and compile report in one record);
 //! * `manifest.tsv` — a text index mapping cache keys (module and
 //!   build fingerprints, code-slot names) to the content hashes of
 //!   their entries.
@@ -50,9 +50,10 @@
 //! module input order, so traces and reports stay byte-identical at
 //! every `-j` worker count — and so is the *storage operation stream*,
 //! which is what makes the kill-point fault sweep deterministic. A warm
-//! full-build hit replays the *cold* run's stored [`CompileReport`]
-//! verbatim, which is what makes `--report-json` byte-identical between
-//! cold and warm builds.
+//! full-build hit replays the *cold* run's stored [`CompileReport`],
+//! whose stored cache counters it presents in place of its own
+//! ([`CompileReport::replayed`]), which is what makes `--report-json`
+//! byte-identical between cold and warm builds.
 //!
 //! # Crash safety
 //!
@@ -109,7 +110,9 @@ use crate::report::CompileReport;
 /// (9: module entries key on the source alone, the build tier hashes
 /// the profile through `ProfileDb::fingerprint`, scope sidecars and the
 /// report's `cache.profile` counters are gone.)
-pub const CACHE_FORMAT: u32 = 9;
+/// (10: a build is one `build:` record, image then report, and the
+/// report codec writes the JSON's fields in the JSON's order.)
+pub const CACHE_FORMAT: u32 = 10;
 
 /// First line of `manifest.tsv`.
 const MANIFEST_SCHEMA: &str = "cmo.cache.v1";
@@ -179,16 +182,17 @@ pub struct GcStats {
 // misinterpreted.
 /// A front-end output: one module's IL object file bytes.
 const TAG_OBJECT: u8 = 1;
-/// A fully linked machine image for a whole build.
-const TAG_IMAGE: u8 = 2;
-/// The unified compile report stored next to an image.
-const TAG_REPORT: u8 = 3;
-// Tag 4 is retired: format-8 caches hold profile-slice scope sidecars
-// under it (`scope:` manifest lines), which no build reads and
-// `BuildCache::gc` prunes as undecodable. Never reuse it.
+// Tags 2 and 3 are retired: format-9 caches hold a build as two
+// records, the image (`TAG_IMAGE`, `img:` lines) and the report
+// (`TAG_REPORT`, `rpt:` lines). Tag 4 is retired too: format-8 caches
+// hold profile-slice scope sidecars under it (`scope:` lines). No build
+// reads any of them and `BuildCache::gc` prunes them as undecodable.
+// Never reuse them.
 /// One module's code-tier slot: the lowered routines its live routines
 /// used in the last build under one mode, keyed id-free.
 const TAG_CODE: u8 = 5;
+/// A whole build: its linked machine image, then its compile report.
+const TAG_BUILD: u8 = 6;
 
 /// A module-tier cache hit that has not been decoded: the stored object
 /// file's bytes, CRC-verified and copied out of the repository at probe
@@ -304,19 +308,10 @@ fn code_line(mode: &str, module: &str) -> String {
     format!("code:{mode}:{}", module.escape_debug())
 }
 
-/// Outcome of a raw manifest + repository probe.
-enum Fetched<T> {
-    /// Entry came back intact; payload size on disk in bytes.
-    Hit(T, u64),
-    /// No manifest line for the key.
-    Missing,
-    /// Manifest line existed but the entry could not be fetched intact;
-    /// the line has been dropped and the record evicted.
-    Invalid,
-    /// The line points at an intact record of another kind (payload
-    /// size in bytes); the line has been dropped.
-    WrongKind(u64),
-}
+/// Outcome of a [`BuildCache::probe`]: the trace action (`"hit"`,
+/// `"miss"` or `"invalidate"`), the payload bytes the event reports,
+/// and on a hit the record's content hash beside the decoded value.
+type Probe<T> = (&'static str, u64, Option<(ContentHash, T)>);
 
 /// A persistent build cache rooted at a directory.
 ///
@@ -550,27 +545,18 @@ impl BuildCache {
     /// module will be recompiled.
     pub fn get_module(&mut self, module: &str, key: &str, tel: &Telemetry) -> Option<CachedObject> {
         let object = |dec: &mut Decoder<'_>| dec.read_bytes().map(Arc::<[u8]>::from);
-        let (action, bytes, hit) = match self.fetch(&format!("mod:{key}"), TAG_OBJECT, object) {
-            Fetched::Hit((hash, bytes), len) => (
-                "hit",
-                len,
-                Some(CachedObject {
-                    key: key.to_owned(),
-                    hash,
-                    bytes,
-                }),
-            ),
-            Fetched::Missing => ("miss", 0, None),
-            Fetched::Invalid => ("invalidate", 0, None),
-            Fetched::WrongKind(len) => ("invalidate", len, None),
-        };
+        let (action, len, hit) = self.probe(&format!("mod:{key}"), TAG_OBJECT, object);
+        let hit = hit.map(|(hash, bytes)| CachedObject {
+            key: key.to_owned(),
+            hash,
+            bytes,
+        });
         if hit.is_some() {
             self.stats.module_hits += 1;
         } else {
             self.stats.module_misses += 1;
-            self.stats.invalidations += u64::from(action == "invalidate");
         }
-        emit(tel, action, "module", module, bytes);
+        emit(tel, action, "module", module, len);
         hit
     }
 
@@ -637,24 +623,13 @@ impl BuildCache {
     ) -> Option<CodeSlot> {
         #[cfg(test)]
         CODE_FETCHES.with(|c| c.set(c.get() + 1));
-        let line = code_line(mode, module);
-        let (action, bytes, slot) = match self.fetch(&line, TAG_CODE, CodeSlot::decode) {
-            Fetched::Hit((hash, (rows, entries)), len) => (
-                "hit",
-                len,
-                Some(CodeSlot {
-                    hash,
-                    rows,
-                    entries,
-                }),
-            ),
-            Fetched::Missing => ("miss", 0, None),
-            Fetched::Invalid => ("invalidate", 0, None),
-            Fetched::WrongKind(len) => ("invalidate", len, None),
-        };
-        self.stats.invalidations += u64::from(action == "invalidate");
-        emit(tel, action, "code", module, bytes);
-        slot
+        let (action, len, slot) = self.probe(&code_line(mode, module), TAG_CODE, CodeSlot::decode);
+        emit(tel, action, "code", module, len);
+        slot.map(|(hash, (rows, entries))| CodeSlot {
+            hash,
+            rows,
+            entries,
+        })
     }
 
     /// Reports an entry of `slot` that passed the slot's checks but
@@ -710,51 +685,24 @@ impl BuildCache {
         }
     }
 
-    /// Probes the cache for a whole build: the linked image plus the
-    /// stored report. Both must come back intact for a hit.
+    /// Probes the cache for a whole build: the linked image and the
+    /// report of the build that stored it, one record.
+    ///
+    /// Emits a build-scope `"hit"`, `"miss"`, or `"invalidate"` trace
+    /// event; a record that cannot be fetched intact or is of another
+    /// kind is dropped and counted as an invalidation, and the build
+    /// runs.
     pub fn get_build(
         &mut self,
         key: &str,
         tel: &Telemetry,
     ) -> Option<(MachineImage, CompileReport)> {
-        let image = self.get_build_part(&format!("img:{key}"), TAG_IMAGE, key, tel, |dec| {
-            MachineImage::decode(dec)
-        });
-        let report = self.get_build_part(&format!("rpt:{key}"), TAG_REPORT, key, tel, |dec| {
-            CompileReport::decode(dec)
-        });
-        match (image, report) {
-            (Some((image, ib)), Some((report, rb))) => {
-                self.stats.build_hits += 1;
-                emit(tel, "hit", "build", key, ib + rb);
-                Some((image, report))
-            }
-            _ => {
-                emit(tel, "miss", "build", key, 0);
-                None
-            }
-        }
-    }
-
-    /// One half of a whole-build entry and its payload size; a damaged
-    /// or mis-kinded half is invalidated under the build key's name.
-    fn get_build_part<T>(
-        &mut self,
-        line: &str,
-        tag: u8,
-        key: &str,
-        tel: &Telemetry,
-        decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
-    ) -> Option<(T, u64)> {
-        match self.fetch(line, tag, decode) {
-            Fetched::Hit((_, part), bytes) => Some((part, bytes)),
-            Fetched::Missing => None,
-            Fetched::Invalid | Fetched::WrongKind(_) => {
-                self.stats.invalidations += 1;
-                emit(tel, "invalidate", "build", key, 0);
-                None
-            }
-        }
+        let build =
+            |dec: &mut Decoder<'_>| Ok((MachineImage::decode(dec)?, CompileReport::decode(dec)?));
+        let (action, len, build) = self.probe(&format!("build:{key}"), TAG_BUILD, build);
+        self.stats.build_hits += u64::from(build.is_some());
+        emit(tel, action, "build", key, len);
+        build.map(|(_, build)| build)
     }
 
     /// Stores a whole build's image and report under the build key.
@@ -765,10 +713,12 @@ impl BuildCache {
         report: &CompileReport,
         tel: &Telemetry,
     ) {
-        let ib = self.store(format!("img:{key}"), TAG_IMAGE, |enc| image.encode(enc));
-        let rb = self.store(format!("rpt:{key}"), TAG_REPORT, |enc| report.encode(enc));
-        if let (Some(ib), Some(rb)) = (ib, rb) {
-            emit(tel, "store", "build", key, ib + rb);
+        let stored = self.store(format!("build:{key}"), TAG_BUILD, |enc| {
+            image.encode(enc);
+            report.encode(enc);
+        });
+        if let Some(bytes) = stored {
+            emit(tel, "store", "build", key, bytes);
         }
     }
 
@@ -990,20 +940,25 @@ impl BuildCache {
 
     /// Reads the record `key` names on the direct path: manifest line →
     /// content hash → CRC-verified borrowed bytes → `decode`, which sees
-    /// the payload past its kind tag. Returns the record's content hash
-    /// beside the decoded value.
-    fn fetch<T>(
+    /// the payload past its kind tag.
+    ///
+    /// A line whose record cannot be fetched intact, or is of another
+    /// kind, or does not decode is dropped — the record evicted unless
+    /// it is sound, just of another kind, whose size the event then
+    /// reports — and counted as an invalidation.
+    fn probe<T>(
         &mut self,
         key: &str,
         tag: u8,
         decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
-    ) -> Fetched<(ContentHash, T)> {
+    ) -> Probe<T> {
         let Some(&hash) = self.manifest.get(key) else {
-            return Fetched::Missing;
+            return ("miss", 0, None);
         };
         let Some(handle) = self.repo.lookup(hash) else {
             self.drop_line(key);
-            return Fetched::Invalid;
+            self.stats.invalidations += 1;
+            return ("invalidate", 0, None);
         };
         let bytes = handle.len() as u64;
         // `Err(intact)`: whether the record is sound, just not this kind.
@@ -1013,24 +968,24 @@ impl BuildCache {
                 let mut dec = Decoder::new(payload);
                 match dec.read_u8() {
                     Ok(found) if found == tag => decode(&mut dec).map_err(|_| false),
-                    Ok(TAG_OBJECT..=TAG_CODE) => Err(true),
+                    Ok(TAG_OBJECT..=TAG_BUILD) => Err(true),
                     _ => Err(false),
                 }
             }
         };
-        match decoded {
-            Ok(value) => Fetched::Hit((hash, value), bytes),
-            Err(intact) => {
-                self.drop_line(key);
-                if intact {
-                    return Fetched::WrongKind(bytes);
-                }
-                // Unindex the corrupt record too, or a re-store of the
-                // same payload would dedup right back onto it.
-                self.repo.evict(hash);
-                Fetched::Invalid
-            }
+        let intact = match decoded {
+            Ok(value) => return ("hit", bytes, Some((hash, value))),
+            Err(intact) => intact,
+        };
+        self.drop_line(key);
+        self.stats.invalidations += 1;
+        if intact {
+            return ("invalidate", bytes, None);
         }
+        // Unindex the corrupt record too, or a re-store of the same
+        // payload would dedup right back onto it.
+        self.repo.evict(hash);
+        ("invalidate", 0, None)
     }
 
     /// Drops a manifest line (the next commit rewrites the manifest
@@ -1062,9 +1017,10 @@ fn record_decodes(payload: &[u8]) -> bool {
         Ok(TAG_OBJECT) => dec
             .read_bytes()
             .is_ok_and(|bytes| IlObject::from_bytes(bytes).is_ok()),
-        Ok(TAG_IMAGE) => MachineImage::decode(&mut dec).is_ok(),
-        Ok(TAG_REPORT) => CompileReport::decode(&mut dec).is_ok(),
         Ok(TAG_CODE) => CodeSlot::decode(&mut dec).is_ok(),
+        Ok(TAG_BUILD) => {
+            MachineImage::decode(&mut dec).is_ok() && CompileReport::decode(&mut dec).is_ok()
+        }
         _ => false,
     }
 }
@@ -1664,14 +1620,14 @@ mod tests {
         assert_eq!(out.image.to_bytes(), uncached.image.to_bytes());
     }
 
-    /// The build's stored report: an intact record of a kind no module
-    /// or code line may name.
-    fn report_record(cache: &BuildCache) -> ContentHash {
+    /// The stored build: an intact record of a kind no module or code
+    /// line may name.
+    fn build_record(cache: &BuildCache) -> ContentHash {
         *cache
             .manifest
             .iter()
-            .find(|(key, _)| key.starts_with("rpt:"))
-            .expect("a stored report")
+            .find(|(key, _)| key.starts_with("build:"))
+            .expect("a stored build")
             .1
     }
 
@@ -1749,6 +1705,202 @@ mod tests {
         assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
     }
 
+    /// A format-9 cache holds each build as two records: the image under
+    /// the retired tag 2 (an `img:` line) and the report under the
+    /// retired tag 3 (an `rpt:` line). Nothing reads them; GC prunes
+    /// both, and the next build stores one `build:` record instead.
+    #[test]
+    fn gc_prunes_retired_build_halves() {
+        use cmo_naim::MemStorage;
+        let sources = vec![("m".to_owned(), "fn main() -> int { return 7; }".to_owned())];
+        let options = BuildOptions::new(OptLevel::O4);
+        let tel = Telemetry::disabled();
+        let storage = Arc::new(MemStorage::new());
+        let open = |storage: &Arc<MemStorage>| {
+            BuildCache::open_on(Arc::clone(storage) as Arc<dyn Storage>, &tel).unwrap()
+        };
+        let lines = |cache: &BuildCache, prefix: &str| -> Vec<String> {
+            let lines = cache.manifest.keys().filter(|key| key.starts_with(prefix));
+            lines.cloned().collect()
+        };
+        let cold = {
+            let mut cache = open(&storage);
+            let mut cc = crate::Compiler::new();
+            cc.add_sources_cached_with(&sources, &options, &mut cache)
+                .unwrap();
+            cc.build_cached(&options, &mut cache).unwrap()
+        };
+        // A cold build is one record, under the build tag.
+        let mut cache = open(&storage);
+        let build = lines(&cache, "build:");
+        assert_eq!(build.len(), 1);
+        let handle = cache.repo.lookup(build_record(&cache)).unwrap();
+        assert_eq!(cache.repo.fetch(handle).unwrap()[0], TAG_BUILD);
+        assert!(lines(&cache, "img:").is_empty() && lines(&cache, "rpt:").is_empty());
+        let clean = open(&Arc::new(storage.snapshot())).gc(&tel).unwrap();
+
+        // What a format-9 build left in its place.
+        let key = build[0].strip_prefix("build:").unwrap();
+        cache.drop_line(&build[0]);
+        cache.store(format!("img:{key}"), 2, |enc| cold.image.encode(enc));
+        cache.store(format!("rpt:{key}"), 3, |enc| cold.report.encode(enc));
+        cache.persist().unwrap();
+        let stats = cache.gc(&tel).unwrap();
+        assert_eq!(
+            stats.pruned_lines, 2,
+            "the `img:` and `rpt:` lines are pruned"
+        );
+        assert_eq!(
+            stats.live_records,
+            clean.live_records - 1,
+            "neither half is live, and nothing names the build record"
+        );
+        assert!(lines(&cache, "img:").is_empty() && lines(&cache, "rpt:").is_empty());
+        drop(cache);
+
+        let traced = Telemetry::enabled();
+        let mut cache = open(&storage);
+        let mut cc = crate::Compiler::new();
+        let options = options.with_telemetry(traced.clone());
+        let hits = cc
+            .add_sources_cached_with(&sources, &options, &mut cache)
+            .unwrap();
+        assert_eq!(hits, 1);
+        let rebuilt = cc.build_cached(&options, &mut cache).unwrap();
+        assert!(rebuilt.report.replayed.is_none());
+        assert_eq!(rebuilt.image.to_bytes(), cold.image.to_bytes());
+        let trace = traced.render_trace();
+        let stores: Vec<&str> = trace
+            .lines()
+            .filter(|event| event.contains(r#""action":"store""#))
+            .collect();
+        assert_eq!(stores.len(), 1, "{trace}");
+        assert!(stores[0].contains(r#""scope":"build""#), "{trace}");
+        assert_eq!(lines(&cache, "build:"), build);
+        assert_eq!(cache.record_count() as u64, clean.live_records);
+    }
+
+    /// How the stored build gets damaged.
+    #[derive(Debug, Clone, Copy)]
+    enum BuildDamage {
+        /// A flipped payload byte on disk: CRC mismatch.
+        Crc,
+        /// The file cut short under a live index: short read.
+        Truncation,
+        /// The `build:` line re-pointed at an intact record of another
+        /// kind (a module's object).
+        WrongTag,
+    }
+
+    /// Whatever the damage, a stored build that cannot be read back
+    /// costs one invalidation and a rebuild: the cold build's image at
+    /// every `-j`, and a record stored afresh that the next session
+    /// replays.
+    #[test]
+    fn damaged_build_records_cost_only_a_rebuild() {
+        use cmo_naim::MemStorage;
+        let sources: Vec<(String, String)> = [
+            ("a", "fn fa(x: int) -> int { return x * 2; }"),
+            ("b", "fn fb(x: int) -> int { return x + 2; }"),
+            (
+                "c",
+                "extern fn fa(x: int) -> int;
+                 extern fn fb(x: int) -> int;
+                 fn main() -> int { return fa(3) + fb(4); }",
+            ),
+        ]
+        .iter()
+        .map(|&(m, s)| (m.to_owned(), s.to_owned()))
+        .collect();
+        let options = |jobs: usize, tel: &Telemetry| {
+            BuildOptions::new(OptLevel::O4)
+                .with_jobs(jobs)
+                .with_telemetry(tel.clone())
+        };
+        let session = |storage: &Arc<MemStorage>,
+                       jobs: usize,
+                       tel: &Telemetry,
+                       damage: &mut dyn FnMut(&mut BuildCache)| {
+            let mut cache =
+                BuildCache::open_on(Arc::clone(storage) as Arc<dyn Storage>, tel).unwrap();
+            damage(&mut cache);
+            let mut cc = crate::Compiler::new();
+            cc.add_sources_cached_with(&sources, &options(jobs, tel), &mut cache)
+                .unwrap();
+            let out = cc.build_cached(&options(jobs, tel), &mut cache).unwrap();
+            (out, cache.stats())
+        };
+        let cold_storage = Arc::new(MemStorage::new());
+        let (cold, _) = session(&cold_storage, 1, &Telemetry::disabled(), &mut |_| {});
+        let line_of = |cache: &BuildCache, prefix: &str| {
+            let mut lines = cache.manifest.keys().filter(|key| key.starts_with(prefix));
+            lines.next().expect("a line of that kind").clone()
+        };
+        for damage in [
+            BuildDamage::Crc,
+            BuildDamage::Truncation,
+            BuildDamage::WrongTag,
+        ] {
+            for jobs in [1, 4] {
+                let storage = Arc::new(cold_storage.snapshot());
+                let tel = Telemetry::enabled();
+                let mut apply = |cache: &mut BuildCache| {
+                    let line = line_of(cache, "build:");
+                    let handle = cache.repo.lookup(cache.manifest[&line]).unwrap();
+                    let payload = cache.repo.fetch(handle).unwrap();
+                    let file = storage.read(REPO_FILE).unwrap();
+                    let at = file
+                        .windows(payload.len())
+                        .position(|w| w == payload)
+                        .expect("the build is in the repository");
+                    match damage {
+                        BuildDamage::Crc => {
+                            let mut file = file.clone();
+                            file[at + payload.len() / 2] ^= 0x40;
+                            storage.write(REPO_FILE, &file).unwrap();
+                        }
+                        BuildDamage::Truncation => storage
+                            .truncate(REPO_FILE, (at + payload.len() / 2) as u64)
+                            .unwrap(),
+                        BuildDamage::WrongTag => {
+                            let object = cache.manifest[&line_of(cache, "mod:")];
+                            cache.manifest.insert(line, object);
+                        }
+                    }
+                };
+                let (out, stats) = session(&storage, jobs, &tel, &mut apply);
+                assert!(
+                    out.report.replayed.is_none(),
+                    "{damage:?} -j{jobs}: the build runs"
+                );
+                assert_eq!(
+                    out.image.to_bytes(),
+                    cold.image.to_bytes(),
+                    "{damage:?} -j{jobs}: image differs from the cold build"
+                );
+                assert_eq!(
+                    (stats.module_hits, stats.invalidations, stats.build_hits),
+                    (3, 1, 0),
+                    "{damage:?} -j{jobs}"
+                );
+                assert_eq!(out.report.cache, stats, "{damage:?}: stored report agrees");
+                let trace = tel.render_trace();
+                let invalidate = trace
+                    .find(r#""action":"invalidate","scope":"build""#)
+                    .unwrap_or_else(|| panic!("{damage:?}: no invalidate event: {trace}"));
+                assert!(
+                    trace[invalidate..].contains(r#""action":"store","scope":"build""#),
+                    "{damage:?}: the build is stored afresh: {trace}"
+                );
+                // Healed: the next session replays the rebuilt record.
+                let (warm, stats) = session(&storage, jobs, &Telemetry::disabled(), &mut |_| {});
+                assert_eq!(warm.report.replayed, Some(out.report.cache), "{damage:?}");
+                assert_eq!((stats.invalidations, stats.build_hits), (0, 1));
+                assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
+            }
+        }
+    }
+
     /// How the stored object of one module gets damaged.
     #[derive(Debug, Clone, Copy)]
     enum Damage {
@@ -1757,7 +1909,7 @@ mod tests {
         /// The file cut short under a live index: short read.
         Truncation,
         /// The manifest line re-pointed at an intact record of another
-        /// kind (the build's stored report).
+        /// kind (the stored build).
         WrongTag,
         /// The line re-pointed at CRC-valid bytes that are no object.
         Garbage,
@@ -1853,8 +2005,7 @@ mod tests {
                         .truncate(REPO_FILE, (c_at + c_bytes.len() / 2) as u64)
                         .unwrap(),
                     Damage::WrongTag => {
-                        let report = report_record(&cache);
-                        cache.manifest.insert(c_line, report);
+                        cache.manifest.insert(c_line, build_record(&cache));
                     }
                     Damage::Garbage => {
                         let handle = cache.repo.store(&[TAG_OBJECT, 4, b'j', b'u', b'n', b'k']);
@@ -1933,7 +2084,7 @@ mod tests {
         /// The file cut short under a live index: short read.
         Truncation,
         /// The line re-pointed at an intact record of another kind
-        /// (the build's stored report).
+        /// (the stored build).
         WrongTag,
         /// The line re-pointed at CRC-valid bytes that are no slot.
         Garbage,
@@ -2056,8 +2207,7 @@ mod tests {
                             .truncate(REPO_FILE, (at + payload.len() / 2) as u64)
                             .unwrap(),
                         CodeDamage::WrongTag => {
-                            let report = report_record(cache);
-                            cache.manifest.insert(line.clone(), report);
+                            cache.manifest.insert(line.clone(), build_record(cache));
                         }
                         CodeDamage::Garbage => forge(cache, &[TAG_CODE, 4, b'j', b'u', b'n', b'k']),
                         CodeDamage::LengthBomb => forge(

@@ -1,13 +1,13 @@
 //! The compilation driver: HP-UX-style option levels over the full
 //! pipeline.
 
-use crate::cache::{self, BuildCache, CacheStats, CachedObject, CodeSlot};
+use crate::cache::{self, BuildCache, CachedObject, CodeSlot};
 use crate::parallel::run_jobs;
-use crate::report::{CompileReport, FaultStats};
+use crate::report::CompileReport;
 use cmo_frontend::FrontendError;
 use cmo_hlo::{
     fold_globals, merge_outcomes, plan_clusters, run_cluster, run_clusters_seq, CallGraph,
-    GlobalFacts, HloSession, HloStats, InlineOptions, PartitionStats,
+    GlobalFacts, HloSession, InlineOptions,
 };
 use cmo_ir::{link_objects, IlObject, LinkError, Program, RoutineBody, RoutineId};
 use cmo_link::{assemble, CallArc, LinkOptions};
@@ -15,10 +15,10 @@ use cmo_llo::memo::{decode_entry, encode_entry, routine_key, CodeKey};
 use cmo_llo::{
     lower_routine, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort, OptEffortOpt,
 };
-use cmo_naim::{LoaderStats, MemorySnapshot, NaimConfig, NaimError};
+use cmo_naim::{NaimConfig, NaimError};
 use cmo_profile::{Freshness, ProfileDb};
 use cmo_select::{coarse_select_traced, layered_levels, OptLayer, SelectError};
-use cmo_telemetry::{PhaseRecord, Telemetry, TraceEvent};
+use cmo_telemetry::{Telemetry, TraceEvent};
 use cmo_vm::{profile_from_run, run, ExecResult, MachineImage, RunConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -239,56 +239,15 @@ impl BuildOptions {
     }
 }
 
-/// What the build did, for diagnostics and the paper's experiments.
-#[derive(Debug, Clone, Default)]
-pub struct BuildReport {
-    /// Modules compiled with CMO.
-    pub cmo_modules: usize,
-    /// Total modules.
-    pub total_modules: usize,
-    /// Source lines in CMO modules (Figure 6 x-axis).
-    pub cmo_loc: u64,
-    /// Total source lines.
-    pub total_loc: u64,
-    /// HLO transformation counters.
-    pub hlo: HloStats,
-    /// Cluster partition counters from the parallel HLO fan-out
-    /// (zeros below `+O4`).
-    pub clusters: PartitionStats,
-    /// NAIM loader counters.
-    pub loader: LoaderStats,
-    /// Peak optimizer memory (Figures 4/5).
-    pub peak_memory: MemorySnapshot,
-    /// Largest per-routine LLO working set.
-    pub llo_peak_bytes: usize,
-    /// Simulated compile effort in abstract work units: NAIM traffic
-    /// plus per-routine analysis/lowering costs. Wall-clock time tracks
-    /// this closely; benches report both.
-    pub compile_work: u64,
-    /// Final image size in instructions.
-    pub image_instrs: usize,
-    /// Incremental-cache counters for this build (zeros when no cache
-    /// was attached).
-    pub cache: CacheStats,
-    /// Faults contained during the build: worker panics absorbed by
-    /// the job pool and modules skipped under `--keep-going`.
-    pub faults: FaultStats,
-    /// Hierarchical phase timers recorded by the build's telemetry
-    /// sink. Empty when telemetry was disabled.
-    pub phases: Vec<PhaseRecord>,
-    /// On a warm whole-build cache hit, the cold run's stored unified
-    /// report, replayed verbatim so `--report-json` output is
-    /// byte-identical between cold and warm builds.
-    pub replayed: Option<CompileReport>,
-}
-
 /// A finished build: the executable image plus its report.
 #[derive(Debug, Clone)]
 pub struct BuildOutput {
     /// The linked executable.
     pub image: MachineImage,
-    /// Build diagnostics.
-    pub report: BuildReport,
+    /// What the build did. On a whole-build replay, the cold run's
+    /// stored report with this session's cache counters beside the
+    /// stored ones (see [`CompileReport::replayed`]).
+    pub report: CompileReport,
 }
 
 impl BuildOutput {
@@ -317,15 +276,11 @@ impl BuildOutput {
         Ok(profile_from_run(&self.image, &result.probe_counts))
     }
 
-    /// The unified, versioned view of this build's statistics — the
-    /// surface benches and external tooling should consume instead of
-    /// the per-crate stats structs.
+    /// A copy of [`BuildOutput::report`], for callers written against
+    /// this accessor.
     #[must_use]
-    pub fn compile_report(&self) -> crate::CompileReport {
-        if let Some(replayed) = &self.report.replayed {
-            return replayed.clone();
-        }
-        crate::CompileReport::from_build(&self.report)
+    pub fn compile_report(&self) -> CompileReport {
+        self.report.clone()
     }
 }
 
@@ -647,7 +602,7 @@ impl Compiler {
     /// fingerprints and the options signature (which covers an attached
     /// profile's counts and shapes) and probes the build tier *before*
     /// touching any object. On a hit, the linked image and the cold
-    /// run's stored unified report come straight from the cache: HLO,
+    /// run's stored report come straight from the cache: HLO,
     /// LLO, and linking are skipped, no pending object is decoded, and
     /// a build-scope `"replay"` trace event records the shortcut. On a
     /// miss the pending objects are decoded, the build runs normally
@@ -690,46 +645,31 @@ impl Compiler {
         }
         let fps: Vec<&str> = self.fingerprints().collect();
         let key = cache::build_key(&fps, options);
-        if let Some((image, stored)) = bcache.get_build(&key, &tel) {
+        if let Some((image, mut report)) = bcache.get_build(&key, &tel) {
             tel.emit(TraceEvent::Cache {
                 action: "replay",
                 scope: "build",
                 name: key.clone(),
                 bytes: 0,
             });
-            let report = BuildReport {
-                cmo_modules: stored.cmo_modules,
-                total_modules: stored.total_modules,
-                cmo_loc: stored.cmo_loc,
-                total_loc: stored.total_loc,
-                hlo: stored.hlo,
-                clusters: stored.clusters,
-                loader: stored.loader,
-                peak_memory: stored.memory,
-                llo_peak_bytes: stored.llo_peak_bytes,
-                compile_work: stored.compile_work,
-                image_instrs: stored.image_instrs,
-                cache: bcache.stats(),
-                faults: stored.faults.clone(),
-                phases: stored.phases.clone(),
-                replayed: Some(stored),
-            };
+            // The stored counters are the cold run's; this session's
+            // own probes take their place in `cache`.
+            report.replayed = Some(std::mem::replace(&mut report.cache, bcache.stats()));
             bcache.record_routines(0, 0);
             persist_or_degrade(bcache, &tel);
             return Ok(BuildOutput { image, report });
         }
         let objects = self.objects(Some(bcache), &tel)?;
         let mut out = build_objects_with(objects, options, Some(bcache))?;
-        // Snapshot the cache counters *before* building the report
-        // that gets stored, so the stored report equals the one this
-        // cold run emits — the warm replay then matches byte for byte.
+        // Snapshot the cache counters *before* storing the report, so
+        // the stored report equals the one this cold run returns — the
+        // warm replay then matches byte for byte.
         // The remote tier's counters are snapshotted at the same point
         // for the same reason (the put/persist pushes below
         // deliberately land after the snapshot on every path).
         out.report.cache = bcache.stats();
         out.report.faults.remote = bcache.remote_stats();
-        let stored = CompileReport::from_build(&out.report);
-        bcache.put_build(&key, &out.image, &stored, &tel);
+        bcache.put_build(&key, &out.image, &out.report, &tel);
         persist_or_degrade(bcache, &tel);
         Ok(out)
     }
@@ -812,10 +752,10 @@ fn build_objects_with(
     if unit.program.main_routine().is_none() {
         return Err(BuildError::NoMain);
     }
-    let mut report = BuildReport {
+    let mut report = CompileReport {
         total_modules: unit.program.modules().len(),
         total_loc: unit.program.total_source_lines(),
-        ..BuildReport::default()
+        ..CompileReport::default()
     };
     let db = options.profile.as_ref().filter(|_| options.pbo);
 
@@ -977,7 +917,7 @@ fn build_objects_with(
 
             report.hlo = session.stats();
             report.loader = session.loader_stats();
-            report.peak_memory = session.memory();
+            report.memory = session.memory();
             report.compile_work += session.loader_stats().work_units;
             let (program, bodies, symtabs, counts) = {
                 let _p = tel.phase("write_out");
@@ -1641,6 +1581,38 @@ mod tests {
         );
         assert_eq!(cache_files(&storage), files);
         assert_eq!(warm.out.image.to_bytes(), cold.out.image.to_bytes());
+    }
+
+    /// A replay's report counts this session's probes in `cache` and
+    /// keeps the cold run's stored counters beside them in `replayed`,
+    /// which its JSON presents: the cold document, at any worker count.
+    #[test]
+    fn a_replay_reports_its_own_cache_counters_beside_the_cold_ones() {
+        use cmo_naim::{MemStorage, Storage};
+        use std::sync::Arc;
+        let modules = six_modules();
+        let db = trained(&modules);
+        let session = |storage: Arc<dyn Storage>, jobs: usize| {
+            let options = BuildOptions::new(OptLevel::O4)
+                .with_profile_db(db.clone())
+                .with_jobs(jobs)
+                .with_telemetry(Telemetry::enabled());
+            let mut cache = BuildCache::open_on(storage, &Telemetry::disabled()).unwrap();
+            let mut cc = Compiler::new();
+            cc.add_sources_cached_with(&modules, &options, &mut cache)
+                .unwrap();
+            cc.build_cached(&options, &mut cache).unwrap()
+        };
+        let cold_storage = Arc::new(MemStorage::new());
+        let cold = session(Arc::clone(&cold_storage) as Arc<dyn Storage>, 1);
+        assert_eq!(cold.report.replayed, None);
+        assert_eq!(cold.report.cache.module_misses, 6);
+        for jobs in [1, 4] {
+            let warm = session(Arc::new(cold_storage.snapshot()), jobs);
+            assert_eq!(warm.report.replayed, Some(cold.report.cache), "-j{jobs}");
+            assert_eq!(warm.report.cache.build_hits, 1, "-j{jobs}");
+            assert_eq!(warm.report.to_json(), cold.report.to_json(), "-j{jobs}");
+        }
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! The unified compile report: one versioned, deterministic JSON
-//! document aggregating every subsystem's counters.
+//! The compile report: one versioned, deterministic record of what a
+//! build did, aggregating every subsystem's counters.
 //!
-//! Before this module existed, each figure bench reached into a
-//! different per-crate stats struct ([`LoaderStats`] for Figure 5,
-//! [`MemorySnapshot`] for Figure 4, driver fields for Figure 6). A
-//! [`CompileReport`] collects them all behind one schema
-//! (`cmo.report.v1`) so external tooling — and the in-repo benches —
-//! consume a single stable surface. See `METRICS.md` at the repository
-//! root for the field-by-field documentation.
+//! A [`CompileReport`] is what [`crate::BuildOutput::report`] holds,
+//! what the cache stores beside a linked image, and what `cmocc
+//! --report-json` writes (schema `cmo.report.v1`). See `METRICS.md` at
+//! the repository root for the field-by-field documentation.
 //!
-//! The JSON is hand-rolled (no serde) and contains only integers,
-//! strings, and the work-unit clock — never wall time — so two
-//! identical compilations serialize byte-identically.
+//! The field list exists once, in [`CompileReport::walk`]: writing the
+//! JSON, encoding for the cache and decoding from it are three modes of
+//! one walk over it, so the byte form always carries exactly the JSON's
+//! fields in the JSON's order. The JSON is hand-rolled (no serde) and holds
+//! only integers, strings and the work-unit clock — never wall time —
+//! so two identical compilations serialize byte-identically.
 
 use crate::cache::CacheStats;
-use crate::driver::BuildReport;
 use cmo_hlo::{HloStats, PartitionStats};
 use cmo_naim::{DecodeError, Decoder, Encoder, LoaderStats, MemClass, MemorySnapshot, RemoteStats};
 use cmo_telemetry::json::JsonWriter;
@@ -40,8 +39,9 @@ pub struct FaultStats {
     pub remote: RemoteStats,
 }
 
-/// Aggregated, versioned view of one compilation, serializable to the
-/// `cmo.report.v1` JSON schema via [`CompileReport::to_json`].
+/// What one build did, for diagnostics and the paper's experiments,
+/// serializable to the `cmo.report.v1` JSON schema via
+/// [`CompileReport::to_json`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompileReport {
     /// Modules selected for CMO.
@@ -54,7 +54,8 @@ pub struct CompileReport {
     pub total_loc: u64,
     /// HLO transformation counters.
     pub hlo: HloStats,
-    /// Cluster partition counters from the parallel HLO fan-out.
+    /// Cluster partition counters from the parallel HLO fan-out
+    /// (zeros below `+O4`).
     pub clusters: PartitionStats,
     /// NAIM loader activity counters.
     pub loader: LoaderStats,
@@ -62,16 +63,25 @@ pub struct CompileReport {
     pub memory: MemorySnapshot,
     /// Largest per-routine LLO working set in bytes.
     pub llo_peak_bytes: usize,
-    /// Total simulated compile effort in work units (Figure 6 y-axis).
+    /// Simulated compile effort in abstract work units: NAIM traffic
+    /// plus per-routine analysis/lowering costs (Figure 6 y-axis).
     pub compile_work: u64,
     /// Final image size in machine instructions.
     pub image_instrs: usize,
-    /// Incremental-cache activity for this build (all zeros with the
-    /// cache disabled).
+    /// This build's own incremental-cache counters (all zeros with no
+    /// cache attached) — on a replay too, where they count the probes
+    /// that found the stored build.
     pub cache: CacheStats,
+    /// On a warm whole-build replay, the cold run's cache counters as
+    /// stored with its report. The JSON and the byte form present these
+    /// in place of [`CompileReport::cache`], which is what keeps a warm
+    /// `--report-json` byte-identical to its cold build's. `None` on a
+    /// build that ran.
+    pub replayed: Option<CacheStats>,
     /// Faults contained during the build (empty on a clean run).
     pub faults: FaultStats,
-    /// Hierarchical phase timers on the work-unit clock.
+    /// Hierarchical phase timers on the work-unit clock. Empty when
+    /// telemetry was disabled.
     pub phases: Vec<PhaseRecord>,
 }
 
@@ -85,31 +95,124 @@ fn mem_class_name(class: MemClass) -> &'static str {
     }
 }
 
+/// One pass over a report's fields — [`CompileReport::walk`] is the
+/// only list of them — in one of three modes: writing the JSON
+/// document, writing the cache's byte form (the values alone, in
+/// document order, each array led by its length), or reading that form
+/// back into a default report.
+enum Walker<'a, 'b> {
+    Json(&'a mut JsonWriter),
+    Encode(&'a mut Encoder),
+    /// The first error sticks: every later read is skipped, so a
+    /// damaged record costs no more reading than the bytes it has.
+    Decode(&'a mut Decoder<'b>, Option<DecodeError>),
+}
+
+impl<'b> Walker<'_, 'b> {
+    /// Opens a nested object: a named member, or (`None`) an array
+    /// element.
+    fn open(&mut self, name: Option<&str>) {
+        if let Walker::Json(w) = self {
+            w.begin_obj(name);
+        }
+    }
+
+    fn close(&mut self) {
+        if let Walker::Json(w) = self {
+            w.end_obj();
+        }
+    }
+
+    /// Decoding: reads `v`, unless an earlier read failed.
+    fn read<T>(
+        &mut self,
+        v: &mut T,
+        read: impl FnOnce(&mut Decoder<'b>) -> Result<T, DecodeError>,
+    ) {
+        if let Walker::Decode(dec, err @ None) = self {
+            match read(dec) {
+                Ok(value) => *v = value,
+                Err(e) => *err = Some(e),
+            }
+        }
+    }
+
+    fn u64(&mut self, name: &str, v: &mut u64) {
+        match self {
+            Walker::Json(w) => w.field_u64(name, *v),
+            Walker::Encode(enc) => enc.write_u64(*v),
+            Walker::Decode(..) => self.read(v, Decoder::read_u64),
+        }
+    }
+
+    fn usize(&mut self, name: &str, v: &mut usize) {
+        let mut wide = *v as u64;
+        self.u64(name, &mut wide);
+        *v = wide as usize;
+    }
+
+    fn u32(&mut self, name: &str, v: &mut u32) {
+        let mut wide = u64::from(*v);
+        self.u64(name, &mut wide);
+        self.read(v, |_| {
+            u32::try_from(wide).map_err(|_| DecodeError::Corrupt {
+                what: "u32 field out of range",
+            })
+        });
+    }
+
+    fn bool(&mut self, name: &str, v: &mut bool) {
+        match self {
+            Walker::Json(w) => w.field_bool(name, *v),
+            Walker::Encode(enc) => enc.write_bool(*v),
+            Walker::Decode(..) => self.read(v, Decoder::read_bool),
+        }
+    }
+
+    /// A string: a named member, or (`None`) an array element.
+    fn str(&mut self, name: Option<&str>, v: &mut String) {
+        match (self, name) {
+            (Walker::Json(w), Some(name)) => w.field_str(name, v),
+            (Walker::Json(w), None) => w.elem_str(v),
+            (Walker::Encode(enc), _) => enc.write_str(v),
+            (walker, _) => walker.read(v, |dec| dec.read_str().map(str::to_owned)),
+        }
+    }
+
+    /// An array, each element walked by `item`. Decoding grows `items`
+    /// one element at a time and stops at the first failed read, so a
+    /// stated length beyond the record allocates nothing for it.
+    fn list<T: Default>(
+        &mut self,
+        name: &str,
+        items: &mut Vec<T>,
+        mut item: impl FnMut(&mut Self, &mut T),
+    ) {
+        let mut len = items.len();
+        match self {
+            Walker::Json(w) => w.begin_arr(Some(name)),
+            Walker::Encode(enc) => enc.write_usize(len),
+            Walker::Decode(..) => self.read(&mut len, Decoder::read_usize),
+        }
+        for i in 0..len {
+            if let Walker::Decode(_, Some(_)) = self {
+                break;
+            }
+            if i == items.len() {
+                items.push(T::default());
+            }
+            item(self, &mut items[i]);
+        }
+        if let Walker::Json(w) = self {
+            w.end_arr();
+        }
+    }
+}
+
 impl CompileReport {
     /// The schema identifier written into every report
     /// (re-exported from `cmo-telemetry` for discoverability).
     pub const SCHEMA: &'static str = REPORT_SCHEMA;
-
-    /// Builds the unified report from a driver [`BuildReport`].
-    #[must_use]
-    pub fn from_build(report: &BuildReport) -> Self {
-        CompileReport {
-            cmo_modules: report.cmo_modules,
-            total_modules: report.total_modules,
-            cmo_loc: report.cmo_loc,
-            total_loc: report.total_loc,
-            hlo: report.hlo,
-            clusters: report.clusters,
-            loader: report.loader,
-            memory: report.peak_memory,
-            llo_peak_bytes: report.llo_peak_bytes,
-            compile_work: report.compile_work,
-            image_instrs: report.image_instrs,
-            cache: report.cache,
-            faults: report.faults.clone(),
-            phases: report.phases.clone(),
-        }
-    }
 
     /// Peak optimizer (HLO-stage) heap in bytes — the Figure 4/5
     /// memory axis.
@@ -125,6 +228,117 @@ impl CompileReport {
         self.memory.peak_total.max(self.llo_peak_bytes)
     }
 
+    /// Every field the JSON and the byte form carry, in document order.
+    /// `wall_nanos` is left out of both: a replayed report must be
+    /// indistinguishable from the cold run's, and wall time never is.
+    /// The walk takes the fields by `&mut` so decoding can fill them;
+    /// writing walks a copy.
+    fn walk(&mut self, w: &mut Walker<'_, '_>) {
+        w.open(Some("selection"));
+        w.usize("cmo_modules", &mut self.cmo_modules);
+        w.usize("total_modules", &mut self.total_modules);
+        w.u64("cmo_loc", &mut self.cmo_loc);
+        w.u64("total_loc", &mut self.total_loc);
+        w.close();
+
+        let hlo = &mut self.hlo;
+        w.open(Some("hlo"));
+        w.u64("inlines", &mut hlo.inlines);
+        w.u64("sites_considered", &mut hlo.sites_considered);
+        w.u64("globals_folded", &mut hlo.globals_folded);
+        w.u64("dead_stores_removed", &mut hlo.dead_stores_removed);
+        w.u64("dead_routines", &mut hlo.dead_routines);
+        w.u64("clones", &mut hlo.clones);
+        w.open(Some("clusters"));
+        w.u64("count", &mut self.clusters.clusters);
+        w.u64("largest", &mut self.clusters.largest);
+        w.u64("cross_edges", &mut self.clusters.cross_edges);
+        w.close();
+        w.close();
+
+        let loader = &mut self.loader;
+        w.open(Some("loader"));
+        w.u64("pools", &mut loader.pools);
+        w.u64("hits", &mut loader.hits);
+        w.u64("cache_rescues", &mut loader.cache_rescues);
+        w.u64("uncompactions", &mut loader.uncompactions);
+        w.u64("compactions", &mut loader.compactions);
+        w.u64("offload_writes", &mut loader.offload_writes);
+        w.u64("offload_reads", &mut loader.offload_reads);
+        w.u64("bytes_swizzled", &mut loader.bytes_swizzled);
+        w.u64("bytes_offloaded", &mut loader.bytes_offloaded);
+        w.u64("work_units", &mut loader.work_units);
+        w.u64("fetch_work_units", &mut loader.fetch_work_units);
+        w.close();
+
+        let memory = &mut self.memory;
+        w.open(Some("memory"));
+        for (name, classes) in [("current", &mut memory.current), ("peak", &mut memory.peak)] {
+            w.open(Some(name));
+            for (class, bytes) in MemClass::ALL.into_iter().zip(classes) {
+                w.usize(mem_class_name(class), bytes);
+            }
+            w.close();
+        }
+        w.usize("peak_total", &mut memory.peak_total);
+        w.close();
+
+        w.open(Some("llo"));
+        w.usize("peak_bytes", &mut self.llo_peak_bytes);
+        w.close();
+        w.open(Some("image"));
+        w.usize("instrs", &mut self.image_instrs);
+        w.close();
+        w.open(Some("work"));
+        w.u64("compile_work", &mut self.compile_work);
+        w.close();
+
+        let cache = self.replayed.as_mut().unwrap_or(&mut self.cache);
+        w.open(Some("cache"));
+        w.bool("enabled", &mut cache.enabled);
+        w.u64("module_hits", &mut cache.module_hits);
+        w.u64("module_misses", &mut cache.module_misses);
+        w.u64("build_hits", &mut cache.build_hits);
+        w.u64("invalidations", &mut cache.invalidations);
+        w.open(Some("gc"));
+        w.u64("runs", &mut cache.gc_runs);
+        w.u64("reclaimed_bytes", &mut cache.gc_reclaimed_bytes);
+        w.u64("live_records", &mut cache.gc_live_records);
+        w.u64("pruned_lines", &mut cache.gc_pruned_lines);
+        w.close();
+        w.close();
+
+        let faults = &mut self.faults;
+        w.open(Some("faults"));
+        w.u64("job_panics", &mut faults.job_panics);
+        w.list("degraded", &mut faults.degraded, |w, module| {
+            w.str(None, module)
+        });
+        let remote = &mut faults.remote;
+        w.open(Some("remote"));
+        w.bool("enabled", &mut remote.enabled);
+        w.u64("gets", &mut remote.gets);
+        w.u64("hits", &mut remote.hits);
+        w.u64("misses", &mut remote.misses);
+        w.u64("puts", &mut remote.puts);
+        w.u64("retries", &mut remote.retries);
+        w.u64("failures", &mut remote.failures);
+        w.bool("breaker_open", &mut remote.breaker_open);
+        w.u64("fetched_bytes", &mut remote.fetched_bytes);
+        w.u64("pushed_bytes", &mut remote.pushed_bytes);
+        w.close();
+        w.close();
+
+        w.list("phases", &mut self.phases, |w, phase| {
+            w.open(None);
+            w.str(Some("name"), &mut phase.name);
+            w.u32("depth", &mut phase.depth);
+            w.u64("start_work", &mut phase.start_work);
+            w.u64("end_work", &mut phase.end_work);
+            w.close();
+        });
+    }
+
     /// Serializes to the versioned `cmo.report.v1` JSON document.
     ///
     /// Field order is fixed, all numbers are integers, and no wall
@@ -136,301 +350,28 @@ impl CompileReport {
         let mut w = JsonWriter::new();
         w.begin_obj(None);
         w.field_str("schema", Self::SCHEMA);
-
-        w.begin_obj(Some("selection"));
-        w.field_usize("cmo_modules", self.cmo_modules);
-        w.field_usize("total_modules", self.total_modules);
-        w.field_u64("cmo_loc", self.cmo_loc);
-        w.field_u64("total_loc", self.total_loc);
-        w.end_obj();
-
-        w.begin_obj(Some("hlo"));
-        w.field_u64("inlines", self.hlo.inlines);
-        w.field_u64("sites_considered", self.hlo.sites_considered);
-        w.field_u64("globals_folded", self.hlo.globals_folded);
-        w.field_u64("dead_stores_removed", self.hlo.dead_stores_removed);
-        w.field_u64("dead_routines", self.hlo.dead_routines);
-        w.field_u64("clones", self.hlo.clones);
-        w.begin_obj(Some("clusters"));
-        w.field_u64("count", self.clusters.clusters);
-        w.field_u64("largest", self.clusters.largest);
-        w.field_u64("cross_edges", self.clusters.cross_edges);
-        w.end_obj();
-        w.end_obj();
-
-        w.begin_obj(Some("loader"));
-        w.field_u64("pools", self.loader.pools);
-        w.field_u64("hits", self.loader.hits);
-        w.field_u64("cache_rescues", self.loader.cache_rescues);
-        w.field_u64("uncompactions", self.loader.uncompactions);
-        w.field_u64("compactions", self.loader.compactions);
-        w.field_u64("offload_writes", self.loader.offload_writes);
-        w.field_u64("offload_reads", self.loader.offload_reads);
-        w.field_u64("bytes_swizzled", self.loader.bytes_swizzled);
-        w.field_u64("bytes_offloaded", self.loader.bytes_offloaded);
-        w.field_u64("work_units", self.loader.work_units);
-        w.field_u64("fetch_work_units", self.loader.fetch_work_units);
-        w.end_obj();
-
-        w.begin_obj(Some("memory"));
-        w.begin_obj(Some("current"));
-        for class in MemClass::ALL {
-            w.field_usize(mem_class_name(class), self.memory.class(class));
-        }
-        w.end_obj();
-        w.begin_obj(Some("peak"));
-        for class in MemClass::ALL {
-            w.field_usize(mem_class_name(class), self.memory.peak_class(class));
-        }
-        w.end_obj();
-        w.field_usize("peak_total", self.memory.peak_total);
-        w.end_obj();
-
-        w.begin_obj(Some("llo"));
-        w.field_usize("peak_bytes", self.llo_peak_bytes);
-        w.end_obj();
-
-        w.begin_obj(Some("image"));
-        w.field_usize("instrs", self.image_instrs);
-        w.end_obj();
-
-        w.begin_obj(Some("work"));
-        w.field_u64("compile_work", self.compile_work);
-        w.end_obj();
-
-        w.begin_obj(Some("cache"));
-        w.field_bool("enabled", self.cache.enabled);
-        w.field_u64("module_hits", self.cache.module_hits);
-        w.field_u64("module_misses", self.cache.module_misses);
-        w.field_u64("build_hits", self.cache.build_hits);
-        w.field_u64("invalidations", self.cache.invalidations);
-        w.begin_obj(Some("gc"));
-        w.field_u64("runs", self.cache.gc_runs);
-        w.field_u64("reclaimed_bytes", self.cache.gc_reclaimed_bytes);
-        w.field_u64("live_records", self.cache.gc_live_records);
-        w.field_u64("pruned_lines", self.cache.gc_pruned_lines);
-        w.end_obj();
-        w.end_obj();
-
-        w.begin_obj(Some("faults"));
-        w.field_u64("job_panics", self.faults.job_panics);
-        w.begin_arr(Some("degraded"));
-        for module in &self.faults.degraded {
-            w.elem_str(module);
-        }
-        w.end_arr();
-        w.begin_obj(Some("remote"));
-        w.field_bool("enabled", self.faults.remote.enabled);
-        w.field_u64("gets", self.faults.remote.gets);
-        w.field_u64("hits", self.faults.remote.hits);
-        w.field_u64("misses", self.faults.remote.misses);
-        w.field_u64("puts", self.faults.remote.puts);
-        w.field_u64("retries", self.faults.remote.retries);
-        w.field_u64("failures", self.faults.remote.failures);
-        w.field_bool("breaker_open", self.faults.remote.breaker_open);
-        w.field_u64("fetched_bytes", self.faults.remote.fetched_bytes);
-        w.field_u64("pushed_bytes", self.faults.remote.pushed_bytes);
-        w.end_obj();
-        w.end_obj();
-
-        w.begin_arr(Some("phases"));
-        for phase in &self.phases {
-            w.begin_obj(None);
-            w.field_str("name", &phase.name);
-            w.field_u64("depth", u64::from(phase.depth));
-            w.field_u64("start_work", phase.start_work);
-            w.field_u64("end_work", phase.end_work);
-            w.end_obj();
-        }
-        w.end_arr();
-
+        self.clone().walk(&mut Walker::Json(&mut w));
         w.end_obj();
         w.finish()
     }
 
-    /// Serializes the report to the cache's relocatable byte form.
-    ///
-    /// `wall_nanos` is deliberately dropped, exactly as in the JSON
-    /// form: a replayed report must be indistinguishable from the cold
-    /// run's, and wall time never is.
+    /// Serializes the report to the cache's relocatable byte form: the
+    /// JSON's values in the JSON's order.
     pub(crate) fn encode(&self, enc: &mut Encoder) {
-        enc.write_usize(self.cmo_modules);
-        enc.write_usize(self.total_modules);
-        enc.write_u64(self.cmo_loc);
-        enc.write_u64(self.total_loc);
-        enc.write_u64(self.hlo.inlines);
-        enc.write_u64(self.hlo.sites_considered);
-        enc.write_u64(self.hlo.globals_folded);
-        enc.write_u64(self.hlo.dead_stores_removed);
-        enc.write_u64(self.hlo.dead_routines);
-        enc.write_u64(self.hlo.clones);
-        enc.write_u64(self.clusters.clusters);
-        enc.write_u64(self.clusters.largest);
-        enc.write_u64(self.clusters.cross_edges);
-        enc.write_u64(self.loader.pools);
-        enc.write_u64(self.loader.hits);
-        enc.write_u64(self.loader.cache_rescues);
-        enc.write_u64(self.loader.uncompactions);
-        enc.write_u64(self.loader.compactions);
-        enc.write_u64(self.loader.offload_writes);
-        enc.write_u64(self.loader.offload_reads);
-        enc.write_u64(self.loader.bytes_swizzled);
-        enc.write_u64(self.loader.bytes_offloaded);
-        enc.write_u64(self.loader.work_units);
-        enc.write_u64(self.loader.fetch_work_units);
-        for v in self.memory.current {
-            enc.write_usize(v);
-        }
-        for v in self.memory.peak {
-            enc.write_usize(v);
-        }
-        enc.write_usize(self.memory.peak_total);
-        enc.write_usize(self.llo_peak_bytes);
-        enc.write_u64(self.compile_work);
-        enc.write_usize(self.image_instrs);
-        enc.write_bool(self.cache.enabled);
-        enc.write_u64(self.cache.module_hits);
-        enc.write_u64(self.cache.module_misses);
-        enc.write_u64(self.cache.build_hits);
-        enc.write_u64(self.cache.invalidations);
-        enc.write_u64(self.cache.gc_runs);
-        enc.write_u64(self.cache.gc_reclaimed_bytes);
-        enc.write_u64(self.cache.gc_live_records);
-        enc.write_u64(self.cache.gc_pruned_lines);
-        enc.write_u64(self.faults.job_panics);
-        enc.write_usize(self.faults.degraded.len());
-        for module in &self.faults.degraded {
-            enc.write_str(module);
-        }
-        enc.write_bool(self.faults.remote.enabled);
-        enc.write_u64(self.faults.remote.gets);
-        enc.write_u64(self.faults.remote.hits);
-        enc.write_u64(self.faults.remote.misses);
-        enc.write_u64(self.faults.remote.puts);
-        enc.write_u64(self.faults.remote.retries);
-        enc.write_u64(self.faults.remote.failures);
-        enc.write_bool(self.faults.remote.breaker_open);
-        enc.write_u64(self.faults.remote.fetched_bytes);
-        enc.write_u64(self.faults.remote.pushed_bytes);
-        enc.write_usize(self.phases.len());
-        for phase in &self.phases {
-            enc.write_str(&phase.name);
-            enc.write_u32(phase.depth);
-            enc.write_u64(phase.start_work);
-            enc.write_u64(phase.end_work);
-        }
+        self.clone().walk(&mut Walker::Encode(enc));
     }
 
     /// Rebuilds a report from its relocatable byte form. `wall_nanos`
-    /// comes back zero on every phase record (it is never stored).
+    /// comes back zero on every phase record (it is never stored), and
+    /// the cache counters come back in [`CompileReport::cache`].
     pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let cmo_modules = dec.read_usize()?;
-        let total_modules = dec.read_usize()?;
-        let cmo_loc = dec.read_u64()?;
-        let total_loc = dec.read_u64()?;
-        let hlo = HloStats {
-            inlines: dec.read_u64()?,
-            sites_considered: dec.read_u64()?,
-            globals_folded: dec.read_u64()?,
-            dead_stores_removed: dec.read_u64()?,
-            dead_routines: dec.read_u64()?,
-            clones: dec.read_u64()?,
-        };
-        let clusters = PartitionStats {
-            clusters: dec.read_u64()?,
-            largest: dec.read_u64()?,
-            cross_edges: dec.read_u64()?,
-        };
-        let loader = LoaderStats {
-            pools: dec.read_u64()?,
-            hits: dec.read_u64()?,
-            cache_rescues: dec.read_u64()?,
-            uncompactions: dec.read_u64()?,
-            compactions: dec.read_u64()?,
-            offload_writes: dec.read_u64()?,
-            offload_reads: dec.read_u64()?,
-            bytes_swizzled: dec.read_u64()?,
-            bytes_offloaded: dec.read_u64()?,
-            work_units: dec.read_u64()?,
-            fetch_work_units: dec.read_u64()?,
-        };
-        let mut current = [0usize; 4];
-        for slot in &mut current {
-            *slot = dec.read_usize()?;
+        let mut report = CompileReport::default();
+        let mut walker = Walker::Decode(dec, None);
+        report.walk(&mut walker);
+        match walker {
+            Walker::Decode(_, Some(e)) => Err(e),
+            _ => Ok(report),
         }
-        let mut peak = [0usize; 4];
-        for slot in &mut peak {
-            *slot = dec.read_usize()?;
-        }
-        let memory = MemorySnapshot {
-            current,
-            peak,
-            peak_total: dec.read_usize()?,
-        };
-        let llo_peak_bytes = dec.read_usize()?;
-        let compile_work = dec.read_u64()?;
-        let image_instrs = dec.read_usize()?;
-        let cache = CacheStats {
-            enabled: dec.read_bool()?,
-            module_hits: dec.read_u64()?,
-            module_misses: dec.read_u64()?,
-            build_hits: dec.read_u64()?,
-            invalidations: dec.read_u64()?,
-            gc_runs: dec.read_u64()?,
-            gc_reclaimed_bytes: dec.read_u64()?,
-            gc_live_records: dec.read_u64()?,
-            gc_pruned_lines: dec.read_u64()?,
-        };
-        let job_panics = dec.read_u64()?;
-        let n_degraded = dec.read_usize()?;
-        let mut degraded = Vec::with_capacity(n_degraded.min(4096));
-        for _ in 0..n_degraded {
-            degraded.push(dec.read_str()?.to_owned());
-        }
-        let remote = RemoteStats {
-            enabled: dec.read_bool()?,
-            gets: dec.read_u64()?,
-            hits: dec.read_u64()?,
-            misses: dec.read_u64()?,
-            puts: dec.read_u64()?,
-            retries: dec.read_u64()?,
-            failures: dec.read_u64()?,
-            breaker_open: dec.read_bool()?,
-            fetched_bytes: dec.read_u64()?,
-            pushed_bytes: dec.read_u64()?,
-        };
-        let faults = FaultStats {
-            job_panics,
-            degraded,
-            remote,
-        };
-        let n_phases = dec.read_usize()?;
-        let mut phases = Vec::with_capacity(n_phases.min(4096));
-        for _ in 0..n_phases {
-            phases.push(PhaseRecord {
-                name: dec.read_str()?.to_owned(),
-                depth: dec.read_u32()?,
-                start_work: dec.read_u64()?,
-                end_work: dec.read_u64()?,
-                wall_nanos: 0,
-            });
-        }
-        Ok(CompileReport {
-            cmo_modules,
-            total_modules,
-            cmo_loc,
-            total_loc,
-            hlo,
-            clusters,
-            loader,
-            memory,
-            llo_peak_bytes,
-            compile_work,
-            image_instrs,
-            cache,
-            faults,
-            phases,
-        })
     }
 }
 
@@ -467,6 +408,110 @@ mod tests {
             }],
             ..CompileReport::default()
         }
+    }
+
+    /// A report in which every field the walk carries holds a value of
+    /// its own, none of them a default.
+    fn every_field_set() -> CompileReport {
+        let mut next = 100u64;
+        let mut n = || {
+            next += 1;
+            next
+        };
+        CompileReport {
+            cmo_modules: n() as usize,
+            total_modules: n() as usize,
+            cmo_loc: n(),
+            total_loc: n(),
+            hlo: HloStats {
+                inlines: n(),
+                sites_considered: n(),
+                globals_folded: n(),
+                dead_stores_removed: n(),
+                dead_routines: n(),
+                clones: n(),
+            },
+            clusters: PartitionStats {
+                clusters: n(),
+                largest: n(),
+                cross_edges: n(),
+            },
+            loader: LoaderStats {
+                pools: n(),
+                hits: n(),
+                cache_rescues: n(),
+                uncompactions: n(),
+                compactions: n(),
+                offload_writes: n(),
+                offload_reads: n(),
+                bytes_swizzled: n(),
+                bytes_offloaded: n(),
+                work_units: n(),
+                fetch_work_units: n(),
+            },
+            memory: MemorySnapshot {
+                current: [n() as usize, n() as usize, n() as usize, n() as usize],
+                peak: [n() as usize, n() as usize, n() as usize, n() as usize],
+                peak_total: n() as usize,
+            },
+            llo_peak_bytes: n() as usize,
+            compile_work: n(),
+            image_instrs: n() as usize,
+            cache: CacheStats {
+                enabled: true,
+                module_hits: n(),
+                module_misses: n(),
+                build_hits: n(),
+                invalidations: n(),
+                gc_runs: n(),
+                gc_reclaimed_bytes: n(),
+                gc_live_records: n(),
+                gc_pruned_lines: n(),
+            },
+            replayed: None,
+            faults: FaultStats {
+                job_panics: n(),
+                degraded: vec!["util".to_owned(), "app".to_owned()],
+                remote: RemoteStats {
+                    enabled: true,
+                    gets: n(),
+                    hits: n(),
+                    misses: n(),
+                    puts: n(),
+                    retries: n(),
+                    failures: n(),
+                    breaker_open: true,
+                    fetched_bytes: n(),
+                    pushed_bytes: n(),
+                },
+            },
+            phases: vec![
+                PhaseRecord {
+                    name: "hlo".to_owned(),
+                    depth: 1,
+                    start_work: n(),
+                    end_work: n(),
+                    wall_nanos: 77,
+                },
+                PhaseRecord {
+                    name: "hlo.inline".to_owned(),
+                    depth: 2,
+                    start_work: n(),
+                    end_work: n(),
+                    wall_nanos: 78,
+                },
+            ],
+        }
+    }
+
+    fn round_trip(r: &CompileReport) -> Result<CompileReport, DecodeError> {
+        let mut enc = Encoder::new();
+        r.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let back = CompileReport::decode(&mut dec)?;
+        assert!(dec.is_at_end(), "the decoder reads what the encoder wrote");
+        Ok(back)
     }
 
     #[test]
@@ -506,49 +551,66 @@ mod tests {
         );
     }
 
+    /// Every field carries a value of its own, so a field the shared
+    /// walk dropped would come back as its default and fail the
+    /// comparison.
     #[test]
     fn codec_round_trips_everything_but_wall_time() {
-        let mut r = sample();
-        r.cache = CacheStats {
-            enabled: true,
-            module_hits: 3,
-            module_misses: 1,
-            build_hits: 1,
-            invalidations: 2,
-            gc_runs: 1,
-            gc_reclaimed_bytes: 4096,
-            gc_live_records: 5,
-            gc_pruned_lines: 2,
-        };
-        r.faults = FaultStats {
-            job_panics: 1,
-            degraded: vec!["util".to_owned(), "app".to_owned()],
-            remote: RemoteStats {
-                enabled: true,
-                gets: 4,
-                hits: 2,
-                misses: 1,
-                puts: 3,
-                retries: 2,
-                failures: 1,
-                breaker_open: true,
-                fetched_bytes: 512,
-                pushed_bytes: 1024,
-            },
-        };
-        let mut enc = Encoder::new();
-        r.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = CompileReport::decode(&mut Decoder::new(&bytes)).expect("decodes");
+        let r = every_field_set();
+        let back = round_trip(&r).expect("decodes");
         // wall_nanos is dropped by design; everything else survives.
         let mut expect = r.clone();
-        expect.phases[0].wall_nanos = 0;
+        for phase in &mut expect.phases {
+            phase.wall_nanos = 0;
+        }
         assert_eq!(back, expect);
-        assert_eq!(back.to_json(), {
-            let mut cold = r;
-            cold.phases[0].wall_nanos = 0;
-            cold.to_json()
-        });
+        // And the writer walks past none of them either.
+        let json = r.to_json();
+        assert_eq!(back.to_json(), json);
+        for value in 101..=r.phases[1].end_work {
+            assert!(json.contains(&format!(": {value}")), "{value} missing");
+        }
+    }
+
+    #[test]
+    fn a_replayed_report_presents_the_stored_cache_counters() {
+        let cold = every_field_set();
+        let mut warm = cold.clone();
+        warm.replayed = Some(cold.cache);
+        warm.cache = CacheStats {
+            enabled: true,
+            module_hits: 2,
+            build_hits: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(warm.to_json(), cold.to_json());
+        let back = round_trip(&warm).expect("decodes");
+        assert_eq!((back.cache, back.replayed), (cold.cache, None));
+    }
+
+    #[test]
+    fn truncated_and_inflated_records_are_decode_errors() {
+        let mut enc = Encoder::new();
+        every_field_set().encode(&mut enc);
+        let bytes = enc.into_bytes();
+        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                CompileReport::decode(&mut Decoder::new(&bytes[..cut])).is_err(),
+                "cut at {cut}"
+            );
+        }
+        // A phase count far beyond the record ends at the first read
+        // past its end instead of allocating for it.
+        let mut r = every_field_set();
+        r.phases.clear();
+        let mut enc = Encoder::new();
+        r.encode(&mut enc);
+        let mut bomb = enc.into_bytes();
+        bomb.pop();
+        let mut enc = Encoder::new();
+        enc.write_usize(usize::MAX >> 1);
+        bomb.extend_from_slice(&enc.into_bytes());
+        assert!(CompileReport::decode(&mut Decoder::new(&bomb)).is_err());
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn cached_build(
         .expect("build on healthy storage");
     (
         image_string(&out),
-        out.compile_report().to_json(),
+        out.report.to_json(),
         tel.render_trace(),
         bcache.recovered(),
     )

@@ -266,21 +266,6 @@ fn corrupted_cache_falls_back_to_identical_full_recompile() {
 }
 
 #[test]
-fn no_cache_conflicts_with_cache_dir() {
-    let dir = workdir("conflict");
-    let (util, _) = write_sources(&dir);
-    let out = cmocc()
-        .args(["--no-cache", "--cache-dir"])
-        .arg(dir.join("cache"))
-        .arg(&util)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--no-cache conflicts"));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn api_level_cached_build_replays_and_counts_hits() {
     let dir = workdir("api");
     let cache_dir = dir.join("cache");
@@ -314,8 +299,8 @@ fn api_level_cached_build_replays_and_counts_hits() {
         "replayed image differs from the cold build's"
     );
     assert_eq!(
-        cold.compile_report().to_json(),
-        warm.compile_report().to_json(),
+        cold.report.to_json(),
+        warm.report.to_json(),
         "replayed report differs from the cold build's"
     );
     assert_eq!(warm.report.cache.build_hits, 1);
@@ -799,10 +784,7 @@ fn gc_threshold_compacts_during_cached_build_without_changing_output() {
     // The compacted cache still replays byte-for-byte, during the gc
     // run itself and on the next plain warm build.
     assert_eq!(compacted.image.to_bytes(), cold.image.to_bytes());
-    assert_eq!(
-        compacted.compile_report().to_json(),
-        cold.compile_report().to_json()
-    );
+    assert_eq!(compacted.report.to_json(), cold.report.to_json());
     let warm = run(&modules, &options);
     assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
 

@@ -100,11 +100,7 @@ fn tiered_build(
     let out = compiler()
         .build_cached(&opts, &mut bcache)
         .expect("a remote fault must never fail the build");
-    (
-        image_string(&out),
-        out.compile_report().to_json(),
-        tel.render_trace(),
-    )
+    (image_string(&out), out.report.to_json(), tel.render_trace())
 }
 
 fn fresh_local() -> Arc<dyn Storage> {

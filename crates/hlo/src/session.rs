@@ -68,8 +68,6 @@ pub struct HloSession {
     counts: Vec<Option<Vec<u64>>>,
     /// Maintained call-site counts per routine (derived data).
     site_counts: Vec<BTreeMap<u32, u64>>,
-    /// Whether the stored profile was stale for this routine.
-    stale: Vec<bool>,
     pub(crate) stats: HloStats,
     telemetry: Telemetry,
     /// Loader activity absorbed from per-cluster loaders after the
@@ -136,39 +134,29 @@ impl HloSession {
 
         let mut counts = Vec::with_capacity(bodies.len());
         let mut site_counts = Vec::with_capacity(bodies.len());
-        let mut stale = Vec::with_capacity(bodies.len());
         let mut routine_pool = Vec::with_capacity(bodies.len());
         let mut summaries = SummaryTable::default();
         for (i, body) in bodies.iter().enumerate() {
             summaries.push(&RoutineSummary::of(body));
             let rid = RoutineId::from_index(i);
             let name = program.name(program.routine(rid).name);
-            let (blocks, sites, was_stale) = match db {
-                None => (None, BTreeMap::new(), false),
-                Some(db) => {
-                    let current = shape_of(body);
-                    let (freshness, prof) = db.lookup(name, current);
-                    match prof {
-                        None => (None, BTreeMap::new(), false),
-                        Some(p) => {
-                            let was_stale = freshness == cmo_profile::Freshness::Stale;
-                            let mut blocks = p.blocks.clone();
-                            blocks.resize(body.blocks.len(), 0);
-                            let sites: BTreeMap<u32, u64> = p
-                                .sites
-                                .iter()
-                                .enumerate()
-                                .take(body.next_site as usize)
-                                .map(|(s, &c)| (s as u32, c))
-                                .collect();
-                            (Some(blocks), sites, was_stale)
-                        }
-                    }
+            let (blocks, sites) = match db.and_then(|db| db.lookup(name, shape_of(body)).1) {
+                None => (None, BTreeMap::new()),
+                Some(p) => {
+                    let mut blocks = p.blocks.clone();
+                    blocks.resize(body.blocks.len(), 0);
+                    let sites: BTreeMap<u32, u64> = p
+                        .sites
+                        .iter()
+                        .enumerate()
+                        .take(body.next_site as usize)
+                        .map(|(s, &c)| (s as u32, c))
+                        .collect();
+                    (Some(blocks), sites)
                 }
             };
             counts.push(blocks);
             site_counts.push(sites);
-            stale.push(was_stale);
         }
         // Read-in: each module's pools are registered and immediately
         // marked unloadable, so the loader's thresholds govern peak
@@ -206,7 +194,6 @@ impl HloSession {
             summary_bytes,
             counts,
             site_counts,
-            stale,
             stats: HloStats::default(),
             telemetry,
             folded_loader: LoaderStats::default(),
@@ -386,19 +373,6 @@ impl HloSession {
             .unwrap_or(0)
     }
 
-    /// Whether the profile for `rid` was stale (shape changed since
-    /// instrumentation, §6.2).
-    #[must_use]
-    pub fn profile_stale(&self, rid: RoutineId) -> bool {
-        self.stale[rid.index()]
-    }
-
-    /// Returns `true` if any routine had profile counts.
-    #[must_use]
-    pub fn has_profile(&self) -> bool {
-        self.counts.iter().any(Option::is_some)
-    }
-
     pub(crate) fn site_counts_of(&self, rid: RoutineId) -> &BTreeMap<u32, u64> {
         &self.site_counts[rid.index()]
     }
@@ -441,7 +415,6 @@ impl HloSession {
         self.routine_pool.push(pool);
         self.counts.push(counts);
         self.site_counts.push(site_counts);
-        self.stale.push(false);
         Ok(rid)
     }
 

@@ -124,16 +124,6 @@ impl RoutineBody {
         &self.blocks[b.index()]
     }
 
-    /// Exclusive access to a block's data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of range.
-    #[must_use]
-    pub fn block_mut(&mut self, b: Block) -> &mut BlockData {
-        &mut self.blocks[b.index()]
-    }
-
     /// Iterates over `(Block, &BlockData)` in index order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (Block, &BlockData)> {
         self.blocks

@@ -93,15 +93,6 @@ impl Const {
         }
     }
 
-    /// Integer payload, if integral.
-    #[must_use]
-    pub fn as_i64(self) -> Option<i64> {
-        match self {
-            Const::I(v) => Some(v),
-            Const::F(_) => None,
-        }
-    }
-
     /// Returns `true` when this constant is the integer zero or float
     /// positive zero (used as "false" by conditional branches).
     #[must_use]

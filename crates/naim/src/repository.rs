@@ -477,21 +477,6 @@ impl Repository<File> {
         let file = File::options().read(true).write(true).open(path)?;
         Repository::open_backend(file)
     }
-
-    /// Opens the repository at `path`, creating a fresh one when the
-    /// file does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Repository::open`] / [`Repository::create`] errors.
-    pub fn open_or_create<P: AsRef<Path>>(path: P) -> Result<Self, NaimError> {
-        let path = path.as_ref();
-        if path.exists() {
-            Repository::open(path)
-        } else {
-            Repository::create(path)
-        }
-    }
 }
 
 impl<B: RepoBackend> Repository<B> {

@@ -140,13 +140,12 @@ pub trait Storage: fmt::Debug + Send + Sync {
 #[derive(Debug)]
 pub struct DiskStorage {
     root: PathBuf,
-    mmap: bool,
 }
 
 impl DiskStorage {
     /// Opens (creating if needed) the directory `root`. Memory-mapped
-    /// views are served where the platform supports them; disable with
-    /// [`DiskStorage::with_mmap`].
+    /// views are served where the platform supports them, unless
+    /// `CMO_NO_MMAP=1` is set (see [`Storage::map`]).
     ///
     /// # Errors
     ///
@@ -154,17 +153,7 @@ impl DiskStorage {
     pub fn new<P: AsRef<Path>>(root: P) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
-        Ok(DiskStorage { root, mmap: true })
-    }
-
-    /// Enables or disables memory-mapped views. With mmap off every
-    /// read goes through the `pread`-style copy path; reports and
-    /// traces are byte-identical either way (the cost model charges
-    /// fetches by length, not by transport).
-    #[must_use]
-    pub fn with_mmap(mut self, enabled: bool) -> Self {
-        self.mmap = enabled;
-        self
+        Ok(DiskStorage { root })
     }
 
     /// The directory this storage lives in.
@@ -231,12 +220,11 @@ impl Storage for DiskStorage {
     }
 
     fn map(&self, name: &str) -> io::Result<Option<MapView>> {
-        if !self.mmap {
-            return Ok(None);
-        }
         // `CMO_NO_MMAP=1` forces the decline-to-map arm that non-unix
         // builds always take, so CI on unix exercises that path too
-        // (the mmap-on/off byte-identity test runs it explicitly).
+        // (every read then copies through the arena; reports and
+        // traces are byte-identical either way, which the mmap-on/off
+        // byte-identity test checks).
         if std::env::var_os("CMO_NO_MMAP").is_some_and(|v| v == "1") {
             return Ok(None);
         }

@@ -80,12 +80,6 @@ pub struct SelectionPlan {
 }
 
 impl SelectionPlan {
-    /// Returns `true` if `m` was selected for CMO.
-    #[must_use]
-    pub fn is_cmo_module(&self, m: ModuleId) -> bool {
-        self.cmo_modules.contains(&m)
-    }
-
     /// Returns `true` if `r` is eligible for aggressive optimization.
     #[must_use]
     pub fn is_hot(&self, r: RoutineId) -> bool {

@@ -57,7 +57,7 @@ fn main() -> Result<(), cmo::BuildError> {
     );
     println!(
         "optimizer peak memory: {} KiB (loader: {} compactions, {} offloads)",
-        report.peak_memory.peak_total / 1024,
+        report.memory.peak_total / 1024,
         report.loader.compactions,
         report.loader.offload_writes
     );

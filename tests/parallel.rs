@@ -45,7 +45,7 @@ fn build_at(jobs: usize) -> (String, String, Vec<u8>) {
         .iter()
         .flat_map(|w| format!("{w:?};").into_bytes())
         .collect();
-    (out.compile_report().to_json(), tel.render_trace(), code)
+    (out.report.to_json(), tel.render_trace(), code)
 }
 
 #[test]
@@ -121,7 +121,7 @@ fn multi_cluster_build(jobs: usize) -> (String, String, Vec<u8>) {
         .iter()
         .flat_map(|w| format!("{w:?};").into_bytes())
         .collect();
-    (out.compile_report().to_json(), tel.render_trace(), code)
+    (out.report.to_json(), tel.render_trace(), code)
 }
 
 #[test]

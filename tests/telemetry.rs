@@ -21,7 +21,7 @@ fn instrumented_build(seed: u64) -> (String, String) {
         .with_naim(NaimConfig::with_budget(24 << 10))
         .with_telemetry(tel.clone());
     let out = cc.build(&opts).unwrap();
-    (out.compile_report().to_json(), tel.render_trace())
+    (out.report.to_json(), tel.render_trace())
 }
 
 #[test]

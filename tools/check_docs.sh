@@ -6,7 +6,7 @@
 #
 # Builds target/release/cmocc when no binary is given. Exits non-zero
 # on the first invocation that fails or documented claim that does not
-# hold (warm-cache report replay, mmap on/off byte identity).
+# hold (warm-cache report replay, mmap on/declined byte identity).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -87,9 +87,11 @@ cmp cold.json warm.json || { echo "check_docs: warm cache report differs from co
 [[ "$(cd .cmo-cache && cksum repo.naim manifest.tsv commit.journal)" == "$committed" ]] \
     || { echo "check_docs: the warm build rewrote the cache it only read" >&2; exit 1; }
 
-# --- Zero-copy toggle: --no-mmap must not change the report ---
-run +O4 --cache-dir .cmo-cache-plain --no-mmap --report-json plain.json lib.mlc app.mlc
-cmp cold.json plain.json || { echo "check_docs: --no-mmap changed the report" >&2; exit 1; }
+# --- Zero-copy toggle: declining the mmap (CMO_NO_MMAP=1) must not change the report ---
+step=$((step + 1))
+echo "check_docs [$step]: CMO_NO_MMAP=1 cmocc +O4 --cache-dir .cmo-cache-nomap --report-json nomap.json lib.mlc app.mlc"
+env CMO_NO_MMAP=1 "$cmocc" +O4 --cache-dir .cmo-cache-nomap --report-json nomap.json lib.mlc app.mlc
+cmp cold.json nomap.json || { echo "check_docs: CMO_NO_MMAP=1 changed the report" >&2; exit 1; }
 
 # --- Cache compaction: --gc-cache shrinks repo.naim, replay intact ---
 # (An edit commits a second generation; its index segment orphans the
@@ -104,12 +106,6 @@ after=$(wc -c < .cmo-cache/repo.naim)
     || { echo "check_docs: --gc-cache did not shrink repo.naim ($before -> $after)" >&2; exit 1; }
 run +O4 --cache-dir .cmo-cache --report-json gc-warm.json lib.mlc app.mlc
 cmp cold.json gc-warm.json || { echo "check_docs: post-gc warm report differs from cold" >&2; exit 1; }
-
-# --- Declined mmap (CMO_NO_MMAP=1) must not change the report ---
-step=$((step + 1))
-echo "check_docs [$step]: CMO_NO_MMAP=1 cmocc +O4 --cache-dir .cmo-cache-nomap --report-json nomap.json lib.mlc app.mlc"
-env CMO_NO_MMAP=1 "$cmocc" +O4 --cache-dir .cmo-cache-nomap --report-json nomap.json lib.mlc app.mlc
-cmp cold.json nomap.json || { echo "check_docs: CMO_NO_MMAP=1 changed the report" >&2; exit 1; }
 
 # --- A retrain reuses every front-end object; only the build re-runs ---
 run -c util.mlc hot.mlc prog.mlc
@@ -177,11 +173,13 @@ run +O4 --cache-dir .cmo-cache-r3 --remote-cache "$addr" --remote-timeout-ms 200
 grep -q '"breaker_open": true' rc-dead.json \
     || { echo "check_docs: dead-daemon build did not record the demotion" >&2; exit 1; }
 
-# --- --no-cache conflicts with --cache-dir (usage error, exit 2) ---
-set +e
-"$cmocc" +O4 --no-cache --cache-dir .cmo-cache lib.mlc app.mlc 2>/dev/null
-rc=$?
-set -e
-[[ $rc -eq 2 ]] || { echo "check_docs: --no-cache with --cache-dir should exit 2, got $rc" >&2; exit 1; }
+# --- Removed flags are unknown options (usage error, exit 2) ---
+for flag in --no-cache --no-mmap; do
+    set +e
+    "$cmocc" +O4 "$flag" --cache-dir .cmo-cache lib.mlc app.mlc 2>/dev/null
+    rc=$?
+    set -e
+    [[ $rc -eq 2 ]] || { echo "check_docs: $flag should exit 2, got $rc" >&2; exit 1; }
+done
 
 echo "check_docs: all $step documented invocations behave as described"

@@ -12,11 +12,12 @@
 //! * **derived ratios** (speedups, reduction percentages) — also
 //!   informational floats.
 //!
-//! The parser below handles exactly the JSON subset the writer emits
-//! (objects, arrays, strings, numbers, booleans, null) so the harness
-//! stays dependency-free.
+//! Snapshots are written through the workspace's one JSON writer,
+//! [`cmo_telemetry::json::JsonWriter`]. The parser below handles exactly
+//! the JSON subset that writer emits (objects, arrays, strings, numbers,
+//! booleans, null) so the harness stays dependency-free.
 
-use std::fmt::Write as _;
+use cmo_telemetry::json::JsonWriter;
 use std::path::Path;
 
 /// Schema tag stamped into every benchmark snapshot.
@@ -93,33 +94,28 @@ impl BenchReport {
     /// hand-rolled parser on the other end.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",");
-        let _ = writeln!(out, "  \"figure\": \"{}\",", self.figure);
-        let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": \"{}\",", row.name);
-            out.push_str("      \"metrics\": {\n");
-            for (j, (key, value)) in row.metrics.iter().enumerate() {
-                let comma = if j + 1 == row.metrics.len() { "" } else { "," };
-                match value {
-                    BenchValue::Int(v) => {
-                        let _ = writeln!(out, "        \"{key}\": {v}{comma}");
-                    }
-                    BenchValue::Float(v) => {
-                        let _ = writeln!(out, "        \"{key}\": {v:.3}{comma}");
-                    }
+        let mut w = JsonWriter::new();
+        w.begin_obj(None);
+        w.field_str("schema", BENCH_SCHEMA);
+        w.field_str("figure", self.figure);
+        w.field_str("mode", self.mode);
+        w.begin_arr(Some("rows"));
+        for row in &self.rows {
+            w.begin_obj(None);
+            w.field_str("name", &row.name);
+            w.begin_obj(Some("metrics"));
+            for (key, value) in &row.metrics {
+                match *value {
+                    BenchValue::Int(v) => w.field_u64(key, v),
+                    BenchValue::Float(v) => w.field_f64(key, v),
                 }
             }
-            out.push_str("      }\n");
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let _ = writeln!(out, "    }}{comma}");
+            w.end_obj();
+            w.end_obj();
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.end_arr();
+        w.end_obj();
+        w.finish()
     }
 
     /// Writes the snapshot to `path`, creating parent directories.
@@ -410,6 +406,43 @@ mod tests {
             Some(123_456.0)
         );
         assert_eq!(metrics.get("wall_ms_j1").and_then(Json::as_num), Some(12.5));
+    }
+
+    /// The snapshot layout, byte for byte, as the committed baselines
+    /// were written.
+    #[test]
+    fn report_json_matches_the_golden_layout() {
+        let mut report = BenchReport::new("fig7", false);
+        let mut cold = BenchRow::new("cold");
+        cold.int("work_units", 94_677).float("wall_ms", 12.5);
+        let mut warm = BenchRow::new("warm");
+        warm.float("speedup", 2.0 / 3.0)
+            .int("repo_bytes_appended", 0);
+        report.rows.extend([cold, warm]);
+        let golden = concat!(
+            "{\n",
+            "  \"schema\": \"cmo.bench.v1\",\n",
+            "  \"figure\": \"fig7\",\n",
+            "  \"mode\": \"full\",\n",
+            "  \"rows\": [\n",
+            "    {\n",
+            "      \"name\": \"cold\",\n",
+            "      \"metrics\": {\n",
+            "        \"work_units\": 94677,\n",
+            "        \"wall_ms\": 12.500\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"warm\",\n",
+            "      \"metrics\": {\n",
+            "        \"speedup\": 0.667,\n",
+            "        \"repo_bytes_appended\": 0\n",
+            "      }\n",
+            "    }\n",
+            "  ]\n",
+            "}\n",
+        );
+        assert_eq!(report.to_json(), golden);
     }
 
     #[test]

@@ -69,9 +69,9 @@
 //! | 101 | internal bug (uncontained panic) |
 
 use cmo::{
-    build_objects, BuildCache, BuildError, BuildOptions, CompileReport, DiskStorage, FaultStats,
-    ModuleInput, NaimConfig, OptLevel, ProfileDb, RemoteStorage, RetryPolicy, Storage,
-    TcpTransport, Telemetry, TieredStorage, TraceEvent,
+    BuildCache, BuildError, BuildOptions, CompileReport, DiskStorage, FaultStats, ModuleInput,
+    NaimConfig, OptLevel, ProfileDb, RemoteStorage, RetryPolicy, Storage, TcpTransport, Telemetry,
+    TieredStorage, TraceEvent,
 };
 use cmo_ir::IlObject;
 use std::path::{Path, PathBuf};
@@ -424,63 +424,6 @@ fn absorb_failures<T>(
     Ok(())
 }
 
-/// Reads, and if necessary compiles, one input file. Returns the IL
-/// object plus the `.cmo` path written in `-c` mode (reported by the
-/// caller in input order, so the output is stable at any `-j`).
-fn load_one(path: &Path, compile_only: bool) -> Result<(IlObject, Option<PathBuf>), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    if IlObject::is_il_object(&bytes) {
-        let obj = IlObject::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        return Ok((obj, None));
-    }
-    let source = String::from_utf8(bytes).map_err(|_| {
-        format!(
-            "{} is neither an IL object nor UTF-8 source",
-            path.display()
-        )
-    })?;
-    let module = module_name(path);
-    maybe_injected_panic(&module);
-    let obj =
-        cmo::compile_module(&module, &source).map_err(|e| format!("{}:{e}", path.display()))?;
-    let mut written = None;
-    if compile_only {
-        let out = path.with_extension("cmo");
-        std::fs::write(&out, obj.to_bytes())
-            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-        written = Some(out);
-    }
-    Ok((obj, written))
-}
-
-/// Loads every input, fanning front-end compilation out over the `-j`
-/// worker pool. Results merge in input order: with several bad inputs
-/// the diagnostic is always the first by position, and `-c` progress
-/// lines print in input order, independent of scheduling.
-fn load_objects(
-    cli: &Cli,
-    tel: &Telemetry,
-    faults: &mut FaultStats,
-) -> Result<Vec<IlObject>, Failure> {
-    let results = cmo::try_run_jobs(cli.inputs.len(), cli.jobs, |_, i| {
-        load_one(&cli.inputs[i], cli.compile_only)
-    });
-    let mut objects = Vec::with_capacity(cli.inputs.len());
-    absorb_failures(
-        cli,
-        tel,
-        faults,
-        flatten(results, |i| i),
-        |_, (obj, written)| {
-            if let Some(out) = written {
-                println!("wrote {}", out.display());
-            }
-            objects.push(obj);
-        },
-    )?;
-    Ok(objects)
-}
-
 /// Reads and classifies one input file: a pre-compiled IL object, or
 /// MLC source still to be compiled (or found in the cache).
 fn read_one(path: &Path) -> Result<ModuleInput, String> {
@@ -520,19 +463,22 @@ fn flatten<T>(
         .collect()
 }
 
-/// [`load_objects`] with the incremental cache in the loop: inputs are
-/// read and classified over the worker pool, then handed to the
-/// driver's cached front end ([`cmo::Compiler::add_inputs_cached`]) —
-/// the same probe → defer flow the library's `add_sources_cached_with`
-/// runs, with this binary's compile step plugged in: sources compile
-/// over the `-j` pool, and a failing one is reported or, under
-/// `--keep-going`, absorbed (it then contributes no module and no
-/// fingerprint). Cache hits stay undecoded in the returned driver
-/// until the link — or `-c`'s object writer — needs them.
-fn load_objects_cached(
+/// Loads every input into a driver: inputs are read and classified
+/// over the worker pool, then handed to the driver's front end
+/// ([`cmo::Compiler::add_inputs`]) — the probe → defer flow the
+/// library's `add_sources*` methods run, with or without a cache, with
+/// this binary's compile step plugged in: sources compile over the `-j`
+/// pool, and a failing one is reported or, under `--keep-going`,
+/// absorbed (it then contributes no module and no fingerprint). Results
+/// merge in input order, so with several bad inputs the diagnostic is
+/// the first by position, independent of scheduling; an unreadable
+/// input is reported before any compile diagnostic. Cache hits stay
+/// undecoded in the returned driver until the link — or `-c`'s object
+/// writer, which writes nothing unless the batch succeeds (or
+/// `--keep-going` absorbs its failures) — needs them.
+fn load_inputs(
     cli: &Cli,
-    options: &BuildOptions,
-    bcache: &mut BuildCache,
+    mut bcache: Option<&mut BuildCache>,
     tel: &Telemetry,
     faults: &mut FaultStats,
 ) -> Result<cmo::Compiler, Failure> {
@@ -551,7 +497,7 @@ fn load_objects_cached(
         .collect();
     let mut kept = vec![true; inputs.len()];
     let mut cc = cmo::Compiler::new();
-    cc.add_inputs_cached::<Failure>(inputs, options, bcache, &mut |inputs, which| {
+    cc.add_inputs::<Failure>(inputs, bcache.as_deref_mut(), tel, &mut |inputs, which| {
         let compiled = cmo::try_run_jobs(which.len(), cli.jobs, |_, k| {
             let ModuleInput::Source { module, source } = &inputs[which[k]] else {
                 unreachable!("only source inputs are compiled");
@@ -570,7 +516,7 @@ fn load_objects_cached(
     })?;
     if cli.compile_only {
         let survivors = (0..kept.len()).filter(|&k| kept[k]);
-        let objects = cc.objects(Some(bcache), tel).map_err(|e| e.to_string())?;
+        let objects = cc.objects(bcache, tel).map_err(|e| e.to_string())?;
         for (k, obj) in survivors.zip(&objects) {
             if is_source[k] {
                 let out = cli.inputs[paths[k]].with_extension("cmo");
@@ -581,13 +527,6 @@ fn load_objects_cached(
         }
     }
     Ok(cc)
-}
-
-/// What the load stage hands the build: a driver whose cache hits are
-/// still pending, or (no cache) the objects themselves.
-enum Loaded {
-    Cached(cmo::Compiler),
-    Objects(Vec<IlObject>),
 }
 
 /// The exit code of a run that otherwise succeeded: 3 when the cache
@@ -720,18 +659,9 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
         options = options.with_naim(NaimConfig::with_budget(bytes));
     }
     let mut faults = FaultStats::default();
-    let loaded = {
+    let cc = {
         let _parse = tel.phase("parse");
-        match bcache.as_mut() {
-            Some(cache) => Loaded::Cached(load_objects_cached(
-                cli,
-                &options,
-                cache,
-                &tel,
-                &mut faults,
-            )?),
-            None => Loaded::Objects(load_objects(cli, &tel, &mut faults)?),
-        }
+        load_inputs(cli, bcache.as_mut(), &tel, &mut faults)?
     };
     if !faults.degraded.is_empty() {
         write_degraded_outputs(cli, &tel, bcache.as_mut(), &faults)?;
@@ -752,23 +682,9 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
         }
         return Ok(success_code(bcache.as_ref()));
     }
-    // The driver `--isolate` bisects over: the cached one as it is, or
-    // the uncached objects added to a fresh one.
-    let (built, isolate_cc) = match loaded {
-        Loaded::Cached(cc) => {
-            let cache = bcache.as_mut().expect("a cached load went through a cache");
-            (cc.build_cached(&options, cache), cli.isolate.then_some(cc))
-        }
-        Loaded::Objects(objects) => {
-            let isolate_cc = cli.isolate.then(|| {
-                let mut cc = cmo::Compiler::new();
-                for obj in &objects {
-                    cc.add_object(obj.clone());
-                }
-                cc
-            });
-            (build_objects(objects, &options), isolate_cc)
-        }
+    let built = match bcache.as_mut() {
+        Some(cache) => cc.build_cached(&options, cache),
+        None => cc.build(&options),
     };
     let out = built.map_err(|e| match e {
         BuildError::Naim(inner) => {
@@ -867,7 +783,7 @@ fn run_cli(cli: &Cli) -> Result<u8, Failure> {
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             println!("wrote profile database to {}", path.display());
         }
-        if let Some(cc) = isolate_cc {
+        if cli.isolate {
             let isolation =
                 cmo::isolate_inline_ops(&cc, &options, input).map_err(|e| e.to_string())?;
             match isolation.report.first_faulty_op {

@@ -316,7 +316,7 @@ type Probe<T> = (&'static str, u64, Option<(ContentHash, T)>);
 /// A persistent build cache rooted at a directory.
 ///
 /// Opened by `cmocc --cache-dir` (or [`BuildCache::open`] directly),
-/// consulted by [`crate::Compiler::add_inputs_cached`] for per-module
+/// consulted by [`crate::Compiler::add_inputs`] for per-module
 /// front-end reuse and by [`crate::Compiler::build_cached`] for
 /// whole-build replay, and flushed with [`BuildCache::persist`].
 #[derive(Debug)]
@@ -358,17 +358,7 @@ impl BuildCache {
     /// directory, permission problems) — never for stale or corrupt
     /// cache *content*.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<BuildCache, NaimError> {
-        BuildCache::open_traced(dir, &Telemetry::disabled())
-    }
-
-    /// [`BuildCache::open`] with a telemetry sink, so crash-recovery
-    /// repairs show up as `recover` events in the trace.
-    ///
-    /// # Errors
-    ///
-    /// As [`BuildCache::open`].
-    pub fn open_traced<P: AsRef<Path>>(dir: P, tel: &Telemetry) -> Result<BuildCache, NaimError> {
-        BuildCache::open_on(Arc::new(DiskStorage::new(dir)?), tel)
+        BuildCache::open_on(Arc::new(DiskStorage::new(dir)?), &Telemetry::disabled())
     }
 
     /// Opens the cache over any [`Storage`] — the seam the fault-

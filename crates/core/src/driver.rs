@@ -284,11 +284,11 @@ impl BuildOutput {
     }
 }
 
-/// One input of a cached front-end batch
-/// ([`Compiler::add_inputs_cached`]).
+/// One input of a front-end batch ([`Compiler::add_inputs`]).
 #[derive(Debug, Clone)]
 pub enum ModuleInput {
-    /// MLC source: probed in the cache, compiled on a miss.
+    /// MLC source: probed in the cache when there is one, compiled on a
+    /// miss.
     Source {
         /// The module's name.
         module: String,
@@ -300,9 +300,9 @@ pub enum ModuleInput {
     Object(IlObject),
 }
 
-/// The compile step of a cached front-end batch
-/// ([`Compiler::add_inputs_cached`]): compiles the source inputs at the
-/// given positions, one result entry per position.
+/// The compile step of a front-end batch ([`Compiler::add_inputs`]):
+/// compiles the source inputs at the given positions, one result entry
+/// per position.
 pub type CompileStep<'a, E> =
     dyn FnMut(&[ModuleInput], &[usize]) -> Result<Vec<Option<IlObject>>, E> + 'a;
 
@@ -363,22 +363,15 @@ impl Compiler {
         Self::default()
     }
 
-    fn push_ready(&mut self, fingerprint: String, obj: IlObject) {
-        self.slots.push(ModuleSlot {
-            fingerprint,
-            object: SlotObject::Ready(obj),
-        });
-    }
-
     /// Compiles an MLC source module and adds its IL object.
     ///
     /// # Errors
     ///
     /// Returns frontend diagnostics.
     pub fn add_source(&mut self, module: &str, source: &str) -> Result<(), BuildError> {
-        let obj = compile(module, source)?;
-        self.push_ready(cache::module_fingerprint(module, source), obj);
-        Ok(())
+        let modules = [(module.to_owned(), source.to_owned())];
+        self.add_sources_with(&modules, 1, None, &Telemetry::disabled())
+            .map(drop)
     }
 
     /// Compiles a batch of MLC source modules, fanning front-end
@@ -396,22 +389,15 @@ impl Compiler {
         modules: &[(String, String)],
         jobs: usize,
     ) -> Result<(), BuildError> {
-        let objects = run_jobs(modules.len(), jobs.max(1), |_, i| {
-            compile(&modules[i].0, &modules[i].1)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        for (obj, (module, source)) in objects.into_iter().zip(modules) {
-            self.push_ready(cache::module_fingerprint(module, source), obj);
-        }
-        Ok(())
+        self.add_sources_with(modules, jobs, None, &Telemetry::disabled())
+            .map(drop)
     }
 
     /// Like [`Compiler::add_sources`], but consults `cache` first:
     /// modules whose fingerprint hits skip the front end entirely and
     /// reuse the cached IL object; misses compile over `options.jobs`
     /// workers and are stored for next time. Returns the number of
-    /// cache hits. See [`Compiler::add_inputs_cached`].
+    /// cache hits. See [`Compiler::add_inputs`].
     ///
     /// # Errors
     ///
@@ -423,6 +409,18 @@ impl Compiler {
         options: &BuildOptions,
         bcache: &mut BuildCache,
     ) -> Result<usize, BuildError> {
+        self.add_sources_with(modules, options.jobs, Some(bcache), &options.telemetry)
+    }
+
+    /// The library's compile step: [`Compiler::add_inputs`] over source
+    /// modules, compiling the misses over `jobs` workers.
+    fn add_sources_with(
+        &mut self,
+        modules: &[(String, String)],
+        jobs: usize,
+        bcache: Option<&mut BuildCache>,
+        tel: &Telemetry,
+    ) -> Result<usize, BuildError> {
         // The copy is what a pending slot keeps its source in.
         let inputs = modules
             .iter()
@@ -431,12 +429,10 @@ impl Compiler {
                 source: source.clone(),
             })
             .collect();
-        self.add_inputs_cached(inputs, options, bcache, &mut |inputs, which| {
-            run_jobs(which.len(), options.jobs.max(1), |_, k| {
-                match &inputs[which[k]] {
-                    ModuleInput::Source { module, source } => compile(module, source).map(Some),
-                    ModuleInput::Object(_) => unreachable!("only source inputs are compiled"),
-                }
+        self.add_inputs(inputs, bcache, tel, &mut |inputs, which| {
+            run_jobs(which.len(), jobs.max(1), |_, k| match &inputs[which[k]] {
+                ModuleInput::Source { module, source } => compile(module, source).map(Some),
+                ModuleInput::Object(_) => unreachable!("only source inputs are compiled"),
             })
             .into_iter()
             .collect::<Result<_, _>>()
@@ -444,35 +440,35 @@ impl Compiler {
         })
     }
 
-    /// The cached front end over classified inputs, with the caller's
-    /// compile step: `compile(inputs, which)` compiles the source
-    /// inputs at positions `which` (over whatever worker pool it likes)
-    /// and returns one entry per position — `None` for a module the
-    /// caller chose to drop (`cmocc --keep-going`), which then gets no
-    /// slot and no cache entry — or an error, which abandons the batch
-    /// with nothing added.
+    /// The front end over classified inputs, with the caller's compile
+    /// step: `compile(inputs, which)` compiles the source inputs at
+    /// positions `which` (over whatever worker pool it likes) and
+    /// returns one entry per position — `None` for a module the caller
+    /// chose to drop (`cmocc --keep-going`), which then gets no slot
+    /// and no cache entry — or an error, which abandons the batch with
+    /// nothing added.
     ///
-    /// This is the one implementation of the probe → defer flow that
-    /// [`Compiler::add_sources_cached_with`] and `cmocc` go through:
-    /// fingerprint every input on its content alone (front-end objects
-    /// do not depend on the profile, so it never enters a module key),
-    /// probe the module tier in input order, keeping each hit as
-    /// pending bytes, then compile and store the misses. All cache
-    /// traffic happens on the calling thread in input order, so traces
-    /// stay deterministic at every job count. Returns the number of
-    /// cache hits.
+    /// This is the one way modules enter a driver — every `add_source*`
+    /// method and `cmocc` go through it. Every input is fingerprinted
+    /// on its content alone (front-end objects do not depend on the
+    /// profile, so it never enters a module key). With a cache, the
+    /// module tier is probed in input order, each hit kept as pending
+    /// bytes, and only the misses compiled and stored; without one,
+    /// every source input is compiled and nothing is probed or stored.
+    /// All cache traffic happens on the calling thread in input order,
+    /// so traces stay deterministic at every job count. Returns the
+    /// number of cache hits.
     ///
     /// # Errors
     ///
     /// Whatever `compile` returns.
-    pub fn add_inputs_cached<E>(
+    pub fn add_inputs<E>(
         &mut self,
         inputs: Vec<ModuleInput>,
-        options: &BuildOptions,
-        bcache: &mut BuildCache,
+        mut bcache: Option<&mut BuildCache>,
+        tel: &Telemetry,
         compile: &mut CompileStep<'_, E>,
     ) -> Result<usize, E> {
-        let tel = &options.telemetry;
         let fps: Vec<String> = inputs
             .iter()
             .map(|input| match input {
@@ -487,7 +483,10 @@ impl Compiler {
         // A hit stays pending; objects need no entry.
         for (i, input) in inputs.iter().enumerate() {
             if let ModuleInput::Source { module, .. } = input {
-                match bcache.get_module(module, &fps[i], tel) {
+                let hit = bcache
+                    .as_deref_mut()
+                    .and_then(|bcache| bcache.get_module(module, &fps[i], tel));
+                match hit {
                     Some(hit) => hits[i] = Some(hit),
                     None => misses.push(i),
                 }
@@ -496,7 +495,9 @@ impl Compiler {
         let n_hits = hits.iter().flatten().count();
         let mut fresh: Vec<Option<IlObject>> = vec![None; inputs.len()];
         for (&i, obj) in misses.iter().zip(compile(&inputs, &misses)?) {
-            if let (ModuleInput::Source { module, .. }, Some(obj)) = (&inputs[i], &obj) {
+            if let (Some(bcache), ModuleInput::Source { module, .. }, Some(obj)) =
+                (bcache.as_deref_mut(), &inputs[i], &obj)
+            {
                 bcache.put_module(module, &fps[i], obj, tel);
             }
             fresh[i] = obj;
@@ -520,13 +521,6 @@ impl Compiler {
             });
         }
         Ok(n_hits)
-    }
-
-    /// Adds a pre-compiled IL object (e.g. read back from disk, the
-    /// `make` flow of §6.1).
-    pub fn add_object(&mut self, obj: IlObject) {
-        let fingerprint = cache::object_fingerprint(&obj.module_name, &obj.to_bytes());
-        self.push_ready(fingerprint, obj);
     }
 
     /// Number of modules added.
@@ -592,7 +586,7 @@ impl Compiler {
     /// Link errors, optimizer out-of-memory (hard NAIM limit), or a
     /// missing `main`.
     pub fn build(&self, options: &BuildOptions) -> Result<BuildOutput, BuildError> {
-        build_objects(self.objects(None, &options.telemetry)?, options)
+        build_objects_with(self.objects(None, &options.telemetry)?, options, None)
     }
 
     /// Like [`Compiler::build`], but with the incremental cache in the
@@ -712,20 +706,6 @@ fn call_arcs(calls: impl Iterator<Item = (RoutineId, RoutineId, u64)>) -> Vec<Ca
         .collect()
 }
 
-/// Builds a set of IL objects at the requested options. This is the
-/// paper's "linker encounters IL objects and sends them to the
-/// optimizer and code generator" flow.
-///
-/// # Errors
-///
-/// See [`Compiler::build`].
-pub fn build_objects(
-    objects: Vec<IlObject>,
-    options: &BuildOptions,
-) -> Result<BuildOutput, BuildError> {
-    build_objects_with(objects, options, None)
-}
-
 /// One live routine's passage through the code tier.
 struct CodeUse {
     key: CodeKey,
@@ -736,9 +716,12 @@ struct CodeUse {
     damaged: bool,
 }
 
-/// [`build_objects`], with the incremental cache's code tier in the LLO
-/// stage when there is a cache: each live routine is looked up under
-/// its id-free key in its module's slot and lowered only on a miss.
+/// Builds a set of IL objects at the requested options: the paper's
+/// "linker encounters IL objects and sends them to the optimizer and
+/// code generator" flow, behind [`Compiler::build`] and
+/// [`Compiler::build_cached`]. With a cache, its code tier sits in the
+/// LLO stage: each live routine is looked up under its id-free key in
+/// its module's slot and lowered only on a miss.
 fn build_objects_with(
     objects: Vec<IlObject>,
     options: &BuildOptions,

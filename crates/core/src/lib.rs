@@ -60,8 +60,7 @@ pub use cache::{
     CachedObject, GcStats, CACHE_FORMAT,
 };
 pub use driver::{
-    build_objects, BuildError, BuildOptions, BuildOutput, CompileStep, Compiler, ModuleInput,
-    OptLevel,
+    BuildError, BuildOptions, BuildOutput, CompileStep, Compiler, ModuleInput, OptLevel,
 };
 pub use isolate::{isolate_faulty_op, isolate_inline_ops, InlineIsolation, IsolationReport};
 pub use parallel::{default_jobs, run_jobs, try_run_jobs, JobError};

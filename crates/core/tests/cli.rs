@@ -435,3 +435,188 @@ fn builds_under_memory_pressure() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// What one front-door run left behind: the last step's exit code,
+/// every step's stdout and stderr, and its working directory.
+struct Door {
+    code: Option<i32>,
+    stdout: String,
+    stderr: String,
+    dir: PathBuf,
+}
+
+impl Door {
+    /// The `.cmo` objects in the working directory, by name.
+    fn objects(&self) -> Vec<(String, Vec<u8>)> {
+        let mut objects: Vec<(String, Vec<u8>)> = std::fs::read_dir(&self.dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "cmo"))
+            .map(|path| {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        objects.sort();
+        objects
+    }
+
+    /// Stdout without the lines that name where things were written or
+    /// count cache traffic, which only one of the two modes has.
+    fn stdout_sans_cache(&self) -> Vec<&str> {
+        self.stdout
+            .lines()
+            .filter(|line| !line.starts_with("wrote ") && !line.contains("  cache: "))
+            .collect()
+    }
+}
+
+/// Runs `steps` at `-j<jobs>` in a fresh directory holding `files`,
+/// with relative paths (so diagnostics name the same files in both
+/// modes) and, when `cached`, a fresh `--cache-dir` shared by the
+/// steps. Sources and objects enter `cmocc` through one flow, with or
+/// without a cache, so the two modes must agree.
+fn door(tag: &str, jobs: &str, cached: bool, files: &[(&str, &str)], steps: &[&[&str]]) -> Door {
+    let mode = if cached { "cached" } else { "plain" };
+    let dir = workdir(&format!("door-{tag}-j{jobs}-{mode}"));
+    for (name, text) in files {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+    let mut run = Door {
+        code: None,
+        stdout: String::new(),
+        stderr: String::new(),
+        dir,
+    };
+    for step in steps {
+        let mut cmd = cmocc();
+        cmd.current_dir(&run.dir).args(["-j", jobs]).args(*step);
+        if cached {
+            cmd.args(["--cache-dir", "cache"]);
+        }
+        let out = cmd.output().unwrap();
+        run.code = out.status.code();
+        run.stdout.push_str(&String::from_utf8_lossy(&out.stdout));
+        run.stderr.push_str(&String::from_utf8_lossy(&out.stderr));
+    }
+    run
+}
+
+/// Both modes of one front-door scenario at one worker count.
+fn both_doors(tag: &str, jobs: &str, files: &[(&str, &str)], steps: &[&[&str]]) -> [Door; 2] {
+    [false, true].map(|cached| door(tag, jobs, cached, files, steps))
+}
+
+const BROKEN: &str = "fn main( { }";
+
+#[test]
+fn an_unreadable_input_is_reported_before_compile_diagnostics_with_or_without_a_cache() {
+    for jobs in ["1", "4"] {
+        let files = [("bad.mlc", BROKEN)];
+        let [plain, cached] =
+            both_doors("unreadable", jobs, &files, &[&["bad.mlc", "missing.mlc"]]);
+        for run in [&plain, &cached] {
+            assert_eq!(run.code, Some(1), "-j{jobs}: {}", run.stderr);
+            let first = run.stderr.lines().next().unwrap_or_default();
+            assert!(
+                first.starts_with("cmocc: cannot read missing.mlc"),
+                "-j{jobs}: {first}"
+            );
+        }
+        assert_eq!(plain.stderr, cached.stderr, "-j{jobs}");
+    }
+}
+
+#[test]
+fn compile_only_writes_nothing_from_a_failed_batch_with_or_without_a_cache() {
+    let files = [
+        ("good0.mlc", "fn main() -> int { return 0; }\n"),
+        ("bad.mlc", BROKEN),
+        ("good2.mlc", LIB),
+    ];
+    let batch = ["-c", "good0.mlc", "bad.mlc", "good2.mlc"];
+    for jobs in ["1", "4"] {
+        let [plain, cached] = both_doors("cfail", jobs, &files, &[&batch]);
+        for run in [&plain, &cached] {
+            assert_eq!(run.code, Some(1), "-j{jobs}: {}", run.stderr);
+            assert!(
+                run.objects().is_empty(),
+                "-j{jobs}: a failed batch wrote objects"
+            );
+        }
+        assert_eq!(plain.stderr, cached.stderr, "-j{jobs}");
+
+        // Under --keep-going the survivors, and only they, are written.
+        let keep_going = [&batch[..], &["--keep-going"]].concat();
+        let [plain, cached] = both_doors("ckeep", jobs, &files, &[&keep_going]);
+        for run in [&plain, &cached] {
+            assert_eq!(run.code, Some(1), "-j{jobs}: {}", run.stderr);
+            let names: Vec<String> = run.objects().into_iter().map(|(name, _)| name).collect();
+            assert_eq!(names, ["good0.cmo", "good2.cmo"], "-j{jobs}");
+        }
+        assert_eq!(plain.objects(), cached.objects(), "-j{jobs}");
+        assert_eq!(plain.stdout, cached.stdout, "-j{jobs}");
+    }
+}
+
+#[test]
+fn the_make_flow_links_the_same_image_with_or_without_a_cache() {
+    let files = [
+        ("lib.mlc", LIB),
+        ("app.mlc", APP),
+        ("extra.mlc", "fn spare(x: int) -> int { return x - 1; }\n"),
+    ];
+    let steps: &[&[&str]] = &[
+        &["-c", "lib.mlc", "app.mlc"],
+        &[
+            "+I",
+            "--run",
+            "500",
+            "--profile-out",
+            "train.db",
+            "lib.cmo",
+            "app.cmo",
+        ],
+        &[
+            "+O4",
+            "+P",
+            "train.db",
+            "--report",
+            "--emit-asm",
+            "--run",
+            "500",
+            "lib.cmo",
+            "app.cmo",
+            "extra.mlc",
+        ],
+    ];
+    for jobs in ["1", "4"] {
+        let [plain, cached] = both_doors("make", jobs, &files, steps);
+        for run in [&plain, &cached] {
+            assert_eq!(run.code, Some(0), "-j{jobs}: {}", run.stderr);
+        }
+        assert!(cached.stdout.contains("  cache: "), "-j{jobs}");
+        assert!(plain.stdout.contains("ran main: returned"), "-j{jobs}");
+        assert_eq!(
+            plain.stdout_sans_cache(),
+            cached.stdout_sans_cache(),
+            "-j{jobs}"
+        );
+        assert_eq!(plain.objects(), cached.objects(), "-j{jobs}");
+    }
+}
+
+#[test]
+fn isolate_reports_the_same_search_with_or_without_a_cache() {
+    let files = [("lib.mlc", LIB), ("app.mlc", APP)];
+    let isolate = ["+O4", "--run", "50", "--isolate", "lib.mlc", "app.mlc"];
+    for jobs in ["1", "4"] {
+        let [plain, cached] = both_doors("isolate", jobs, &files, &[&isolate]);
+        let isolated = |run: &Door| -> String {
+            assert_eq!(run.code, Some(0), "-j{jobs}: {}", run.stderr);
+            let line = run.stdout.lines().find(|l| l.starts_with("isolated: "));
+            line.expect("an isolated: line").to_owned()
+        };
+        assert_eq!(isolated(&plain), isolated(&cached), "-j{jobs}");
+    }
+}

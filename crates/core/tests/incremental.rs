@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use cmo::{BuildCache, BuildOptions, Compiler, OptLevel, Telemetry};
+use cmo::{BuildCache, BuildOptions, Compiler, DiskStorage, OptLevel, StorageFile, Telemetry};
 
 fn cmocc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cmocc"))
@@ -358,6 +358,13 @@ fn failed_add_leaves_the_compiler_consistent() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The repository of the cache at `dir`, bound as `BuildCache` binds
+/// it: `repo.naim` of a [`DiskStorage`] rooted there.
+fn open_repo(dir: &Path) -> cmo_naim::Repository<StorageFile> {
+    let storage = std::sync::Arc::new(DiskStorage::new(dir).unwrap());
+    cmo_naim::Repository::open_backend(StorageFile::new(storage, "repo.naim")).unwrap()
+}
+
 /// Damage only a decode can find, through the CLI: `app`'s manifest
 /// line re-pointed at a CRC-valid record that is no object. The probe
 /// counts a hit; when `util` is edited the link needs `app`, the decode
@@ -365,7 +372,7 @@ fn failed_add_leaves_the_compiler_consistent() {
 /// uncached build, a healed cache.
 #[test]
 fn undecodable_record_found_at_link_time_costs_only_a_recompile() {
-    use cmo_naim::{ContentHash, Repository};
+    use cmo_naim::ContentHash;
     let dir = workdir("latedamage");
     let (util, app) = write_sources(&dir);
     let pristine = dir.join("pristine");
@@ -373,7 +380,7 @@ fn undecodable_record_found_at_link_time_costs_only_a_recompile() {
     {
         let repo_path = pristine.join("repo.naim");
         let junk = [1u8, 4, b'j', b'u', b'n', b'k']; // object tag, 4 bytes of no object
-        let mut repo = Repository::open(&repo_path).unwrap();
+        let mut repo = open_repo(&pristine);
         repo.store(&junk).unwrap();
         repo.flush_index().unwrap();
         drop(repo);
@@ -448,7 +455,7 @@ fn undecodable_record_found_at_link_time_costs_only_a_recompile() {
 /// slot, so the edit after that replays `main` without a complaint.
 #[test]
 fn damaged_code_slot_costs_only_a_relowering() {
-    use cmo_naim::{ContentHash, Repository};
+    use cmo_naim::ContentHash;
     let dir = workdir("codedamage");
     let (util, app) = write_sources(&dir);
     let cache = dir.join("cache");
@@ -456,7 +463,7 @@ fn damaged_code_slot_costs_only_a_relowering() {
     {
         let repo_path = cache.join("repo.naim");
         let junk = [5u8, 4, b'j', b'u', b'n', b'k']; // code tag, no table
-        let mut repo = Repository::open(&repo_path).unwrap();
+        let mut repo = open_repo(&cache);
         repo.store(&junk).unwrap();
         repo.flush_index().unwrap();
         drop(repo);

@@ -86,7 +86,7 @@ struct Run {
     written: usize,
 }
 
-/// The driver's HLO stage (`cmo::build_objects`, mirrored as in
+/// The driver's HLO stage (`cmo::Compiler::build`, mirrored as in
 /// `benchmark/src/staged.rs`), with the oracle run at every phase
 /// boundary when asked.
 fn pipeline(

@@ -63,15 +63,6 @@ impl BinOp {
         )
     }
 
-    /// Returns `true` for comparison operators (integer 0/1 result).
-    #[must_use]
-    pub fn is_compare(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::FLt | BinOp::FEq
-        )
-    }
-
     /// Returns `true` if `op(a, b) == op(b, a)` for all operands.
     #[must_use]
     pub fn is_commutative(self) -> bool {
@@ -487,7 +478,6 @@ mod tests {
     fn op_classifications() {
         assert!(BinOp::FAdd.is_float());
         assert!(!BinOp::Add.is_float());
-        assert!(BinOp::Lt.is_compare());
         assert!(BinOp::Add.is_commutative());
         assert!(!BinOp::Sub.is_commutative());
     }

@@ -216,15 +216,6 @@ impl MemoryAccountant {
         snap.peak_total = self.peak_total.load(Ordering::Relaxed);
         snap
     }
-
-    /// Resets peak tracking to the current occupancy (current counters
-    /// are preserved).
-    pub fn reset_peaks(&self) {
-        for s in 0..4 {
-            self.peak[s].store(self.current[s].load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.peak_total.store(self.total(), Ordering::Relaxed);
-    }
 }
 
 /// Bytes charged to a [`MemoryAccountant`] for exactly as long as the
@@ -320,15 +311,6 @@ mod tests {
         let a = MemoryAccountant::new();
         a.add(MemClass::Derived, 8);
         a.remove(MemClass::Derived, 9);
-    }
-
-    #[test]
-    fn reset_peaks_rebases() {
-        let a = MemoryAccountant::new();
-        a.add(MemClass::Global, 500);
-        a.remove(MemClass::Global, 400);
-        a.reset_peaks();
-        assert_eq!(a.snapshot().peak_total, 100);
     }
 
     #[test]

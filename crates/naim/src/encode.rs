@@ -5,10 +5,10 @@
 //! form* — each object immediately followed by the objects it owns — so
 //! that most ownership links need no stored pointer at all (§4.2.2).
 //! Integers use LEB128 varints (signed values zig-zag encoded), and
-//! inter-object references are [`Pid`]s.
+//! inter-object references are persistent ids — stable table indices —
+//! written as varints.
 
 use crate::error::DecodeError;
-use crate::pid::Pid;
 
 /// Streaming encoder for a relocatable pool image.
 ///
@@ -90,11 +90,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Writes a persistent identifier.
-    pub fn write_pid(&mut self, p: Pid) {
-        self.write_u64(p.raw());
-    }
-
     /// Writes a length-prefixed byte string.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_usize(bytes.len());
@@ -115,8 +110,8 @@ impl Encoder {
 /// Streaming decoder over a relocatable pool image.
 ///
 /// Decoding is the *eager swizzling* pass: the entire pool is rebuilt in
-/// expanded form in a single forward scan, converting every stored
-/// [`Pid`] back into a typed reference.
+/// expanded form in a single forward scan, converting every stored id
+/// back into a typed reference.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -230,15 +225,6 @@ impl<'a> Decoder<'a> {
         bytes.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
         self.pos += 8;
         Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-
-    /// Reads a persistent identifier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`Decoder::read_u64`].
-    pub fn read_pid(&mut self) -> Result<Pid, DecodeError> {
-        Ok(Pid::new(self.read_u64()?))
     }
 
     /// Reads a length-prefixed byte string.
@@ -380,13 +366,5 @@ mod tests {
         let bytes = [7u8];
         let mut d = Decoder::new(&bytes);
         assert!(matches!(d.read_bool(), Err(DecodeError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn pid_round_trips() {
-        let mut e = Encoder::new();
-        e.write_pid(Pid::from_index(987));
-        let bytes = e.into_bytes();
-        assert_eq!(Decoder::new(&bytes).read_pid().unwrap().index(), 987);
     }
 }

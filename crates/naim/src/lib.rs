@@ -11,7 +11,8 @@
 //! * **Transitory** objects (module symbol tables, routine IR) exist in
 //!   either *expanded* form (ordinary structs, efficient traversal) or
 //!   *relocatable* form (a compact, address-independent byte encoding in
-//!   which inter-object references are persistent identifiers, [`Pid`]s).
+//!   which inter-object references are persistent identifiers: stable
+//!   table indices written as varints).
 //!   Relocatable pools may further be *offloaded* to a disk
 //!   [`Repository`], freeing process memory entirely.
 //! * **Derived** objects (data-flow facts, dominators, loop annotations)
@@ -21,7 +22,7 @@
 //! The [`Loader`] mediates every access to a transitory pool. It keeps an
 //! LRU cache of expanded pools, converts pools to and from relocatable
 //! form through the [`Relocatable`] compaction/uncompaction drivers
-//! (*eager swizzling*: all `Pid`s in a pool are resolved when the pool is
+//! (*eager swizzling*: every id in a pool is resolved when the pool is
 //! loaded), and engages progressively more aggressive behaviour as the
 //! accounted heap crosses configurable [`Thresholds`] — exactly the
 //! staged IR-compaction / symbol-table-compaction / disk-offloading
@@ -67,7 +68,6 @@ mod encode;
 mod error;
 mod loader;
 mod mmap;
-mod pid;
 mod remote;
 mod repository;
 mod storage;
@@ -82,7 +82,6 @@ pub use loader::{
     Thresholds,
 };
 pub use mmap::MapView;
-pub use pid::Pid;
 pub use remote::{
     read_frame_bytes, CacheService, FlakyTransport, Frame, FrameOp, LoopbackTransport, RemoteStats,
     RemoteStorage, RemoteTransport, RetryPolicy, ServiceStats, TcpTransport, WireFault,

@@ -24,8 +24,8 @@ use std::sync::Arc;
 /// discipline, and omitting it is where most of the compaction win
 /// comes from.
 pub trait Relocatable: Sized {
-    /// Serializes this object into relocatable form, swizzling
-    /// references to [`crate::Pid`]s.
+    /// Serializes this object into relocatable form, writing references
+    /// as varint ids.
     fn compact(&self, enc: &mut Encoder);
 
     /// Rebuilds the expanded form from a relocatable image (eager

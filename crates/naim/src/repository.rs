@@ -21,15 +21,12 @@
 //! Records are content-addressed: `store` hashes the payload and returns
 //! the existing record when an identical image is already present
 //! (dedup). Handles are indices into an in-memory record index rather
-//! than raw byte offsets; [`Repository::open`] rebuilds the index from
-//! the trailing index segment (fast path) or by scanning the record
-//! chain (recovery path), so a store written by one process can be
-//! fetched by the next.
+//! than raw byte offsets; [`Repository::open_backend`] rebuilds the
+//! index from the trailing index segment (fast path) or by scanning the
+//! record chain (recovery path), so a store written by one process can
+//! be fetched by the next.
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
 
 use crate::encode::{Decoder, Encoder};
 use crate::error::NaimError;
@@ -186,8 +183,9 @@ impl RepoHandle {
 
 /// Storage backend for a [`Repository`].
 ///
-/// The production configuration is [`File`]-backed; tests and benches
-/// may use the deterministic in-memory [`MemBackend`].
+/// The production configuration is a [`crate::StorageFile`] (one file
+/// of a [`crate::Storage`], as the build cache opens it); the NAIM
+/// loader offloads to the in-memory [`MemBackend`].
 pub trait RepoBackend {
     /// Appends `data`, returning its starting offset.
     ///
@@ -346,36 +344,6 @@ impl RepoBackend for MemBackend {
     }
 }
 
-impl RepoBackend for File {
-    fn append(&mut self, data: &[u8]) -> std::io::Result<u64> {
-        let offset = self.seek(SeekFrom::End(0))?;
-        self.write_all(data)?;
-        Ok(offset)
-    }
-
-    fn read_at(&mut self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-        self.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        self.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
-    fn size(&mut self) -> std::io::Result<u64> {
-        self.seek(SeekFrom::End(0))
-    }
-
-    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
-        self.set_len(len)
-    }
-
-    fn read_into(&mut self, offset: u64, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
-        self.seek(SeekFrom::Start(offset))?;
-        buf.clear();
-        buf.resize(len, 0);
-        self.read_exact(buf)
-    }
-}
-
 /// Statistics on repository traffic, used by the Figure 5 experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepoStats {
@@ -418,10 +386,10 @@ struct RecordMeta {
 
 /// An append-only, content-addressed store of relocatable pool images.
 ///
-/// Within a run it backs NAIM offloading; on a [`File`] backend the
-/// format survives the process, and [`Repository::open`] rehydrates the
-/// record index so a later compilation can fetch pools stored by an
-/// earlier one (incremental recompilation).
+/// Within a run it backs NAIM offloading; on a persistent backend the
+/// format survives the process, and [`Repository::open_backend`]
+/// rehydrates the record index so a later compilation can fetch pools
+/// stored by an earlier one (incremental recompilation).
 #[derive(Debug)]
 pub struct Repository<B = MemBackend> {
     backend: B,
@@ -442,73 +410,13 @@ impl Repository<MemBackend> {
     /// Creates a repository backed by process memory.
     #[must_use]
     pub fn in_memory() -> Self {
-        Repository::with_backend(MemBackend::new())
-    }
-}
-
-impl Repository<File> {
-    /// Creates a repository backed by a fresh file at `path`, truncating
-    /// any existing file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the file cannot be created or the header
-    /// cannot be written.
-    pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, NaimError> {
-        let file = File::options()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(path)?;
-        Ok(Repository::with_backend(file))
-    }
-
-    /// Opens an existing repository file, validating its header and
-    /// rebuilding the record index (from the trailing index segment when
-    /// intact, otherwise by scanning the record chain).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NaimError::RepoHeader`] when the magic is missing or
-    /// mangled, [`NaimError::RepoVersion`] on a format-version mismatch,
-    /// and any underlying I/O failure.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, NaimError> {
-        let file = File::options().read(true).write(true).open(path)?;
-        Repository::open_backend(file)
+        Repository::create_backend(MemBackend::new()).expect("in-memory backends are infallible")
     }
 }
 
 impl<B: RepoBackend> Repository<B> {
-    /// Creates a fresh repository over an empty backend, writing the
-    /// versioned header.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the header cannot be appended (in-memory backends are
-    /// infallible; use [`Repository::create`] for files).
-    pub fn with_backend(mut backend: B) -> Self {
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(&REPO_MAGIC);
-        header.extend_from_slice(&REPO_VERSION.to_le_bytes());
-        backend
-            .append(&header)
-            .expect("repository header write failed");
-        Repository {
-            backend,
-            records: Vec::new(),
-            by_hash: HashMap::new(),
-            stats: RepoStats::default(),
-            recovery: None,
-            scratch: Vec::new(),
-            arena_served: 0,
-        }
-    }
-
-    /// Fallible counterpart of [`Repository::with_backend`]: truncates
-    /// the backend and writes a fresh header, surfacing I/O failures
-    /// instead of panicking. This is the path storage-backed callers
-    /// (which may sit on a fault injector) use.
+    /// Creates a fresh repository over `backend`: truncates it and
+    /// writes the versioned header.
     ///
     /// # Errors
     ///
@@ -918,7 +826,7 @@ impl<B: RepoBackend> Repository<B> {
     }
 
     /// Appends an index segment plus footer so the next
-    /// [`Repository::open`] can rebuild the record index without
+    /// [`Repository::open_backend`] can rebuild the record index without
     /// scanning. Safe to call repeatedly; the footer at end-of-file
     /// always wins.
     ///
@@ -1010,11 +918,30 @@ fn decode_index(payload: &[u8]) -> Option<Vec<RecordMeta>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DiskStorage, FaultyStorage, Storage, StorageFile};
+    use std::path::Path;
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cmo-naim-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The repository file at `path` as the build cache binds one: a
+    /// [`StorageFile`] over the [`DiskStorage`] rooted at its directory.
+    fn on_disk(path: &Path) -> StorageFile {
+        let storage = DiskStorage::new(path.parent().unwrap()).unwrap();
+        let name = path.file_name().unwrap().to_str().unwrap();
+        StorageFile::new(Arc::new(storage), name)
+    }
+
+    fn create(path: impl AsRef<Path>) -> Result<Repository<StorageFile>, NaimError> {
+        Repository::create_backend(on_disk(path.as_ref()))
+    }
+
+    fn open(path: impl AsRef<Path>) -> Result<Repository<StorageFile>, NaimError> {
+        Repository::open_backend(on_disk(path.as_ref()))
     }
 
     /// The bytewise definition slice-by-8 must agree with.
@@ -1081,11 +1008,15 @@ mod tests {
     #[test]
     fn fetch_ref_falls_back_to_scratch_without_views() {
         let dir = temp_dir("fetchref-fallback");
-        let path = dir.join("repo.bin");
-        let mut repo = Repository::create(&path).unwrap();
+        // A storage that declines to map (the fault injector with no
+        // fault scheduled, as a non-unix build or `CMO_NO_MMAP=1` would)
+        // serves no views, so this exercises the pread-into-arena path;
+        // the bytes and stats must match anyway.
+        let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(Arc::new(
+            DiskStorage::new(&dir).unwrap(),
+        )));
+        let mut repo = Repository::create_backend(StorageFile::new(storage, "repo.bin")).unwrap();
         let h = repo.store(&[42u8; 500]).unwrap();
-        // The plain File backend serves no views, so this exercises the
-        // pread-into-arena path; the bytes and stats must match anyway.
         assert_eq!(repo.fetch_ref(h).unwrap(), &[42u8; 500][..]);
         assert_eq!(repo.fetch_ref(h).unwrap(), &[42u8; 500][..]);
         let s = repo.stats();
@@ -1098,7 +1029,7 @@ mod tests {
     fn fetch_ref_detects_corruption_like_fetch() {
         let dir = temp_dir("fetchref-crc");
         let path = dir.join("repo.bin");
-        let mut repo = Repository::create(&path).unwrap();
+        let mut repo = create(&path).unwrap();
         let h = repo.store(b"payload under test").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -1127,7 +1058,7 @@ mod tests {
     #[test]
     fn compacted_size_matches_a_real_fresh_generation() {
         let dir = temp_dir("compacted-size");
-        let mut repo = Repository::create(dir.join("old.bin")).unwrap();
+        let mut repo = create(dir.join("old.bin")).unwrap();
         let a = repo.store(b"alpha payload").unwrap();
         let b = repo.store(&[0xAB; 300]).unwrap();
         let c = repo.store(&[]).unwrap();
@@ -1141,7 +1072,7 @@ mod tests {
         let predicted = repo.compacted_size(&live);
 
         // Build the generation compacted_size claims to predict.
-        let mut fresh = Repository::create(dir.join("new.bin")).unwrap();
+        let mut fresh = create(dir.join("new.bin")).unwrap();
         for h in [a, c, a] {
             let bytes = repo.fetch(h).unwrap();
             fresh.store(&bytes).unwrap();
@@ -1161,7 +1092,7 @@ mod tests {
     fn file_backend_round_trips() {
         let dir = temp_dir("roundtrip");
         let path = dir.join("repo.bin");
-        let mut repo = Repository::create(&path).unwrap();
+        let mut repo = create(&path).unwrap();
         let h = repo.store(&[7u8; 1000]).unwrap();
         assert_eq!(repo.fetch(h).unwrap(), vec![7u8; 1000]);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1199,14 +1130,14 @@ mod tests {
         let dir = temp_dir("restart-index");
         let path = dir.join("repo.bin");
         let (ha, hb, hash_a) = {
-            let mut repo = Repository::create(&path).unwrap();
+            let mut repo = create(&path).unwrap();
             let ha = repo.store(b"first pool image").unwrap();
             let hb = repo.store(b"second pool image").unwrap();
             let hash_a = repo.hash_of(ha).unwrap();
             repo.flush_index().unwrap();
             (ha, hb, hash_a)
         }; // drop closes the file: simulated process exit
-        let mut reopened = Repository::open(&path).unwrap();
+        let mut reopened = open(&path).unwrap();
         assert_eq!(reopened.record_count(), 2);
         assert_eq!(reopened.fetch(ha).unwrap(), b"first pool image");
         assert_eq!(reopened.fetch(hb).unwrap(), b"second pool image");
@@ -1223,11 +1154,8 @@ mod tests {
         let path = dir.join("repo.bin");
         // No flush_index: simulates a run that died before writing the
         // index segment. open() must fall back to scanning.
-        let h = Repository::create(&path)
-            .unwrap()
-            .store(b"unindexed pool")
-            .unwrap();
-        let mut reopened = Repository::open(&path).unwrap();
+        let h = create(&path).unwrap().store(b"unindexed pool").unwrap();
+        let mut reopened = open(&path).unwrap();
         assert_eq!(reopened.record_count(), 1);
         assert_eq!(reopened.fetch(h).unwrap(), b"unindexed pool");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1238,14 +1166,14 @@ mod tests {
         let dir = temp_dir("torn-tail");
         let path = dir.join("repo.bin");
         let (ha, torn_len) = {
-            let mut repo = Repository::create(&path).unwrap();
+            let mut repo = create(&path).unwrap();
             let ha = repo.store(b"intact record").unwrap();
             repo.store(b"this record will be torn mid-payload").unwrap();
             (ha, 10)
         };
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - torn_len]).unwrap();
-        let mut repo = Repository::open(&path).unwrap();
+        let mut repo = open(&path).unwrap();
         // The intact record survives; the torn one is gone.
         assert_eq!(repo.record_count(), 1);
         assert_eq!(repo.fetch(ha).unwrap(), b"intact record");
@@ -1260,7 +1188,7 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), rec.valid_len);
         let hb = repo.store(b"appended after recovery").unwrap();
         drop(repo);
-        let mut reopened = Repository::open(&path).unwrap();
+        let mut reopened = open(&path).unwrap();
         assert!(reopened.recovery().is_none());
         assert_eq!(reopened.fetch(hb).unwrap(), b"appended after recovery");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1271,7 +1199,7 @@ mod tests {
         let dir = temp_dir("evict");
         let path = dir.join("repo.bin");
         let (h1, h2) = {
-            let mut repo = Repository::create(&path).unwrap();
+            let mut repo = create(&path).unwrap();
             let h1 = repo.store(b"poisoned payload").unwrap();
             let hash = repo.hash_of(h1).unwrap();
             // Simulate a corrupt record: evict it so the identical
@@ -1287,7 +1215,7 @@ mod tests {
         };
         // On reopen the later (good) record owns the hash, not the
         // evicted one — even though both are still in the file.
-        let mut reopened = Repository::open(&path).unwrap();
+        let mut reopened = open(&path).unwrap();
         assert_eq!(reopened.record_count(), 2);
         let hash = reopened.hash_of(h1).unwrap();
         assert_eq!(reopened.lookup(hash).unwrap().id, h2.id);
@@ -1300,7 +1228,7 @@ mod tests {
         let dir = temp_dir("garbage-tail");
         let path = dir.join("repo.bin");
         let h = {
-            let mut repo = Repository::create(&path).unwrap();
+            let mut repo = create(&path).unwrap();
             repo.store(b"good bytes").unwrap()
         };
         // Append bytes that are long enough to parse as a record header
@@ -1313,7 +1241,7 @@ mod tests {
             .unwrap();
         std::io::Write::write_all(&mut file, &garbage).unwrap();
         drop(file);
-        let mut repo = Repository::open(&path).unwrap();
+        let mut repo = open(&path).unwrap();
         assert_eq!(repo.record_count(), 1);
         assert_eq!(repo.fetch(h).unwrap(), b"good bytes");
         let rec = repo.recovery().unwrap();
@@ -1326,13 +1254,13 @@ mod tests {
         let dir = temp_dir("shortread");
         let path = dir.join("repo.bin");
         let h = {
-            let mut repo = Repository::create(&path).unwrap();
+            let mut repo = create(&path).unwrap();
             repo.store(b"soon to be truncated").unwrap()
         };
         // Chop the payload tail off.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let mut repo = Repository::open(&path).unwrap();
+        let mut repo = open(&path).unwrap();
         // The scan drops the torn record, so re-derive a handle as a
         // stale manifest would: the record id from the previous run.
         assert_eq!(repo.record_count(), 0);
@@ -1340,7 +1268,7 @@ mod tests {
         assert!(matches!(err, NaimError::UnknownPool { pool: 0 }));
         // Now truncate mid-payload on a live repository (index still in
         // memory) to exercise the RepoTruncated path itself.
-        let mut live = Repository::create(&path).unwrap();
+        let mut live = create(&path).unwrap();
         let h2 = live.store(b"soon to be truncated").unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
@@ -1371,7 +1299,7 @@ mod tests {
     fn crc_mismatch_is_detected() {
         let dir = temp_dir("crc");
         let path = dir.join("repo.bin");
-        let mut repo = Repository::create(&path).unwrap();
+        let mut repo = create(&path).unwrap();
         let h = repo.store(b"payload under test").unwrap();
         // Flip one payload byte on disk behind the repository's back.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1388,13 +1316,13 @@ mod tests {
         let dir = temp_dir("version");
         let path = dir.join("repo.bin");
         {
-            let mut repo = Repository::create(&path).unwrap();
+            let mut repo = create(&path).unwrap();
             repo.store(b"data").unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8] = 0xEE; // stamp a bogus format version
         std::fs::write(&path, &bytes).unwrap();
-        match Repository::open(&path).unwrap_err() {
+        match open(&path).unwrap_err() {
             NaimError::RepoVersion { found, expected } => {
                 assert_eq!(found, 0xEE);
                 assert_eq!(expected, REPO_VERSION);
@@ -1410,7 +1338,7 @@ mod tests {
         let path = dir.join("repo.bin");
         std::fs::write(&path, b"definitely not a repository file").unwrap();
         assert!(matches!(
-            Repository::open(&path).unwrap_err(),
+            open(&path).unwrap_err(),
             NaimError::RepoHeader { .. }
         ));
         std::fs::remove_dir_all(&dir).unwrap();

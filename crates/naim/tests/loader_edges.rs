@@ -3,8 +3,8 @@
 //! record that was corrupted on disk and then restored.
 
 use cmo_naim::{
-    DecodeError, Decoder, Encoder, Loader, MemStorage, NaimConfig, PoolKind, PoolState,
-    Relocatable, Repository, Storage, StorageFile,
+    DecodeError, Decoder, DiskStorage, Encoder, Loader, MemStorage, NaimConfig, PoolKind,
+    PoolState, Relocatable, Repository, Storage, StorageFile,
 };
 use cmo_telemetry::Telemetry;
 use std::sync::Arc;
@@ -111,11 +111,13 @@ fn fetch_after_evict_of_corrupt_then_restored_record() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let repo_path = dir.join("repo.naim");
-    let repo = Repository::create(&repo_path).expect("create repo");
+    let storage: Arc<dyn Storage> = Arc::new(DiskStorage::new(&dir).expect("open storage"));
+    let backend = StorageFile::new(storage, "repo.naim");
+    let repo = Repository::create_backend(backend).expect("create repo");
 
     // A budget so small every compacted pool is pushed to disk.
     let config = NaimConfig::with_budget(16);
-    let mut loader: Loader<Blob, std::fs::File> = Loader::with_repository(config, repo);
+    let mut loader: Loader<Blob, StorageFile> = Loader::with_repository(config, repo);
     let victim_blob = Blob::of(3, 300);
     let ids: Vec<_> = (0..8)
         .map(|i| {

@@ -2,9 +2,10 @@
 //!
 //! The repository policy is byte-identical output for identical inputs
 //! and no external dependencies, so JSON is hand-rolled: fields are
-//! written in the order the caller chooses, integers only (no floats,
-//! whose shortest-representation formatting would be another source of
-//! variation), and strings escaped per RFC 8259.
+//! written in the order the caller chooses, integers as integers, floats
+//! only at a fixed three decimals (shortest-representation formatting
+//! would be another source of variation), and strings escaped per
+//! RFC 8259.
 
 use std::fmt::Write;
 
@@ -128,9 +129,10 @@ impl JsonWriter {
         let _ = write!(self.out, "{value}");
     }
 
-    /// Writes a `usize` member.
-    pub fn field_usize(&mut self, name: &str, value: usize) {
-        self.field_u64(name, value as u64);
+    /// Writes a float member at a fixed three decimals (`{:.3}`).
+    pub fn field_f64(&mut self, name: &str, value: f64) {
+        self.pre(Some(name));
+        let _ = write!(self.out, "{value:.3}");
     }
 
     /// Writes a boolean member.
@@ -145,12 +147,6 @@ impl JsonWriter {
         self.out.push('"');
         escape_into(value, &mut self.out);
         self.out.push('"');
-    }
-
-    /// Writes an unsigned-integer array element.
-    pub fn elem_u64(&mut self, value: u64) {
-        self.pre(None);
-        let _ = write!(self.out, "{value}");
     }
 
     /// Writes a string array element.
@@ -189,14 +185,15 @@ mod tests {
         w.begin_arr(Some("items"));
         w.begin_obj(None);
         w.field_u64("n", 1);
+        w.field_f64("ms", 2.0 / 3.0);
         w.end_obj();
-        w.elem_u64(2);
+        w.elem_str("two");
         w.end_arr();
         w.begin_obj(Some("empty"));
         w.end_obj();
         w.end_obj();
         let text = w.finish();
-        let expected = "{\n  \"schema\": \"s\",\n  \"items\": [\n    {\n      \"n\": 1\n    },\n    2\n  ],\n  \"empty\": {}\n}\n";
+        let expected = "{\n  \"schema\": \"s\",\n  \"items\": [\n    {\n      \"n\": 1,\n      \"ms\": 0.667\n    },\n    \"two\"\n  ],\n  \"empty\": {}\n}\n";
         assert_eq!(text, expected);
     }
 
@@ -206,7 +203,7 @@ mod tests {
             let mut w = JsonWriter::new();
             w.begin_obj(None);
             w.field_bool("ok", true);
-            w.field_usize("n", 7);
+            w.field_u64("n", 7);
             w.end_obj();
             w.finish()
         };

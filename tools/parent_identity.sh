@@ -12,6 +12,10 @@
 #     output) on both examples/mlc program sets, at +O2 / +O4 /
 #     +O4 +P train.db x -j1 / -j4 x no budget / --budget 0, after
 #     comparing the +I training runs and profile databases themselves;
+#   * the -c objects of both sets and what -c printed, an uncached
+#     +O4 +P train.db link of those objects at -j1 / -j4 (stdout,
+#     --report-json, --trace), and one +O4 --isolate --run per set —
+#     the object, make-flow and isolation paths of the front door;
 #   * a cold +O4 +P --cache-dir build by each binary (outputs and the
 #     cache files it commits), then a warm build by each of a copy of
 #     the cache the *parent* wrote — the change's warm build must hit
@@ -87,6 +91,18 @@ for set in "lib.mlc app.mlc:500" "util.mlc hot.mlc prog.mlc:50"; do
     db="$name-train.db"
     both "$name-train" +I --run "$input" --profile-out "$db" "${srcs[@]}"
     same "$name-train.out" "$db"
+
+    objs=("${srcs[@]/%.mlc/.cmo}")
+    both "$name-c" -c "${srcs[@]}"
+    same "$name-c.out" "${objs[@]}"
+    for j in 1 4; do
+        tag="$name-objects-j$j"
+        both "$tag" +O4 +P "$db" "-j$j" --run "$input" --emit-asm \
+            --report-json "$tag.json" --trace "$tag.jsonl" "${objs[@]}"
+        same "$tag.out" "$tag.json" "$tag.jsonl"
+    done
+    both "$name-isolate" +O4 --run "$input" --isolate "${srcs[@]}"
+    same "$name-isolate.out"
 
     for level in O2 O4 O4P; do
         case $level in

@@ -7,23 +7,22 @@ use crate::report::CompileReport;
 use cmo_frontend::FrontendError;
 use cmo_hlo::{
     fold_globals, merge_outcomes, plan_clusters, run_cluster, run_clusters_seq, CallGraph,
-    GlobalFacts, HloSession, InlineOptions,
+    CloneOptions, ClusterPlan, GlobalFacts, HloSession, InlineOptions,
 };
-use cmo_ir::{link_objects, IlObject, LinkError, Program, RoutineBody, RoutineId};
+use cmo_ir::{link_objects, IlObject, LinkError, LinkedUnit, Program, RoutineBody, RoutineId};
 use cmo_link::{assemble, CallArc, LinkOptions};
 use cmo_llo::memo::{decode_entry, encode_entry, routine_key, CodeKey};
 use cmo_llo::{
     lower_routine, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort, OptEffortOpt,
 };
 use cmo_naim::{NaimConfig, NaimError};
-use cmo_profile::{Freshness, ProfileDb};
+use cmo_profile::ProfileDb;
 use cmo_select::{coarse_select_traced, layered_levels, OptLayer, SelectError};
 use cmo_telemetry::{Telemetry, TraceEvent};
 use cmo_vm::{profile_from_run, run, ExecResult, MachineImage, RunConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 
 /// Optimization level, mirroring the paper's option set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -133,10 +132,11 @@ pub struct BuildOptions {
     /// `+O1` treatment.
     pub layered: bool,
     /// Worker threads for the parallel pipeline sections (front-end
-    /// lowering and per-routine LLO; `cmocc -j N`). 1 (the default)
-    /// runs everything inline on the calling thread. Output is
-    /// byte-identical at every job count: results are keyed by module
-    /// or routine index and merged in index order.
+    /// lowering, the HLO cluster fan-out and per-routine LLO; `cmocc
+    /// -j N`). 1 (the default) runs everything inline on the calling
+    /// thread. Output is byte-identical at every job count: results are
+    /// keyed by module, cluster or routine index and merged in index
+    /// order.
     pub jobs: usize,
     /// Auto-trigger for cache compaction (`cmocc
     /// --gc-threshold-bytes N`): when a cache is attached and its
@@ -624,17 +624,10 @@ impl Compiler {
         // than fail — a build that compiles correctly must not die
         // over cache hygiene.
         if let Some(threshold) = options.gc_threshold_bytes {
-            let outcome = match bcache.dead_bytes() {
-                Ok(dead) if dead > threshold => bcache.gc(&tel).map(|_| ()),
-                Ok(_) => Ok(()),
-                Err(e) => Err(e),
-            };
-            if let Err(e) = outcome {
-                tel.emit(TraceEvent::Degraded {
-                    component: "cache",
-                    name: "gc".to_owned(),
-                    error: e.to_string(),
-                });
+            match bcache.dead_bytes() {
+                Ok(dead) if dead > threshold => degrade(&tel, "gc", bcache.gc(&tel).map(drop)),
+                Ok(_) => {}
+                Err(e) => degrade(&tel, "gc", Err(e)),
             }
         }
         let fps: Vec<&str> = self.fingerprints().collect();
@@ -650,7 +643,7 @@ impl Compiler {
             // own probes take their place in `cache`.
             report.replayed = Some(std::mem::replace(&mut report.cache, bcache.stats()));
             bcache.record_routines(0, 0);
-            persist_or_degrade(bcache, &tel);
+            degrade(&tel, "persist", bcache.persist());
             return Ok(BuildOutput { image, report });
         }
         let objects = self.objects(Some(bcache), &tel)?;
@@ -664,7 +657,7 @@ impl Compiler {
         out.report.cache = bcache.stats();
         out.report.faults.remote = bcache.remote_stats();
         bcache.put_build(&key, &out.image, &out.report, &tel);
-        persist_or_degrade(bcache, &tel);
+        degrade(&tel, "persist", bcache.persist());
         Ok(out)
     }
 
@@ -678,16 +671,9 @@ impl Compiler {
 /// (§6.2): fresh data is used as-is; stale data is clipped to the
 /// current block count ("benefits diminish over time").
 fn correlated_counts(db: &ProfileDb, name: &str, body: &RoutineBody) -> Option<Vec<u64>> {
-    let current = shape_of(body);
-    match db.lookup(name, current) {
-        (Freshness::Missing, _) => None,
-        (_, Some(p)) => {
-            let mut counts = p.blocks.clone();
-            counts.resize(body.blocks.len(), 0);
-            Some(counts)
-        }
-        (_, None) => None,
-    }
+    let mut counts = db.lookup(name, shape_of(body)).1?.blocks.clone();
+    counts.resize(body.blocks.len(), 0);
+    Some(counts)
 }
 
 /// Sums call counts per caller→callee pair into the arcs the final
@@ -716,353 +702,246 @@ struct CodeUse {
     damaged: bool,
 }
 
+/// What HLO hands LLO: the linked unit after cross-module optimization
+/// (below `+O4`, as the IL link left it) and what HLO found out.
+struct Optimized {
+    unit: LinkedUnit,
+    /// Block counts HLO maintained, per routine (all `None` below `+O4`).
+    counts: Vec<Option<Vec<u64>>>,
+    /// Routines unreachable from `main`, ascending (none below `+O4`).
+    dead: Vec<RoutineId>,
+    /// Under PBO, the call arcs the final link clusters on.
+    arcs: Option<Vec<CallArc>>,
+}
+
+/// One build: what every stage reads, and the report they fill in.
+struct Build<'a> {
+    options: &'a BuildOptions,
+    /// The profile database when PBO is on — the one place that says so.
+    db: Option<&'a ProfileDb>,
+    tel: Telemetry,
+    report: CompileReport,
+}
+
 /// Builds a set of IL objects at the requested options: the paper's
 /// "linker encounters IL objects and sends them to the optimizer and
 /// code generator" flow, behind [`Compiler::build`] and
-/// [`Compiler::build_cached`]. With a cache, its code tier sits in the
-/// LLO stage: each live routine is looked up under its id-free key in
-/// its module's slot and lowered only on a miss.
+/// [`Compiler::build_cached`], as a list of stages. With a cache, its
+/// code tier sits in the LLO stage.
 fn build_objects_with(
     objects: Vec<IlObject>,
     options: &BuildOptions,
-    mut bcache: Option<&mut BuildCache>,
+    bcache: Option<&mut BuildCache>,
 ) -> Result<BuildOutput, BuildError> {
-    let tel = options.telemetry.clone();
-    let unit = {
-        let _p = tel.phase("link");
-        link_objects(objects)?
+    let mut build = Build {
+        options,
+        db: options.profile.as_ref().filter(|_| options.pbo),
+        tel: options.telemetry.clone(),
+        report: CompileReport::default(),
     };
-    if unit.program.main_routine().is_none() {
-        return Err(BuildError::NoMain);
-    }
-    let mut report = CompileReport {
-        total_modules: unit.program.modules().len(),
-        total_loc: unit.program.total_source_lines(),
-        ..CompileReport::default()
-    };
-    let db = options.profile.as_ref().filter(|_| options.pbo);
-
-    // === The HLO stage (+O4 only). ===
-    let (program, bodies, symtabs, maintained_counts, dead, o4_arcs) =
-        if options.level == OptLevel::O4 {
-            let _hlo_phase = tel.phase("hlo");
-            // Coarse-grained selectivity (§5): pick CMO modules by ranked
-            // call sites. Without PBO or a percentage, everything is CMO.
-            let plan = match (db, options.selectivity) {
-                (Some(db), Some(pct)) => {
-                    let _p = tel.phase("select");
-                    Some(coarse_select_traced(
-                        &unit.program,
-                        &unit.bodies,
-                        db,
-                        pct,
-                        &tel,
-                    )?)
-                }
-                _ => None,
-            };
-            let (targets, cmo_modules, cmo_loc): (Option<BTreeSet<RoutineId>>, usize, u64) =
-                match &plan {
-                    Some(plan) => {
-                        let loc = plan
-                            .cmo_modules
-                            .iter()
-                            .map(|&m| u64::from(unit.program.module(m).source_lines))
-                            .sum();
-                        (
-                            Some(plan.hot_routines.iter().copied().collect()),
-                            plan.cmo_modules.len(),
-                            loc,
-                        )
-                    }
-                    None => (None, unit.program.modules().len(), report.total_loc),
-                };
-            report.cmo_modules = cmo_modules;
-            report.cmo_loc = cmo_loc;
-
-            let mut session = {
-                let _p = tel.phase("read_in");
-                HloSession::new_with_telemetry(unit, options.naim.clone(), db, tel.clone())?
-            };
-            {
-                let _p = tel.phase("ipa");
-                // Read-in pass: whole-program facts need every routine (§5).
-                let facts = GlobalFacts::build(&mut session)?;
-                let fold_targets: Vec<RoutineId> = match &targets {
-                    Some(t) => t.iter().copied().collect(),
-                    None => (0..session.n_routines())
-                        .map(RoutineId::from_index)
-                        .collect(),
-                };
-                fold_globals(&mut session, &facts, &fold_targets)?;
-                session.unload_all()?;
-            }
-
-            // Inlining. Without PBO the heuristics "drive the compiler to
-            // thoroughly optimize all routines" (§5): every callee up to
-            // the hot threshold becomes inlinable everywhere.
-            let mut inline_opts = options.inline.clone();
-            inline_opts.targets = targets;
-            if db.is_none() {
-                // "Our heuristics drive the compiler to thoroughly
-                // optimize all routines" (§5): without profiles, medium
-                // callees become inlinable everywhere, at real cost in
-                // code growth, time, and memory.
-                inline_opts.small_callee_il = inline_opts.small_callee_il.max(80);
-            }
-            // Cloning (when profiles justify the code growth) runs in
-            // the same per-cluster fan-out, after each cluster's
-            // inlining.
-            let clone_opts = db.is_some().then(|| cmo_hlo::CloneOptions {
-                min_callee_il: inline_opts.hot_callee_il,
-                targets: inline_opts.targets.clone(),
-                ..cmo_hlo::CloneOptions::default()
-            });
-
-            // WHOPR-style cluster partition: condense the call graph
-            // into independent clusters and extract their inputs.
-            let plan = {
-                let _p = tel.phase("partition");
-                plan_clusters(&mut session, Some(&inline_opts), clone_opts.as_ref())?
-            };
-            report.clusters = plan.stats();
-
-            // Inline + clone, cluster by cluster. Clusters share no
-            // mutable state, so they fan out over the worker pool (at
-            // -j1, inline on this thread) — except under an op limit,
-            // whose single global sequential counter (§6.3 bisection)
-            // forces the sequential path. The merge is keyed on cluster
-            // index, never completion order, so stats, report, and
-            // trace are byte-identical at any -j.
-            {
-                let _p = tel.phase("inline");
-                let config = session.loader_config();
-                let outcomes = if inline_opts.op_limit.is_some() {
-                    run_clusters_seq(
-                        &session.program,
-                        &plan,
-                        &config,
-                        Some(&inline_opts),
-                        clone_opts.as_ref(),
-                        &tel,
-                    )?
-                } else {
-                    let program = &session.program;
-                    let results = run_jobs(plan.inputs().len(), options.jobs.max(1), |_, i| {
-                        run_cluster(
-                            program,
-                            &plan,
-                            i,
-                            &config,
-                            Some(&inline_opts),
-                            clone_opts.as_ref(),
-                            None,
-                            &tel,
-                        )
-                    });
-                    let mut outcomes = Vec::with_capacity(results.len());
-                    for r in results {
-                        outcomes.push(r?);
-                    }
-                    outcomes
-                };
-                let (inline_stats, clone_stats) = merge_outcomes(&mut session, &plan, outcomes)?;
-                report.compile_work +=
-                    inline_stats.inlines * 200 + inline_stats.considered + clone_stats.clones * 150;
-            }
-
-            // Post-inline call graph: dead-routine detection and cluster
-            // arcs. The graph's edge counts are the *maintained* site
-            // counts (scaled through inlining), not the raw database —
-            // inlining created fresh sites the database has never seen.
-            let _cg_phase = tel.phase("callgraph");
-            let graph = CallGraph::build(&mut session)?;
-            let main = session.program.main_routine().expect("checked above");
-            let reach = graph.reachable_from(main);
-            let dead: Vec<RoutineId> = (0..session.n_routines())
-                .map(RoutineId::from_index)
-                .filter(|r| !reach[r.index()])
-                .collect();
-            session.record_dead_routines(dead.len() as u64);
-            if tel.is_enabled() {
-                for &r in &dead {
-                    let program = &session.program;
-                    tel.emit(TraceEvent::DeadRoutine {
-                        routine: program.name(program.routine(r).name).to_owned(),
-                    });
-                }
-            }
-            let maintained_arcs = options
-                .pbo
-                .then(|| call_arcs(graph.edges.iter().map(|e| (e.caller, e.callee, e.count))));
-            session.unload_all()?;
-            drop(_cg_phase);
-
-            report.hlo = session.stats();
-            report.loader = session.loader_stats();
-            report.memory = session.memory();
-            report.compile_work += session.loader_stats().work_units;
-            let (program, bodies, symtabs, counts) = {
-                let _p = tel.phase("write_out");
-                session.into_parts()?
-            };
-            (program, bodies, symtabs, counts, dead, maintained_arcs)
-        } else {
-            report.cmo_modules = 0;
-            report.cmo_loc = 0;
-            let n = unit.bodies.len();
-            let counts = vec![None; n];
-            (
-                unit.program,
-                unit.bodies,
-                unit.symtabs,
-                counts,
-                Vec::new(),
-                None,
-            )
-        };
-
-    // === LLO + instrumentation. ===
-    let layout = GlobalLayout::new(&program);
-    let effort = match options.level {
-        OptLevel::O1 => OptEffort::O1,
-        _ => OptEffort::O2,
-    };
-    let layers = if options.layered {
-        db.map(|db| layered_levels(&program, db, 0.95))
+    let unit = build.link(objects)?;
+    let optimized = if options.level == OptLevel::O4 {
+        build.hlo(unit)?
     } else {
-        None
+        build.hand_over(unit)
     };
-    let mut is_dead = vec![false; bodies.len()];
-    for r in &dead {
-        is_dead[r.index()] = true;
-    }
-    // Each job takes its routine's maintained counts out of its slot;
-    // a job index is claimed exactly once, so no lock is contended.
-    let maintained_counts: Vec<Mutex<Option<Vec<u64>>>> =
-        maintained_counts.into_iter().map(Mutex::new).collect();
-    let llo_phase = tel.phase("llo");
-    // The code tier's slots, one per module, fetched on the calling
-    // thread in module order (as every cache access is) and shared
-    // read-only with the workers.
-    let mode = cache::code_mode(options);
-    let module_name = |m: usize| program.name(program.modules()[m].name);
-    let slots: Option<Vec<Option<CodeSlot>>> = bcache.as_deref_mut().map(|bcache| {
-        (0..program.modules().len())
-            .map(|m| bcache.get_code(&mode, module_name(m), &tel))
-            .collect()
-    });
-    // Per-routine LLO is the pipeline's embarrassingly-parallel stage
-    // (the LTRANS-style fan-out): each routine lowers independently
-    // against shared read-only program state — or, with a cache, is
-    // decoded from its module's slot when an entry under its id-free
-    // key is there, the two being arms of one step. Jobs are keyed by
-    // routine index and merged in index order below, so the lowered
-    // code — and every downstream byte — is identical at any `-j`.
-    // Workers tag their telemetry handle with a worker id and advance
-    // only the work clock (commutative adds, the same on either arm);
-    // no events are emitted here, which is what keeps traces
-    // byte-identical across job counts.
-    let jobs = run_jobs(bodies.len(), options.jobs.max(1), |worker, i| {
-        let body = &bodies[i];
-        let rid = RoutineId::from_index(i);
-        let meta = program.routine(rid);
-        let name = program.name(meta.name);
-        if is_dead[i] {
-            // Dead routine elimination: skip all LLO work, emit a stub.
-            let stub = LoweredRoutine {
-                name: name.to_owned(),
-                code: vec![cmo_vm::MInstr::Ret { value: None }],
-                frame_slots: 0,
-                probes: Vec::new(),
-                shape: shape_of(body),
-                llo_work_bytes: 0,
-                il_after_opt: 0,
-            };
-            return (stub, None);
-        }
-        let block_counts = if options.pbo {
-            let maintained = maintained_counts[i]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            maintained.or_else(|| db.and_then(|db| correlated_counts(db, name, body)))
-        } else {
-            None
-        };
-        let routine_effort = match &layers {
-            Some(layers) if layers.get(&rid) == Some(&OptLayer::Minimal) => OptEffort::O1,
-            _ => effort,
-        };
-        let llo_opts = LloOptions {
-            effort: OptEffortOpt(routine_effort),
-            instrument: options.instrument,
-            block_counts,
-        };
-        // With a cache the routine is keyed, and the entry its module's
-        // slot holds under that key — if any, and if it decodes — is
-        // the lowering; otherwise the routine is lowered, and with a
-        // cache the result encoded for the slot.
-        let keyed = slots.as_ref().map(|slots| {
-            let (key, refs) = routine_key(rid, body, &program, &layout, &llo_opts);
-            let stored = slots[meta.module.index()]
-                .as_ref()
-                .and_then(|slot| slot.find(key));
-            (key, refs, stored)
-        });
-        let decoded = keyed
-            .as_ref()
-            .and_then(|(_, refs, stored)| Some(decode_entry((*stored)?, name, refs, &layout)));
-        let (lr, code_use) = match (decoded, keyed) {
-            (Some(Ok(lr)), Some((key, ..))) => {
-                let replayed = CodeUse {
-                    key,
-                    fresh: None,
-                    damaged: false,
-                };
-                (lr, Some(replayed))
-            }
-            (decoded, keyed) => {
-                let lr = lower(rid, body, &program, &layout, &llo_opts);
-                let code_use = keyed.and_then(|(key, refs, _)| {
-                    // A routine whose lowering cannot be encoded stays
-                    // out of its slot and is lowered every build.
-                    let fresh = encode_entry(&lr, &refs, &layout)?;
-                    Some(CodeUse {
-                        key,
-                        fresh: Some(fresh),
-                        damaged: decoded.is_some(),
-                    })
-                });
-                (lr, code_use)
-            }
-        };
-        tel.for_worker(worker)
-            .work(u64::from(lr.il_after_opt) * 3 + (lr.llo_work_bytes as u64) / 256);
-        (lr, code_use)
-    });
-    // Stable merge: fold per-routine results into the report in routine
-    // order, regardless of which worker produced them.
-    let (lowered, code_uses): (Vec<LoweredRoutine>, Vec<Option<CodeUse>>) =
-        jobs.into_iter().unzip();
-    for lr in &lowered {
-        report.llo_peak_bytes = report.llo_peak_bytes.max(lr.llo_work_bytes);
-        report.compile_work += u64::from(lr.il_after_opt) * 3 + (lr.llo_work_bytes as u64) / 256;
-    }
-    if let (Some(bcache), Some(slots)) = (bcache, &slots) {
-        store_code_slots(bcache, &mode, &program, &is_dead, slots, &code_uses, &tel);
-    }
-    drop(llo_phase);
+    let (lowered, layout) = build.llo(&optimized, bcache);
+    Ok(build.link_image(optimized, lowered, &layout))
+}
 
-    // === Final link: clustering + image assembly. ===
-    // Below `+O4` the arcs come straight from the database's site
-    // counts.
-    let arcs = o4_arcs.or_else(|| {
-        let db = db?;
-        Some(call_arcs(bodies.iter().enumerate().flat_map(
-            |(i, body)| {
+impl Build<'_> {
+    fn link(&mut self, objects: Vec<IlObject>) -> Result<LinkedUnit, BuildError> {
+        let _p = self.tel.phase("link");
+        let unit = link_objects(objects)?;
+        if unit.program.main_routine().is_none() {
+            return Err(BuildError::NoMain);
+        }
+        self.report.total_modules = unit.program.modules().len();
+        self.report.total_loc = unit.program.total_source_lines();
+        Ok(unit)
+    }
+
+    /// The HLO stage (`+O4`): one phase per step, under `hlo`.
+    fn hlo(&mut self, unit: LinkedUnit) -> Result<Optimized, BuildError> {
+        let _p = self.tel.phase("hlo");
+        let targets = self.select(&unit)?;
+        let (inline, clone) = self.heuristics(targets);
+        let mut session = self.read_in(unit)?;
+        self.ipa(&mut session, &inline)?;
+        let plan = self.partition(&mut session, &inline, clone.as_ref())?;
+        self.inline(&mut session, &plan, &inline, clone.as_ref())?;
+        let (dead, arcs) = self.callgraph(&mut session)?;
+        self.write_out(session, dead, arcs)
+    }
+
+    /// Coarse-grained selectivity (§5): CMO modules picked by ranked
+    /// call sites, their hot routines the targets. Without PBO or a
+    /// percentage every module is CMO and every routine a target.
+    fn select(&mut self, unit: &LinkedUnit) -> Result<Option<BTreeSet<RoutineId>>, BuildError> {
+        let (Some(db), Some(pct)) = (self.db, self.options.selectivity) else {
+            self.report.cmo_modules = self.report.total_modules;
+            self.report.cmo_loc = self.report.total_loc;
+            return Ok(None);
+        };
+        let _p = self.tel.phase("select");
+        let plan = coarse_select_traced(&unit.program, &unit.bodies, db, pct, &self.tel)?;
+        self.report.cmo_modules = plan.cmo_modules.len();
+        let lines = |&m| u64::from(unit.program.module(m).source_lines);
+        self.report.cmo_loc = plan.cmo_modules.iter().map(lines).sum();
+        Ok(Some(plan.hot_routines))
+    }
+
+    /// The inliner's and the cloner's settings, limited to `targets`.
+    fn heuristics(
+        &self,
+        targets: Option<BTreeSet<RoutineId>>,
+    ) -> (InlineOptions, Option<CloneOptions>) {
+        let mut inline = self.options.inline.clone();
+        inline.targets = targets;
+        if self.db.is_none() {
+            // "Our heuristics drive the compiler to thoroughly
+            // optimize all routines" (§5): without profiles, medium
+            // callees become inlinable everywhere, at real cost in
+            // code growth, time, and memory.
+            inline.small_callee_il = inline.small_callee_il.max(80);
+        }
+        // Cloning, when profiles justify the code growth, runs in the
+        // same per-cluster fan-out, after each cluster's inlining.
+        let clone = self.db.is_some().then(|| CloneOptions {
+            min_callee_il: inline.hot_callee_il,
+            targets: inline.targets.clone(),
+            ..CloneOptions::default()
+        });
+        (inline, clone)
+    }
+
+    fn read_in(&self, unit: LinkedUnit) -> Result<HloSession, BuildError> {
+        let _p = self.tel.phase("read_in");
+        let (config, tel) = (self.options.naim.clone(), self.tel.clone());
+        Ok(HloSession::new_with_telemetry(unit, config, self.db, tel)?)
+    }
+
+    /// Whole-program facts need every routine (§5); globals fold into
+    /// the inliner's targets.
+    fn ipa(&self, session: &mut HloSession, inline: &InlineOptions) -> Result<(), BuildError> {
+        let _p = self.tel.phase("ipa");
+        let facts = GlobalFacts::build(session)?;
+        let n = session.n_routines();
+        let fold_targets: Vec<RoutineId> = match &inline.targets {
+            Some(t) => t.iter().copied().collect(),
+            None => (0..n).map(RoutineId::from_index).collect(),
+        };
+        fold_globals(session, &facts, &fold_targets)?;
+        Ok(session.unload_all()?)
+    }
+
+    /// WHOPR-style cluster partition: the call graph condensed into
+    /// independent clusters, and their inputs extracted.
+    fn partition(
+        &mut self,
+        session: &mut HloSession,
+        inline: &InlineOptions,
+        clone: Option<&CloneOptions>,
+    ) -> Result<ClusterPlan, BuildError> {
+        let _p = self.tel.phase("partition");
+        let plan = plan_clusters(session, Some(inline), clone)?;
+        self.report.clusters = plan.stats();
+        Ok(plan)
+    }
+
+    /// Inline + clone, cluster by cluster. Clusters share no mutable
+    /// state, so they fan out over the worker pool (at -j1, inline on
+    /// this thread) — except under an op limit, whose single global
+    /// sequential counter (§6.3 bisection) forces the sequential path.
+    /// The merge is keyed on cluster index, never completion order, so
+    /// stats, report, and trace are byte-identical at any -j.
+    fn inline(
+        &mut self,
+        session: &mut HloSession,
+        plan: &ClusterPlan,
+        inline: &InlineOptions,
+        clone: Option<&CloneOptions>,
+    ) -> Result<(), BuildError> {
+        let _p = self.tel.phase("inline");
+        let (config, program, tel) = (session.loader_config(), &session.program, &self.tel);
+        let outcomes = if inline.op_limit.is_some() {
+            run_clusters_seq(program, plan, &config, Some(inline), clone, tel)?
+        } else {
+            run_jobs(plan.inputs().len(), self.options.jobs.max(1), |_, i| {
+                run_cluster(program, plan, i, &config, Some(inline), clone, None, tel)
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()?
+        };
+        let (inlined, cloned) = merge_outcomes(session, plan, outcomes)?;
+        self.report.compile_work +=
+            inlined.inlines * 200 + inlined.considered + cloned.clones * 150;
+        Ok(())
+    }
+
+    /// The post-inline call graph: the dead routines and, under PBO,
+    /// the arcs the final link clusters on. Its edge counts are the
+    /// *maintained* site counts (scaled through inlining), not the raw
+    /// database — inlining created sites the database has never seen.
+    /// Then HLO's counters go into the report, the memory snapshot
+    /// taken while the graph's derived bytes are still charged.
+    fn callgraph(
+        &mut self,
+        session: &mut HloSession,
+    ) -> Result<(Vec<RoutineId>, Option<Vec<CallArc>>), BuildError> {
+        let _p = self.tel.phase("callgraph");
+        let graph = CallGraph::build(session)?;
+        let reach = graph.reachable_from(session.program.main_routine().expect("checked at link"));
+        let dead: Vec<RoutineId> = (0..session.n_routines())
+            .map(RoutineId::from_index)
+            .filter(|r| !reach[r.index()])
+            .collect();
+        session.record_dead_routines(dead.len() as u64);
+        if self.tel.is_enabled() {
+            let program = &session.program;
+            for &r in &dead {
+                let routine = program.name(program.routine(r).name).to_owned();
+                self.tel.emit(TraceEvent::DeadRoutine { routine });
+            }
+        }
+        let edges = graph.edges.iter().map(|e| (e.caller, e.callee, e.count));
+        let arcs = self.db.map(|_| call_arcs(edges));
+        session.unload_all()?;
+        self.report.hlo = session.stats();
+        self.report.loader = session.loader_stats();
+        self.report.memory = session.memory();
+        self.report.compile_work += self.report.loader.work_units;
+        Ok((dead, arcs))
+    }
+
+    /// The session drained into what LLO takes.
+    fn write_out(
+        &self,
+        session: HloSession,
+        dead: Vec<RoutineId>,
+        arcs: Option<Vec<CallArc>>,
+    ) -> Result<Optimized, BuildError> {
+        let _p = self.tel.phase("write_out");
+        let (program, bodies, symtabs, counts) = session.into_parts()?;
+        Ok(Optimized {
+            unit: LinkedUnit {
+                program,
+                bodies,
+                symtabs,
+            },
+            counts,
+            dead,
+            arcs,
+        })
+    }
+
+    /// Below `+O4` the linked unit goes to LLO as it is, and the arcs
+    /// come straight from the database's site counts.
+    fn hand_over(&self, unit: LinkedUnit) -> Optimized {
+        let arcs = self.db.map(|db| {
+            call_arcs(unit.bodies.iter().enumerate().flat_map(|(i, body)| {
                 let caller = RoutineId::from_index(i);
-                let name = program.name(program.routine(caller).name);
+                let name = unit.program.name(unit.program.routine(caller).name);
                 body.blocks
                     .iter()
                     .flat_map(|block| &block.instrs)
@@ -1074,26 +953,164 @@ fn build_objects_with(
                         )),
                         _ => None,
                     })
-            },
-        )))
-    });
-    let image = {
-        let _p = tel.phase("link_image");
-        assemble(
-            &program,
-            lowered,
-            &symtabs,
-            &layout,
-            &LinkOptions {
-                arcs,
-                dead,
-                telemetry: tel.clone(),
-            },
-        )
+            }))
+        });
+        Optimized {
+            counts: vec![None; unit.bodies.len()],
+            dead: Vec::new(),
+            arcs,
+            unit,
+        }
+    }
+
+    /// Per-routine LLO is the pipeline's embarrassingly-parallel stage
+    /// (the LTRANS-style fan-out): each routine lowers independently
+    /// against shared read-only program state — or, with a cache, is
+    /// decoded from its module's slot when an entry under its id-free
+    /// key is there, the two being arms of one step. Jobs are keyed by
+    /// routine index and merged in index order, so the lowered code —
+    /// and every downstream byte — is identical at any `-j`. Workers
+    /// tag their telemetry handle with a worker id and advance only the
+    /// work clock (commutative adds, the same on either arm); no events
+    /// are emitted here, which is what keeps traces byte-identical
+    /// across job counts.
+    fn llo(
+        &mut self,
+        hlo: &Optimized,
+        mut bcache: Option<&mut BuildCache>,
+    ) -> (Vec<LoweredRoutine>, GlobalLayout) {
+        let (program, bodies) = (&hlo.unit.program, &hlo.unit.bodies);
+        let (options, db, tel) = (self.options, self.db, &self.tel);
+        let layout = GlobalLayout::new(program);
+        let effort = match options.level {
+            OptLevel::O1 => OptEffort::O1,
+            _ => OptEffort::O2,
+        };
+        let layers = db.filter(|_| options.layered);
+        let layers = layers.map(|db| layered_levels(program, db, 0.95));
+        let _p = tel.phase("llo");
+        // The code tier's slots, one per module, fetched on the calling
+        // thread in module order (as every cache access is) and shared
+        // read-only with the workers.
+        let mode = cache::code_mode(options);
+        let slots: Option<Vec<Option<CodeSlot>>> = bcache.as_deref_mut().map(|bcache| {
+            let names = program.modules().iter().map(|m| program.name(m.name));
+            names.map(|m| bcache.get_code(&mode, m, tel)).collect()
+        });
+        let jobs = run_jobs(bodies.len(), options.jobs.max(1), |worker, i| {
+            let (rid, body) = (RoutineId::from_index(i), &bodies[i]);
+            let meta = program.routine(rid);
+            let name = program.name(meta.name);
+            if hlo.dead.binary_search(&rid).is_ok() {
+                // Dead routine elimination: skip all LLO work, emit a stub.
+                let stub = LoweredRoutine {
+                    name: name.to_owned(),
+                    code: vec![cmo_vm::MInstr::Ret { value: None }],
+                    frame_slots: 0,
+                    probes: Vec::new(),
+                    shape: shape_of(body),
+                    llo_work_bytes: 0,
+                    il_after_opt: 0,
+                };
+                return (stub, None);
+            }
+            let effort = match &layers {
+                Some(layers) if layers.get(&rid) == Some(&OptLayer::Minimal) => OptEffort::O1,
+                _ => effort,
+            };
+            let counts = hlo.counts[i].clone();
+            let llo_opts = LloOptions {
+                effort: OptEffortOpt(effort),
+                instrument: options.instrument,
+                block_counts: counts.or_else(|| correlated_counts(db?, name, body)),
+            };
+            let (lr, code_use) = match &slots {
+                Some(slots) => {
+                    let slot = slots[meta.module.index()].as_ref();
+                    lower_through(slot, rid, body, program, &layout, &llo_opts)
+                }
+                None => (lower(rid, body, program, &layout, &llo_opts), None),
+            };
+            tel.for_worker(worker).work(llo_work(&lr));
+            (lr, code_use)
+        });
+        let (lowered, code_uses): (Vec<_>, Vec<_>) = jobs.into_iter().unzip();
+        for lr in &lowered {
+            self.report.llo_peak_bytes = self.report.llo_peak_bytes.max(lr.llo_work_bytes);
+            self.report.compile_work += llo_work(lr);
+        }
+        if let (Some(bcache), Some(slots)) = (bcache, &slots) {
+            let live = (bodies.len() - hlo.dead.len()) as u64;
+            store_code_slots(bcache, &mode, program, live, slots, &code_uses, tel);
+        }
+        (lowered, layout)
+    }
+
+    /// The final link: procedure clustering and image assembly.
+    fn link_image(
+        mut self,
+        hlo: Optimized,
+        lowered: Vec<LoweredRoutine>,
+        layout: &GlobalLayout,
+    ) -> BuildOutput {
+        let image = {
+            let _p = self.tel.phase("link_image");
+            let link = LinkOptions {
+                arcs: hlo.arcs,
+                dead: hlo.dead,
+                telemetry: self.tel.clone(),
+            };
+            assemble(&hlo.unit.program, lowered, &hlo.unit.symtabs, layout, &link)
+        };
+        self.report.image_instrs = image.code_size();
+        self.report.phases = self.tel.phases();
+        BuildOutput {
+            image,
+            report: self.report,
+        }
+    }
+}
+
+/// The work units lowering `lr` charges.
+fn llo_work(lr: &LoweredRoutine) -> u64 {
+    u64::from(lr.il_after_opt) * 3 + (lr.llo_work_bytes as u64) / 256
+}
+
+/// One live routine through the code tier: the entry `slot` holds
+/// under the routine's id-free key — if there is one and it decodes —
+/// is the lowering; otherwise the routine is lowered and the result
+/// encoded for the slot.
+fn lower_through(
+    slot: Option<&CodeSlot>,
+    rid: RoutineId,
+    body: &RoutineBody,
+    program: &Program,
+    layout: &GlobalLayout,
+    options: &LloOptions,
+) -> (LoweredRoutine, Option<CodeUse>) {
+    let (key, refs) = routine_key(rid, body, program, layout, options);
+    let name = program.name(program.routine(rid).name);
+    let stored = slot.and_then(|slot| slot.find(key));
+    let damaged = match stored.map(|bytes| decode_entry(bytes, name, &refs, layout)) {
+        Some(Ok(lr)) => {
+            let replayed = CodeUse {
+                key,
+                fresh: None,
+                damaged: false,
+            };
+            return (lr, Some(replayed));
+        }
+        decoded => decoded.is_some(),
     };
-    report.image_instrs = image.code_size();
-    report.phases = tel.phases();
-    Ok(BuildOutput { image, report })
+    let lr = lower(rid, body, program, layout, options);
+    // A routine whose lowering cannot be encoded stays out of its slot
+    // and is lowered every build.
+    let code_use = encode_entry(&lr, &refs, layout).map(|fresh| CodeUse {
+        key,
+        fresh: Some(fresh),
+        damaged,
+    });
+    (lr, code_use)
 }
 
 /// `lower_routine`, counted in test builds.
@@ -1121,15 +1138,14 @@ fn store_code_slots(
     bcache: &mut BuildCache,
     mode: &str,
     program: &Program,
-    is_dead: &[bool],
+    live: u64,
     slots: &[Option<CodeSlot>],
     code_uses: &[Option<CodeUse>],
     tel: &Telemetry,
 ) {
     let mut by_module: Vec<Vec<&CodeUse>> = vec![Vec::new(); slots.len()];
-    let (mut replayed, mut live) = (0u64, 0u64);
+    let mut replayed = 0u64;
     for (i, code_use) in code_uses.iter().enumerate() {
-        live += u64::from(!is_dead[i]);
         if let Some(code_use) = code_use {
             replayed += u64::from(code_use.fresh.is_none());
             let module = program.routine(RoutineId::from_index(i)).module;
@@ -1146,39 +1162,31 @@ fn store_code_slots(
         if let (true, Some(slot)) = (damaged, slot) {
             bcache.invalidate_code(mode, module, slot, tel);
         }
-        if !damaged
-            && slot
-                .as_ref()
-                .is_some_and(|s| s.holds(uses.iter().map(|u| u.key)))
-        {
+        let keys = uses.iter().map(|u| u.key);
+        if !damaged && slot.as_ref().is_some_and(|s| s.holds(keys)) {
             continue;
         }
+        let stored = |key| slot.as_ref().and_then(|s| s.find(key));
         let entries: Vec<(CodeKey, &[u8])> = uses
             .iter()
             .map(|u| {
-                let bytes = match &u.fresh {
-                    Some(bytes) => bytes.as_slice(),
-                    None => slot
-                        .as_ref()
-                        .and_then(|s| s.find(u.key))
-                        .expect("a replayed entry came from this slot"),
-                };
-                (u.key, bytes)
+                let bytes = u.fresh.as_deref().or_else(|| stored(u.key));
+                (u.key, bytes.expect("a replayed entry came from this slot"))
             })
             .collect();
         bcache.put_code(mode, module, &entries, tel);
     }
 }
 
-/// Commits the cache, downgrading a persist failure (full disk,
-/// revoked permissions) to a `degraded` trace event: a build that
-/// compiled correctly must not fail because its *cache* could not be
-/// written — the next run simply starts colder.
-fn persist_or_degrade(bcache: &mut BuildCache, tel: &Telemetry) {
-    if let Err(e) = bcache.persist() {
+/// Downgrades a failed cache operation (`name`: a commit on a full
+/// disk or with revoked permissions, a compaction) to a `degraded`
+/// trace event: a build that compiled correctly must not fail because
+/// of its *cache* — the next run simply starts colder.
+fn degrade(tel: &Telemetry, name: &str, outcome: Result<(), NaimError>) {
+    if let Err(e) = outcome {
         tel.emit(TraceEvent::Degraded {
             component: "cache",
-            name: "persist".to_owned(),
+            name: name.to_owned(),
             error: e.to_string(),
         });
     }
@@ -1765,6 +1773,29 @@ mod tests {
         let back = code_session(&storage, &reverted, &db);
         assert!(back.out.report.replayed.is_none());
         assert_eq!((back.lowerings, back.stores), (1, 1));
+    }
+
+    /// PBO is on exactly when a profile is attached: `pbo` set without
+    /// one builds what no PBO builds, at every level, with and without
+    /// calls left for the final link to cluster on.
+    #[test]
+    fn pbo_without_a_profile_builds_as_without_pbo() {
+        let mut cc = Compiler::new();
+        cc.add_sources(&six_modules(), 1).unwrap();
+        let no_inlines = InlineOptions {
+            op_limit: Some(0),
+            ..InlineOptions::default()
+        };
+        for level in [OptLevel::O1, OptLevel::O2, OptLevel::O4] {
+            for inline in [InlineOptions::default(), no_inlines.clone()] {
+                let plain = BuildOptions::new(level).with_inline(inline);
+                let mut pbo = plain.clone();
+                pbo.pbo = true;
+                let (a, b) = (cc.build(&plain).unwrap(), cc.build(&pbo).unwrap());
+                assert_eq!(a.image.to_bytes(), b.image.to_bytes(), "{level:?}");
+                assert_eq!(a.report.to_json(), b.report.to_json(), "{level:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! so the "reference" level itself moves; the assertions compare every
 //! level against `-j1` directly, so either way nothing may drift.
 
-use cmo::{BuildOptions, NaimConfig, OptLevel, Telemetry};
+use cmo::{BuildOptions, BuildOutput, Compiler, InlineOptions, NaimConfig, OptLevel, Telemetry};
 use cmo_repro::harness::{compiler_for, train_profile};
 use cmo_synth::{generate, SynthSpec};
 
@@ -83,7 +83,7 @@ fn trace_records_worker_ids_but_sorts_on_the_work_clock() {
 /// helper each) whose internal edges couple, and a `main` that only
 /// makes cross-cluster calls to the big roots — too big to be inline
 /// candidates, so the edges stay cross-cluster.
-fn multi_cluster_build(jobs: usize) -> (String, String, Vec<u8>) {
+fn multi_cluster_compiler() -> Compiler {
     let big_root = |name: &str, helper: &str| {
         let bulk: String = (0..40)
             .map(|i| format!("acc = acc + {} * x;", i + 2))
@@ -105,23 +105,28 @@ fn multi_cluster_build(jobs: usize) -> (String, String, Vec<u8>) {
         extern fn root_b(x: int) -> int;
         fn main() -> int { return root_a(5) + root_b(7); }
     "#;
-    let mut cc = cmo::Compiler::new();
+    let mut cc = Compiler::new();
     cc.add_source("app", app).unwrap();
     cc.add_source("fam_a", &big_root("root_a", "help_a"))
         .unwrap();
     cc.add_source("fam_b", &big_root("root_b", "help_b"))
         .unwrap();
+    cc
+}
+
+/// One build of `cc` with telemetry on: the output and its trace.
+fn traced_build(cc: &Compiler, opts: BuildOptions) -> (BuildOutput, String) {
     let tel = Telemetry::enabled();
-    let mut opts = BuildOptions::new(OptLevel::O4).with_jobs(jobs);
-    opts.telemetry = tel.clone();
-    let out = cc.build(&opts).unwrap();
-    let code: Vec<u8> = out
-        .image
-        .code
-        .iter()
-        .flat_map(|w| format!("{w:?};").into_bytes())
-        .collect();
-    (out.report.to_json(), tel.render_trace(), code)
+    let out = cc.build(&opts.with_telemetry(tel.clone())).unwrap();
+    (out, tel.render_trace())
+}
+
+/// (report JSON, trace JSONL, image bytes) of a `+O4` build of the
+/// multi-cluster program at `jobs` workers.
+fn multi_cluster_build(jobs: usize) -> (String, String, Vec<u8>) {
+    let opts = BuildOptions::new(OptLevel::O4).with_jobs(jobs);
+    let (out, trace) = traced_build(&multi_cluster_compiler(), opts);
+    (out.report.to_json(), trace, out.image.to_bytes())
 }
 
 #[test]
@@ -156,12 +161,49 @@ fn multi_cluster_hlo_is_byte_identical_across_jobs() {
     }
 }
 
+/// An op limit (§6.3 bisection) runs the clusters one by one, in
+/// index order, whatever `-j` asks for; LLO still fans out. Image,
+/// report and trace must not depend on the worker count whether the
+/// limit admits no operation, some, or all of them.
+#[test]
+fn op_limited_multi_cluster_builds_are_byte_identical_across_jobs() {
+    let cc = multi_cluster_compiler();
+    let total = cc
+        .build(&BuildOptions::new(OptLevel::O4))
+        .unwrap()
+        .report
+        .hlo
+        .inlines;
+    assert!(total >= 2, "each family inlines its helper: {total} ops");
+    for limit in [0, total / 2, total] {
+        let build = |jobs: usize| {
+            let inline = InlineOptions {
+                op_limit: Some(limit),
+                ..InlineOptions::default()
+            };
+            let opts = BuildOptions::new(OptLevel::O4)
+                .with_inline(inline)
+                .with_jobs(jobs);
+            traced_build(&cc, opts)
+        };
+        let (out_1, trace_1) = build(1);
+        assert_eq!(out_1.report.hlo.inlines, limit, "the limit binds");
+        for jobs in jobs_levels() {
+            let (out_j, trace_j) = build(jobs);
+            let at = format!("op limit {limit}, -j{jobs}");
+            assert_eq!(out_1.image.to_bytes(), out_j.image.to_bytes(), "{at}");
+            assert_eq!(out_1.report.to_json(), out_j.report.to_json(), "{at}");
+            assert_eq!(trace_1, trace_j, "{at}");
+        }
+    }
+}
+
 #[test]
 fn parallel_frontend_matches_sequential_frontend() {
     let app = generate(&SynthSpec::small("par-fe", 9));
     let modules: Vec<(String, String)> = app.modules.clone();
     let build = |jobs: usize| {
-        let mut cc = cmo::Compiler::new();
+        let mut cc = Compiler::new();
         cc.add_sources(&modules, jobs).unwrap();
         cc.build(&BuildOptions::new(OptLevel::O4)).unwrap()
     };

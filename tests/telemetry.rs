@@ -82,26 +82,68 @@ fn trace_schema_is_stable_and_events_fire() {
     }
 }
 
+/// The build's stages, each with the one phase it opens, in order:
+/// `(name, depth)` exactly as the report lists them. The benchmark's
+/// phase cross-check keys on these names.
 #[test]
 fn phase_timers_nest_and_cover_the_pipeline() {
     let app = generate(&SynthSpec::small("phases", 21));
     let cc = compiler_for(&app).unwrap();
-    let tel = Telemetry::enabled();
-    let opts = BuildOptions::new(OptLevel::O4).with_telemetry(tel.clone());
-    let out = cc.build(&opts).unwrap();
-    let names: Vec<String> = out.report.phases.iter().map(|p| p.name.clone()).collect();
-    for expected in ["link", "hlo", "hlo.inline", "llo", "link_image"] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "missing phase {expected} in {names:?}"
-        );
-    }
-    for phase in &out.report.phases {
-        assert!(
-            phase.end_work >= phase.start_work,
-            "phase {} runs backwards on the work clock",
-            phase.name
-        );
+    let db = train_profile(&cc, &app.train_input).unwrap();
+    let selective: &[(&str, u32)] = &[
+        ("link", 0),
+        ("hlo", 0),
+        ("hlo.select", 1),
+        ("hlo.read_in", 1),
+        ("hlo.ipa", 1),
+        ("hlo.partition", 1),
+        ("hlo.inline", 1),
+        ("hlo.callgraph", 1),
+        ("hlo.write_out", 1),
+        ("llo", 0),
+        ("link_image", 0),
+    ];
+    // Without a percentage there is nothing to select.
+    let o4: Vec<(&str, u32)> = selective
+        .iter()
+        .copied()
+        .filter(|&(name, _)| name != "hlo.select")
+        .collect();
+    let below_o4: &[(&str, u32)] = &[("link", 0), ("llo", 0), ("link_image", 0)];
+    let cases = [
+        (
+            "+O4 +P --sel 20",
+            BuildOptions::new(OptLevel::O4)
+                .with_profile_db(db.clone())
+                .with_selectivity(20.0),
+            selective,
+        ),
+        (
+            "+O4 +P",
+            BuildOptions::new(OptLevel::O4).with_profile_db(db),
+            &o4[..],
+        ),
+        ("+O4", BuildOptions::new(OptLevel::O4), &o4[..]),
+        ("+O2", BuildOptions::o2(), below_o4),
+    ];
+    for (flags, opts, expected) in cases {
+        let out = cc
+            .build(&opts.with_telemetry(Telemetry::enabled()))
+            .unwrap();
+        let phases: Vec<(&str, u32)> = out
+            .report
+            .phases
+            .iter()
+            .map(|p| (p.name.as_str(), p.depth))
+            .collect();
+        assert_eq!(phases, expected, "{flags}");
+        for phase in &out.report.phases {
+            assert!(
+                phase.end_work >= phase.start_work,
+                "{flags}: phase {} runs backwards on the work clock",
+                phase.name
+            );
+        }
     }
 }
 

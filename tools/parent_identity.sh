@@ -9,9 +9,15 @@
 # same relative arguments — and cmp's everything they write:
 #
 #   * --report-json, --trace, and stdout (--emit-asm plus the --run
-#     output) on both examples/mlc program sets, at +O2 / +O4 /
-#     +O4 +P train.db x -j1 / -j4 x no budget / --budget 0, after
-#     comparing the +I training runs and profile databases themselves;
+#     output) on both examples/mlc program sets, at +O1 / +O2 / +O4 /
+#     +O4 +P train.db / +O4 +P train.db --sel 20 x -j1 / -j4 x no
+#     budget / --budget 0, after comparing the +I training runs and
+#     profile databases themselves. +O1 is the one level with the
+#     block-local LLO effort; --sel 20 is the production flow (the
+#     benchmark's), the only one that runs the hlo.select phase and
+#     emits select_site / select_module events, and at 20 % the
+#     util+hot+prog set's report keeps 2 of its 3 modules CMO
+#     (cmo_modules < total_modules);
 #   * the -c objects of both sets and what -c printed, an uncached
 #     +O4 +P train.db link of those objects at -j1 / -j4 (stdout,
 #     --report-json, --trace), and one +O4 --isolate --run per set —
@@ -104,11 +110,13 @@ for set in "lib.mlc app.mlc:500" "util.mlc hot.mlc prog.mlc:50"; do
     both "$name-isolate" +O4 --run "$input" --isolate "${srcs[@]}"
     same "$name-isolate.out"
 
-    for level in O2 O4 O4P; do
+    for level in O1 O2 O4 O4P O4PS; do
         case $level in
+            O1) flags=(+O1) ;;
             O2) flags=(+O2) ;;
             O4) flags=(+O4) ;;
             O4P) flags=(+O4 +P "$db") ;;
+            O4PS) flags=(+O4 +P "$db" --sel 20) ;;
         esac
         for j in 1 4; do
             for budget in roomy tight; do

@@ -29,20 +29,29 @@ fn main() {
     let planted = (total * 2 / 3).max(1);
     println!("planting a failure at inline operation #{planted}");
 
-    let mut builds_log = Vec::new();
-    let report = isolate_faulty_op(total, |limit| {
-        let opts = BuildOptions::new(OptLevel::O4).with_inline(InlineOptions {
-            op_limit: Some(limit),
-            ..InlineOptions::default()
+    // The search runs at one worker and again at four: an op limit
+    // numbers the operations cluster by cluster at any worker count,
+    // so both must probe the same limits and find the same operation.
+    let search = |jobs: usize| {
+        let mut builds_log = Vec::new();
+        let report = isolate_faulty_op(total, |limit| {
+            let opts = BuildOptions::new(OptLevel::O4)
+                .with_inline(InlineOptions {
+                    op_limit: Some(limit),
+                    ..InlineOptions::default()
+                })
+                .with_jobs(jobs);
+            let out = cc.build(&opts).expect("limited build");
+            // The oracle: a real deployment would run the program's
+            // test suite here (§6.4); our planted bug trips once the op
+            // count reaches the planted operation.
+            let applied = out.report.hlo.inlines;
+            builds_log.push((limit, applied));
+            applied < planted
         });
-        let out = cc.build(&opts).expect("limited build");
-        // The oracle: a real deployment would run the program's test
-        // suite here (§6.4); our planted bug trips once the op count
-        // reaches the planted operation.
-        let applied = out.report.hlo.inlines;
-        builds_log.push((limit, applied));
-        applied < planted
-    });
+        (report, builds_log)
+    };
+    let (report, builds_log) = search(1);
 
     println!("binary search performed {} builds:", report.builds);
     for (limit, applied) in &builds_log {
@@ -53,6 +62,12 @@ fn main() {
         None => println!("no failure found (unexpected)"),
     }
     assert_eq!(report.first_faulty_op, Some(planted));
+    assert_eq!(
+        search(4),
+        (report, builds_log),
+        "the search moved at 4 workers"
+    );
+    println!("the same {} builds at 4 workers", report.builds);
     let linear_builds = total;
     println!(
         "binary search cost {} builds versus {} for a linear scan",

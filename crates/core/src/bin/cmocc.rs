@@ -10,8 +10,9 @@
 //!   +I                 instrument for profiling
 //!   --sel <percent>    call-site selectivity at +O4
 //!   --budget <MiB>     NAIM optimizer memory budget
-//!   -j, --jobs <N>     worker threads for front-end and LLO fan-out
-//!                      (output is byte-identical at every N)
+//!   -j, --jobs <N>     worker threads for the front-end, HLO cluster
+//!                      and LLO fan-outs, --isolate's search builds
+//!                      included (output is byte-identical at every N)
 //!   --run <v1,v2,...>  execute main with the given input stream
 //!   --profile-out <f>  after --run of an instrumented build, write
 //!                      the profile database to <f>

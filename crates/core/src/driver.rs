@@ -6,8 +6,8 @@ use crate::parallel::run_jobs;
 use crate::report::CompileReport;
 use cmo_frontend::FrontendError;
 use cmo_hlo::{
-    fold_globals, merge_outcomes, plan_clusters, run_cluster, run_clusters_seq, CallGraph,
-    CloneOptions, ClusterPlan, GlobalFacts, HloSession, InlineOptions,
+    fold_globals, merge_outcomes, plan_clusters, run_clusters, CallGraph, CloneOptions,
+    ClusterPlan, GlobalFacts, HloSession, InlineOptions,
 };
 use cmo_ir::{link_objects, IlObject, LinkError, LinkedUnit, Program, RoutineBody, RoutineId};
 use cmo_link::{assemble, CallArc, LinkOptions};
@@ -851,9 +851,8 @@ impl Build<'_> {
 
     /// Inline + clone, cluster by cluster. Clusters share no mutable
     /// state, so they fan out over the worker pool (at -j1, inline on
-    /// this thread) — except under an op limit, whose single global
-    /// sequential counter (§6.3 bisection) forces the sequential path.
-    /// The merge is keyed on cluster index, never completion order, so
+    /// this thread), op-limited builds included (§6.3 bisection). The
+    /// merge is keyed on cluster index, never completion order, so
     /// stats, report, and trace are byte-identical at any -j.
     fn inline(
         &mut self,
@@ -863,16 +862,10 @@ impl Build<'_> {
         clone: Option<&CloneOptions>,
     ) -> Result<(), BuildError> {
         let _p = self.tel.phase("inline");
-        let (config, program, tel) = (session.loader_config(), &session.program, &self.tel);
-        let outcomes = if inline.op_limit.is_some() {
-            run_clusters_seq(program, plan, &config, Some(inline), clone, tel)?
-        } else {
-            run_jobs(plan.inputs().len(), self.options.jobs.max(1), |_, i| {
-                run_cluster(program, plan, i, &config, Some(inline), clone, None, tel)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?
-        };
+        let jobs = self.options.jobs.max(1);
+        let outcomes = run_clusters(session, plan, Some(inline), clone, |n, job| {
+            run_jobs(n, jobs, |_, i| job(i))
+        })?;
         let (inlined, cloned) = merge_outcomes(session, plan, outcomes)?;
         self.report.compile_work +=
             inlined.inlines * 200 + inlined.considered + cloned.clones * 150;

@@ -43,7 +43,7 @@ pub fn isolate_faulty_op(max_ops: u64, mut is_good: impl FnMut(u64) -> bool) -> 
     }
     // Invariant: good at `lo`, bad at `hi`.
     let (mut lo, mut hi) = (0u64, max_ops);
-    if !check(0, &mut builds) {
+    if max_ops == 0 || !check(0, &mut builds) {
         return IsolationReport {
             first_faulty_op: Some(0),
             builds,
@@ -97,12 +97,6 @@ pub fn isolate_inline_ops(
 ) -> Result<InlineIsolation, BuildError> {
     let mut search = options.clone();
     search.telemetry = Telemetry::disabled();
-    // Pin the search to one worker. An operation limit forces the
-    // cluster fan-out sequential anyway, but the *unlimited* build that
-    // counts `total_ops` has no limit — pinning keeps every build in
-    // the search on the same sequential operation numbering the limit
-    // binary-searches over, whatever `-j` the caller compiled with.
-    search.jobs = 1;
     let limited = |limit: u64| {
         search.clone().with_inline(InlineOptions {
             op_limit: Some(limit),
@@ -164,6 +158,15 @@ mod tests {
         assert_eq!(report.first_faulty_op, Some(0));
     }
 
+    /// With no operation to search, the first build already built
+    /// limit 0.
+    #[test]
+    fn no_operations_and_broken_takes_one_build() {
+        let report = isolate_faulty_op(0, |_| false);
+        assert_eq!(report.first_faulty_op, Some(0));
+        assert_eq!(report.builds, 1);
+    }
+
     /// End-to-end: drive real builds with an inline op limit, with a
     /// "miscompilation" simulated by an oracle that dislikes one
     /// specific inline operation's effect on the image.
@@ -217,9 +220,10 @@ mod tests {
         assert!(isolation.total_ops > 0, "expected some inline ops");
     }
 
-    /// Isolation pins its search builds to one worker, so the caller's
-    /// `-j` must not change the outcome: same op count, same verdict,
-    /// same checksum at `-j4` as at `-j1`.
+    /// Every search build fans its clusters out at the caller's `-j`,
+    /// and an op limit numbers the operations cluster by cluster at any
+    /// worker count, so `-j` must not change the outcome: same op count,
+    /// same verdict, same checksum at `-j4` as at `-j1`.
     #[test]
     fn isolation_is_identical_at_any_worker_count() {
         let mut cc = Compiler::new();

@@ -610,7 +610,7 @@ fn the_make_flow_links_the_same_image_with_or_without_a_cache() {
 fn isolate_reports_the_same_search_with_or_without_a_cache() {
     let files = [("lib.mlc", LIB), ("app.mlc", APP)];
     let isolate = ["+O4", "--run", "50", "--isolate", "lib.mlc", "app.mlc"];
-    for jobs in ["1", "4"] {
+    let lines = ["1", "4"].map(|jobs| {
         let [plain, cached] = both_doors("isolate", jobs, &files, &[&isolate]);
         let isolated = |run: &Door| -> String {
             assert_eq!(run.code, Some(0), "-j{jobs}: {}", run.stderr);
@@ -618,5 +618,7 @@ fn isolate_reports_the_same_search_with_or_without_a_cache() {
             line.expect("an isolated: line").to_owned()
         };
         assert_eq!(isolated(&plain), isolated(&cached), "-j{jobs}");
-    }
+        isolated(&plain)
+    });
+    assert_eq!(lines[0], lines[1], "-j1 and -j4 search alike");
 }

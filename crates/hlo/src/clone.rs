@@ -8,7 +8,7 @@
 //! copy — without duplicating the callee into the caller's body. Sites
 //! passing the *same* constants share one clone.
 
-use crate::cluster::{merge_outcomes, plan_clusters, run_clusters_seq};
+use crate::cluster::run_in_order;
 use crate::session::HloSession;
 use cmo_ir::{Const, Instr, RoutineBody, RoutineId};
 use cmo_naim::NaimError;
@@ -125,9 +125,8 @@ pub(crate) fn specialize(callee: &RoutineBody, sig: &ConstSig) -> RoutineBody {
 /// unprofiled sessions it does nothing (the paper only applies
 /// aggressive specialization where profiles justify the growth).
 ///
-/// Like [`crate::inline_pass`], this is a sequential wrapper over the
-/// cluster pipeline in [`crate::cluster`]; the driver fans the same
-/// clusters out across worker threads.
+/// Like [`crate::inline_pass`], this runs the clusters of
+/// [`crate::cluster`] one after another on this thread.
 ///
 /// # Errors
 ///
@@ -136,12 +135,7 @@ pub fn clone_pass(
     session: &mut HloSession,
     options: &CloneOptions,
 ) -> Result<CloneStats, NaimError> {
-    let plan = plan_clusters(session, None, Some(options))?;
-    let config = session.loader_config();
-    let tel = session.telemetry().clone();
-    let outcomes = run_clusters_seq(&session.program, &plan, &config, None, Some(options), &tel)?;
-    let (_, stats) = merge_outcomes(session, &plan, outcomes)?;
-    Ok(stats)
+    Ok(run_in_order(session, None, Some(options))?.1)
 }
 
 #[cfg(test)]

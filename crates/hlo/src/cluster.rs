@@ -12,7 +12,8 @@
 //!    body is read.
 //! 2. [`run_cluster`] optimizes one cluster against a **private** NAIM
 //!    loader and a **private** telemetry sink — no shared mutable
-//!    state, so the driver may fan clusters out across worker threads.
+//!    state, so [`run_clusters`] fans them out across worker threads,
+//!    under an op limit too.
 //!    Clones are created under *provisional* routine ids above the
 //!    pre-pass id space. It hands back only the members it changed.
 //! 3. [`merge_outcomes`] folds outcomes back in ascending cluster
@@ -318,6 +319,7 @@ impl<'a> ClusterCx<'a> {
             .account(MemClass::Derived, -(graph_bytes(&graph) as isize));
     }
 
+    /// Traces one inline verdict, when tracing is on.
     fn inline_event(
         &self,
         caller: RoutineId,
@@ -326,16 +328,19 @@ impl<'a> ClusterCx<'a> {
         accepted: bool,
         reason: &'static str,
         count: u64,
-    ) -> TraceEvent {
+    ) {
+        if !self.tel.is_enabled() {
+            return;
+        }
         let p = self.program;
-        TraceEvent::Inline {
+        self.tel.emit(TraceEvent::Inline {
             caller: p.name(p.routine(caller).name).to_owned(),
             callee: p.name(p.routine(callee).name).to_owned(),
             site: site.0,
             accepted,
             reason,
             count,
-        }
+        });
     }
 }
 
@@ -366,7 +371,6 @@ fn inline_core(
 ) -> Result<InlineStats, NaimError> {
     let mut stats = InlineStats::default();
     let mut ops_done = 0u64;
-    let tel = cx.tel.clone();
 
     for _pass in 0..options.max_passes {
         let graph = cx.local_graph();
@@ -383,16 +387,7 @@ fn inline_core(
             stats.considered += 1;
             let count = e.count;
             if !cx.is_local(e.callee) {
-                if tel.is_enabled() {
-                    tel.emit(cx.inline_event(
-                        e.caller,
-                        e.callee,
-                        e.site,
-                        false,
-                        "cross_cluster",
-                        count,
-                    ));
-                }
+                cx.inline_event(e.caller, e.callee, e.site, false, "cross_cluster", count);
                 continue;
             }
             let callee_il = cx.il(e.callee);
@@ -414,7 +409,7 @@ fn inline_core(
                     module_pair: (cm, rm),
                     why: if small { "small" } else { "hot" },
                 });
-            } else if tel.is_enabled() {
+            } else {
                 let reason = if count < options.hot_site_min_count {
                     "cold"
                 } else if callee_il > options.hot_callee_il {
@@ -422,7 +417,7 @@ fn inline_core(
                 } else {
                     "not_dominant"
                 };
-                tel.emit(cx.inline_event(e.caller, e.callee, e.site, false, reason, count));
+                cx.inline_event(e.caller, e.callee, e.site, false, reason, count);
             }
         }
         cx.release_graph(graph);
@@ -453,16 +448,7 @@ fn inline_core(
             let callee_il = cx.il(c.callee);
             if caller_il.saturating_add(callee_il) > options.caller_growth_cap {
                 stats.capped += 1;
-                if tel.is_enabled() {
-                    tel.emit(cx.inline_event(
-                        c.caller,
-                        c.callee,
-                        c.site,
-                        false,
-                        "growth_cap",
-                        c.count,
-                    ));
-                }
+                cx.inline_event(c.caller, c.callee, c.site, false, "growth_cap", c.count);
                 continue;
             }
             // Clone the callee body (it is only read), then mutate the
@@ -478,16 +464,7 @@ fn inline_core(
 
             let caller_body = cx.body_mut(c.caller)?;
             let Some(info) = splice_call(caller_body, c.site, &callee_body) else {
-                if tel.is_enabled() {
-                    tel.emit(cx.inline_event(
-                        c.caller,
-                        c.callee,
-                        c.site,
-                        false,
-                        "site_gone",
-                        c.count,
-                    ));
-                }
+                cx.inline_event(c.caller, c.callee, c.site, false, "site_gone", c.count);
                 continue;
             };
             let new_il = caller_body.instr_count() as u32;
@@ -495,9 +472,7 @@ fn inline_core(
             did_any = true;
             ops_done += 1;
             stats.inlines += 1;
-            if tel.is_enabled() {
-                tel.emit(cx.inline_event(c.caller, c.callee, c.site, true, c.why, c.count));
-            }
+            cx.inline_event(c.caller, c.callee, c.site, true, c.why, c.count);
 
             // Maintain profile counts through the transformation.
             let scale = if callee_entry == 0 {
@@ -673,7 +648,7 @@ fn clone_core(cx: &mut ClusterCx, options: &CloneOptions) -> Result<CloneStats, 
 ///
 /// Propagates loader failures (a per-cluster loader enforces the same
 /// hard memory limit as the main session).
-#[allow(clippy::too_many_arguments)] // mirrors the sequential pipeline's knobs one-for-one
+#[allow(clippy::too_many_arguments)] // one per input a cluster run reads
 pub fn run_cluster(
     program: &Program,
     plan: &ClusterPlan,
@@ -788,34 +763,71 @@ pub fn run_cluster(
     })
 }
 
-/// Runs every cluster sequentially, threading the inline op budget
-/// from one cluster to the next — the path the driver takes when an
-/// operation limit is set (§6.3 bisection must see one global
-/// sequential counter).
+/// One cluster's run by job number, as [`run_clusters`] hands it out.
+pub type ClusterJob<'a> = dyn Fn(usize) -> Result<ClusterOutcome, NaimError> + Sync + 'a;
+
+/// Runs every cluster of `plan` through `fan_out(n, job)`, which must
+/// return `job(0..n)` in job order: the driver's worker pool, or an
+/// in-order map.
+///
+/// An op limit `L` numbers inline operations cluster by cluster (§6.3),
+/// as if each cluster ran on the budget the ones before it left over.
+/// Pass one runs every cluster at `L`, which none can exceed. Walking
+/// the outcomes in order with `left = L`, a cluster's slice is `left`,
+/// which then drops by its inline count. A run at budget `b` is the run
+/// at `L` until it has done `b` operations, and an inert cluster never
+/// reaches a candidate, so only an active cluster with a slice below
+/// `L` that it reached runs again, at its slice, in a second fan-out
+/// whose outcomes replace pass one's.
 ///
 /// # Errors
 ///
-/// Propagates the first cluster failure.
-pub fn run_clusters_seq(
-    program: &Program,
+/// Propagates the lowest-numbered cluster failure.
+pub fn run_clusters(
+    session: &HloSession,
     plan: &ClusterPlan,
-    config: &NaimConfig,
     inline: Option<&InlineOptions>,
     clone: Option<&CloneOptions>,
-    telemetry: &Telemetry,
+    mut fan_out: impl FnMut(usize, &ClusterJob) -> Vec<Result<ClusterOutcome, NaimError>>,
 ) -> Result<Vec<ClusterOutcome>, NaimError> {
-    let mut remaining = inline.and_then(|o| o.op_limit);
-    let mut outcomes = Vec::with_capacity(plan.inputs.len());
-    for index in 0..plan.inputs.len() {
-        let outcome = run_cluster(
-            program, plan, index, config, inline, clone, remaining, telemetry,
-        )?;
-        if let Some(r) = remaining.as_mut() {
-            *r = r.saturating_sub(outcome.inline_stats.inlines);
+    let (program, tel) = (&session.program, session.telemetry());
+    let config = session.loader_config();
+    let limit = inline.and_then(|o| o.op_limit);
+    let run =
+        |index, budget| run_cluster(program, plan, index, &config, inline, clone, budget, tel);
+    let mut outcomes = fan_out(plan.inputs.len(), &|index| run(index, limit))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut reruns = Vec::new();
+    if let Some(limit) = limit {
+        let mut left = limit;
+        for (index, outcome) in outcomes.iter().enumerate() {
+            let done = outcome.inline_stats.inlines;
+            if !plan.inputs[index].bodies.is_empty() && left < limit && done >= left {
+                reruns.push((index, left));
+            }
+            left = left.saturating_sub(done);
         }
-        outcomes.push(outcome);
+    }
+    let rerun = fan_out(reruns.len(), &|k| run(reruns[k].0, Some(reruns[k].1)));
+    for (&(index, _), outcome) in reruns.iter().zip(rerun) {
+        outcomes[index] = outcome?;
     }
     Ok(outcomes)
+}
+
+/// Plans, runs and merges the clusters one after another on this
+/// thread: [`crate::inline_pass`] and [`crate::clone_pass`].
+pub(crate) fn run_in_order(
+    session: &mut HloSession,
+    inline: Option<&InlineOptions>,
+    clone: Option<&CloneOptions>,
+) -> Result<(InlineStats, CloneStats), NaimError> {
+    let plan = plan_clusters(session, inline, clone)?;
+    let outcomes = run_clusters(session, &plan, inline, clone, |n, job| {
+        (0..n).map(job).collect()
+    })?;
+    merge_outcomes(session, &plan, outcomes)
 }
 
 /// Folds cluster outcomes back into the session in ascending cluster

@@ -20,20 +20,26 @@
 //! * `merge_outcomes` summarizes a member or a clone before `remap` →
 //!   `nested_clone_summary_names_final_ids`,
 //!   `summaries_stay_true_at_every_phase_boundary`.
+//! * `run_clusters` drops its reruns, slices each cluster from the
+//!   whole limit instead of what the clusters before it left, reruns
+//!   only a cluster that overshot its slice, or reruns inert clusters →
+//!   `op_limited_builds_match_the_goldens_at_every_limit`.
 
 use crate::{
-    fold_globals, merge_outcomes, plan_clusters, run_cluster, CallGraph, CloneOptions, GlobalFacts,
-    HloSession, HloStats, InlineOptions, PartitionStats,
+    fold_globals, merge_outcomes, plan_clusters, run_cluster, run_clusters, CallGraph,
+    CloneOptions, GlobalFacts, HloSession, HloStats, InlineOptions, PartitionStats,
 };
 use cmo::{run_jobs, BuildOptions, Compiler};
 use cmo_frontend::compile_module;
-use cmo_ir::{link_objects, LinkedUnit, RoutineId};
-use cmo_naim::{LoaderStats, MemClass, NaimConfig, NaimLevel};
+use cmo_ir::{link_objects, IlObject, LinkedUnit, RoutineId};
+use cmo_naim::{ContentHash, LoaderStats, MemClass, NaimConfig, NaimLevel};
 use cmo_profile::{ProbeKey, ProfileDb, RoutineShape};
 use cmo_select::coarse_select;
 use cmo_synth::{generate, mcad_preset, SynthApp};
+use cmo_telemetry::Telemetry;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::fmt::Write;
 use std::sync::OnceLock;
 
 fn unit_of(modules: &[(String, String)]) -> LinkedUnit {
@@ -86,23 +92,24 @@ struct Run {
     written: usize,
 }
 
-/// The driver's HLO stage (`cmo::Compiler::build`, mirrored as in
-/// `benchmark/src/staged.rs`), with the oracle run at every phase
-/// boundary when asked.
-fn pipeline(
+/// The driver's HLO stage up to the partition (`cmo::Compiler::build`,
+/// mirrored as in `benchmark/src/staged.rs`): the folded session and
+/// the inline and clone options, with the oracle run after read-in and
+/// after the fold when asked.
+fn folded(
     unit: LinkedUnit,
     db: Option<&ProfileDb>,
     selectivity: Option<f64>,
     naim: NaimConfig,
-    jobs: usize,
+    tel: Telemetry,
     oracle: bool,
-) -> Run {
+) -> (HloSession, InlineOptions, Option<CloneOptions>) {
     let targets: Option<BTreeSet<RoutineId>> = selectivity.map(|pct| {
         let db = db.expect("selectivity needs a profile");
         let plan = coarse_select(&unit.program, &unit.bodies, db, pct).unwrap();
         plan.hot_routines.iter().copied().collect()
     });
-    let mut session = HloSession::new(unit, naim, db).unwrap();
+    let mut session = HloSession::new_with_telemetry(unit, naim, db, tel).unwrap();
     let check = |session: &mut HloSession, phase: &str| {
         if oracle {
             session.assert_summaries_match_bodies(phase);
@@ -134,6 +141,26 @@ fn pipeline(
         targets: inline_opts.targets.clone(),
         ..CloneOptions::default()
     });
+    (session, inline_opts, clone_opts)
+}
+
+/// The driver's HLO stage, with the oracle run at every phase boundary
+/// when asked.
+fn pipeline(
+    unit: LinkedUnit,
+    db: Option<&ProfileDb>,
+    selectivity: Option<f64>,
+    naim: NaimConfig,
+    jobs: usize,
+    oracle: bool,
+) -> Run {
+    let (mut session, inline_opts, clone_opts) =
+        folded(unit, db, selectivity, naim, Telemetry::disabled(), oracle);
+    let check = |session: &mut HloSession, phase: &str| {
+        if oracle {
+            session.assert_summaries_match_bodies(phase);
+        }
+    };
     let before_plan = session.body_accesses.clone();
     let plan = plan_clusters(&mut session, Some(&inline_opts), clone_opts.as_ref()).unwrap();
     let inert: Vec<RoutineId> = plan
@@ -244,6 +271,69 @@ proptest! {
                 prop_assert!(hlo.inlines > 0 && hlo.clones > 0, "{:?}", hlo);
             }
         }
+    }
+}
+
+/// Per configuration of `mcad()` (`+O4`, `+O4 +P`, `+O4 +P` at 20 %):
+/// the inline operations of the unlimited build, and the hash of the
+/// merged sessions of the builds limited to `0..=total + 1` (body
+/// fingerprints, `HloStats`, `LoaderStats` and the rendered trace of
+/// each), recorded at commit 393b260, which ran the clusters one after
+/// another, each on the budget those before it left over.
+const LIMIT_GOLDENS: [(&str, u64, &str); 3] = [
+    ("+O4", 34, "7089f31858d74211b08563682952262c"),
+    ("+O4 +P", 85, "af9596dee2f195d35db58a480fb9b2a4"),
+    ("+O4 +P at 20 %", 41, "f25b33ac2b5f75fa544e08ce52deb8de"),
+];
+
+#[test]
+fn op_limited_builds_match_the_goldens_at_every_limit() {
+    let (app, db) = mcad();
+    let objects: Vec<IlObject> = app
+        .modules
+        .iter()
+        .map(|(name, src)| compile_module(name, src).unwrap())
+        .collect();
+    let configs = [(None, None), (Some(db), None), (Some(db), Some(20.0))];
+    for ((config, ops, golden), (db, sel)) in LIMIT_GOLDENS.into_iter().zip(configs) {
+        let build = |limit: Option<u64>| {
+            let tel = Telemetry::enabled();
+            let unit = link_objects(objects.clone()).unwrap();
+            let (mut session, mut inline, clone) =
+                folded(unit, db, sel, NaimConfig::default(), tel.clone(), false);
+            inline.op_limit = limit;
+            let plan = plan_clusters(&mut session, Some(&inline), clone.as_ref()).unwrap();
+            let active = plan
+                .inputs()
+                .iter()
+                .filter(|i| !i.bodies.is_empty())
+                .count();
+            let mut fan_outs = Vec::new();
+            let outcomes =
+                run_clusters(&session, &plan, Some(&inline), clone.as_ref(), |n, job| {
+                    fan_outs.push(n);
+                    (0..n).map(job).collect()
+                })
+                .unwrap();
+            assert!(fan_outs[1] <= active, "{config} at {limit:?}: {fan_outs:?}");
+            let (inlined, _) = merge_outcomes(&mut session, &plan, outcomes).unwrap();
+            let mut merged = format!("{:?}\n{:?}\n", session.stats(), session.loader_stats());
+            let (_, bodies, _, _) = session.into_parts().unwrap();
+            for body in &bodies {
+                writeln!(merged, "{:016x}", body.fingerprint()).unwrap();
+            }
+            merged.push_str(&tel.render_trace());
+            (inlined.inlines, ContentHash::of(merged.as_bytes()).to_hex())
+        };
+        let (total, _) = build(None);
+        let mut rolled = String::new();
+        for limit in 0..=total + 1 {
+            let (inlines, hash) = build(Some(limit));
+            assert_eq!(inlines, limit.min(total), "{config}: the limit binds");
+            rolled.push_str(&hash);
+        }
+        let got = (total, ContentHash::of(rolled.as_bytes()).to_hex());
+        assert_eq!(got, (ops, golden.to_owned()), "{config}");
     }
 }
 

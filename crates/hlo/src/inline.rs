@@ -21,7 +21,7 @@
 //!   every inline has a sequence number, and the limit cuts the pass
 //!   off exactly there.
 
-use crate::cluster::{merge_outcomes, plan_clusters, run_clusters_seq};
+use crate::cluster::run_in_order;
 use crate::session::HloSession;
 use cmo_ir::{Block, CallSiteId, Instr, Local, RoutineBody, RoutineId, Terminator, VReg};
 use cmo_naim::NaimError;
@@ -50,7 +50,8 @@ pub struct InlineOptions {
     /// can expose new opportunities).
     pub max_passes: u32,
     /// Operation limit for bug isolation (§6.3): stop after this many
-    /// inline operations, counted across passes.
+    /// inline operations, counted across passes and numbered cluster by
+    /// cluster (see [`crate::cluster::run_clusters`]), at any `-j`.
     pub op_limit: Option<u64>,
     /// Fine-grained selectivity: only these callers are transformed.
     /// `None` means every routine (the expensive non-PBO CMO mode of
@@ -291,10 +292,10 @@ pub(crate) fn splice_call(
 }
 
 /// Runs the inlining phase over the session: plans the cluster
-/// partition, runs every cluster sequentially (threading the op
-/// limit), and merges the outcomes. The driver fans the same clusters
-/// out across worker threads instead — both paths produce
-/// byte-identical results (see [`crate::cluster`]).
+/// partition, runs the clusters one after another on this thread, and
+/// merges the outcomes — the driver's `inline` stage, which fans the
+/// same clusters out over its workers, with one worker (see
+/// [`crate::cluster`]).
 ///
 /// # Errors
 ///
@@ -305,12 +306,7 @@ pub fn inline_pass(
     session: &mut HloSession,
     options: &InlineOptions,
 ) -> Result<InlineStats, NaimError> {
-    let plan = plan_clusters(session, Some(options), None)?;
-    let config = session.loader_config();
-    let tel = session.telemetry().clone();
-    let outcomes = run_clusters_seq(&session.program, &plan, &config, Some(options), None, &tel)?;
-    let (stats, _) = merge_outcomes(session, &plan, outcomes)?;
-    Ok(stats)
+    Ok(run_in_order(session, Some(options), None)?.0)
 }
 
 #[cfg(test)]

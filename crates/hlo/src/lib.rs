@@ -19,17 +19,17 @@
 //! scratch, never kept incrementally up to date, freely discarded and
 //! released from the accounting when dropped (§4.1).
 //!
+//! The inline/clone pipeline is WHOPR-shaped: [`plan_clusters`]
+//! condenses the call graph into independent clusters, [`run_clusters`]
+//! runs them all through a caller's fan-out, each against a private
+//! loader ([`run_cluster`]), and [`merge_outcomes`] folds results back
+//! in deterministic cluster order. [`inline_pass`] / [`clone_pass`]
+//! run the same steps on one thread.
+//!
 //! The inliner honours *operation limits* (§6.3): a cap on the number
-//! of inline operations performed, binary-searchable by the automatic
-//! bug-isolation driver in the `cmo` crate.
-
-//! Since the cluster-partitioned refactor the inline/clone pipeline is
-//! WHOPR-shaped: [`plan_clusters`] condenses the call graph into
-//! independent clusters, [`run_cluster`] optimizes one cluster against
-//! a private loader (safe to run from worker threads), and
-//! [`merge_outcomes`] folds results back in deterministic cluster
-//! order. [`inline_pass`] / [`clone_pass`] are sequential wrappers
-//! over the same machinery.
+//! of inline operations, numbered cluster by cluster and
+//! binary-searchable by the automatic bug-isolation driver in the `cmo`
+//! crate at any worker count.
 
 mod callgraph;
 mod clone;
@@ -41,7 +41,7 @@ mod session;
 pub use callgraph::{CallEdge, CallGraph, Cluster, Partition, PartitionStats};
 pub use clone::{clone_pass, CloneOptions, CloneStats};
 pub use cluster::{
-    merge_outcomes, plan_clusters, run_cluster, run_clusters_seq, ClusterInput, ClusterOutcome,
+    merge_outcomes, plan_clusters, run_cluster, run_clusters, ClusterInput, ClusterOutcome,
     ClusterPlan,
 };
 pub use inline::{inline_pass, InlineOptions, InlineStats};

@@ -364,15 +364,6 @@ impl HloSession {
             .unwrap_or(0)
     }
 
-    /// Entry count (block 0) for `rid`, 0 when unprofiled.
-    #[must_use]
-    pub fn entry_count(&self, rid: RoutineId) -> u64 {
-        self.counts[rid.index()]
-            .as_ref()
-            .and_then(|c| c.first().copied())
-            .unwrap_or(0)
-    }
-
     pub(crate) fn site_counts_of(&self, rid: RoutineId) -> &BTreeMap<u32, u64> {
         &self.site_counts[rid.index()]
     }

@@ -63,7 +63,6 @@
 //! ```
 
 mod accounting;
-mod arena;
 mod encode;
 mod error;
 mod loader;
@@ -74,7 +73,6 @@ mod storage;
 mod tiered;
 
 pub use accounting::{MemCharge, MemClass, MemoryAccountant, MemorySnapshot};
-pub use arena::Arena;
 pub use encode::{Decoder, Encoder};
 pub use error::{DecodeError, NaimError};
 pub use loader::{

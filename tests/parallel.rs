@@ -6,7 +6,10 @@
 //! so the "reference" level itself moves; the assertions compare every
 //! level against `-j1` directly, so either way nothing may drift.
 
-use cmo::{BuildOptions, BuildOutput, Compiler, InlineOptions, NaimConfig, OptLevel, Telemetry};
+use cmo::{
+    isolate_faulty_op, BuildOptions, BuildOutput, Compiler, InlineOptions, NaimConfig, OptLevel,
+    Telemetry,
+};
 use cmo_repro::harness::{compiler_for, train_profile};
 use cmo_synth::{generate, SynthSpec};
 
@@ -161,10 +164,10 @@ fn multi_cluster_hlo_is_byte_identical_across_jobs() {
     }
 }
 
-/// An op limit (§6.3 bisection) runs the clusters one by one, in
-/// index order, whatever `-j` asks for; LLO still fans out. Image,
-/// report and trace must not depend on the worker count whether the
-/// limit admits no operation, some, or all of them.
+/// An op limit (§6.3 bisection) numbers inline operations cluster by
+/// cluster while the clusters fan out like any build's. Image, report
+/// and trace must not depend on the worker count whether the limit
+/// admits no operation, some, or all of them.
 #[test]
 fn op_limited_multi_cluster_builds_are_byte_identical_across_jobs() {
     let cc = multi_cluster_compiler();
@@ -195,6 +198,52 @@ fn op_limited_multi_cluster_builds_are_byte_identical_across_jobs() {
             assert_eq!(out_1.report.to_json(), out_j.report.to_json(), "{at}");
             assert_eq!(trace_1, trace_j, "{at}");
         }
+    }
+}
+
+/// A fault planted at the first inline operation of the fixture's
+/// second active cluster: the binary search over the op limit finds it
+/// with the same probes at every worker count.
+#[test]
+fn a_fault_in_the_second_active_cluster_is_isolated_at_any_jobs() {
+    let cc = multi_cluster_compiler();
+    let (_, trace) = traced_build(&cc, BuildOptions::new(OptLevel::O4));
+    // The cluster (virtual worker) of each inline operation, in order.
+    let clusters: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains("\"event\":\"inline\"") && l.contains("\"accepted\":true"))
+        .map(|l| {
+            l.split("\"worker\":")
+                .nth(1)
+                .and_then(|r| r.split(',').next())
+        })
+        .collect::<Option<_>>()
+        .expect("cluster inline events carry a worker");
+    let total = clusters.len() as u64;
+    let planted = 1 + clusters.iter().take_while(|&&c| c == clusters[0]).count() as u64;
+    assert!(planted <= total, "one active cluster only: {clusters:?}");
+    let search = |jobs: usize| {
+        let mut probes = Vec::new();
+        let report = isolate_faulty_op(total, |limit| {
+            let inline = InlineOptions {
+                op_limit: Some(limit),
+                ..InlineOptions::default()
+            };
+            let opts = BuildOptions::new(OptLevel::O4)
+                .with_inline(inline)
+                .with_jobs(jobs);
+            let inlines = cc.build(&opts).unwrap().report.hlo.inlines;
+            probes.push((limit, inlines));
+            inlines < planted
+        });
+        (report, probes)
+    };
+    let (report_1, probes_1) = search(1);
+    assert_eq!(report_1.first_faulty_op, Some(planted));
+    for jobs in jobs_levels() {
+        let (report_j, probes_j) = search(jobs);
+        assert_eq!(report_1, report_j, "-j{jobs}");
+        assert_eq!(probes_1, probes_j, "-j{jobs}");
     }
 }
 

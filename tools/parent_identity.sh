@@ -20,8 +20,9 @@
 #     (cmo_modules < total_modules);
 #   * the -c objects of both sets and what -c printed, an uncached
 #     +O4 +P train.db link of those objects at -j1 / -j4 (stdout,
-#     --report-json, --trace), and one +O4 --isolate --run per set —
-#     the object, make-flow and isolation paths of the front door;
+#     --report-json, --trace), and a +O4 --isolate --run per set at
+#     -j1 and at -j4 — the object, make-flow and isolation paths of
+#     the front door;
 #   * a cold +O4 +P --cache-dir build by each binary (outputs and the
 #     cache files it commits), then a warm build by each of a copy of
 #     the cache the *parent* wrote — the change's warm build must hit
@@ -107,8 +108,10 @@ for set in "lib.mlc app.mlc:500" "util.mlc hot.mlc prog.mlc:50"; do
             --report-json "$tag.json" --trace "$tag.jsonl" "${objs[@]}"
         same "$tag.out" "$tag.json" "$tag.jsonl"
     done
-    both "$name-isolate" +O4 --run "$input" --isolate "${srcs[@]}"
-    same "$name-isolate.out"
+    for j in 1 4; do
+        both "$name-isolate-j$j" +O4 "-j$j" --run "$input" --isolate "${srcs[@]}"
+        same "$name-isolate-j$j.out"
+    done
 
     for level in O1 O2 O4 O4P O4PS; do
         case $level in

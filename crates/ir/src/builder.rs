@@ -520,8 +520,15 @@ mod tests {
         f.ret(None);
         f.finish();
         let obj = b.finish();
-        let sites = obj.routines[0].body.call_sites();
+        let sites: Vec<_> = obj.routines[0].body.blocks[0]
+            .instrs
+            .iter()
+            .filter_map(|i| match i {
+                Instr::Call { site, .. } => Some(*site),
+                _ => None,
+            })
+            .collect();
         assert_eq!(sites.len(), 2);
-        assert_ne!(sites[0].2, sites[1].2);
+        assert_ne!(sites[0], sites[1]);
     }
 }

@@ -63,24 +63,6 @@ impl BinOp {
         )
     }
 
-    /// Returns `true` if `op(a, b) == op(b, a)` for all operands.
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add
-                | BinOp::Mul
-                | BinOp::And
-                | BinOp::Or
-                | BinOp::Xor
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::FAdd
-                | BinOp::FMul
-                | BinOp::FEq
-        )
-    }
-
     /// Lowercase mnemonic used by the printer.
     #[must_use]
     pub fn mnemonic(self) -> &'static str {
@@ -351,9 +333,9 @@ impl Instr {
 
     /// The registers this instruction reads, in operand order: up to
     /// two fixed operand slots, then a call's argument list.
-    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+    pub fn uses(&self) -> Uses<'_> {
         const NONE: VReg = VReg(0);
-        let (fixed, n_fixed, args): ([VReg; 2], usize, &[VReg]) = match self {
+        let (fixed, n_fixed, args): ([VReg; 2], u8, &[VReg]) = match self {
             Instr::Const { .. }
             | Instr::Input { .. }
             | Instr::LoadLocal { .. }
@@ -368,7 +350,12 @@ impl Instr {
             Instr::StoreElem { index, src, .. } => ([*index, *src], 2, &[]),
             Instr::Call { args, .. } => ([NONE; 2], 0, args),
         };
-        fixed.into_iter().take(n_fixed).chain(args.iter().copied())
+        Uses {
+            fixed,
+            next: 0,
+            n_fixed,
+            args: args.iter(),
+        }
     }
 
     /// Returns `true` if deleting this instruction can change observable
@@ -384,6 +371,30 @@ impl Instr {
                 | Instr::Input { .. }
                 | Instr::Output { .. }
         )
+    }
+}
+
+/// The iterator [`Instr::uses`] returns: a cursor over at most two fixed
+/// operands, then a call's argument slice. Every LLO counting loop runs
+/// it, and a generic adapter chain did not compile down to this.
+#[derive(Debug, Clone)]
+pub struct Uses<'a> {
+    fixed: [VReg; 2],
+    next: u8,
+    n_fixed: u8,
+    args: std::slice::Iter<'a, VReg>,
+}
+
+impl Iterator for Uses<'_> {
+    type Item = VReg;
+
+    #[inline]
+    fn next(&mut self) -> Option<VReg> {
+        if self.next < self.n_fixed {
+            self.next += 1;
+            return Some(self.fixed[usize::from(self.next - 1)]);
+        }
+        self.args.next().copied()
     }
 }
 
@@ -475,11 +486,94 @@ mod tests {
     }
 
     #[test]
+    fn uses_lists_every_operand_in_order() {
+        // The backend's call arity limit (`cmo_llo::regalloc::MAX_ARGS`).
+        const MAX_ARGS: u32 = 8;
+        let (d, a, b) = (VReg(9), VReg(1), VReg(2));
+        let g = GlobalRef::Id(GlobalId(0));
+        let call = |n: u32| Instr::Call {
+            dst: Some(d),
+            callee: CalleeRef::Id(RoutineId(0)),
+            args: (10..10 + n).map(VReg).collect(),
+            site: CallSiteId(0),
+        };
+        let cases: [(Instr, &[VReg]); 15] = [
+            (
+                Instr::Const {
+                    dst: d,
+                    value: Const::I(1),
+                },
+                &[],
+            ),
+            (
+                Instr::Bin {
+                    dst: d,
+                    op: BinOp::Sub,
+                    lhs: a,
+                    rhs: b,
+                },
+                &[a, b],
+            ),
+            (
+                Instr::Un {
+                    dst: d,
+                    op: UnOp::Neg,
+                    src: a,
+                },
+                &[a],
+            ),
+            (Instr::Mov { dst: d, src: a }, &[a]),
+            (
+                Instr::LoadLocal {
+                    dst: d,
+                    local: Local(0),
+                },
+                &[],
+            ),
+            (
+                Instr::StoreLocal {
+                    local: Local(0),
+                    src: a,
+                },
+                &[a],
+            ),
+            (Instr::LoadGlobal { dst: d, global: g }, &[]),
+            (Instr::StoreGlobal { global: g, src: a }, &[a]),
+            (
+                Instr::LoadElem {
+                    dst: d,
+                    base: MemBase::Global(g),
+                    index: a,
+                },
+                &[a],
+            ),
+            (
+                Instr::StoreElem {
+                    base: MemBase::Local(Local(0)),
+                    index: a,
+                    src: b,
+                },
+                &[a, b],
+            ),
+            (call(0), &[]),
+            (call(1), &[VReg(10)]),
+            (call(MAX_ARGS), &[10, 11, 12, 13, 14, 15, 16, 17].map(VReg)),
+            (Instr::Input { dst: d }, &[]),
+            (Instr::Output { src: b }, &[b]),
+        ];
+        for (instr, want) in &cases {
+            assert!(instr.uses().eq(want.iter().copied()), "{instr:?}");
+            // Exhausted stays exhausted.
+            let mut it = instr.uses();
+            it.by_ref().for_each(drop);
+            assert_eq!(it.next(), None, "{instr:?}");
+        }
+    }
+
+    #[test]
     fn op_classifications() {
         assert!(BinOp::FAdd.is_float());
         assert!(!BinOp::Add.is_float());
-        assert!(BinOp::Add.is_commutative());
-        assert!(!BinOp::Sub.is_commutative());
     }
 
     #[test]

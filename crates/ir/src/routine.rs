@@ -138,20 +138,6 @@ impl RoutineBody {
         self.blocks.iter().map(|b| b.instrs.len()).sum()
     }
 
-    /// Call sites in block order: `(Block, instruction index, site id)`.
-    #[must_use]
-    pub fn call_sites(&self) -> Vec<(Block, usize, CallSiteId)> {
-        let mut sites = Vec::new();
-        for (bid, block) in self.iter_blocks() {
-            for (i, instr) in block.instrs.iter().enumerate() {
-                if let Instr::Call { site, .. } = instr {
-                    sites.push((bid, i, *site));
-                }
-            }
-        }
-        sites
-    }
-
     /// Deterministic structural fingerprint over per-block instruction
     /// counts and successor lists (FNV-1a). Together with block and
     /// call-site counts this identifies a routine's shape for
@@ -234,15 +220,6 @@ mod tests {
         let l = b.new_local(VarTy::scalar(Ty::I64), true);
         assert_eq!(l.index(), 0);
         assert!(b.locals[0].is_param);
-    }
-
-    #[test]
-    fn call_sites_enumerates_in_order() {
-        let b = body_with_call();
-        let sites = b.call_sites();
-        assert_eq!(sites.len(), 1);
-        assert_eq!(sites[0].2, CallSiteId(0));
-        assert_eq!(b.instr_count(), 1);
     }
 
     #[test]

@@ -21,8 +21,6 @@ use cmo_ir::{BinOp, Block, Const, Instr, Local, RoutineBody, Terminator, UnOp, V
 pub struct OptStats {
     /// Instructions replaced by constants.
     pub folded: usize,
-    /// Copies propagated.
-    pub copies: usize,
     /// Dead instructions removed.
     pub dead: usize,
     /// Conditional branches turned unconditional.
@@ -118,7 +116,7 @@ pub(crate) struct OptScratch {
     epoch: u64,
     vregs: Vec<Facts>,
     locals: Vec<Facts>,
-    /// `dead_code_elim`: reads of each vreg / loads of each local.
+    /// Reads of each vreg / loads of each local, left by propagation.
     use_count: Vec<u32>,
     load_count: Vec<u32>,
     /// `merge_blocks` / `remove_unreachable`.
@@ -173,6 +171,26 @@ impl OptScratch {
         r
     }
 
+    /// Zeroes the read counts. Array locals start with a load nothing
+    /// takes back: any element access pins the whole array.
+    fn reset_reads(&mut self, body: &RoutineBody) {
+        self.use_count.clear();
+        self.use_count.resize(body.n_vregs as usize, 0);
+        self.load_count.clear();
+        self.load_count
+            .extend(body.locals.iter().map(|d| u32::from(d.ty.is_array())));
+    }
+
+    fn count_reads(&mut self, instr: &Instr) {
+        for u in instr.uses() {
+            self.use_count[u.index()] += 1;
+        }
+        if let Instr::LoadLocal { local, .. } = instr {
+            self.load_count[local.index()] += 1;
+        }
+    }
+
+    /// Also counts, for `sweep_dead`, each instruction's reads once final.
     pub(crate) fn const_and_copy_prop(&mut self, body: &mut RoutineBody) -> OptStats {
         let mut stats = OptStats::default();
         if self.vregs.len() < body.n_vregs as usize {
@@ -181,18 +199,14 @@ impl OptScratch {
         if self.locals.len() < body.locals.len() {
             self.locals.resize(body.locals.len(), NO_FACTS);
         }
+        self.reset_reads(body);
         for block in &mut body.blocks {
             // Facts are per block: a new epoch forgets them all.
             self.epoch += 1;
             for instr in &mut block.instrs {
                 step(1);
                 // Rewrite sources through copy chains first.
-                let mut changed = false;
-                let mut rewrite = |r: &mut VReg| {
-                    let s = self.resolve(*r);
-                    changed |= s != *r;
-                    *r = s;
-                };
+                let rewrite = |r: &mut VReg| *r = self.resolve(*r);
                 match instr {
                     Instr::Bin { lhs, rhs, .. } => {
                         rewrite(lhs);
@@ -211,7 +225,6 @@ impl OptScratch {
                     Instr::Call { args, .. } => args.iter_mut().for_each(rewrite),
                     _ => {}
                 }
-                stats.copies += usize::from(changed);
 
                 // A new definition invalidates stale facts about dst,
                 // and (by the version bump) every copy *from* dst.
@@ -266,7 +279,6 @@ impl OptScratch {
                             if let Some(v) = self.copy_source(self.locals[local.index()].copy) {
                                 *instr = Instr::Mov { dst, src: v };
                                 self.vregs[dst.index()].copy = self.copy_fact(v);
-                                stats.copies += 1;
                             }
                         }
                         c.map(|c| (dst, c))
@@ -278,6 +290,7 @@ impl OptScratch {
                     *instr = Instr::Const { dst, value };
                     stats.folded += 1;
                 }
+                self.count_reads(instr);
             }
 
             // Fold constant branch conditions.
@@ -292,6 +305,9 @@ impl OptScratch {
                     stats.branches += 1;
                 }
             }
+            if let Some(u) = block.term.use_reg() {
+                self.use_count[u.index()] += 1;
+            }
         }
         stats
     }
@@ -302,6 +318,7 @@ impl OptScratch {
 
         // Branch with both edges equal -> jump.
         for block in &mut body.blocks {
+            step(1);
             if let Terminator::Branch {
                 then_bb, else_bb, ..
             } = block.term
@@ -328,6 +345,7 @@ impl OptScratch {
             }
         };
         for i in 0..n {
+            step(1);
             let threaded = match body.blocks[i].term {
                 Terminator::Jump(t) => Terminator::Jump(thread(t, body)),
                 Terminator::Branch {
@@ -349,11 +367,13 @@ impl OptScratch {
         pred_count.clear();
         pred_count.resize(n, 0);
         for block in &body.blocks {
+            step(1);
             for s in block.term.successors() {
                 pred_count[s.index()] += 1;
             }
         }
         for a in 0..n {
+            step(1);
             while let Terminator::Jump(b) = body.blocks[a].term {
                 if b.index() == a || b.index() == 0 || pred_count[b.index()] != 1 {
                     break;
@@ -373,30 +393,23 @@ impl OptScratch {
     }
 
     pub(crate) fn dead_code_elim(&mut self, body: &mut RoutineBody) -> OptStats {
-        // Count every read once; removals then keep the counts exact,
-        // so later rounds need no recount.
-        let use_count = &mut self.use_count;
-        use_count.clear();
-        use_count.resize(body.n_vregs as usize, 0);
-        // Array locals are kept conservatively (any element access
-        // pins the whole array): they start with a load nothing takes
-        // back.
-        let load_count = &mut self.load_count;
-        load_count.clear();
-        load_count.extend(body.locals.iter().map(|d| u32::from(d.ty.is_array())));
+        self.reset_reads(body);
         for block in &body.blocks {
             for instr in &block.instrs {
-                for u in instr.uses() {
-                    use_count[u.index()] += 1;
-                }
-                if let Instr::LoadLocal { local, .. } = instr {
-                    load_count[local.index()] += 1;
-                }
+                step(1);
+                self.count_reads(instr);
             }
             if let Some(u) = block.term.use_reg() {
-                use_count[u.index()] += 1;
+                self.use_count[u.index()] += 1;
             }
         }
+        self.sweep_dead(body)
+    }
+
+    /// DCE over read counts already taken; removals keep them exact, so
+    /// later rounds need no recount.
+    fn sweep_dead(&mut self, body: &mut RoutineBody) -> OptStats {
+        let (use_count, load_count) = (&mut self.use_count, &mut self.load_count);
         let mut stats = OptStats::default();
         loop {
             // Set when a removal takes the last read of a vreg or
@@ -405,6 +418,7 @@ impl OptScratch {
             let mut exposed = false;
             for block in &mut body.blocks {
                 block.instrs.retain(|i| {
+                    step(1);
                     let dead = match i {
                         Instr::StoreLocal { local, .. } => load_count[local.index()] == 0,
                         _ => {
@@ -447,6 +461,7 @@ impl OptScratch {
         work.push(Block(0));
         let mut n_reachable = 0;
         while let Some(b) = work.pop() {
+            step(1);
             if reachable[b.index()] {
                 continue;
             }
@@ -486,6 +501,7 @@ impl OptScratch {
             });
         }
         for block in &mut body.blocks {
+            step(1);
             match &mut block.term {
                 Terminator::Jump(b) => *b = remap[b.index()],
                 Terminator::Branch {
@@ -509,10 +525,9 @@ impl OptScratch {
         for _ in 0..12 {
             let m = self.merge_blocks(body);
             let a = self.const_and_copy_prop(body);
-            let b = self.dead_code_elim(body);
+            let b = self.sweep_dead(body);
             let c = self.remove_unreachable(body, counts.as_deref_mut());
             total.folded += a.folded;
-            total.copies += a.copies;
             total.branches += a.branches + m.branches;
             total.dead += b.dead;
             total.unreachable += c.unreachable + m.unreachable;
@@ -526,7 +541,7 @@ impl OptScratch {
 
 /// Per-block constant and copy propagation.
 ///
-/// Returns the number of folds and propagated copies. Virtual-register
+/// Returns the number of folds and of branches folded. Virtual-register
 /// and local-scalar values are tracked within each block; all facts are
 /// conservatively forgotten at block entry (vregs may be live across
 /// blocks after inlining, but then they are not redefined here, so
@@ -808,9 +823,16 @@ mod complexity_tests {
         }
         body.blocks.push(block);
         let before = STEPS.get();
-        let stats = const_and_copy_prop(&mut body);
-        assert_eq!(stats.copies, n / 2, "every add's lhs was a live copy");
-        STEPS.get() - before
+        const_and_copy_prop(&mut body);
+        let steps = STEPS.get() - before;
+        let lhs: Vec<VReg> = (body.blocks[0].instrs.iter())
+            .filter_map(|i| match *i {
+                Instr::Bin { lhs, .. } => Some(lhs),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lhs, vec![root; n / 2], "every add's lhs was a live copy");
+        steps
     }
 
     #[test]
@@ -820,6 +842,40 @@ mod complexity_tests {
         assert!(
             large <= 5 * small,
             "{small} steps for 512 instructions, {large} for 2048"
+        );
+    }
+
+    #[test]
+    fn a_quiescent_round_walks_the_body_twice() {
+        // One block of `n` instructions nothing can fold, forward or
+        // delete: `t = add x, y` on inputs, each `t` output.
+        let n = 600;
+        let mut body = RoutineBody::new();
+        let mut block = BlockData::new(Terminator::Return(None));
+        for _ in 0..n / 4 {
+            let (x, y, t) = (body.new_vreg(), body.new_vreg(), body.new_vreg());
+            block.instrs.extend([
+                Instr::Input { dst: x },
+                Instr::Input { dst: y },
+                Instr::Bin {
+                    dst: t,
+                    op: BinOp::Add,
+                    lhs: x,
+                    rhs: y,
+                },
+                Instr::Output { src: t },
+            ]);
+        }
+        body.blocks.push(block);
+        let before = STEPS.get();
+        assert_eq!(optimize(&mut body), OptStats::default(), "quiescent");
+        let steps = STEPS.get() - before;
+        assert_eq!(body.instr_count(), n);
+        // Propagation walks it once and the DCE sweep once; a DCE
+        // that counted reads for itself would make this 3n.
+        assert!(
+            2 * steps <= 5 * n as u64,
+            "{steps} steps for {n} instructions"
         );
     }
 }

@@ -7,7 +7,6 @@
 //! increased" (Figure 4 caption) — and [`AllocResult::work_bytes`]
 //! reports it so the memory experiments can plot LLO alongside HLO.
 
-use crate::layout::order_blocks;
 use crate::scratch::{self, step};
 use cmo_ir::{Block, RoutineBody};
 use cmo_vm::Reg;
@@ -38,8 +37,6 @@ pub struct AllocResult {
     pub locs: Vec<Loc>,
     /// Number of spill slots used.
     pub spill_slots: u32,
-    /// Block emission order used for linearization.
-    pub order: Vec<Block>,
     /// Allocator working memory in bytes (liveness bit vectors plus
     /// interval tables), by formula from the block and vreg counts.
     pub work_bytes: usize,
@@ -55,7 +52,8 @@ pub(crate) struct AllocScratch {
     block_end: Vec<usize>,
     start: Vec<usize>,
     end: Vec<usize>,
-    intervals: Vec<usize>,
+    /// `start << 32 | vreg` per interval (positions and vregs are u32).
+    intervals: Vec<u64>,
     active: Vec<usize>,
     free: Vec<u8>,
     /// Location of each virtual register after the last `allocate`.
@@ -84,9 +82,9 @@ fn for_each_bit(row: &[u64], mut f: impl FnMut(usize)) {
 }
 
 impl AllocScratch {
-    /// Liveness + linear scan for `body` linearized in `order`; leaves
-    /// the locations in `self.locs` and returns `(spill_slots,
-    /// work_bytes)`.
+    /// Liveness + linear scan for `body` linearized in `order` (every
+    /// block once); leaves the locations in `self.locs` and returns
+    /// `(spill_slots, work_bytes)`.
     pub(crate) fn allocate(&mut self, body: &RoutineBody, order: &[Block]) -> (u32, usize) {
         let n_blocks = body.blocks.len();
         let n_vregs = body.n_vregs as usize;
@@ -99,20 +97,53 @@ impl AllocScratch {
         let (live_in, live_out) = rest.split_at_mut(plane);
         let row = |b: usize| b * words..(b + 1) * words;
 
+        // Linear positions in emission order: each block occupies
+        // [start, start + len + 1] (terminator gets its own position).
+        let (block_start, block_end) = (&mut self.block_start, &mut self.block_end);
+        block_start.clear();
+        block_start.resize(n_blocks, 0);
+        block_end.clear();
+        block_end.resize(n_blocks, 0);
+        let mut pos = 0usize;
+        for &b in order {
+            block_start[b.index()] = pos;
+            pos += body.blocks[b.index()].instrs.len() + 1;
+            block_end[b.index()] = pos - 1;
+        }
+
+        // Intervals: [first, last] position at which each vreg is
+        // mentioned (the use/def walk) or live (block edges, after it).
+        const UNSET: usize = usize::MAX;
+        let (start, end) = (&mut self.start, &mut self.end);
+        start.clear();
+        start.resize(n_vregs, UNSET);
+        end.clear();
+        end.resize(n_vregs, 0);
+        let mut touch = |v: usize, p: usize| {
+            start[v] = start[v].min(p);
+            end[v] = end[v].max(p);
+        };
+
         // use[b] = read before written in b; def[b] = written in b.
         for (b, block) in body.blocks.iter().enumerate() {
             let (use_b, def_b) = (&mut use_m[row(b)], &mut def_m[row(b)]);
+            let mut p = block_start[b];
             for instr in &block.instrs {
+                step(1);
                 for u in instr.uses() {
+                    touch(u.index(), p);
                     if !test_bit(def_b, u.index()) {
                         set_bit(use_b, u.index());
                     }
                 }
                 if let Some(d) = instr.def() {
+                    touch(d.index(), p);
                     set_bit(def_b, d.index());
                 }
+                p += 1;
             }
             if let Some(u) = block.term.use_reg() {
+                touch(u.index(), p);
                 if !test_bit(def_b, u.index()) {
                     set_bit(use_b, u.index());
                 }
@@ -140,59 +171,20 @@ impl AllocScratch {
             }
         }
 
-        // Linear positions in emission order: each block occupies
-        // [start, start + len + 1] (terminator gets its own position).
-        let (block_start, block_end) = (&mut self.block_start, &mut self.block_end);
-        block_start.clear();
-        block_start.resize(n_blocks, 0);
-        block_end.clear();
-        block_end.resize(n_blocks, 0);
-        let mut pos = 0usize;
-        for &b in order {
-            block_start[b.index()] = pos;
-            pos += body.blocks[b.index()].instrs.len() + 1;
-            block_end[b.index()] = pos - 1;
+        for b in 0..n_blocks {
+            for_each_bit(&live_in[row(b)], |v| touch(v, block_start[b]));
+            for_each_bit(&live_out[row(b)], |v| touch(v, block_end[b]));
         }
 
-        // Intervals: [first, last] position at which each vreg is live
-        // or mentioned.
-        const UNSET: usize = usize::MAX;
-        let (start, end) = (&mut self.start, &mut self.end);
-        start.clear();
-        start.resize(n_vregs, UNSET);
-        end.clear();
-        end.resize(n_vregs, 0);
-        let mut touch = |v: usize, p: usize| {
-            start[v] = start[v].min(p);
-            end[v] = end[v].max(p);
-        };
-        for &b in order {
-            let bi = b.index();
-            for_each_bit(&live_in[row(bi)], |v| touch(v, block_start[bi]));
-            for_each_bit(&live_out[row(bi)], |v| touch(v, block_end[bi]));
-            let mut p = block_start[bi];
-            for instr in &body.blocks[bi].instrs {
-                step(1);
-                for u in instr.uses() {
-                    touch(u.index(), p);
-                }
-                if let Some(d) = instr.def() {
-                    touch(d.index(), p);
-                }
-                p += 1;
-            }
-            if let Some(u) = body.blocks[bi].term.use_reg() {
-                touch(u.index(), p);
-            }
-        }
-
-        // Linear scan (Poletto–Sarkar).
+        // Linear scan (Poletto–Sarkar) in (start, vreg) order, packed
+        // so the sort compares plain integers.
         let intervals = &mut self.intervals;
         intervals.clear();
-        intervals.extend((0..n_vregs).filter(|&v| start[v] != UNSET));
+        let packed = (0..n_vregs).filter(|&v| start[v] != UNSET);
+        intervals.extend(packed.map(|v| (start[v] as u64) << 32 | v as u64));
         // Keys are distinct, so the unstable sort (which, unlike the
         // stable one, needs no buffer) gives the one possible order.
-        intervals.sort_unstable_by_key(|&v| (start[v], v));
+        intervals.sort_unstable();
         let locs = &mut self.locs;
         locs.clear();
         locs.resize(n_vregs, Loc::Reg(Reg(0)));
@@ -202,7 +194,8 @@ impl AllocScratch {
         free.clear();
         free.extend((0..NUM_ALLOCATABLE).rev());
         let mut next_spill = 0u32;
-        for &v in intervals.iter() {
+        for &key in intervals.iter() {
+            let v = key as u32 as usize;
             // Expire: `active` is sorted by end, so the intervals that
             // ended before this one starts are a prefix of it.
             let expired = active.partition_point(|&a| end[a] < start[v]);
@@ -254,22 +247,15 @@ pub fn allocate(body: &RoutineBody, order: &[Block]) -> AllocResult {
         AllocResult {
             locs: s.alloc.locs.clone(),
             spill_slots,
-            order: order.to_vec(),
             work_bytes,
         }
     })
 }
 
-/// Convenience: allocation with a fresh layout order.
-#[must_use]
-pub fn allocate_default(body: &RoutineBody) -> AllocResult {
-    let order = order_blocks(body, None);
-    allocate(body, &order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::order_blocks;
     use cmo_frontend::compile_module;
     use cmo_ir::link_objects;
 
@@ -283,7 +269,7 @@ mod tests {
     #[test]
     fn small_routine_needs_no_spills() {
         let body = body_of("fn main() -> int { var a: int = 1; return a + 2; }");
-        let alloc = allocate_default(&body);
+        let alloc = allocate(&body, &order_blocks(&body, None));
         assert_eq!(alloc.spill_slots, 0);
     }
 
@@ -303,7 +289,7 @@ mod tests {
         }
         let src = format!("fn main() -> int {{ {decls} return {expr}; }}");
         let body = body_of(&src);
-        let alloc = allocate_default(&body);
+        let alloc = allocate(&body, &order_blocks(&body, None));
         // Registers used at overlapping positions must differ.
         let mut seen = std::collections::HashSet::new();
         for (v, loc) in alloc.locs.iter().enumerate() {
@@ -328,7 +314,7 @@ mod tests {
         // Keeping xi live: reuse them all again after the first sum.
         let src = format!("fn main() -> int {{ {decls} var a: int = {sum}; return a + {sum}; }}");
         let body = body_of(&src);
-        let alloc = allocate_default(&body);
+        let alloc = allocate(&body, &order_blocks(&body, None));
         // The frontend lowers through locals (slots), so pressure here
         // comes from expression temps; at minimum the allocator must
         // never hand out scratch registers and must stay consistent.
@@ -345,7 +331,7 @@ mod tests {
         let body = body_of(
             "fn main() -> int { var s: int = 0; var i: int = 0; while (i < 10) { s = s + i; i = i + 1; } return s; }",
         );
-        let alloc = allocate_default(&body);
+        let alloc = allocate(&body, &order_blocks(&body, None));
         assert_eq!(alloc.locs.len(), body.n_vregs as usize);
     }
 
@@ -358,8 +344,8 @@ mod tests {
         }
         big_src.push_str("return s; }");
         let big = body_of(&big_src);
-        let a_small = allocate_default(&small);
-        let a_big = allocate_default(&big);
+        let a_small = allocate(&small, &order_blocks(&small, None));
+        let a_big = allocate(&big, &order_blocks(&big, None));
         let size_ratio = big.instr_count() as f64 / small.instr_count().max(1) as f64;
         let mem_ratio = a_big.work_bytes as f64 / a_small.work_bytes.max(1) as f64;
         assert!(
@@ -393,8 +379,9 @@ mod tests {
             body.blocks.push(block);
         }
         let order = order_blocks(&body, None);
-        // Liveness and the scan count nothing: the steps are the
-        // interval derivation's alone.
+        // The backward fixed point and the scan count nothing: the
+        // steps are the interval derivation's alone (one per
+        // instruction in the use/def walk, plus the live-set bits).
         let before = crate::scratch::STEPS.get();
         let alloc = allocate(&body, &order);
         assert_eq!(alloc.spill_slots, 0);

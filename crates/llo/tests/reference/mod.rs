@@ -94,7 +94,6 @@ pub fn ref_const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
 
         for instr in &mut block.instrs {
             // Rewrite sources through copy chains first.
-            let before = instr.clone();
             match instr {
                 Instr::Bin { lhs, rhs, .. } => {
                     *lhs = resolve(&copy_of, *lhs);
@@ -116,9 +115,6 @@ pub fn ref_const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
                     }
                 }
                 _ => {}
-            }
-            if *instr != before {
-                stats.copies += 1;
             }
 
             // A new definition invalidates stale facts about dst.
@@ -195,7 +191,6 @@ pub fn ref_const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
                         let dst = *dst;
                         *instr = Instr::Mov { dst, src: v };
                         copy_of.insert(dst, v);
-                        stats.copies += 1;
                     }
                 }
                 _ => {}
@@ -440,7 +435,6 @@ pub fn ref_optimize_with_counts(
         let b = ref_dead_code_elim(body);
         let c = ref_remove_unreachable(body, counts.as_deref_mut());
         total.folded += a.folded;
-        total.copies += a.copies;
         total.branches += a.branches + m.branches;
         total.dead += b.dead;
         total.unreachable += c.unreachable + m.unreachable;
@@ -703,7 +697,6 @@ pub fn ref_allocate(body: &RoutineBody, order: &[Block]) -> AllocResult {
     AllocResult {
         locs,
         spill_slots: next_spill,
-        order: order.to_vec(),
         work_bytes,
     }
 }

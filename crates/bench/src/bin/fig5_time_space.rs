@@ -9,8 +9,8 @@
 //!
 //! The offload row also reports how much cheaper rehydration is with
 //! the zero-copy fetch path: fetched bytes are charged
-//! `fetch_cost_per_byte` (borrowed view / arena read) instead of the
-//! legacy `disk_cost_per_byte` (copy through an owned buffer), and the
+//! `FETCH_COST_PER_BYTE` (borrowed view / arena read) instead of the
+//! legacy `DISK_COST_PER_BYTE` (copy through an owned buffer), and the
 //! run asserts the reduction is at least 20 %.
 //!
 //! Run with `cargo run --release -p cmo-bench --bin fig5_time_space`.
@@ -21,6 +21,7 @@ use cmo::{BuildOptions, NaimConfig, NaimLevel, OptLevel};
 use cmo_bench::{
     bench_args, compiler_for, measure_at_jobs, train, write_csv, BenchReport, BenchRow,
 };
+use cmo_naim::{DISK_COST_PER_BYTE, FETCH_COST_PER_BYTE};
 use cmo_synth::{generate, spec_preset};
 
 fn main() {
@@ -74,8 +75,6 @@ fn main() {
     let mut snapshot = BenchReport::new("fig5", args.smoke);
     let mut checksum = None;
     for (name, naim) in configs {
-        let fetch_cost = naim.fetch_cost_per_byte;
-        let disk_cost = naim.disk_cost_per_byte;
         let opts = BuildOptions::new(OptLevel::O4)
             .with_profile_db(db.clone())
             .with_selectivity(100.0)
@@ -125,16 +124,16 @@ fn main() {
             .float("hlo_wall_nanos_j1", hlo_j1 as f64)
             .float("hlo_wall_nanos_j4", hlo_j4 as f64);
         if name == "offload" {
-            // The zero-copy fetch path charges fetch_cost_per_byte for
+            // The zero-copy fetch path charges FETCH_COST_PER_BYTE for
             // every rehydrated byte; the legacy path charged the full
-            // disk_cost_per_byte copy. Same bytes, so the ratio of the
+            // DISK_COST_PER_BYTE copy. Same bytes, so the ratio of the
             // two per-byte rates is exactly the work-unit reduction.
             let fetch_wu = report.loader.fetch_work_units;
             assert!(
                 fetch_wu > 0,
                 "offload config never rehydrated — budget too large"
             );
-            let legacy_wu = fetch_wu / fetch_cost * disk_cost;
+            let legacy_wu = fetch_wu / FETCH_COST_PER_BYTE * DISK_COST_PER_BYTE;
             let cut_pct = 100.0 * (legacy_wu - fetch_wu) as f64 / legacy_wu as f64;
             println!(
                 "zero-copy fetch: {fetch_wu} work units vs {legacy_wu} legacy \

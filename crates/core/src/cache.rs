@@ -89,7 +89,6 @@ use cmo_ir::{IlObject, ObjectDecodeError};
 use cmo_llo::memo::CodeKey;
 use cmo_naim::{
     ContentHash, DecodeError, Decoder, DiskStorage, Encoder, NaimError, Repository, Storage,
-    StorageFile,
 };
 use cmo_telemetry::{Telemetry, TraceEvent};
 use cmo_vm::MachineImage;
@@ -322,7 +321,7 @@ type Probe<T> = (&'static str, u64, Option<(ContentHash, T)>);
 #[derive(Debug)]
 pub struct BuildCache {
     storage: Arc<dyn Storage>,
-    repo: Repository<StorageFile>,
+    repo: Repository,
     manifest: BTreeMap<String, ContentHash>,
     stats: CacheStats,
     /// Crash-recovery repairs performed while opening (rollbacks,
@@ -403,9 +402,8 @@ impl BuildCache {
                 }
             }
         }
-        let backend = |storage: &Arc<dyn Storage>| StorageFile::new(Arc::clone(storage), REPO_FILE);
         let (repo, fresh) = if storage.exists(REPO_FILE) {
-            match Repository::open_backend(backend(&storage)) {
+            match Repository::open(Arc::clone(&storage), REPO_FILE) {
                 Ok(repo) => (repo, false),
                 Err(NaimError::Repository(e)) => return Err(NaimError::Repository(e)),
                 // Header/version/decode problems: the cache is from
@@ -419,11 +417,11 @@ impl BuildCache {
                         action: "recreate",
                         bytes: old,
                     });
-                    (Repository::create_backend(backend(&storage))?, true)
+                    (Repository::create(Arc::clone(&storage), REPO_FILE)?, true)
                 }
             }
         } else {
-            (Repository::create_backend(backend(&storage))?, true)
+            (Repository::create(Arc::clone(&storage), REPO_FILE)?, true)
         };
         if let Some(repair) = repo.recovery() {
             recovered += 1;
@@ -846,8 +844,7 @@ impl BuildCache {
             }
         }
         // Sweep: build the new generation under the temp name.
-        let mut new_repo =
-            Repository::create_backend(StorageFile::new(Arc::clone(&self.storage), GC_TEMP_FILE))?;
+        let mut new_repo = Repository::create(Arc::clone(&self.storage), GC_TEMP_FILE)?;
         let mut live_records = 0u64;
         for (hash, handle) in order {
             match self.repo.fetch_ref(handle) {
@@ -905,11 +902,10 @@ impl BuildCache {
             MANIFEST_FILE,
             self.render_manifest().as_bytes(),
         )?;
-        // Reopen against the new generation: the old backend may hold
-        // a memory-mapped view of the pre-swap file, which the rename
-        // does not invalidate.
-        self.repo =
-            Repository::open_backend(StorageFile::new(Arc::clone(&self.storage), REPO_FILE))?;
+        // Reopen against the new generation: the old repository may
+        // hold a memory-mapped view of the pre-swap file, which the
+        // rename does not invalidate.
+        self.repo = Repository::open(Arc::clone(&self.storage), REPO_FILE)?;
         self.dirty = true;
         let stats = GcStats {
             reclaimed_bytes: old_size.saturating_sub(new_size),
@@ -1171,12 +1167,14 @@ pub fn options_signature(options: &BuildOptions) -> String {
         None => enc.write_bool(false),
     }
     enc.write_u8(n.max_level as u8);
-    enc.write_f64(n.thresholds.ir_compaction);
-    enc.write_f64(n.thresholds.st_compaction);
-    enc.write_f64(n.thresholds.offload);
-    enc.write_u64(n.compact_cost_per_byte);
-    enc.write_u64(n.disk_cost_per_byte);
-    enc.write_u64(n.fetch_cost_per_byte);
+    // The loader's fixed policy is keyed too: changing a constant must
+    // move every key.
+    enc.write_f64(cmo_naim::IR_COMPACTION_THRESHOLD);
+    enc.write_f64(cmo_naim::ST_COMPACTION_THRESHOLD);
+    enc.write_f64(cmo_naim::OFFLOAD_THRESHOLD);
+    enc.write_u64(cmo_naim::COMPACT_COST_PER_BYTE);
+    enc.write_u64(cmo_naim::DISK_COST_PER_BYTE);
+    enc.write_u64(cmo_naim::FETCH_COST_PER_BYTE);
     match &options.profile {
         Some(db) => {
             enc.write_bool(true);
@@ -1654,7 +1652,7 @@ mod tests {
         let hashes: Vec<ContentHash> = cache.manifest.values().copied().collect();
         for hash in hashes {
             let handle = cache.repo.lookup(hash).expect("a live record");
-            assert_ne!(cache.repo.fetch(handle).unwrap()[0], 4);
+            assert_ne!(cache.repo.fetch_ref(handle).unwrap()[0], 4);
         }
         drop(cache);
         let clean = open(&Arc::new(storage.snapshot())).gc(&tel).unwrap();
@@ -1725,7 +1723,7 @@ mod tests {
         let build = lines(&cache, "build:");
         assert_eq!(build.len(), 1);
         let handle = cache.repo.lookup(build_record(&cache)).unwrap();
-        assert_eq!(cache.repo.fetch(handle).unwrap()[0], TAG_BUILD);
+        assert_eq!(cache.repo.fetch_ref(handle).unwrap()[0], TAG_BUILD);
         assert!(lines(&cache, "img:").is_empty() && lines(&cache, "rpt:").is_empty());
         let clean = open(&Arc::new(storage.snapshot())).gc(&tel).unwrap();
 
@@ -1837,7 +1835,7 @@ mod tests {
                 let mut apply = |cache: &mut BuildCache| {
                     let line = line_of(cache, "build:");
                     let handle = cache.repo.lookup(cache.manifest[&line]).unwrap();
-                    let payload = cache.repo.fetch(handle).unwrap();
+                    let payload = cache.repo.fetch_ref(handle).map(<[u8]>::to_vec).unwrap();
                     let file = storage.read(REPO_FILE).unwrap();
                     let at = file
                         .windows(payload.len())
@@ -2173,7 +2171,7 @@ mod tests {
                 let mut apply = |cache: &mut BuildCache| {
                     let hash = cache.manifest[&line];
                     let handle = cache.repo.lookup(hash).expect("c has a slot");
-                    let payload = cache.repo.fetch(handle).unwrap();
+                    let payload = cache.repo.fetch_ref(handle).map(<[u8]>::to_vec).unwrap();
                     let file = storage.read(REPO_FILE).unwrap();
                     let at = file
                         .windows(payload.len())
@@ -2376,7 +2374,7 @@ mod tests {
                             .repo
                             .lookup(hash)
                             .expect("live record dropped");
-                        let back = cache.repo.fetch(handle).unwrap();
+                        let back = cache.repo.fetch_ref(handle).map(<[u8]>::to_vec).unwrap();
                         prop_assert_eq!(&back, &expected);
                     }
                     None => prop_assert!(

@@ -124,7 +124,7 @@ pub struct BuildOptions {
     /// (§5). `None` at `+O4` optimizes every module (the expensive
     /// non-selective mode).
     pub selectivity: Option<f64>,
-    /// NAIM loader configuration (memory budget, thresholds, level).
+    /// NAIM loader configuration (memory budget, hard limit, level).
     pub naim: NaimConfig,
     /// Inliner heuristics.
     pub inline: InlineOptions,

@@ -73,7 +73,7 @@ pub use cmo_ir::IlObject;
 pub use cmo_naim::{
     CacheService, DiskStorage, Fault, FaultyStorage, FlakyTransport, LoopbackTransport, MemStorage,
     NaimConfig, NaimLevel, RemoteStats, RemoteStorage, RemoteTransport, RepoRecovery, RetryPolicy,
-    Storage, StorageFile, TcpTransport, Thresholds, TieredStorage, WireFault,
+    Storage, TcpTransport, TieredStorage, WireFault,
 };
 pub use cmo_profile::ProfileDb;
 pub use cmo_telemetry::{PhaseRecord, Telemetry, TraceEvent};

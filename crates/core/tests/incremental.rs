@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use cmo::{BuildCache, BuildOptions, Compiler, DiskStorage, OptLevel, StorageFile, Telemetry};
+use cmo::{BuildCache, BuildOptions, Compiler, DiskStorage, OptLevel, Telemetry};
 
 fn cmocc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cmocc"))
@@ -360,9 +360,9 @@ fn failed_add_leaves_the_compiler_consistent() {
 
 /// The repository of the cache at `dir`, bound as `BuildCache` binds
 /// it: `repo.naim` of a [`DiskStorage`] rooted there.
-fn open_repo(dir: &Path) -> cmo_naim::Repository<StorageFile> {
+fn open_repo(dir: &Path) -> cmo_naim::Repository {
     let storage = std::sync::Arc::new(DiskStorage::new(dir).unwrap());
-    cmo_naim::Repository::open_backend(StorageFile::new(storage, "repo.naim")).unwrap()
+    cmo_naim::Repository::open(storage, "repo.naim").unwrap()
 }
 
 /// Damage only a decode can find, through the CLI: `app`'s manifest

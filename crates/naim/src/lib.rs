@@ -24,7 +24,7 @@
 //! form through the [`Relocatable`] compaction/uncompaction drivers
 //! (*eager swizzling*: every id in a pool is resolved when the pool is
 //! loaded), and engages progressively more aggressive behaviour as the
-//! accounted heap crosses configurable [`Thresholds`] — exactly the
+//! accounted heap crosses fixed fractions of the budget — exactly the
 //! staged IR-compaction / symbol-table-compaction / disk-offloading
 //! regime of the paper (Figure 5).
 //!
@@ -77,7 +77,8 @@ pub use encode::{Decoder, Encoder};
 pub use error::{DecodeError, NaimError};
 pub use loader::{
     Loader, LoaderStats, NaimConfig, NaimLevel, PoolId, PoolKind, PoolState, Relocatable,
-    Thresholds,
+    COMPACT_COST_PER_BYTE, DISK_COST_PER_BYTE, FETCH_COST_PER_BYTE, IR_COMPACTION_THRESHOLD,
+    OFFLOAD_THRESHOLD, ST_COMPACTION_THRESHOLD,
 };
 pub use mmap::MapView;
 pub use remote::{
@@ -85,8 +86,7 @@ pub use remote::{
     RemoteStorage, RemoteTransport, RetryPolicy, ServiceStats, TcpTransport, WireFault,
 };
 pub use repository::{
-    crc32, ContentHash, MemBackend, RepoBackend, RepoHandle, RepoRecovery, RepoStats, Repository,
-    REPO_MAGIC, REPO_VERSION,
+    crc32, ContentHash, RepoHandle, RepoRecovery, RepoStats, Repository, REPO_MAGIC, REPO_VERSION,
 };
-pub use storage::{DiskStorage, Fault, FaultyStorage, MemStorage, Storage, StorageFile};
+pub use storage::{DiskStorage, Fault, FaultyStorage, MemStorage, Storage};
 pub use tiered::TieredStorage;

@@ -4,13 +4,14 @@
 //! module symbol tables). Clients simply request objects and request
 //! that unneeded pools be unloaded; whether a pool is actually
 //! compacted, offloaded, or kept expanded in the unload-pending cache is
-//! decided internally from the configured memory [`Thresholds`] — the
-//! scheme is transparent to clients, exactly as in §4.3.
+//! decided internally from the memory thresholds
+//! ([`IR_COMPACTION_THRESHOLD`] and the two after it) — the scheme is
+//! transparent to clients, exactly as in §4.3.
 
 use crate::accounting::{MemCharge, MemClass, MemoryAccountant, MemorySnapshot};
 use crate::encode::{Decoder, Encoder};
 use crate::error::{DecodeError, NaimError};
-use crate::repository::{MemBackend, RepoBackend, RepoHandle, Repository};
+use crate::repository::{RepoHandle, Repository};
 use cmo_telemetry::{Telemetry, TraceEvent};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
@@ -92,34 +93,37 @@ pub enum NaimLevel {
     Offload,
 }
 
-/// Fractions of the memory budget at which each NAIM measure engages
-/// (§4.3: "a series of memory thresholds ... turn on more and more of
-/// the NAIM functionality").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Thresholds {
-    /// Engage IR compaction above this fraction of the budget.
-    pub ir_compaction: f64,
-    /// Engage symbol-table compaction above this fraction.
-    pub st_compaction: f64,
-    /// Engage disk offloading above this fraction.
-    pub offload: f64,
-}
+// The fractions of the memory budget at which each NAIM measure
+// engages (§4.3: "a series of memory thresholds ... turn on more and
+// more of the NAIM functionality").
 
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            ir_compaction: 0.5,
-            st_compaction: 0.7,
-            offload: 0.85,
-        }
-    }
-}
+/// Engage IR compaction above this fraction of the budget.
+pub const IR_COMPACTION_THRESHOLD: f64 = 0.5;
+/// Engage symbol-table compaction above this fraction of the budget.
+pub const ST_COMPACTION_THRESHOLD: f64 = 0.7;
+/// Engage offloading to the repository above this fraction of the
+/// budget.
+pub const OFFLOAD_THRESHOLD: f64 = 0.85;
+
+/// Simulated cost (work units) per byte compacted or uncompacted.
+pub const COMPACT_COST_PER_BYTE: u64 = 1;
+/// Simulated cost (work units) per byte written to the repository.
+pub const DISK_COST_PER_BYTE: u64 = 4;
+/// Simulated cost (work units) per byte fetched back from the
+/// repository. Cheaper than [`DISK_COST_PER_BYTE`] because the read
+/// path is zero-copy: records are borrowed from the storage's view (or
+/// read once into the repository's fetch arena) and swizzled in place,
+/// never materializing an owned compact copy. The cost is charged
+/// identically whether a real memory map backs the view, so reports do
+/// not depend on the transport.
+pub const FETCH_COST_PER_BYTE: u64 = 2;
 
 /// Configuration for a [`Loader`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaimConfig {
     /// Soft memory budget in bytes — the stand-in for the physical
-    /// memory of the build machine. Thresholds are fractions of this.
+    /// memory of the build machine. The thresholds are fractions of
+    /// this.
     pub budget_bytes: usize,
     /// Hard heap limit (the paper's ~1 GB HP-UX virtual-heap cap). When
     /// accounted memory cannot be brought under this limit the compile
@@ -127,34 +131,16 @@ pub struct NaimConfig {
     pub hard_limit_bytes: Option<usize>,
     /// Most aggressive measure the loader may take.
     pub max_level: NaimLevel,
-    /// Threshold fractions.
-    pub thresholds: Thresholds,
-    /// Simulated cost (work units) per byte compacted or uncompacted.
-    pub compact_cost_per_byte: u64,
-    /// Simulated cost (work units) per byte moved to or from disk.
-    pub disk_cost_per_byte: u64,
-    /// Simulated cost (work units) per byte fetched back from the
-    /// repository. Cheaper than [`NaimConfig::disk_cost_per_byte`]
-    /// because the read path is zero-copy: records are borrowed from
-    /// the backend's view (or read once into a reusable arena) and
-    /// swizzled in place, never materializing an owned compact copy.
-    /// The cost is charged identically whether a real memory map backs
-    /// the view, so reports do not depend on the transport.
-    pub fetch_cost_per_byte: u64,
 }
 
 impl NaimConfig {
-    /// Full NAIM capability with the given budget and default thresholds.
+    /// Full NAIM capability with the given budget.
     #[must_use]
     pub fn with_budget(budget_bytes: usize) -> Self {
         NaimConfig {
             budget_bytes,
             hard_limit_bytes: None,
             max_level: NaimLevel::Offload,
-            thresholds: Thresholds::default(),
-            compact_cost_per_byte: 1,
-            disk_cost_per_byte: 4,
-            fetch_cost_per_byte: 2,
         }
     }
 
@@ -283,11 +269,11 @@ struct Queues {
 /// (WHOPR's partition-local state), folded back into the session's
 /// counters afterwards.
 #[derive(Debug)]
-pub struct Loader<T, B = MemBackend> {
+pub struct Loader<T> {
     config: NaimConfig,
     /// Shared with every [`MemCharge`] taken from this loader.
     accountant: Arc<MemoryAccountant>,
-    repo: Repository<B>,
+    repo: Repository,
     slots: Vec<Slot<T>>,
     queues: Queues,
     clock: u64,
@@ -301,9 +287,6 @@ pub struct Loader<T, B = MemBackend> {
     id_base: u32,
     /// Distance in trace-id space between consecutive pools.
     id_stride: u32,
-    /// Set once the first zero-copy fetch has been announced in the
-    /// trace, so the mmap event fires at most once per loader.
-    mmap_announced: bool,
 }
 
 /// Trace-event kind string for a pool kind.
@@ -314,8 +297,8 @@ fn kind_str(kind: PoolKind) -> &'static str {
     }
 }
 
-impl<T: Relocatable> Loader<T, MemBackend> {
-    /// Creates a loader with an in-memory repository backend.
+impl<T: Relocatable> Loader<T> {
+    /// Creates a loader that offloads to [`Repository::in_memory`].
     #[must_use]
     pub fn new(config: NaimConfig) -> Self {
         Loader::with_repository(config, Repository::in_memory())
@@ -336,11 +319,10 @@ impl<T: Relocatable> Loader<T, MemBackend> {
         loader.id_stride = id_stride.max(1);
         loader
     }
-}
 
-impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
-    /// Creates a loader over an explicit repository (e.g. file-backed).
-    pub fn with_repository(config: NaimConfig, repo: Repository<B>) -> Self {
+    /// Creates a loader that offloads to `repo`, whichever storage
+    /// holds it.
+    pub fn with_repository(config: NaimConfig, repo: Repository) -> Self {
         Loader {
             config,
             accountant: Arc::new(MemoryAccountant::new()),
@@ -354,7 +336,6 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             steps: 0,
             id_base: 0,
             id_stride: 1,
-            mmap_announced: false,
         }
     }
 
@@ -493,13 +474,13 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// Shared access to the backing repository (e.g. to inspect stats or
     /// look up records by content hash).
     #[must_use]
-    pub fn repository(&self) -> &Repository<B> {
+    pub fn repository(&self) -> &Repository {
         &self.repo
     }
 
     /// Exclusive access to the backing repository (e.g. to store records
     /// directly or flush the persistent index).
-    pub fn repository_mut(&mut self) -> &mut Repository<B> {
+    pub fn repository_mut(&mut self) -> &mut Repository {
         &mut self.repo
     }
 
@@ -535,26 +516,18 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         let kind = kind_str(self.slots[idx].kind);
         let pool = self.external_id(idx);
         // Offloaded pools rehydrate in one pass: the record is borrowed
-        // from the repository (zero-copy when the backend serves views,
-        // the reusable scratch arena otherwise) and eagerly swizzled
-        // straight to expanded form, never materializing an owned
-        // compact copy in between.
+        // from the repository (zero-copy when the storage serves views,
+        // the fetch arena otherwise) and eagerly swizzled straight to
+        // expanded form, never materializing an owned compact copy in
+        // between.
         if let State::Offloaded(handle) = self.slots[idx].state {
-            let zc_before = self.repo.stats().zero_copy_reads;
             let image = self.repo.fetch_ref(handle)?;
             let image_len = image.len();
             let mut dec = Decoder::new(image);
             let value = T::uncompact(&mut dec)?;
             let size = value.expanded_bytes();
-            let fetch_cost = image_len as u64 * self.config.fetch_cost_per_byte;
-            let swizzle_cost = image_len as u64 * self.config.compact_cost_per_byte;
-            if !self.mmap_announced && self.repo.stats().zero_copy_reads > zc_before {
-                self.mmap_announced = true;
-                self.telemetry.emit(TraceEvent::Mmap {
-                    action: "zero-copy",
-                    bytes: image_len as u64,
-                });
-            }
+            let fetch_cost = image_len as u64 * FETCH_COST_PER_BYTE;
+            let swizzle_cost = image_len as u64 * COMPACT_COST_PER_BYTE;
             self.stats.offload_reads += 1;
             self.stats.bytes_offloaded += image_len as u64;
             self.stats.fetch_work_units += fetch_cost;
@@ -588,7 +561,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             let value = T::uncompact(&mut dec)?;
             let image_len = image.len();
             let size = value.expanded_bytes();
-            let cost = image_len as u64 * self.config.compact_cost_per_byte;
+            let cost = image_len as u64 * COMPACT_COST_PER_BYTE;
             self.stats.uncompactions += 1;
             self.stats.bytes_swizzled += image_len as u64;
             self.stats.work_units += cost;
@@ -796,7 +769,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
             let mut enc = Encoder::with_capacity(slot.compact_size.max(64));
             v.compact(&mut enc);
             let image = enc.into_bytes();
-            let cost = image.len() as u64 * self.config.compact_cost_per_byte;
+            let cost = image.len() as u64 * COMPACT_COST_PER_BYTE;
             self.stats.compactions += 1;
             self.stats.bytes_swizzled += image.len() as u64;
             self.stats.work_units += cost;
@@ -831,7 +804,7 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
         };
         let handle = self.repo.store(image)?;
         let len = image.len();
-        let cost = len as u64 * self.config.disk_cost_per_byte;
+        let cost = len as u64 * DISK_COST_PER_BYTE;
         self.stats.offload_writes += 1;
         self.stats.bytes_offloaded += len as u64;
         self.stats.work_units += cost;
@@ -872,9 +845,9 @@ impl<T: Relocatable, B: RepoBackend> Loader<T, B> {
     /// under the hard limit.
     pub fn enforce(&mut self) -> Result<(), NaimError> {
         let budget = self.config.budget_bytes as f64;
-        let t_ir = (budget * self.config.thresholds.ir_compaction) as usize;
-        let t_st = (budget * self.config.thresholds.st_compaction) as usize;
-        let t_off = (budget * self.config.thresholds.offload) as usize;
+        let t_ir = (budget * IR_COMPACTION_THRESHOLD) as usize;
+        let t_st = (budget * ST_COMPACTION_THRESHOLD) as usize;
+        let t_off = (budget * OFFLOAD_THRESHOLD) as usize;
 
         // Each phase compares the heap with its threshold before it
         // looks at a victim, and takes victims off the front of a queue

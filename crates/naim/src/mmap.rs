@@ -6,8 +6,8 @@
 //! `PROT_READ`/`MAP_PRIVATE` with a tiny vendored FFI shim (this
 //! workspace carries no external crates, so there is no `libc` to lean
 //! on); everywhere else — and whenever the kernel refuses the mapping —
-//! callers fall back to an owned in-memory copy, which behaves
-//! identically through [`MapView`]'s `Deref<Target = [u8]>`.
+//! the storage serves no view and the repository reads each record
+//! into its fetch arena instead.
 //!
 //! A [`MapView`] is immutable for its whole life: the storage layer
 //! drops and re-creates views when the underlying file grows or is

@@ -21,15 +21,18 @@
 //! Records are content-addressed: `store` hashes the payload and returns
 //! the existing record when an identical image is already present
 //! (dedup). Handles are indices into an in-memory record index rather
-//! than raw byte offsets; [`Repository::open_backend`] rebuilds the
+//! than raw byte offsets; [`Repository::open`] rebuilds the
 //! index from the trailing index segment (fast path) or by scanning the
 //! record chain (recovery path), so a store written by one process can
 //! be fetched by the next.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::encode::{Decoder, Encoder};
 use crate::error::NaimError;
+use crate::mmap::MapView;
+use crate::storage::{MemStorage, Storage};
 
 /// Magic bytes opening every repository file.
 pub const REPO_MAGIC: [u8; 8] = *b"CMONAIM\0";
@@ -181,169 +184,6 @@ impl RepoHandle {
     }
 }
 
-/// Storage backend for a [`Repository`].
-///
-/// The production configuration is a [`crate::StorageFile`] (one file
-/// of a [`crate::Storage`], as the build cache opens it); the NAIM
-/// loader offloads to the in-memory [`MemBackend`].
-pub trait RepoBackend {
-    /// Appends `data`, returning its starting offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O failure.
-    fn append(&mut self, data: &[u8]) -> std::io::Result<u64>;
-
-    /// Reads `len` bytes starting at `offset`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O failure, including short reads.
-    fn read_at(&mut self, offset: u64, len: usize) -> std::io::Result<Vec<u8>>;
-
-    /// Total bytes currently stored.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O failure.
-    fn size(&mut self) -> std::io::Result<u64>;
-
-    /// Truncates the backend to `len` bytes, dropping trailing garbage
-    /// left by an interrupted append.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O failure.
-    fn truncate(&mut self, len: u64) -> std::io::Result<()>;
-
-    /// Prepares a borrowed view covering `offset..offset + len`,
-    /// returning whether [`RepoBackend::view`] will serve that range.
-    ///
-    /// This is split from `view` so callers can branch on the answer
-    /// before taking the borrow (the borrow of a returned slice must
-    /// not overlap the mutable fallback read). The default declines,
-    /// which sends every read down the copying [`RepoBackend::read_at`]
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O failure while establishing the view.
-    fn ensure_view(&mut self, _offset: u64, _len: usize) -> std::io::Result<bool> {
-        Ok(false)
-    }
-
-    /// Borrows `len` bytes at `offset` from the view most recently
-    /// established by [`RepoBackend::ensure_view`]. Returns `None` when
-    /// the range is not covered.
-    fn view(&self, _offset: u64, _len: usize) -> Option<&[u8]> {
-        None
-    }
-
-    /// Reads `len` bytes at `offset` into `buf`, reusing its capacity.
-    ///
-    /// The default round-trips through [`RepoBackend::read_at`];
-    /// backends that can fill the buffer in place override it to make
-    /// the fallback fetch path allocation-free in steady state.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O failure, including short reads.
-    fn read_into(&mut self, offset: u64, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
-        let data = self.read_at(offset, len)?;
-        buf.clear();
-        buf.extend_from_slice(&data);
-        Ok(())
-    }
-
-    /// Stable label naming the storage tier this backend reads from
-    /// (`"local"`, `"remote"`, `"tiered"`). Carried into
-    /// [`NaimError::RepoTruncated`] / [`NaimError::RepoChecksum`] so
-    /// corruption diagnostics say which tier served the bad bytes.
-    fn backend_label(&self) -> &'static str {
-        "local"
-    }
-}
-
-/// In-memory backend; useful for tests and for measuring offload traffic
-/// without real disk I/O.
-#[derive(Debug, Default)]
-pub struct MemBackend {
-    data: Vec<u8>,
-}
-
-impl MemBackend {
-    /// Creates an empty in-memory backend.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total bytes ever appended.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if nothing has been appended.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-impl RepoBackend for MemBackend {
-    fn append(&mut self, data: &[u8]) -> std::io::Result<u64> {
-        let offset = self.data.len() as u64;
-        self.data.extend_from_slice(data);
-        Ok(offset)
-    }
-
-    fn read_at(&mut self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-        let start = offset as usize;
-        let end = start.checked_add(len).filter(|&e| e <= self.data.len());
-        match end {
-            Some(end) => Ok(self.data[start..end].to_vec()),
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "repository read past end",
-            )),
-        }
-    }
-
-    fn size(&mut self) -> std::io::Result<u64> {
-        Ok(self.data.len() as u64)
-    }
-
-    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
-        self.data.truncate(len as usize);
-        Ok(())
-    }
-
-    fn ensure_view(&mut self, offset: u64, len: usize) -> std::io::Result<bool> {
-        let end = (offset as usize).checked_add(len);
-        Ok(end.is_some_and(|e| e <= self.data.len()))
-    }
-
-    fn view(&self, offset: u64, len: usize) -> Option<&[u8]> {
-        let start = offset as usize;
-        self.data.get(start..start.checked_add(len)?)
-    }
-
-    fn read_into(&mut self, offset: u64, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
-        match self.view(offset, len) {
-            Some(data) => {
-                buf.clear();
-                buf.extend_from_slice(data);
-                Ok(())
-            }
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "repository read past end",
-            )),
-        }
-    }
-}
-
 /// Statistics on repository traffic, used by the Figure 5 experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepoStats {
@@ -357,19 +197,19 @@ pub struct RepoStats {
     pub bytes_read: u64,
     /// Stores satisfied by an existing identical record (no write).
     pub dedup_hits: u64,
-    /// Reads served as borrowed slices straight from a backend view
+    /// Reads served as borrowed slices straight from a storage view
     /// (no payload copy). Transport-dependent — mmap availability and
     /// platform change it — so it never flows into compile reports,
     /// which must stay byte-identical with mmap on and off.
     pub zero_copy_reads: u64,
 }
 
-/// What [`Repository::open_backend`] had to repair: trailing bytes that
+/// What [`Repository::open`] had to repair: trailing bytes that
 /// did not form a complete, well-framed record (a torn append or
 /// unknown-kind garbage) were truncated away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepoRecovery {
-    /// Bytes dropped from the tail of the backend.
+    /// Bytes dropped from the tail of the file.
     pub dropped_bytes: u64,
     /// Length of the valid prefix the repository was truncated to.
     pub valid_len: u64,
@@ -384,75 +224,76 @@ struct RecordMeta {
     hash: ContentHash,
 }
 
-/// An append-only, content-addressed store of relocatable pool images.
+/// An append-only, content-addressed store of relocatable pool images,
+/// kept in one file of a [`Storage`].
 ///
-/// Within a run it backs NAIM offloading; on a persistent backend the
-/// format survives the process, and [`Repository::open_backend`]
-/// rehydrates the record index so a later compilation can fetch pools
-/// stored by an earlier one (incremental recompilation).
+/// Within a run it backs NAIM offloading; on persistent storage the
+/// format survives the process, and [`Repository::open`] rehydrates the
+/// record index so a later compilation can fetch pools stored by an
+/// earlier one (incremental recompilation).
 #[derive(Debug)]
-pub struct Repository<B = MemBackend> {
-    backend: B,
+pub struct Repository {
+    storage: Arc<dyn Storage>,
+    name: String,
+    /// Cached view of a prefix of the file, when the storage serves
+    /// views. Appends leave it valid for its covered range (the store
+    /// is append-only); it is dropped on truncate and re-requested when
+    /// a read falls past its end.
+    view: Option<MapView>,
     records: Vec<RecordMeta>,
     by_hash: HashMap<ContentHash, u32>,
     stats: RepoStats,
     recovery: Option<RepoRecovery>,
-    /// Reusable fetch buffer: when the backend cannot serve a borrowed
-    /// view, [`Repository::fetch_ref`] reads into this arena instead of
-    /// allocating per fetch. Recycled by [`Repository::recycle_arena`].
+    /// Fetch arena: when the storage serves no view,
+    /// [`Repository::fetch_ref`] reads the record here. Released by
+    /// [`Repository::recycle_arena`].
     scratch: Vec<u8>,
     /// Bytes served by `fetch_ref` since the last recycle, counted the
-    /// same on the view and the copy path (mode-independent).
+    /// same on the view and the arena path (mode-independent).
     arena_served: u64,
 }
 
-impl Repository<MemBackend> {
-    /// Creates a repository backed by process memory.
+impl Repository {
+    /// Creates a repository in a fresh [`MemStorage`], in process
+    /// memory.
     #[must_use]
     pub fn in_memory() -> Self {
-        Repository::create_backend(MemBackend::new()).expect("in-memory backends are infallible")
+        Repository::create(Arc::new(MemStorage::new()), "repo.naim")
+            .expect("in-memory storage is infallible")
     }
-}
 
-impl<B: RepoBackend> Repository<B> {
-    /// Creates a fresh repository over `backend`: truncates it and
-    /// writes the versioned header.
+    /// Creates a fresh repository as file `name` of `storage`: replaces
+    /// whatever the file held with the versioned header.
     ///
     /// # Errors
     ///
-    /// Returns any backend I/O failure.
-    pub fn create_backend(mut backend: B) -> Result<Self, NaimError> {
-        backend.truncate(0)?;
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(&REPO_MAGIC);
-        header.extend_from_slice(&REPO_VERSION.to_le_bytes());
-        backend.append(&header)?;
-        Ok(Repository {
-            backend,
-            records: Vec::new(),
-            by_hash: HashMap::new(),
-            stats: RepoStats::default(),
-            recovery: None,
-            scratch: Vec::new(),
-            arena_served: 0,
-        })
+    /// Returns any storage I/O failure.
+    pub fn create(storage: Arc<dyn Storage>, name: impl Into<String>) -> Result<Self, NaimError> {
+        let repo = Repository::bind(storage, name.into());
+        let mut header = [0u8; HEADER_LEN as usize];
+        header[..8].copy_from_slice(&REPO_MAGIC);
+        header[8..].copy_from_slice(&REPO_VERSION.to_le_bytes());
+        repo.storage.write(&repo.name, &header)?;
+        Ok(repo)
     }
 
-    /// Opens an existing backend: validates the header, then rebuilds
-    /// the record index from the trailing index segment or by scanning.
+    /// Opens file `name` of `storage`: validates the header, then
+    /// rebuilds the record index from the trailing index segment or by
+    /// scanning.
     ///
     /// # Errors
     ///
     /// Returns [`NaimError::RepoHeader`] / [`NaimError::RepoVersion`] on
     /// a malformed or incompatible header, and any I/O failure.
-    pub fn open_backend(mut backend: B) -> Result<Self, NaimError> {
-        let size = backend.size()?;
+    pub fn open(storage: Arc<dyn Storage>, name: impl Into<String>) -> Result<Self, NaimError> {
+        let mut repo = Repository::bind(storage, name.into());
+        let size = repo.size()?;
         if size < HEADER_LEN {
             return Err(NaimError::RepoHeader {
                 what: "file shorter than the 12-byte header",
             });
         }
-        let header = backend.read_at(0, HEADER_LEN as usize)?;
+        let header = repo.read_at(0, HEADER_LEN as usize)?;
         if header[..8] != REPO_MAGIC {
             return Err(NaimError::RepoHeader {
                 what: "bad magic (not a CMONAIM repository)",
@@ -465,22 +306,13 @@ impl<B: RepoBackend> Repository<B> {
                 expected: REPO_VERSION,
             });
         }
-        let mut repo = Repository {
-            backend,
-            records: Vec::new(),
-            by_hash: HashMap::new(),
-            stats: RepoStats::default(),
-            recovery: None,
-            scratch: Vec::new(),
-            arena_served: 0,
-        };
         if !repo.load_index_from_footer(size)? {
             let valid_end = repo.scan_records(size)?;
             if valid_end < size {
                 // A torn append (or unknown-kind garbage) left trailing
                 // bytes that are not a well-framed record: drop them so
                 // the next append starts on a clean record boundary.
-                repo.backend.truncate(valid_end)?;
+                repo.truncate(valid_end)?;
                 repo.recovery = Some(RepoRecovery {
                     dropped_bytes: size - valid_end,
                     valid_len: valid_end,
@@ -494,6 +326,45 @@ impl<B: RepoBackend> Repository<B> {
             repo.by_hash.insert(rec.hash, id as u32);
         }
         Ok(repo)
+    }
+
+    /// An empty index over file `name` of `storage`.
+    fn bind(storage: Arc<dyn Storage>, name: String) -> Self {
+        Repository {
+            storage,
+            name,
+            view: None,
+            records: Vec::new(),
+            by_hash: HashMap::new(),
+            stats: RepoStats::default(),
+            recovery: None,
+            scratch: Vec::new(),
+            arena_served: 0,
+        }
+    }
+
+    /// Current file length; a file that does not exist reads as empty.
+    fn size(&self) -> std::io::Result<u64> {
+        if !self.storage.exists(&self.name) {
+            return Ok(0);
+        }
+        self.storage.size(&self.name)
+    }
+
+    fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        self.storage.read_at(&self.name, offset, len)
+    }
+
+    fn append(&self, data: &[u8]) -> std::io::Result<u64> {
+        self.storage.append(&self.name, data)
+    }
+
+    /// Truncates the file to `len` bytes. The cached view may cover
+    /// pages past the new end, and faulting them in after the truncate
+    /// would be undefined, so it is dropped.
+    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+        self.view = None;
+        self.storage.truncate(&self.name, len)
     }
 
     /// The repair performed while opening, if the record chain had a
@@ -510,9 +381,7 @@ impl<B: RepoBackend> Repository<B> {
         if size < HEADER_LEN + RECORD_HEADER_LEN + FOOTER_LEN {
             return Ok(false);
         }
-        let footer = self
-            .backend
-            .read_at(size - FOOTER_LEN, FOOTER_LEN as usize)?;
+        let footer = self.read_at(size - FOOTER_LEN, FOOTER_LEN as usize)?;
         let cookie = u32::from_le_bytes([footer[8], footer[9], footer[10], footer[11]]);
         if cookie != FOOTER_COOKIE {
             return Ok(false);
@@ -521,9 +390,7 @@ impl<B: RepoBackend> Repository<B> {
         if index_offset < HEADER_LEN || index_offset + RECORD_HEADER_LEN + FOOTER_LEN > size {
             return Ok(false);
         }
-        let head = self
-            .backend
-            .read_at(index_offset, RECORD_HEADER_LEN as usize)?;
+        let head = self.read_at(index_offset, RECORD_HEADER_LEN as usize)?;
         let (kind, _hash, len, crc) = parse_record_header(&head);
         if kind != KIND_INDEX {
             return Ok(false);
@@ -532,9 +399,7 @@ impl<B: RepoBackend> Repository<B> {
         if index_offset + RECORD_HEADER_LEN + u64::from(len) + FOOTER_LEN != size {
             return Ok(false);
         }
-        let payload = self
-            .backend
-            .read_at(index_offset + RECORD_HEADER_LEN, len as usize)?;
+        let payload = self.read_at(index_offset + RECORD_HEADER_LEN, len as usize)?;
         if crc32(&payload) != crc {
             return Ok(false);
         }
@@ -560,7 +425,7 @@ impl<B: RepoBackend> Repository<B> {
         self.records.clear();
         let mut pos = HEADER_LEN;
         while pos + RECORD_HEADER_LEN <= size {
-            let head = self.backend.read_at(pos, RECORD_HEADER_LEN as usize)?;
+            let head = self.read_at(pos, RECORD_HEADER_LEN as usize)?;
             let (kind, hash, len, crc) = parse_record_header(&head);
             if kind != KIND_POOL && kind != KIND_INDEX {
                 break; // garbage tail: not a record we ever wrote
@@ -580,7 +445,7 @@ impl<B: RepoBackend> Repository<B> {
             pos = payload_offset + u64::from(len);
             // A footer may trail an index segment; skip it when present.
             if kind == KIND_INDEX && pos + FOOTER_LEN <= size {
-                let maybe = self.backend.read_at(pos, FOOTER_LEN as usize)?;
+                let maybe = self.read_at(pos, FOOTER_LEN as usize)?;
                 let cookie = u32::from_le_bytes([maybe[8], maybe[9], maybe[10], maybe[11]]);
                 if cookie == FOOTER_COOKIE {
                     pos += FOOTER_LEN;
@@ -598,11 +463,11 @@ impl<B: RepoBackend> Repository<B> {
     /// # Errors
     ///
     /// Returns [`NaimError::OutOfMemory`]-free validation errors for
-    /// over-long images (checked *before* any byte reaches the backend)
-    /// and any backend I/O failure.
+    /// over-long images (checked *before* any byte reaches the storage)
+    /// and any storage I/O failure.
     pub fn store(&mut self, image: &[u8]) -> Result<RepoHandle, NaimError> {
         // Validate the 4 GiB record limit before appending so a rejected
-        // store never leaks backend space.
+        // store never leaks file space.
         let len = u32::try_from(image.len()).map_err(|_| {
             NaimError::Repository(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -621,7 +486,7 @@ impl<B: RepoBackend> Repository<B> {
         let mut buf = Vec::with_capacity(RECORD_HEADER_LEN as usize + image.len());
         write_record_header(&mut buf, KIND_POOL, hash, len, crc);
         buf.extend_from_slice(image);
-        let record_offset = self.backend.append(&buf)?;
+        let record_offset = self.append(&buf)?;
         let id = self.records.len() as u32;
         self.records.push(RecordMeta {
             payload_offset: record_offset + RECORD_HEADER_LEN,
@@ -636,122 +501,71 @@ impl<B: RepoBackend> Repository<B> {
     }
 
     /// Fetches a pool image previously stored (possibly by an earlier
-    /// process), verifying its CRC.
+    /// process) as a borrowed slice, verifying its CRC. When the storage
+    /// serves views (a memory-mapped [`crate::DiskStorage`] file) the
+    /// bytes come straight from the mapping with no copy; otherwise the
+    /// record alone is read into the repository's fetch arena. Either
+    /// way the slice is only valid until the next `&mut self` call.
     ///
     /// # Errors
     ///
     /// Returns [`NaimError::UnknownPool`] for an out-of-range record id,
-    /// [`NaimError::RepoTruncated`] when the backend ends before the
+    /// [`NaimError::RepoTruncated`] when the file ends before the
     /// record's declared payload, [`NaimError::RepoChecksum`] on CRC
-    /// mismatch, and any backend I/O failure.
-    pub fn fetch(&mut self, handle: RepoHandle) -> Result<Vec<u8>, NaimError> {
-        let Some(meta) = self.records.get(handle.id as usize).copied() else {
-            return Err(NaimError::UnknownPool { pool: handle.id });
-        };
-        let size = self.backend.size()?;
-        let end = meta.payload_offset + u64::from(meta.len);
-        if end > size {
-            return Err(NaimError::RepoTruncated {
-                record: handle.id,
-                wanted: u64::from(meta.len),
-                got: size.saturating_sub(meta.payload_offset),
-                backend: self.backend.backend_label(),
-            });
-        }
-        let data = self
-            .backend
-            .read_at(meta.payload_offset, meta.len as usize)?;
-        let computed = crc32(&data);
-        if computed != meta.crc {
-            return Err(NaimError::RepoChecksum {
-                record: handle.id,
-                stored: meta.crc,
-                computed,
-                backend: self.backend.backend_label(),
-            });
-        }
-        self.stats.reads += 1;
-        self.stats.bytes_read += u64::from(meta.len);
-        Ok(data)
-    }
-
-    /// Fetches a pool image as a borrowed slice, CRC-verified like
-    /// [`Repository::fetch`] but without handing ownership to the
-    /// caller: when the backend serves views (memory-mapped file,
-    /// in-memory store) the bytes come straight from the mapping with
-    /// no copy; otherwise they are read into the repository's reusable
-    /// scratch arena. Either way the slice is only valid until the next
-    /// `&mut self` call.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Repository::fetch`].
+    /// mismatch, and any storage I/O failure.
     pub fn fetch_ref(&mut self, handle: RepoHandle) -> Result<&[u8], NaimError> {
         let Some(meta) = self.records.get(handle.id as usize).copied() else {
             return Err(NaimError::UnknownPool { pool: handle.id });
         };
-        let size = self.backend.size()?;
-        let end = meta.payload_offset + u64::from(meta.len);
-        if end > size {
+        let (start, len) = (meta.payload_offset, u64::from(meta.len));
+        let size = self.size()?;
+        if start + len > size {
             return Err(NaimError::RepoTruncated {
                 record: handle.id,
-                wanted: u64::from(meta.len),
-                got: size.saturating_sub(meta.payload_offset),
-                backend: self.backend.backend_label(),
+                wanted: len,
+                got: size.saturating_sub(start),
+                backend: self.storage.tier_label(),
             });
         }
-        if self
-            .backend
-            .ensure_view(meta.payload_offset, meta.len as usize)?
-        {
-            let data = self
-                .backend
-                .view(meta.payload_offset, meta.len as usize)
-                .expect("ensure_view covered this range");
-            let computed = crc32(data);
-            if computed != meta.crc {
-                return Err(NaimError::RepoChecksum {
-                    record: handle.id,
-                    stored: meta.crc,
-                    computed,
-                    backend: self.backend.backend_label(),
-                });
-            }
-            self.stats.reads += 1;
-            self.stats.bytes_read += u64::from(meta.len);
-            self.stats.zero_copy_reads += 1;
-            self.arena_served += u64::from(meta.len);
-            return Ok(data);
+        let range = start as usize..(start + len) as usize;
+        if self.view.as_ref().is_none_or(|v| v.len() < range.end) {
+            // Stale or missing: re-request a view of the grown file.
+            self.view = self.storage.map(&self.name)?;
         }
-        // Fallback: pread into the scratch arena, reusing its capacity.
-        self.backend
-            .read_into(meta.payload_offset, meta.len as usize, &mut self.scratch)
-            .map_err(NaimError::Repository)?;
-        let computed = crc32(&self.scratch);
+        let view = self.view.as_deref().and_then(|v| v.get(range.clone()));
+        let zero_copy = view.is_some();
+        let data = match view {
+            Some(data) => data,
+            None => {
+                self.scratch = self.storage.read_at(&self.name, start, range.len())?;
+                &self.scratch
+            }
+        };
+        let computed = crc32(data);
         if computed != meta.crc {
             return Err(NaimError::RepoChecksum {
                 record: handle.id,
                 stored: meta.crc,
                 computed,
-                backend: self.backend.backend_label(),
+                backend: self.storage.tier_label(),
             });
         }
         self.stats.reads += 1;
-        self.stats.bytes_read += u64::from(meta.len);
-        self.arena_served += u64::from(meta.len);
-        Ok(&self.scratch)
+        self.stats.bytes_read += len;
+        self.stats.zero_copy_reads += u64::from(zero_copy);
+        self.arena_served += len;
+        Ok(data)
     }
 
-    /// Bytes served through [`Repository::fetch_ref`] since the scratch
-    /// arena was last recycled. Counted identically on the zero-copy
-    /// and the fallback path, so the number is transport-independent.
+    /// Bytes served through [`Repository::fetch_ref`] since the arena
+    /// was last recycled. Counted identically on the view and the arena
+    /// path, so the number is transport-independent.
     #[must_use]
     pub fn arena_served(&self) -> u64 {
         self.arena_served
     }
 
-    /// Recycles the scratch arena: releases the fallback buffer's
-    /// memory and returns (and resets) the served-byte counter. The
+    /// Recycles the fetch arena: releases its memory and returns (and resets) the served-byte counter. The
     /// loader calls this at the end of each enforcement sweep so the
     /// arena never outlives the eviction wave that filled it.
     pub fn recycle_arena(&mut self) -> u64 {
@@ -826,13 +640,13 @@ impl<B: RepoBackend> Repository<B> {
     }
 
     /// Appends an index segment plus footer so the next
-    /// [`Repository::open_backend`] can rebuild the record index without
+    /// [`Repository::open`] can rebuild the record index without
     /// scanning. Safe to call repeatedly; the footer at end-of-file
     /// always wins.
     ///
     /// # Errors
     ///
-    /// Returns any backend I/O failure.
+    /// Returns any storage I/O failure.
     pub fn flush_index(&mut self) -> Result<(), NaimError> {
         let payload = encode_index(&self.records);
         let len = u32::try_from(payload.len()).map_err(|_| {
@@ -847,11 +661,11 @@ impl<B: RepoBackend> Repository<B> {
             Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len() + FOOTER_LEN as usize);
         write_record_header(&mut buf, KIND_INDEX, hash, len, crc);
         buf.extend_from_slice(&payload);
-        let index_offset = self.backend.append(&buf)?;
+        let index_offset = self.append(&buf)?;
         let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
         footer.extend_from_slice(&index_offset.to_le_bytes());
         footer.extend_from_slice(&FOOTER_COOKIE.to_le_bytes());
-        self.backend.append(&footer)?;
+        self.append(&footer)?;
         Ok(())
     }
 
@@ -918,9 +732,8 @@ fn decode_index(payload: &[u8]) -> Option<Vec<RecordMeta>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskStorage, FaultyStorage, Storage, StorageFile};
+    use crate::{DiskStorage, FaultyStorage};
     use std::path::Path;
-    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cmo-naim-{tag}-{}", std::process::id()));
@@ -928,20 +741,24 @@ mod tests {
         dir
     }
 
-    /// The repository file at `path` as the build cache binds one: a
-    /// [`StorageFile`] over the [`DiskStorage`] rooted at its directory.
-    fn on_disk(path: &Path) -> StorageFile {
+    /// The file at `path` of the [`DiskStorage`] rooted at its
+    /// directory, as the build cache binds its repository.
+    fn on_disk(path: &Path) -> (Arc<dyn Storage>, &str) {
         let storage = DiskStorage::new(path.parent().unwrap()).unwrap();
-        let name = path.file_name().unwrap().to_str().unwrap();
-        StorageFile::new(Arc::new(storage), name)
+        (
+            Arc::new(storage),
+            path.file_name().unwrap().to_str().unwrap(),
+        )
     }
 
-    fn create(path: impl AsRef<Path>) -> Result<Repository<StorageFile>, NaimError> {
-        Repository::create_backend(on_disk(path.as_ref()))
+    fn create(path: impl AsRef<Path>) -> Result<Repository, NaimError> {
+        let (storage, name) = on_disk(path.as_ref());
+        Repository::create(storage, name)
     }
 
-    fn open(path: impl AsRef<Path>) -> Result<Repository<StorageFile>, NaimError> {
-        Repository::open_backend(on_disk(path.as_ref()))
+    fn open(path: impl AsRef<Path>) -> Result<Repository, NaimError> {
+        let (storage, name) = on_disk(path.as_ref());
+        Repository::open(storage, name)
     }
 
     /// The bytewise definition slice-by-8 must agree with.
@@ -980,12 +797,12 @@ mod tests {
     }
 
     #[test]
-    fn mem_backend_round_trips() {
+    fn in_memory_round_trips() {
         let mut repo = Repository::in_memory();
         let h1 = repo.store(b"alpha").unwrap();
         let h2 = repo.store(b"beta").unwrap();
-        assert_eq!(repo.fetch(h1).unwrap(), b"alpha");
-        assert_eq!(repo.fetch(h2).unwrap(), b"beta");
+        assert_eq!(repo.fetch_ref(h1).unwrap(), b"alpha");
+        assert_eq!(repo.fetch_ref(h2).unwrap(), b"beta");
         let s = repo.stats();
         assert_eq!(s.writes, 2);
         assert_eq!(s.reads, 2);
@@ -993,16 +810,21 @@ mod tests {
     }
 
     #[test]
-    fn fetch_ref_borrows_zero_copy_from_mem_backend() {
+    fn fetch_ref_reads_in_memory_records_into_the_arena() {
+        // `MemStorage` serves no views, so an in-memory fetch reads just
+        // the record into the arena.
         let mut repo = Repository::in_memory();
-        let h = repo.store(b"zero copy payload").unwrap();
-        assert_eq!(repo.fetch_ref(h).unwrap(), b"zero copy payload");
+        let h = repo.store(b"arena payload").unwrap();
+        assert_eq!(repo.fetch_ref(h).unwrap(), b"arena payload");
         let s = repo.stats();
-        assert_eq!((s.reads, s.zero_copy_reads), (1, 1));
-        assert_eq!(s.bytes_read, 17);
-        assert_eq!(repo.arena_served(), 17);
-        assert_eq!(repo.recycle_arena(), 17);
+        assert_eq!((s.reads, s.zero_copy_reads), (1, 0));
+        assert_eq!(s.bytes_read, 13);
+        assert!(repo.view.is_none());
+        assert_eq!(repo.scratch, b"arena payload");
+        assert_eq!(repo.arena_served(), 13);
+        assert_eq!(repo.recycle_arena(), 13);
         assert_eq!(repo.arena_served(), 0);
+        assert_eq!(repo.scratch.capacity(), 0);
     }
 
     #[test]
@@ -1015,13 +837,80 @@ mod tests {
         let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(Arc::new(
             DiskStorage::new(&dir).unwrap(),
         )));
-        let mut repo = Repository::create_backend(StorageFile::new(storage, "repo.bin")).unwrap();
+        let mut repo = Repository::create(storage, "repo.bin").unwrap();
         let h = repo.store(&[42u8; 500]).unwrap();
         assert_eq!(repo.fetch_ref(h).unwrap(), &[42u8; 500][..]);
         assert_eq!(repo.fetch_ref(h).unwrap(), &[42u8; 500][..]);
         let s = repo.stats();
         assert_eq!((s.reads, s.zero_copy_reads), (2, 0));
         assert_eq!(repo.arena_served(), 1000);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn repository_owns_one_file_of_its_storage() {
+        let dir = temp_dir("one-file");
+        let storage: Arc<dyn Storage> = Arc::new(DiskStorage::new(&dir).unwrap());
+        storage.write("neighbour", b"untouched").unwrap();
+        storage
+            .write("repo.naim", b"stale bytes from an older run")
+            .unwrap();
+        // Create replaces what the file held with the bare header.
+        let mut repo = Repository::create(Arc::clone(&storage), "repo.naim").unwrap();
+        assert_eq!(storage.read("repo.naim").unwrap(), repo_header());
+        let h = repo.store(b"abcdef").unwrap();
+        let end = HEADER_LEN + RECORD_HEADER_LEN + 6;
+        assert_eq!(repo.size().unwrap(), end);
+        assert_eq!(std::fs::metadata(dir.join("repo.naim")).unwrap().len(), end);
+        assert_eq!(repo.fetch_ref(h).unwrap(), b"abcdef");
+        // Truncation cuts the record the index still names.
+        repo.truncate(end - 3).unwrap();
+        assert!(matches!(
+            repo.fetch_ref(h),
+            Err(NaimError::RepoTruncated {
+                wanted: 6,
+                got: 3,
+                ..
+            })
+        ));
+        assert_eq!(storage.read("neighbour").unwrap(), b"untouched");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn repo_header() -> Vec<u8> {
+        [&REPO_MAGIC[..], &REPO_VERSION.to_le_bytes()].concat()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn views_cover_appended_records_after_a_refresh_and_drop_on_truncate() {
+        let dir = temp_dir("views");
+        let storage: Arc<dyn Storage> = Arc::new(DiskStorage::new(&dir).unwrap());
+        let mut repo = Repository::create(storage, "repo.naim").unwrap();
+        let a = repo.store(b"first record").unwrap();
+        assert_eq!(repo.fetch_ref(a).unwrap(), b"first record");
+        let mapped = repo.size().unwrap() as usize;
+        assert_eq!(repo.view.as_ref().map(|v| v.len()), Some(mapped));
+        // An appended record lies past the view until a fetch of it
+        // refreshes the view over the grown file.
+        let b = repo.store(b"second record").unwrap();
+        assert_eq!(repo.view.as_ref().map(|v| v.len()), Some(mapped));
+        assert_eq!(repo.fetch_ref(b).unwrap(), b"second record");
+        let grown = repo.size().unwrap() as usize;
+        assert_eq!(repo.view.as_ref().map(|v| v.len()), Some(grown));
+        assert_eq!(repo.fetch_ref(a).unwrap(), b"first record");
+        assert_eq!(repo.stats().zero_copy_reads, 3);
+        // A truncate drops the view; the next fetch maps what is left.
+        repo.truncate(mapped as u64).unwrap();
+        assert!(repo.view.is_none());
+        assert_eq!(repo.fetch_ref(a).unwrap(), b"first record");
+        assert_eq!(repo.view.as_ref().map(|v| v.len()), Some(mapped));
+        assert!(matches!(
+            repo.fetch_ref(b),
+            Err(NaimError::RepoTruncated { .. })
+        ));
+        assert_eq!(repo.stats().zero_copy_reads, 4);
+        assert_eq!(repo.scratch.capacity(), 0, "no read went through the arena");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1052,7 +941,7 @@ mod tests {
         assert_eq!(repo.record_count(), 1);
         assert_eq!(repo.stats().writes, 1);
         assert_eq!(repo.stats().dedup_hits, 1);
-        assert_eq!(repo.fetch(h2).unwrap(), b"same bytes");
+        assert_eq!(repo.fetch_ref(h2).unwrap(), b"same bytes");
     }
 
     #[test]
@@ -1074,8 +963,8 @@ mod tests {
         // Build the generation compacted_size claims to predict.
         let mut fresh = create(dir.join("new.bin")).unwrap();
         for h in [a, c, a] {
-            let bytes = repo.fetch(h).unwrap();
-            fresh.store(&bytes).unwrap();
+            let bytes = repo.fetch_ref(h).unwrap();
+            fresh.store(bytes).unwrap();
         }
         fresh.flush_index().unwrap();
         drop(fresh);
@@ -1094,7 +983,7 @@ mod tests {
         let path = dir.join("repo.bin");
         let mut repo = create(&path).unwrap();
         let h = repo.store(&[7u8; 1000]).unwrap();
-        assert_eq!(repo.fetch(h).unwrap(), vec![7u8; 1000]);
+        assert_eq!(repo.fetch_ref(h).unwrap(), vec![7u8; 1000]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1112,7 +1001,7 @@ mod tests {
             len: 4,
         };
         assert!(matches!(
-            repo.fetch(bogus),
+            repo.fetch_ref(bogus),
             Err(NaimError::UnknownPool { pool }) if pool == real.id() + 100
         ));
     }
@@ -1122,7 +1011,7 @@ mod tests {
         let mut repo = Repository::in_memory();
         let h = repo.store(&[]).unwrap();
         assert!(h.is_empty());
-        assert_eq!(repo.fetch(h).unwrap(), Vec::<u8>::new());
+        assert_eq!(repo.fetch_ref(h).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -1139,8 +1028,8 @@ mod tests {
         }; // drop closes the file: simulated process exit
         let mut reopened = open(&path).unwrap();
         assert_eq!(reopened.record_count(), 2);
-        assert_eq!(reopened.fetch(ha).unwrap(), b"first pool image");
-        assert_eq!(reopened.fetch(hb).unwrap(), b"second pool image");
+        assert_eq!(reopened.fetch_ref(ha).unwrap(), b"first pool image");
+        assert_eq!(reopened.fetch_ref(hb).unwrap(), b"second pool image");
         assert_eq!(reopened.lookup(hash_a), Some(ha));
         // Dedup keeps working across the restart.
         let again = reopened.store(b"first pool image").unwrap();
@@ -1157,7 +1046,7 @@ mod tests {
         let h = create(&path).unwrap().store(b"unindexed pool").unwrap();
         let mut reopened = open(&path).unwrap();
         assert_eq!(reopened.record_count(), 1);
-        assert_eq!(reopened.fetch(h).unwrap(), b"unindexed pool");
+        assert_eq!(reopened.fetch_ref(h).unwrap(), b"unindexed pool");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1176,7 +1065,7 @@ mod tests {
         let mut repo = open(&path).unwrap();
         // The intact record survives; the torn one is gone.
         assert_eq!(repo.record_count(), 1);
-        assert_eq!(repo.fetch(ha).unwrap(), b"intact record");
+        assert_eq!(repo.fetch_ref(ha).unwrap(), b"intact record");
         let rec = repo.recovery().expect("open repaired a torn tail");
         assert_eq!(
             rec.dropped_bytes,
@@ -1190,7 +1079,7 @@ mod tests {
         drop(repo);
         let mut reopened = open(&path).unwrap();
         assert!(reopened.recovery().is_none());
-        assert_eq!(reopened.fetch(hb).unwrap(), b"appended after recovery");
+        assert_eq!(reopened.fetch_ref(hb).unwrap(), b"appended after recovery");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1219,7 +1108,7 @@ mod tests {
         assert_eq!(reopened.record_count(), 2);
         let hash = reopened.hash_of(h1).unwrap();
         assert_eq!(reopened.lookup(hash).unwrap().id, h2.id);
-        assert_eq!(reopened.fetch(h2).unwrap(), b"poisoned payload");
+        assert_eq!(reopened.fetch_ref(h2).unwrap(), b"poisoned payload");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1243,7 +1132,7 @@ mod tests {
         drop(file);
         let mut repo = open(&path).unwrap();
         assert_eq!(repo.record_count(), 1);
-        assert_eq!(repo.fetch(h).unwrap(), b"good bytes");
+        assert_eq!(repo.fetch_ref(h).unwrap(), b"good bytes");
         let rec = repo.recovery().unwrap();
         assert_eq!(rec.dropped_bytes, garbage.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1264,7 +1153,7 @@ mod tests {
         // The scan drops the torn record, so re-derive a handle as a
         // stale manifest would: the record id from the previous run.
         assert_eq!(repo.record_count(), 0);
-        let err = repo.fetch(h).unwrap_err();
+        let err = repo.fetch_ref(h).unwrap_err();
         assert!(matches!(err, NaimError::UnknownPool { pool: 0 }));
         // Now truncate mid-payload on a live repository (index still in
         // memory) to exercise the RepoTruncated path itself.
@@ -1272,7 +1161,7 @@ mod tests {
         let h2 = live.store(b"soon to be truncated").unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let err = live.fetch(h2).unwrap_err();
+        let err = live.fetch_ref(h2).unwrap_err();
         let msg = format!("{err}");
         match err {
             NaimError::RepoTruncated {
@@ -1306,7 +1195,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let err = repo.fetch(h).unwrap_err();
+        let err = repo.fetch_ref(h).unwrap_err();
         assert!(matches!(err, NaimError::RepoChecksum { record, .. } if record == h.id()));
         std::fs::remove_dir_all(&dir).unwrap();
     }

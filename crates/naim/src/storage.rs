@@ -28,12 +28,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::mmap::MapView;
 use crate::remote::RemoteStats;
-use crate::repository::RepoBackend;
 
 /// A small named-file store: the I/O boundary for all persistent state.
 ///
 /// Methods take `&self` so one storage handle can be shared between the
-/// repository backend and the manifest/journal writers; implementations
+/// repository and the manifest/journal writers; implementations
 /// provide their own interior mutability. Names are flat (no directory
 /// components) — the store is a single cache directory.
 pub trait Storage: fmt::Debug + Send + Sync {
@@ -109,10 +108,12 @@ pub trait Storage: fmt::Debug + Send + Sync {
     /// Returns a read-only [`MapView`] of `name`'s entire current
     /// contents, or `Ok(None)` when this storage does not serve views.
     ///
-    /// The default declines: callers then fall back to [`Storage::read_at`],
-    /// so wrappers that meter or perturb the operation stream (the fault
-    /// injector in particular) keep their op-indexed schedules unchanged
-    /// by simply not overriding this.
+    /// The default declines: callers then fall back to [`Storage::read_at`].
+    /// Only [`DiskStorage`] maps. In-memory storage declines because a
+    /// view of it would be a copy of the whole file, and wrappers that
+    /// meter or perturb the operation stream (the fault injector in
+    /// particular) keep their op-indexed schedules unchanged by simply
+    /// not overriding this.
     ///
     /// # Errors
     ///
@@ -290,7 +291,12 @@ impl Storage for MemStorage {
 
     fn append(&self, name: &str, data: &[u8]) -> io::Result<u64> {
         let mut files = lock(&self.files);
-        let file = files.entry(name.to_owned()).or_default();
+        // Appending to an existing file (the repository's every store)
+        // must not allocate a key.
+        let file = match files.get_mut(name) {
+            Some(file) => file,
+            None => files.entry(name.to_owned()).or_default(),
+        };
         let offset = file.len() as u64;
         file.extend_from_slice(data);
         Ok(offset)
@@ -343,13 +349,6 @@ impl Storage for MemStorage {
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| Self::missing(name))
-    }
-
-    fn map(&self, name: &str) -> io::Result<Option<MapView>> {
-        // A copied snapshot: callers treat views as immutable and
-        // re-request them after any size change, so this behaves like
-        // the real mapping.
-        Ok(Some(MapView::copied(self.read(name)?)))
     }
 }
 
@@ -701,79 +700,6 @@ impl Storage for FaultyStorage {
     }
 }
 
-/// Adapts one named file of a [`Storage`] to the repository's
-/// [`RepoBackend`] interface, caching a read-only [`MapView`] so
-/// repeated fetches borrow straight from the mapping.
-#[derive(Debug)]
-pub struct StorageFile {
-    storage: Arc<dyn Storage>,
-    name: String,
-    /// Cached view of a prefix of the file. Appends leave it valid for
-    /// its covered range (the repository is append-only); it is dropped
-    /// on truncate and re-requested when a read falls past its end.
-    view: Option<MapView>,
-}
-
-impl StorageFile {
-    /// Binds the backend to file `name` inside `storage`.
-    #[must_use]
-    pub fn new(storage: Arc<dyn Storage>, name: impl Into<String>) -> Self {
-        StorageFile {
-            storage,
-            name: name.into(),
-            view: None,
-        }
-    }
-}
-
-impl RepoBackend for StorageFile {
-    fn append(&mut self, data: &[u8]) -> io::Result<u64> {
-        self.storage.append(&self.name, data)
-    }
-
-    fn read_at(&mut self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        self.storage.read_at(&self.name, offset, len)
-    }
-
-    fn size(&mut self) -> io::Result<u64> {
-        if !self.storage.exists(&self.name) {
-            return Ok(0);
-        }
-        self.storage.size(&self.name)
-    }
-
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        // The cached mapping may cover pages past the new end; faulting
-        // them in after the truncate would be undefined, so drop it.
-        self.view = None;
-        if len == 0 && !self.storage.exists(&self.name) {
-            // Truncating a not-yet-created file to empty creates it
-            // (Repository::create_backend starts from nothing).
-            return self.storage.write(&self.name, &[]);
-        }
-        self.storage.truncate(&self.name, len)
-    }
-
-    fn ensure_view(&mut self, offset: u64, len: usize) -> io::Result<bool> {
-        let end = offset as usize + len;
-        if self.view.as_ref().is_some_and(|v| v.len() >= end) {
-            return Ok(true);
-        }
-        // Stale or missing: re-request a view of the grown file.
-        self.view = self.storage.map(&self.name)?;
-        Ok(self.view.as_ref().is_some_and(|v| v.len() >= end))
-    }
-
-    fn view(&self, offset: u64, len: usize) -> Option<&[u8]> {
-        let start = offset as usize;
-        self.view.as_deref()?.get(start..start + len)
-    }
-
-    fn backend_label(&self) -> &'static str {
-        self.storage.tier_label()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,49 +847,25 @@ mod tests {
     }
 
     #[test]
-    fn storage_file_adapts_repo_backend() {
-        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-        let mut file = StorageFile::new(Arc::clone(&storage), "repo.naim");
-        assert_eq!(file.size().unwrap(), 0, "missing file reads as empty");
-        assert_eq!(file.append(b"abcdef").unwrap(), 0);
-        assert_eq!(file.read_at(2, 3).unwrap(), b"cde");
-        file.truncate(4).unwrap();
-        assert_eq!(file.size().unwrap(), 4);
-    }
-
-    #[test]
-    fn storage_file_serves_views_and_refreshes_after_growth() {
-        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-        let mut file = StorageFile::new(Arc::clone(&storage), "repo.naim");
-        file.append(b"abcdef").unwrap();
-        assert!(file.ensure_view(0, 6).unwrap());
-        assert_eq!(file.view(2, 3).unwrap(), b"cde");
-        // Beyond the cached view: declined until re-ensured.
-        assert!(file.view(0, 7).is_none());
-        file.append(b"ghi").unwrap();
-        assert!(file.ensure_view(6, 3).unwrap());
-        assert_eq!(file.view(6, 3).unwrap(), b"ghi");
-        // Truncation drops the cached view entirely.
-        file.truncate(4).unwrap();
-        assert!(file.view(0, 1).is_none());
-        assert!(!file.ensure_view(0, 5).unwrap());
-        assert!(file.ensure_view(0, 4).unwrap());
+    fn mem_storage_serves_no_views() {
+        // Views are for mapped files; an in-memory file would have to be
+        // copied whole on every request, so readers use `read_at`.
+        let mem = MemStorage::new();
+        mem.write("f", b"bytes").unwrap();
+        assert!(mem.map("f").unwrap().is_none());
     }
 
     #[test]
     fn faulty_storage_never_serves_views() {
         // The fault injector's schedules are op-indexed; serving views
         // would let readers bypass metered `read_at` calls and shift
-        // every later kill point. The default `map` declines.
-        let faulty = FaultyStorage::new(Arc::new(MemStorage::new()));
+        // every later kill point. The default `map` declines, even over
+        // a storage that maps.
+        let dir = std::env::temp_dir().join(format!("cmo-naim-faulty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let faulty = FaultyStorage::new(Arc::new(DiskStorage::new(&dir).unwrap()));
         faulty.write("f", b"bytes").unwrap();
         assert!(faulty.map("f").unwrap().is_none());
-        let mut file = StorageFile::new(
-            Arc::new(FaultyStorage::new(Arc::new(MemStorage::new()))),
-            "f",
-        );
-        file.append(b"bytes").unwrap();
-        assert!(!file.ensure_view(0, 5).unwrap());
-        assert!(file.view(0, 5).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

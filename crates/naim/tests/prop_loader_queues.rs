@@ -14,6 +14,8 @@
 use cmo_naim::{
     DecodeError, Decoder, Encoder, Loader, LoaderStats, MemClass, MemoryAccountant, NaimConfig,
     NaimLevel, PoolId, PoolKind, PoolState, Relocatable, RepoHandle, Repository,
+    COMPACT_COST_PER_BYTE, DISK_COST_PER_BYTE, FETCH_COST_PER_BYTE, IR_COMPACTION_THRESHOLD,
+    OFFLOAD_THRESHOLD, ST_COMPACTION_THRESHOLD,
 };
 use cmo_telemetry::{Telemetry, TraceEvent};
 use proptest::prelude::*;
@@ -82,7 +84,6 @@ struct RefLoader {
     slots: Vec<RefSlot>,
     clock: u64,
     stats: LoaderStats,
-    mmap_announced: bool,
 }
 
 impl RefLoader {
@@ -95,7 +96,6 @@ impl RefLoader {
             slots: Vec::new(),
             clock: 0,
             stats: LoaderStats::default(),
-            mmap_announced: false,
         }
     }
 
@@ -145,18 +145,10 @@ impl RefLoader {
         let (image_len, value) = match &self.slots[idx].state {
             RefState::Expanded(_) => return,
             RefState::Offloaded(handle) => {
-                let zc_before = self.repo.stats().zero_copy_reads;
                 let image = self.repo.fetch_ref(*handle).expect("fetch");
                 let len = image.len();
                 let value = Payload::uncompact(&mut Decoder::new(image)).expect("uncompact");
-                if !self.mmap_announced && self.repo.stats().zero_copy_reads > zc_before {
-                    self.mmap_announced = true;
-                    self.tel.emit(TraceEvent::Mmap {
-                        action: "zero-copy",
-                        bytes: len as u64,
-                    });
-                }
-                let fetch_cost = len as u64 * self.config.fetch_cost_per_byte;
+                let fetch_cost = len as u64 * FETCH_COST_PER_BYTE;
                 self.stats.offload_reads += 1;
                 self.stats.bytes_offloaded += len as u64;
                 self.stats.fetch_work_units += fetch_cost;
@@ -171,7 +163,7 @@ impl RefLoader {
                 (image.len(), value)
             }
         };
-        let cost = image_len as u64 * self.config.compact_cost_per_byte;
+        let cost = image_len as u64 * COMPACT_COST_PER_BYTE;
         self.stats.uncompactions += 1;
         self.stats.bytes_swizzled += image_len as u64;
         self.stats.work_units += cost;
@@ -224,7 +216,7 @@ impl RefLoader {
             return;
         };
         let image = image_of(v);
-        let cost = image.len() as u64 * self.config.compact_cost_per_byte;
+        let cost = image.len() as u64 * COMPACT_COST_PER_BYTE;
         self.stats.compactions += 1;
         self.stats.bytes_swizzled += image.len() as u64;
         self.stats.work_units += cost;
@@ -245,7 +237,7 @@ impl RefLoader {
         };
         let len = image.len();
         let handle = self.repo.store(image).expect("store");
-        let cost = len as u64 * self.config.disk_cost_per_byte;
+        let cost = len as u64 * DISK_COST_PER_BYTE;
         self.stats.offload_writes += 1;
         self.stats.bytes_offloaded += len as u64;
         self.stats.work_units += cost;
@@ -259,9 +251,9 @@ impl RefLoader {
     /// threshold.
     fn enforce(&mut self) {
         let budget = self.config.budget_bytes as f64;
-        let t_ir = (budget * self.config.thresholds.ir_compaction) as usize;
-        let t_st = (budget * self.config.thresholds.st_compaction) as usize;
-        let t_off = (budget * self.config.thresholds.offload) as usize;
+        let t_ir = (budget * IR_COMPACTION_THRESHOLD) as usize;
+        let t_st = (budget * ST_COMPACTION_THRESHOLD) as usize;
+        let t_off = (budget * OFFLOAD_THRESHOLD) as usize;
         if self.config.max_level >= NaimLevel::CompactIr {
             for idx in self.pending_lru(PoolKind::Ir) {
                 if self.acct.total() <= t_ir {

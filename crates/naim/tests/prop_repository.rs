@@ -4,7 +4,7 @@
 //! and a record that still resolves either fetches its original bytes
 //! or fails with a typed error. No path may serve silently wrong data.
 
-use cmo_naim::{ContentHash, MemStorage, NaimError, Repository, Storage, StorageFile};
+use cmo_naim::{ContentHash, MemStorage, NaimError, Repository, Storage};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -26,8 +26,7 @@ fn payloads() -> Vec<Vec<u8>> {
 /// A well-formed repository image containing [`payloads`].
 fn baseline() -> Vec<u8> {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let mut repo =
-        Repository::create_backend(StorageFile::new(Arc::clone(&storage), REPO)).unwrap();
+    let mut repo = Repository::create(Arc::clone(&storage), REPO).unwrap();
     for p in payloads() {
         repo.store(&p).unwrap();
     }
@@ -37,10 +36,10 @@ fn baseline() -> Vec<u8> {
 }
 
 /// Opens a repository over the given (possibly mutilated) bytes.
-fn reopen(bytes: &[u8]) -> Result<Repository<StorageFile>, NaimError> {
+fn reopen(bytes: &[u8]) -> Result<Repository, NaimError> {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     storage.write(REPO, bytes).unwrap();
-    Repository::open_backend(StorageFile::new(storage, REPO))
+    Repository::open(storage, REPO)
 }
 
 /// The post-corruption contract: open recovers or fails typed; every
@@ -54,7 +53,7 @@ fn assert_contract(bytes: &[u8]) {
                 let Some(handle) = repo.lookup(ContentHash::of(&p)) else {
                     continue; // lost to truncation/recovery: acceptable
                 };
-                match repo.fetch(handle) {
+                match repo.fetch_ref(handle).map(<[u8]>::to_vec) {
                     Ok(back) => assert_eq!(back, p, "fetch served corrupted bytes as good"),
                     Err(e) => assert!(
                         e.is_corruption() || matches!(e, NaimError::Repository(_)),

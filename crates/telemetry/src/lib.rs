@@ -243,16 +243,8 @@ pub enum TraceEvent {
         /// the allocator at the end of an enforcement sweep).
         action: &'static str,
         /// Bytes the arena served since the previous recycle. Counted
-        /// identically on the zero-copy and the copying fetch path, so
-        /// the value does not depend on the storage transport.
-        bytes: u64,
-    },
-    /// Zero-copy storage-view activity in the NAIM repository.
-    Mmap {
-        /// What happened: `"zero-copy"` (the first repository fetch
-        /// served as a borrowed slice from a storage view).
-        action: &'static str,
-        /// Bytes of the fetch that triggered the event.
+        /// identically whether a storage view or the arena served each
+        /// fetch, so the value does not depend on the storage transport.
         bytes: u64,
     },
     /// Remote shared-cache tier activity. All delays are expressed on
@@ -291,7 +283,6 @@ impl TraceEvent {
             TraceEvent::Degraded { .. } => "degraded",
             TraceEvent::JobPanic { .. } => "job-panic",
             TraceEvent::Arena { .. } => "arena",
-            TraceEvent::Mmap { .. } => "mmap",
             TraceEvent::Remote { .. } => "remote",
         }
     }
@@ -427,7 +418,7 @@ impl TraceEvent {
                 escape_into(payload, out);
                 out.push('"');
             }
-            TraceEvent::Arena { action, bytes } | TraceEvent::Mmap { action, bytes } => {
+            TraceEvent::Arena { action, bytes } => {
                 let _ = write!(out, "\"action\":\"{action}\",\"bytes\":{bytes}");
             }
             TraceEvent::Remote {

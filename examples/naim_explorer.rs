@@ -10,7 +10,10 @@
 
 use cmo_frontend::compile_module;
 use cmo_ir::{link_objects, Transitory};
-use cmo_naim::{Loader, MemClass, NaimConfig, PoolKind, PoolState};
+use cmo_naim::{
+    Loader, MemClass, NaimConfig, PoolKind, PoolState, IR_COMPACTION_THRESHOLD, OFFLOAD_THRESHOLD,
+    ST_COMPACTION_THRESHOLD,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build some real routine IR to put in pools.
@@ -39,9 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "budget {} B; thresholds: IR compaction at {:.0}%, symbol tables at {:.0}%, offload at {:.0}%",
         config.budget_bytes,
-        config.thresholds.ir_compaction * 100.0,
-        config.thresholds.st_compaction * 100.0,
-        config.thresholds.offload * 100.0
+        IR_COMPACTION_THRESHOLD * 100.0,
+        ST_COMPACTION_THRESHOLD * 100.0,
+        OFFLOAD_THRESHOLD * 100.0
     );
     let mut loader: Loader<Transitory> = Loader::new(config);
 

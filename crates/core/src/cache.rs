@@ -111,7 +111,9 @@ use crate::report::CompileReport;
 /// report's `cache.profile` counters are gone.)
 /// (10: a build is one `build:` record, image then report, and the
 /// report codec writes the JSON's fields in the JSON's order.)
-pub const CACHE_FORMAT: u32 = 10;
+/// (11: `ContentHash` reads eight bytes per step, so every key,
+/// manifest hash and record address moved.)
+pub const CACHE_FORMAT: u32 = 11;
 
 /// First line of `manifest.tsv`.
 const MANIFEST_SCHEMA: &str = "cmo.cache.v1";
@@ -346,10 +348,11 @@ pub struct BuildCache {
 impl BuildCache {
     /// Opens (or creates) the cache rooted at `dir`.
     ///
-    /// A repository written by an older format version, or one whose
+    /// A repository written by another format version, or one whose
     /// header fails validation, is discarded and recreated fresh — an
     /// incompatible cache is worth nothing, and silently decoding it
-    /// would be worse.
+    /// would be worse. Only the second is a repair: another version is
+    /// a cache that simply misses, as after a `CACHE_FORMAT` bump.
     ///
     /// # Errors
     ///
@@ -368,7 +371,8 @@ impl BuildCache {
     /// half-committed repository generation, the record-chain scan
     /// truncates a torn tail, and an unreadable repository is recreated
     /// fresh. Each repair emits a `recover` trace event and bumps
-    /// [`BuildCache::recovered`].
+    /// [`BuildCache::recovered`]; a repository of another format
+    /// version is recreated without either.
     ///
     /// # Errors
     ///
@@ -376,6 +380,7 @@ impl BuildCache {
     /// content.
     pub fn open_on(storage: Arc<dyn Storage>, tel: &Telemetry) -> Result<BuildCache, NaimError> {
         let mut recovered = 0u64;
+        let mut other_version = false;
         // A GC that died before its generation swap leaves the new
         // generation under the temp name; it was never committed, so
         // drop it. (`exists` is not admit-counted by the fault
@@ -406,9 +411,14 @@ impl BuildCache {
             match Repository::open(Arc::clone(&storage), REPO_FILE) {
                 Ok(repo) => (repo, false),
                 Err(NaimError::Repository(e)) => return Err(NaimError::Repository(e)),
-                // Header/version/decode problems: the cache is from
-                // another era (or shredded beyond record recovery).
-                // Start over.
+                // Another compiler's format: nothing in it can hit, as
+                // after a `CACHE_FORMAT` bump, and nothing was damaged.
+                Err(NaimError::RepoVersion { .. }) => {
+                    other_version = true;
+                    (Repository::create(Arc::clone(&storage), REPO_FILE)?, true)
+                }
+                // Header or decode problems: the cache is shredded
+                // beyond record recovery. Start over.
                 Err(_) => {
                     let old = storage.size(REPO_FILE).unwrap_or(0);
                     recovered += 1;
@@ -446,9 +456,10 @@ impl BuildCache {
                 ..CacheStats::default()
             },
             recovered,
-            // A repaired store commits, so the rebuilt index (and, after
-            // a recreation, the emptied manifest) is written back.
-            dirty: recovered > 0,
+            // A repaired or replaced store commits, so the rebuilt index
+            // (and, after a recreation, the emptied manifest) is written
+            // back.
+            dirty: recovered > 0 || other_version,
             opened_len,
             objects_decoded: 0,
             routines_replayed: 0,
@@ -589,8 +600,9 @@ impl BuildCache {
     /// Storing never fails the build: an unwritable repository leaves
     /// the cache cold for the next run, nothing more.
     pub fn put_module(&mut self, module: &str, fp: &str, obj: &IlObject, tel: &Telemetry) {
-        let stored = self.store(format!("mod:{fp}"), TAG_OBJECT, |enc| {
-            enc.write_bytes(&obj.to_bytes());
+        let bytes = obj.to_bytes();
+        let stored = self.store(format!("mod:{fp}"), TAG_OBJECT, bytes.len() + 16, |enc| {
+            enc.write_bytes(&bytes);
         });
         if let Some(bytes) = stored {
             emit(tel, "store", "module", module, bytes);
@@ -664,7 +676,8 @@ impl BuildCache {
             table.extend_from_slice(&key.0.to_le_bytes());
             table.extend_from_slice(&end.to_le_bytes());
         }
-        let stored = self.store(code_line(mode, module), TAG_CODE, |enc| {
+        let hint = table.len() + body.len() + 32;
+        let stored = self.store(code_line(mode, module), TAG_CODE, hint, |enc| {
             enc.write_bytes(&table);
             enc.write_bytes(&body);
         });
@@ -701,7 +714,10 @@ impl BuildCache {
         report: &CompileReport,
         tel: &Telemetry,
     ) {
-        let stored = self.store(format!("build:{key}"), TAG_BUILD, |enc| {
+        // An encoded instruction averages under five bytes; the rest is
+        // the routine table, the data section and the report.
+        let hint = 6 * image.code.len() + 32 * image.routines.len() + 9 * image.globals.len();
+        let stored = self.store(format!("build:{key}"), TAG_BUILD, hint + 4096, |enc| {
             image.encode(enc);
             report.encode(enc);
         });
@@ -980,11 +996,18 @@ impl BuildCache {
         self.dirty |= self.manifest.remove(key).is_some();
     }
 
-    /// Encodes an entry (`tag`, then whatever `encode` writes) and
-    /// stores it under `key`, returning the payload size, or `None`
-    /// when the repository refused the write.
-    fn store(&mut self, key: String, tag: u8, encode: impl FnOnce(&mut Encoder)) -> Option<u64> {
-        let mut enc = Encoder::with_capacity(1024);
+    /// Encodes an entry (`tag`, then whatever `encode` writes, into a
+    /// buffer of `size_hint` bytes) and stores it under `key`,
+    /// returning the payload size, or `None` when the repository
+    /// refused the write.
+    fn store(
+        &mut self,
+        key: String,
+        tag: u8,
+        size_hint: usize,
+        encode: impl FnOnce(&mut Encoder),
+    ) -> Option<u64> {
+        let mut enc = Encoder::with_capacity(size_hint);
         enc.write_u8(tag);
         encode(&mut enc);
         let handle = self.repo.store(&enc.into_bytes()).ok()?;
@@ -1311,6 +1334,7 @@ mod tests {
 
         let mut cache = BuildCache::open(&dir).expect("recreate");
         assert_eq!(cache.record_count(), 0);
+        assert_eq!(cache.recovered(), 0, "another version is no repair");
         assert!(cache.get_module("m", "fp", &tel).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1730,8 +1754,8 @@ mod tests {
         // What a format-9 build left in its place.
         let key = build[0].strip_prefix("build:").unwrap();
         cache.drop_line(&build[0]);
-        cache.store(format!("img:{key}"), 2, |enc| cold.image.encode(enc));
-        cache.store(format!("rpt:{key}"), 3, |enc| cold.report.encode(enc));
+        cache.store(format!("img:{key}"), 2, 0, |enc| cold.image.encode(enc));
+        cache.store(format!("rpt:{key}"), 3, 0, |enc| cold.report.encode(enc));
         cache.persist().unwrap();
         let stats = cache.gc(&tel).unwrap();
         assert_eq!(
@@ -2221,7 +2245,7 @@ mod tests {
                                 code: vec![
                                     cmo_vm::MInstr::Call {
                                         routine: 8,
-                                        args: Vec::new(),
+                                        args: cmo_vm::CallArgs::default(),
                                         dst: None,
                                     },
                                     cmo_vm::MInstr::Ret { value: None },

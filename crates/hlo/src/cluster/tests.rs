@@ -41,7 +41,7 @@ use crate::{
 use cmo::{run_jobs, BuildOptions, Compiler};
 use cmo_frontend::compile_module;
 use cmo_ir::{link_objects, IlObject, LinkedUnit, RoutineId};
-use cmo_naim::{ContentHash, LoaderStats, MemClass, NaimConfig, NaimLevel};
+use cmo_naim::{LoaderStats, MemClass, NaimConfig, NaimLevel};
 use cmo_profile::{ProbeKey, ProfileDb, RoutineShape};
 use cmo_select::coarse_select;
 use cmo_synth::{generate, mcad_preset, SynthApp};
@@ -287,6 +287,23 @@ const LIMIT_GOLDENS: [(&str, u64, &str); 3] = [
     ("+O4 +P at 20 %", 41, "d850e14ef087cf492ecd08c89d057636"),
 ];
 
+/// The goldens' hash: the two-lane byte-serial FNV-1a that
+/// `ContentHash::of` was when they were recorded, kept here so a
+/// change of the repository's hash cannot move them.
+fn golden_hash(data: &[u8]) -> String {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut b: u64 = 0x6c62_272e_07bb_0142;
+    for &byte in data {
+        a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
+        b = (b ^ u64::from(byte.rotate_left(3))).wrapping_mul(PRIME);
+    }
+    let len = data.len() as u64;
+    a = (a ^ len).wrapping_mul(PRIME);
+    b = (b ^ len.rotate_left(17)).wrapping_mul(PRIME);
+    format!("{a:016x}{b:016x}")
+}
+
 #[test]
 fn op_limited_builds_match_the_goldens_at_every_limit() {
     let (app, db) = mcad();
@@ -324,7 +341,7 @@ fn op_limited_builds_match_the_goldens_at_every_limit() {
                 writeln!(merged, "{:016x}", body.fingerprint()).unwrap();
             }
             merged.push_str(&tel.render_trace());
-            (inlined.inlines, ContentHash::of(merged.as_bytes()).to_hex())
+            (inlined.inlines, golden_hash(merged.as_bytes()))
         };
         let (total, _) = build(None);
         let mut rolled = String::new();
@@ -333,7 +350,7 @@ fn op_limited_builds_match_the_goldens_at_every_limit() {
             assert_eq!(inlines, limit.min(total), "{config}: the limit binds");
             rolled.push_str(&hash);
         }
-        let got = (total, ContentHash::of(rolled.as_bytes()).to_hex());
+        let got = (total, golden_hash(rolled.as_bytes()));
         assert_eq!(got, (ops, golden.to_owned()), "{config}");
     }
 }

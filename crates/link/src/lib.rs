@@ -21,7 +21,6 @@ use cmo_llo::{GlobalLayout, LoweredRoutine};
 use cmo_profile::{ProbeKey, ProbeKind};
 use cmo_telemetry::Telemetry;
 use cmo_vm::{MInstr, MRoutineInfo, MachineImage};
-use std::collections::HashMap;
 
 /// A weighted caller→callee arc used for clustering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +134,7 @@ pub fn initial_globals(
 }
 
 /// Assembles lowered routines (indexed by [`RoutineId`]) into an
-/// executable image.
+/// executable image, moving each one's code and name into place.
 ///
 /// # Panics
 ///
@@ -144,7 +143,7 @@ pub fn initial_globals(
 #[must_use]
 pub fn assemble(
     program: &Program,
-    lowered: Vec<LoweredRoutine>,
+    mut lowered: Vec<LoweredRoutine>,
     symtabs: &[ModuleSymbols],
     layout: &GlobalLayout,
     options: &LinkOptions,
@@ -155,43 +154,41 @@ pub fn assemble(
         "every routine must be lowered"
     );
     let n = lowered.len();
-    let dead: Vec<bool> = {
-        let mut v = vec![false; n];
-        for r in &options.dead {
-            v[r.index()] = true;
-        }
-        v
-    };
+    let mut dead = vec![false; n];
+    for r in &options.dead {
+        dead[r.index()] = true;
+    }
     let order = match &options.arcs {
         Some(arcs) => cluster_routines(n, arcs),
         None => (0..n).map(RoutineId::from_index).collect(),
     };
 
+    let total = lowered
+        .iter()
+        .zip(&dead)
+        .map(|(lr, &dead)| if dead { 1 } else { lr.code.len() })
+        .sum();
     let mut image = MachineImage {
+        code: Vec::with_capacity(total),
         globals: initial_globals(program, symtabs, layout),
         ..MachineImage::default()
     };
-    let mut routine_infos: HashMap<usize, MRoutineInfo> = HashMap::new();
+    let mut placed = vec![(0u32, 0u32); n];
     for &rid in &order {
-        let lr = &lowered[rid.index()];
-        let base = image.code.len() as u32;
-        let probe_base = image.probes.len() as u32;
-        let code: Vec<MInstr> = if dead[rid.index()] {
-            vec![MInstr::Ret { value: None }]
+        let lr = &mut lowered[rid.index()];
+        let base = image.code.len();
+        if dead[rid.index()] {
+            image.code.push(MInstr::Ret { value: None });
         } else {
-            lr.code.clone()
-        };
-        let code_len = code.len() as u32;
-        options.telemetry.work(u64::from(code_len));
-        for mut mi in code {
-            match &mut mi {
-                MInstr::Jmp { target } | MInstr::Br { target, .. } => *target += base,
-                MInstr::Probe { id } => *id += probe_base,
-                _ => {}
+            let probe_base = image.probes.len() as u32;
+            image.code.append(&mut lr.code);
+            for mi in &mut image.code[base..] {
+                match mi {
+                    MInstr::Jmp { target } | MInstr::Br { target, .. } => *target += base as u32,
+                    MInstr::Probe { id } => *id += probe_base,
+                    _ => {}
+                }
             }
-            image.code.push(mi);
-        }
-        if !dead[rid.index()] {
             for kind in &lr.probes {
                 image.probes.push(match kind {
                     ProbeKind::Block(b) => ProbeKey::block(&lr.name, *b),
@@ -200,18 +197,19 @@ pub fn assemble(
             }
             image.shapes.push((lr.name.clone(), lr.shape));
         }
-        routine_infos.insert(
-            rid.index(),
-            MRoutineInfo {
-                name: lr.name.clone(),
-                entry: base,
-                frame_slots: lr.frame_slots,
-                code_len,
-            },
-        );
+        let len = (image.code.len() - base) as u32;
+        options.telemetry.work(u64::from(len));
+        placed[rid.index()] = (base as u32, len);
     }
-    image.routines = (0..n)
-        .map(|i| routine_infos.remove(&i).expect("every routine placed"))
+    image.routines = lowered
+        .into_iter()
+        .zip(placed)
+        .map(|(lr, (entry, code_len))| MRoutineInfo {
+            name: lr.name,
+            entry,
+            frame_slots: lr.frame_slots,
+            code_len,
+        })
         .collect();
     image.entry_routine = program.main_routine().expect("program must define main").0;
     image

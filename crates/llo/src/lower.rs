@@ -6,7 +6,7 @@ use cmo_ir::{
     Block, GlobalId, Instr, MemBase, Program, RoutineBody, RoutineId, Terminator, UnOp, VReg,
 };
 use cmo_profile::{ProbeKind, RoutineShape};
-use cmo_vm::{MInstr, Reg};
+use cmo_vm::{CallArgs, MInstr, Reg};
 
 /// How hard LLO works, mirroring the HP-UX option levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -513,7 +513,7 @@ fn emit_instr(
                     id: (probes.len() - 1) as u32,
                 });
             }
-            let arg_regs: Vec<Reg> = args.iter().map(|a| e.read(*a)).collect();
+            let arg_regs: CallArgs = args.iter().map(|a| e.read(*a)).collect();
             let r = dst.map(|d| e.write_reg(d));
             e.code.push(MInstr::Call {
                 routine: callee.id().0,

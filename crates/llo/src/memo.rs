@@ -25,6 +25,7 @@ use crate::{GlobalLayout, LloOptions, LoweredRoutine, OptEffort};
 use cmo_ir::{
     Const, GlobalId, GlobalRef, Instr, MemBase, Program, RoutineBody, RoutineId, Terminator, Ty,
 };
+use cmo_naim::Mixer;
 use cmo_profile::{ProbeKind, RoutineShape};
 use cmo_vm::{decode_instr, encode_instr, DecodeError, Decoder, Encoder, MInstr};
 
@@ -48,66 +49,6 @@ pub struct BodyRefs {
     pub callees: Vec<RoutineId>,
     /// Global of ordinal `i`.
     pub globals: Vec<GlobalId>,
-}
-
-/// A fixed two-lane multiply–xorshift mixer over 64-bit words. Keys
-/// are persisted, so the function must never change with the process
-/// (no `RandomState`); it takes words, not bytes, because the stream
-/// is a hundred thousand small fields per build and is hashed on every
-/// edit. Each lane's step is a bijection of its state for a fixed
-/// word and of the word for a fixed state, so streams that differ in
-/// one word never collide; the lanes use different multipliers and
-/// see the word at different alignments.
-struct Mixer {
-    a: u64,
-    b: u64,
-    words: u64,
-}
-
-impl Mixer {
-    fn new() -> Self {
-        Mixer {
-            a: 0x243F_6A88_85A3_08D3,
-            b: 0x1319_8A2E_0370_7344,
-            words: 0,
-        }
-    }
-
-    #[inline]
-    fn word(&mut self, w: u64) {
-        self.a = (self.a ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.a ^= self.a >> 29;
-        self.b = (self.b ^ w.rotate_left(32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        self.b ^= self.b >> 32;
-        self.words += 1;
-    }
-
-    /// `tag`, an 8-bit qualifier and one 32-bit field in one word.
-    #[inline]
-    fn head(&mut self, tag: u8, sub: u8, x: u32) {
-        self.word(u64::from(tag) | u64::from(sub) << 8 | u64::from(x) << 32);
-    }
-
-    /// Two 32-bit fields in one word.
-    #[inline]
-    fn pair(&mut self, x: u32, y: u32) {
-        self.word(u64::from(x) | u64::from(y) << 32);
-    }
-
-    fn finish(self) -> CodeKey {
-        // The 64-bit finalizer of MurmurHash3, applied crosswise so
-        // both halves depend on both lanes.
-        fn fmix(mut x: u64) -> u64 {
-            x ^= x >> 33;
-            x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            x ^= x >> 33;
-            x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-            x ^ (x >> 33)
-        }
-        let lo = fmix(self.a ^ self.words);
-        let hi = fmix(self.b ^ lo);
-        CodeKey(u128::from(hi) << 64 | u128::from(lo))
-    }
 }
 
 /// Position of `x` in `table`, appending it when new; the flag says
@@ -281,7 +222,7 @@ pub fn routine_key(
             Terminator::Return(Some(v)) => m.head(16, 1, v.0),
         }
     }
-    (m.finish(), refs)
+    (CodeKey(m.finish()), refs)
 }
 
 /// Rewrites the fields of `instr` that name a callee or a global — the
@@ -352,7 +293,7 @@ pub fn encode_entry(
     }
     enc.write_usize(lowered.code.len());
     for instr in &lowered.code {
-        let mut instr = instr.clone();
+        let mut instr = *instr;
         relocate(&mut instr, callee, global)?;
         encode_instr(&mut enc, &instr);
     }

@@ -17,8 +17,9 @@ pub const NUM_ALLOCATABLE: u8 = 24;
 /// Scratch registers reserved for spill reloads and call marshalling.
 pub const NUM_SCRATCH: u8 = 8;
 /// Maximum call arity the backend supports (one scratch register per
-/// potentially-spilled argument).
-pub const MAX_ARGS: usize = NUM_SCRATCH as usize;
+/// potentially-spilled argument): the machine's own limit.
+pub const MAX_ARGS: usize = cmo_vm::MAX_CALL_ARGS;
+const _: () = assert!(MAX_ARGS == NUM_SCRATCH as usize);
 
 /// Where a virtual register lives at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,7 +15,7 @@ use cmo_llo::opt::OptStats;
 use cmo_llo::regalloc::{AllocResult, Loc, MAX_ARGS, NUM_ALLOCATABLE};
 use cmo_llo::{shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort};
 use cmo_profile::ProbeKind;
-use cmo_vm::{MInstr, Reg};
+use cmo_vm::{CallArgs, MInstr, Reg};
 use std::collections::HashMap;
 
 // ---- opt.rs ----
@@ -1040,7 +1040,7 @@ fn emit_instr(
                     id: (probes.len() - 1) as u32,
                 });
             }
-            let arg_regs: Vec<Reg> = args.iter().map(|a| e.read(*a)).collect();
+            let arg_regs: CallArgs = args.iter().map(|a| e.read(*a)).collect();
             let r = dst.map(|d| e.write_reg(d));
             e.code.push(MInstr::Call {
                 routine: callee.id().0,

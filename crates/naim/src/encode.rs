@@ -21,12 +21,14 @@ pub struct Encoder {
 impl Encoder {
     /// Creates an empty encoder.
     #[must_use]
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates an encoder with `cap` bytes pre-reserved.
     #[must_use]
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         Encoder {
             buf: Vec::with_capacity(cap),
@@ -35,28 +37,33 @@ impl Encoder {
 
     /// Number of bytes written so far.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Returns `true` if nothing has been written.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Consumes the encoder, returning the finished image.
     #[must_use]
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Writes a single raw byte (typically an object tag).
+    #[inline]
     pub fn write_u8(&mut self, b: u8) {
         self.buf.push(b);
     }
 
     /// Writes an unsigned varint (LEB128).
+    #[inline]
     pub fn write_u64(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
@@ -70,38 +77,45 @@ impl Encoder {
     }
 
     /// Writes an unsigned varint from a `usize`.
+    #[inline]
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
     /// Writes an unsigned varint from a `u32`.
+    #[inline]
     pub fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }
 
     /// Writes a signed varint (zig-zag + LEB128).
+    #[inline]
     pub fn write_i64(&mut self, v: i64) {
         let zz = ((v << 1) ^ (v >> 63)) as u64;
         self.write_u64(zz);
     }
 
     /// Writes an `f64` as its raw bit pattern (fixed 8 bytes).
+    #[inline]
     pub fn write_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// Writes a length-prefixed byte string.
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
 
     /// Writes a length-prefixed UTF-8 string.
+    #[inline]
     pub fn write_str(&mut self, s: &str) {
         self.write_bytes(s.as_bytes());
     }
 
     /// Writes a boolean as a single byte.
+    #[inline]
     pub fn write_bool(&mut self, b: bool) {
         self.buf.push(u8::from(b));
     }
@@ -121,24 +135,28 @@ pub struct Decoder<'a> {
 impl<'a> Decoder<'a> {
     /// Creates a decoder positioned at the start of `buf`.
     #[must_use]
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Decoder { buf, pos: 0 }
     }
 
     /// Current byte offset.
     #[must_use]
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Bytes remaining in the image.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Returns `true` if the entire image has been consumed.
     #[must_use]
+    #[inline]
     pub fn is_at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -148,6 +166,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`DecodeError::UnexpectedEof`] if the image is exhausted.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, DecodeError> {
         let b = *self
             .buf
@@ -163,7 +182,20 @@ impl<'a> Decoder<'a> {
     ///
     /// Returns [`DecodeError::UnexpectedEof`] on truncation or
     /// [`DecodeError::VarintOverflow`] if the varint exceeds 64 bits.
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64, DecodeError> {
+        // Most fields are small: one byte, no loop.
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.read_long_u64(),
+        }
+    }
+
+    /// [`Decoder::read_u64`] past its one-byte case.
+    fn read_long_u64(&mut self) -> Result<u64, DecodeError> {
         let start = self.pos;
         let mut result = 0u64;
         let mut shift = 0u32;
@@ -185,6 +217,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Propagates the errors of [`Decoder::read_u64`].
+    #[inline]
     pub fn read_usize(&mut self) -> Result<usize, DecodeError> {
         Ok(self.read_u64()? as usize)
     }
@@ -195,8 +228,20 @@ impl<'a> Decoder<'a> {
     ///
     /// Propagates the errors of [`Decoder::read_u64`]; values above
     /// `u32::MAX` are reported as corruption.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, DecodeError> {
-        let v = self.read_u64()?;
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u32::from(byte))
+            }
+            _ => self.read_long_u32(),
+        }
+    }
+
+    /// [`Decoder::read_u32`] past its one-byte case.
+    fn read_long_u32(&mut self) -> Result<u32, DecodeError> {
+        let v = self.read_long_u64()?;
         u32::try_from(v).map_err(|_| DecodeError::Corrupt {
             what: "u32 field out of range",
         })
@@ -207,6 +252,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Propagates the errors of [`Decoder::read_u64`].
+    #[inline]
     pub fn read_i64(&mut self) -> Result<i64, DecodeError> {
         let zz = self.read_u64()?;
         Ok(((zz >> 1) as i64) ^ -((zz & 1) as i64))
@@ -217,6 +263,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`DecodeError::UnexpectedEof`] on truncation.
+    #[inline]
     pub fn read_f64(&mut self) -> Result<f64, DecodeError> {
         if self.remaining() < 8 {
             return Err(DecodeError::UnexpectedEof { offset: self.pos });
@@ -233,6 +280,7 @@ impl<'a> Decoder<'a> {
     ///
     /// Returns [`DecodeError::UnexpectedEof`] if the stated length
     /// overruns the image.
+    #[inline]
     pub fn read_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.read_usize()?;
         if self.remaining() < len {
@@ -248,6 +296,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`DecodeError::Corrupt`] if the bytes are not valid UTF-8.
+    #[inline]
     pub fn read_str(&mut self) -> Result<&'a str, DecodeError> {
         let bytes = self.read_bytes()?;
         std::str::from_utf8(bytes).map_err(|_| DecodeError::Corrupt {
@@ -260,6 +309,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`DecodeError::Corrupt`] for any byte other than 0 or 1.
+    #[inline]
     pub fn read_bool(&mut self) -> Result<bool, DecodeError> {
         match self.read_u8()? {
             0 => Ok(false),

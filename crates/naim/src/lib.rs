@@ -66,6 +66,7 @@ mod accounting;
 mod encode;
 mod error;
 mod loader;
+mod mixer;
 mod mmap;
 mod remote;
 mod repository;
@@ -80,6 +81,7 @@ pub use loader::{
     COMPACT_COST_PER_BYTE, DISK_COST_PER_BYTE, FETCH_COST_PER_BYTE, IR_COMPACTION_THRESHOLD,
     OFFLOAD_THRESHOLD, ST_COMPACTION_THRESHOLD,
 };
+pub use mixer::Mixer;
 pub use mmap::MapView;
 pub use remote::{
     read_frame_bytes, CacheService, FlakyTransport, Frame, FrameOp, LoopbackTransport, RemoteStats,

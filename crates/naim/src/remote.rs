@@ -1200,6 +1200,71 @@ mod tests {
         );
     }
 
+    /// `ContentHash::of` as `REPO_VERSION` 2 defined it: two byte-serial
+    /// FNV-1a lanes.
+    fn version_2_hash(data: &[u8]) -> ContentHash {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut a: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut b: u64 = 0x6c62_272e_07bb_0142;
+        for &byte in data {
+            a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
+            b = (b ^ u64::from(byte.rotate_left(3))).wrapping_mul(PRIME);
+        }
+        let len = data.len() as u64;
+        a = (a ^ len).wrapping_mul(PRIME);
+        b = (b ^ len.rotate_left(17)).wrapping_mul(PRIME);
+        ContentHash([a, b])
+    }
+
+    #[test]
+    fn blobs_under_the_version_2_hash_are_misses_and_refusals() {
+        let body = b"a repository pushed by an older compiler".to_vec();
+        let old = version_2_hash(&body);
+        assert_ne!(old, ContentHash::of(&body));
+        // A daemon store the older compiler filled: one name, one blob
+        // under the old hash.
+        let store: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let blob = CacheService::blob_name(old);
+        store.write(&blob, &body).unwrap();
+        store
+            .write(
+                NAMES_FILE,
+                format!("repo.naim\t{}\n", old.to_hex()).as_bytes(),
+            )
+            .unwrap();
+        let remote = RemoteStorage::new(loopback(Arc::clone(&store)), RetryPolicy::default());
+        // The blob no longer hashes to its name: a miss, and the
+        // daemon drops it.
+        assert_eq!(
+            remote.read("repo.naim").unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
+        assert!(!store.exists(&blob));
+        assert_eq!(remote.stats().failures, 0);
+        // An older client's PUT carries the old hash: refused whole.
+        let service = CacheService::new(Arc::clone(&store));
+        let put = Frame {
+            op: FrameOp::Put,
+            hash: old,
+            name: "repo.naim".to_owned(),
+            body: body.clone(),
+        };
+        let reply = Frame::decode(&service.handle(&put.encode())).unwrap();
+        assert_eq!(reply.op, FrameOp::Err);
+        assert!(
+            !store.exists(&blob) && !store.exists(&CacheService::blob_name(ContentHash::of(&body)))
+        );
+        // And a reply carrying the old hash is corruption to a client.
+        let hit = Frame {
+            op: FrameOp::Hit,
+            ..put
+        };
+        assert_eq!(
+            Frame::decode(&hit.encode()).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
     #[test]
     fn rebind_and_del_reclaim_orphaned_blobs() {
         let store: Arc<dyn Storage> = Arc::new(MemStorage::new());

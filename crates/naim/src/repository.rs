@@ -31,15 +31,17 @@ use std::sync::Arc;
 
 use crate::encode::{Decoder, Encoder};
 use crate::error::NaimError;
+use crate::mixer::Mixer;
 use crate::mmap::MapView;
 use crate::storage::{MemStorage, Storage};
 
 /// Magic bytes opening every repository file.
 pub const REPO_MAGIC: [u8; 8] = *b"CMONAIM\0";
 
-/// Current on-disk format version. Bump when the record framing or the
-/// index-segment encoding changes incompatibly.
-pub const REPO_VERSION: u32 = 2;
+/// Current on-disk format version. Bump when the record framing, the
+/// index-segment encoding or [`ContentHash`] (which every record header
+/// carries) changes incompatibly.
+pub const REPO_VERSION: u32 = 3;
 
 /// Cookie closing the 12-byte footer that points at the index segment.
 const FOOTER_COOKIE: u32 = u32::from_le_bytes(*b"NAIM");
@@ -53,27 +55,33 @@ const KIND_POOL: u8 = 1;
 /// Record kind tag for an index segment.
 const KIND_INDEX: u8 = 2;
 
-/// 128-bit content hash of a stored payload (two independent FNV-1a
-/// lanes), used for dedup on store and for cross-run addressing.
+/// 128-bit content hash of a stored payload, used for dedup on store
+/// and for cross-run addressing: the repository's record headers, the
+/// build cache's manifest and `cmocached`'s blob names all carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContentHash(pub [u64; 2]);
 
 impl ContentHash {
-    /// Hashes a payload.
+    /// Hashes a payload: [`Mixer`] over its little-endian 8-byte words,
+    /// the tail word zero-padded, then the byte length, so payloads
+    /// that differ only in trailing zeros stay distinct. `[0]` holds
+    /// the digest's low half.
     #[must_use]
     pub fn of(data: &[u8]) -> Self {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut b: u64 = 0x6c62_272e_07bb_0142;
-        for &byte in data {
-            a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
-            b = (b ^ u64::from(byte.rotate_left(3))).wrapping_mul(PRIME);
+        let mut m = Mixer::new();
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            m.word(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
         }
-        // Fold the length in so prefixes of zero bytes stay distinct.
-        let len = data.len() as u64;
-        a = (a ^ len).wrapping_mul(PRIME);
-        b = (b ^ len.rotate_left(17)).wrapping_mul(PRIME);
-        ContentHash([a, b])
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            m.word(u64::from_le_bytes(last));
+        }
+        m.word(data.len() as u64);
+        let digest = m.finish();
+        ContentHash([digest as u64, (digest >> 64) as u64])
     }
 
     /// Renders the hash as 32 lowercase hex digits.
@@ -1241,5 +1249,51 @@ mod tests {
         assert_ne!(ContentHash::of(b"a"), ContentHash::of(b"b"));
         // Length folding distinguishes zero-prefix payloads.
         assert_ne!(ContentHash::of(&[0u8; 4]), ContentHash::of(&[0u8; 5]));
+    }
+
+    /// Record headers, manifests and blob names persist this hash: a
+    /// change to it must fail here, and bump `REPO_VERSION` and the
+    /// build cache's format, before it strands every stored record.
+    #[test]
+    fn content_hash_known_answers() {
+        let long: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let cases: [(&[u8], &str); 7] = [
+            (b"", "d92fc99cb191949f3c6c3d317f879589"),
+            (b"a", "8cb54d146cc6bc74d0a3f7c31f6e5391"),
+            (b"abcdefgh", "8f912bdb7278251fc6b256758fca006b"),
+            (b"abcdefghi", "374af14a5626d87614252280425ee97f"),
+            (
+                b"The quick brown fox jumps over the lazy dog",
+                "b037cd7fde6d5ad2f5f6446b46d15d0d",
+            ),
+            (&[0; 8], "a45e35a7bf3d18829dcc22cd87c0cb79"),
+            (&long, "89f1bbd977998832ae9a146a10c1afd6"),
+        ];
+        for (data, hex) in cases {
+            assert_eq!(ContentHash::of(data).to_hex(), hex, "{} bytes", data.len());
+        }
+    }
+
+    #[test]
+    fn content_hash_separates_bit_flips_and_zero_runs() {
+        let base: Vec<u8> = (0..67u8).map(|i| i.wrapping_mul(37)).collect();
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(ContentHash::of(&base)));
+        for byte in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[byte] ^= 1 << bit;
+                assert!(
+                    seen.insert(ContentHash::of(&flipped)),
+                    "bit {bit} of byte {byte}"
+                );
+            }
+        }
+        // Zero-padding the tail word must not merge runs of zeros that
+        // differ only in length, nor a run with a trailing-zero payload.
+        for len in 0..64 {
+            assert!(seen.insert(ContentHash::of(&vec![0; len])), "{len} zeros");
+        }
+        assert_ne!(ContentHash::of(b"\x01"), ContentHash::of(b"\x01\x00"));
     }
 }

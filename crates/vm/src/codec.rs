@@ -12,7 +12,7 @@ use cmo_naim::{DecodeError, Decoder, Encoder};
 use cmo_profile::{ProbeKey, ProbeKind, RoutineShape};
 
 use crate::image::{MRoutineInfo, MachineImage};
-use crate::minstr::{MInstr, Reg};
+use crate::minstr::{CallArgs, MInstr, Reg, MAX_CALL_ARGS};
 
 /// Magic prefix of a standalone encoded machine image.
 pub const IMAGE_MAGIC: [u8; 8] = *b"CMOIMG01";
@@ -44,11 +44,41 @@ const BIN_OPS: [BinOp; 20] = [
 /// Decode table for unary operators; the encoded form is the index.
 const UN_OPS: [UnOp; 5] = [UnOp::Neg, UnOp::Not, UnOp::FNeg, UnOp::I2F, UnOp::F2I];
 
-fn op_code<T: PartialEq>(table: &[T], op: &T) -> u8 {
-    table
-        .iter()
-        .position(|t| t == op)
-        .expect("operator missing from codec table") as u8
+/// The encoded form of a binary operator: its index in [`BIN_OPS`].
+fn bin_code(op: BinOp) -> u8 {
+    match op {
+        BinOp::Add => 0,
+        BinOp::Sub => 1,
+        BinOp::Mul => 2,
+        BinOp::Div => 3,
+        BinOp::Rem => 4,
+        BinOp::And => 5,
+        BinOp::Or => 6,
+        BinOp::Xor => 7,
+        BinOp::Shl => 8,
+        BinOp::Shr => 9,
+        BinOp::Eq => 10,
+        BinOp::Ne => 11,
+        BinOp::Lt => 12,
+        BinOp::Le => 13,
+        BinOp::FAdd => 14,
+        BinOp::FSub => 15,
+        BinOp::FMul => 16,
+        BinOp::FDiv => 17,
+        BinOp::FLt => 18,
+        BinOp::FEq => 19,
+    }
+}
+
+/// The encoded form of a unary operator: its index in [`UN_OPS`].
+fn un_code(op: UnOp) -> u8 {
+    match op {
+        UnOp::Neg => 0,
+        UnOp::Not => 1,
+        UnOp::FNeg => 2,
+        UnOp::I2F => 3,
+        UnOp::F2I => 4,
+    }
 }
 
 fn op_decode<T: Copy>(table: &[T], code: u8, at: usize) -> Result<T, DecodeError> {
@@ -61,10 +91,12 @@ fn op_decode<T: Copy>(table: &[T], code: u8, at: usize) -> Result<T, DecodeError
         })
 }
 
+#[inline]
 fn write_reg(enc: &mut Encoder, r: Reg) {
     enc.write_u8(r.0);
 }
 
+#[inline]
 fn read_reg(dec: &mut Decoder<'_>) -> Result<Reg, DecodeError> {
     Ok(Reg(dec.read_u8()?))
 }
@@ -105,14 +137,14 @@ pub fn encode_instr(enc: &mut Encoder, instr: &MInstr) {
         }
         MInstr::Bin { op, dst, lhs, rhs } => {
             enc.write_u8(2);
-            enc.write_u8(op_code(&BIN_OPS, op));
+            enc.write_u8(bin_code(*op));
             write_reg(enc, *dst);
             write_reg(enc, *lhs);
             write_reg(enc, *rhs);
         }
         MInstr::Un { op, dst, src } => {
             enc.write_u8(3);
-            enc.write_u8(op_code(&UN_OPS, op));
+            enc.write_u8(un_code(*op));
             write_reg(enc, *dst);
             write_reg(enc, *src);
         }
@@ -193,7 +225,7 @@ pub fn encode_instr(enc: &mut Encoder, instr: &MInstr) {
             enc.write_u8(13);
             enc.write_u32(*routine);
             enc.write_usize(args.len());
-            for &a in args {
+            for &a in args.iter() {
                 write_reg(enc, a);
             }
             write_opt_reg(enc, *dst);
@@ -231,7 +263,8 @@ pub fn encode_instr(enc: &mut Encoder, instr: &MInstr) {
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncation or an unknown tag.
+/// Returns a [`DecodeError`] on truncation, an unknown tag, or a call
+/// with more than [`MAX_CALL_ARGS`] arguments.
 pub fn decode_instr(dec: &mut Decoder<'_>) -> Result<MInstr, DecodeError> {
     let at = dec.position();
     let tag = dec.read_u8()?;
@@ -310,7 +343,12 @@ pub fn decode_instr(dec: &mut Decoder<'_>) -> Result<MInstr, DecodeError> {
         13 => {
             let routine = dec.read_u32()?;
             let n = dec.read_usize()?;
-            let mut args = Vec::with_capacity(n.min(64));
+            if n > MAX_CALL_ARGS {
+                return Err(DecodeError::Corrupt {
+                    what: "call arity above MAX_CALL_ARGS",
+                });
+            }
+            let mut args = CallArgs::default();
             for _ in 0..n {
                 args.push(read_reg(dec)?);
             }
@@ -391,15 +429,18 @@ impl MachineImage {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncation, unknown tags, or
-    /// malformed fields.
+    /// malformed fields; no stated count sizes an allocation beyond the
+    /// bytes that are left.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        // Every element of every table takes at least a byte, so the
+        // bytes left bound what a stated count can honestly ask for.
         let n_code = dec.read_usize()?;
-        let mut code = Vec::with_capacity(n_code.min(1 << 20));
+        let mut code = Vec::with_capacity(n_code.min(dec.remaining()));
         for _ in 0..n_code {
             code.push(decode_instr(dec)?);
         }
         let n_routines = dec.read_usize()?;
-        let mut routines = Vec::with_capacity(n_routines.min(1 << 16));
+        let mut routines = Vec::with_capacity(n_routines.min(dec.remaining()));
         for _ in 0..n_routines {
             routines.push(MRoutineInfo {
                 name: dec.read_str()?.to_owned(),
@@ -409,12 +450,12 @@ impl MachineImage {
             });
         }
         let n_globals = dec.read_usize()?;
-        let mut globals = Vec::with_capacity(n_globals.min(1 << 20));
+        let mut globals = Vec::with_capacity(n_globals.min(dec.remaining()));
         for _ in 0..n_globals {
             globals.push(dec.read_u64()?);
         }
         let n_probes = dec.read_usize()?;
-        let mut probes = Vec::with_capacity(n_probes.min(1 << 20));
+        let mut probes = Vec::with_capacity(n_probes.min(dec.remaining()));
         for _ in 0..n_probes {
             let routine = dec.read_str()?.to_owned();
             let at = dec.position();
@@ -426,7 +467,7 @@ impl MachineImage {
             probes.push(ProbeKey { routine, kind });
         }
         let n_shapes = dec.read_usize()?;
-        let mut shapes = Vec::with_capacity(n_shapes.min(1 << 16));
+        let mut shapes = Vec::with_capacity(n_shapes.min(dec.remaining()));
         for _ in 0..n_shapes {
             let name = dec.read_str()?.to_owned();
             let shape = RoutineShape {
@@ -553,12 +594,12 @@ mod tests {
             },
             MInstr::Call {
                 routine: 1,
-                args: vec![Reg(0), Reg(1)],
+                args: [Reg(0), Reg(1)].into_iter().collect(),
                 dst: Some(Reg(9)),
             },
             MInstr::Call {
                 routine: 0,
-                args: vec![],
+                args: CallArgs::default(),
                 dst: None,
             },
             MInstr::Ret {

@@ -103,6 +103,7 @@ impl Default for CostModel {
 impl CostModel {
     /// Base cycles for `instr`, excluding branch-taken and i-cache
     /// effects (charged by the executor).
+    #[inline]
     #[must_use]
     pub fn instr_cost(&self, instr: &MInstr) -> u64 {
         match instr {
@@ -141,7 +142,7 @@ mod tests {
         let c = CostModel::default();
         let call = MInstr::Call {
             routine: 0,
-            args: vec![Reg(0), Reg(1)],
+            args: [Reg(0), Reg(1)].into_iter().collect(),
             dst: None,
         };
         let add = MInstr::Bin {
@@ -167,7 +168,7 @@ mod tests {
         let c = CostModel::default();
         let mk = |n: usize| MInstr::Call {
             routine: 0,
-            args: vec![Reg(0); n],
+            args: std::iter::repeat_n(Reg(0), n).collect(),
             dst: None,
         };
         assert_eq!(

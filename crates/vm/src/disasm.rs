@@ -123,7 +123,7 @@ mod tests {
                 },
                 MInstr::Call {
                     routine: 1,
-                    args: vec![Reg(0)],
+                    args: [Reg(0)].into_iter().collect(),
                     dst: Some(Reg(1)),
                 },
                 MInstr::Ret {

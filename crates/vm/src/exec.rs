@@ -425,6 +425,7 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::image::MRoutineInfo;
+    use crate::minstr::CallArgs;
 
     fn image_of(code: Vec<MInstr>, routines: Vec<MRoutineInfo>) -> MachineImage {
         MachineImage {
@@ -516,7 +517,7 @@ mod tests {
             },
             MInstr::Call {
                 routine: 1,
-                args: vec![Reg(0)],
+                args: [Reg(0)].into_iter().collect(),
                 dst: Some(Reg(1)),
             },
             MInstr::Ret {
@@ -674,7 +675,7 @@ mod tests {
         let code = vec![
             MInstr::Call {
                 routine: 0,
-                args: vec![],
+                args: CallArgs::default(),
                 dst: None,
             },
             MInstr::Ret { value: None },
@@ -729,7 +730,7 @@ mod tests {
             // loop: call far routine, decrement, branch back
             MInstr::Call {
                 routine: 1,
-                args: vec![],
+                args: CallArgs::default(),
                 dst: None,
             },
             MInstr::LdImm {
@@ -781,7 +782,7 @@ mod tests {
             },
             MInstr::Call {
                 routine: 1,
-                args: vec![],
+                args: CallArgs::default(),
                 dst: None,
             },
             MInstr::LdImm {

@@ -35,4 +35,4 @@ pub use cost::{CostModel, ICacheConfig};
 pub use disasm::{disassemble, disassemble_routine};
 pub use exec::{run, ExecError, ExecResult, RunConfig};
 pub use image::{profile_from_run, MRoutineInfo, MachineImage};
-pub use minstr::{MInstr, Reg, NUM_REGS};
+pub use minstr::{CallArgs, MInstr, Reg, MAX_CALL_ARGS, NUM_REGS};

@@ -2,6 +2,7 @@
 
 use cmo_ir::{BinOp, UnOp};
 use std::fmt;
+use std::ops::Deref;
 
 /// Number of physical registers per frame (the PA-8000 exposes 32
 /// general registers; we reserve none, the code generator manages
@@ -26,10 +27,74 @@ impl fmt::Display for Reg {
     }
 }
 
-/// One machine instruction. Code addresses are indices into the linked
-/// image's instruction vector; every instruction occupies 4 "bytes" for
-/// i-cache purposes.
-#[derive(Debug, Clone, PartialEq)]
+/// Most arguments one call passes: the backend marshals each through
+/// one of its eight scratch registers, and [`CallArgs`] holds that
+/// many inline.
+pub const MAX_CALL_ARGS: usize = 8;
+
+/// The argument registers of a call, held inline so an instruction is
+/// plain data. Dereferences to the registers in argument order.
+#[derive(Clone, Copy, Default)]
+pub struct CallArgs {
+    len: u8,
+    regs: [Reg; MAX_CALL_ARGS],
+}
+
+impl CallArgs {
+    /// Appends one argument register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the call already has [`MAX_CALL_ARGS`] arguments.
+    pub fn push(&mut self, r: Reg) {
+        assert!(
+            usize::from(self.len) < MAX_CALL_ARGS,
+            "call arity exceeds MAX_CALL_ARGS"
+        );
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl Deref for CallArgs {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl FromIterator<Reg> for CallArgs {
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_CALL_ARGS`] registers.
+    fn from_iter<I: IntoIterator<Item = Reg>>(regs: I) -> Self {
+        let mut args = CallArgs::default();
+        for r in regs {
+            args.push(r);
+        }
+        args
+    }
+}
+
+impl PartialEq for CallArgs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for CallArgs {}
+
+impl fmt::Debug for CallArgs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One machine instruction: 16 bytes of plain data. Code addresses are
+/// indices into the linked image's instruction vector; every
+/// instruction occupies 4 "bytes" for i-cache purposes.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MInstr {
     /// `dst = value` (integer immediate).
     LdImm {
@@ -151,7 +216,7 @@ pub enum MInstr {
         /// Image routine index.
         routine: u32,
         /// Caller registers holding arguments.
-        args: Vec<Reg>,
+        args: CallArgs,
         /// Caller register receiving the return value.
         dst: Option<Reg>,
     },
@@ -222,6 +287,30 @@ mod tests {
             src: Reg(1)
         }
         .is_control());
+    }
+
+    #[test]
+    fn an_instruction_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<MInstr>(), 16);
+        assert_eq!(std::mem::size_of::<CallArgs>(), 1 + MAX_CALL_ARGS);
+    }
+
+    #[test]
+    fn call_args_hold_up_to_the_limit_and_compare_by_prefix() {
+        let args: CallArgs = (0..8).map(Reg).collect();
+        assert_eq!(&args[..], &(0..8).map(Reg).collect::<Vec<_>>()[..]);
+        let mut two = CallArgs::default();
+        two.push(Reg(3));
+        two.push(Reg(4));
+        assert_eq!(two, [Reg(3), Reg(4)].into_iter().collect());
+        assert_ne!(two, CallArgs::default());
+        assert_eq!(format!("{two:?}"), "[Reg(3), Reg(4)]");
+    }
+
+    #[test]
+    #[should_panic(expected = "call arity exceeds MAX_CALL_ARGS")]
+    fn a_ninth_argument_panics() {
+        let _: CallArgs = (0..9).map(Reg).collect();
     }
 
     #[test]

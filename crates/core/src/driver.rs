@@ -2,7 +2,7 @@
 //! pipeline.
 
 use crate::cache::{self, BuildCache, CachedObject, CodeSlot};
-use crate::parallel::run_jobs;
+use crate::parallel::{run_jobs, run_jobs_on};
 use crate::report::CompileReport;
 use cmo_frontend::FrontendError;
 use cmo_hlo::{
@@ -13,7 +13,7 @@ use cmo_ir::{link_objects, IlObject, LinkError, LinkedUnit, Program, RoutineBody
 use cmo_link::{assemble, CallArc, LinkOptions};
 use cmo_llo::memo::{decode_entry, encode_entry, routine_key, CodeKey};
 use cmo_llo::{
-    lower_routine, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort, OptEffortOpt,
+    lower_owned, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort, OptEffortOpt,
 };
 use cmo_naim::{NaimConfig, NaimError};
 use cmo_profile::ProfileDb;
@@ -740,12 +740,14 @@ fn build_objects_with(
         report: CompileReport::default(),
     };
     let unit = build.link(objects)?;
-    let optimized = if options.level == OptLevel::O4 {
+    let mut optimized = if options.level == OptLevel::O4 {
         build.hlo(unit)?
     } else {
         build.hand_over(unit)
     };
-    let (lowered, layout) = build.llo(&optimized, bcache);
+    let bodies = std::mem::take(&mut optimized.unit.bodies);
+    let counts = std::mem::take(&mut optimized.counts);
+    let (lowered, layout) = build.llo(&optimized, bodies.into_iter().zip(counts).collect(), bcache);
     Ok(build.link_image(optimized, lowered, &layout))
 }
 
@@ -955,21 +957,24 @@ impl Build<'_> {
 
     /// Per-routine LLO is the pipeline's embarrassingly-parallel stage
     /// (the LTRANS-style fan-out): each routine lowers independently
-    /// against shared read-only program state — or, with a cache, is
-    /// decoded from its module's slot when an entry under its id-free
-    /// key is there, the two being arms of one step. Jobs are keyed by
-    /// routine index and merged in index order, so the lowered code —
-    /// and every downstream byte — is identical at any `-j`. Workers
-    /// tag their telemetry handle with a worker id and advance only the
-    /// work clock (commutative adds, the same on either arm); no events
-    /// are emitted here, which is what keeps traces byte-identical
-    /// across job counts.
+    /// against shared read-only program state, consuming the body and
+    /// block counts HLO handed over (`bodies`, in routine order) — or,
+    /// with a cache, is decoded from its module's slot when an entry
+    /// under its id-free key is there, the two being arms of one step.
+    /// Jobs are keyed by routine index and merged in index order, so
+    /// the lowered code — and every downstream byte — is identical at
+    /// any `-j`. Workers tag their telemetry handle with a worker id and
+    /// advance only the work clock (commutative adds, the same on either
+    /// arm); no events are emitted here, which is what keeps traces
+    /// byte-identical across job counts.
     fn llo(
         &mut self,
         hlo: &Optimized,
+        bodies: Vec<(RoutineBody, Option<Vec<u64>>)>,
         mut bcache: Option<&mut BuildCache>,
     ) -> (Vec<LoweredRoutine>, GlobalLayout) {
-        let (program, bodies) = (&hlo.unit.program, &hlo.unit.bodies);
+        let program = &hlo.unit.program;
+        let n_bodies = bodies.len();
         let (options, db, tel) = (self.options, self.db, &self.tel);
         let layout = GlobalLayout::new(program);
         let effort = match options.level {
@@ -987,8 +992,8 @@ impl Build<'_> {
             let names = program.modules().iter().map(|m| program.name(m.name));
             names.map(|m| bcache.get_code(&mode, m, tel)).collect()
         });
-        let jobs = run_jobs(bodies.len(), options.jobs.max(1), |worker, i| {
-            let (rid, body) = (RoutineId::from_index(i), &bodies[i]);
+        let jobs = run_jobs_on(bodies, options.jobs.max(1), |worker, i, (body, counts)| {
+            let rid = RoutineId::from_index(i);
             let meta = program.routine(rid);
             let name = program.name(meta.name);
             if hlo.dead.binary_search(&rid).is_ok() {
@@ -998,7 +1003,7 @@ impl Build<'_> {
                     code: vec![cmo_vm::MInstr::Ret { value: None }],
                     frame_slots: 0,
                     probes: Vec::new(),
-                    shape: shape_of(body),
+                    shape: shape_of(&body),
                     llo_work_bytes: 0,
                     il_after_opt: 0,
                 };
@@ -1008,18 +1013,17 @@ impl Build<'_> {
                 Some(layers) if layers.get(&rid) == Some(&OptLayer::Minimal) => OptEffort::O1,
                 _ => effort,
             };
-            let counts = hlo.counts[i].clone();
             let llo_opts = LloOptions {
                 effort: OptEffortOpt(effort),
                 instrument: options.instrument,
-                block_counts: counts.or_else(|| correlated_counts(db?, name, body)),
+                block_counts: counts.or_else(|| correlated_counts(db?, name, &body)),
             };
             let (lr, code_use) = match &slots {
                 Some(slots) => {
                     let slot = slots[meta.module.index()].as_ref();
-                    lower_through(slot, rid, body, program, &layout, &llo_opts)
+                    lower_through(slot, rid, body, program, &layout, llo_opts)
                 }
-                None => (lower(rid, body, program, &layout, &llo_opts), None),
+                None => (lower(rid, body, program, &layout, llo_opts), None),
             };
             tel.for_worker(worker).work(llo_work(&lr));
             (lr, code_use)
@@ -1030,7 +1034,7 @@ impl Build<'_> {
             self.report.compile_work += llo_work(lr);
         }
         if let (Some(bcache), Some(slots)) = (bcache, &slots) {
-            let live = (bodies.len() - hlo.dead.len()) as u64;
+            let live = (n_bodies - hlo.dead.len()) as u64;
             store_code_slots(bcache, &mode, program, live, slots, &code_uses, tel);
         }
         (lowered, layout)
@@ -1073,12 +1077,12 @@ fn llo_work(lr: &LoweredRoutine) -> u64 {
 fn lower_through(
     slot: Option<&CodeSlot>,
     rid: RoutineId,
-    body: &RoutineBody,
+    body: RoutineBody,
     program: &Program,
     layout: &GlobalLayout,
-    options: &LloOptions,
+    options: LloOptions,
 ) -> (LoweredRoutine, Option<CodeUse>) {
-    let (key, refs) = routine_key(rid, body, program, layout, options);
+    let (key, refs) = routine_key(rid, &body, program, layout, &options);
     let name = program.name(program.routine(rid).name);
     let stored = slot.and_then(|slot| slot.find(key));
     let damaged = match stored.map(|bytes| decode_entry(bytes, name, &refs, layout)) {
@@ -1103,17 +1107,17 @@ fn lower_through(
     (lr, code_use)
 }
 
-/// `lower_routine`, counted in test builds.
+/// `lower_owned`, counted in test builds.
 fn lower(
     rid: RoutineId,
-    body: &RoutineBody,
+    body: RoutineBody,
     program: &Program,
     layout: &GlobalLayout,
-    options: &LloOptions,
+    options: LloOptions,
 ) -> LoweredRoutine {
     #[cfg(test)]
     LOWERINGS.with(|c| c.set(c.get() + 1));
-    lower_routine(rid, body, program, layout, options)
+    lower_owned(rid, body, program, layout, options)
 }
 
 /// The code tier's write half, on the calling thread in module order

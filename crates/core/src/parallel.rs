@@ -132,6 +132,33 @@ where
         .collect()
 }
 
+/// [`run_jobs`] over owned inputs: job `i` takes `items[i]` by value,
+/// so a worker consumes (and drops) what it is handed instead of
+/// working on a copy.
+///
+/// # Panics
+///
+/// As [`run_jobs`].
+pub(crate) fn run_jobs_on<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(u32, usize, T) -> R + Sync,
+{
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    run_jobs(items.len(), workers, |worker, i| {
+        let item = items[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        f(
+            worker,
+            i,
+            item.expect("every job index is claimed exactly once"),
+        )
+    })
+}
+
 /// Default worker count for `-j` without an argument: the machine's
 /// available parallelism, or 1 if it cannot be determined.
 #[must_use]
@@ -148,6 +175,15 @@ mod tests {
         for workers in [1, 2, 4, 9] {
             let out = run_jobs(100, workers, |_, i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn owned_inputs_reach_their_jobs_in_order() {
+        for workers in [1, 3] {
+            let items: Vec<String> = (0..50).map(|i| i.to_string()).collect();
+            let out = run_jobs_on(items, workers, |_, i, s| (i, s));
+            assert!(out.iter().all(|(i, s)| *s == i.to_string()));
         }
     }
 

@@ -139,6 +139,29 @@ fn diagnostics_and_exit_codes() {
 }
 
 #[test]
+fn a_nine_parameter_routine_is_a_diagnostic_never_a_panic() {
+    // Before the front end enforced the limit, +O2 panicked in the
+    // backend (exit 101) and +O4 built only because the callee was
+    // inlined away.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/nine_params.mlc"
+    );
+    for args in [&["+O2"][..], &["+O4", "--run", "1"]] {
+        let out = cmocc().args(args).arg(fixture).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains(
+                "nine_params.mlc:4:1: `sum9` declares 9 parameters, at most 8 are supported"
+            ),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn report_json_and_trace_are_versioned_and_reproducible() {
     let dir = workdir("telemetry");
     let lib = dir.join("lib.mlc");

@@ -16,7 +16,7 @@ use crate::names::NameId;
 use crate::FrontendError;
 use cmo_ir::{
     BinOp, Block, GlobalInit, IlObject, IlObjectBuilder, Linkage, Local, RoutineBuilder, Signature,
-    Sym, Ty, UnOp, VReg, VarTy,
+    Sym, Ty, UnOp, VReg, VarTy, MAX_CALL_ARGS,
 };
 
 fn scalar_ty(t: TypeName) -> Ty {
@@ -45,6 +45,22 @@ struct FnSig {
     first: u32,
     arity: u32,
     ret: Option<Ty>,
+}
+
+/// A checked call's argument registers, held in place: a call passes
+/// at most [`MAX_CALL_ARGS`].
+struct CallRegs {
+    regs: [VReg; MAX_CALL_ARGS],
+    len: usize,
+}
+
+impl IntoIterator for CallRegs {
+    type Item = VReg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<VReg, MAX_CALL_ARGS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len)
+    }
 }
 
 /// A function-local variable, live while `epoch` is the current
@@ -232,9 +248,19 @@ impl Lowerer<'_, '_> {
     ) -> Result<(), FrontendError> {
         let first = self.sig_tys.len();
         self.sig_tys.extend(params.map(scalar_ty));
+        let arity = self.sig_tys.len() - first;
+        if arity > MAX_CALL_ARGS {
+            return Err(self.error(
+                offset,
+                format!(
+                    "`{}` declares {arity} parameters, at most {MAX_CALL_ARGS} are supported",
+                    self.ast.name(name)
+                ),
+            ));
+        }
         let sig = FnSig {
             first: first as u32,
-            arity: (self.sig_tys.len() - first) as u32,
+            arity: arity as u32,
             ret: ret.map(scalar_ty),
         };
         if self.functions[name.index()].replace(sig).is_some() {
@@ -665,11 +691,21 @@ impl FnLowerer<'_, '_, '_> {
         name: NameId,
         args: Span,
         offset: u32,
-    ) -> Result<(Vec<VReg>, Option<Ty>), FrontendError> {
+    ) -> Result<(CallRegs, Option<Ty>), FrontendError> {
         let sig = self.cx.functions[name.index()].ok_or_else(|| {
             self.cx
                 .error(offset, format!("unknown function `{}`", self.name(name)))
         })?;
+        if args.len() > MAX_CALL_ARGS {
+            return Err(self.cx.error(
+                offset,
+                format!(
+                    "call to `{}` passes {} arguments, at most {MAX_CALL_ARGS} are supported",
+                    self.name(name),
+                    args.len()
+                ),
+            ));
+        }
         if sig.arity as usize != args.len() {
             return Err(self.cx.error(
                 offset,
@@ -682,11 +718,14 @@ impl FnLowerer<'_, '_, '_> {
             ));
         }
         let ast = self.cx.ast;
-        let mut regs = Vec::with_capacity(args.len());
+        let mut regs = CallRegs {
+            regs: [VReg(0); MAX_CALL_ARGS],
+            len: args.len(),
+        };
         for (i, a) in ast.expr_run(args).iter().enumerate() {
             let (v, t) = self.lower_expr(a)?;
             self.expect_ty(self.cx.sig_tys[sig.first as usize + i], t, a.offset)?;
-            regs.push(v);
+            regs.regs[i] = v;
         }
         Ok((regs, sig.ret))
     }
@@ -939,6 +978,40 @@ mod tests {
         let e = compile("extern fn helper(x: int) -> int;\nfn f() -> int { return helper(1, 2); }")
             .unwrap_err();
         assert!(e.message.contains("takes 1 arguments"));
+    }
+
+    #[test]
+    fn more_than_eight_parameters_or_arguments_are_diagnostics() {
+        let params = |n: usize| {
+            (0..n)
+                .map(|i| format!("p{i}: int"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let args = |n: usize| vec!["1"; n].join(", ");
+        assert!(compile(&format!("fn f({}) -> int {{ return p0; }}", params(8))).is_ok());
+        for decl in ["fn", "extern fn"] {
+            let body = if decl == "fn" { " { return p0; }" } else { ";" };
+            let src = format!("\n{decl} wide({}) -> int{body}", params(9));
+            let e = compile(&src).unwrap_err();
+            assert_eq!(e.pos.line, 2, "{e}");
+            assert!(
+                e.message
+                    .contains("`wide` declares 9 parameters, at most 8 are supported"),
+                "{e}"
+            );
+        }
+        let src = format!(
+            "fn g(x: int) -> int {{ return x; }}\nfn f() -> int {{ return g({}); }}",
+            args(9)
+        );
+        let e = compile(&src).unwrap_err();
+        assert_eq!(e.pos.line, 2, "{e}");
+        assert!(
+            e.message
+                .contains("call to `g` passes 9 arguments, at most 8 are supported"),
+            "{e}"
+        );
     }
 
     #[test]

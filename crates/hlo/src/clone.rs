@@ -64,16 +64,13 @@ pub(crate) fn const_sig_key(sig: &ConstSig) -> String {
 
 /// Finds the constant-argument signature of `site` in `caller`,
 /// using the same last-definition-before-the-call scan as the inliner.
-pub(crate) fn site_const_args(
-    caller: &RoutineBody,
-    site: u32,
-) -> Option<(Vec<cmo_ir::VReg>, ConstSig)> {
+pub(crate) fn site_const_args(caller: &RoutineBody, site: u32) -> Option<ConstSig> {
     for block in &caller.blocks {
         for (ii, instr) in block.instrs.iter().enumerate() {
             if let Instr::Call { site: s, args, .. } = instr {
                 if s.0 == site {
                     let mut sig: ConstSig = vec![None; args.len()];
-                    for (k, &arg) in args.iter().enumerate() {
+                    for (k, &arg) in caller.call_args(*args).iter().enumerate() {
                         for prev in block.instrs[..ii].iter().rev() {
                             if prev.def() == Some(arg) {
                                 if let Instr::Const { value, .. } = prev {
@@ -83,7 +80,7 @@ pub(crate) fn site_const_args(
                             }
                         }
                     }
-                    return Some((args.clone(), sig));
+                    return Some(sig);
                 }
             }
         }

@@ -553,7 +553,7 @@ fn clone_core(cx: &mut ClusterCx, options: &CloneOptions) -> Result<CloneStats, 
             continue; // already specialized; nothing more to gain
         }
         let caller_body = cx.body(e.caller)?;
-        let Some((_, sig)) = site_const_args(caller_body, e.site.0) else {
+        let Some(sig) = site_const_args(caller_body, e.site.0) else {
             continue;
         };
         if sig.iter().all(Option::is_none) {

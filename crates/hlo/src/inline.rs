@@ -121,8 +121,8 @@ pub(crate) fn splice_call(
         }
     }
     let (bi, ii) = found?;
-    let (dst, args) = match &caller.blocks[bi].instrs[ii] {
-        Instr::Call { dst, args, .. } => (*dst, args.clone()),
+    let (dst, args) = match caller.blocks[bi].instrs[ii] {
+        Instr::Call { dst, args, .. } => (dst.get(), args),
         _ => unreachable!("found index points at the call"),
     };
 
@@ -134,8 +134,9 @@ pub(crate) fn splice_call(
     // inlined code (fold mode switches, delete cold arms) — "inlines
     // calls irrespective of module boundaries" only pays off because
     // of this downstream effect (§7).
-    let mut const_args: Vec<Option<cmo_ir::Const>> = vec![None; args.len()];
-    for (k, &arg) in args.iter().enumerate() {
+    let mut const_args = [None; cmo_ir::MAX_CALL_ARGS];
+    let const_args = &mut const_args[..args.len()];
+    for (k, &arg) in caller.call_args(args).iter().enumerate() {
         for instr in caller.blocks[bi].instrs[..ii].iter().rev() {
             if instr.def() == Some(arg) {
                 if let Instr::Const { value, .. } = instr {
@@ -175,11 +176,13 @@ pub(crate) fn splice_call(
         &mut caller.blocks[bi].term,
         Terminator::Jump(Block(callee_base)),
     );
-    // Pass arguments into the callee's parameter locals.
-    for (k, &arg) in args.iter().enumerate() {
+    // Pass arguments into the callee's parameter locals. The call's
+    // run of the argument pool is left behind.
+    for k in 0..args.len() {
+        let src = caller.call_args(args)[k];
         caller.blocks[bi].instrs.push(Instr::StoreLocal {
             local: Local(local_offset + k as u32),
-            src: arg,
+            src,
         });
     }
     // Continuation block.
@@ -205,7 +208,7 @@ pub(crate) fn splice_call(
                     continue;
                 }
             }
-            let mut ni = instr.clone();
+            let mut ni = *instr;
             match &mut ni {
                 Instr::Const { dst, .. } | Instr::Input { dst } => *dst = rv(*dst),
                 Instr::Bin { dst, lhs, rhs, .. } => {
@@ -244,12 +247,8 @@ pub(crate) fn splice_call(
                 Instr::Call {
                     dst, args, site: s, ..
                 } => {
-                    if let Some(d) = dst {
-                        *d = rv(*d);
-                    }
-                    for a in args.iter_mut() {
-                        *a = rv(*a);
-                    }
+                    *dst = dst.get().map(rv).into();
+                    *args = caller.push_args(callee.call_args(*args).iter().map(|&a| rv(a)));
                     let fresh = caller.new_site();
                     site_map.push((*s, fresh));
                     *s = fresh;

@@ -371,35 +371,34 @@ impl<'a> RoutineBuilder<'a> {
     }
 
     /// Emits a call whose result is used.
-    pub fn call(&mut self, callee: &str, args: Vec<VReg>) -> VReg {
+    pub fn call(&mut self, callee: &str, args: impl IntoIterator<Item = VReg>) -> VReg {
         let sym = self.owner.intern(callee);
         self.call_sym(sym, args)
     }
 
     /// Emits a call to the routine named by `sym` whose result is used.
-    pub fn call_sym(&mut self, sym: Sym, args: Vec<VReg>) -> VReg {
+    pub fn call_sym(&mut self, sym: Sym, args: impl IntoIterator<Item = VReg>) -> VReg {
         let dst = self.body.new_vreg();
-        let site = self.body.new_site();
-        self.push(Instr::Call {
-            dst: Some(dst),
-            callee: CalleeRef::Name(sym),
-            args,
-            site,
-        });
+        self.emit_call(Some(dst), sym, args);
         dst
     }
 
     /// Emits a call whose result (if any) is discarded.
-    pub fn call_void(&mut self, callee: &str, args: Vec<VReg>) {
+    pub fn call_void(&mut self, callee: &str, args: impl IntoIterator<Item = VReg>) {
         let sym = self.owner.intern(callee);
         self.call_void_sym(sym, args);
     }
 
     /// Emits a call to the routine named by `sym`, discarding any result.
-    pub fn call_void_sym(&mut self, sym: Sym, args: Vec<VReg>) {
+    pub fn call_void_sym(&mut self, sym: Sym, args: impl IntoIterator<Item = VReg>) {
+        self.emit_call(None, sym, args);
+    }
+
+    fn emit_call(&mut self, dst: Option<VReg>, sym: Sym, args: impl IntoIterator<Item = VReg>) {
         let site = self.body.new_site();
+        let args = self.body.push_args(args);
         self.push(Instr::Call {
-            dst: None,
+            dst: dst.into(),
             callee: CalleeRef::Name(sym),
             args,
             site,

@@ -195,13 +195,121 @@ pub enum MemBase {
     Global(GlobalRef),
 }
 
+/// The most arguments a call passes and the most parameters a routine
+/// declares: the machine's argument registers (`cmo_vm::MAX_CALL_ARGS`
+/// is this constant). The front end, [`validate`](crate::validate) and
+/// the IL decoder all enforce it, so the backend never meets a wider
+/// call.
+pub const MAX_CALL_ARGS: usize = 8;
+
+/// A call's arguments: `len` consecutive entries of its body's
+/// argument pool ([`RoutineBody::args`](crate::RoutineBody::args)),
+/// from `start`. Read them with
+/// [`RoutineBody::call_args`](crate::RoutineBody::call_args); make one
+/// with [`RoutineBody::push_args`](crate::RoutineBody::push_args).
+///
+/// Packed to five bytes so that a [`Instr::Call`] fits in 24.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(C, packed)]
+pub struct ArgSpan {
+    start: u32,
+    len: u8,
+}
+
+impl ArgSpan {
+    pub(crate) fn new(start: u32, len: u8) -> Self {
+        ArgSpan { start, len }
+    }
+
+    /// Number of arguments.
+    #[must_use]
+    pub fn len(self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Returns `true` for a call with no arguments.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The pool indices the span covers.
+    #[must_use]
+    pub fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + usize::from(self.len)
+    }
+}
+
+/// Where a call's result goes: a register, or nowhere. Four bytes where
+/// an `Option<VReg>` takes eight; "nowhere" is `u32::MAX`, the value
+/// the IL encoding has always written for it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CallDst(u32);
+
+impl CallDst {
+    /// A call whose result, if any, is discarded.
+    pub const NONE: CallDst = CallDst(u32::MAX);
+
+    /// The destination register, if there is one.
+    #[must_use]
+    pub fn get(self) -> Option<VReg> {
+        (self != Self::NONE).then_some(VReg(self.0))
+    }
+
+    /// Returns `true` when the result goes to a register.
+    #[must_use]
+    pub fn is_some(self) -> bool {
+        self != Self::NONE
+    }
+
+    /// The raw encoding: the register number, or `u32::MAX` for none.
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
+    /// Decodes [`CallDst::raw`].
+    pub(crate) fn from_raw(raw: u32) -> Self {
+        CallDst(raw)
+    }
+}
+
+impl From<Option<VReg>> for CallDst {
+    fn from(dst: Option<VReg>) -> Self {
+        match dst {
+            Some(d) => {
+                assert_ne!(
+                    d.0,
+                    u32::MAX,
+                    "vreg u32::MAX is the no-destination sentinel"
+                );
+                CallDst(d.0)
+            }
+            None => CallDst::NONE,
+        }
+    }
+}
+
+impl fmt::Debug for CallDst {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.get(), f)
+    }
+}
+
 /// A non-terminator IL instruction.
 ///
 /// The IL is three-address code over routine-scoped virtual registers.
 /// It is deliberately *not* SSA: the 1998 HLO predates SSA adoption, and
 /// non-SSA TAC keeps compaction simple (no phi bookkeeping in the
 /// relocatable form).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// An instruction is plain data — `Copy`, at most 24 bytes, owning no
+/// heap memory — so a block copies, moves and drops as one `memcpy`. A
+/// call's argument list lives in its body's pool, and the instruction
+/// holds an [`ArgSpan`] into it; comparing two instructions compares
+/// spans, so compare bodies ([`RoutineBody`](crate::RoutineBody)'s
+/// `==`), not instructions, to compare what calls pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instr {
     /// `dst = value`.
     Const {
@@ -287,11 +395,12 @@ pub enum Instr {
     /// `dst = callee(args...)`.
     Call {
         /// Destination for the return value, if used.
-        dst: Option<VReg>,
+        dst: CallDst,
         /// The callee.
         callee: CalleeRef,
-        /// Argument registers, matching the callee signature.
-        args: Vec<VReg>,
+        /// Argument registers, matching the callee signature: a span of
+        /// the body's argument pool.
+        args: ArgSpan,
         /// Stable call-site identity for profiles and inlining.
         site: CallSiteId,
     },
@@ -310,6 +419,12 @@ pub enum Instr {
     },
 }
 
+const _: () = {
+    const fn plain_data<T: Copy>() {}
+    plain_data::<Instr>();
+    assert!(std::mem::size_of::<Instr>() <= 24);
+};
+
 impl Instr {
     /// The register this instruction defines, if any.
     #[must_use]
@@ -323,7 +438,7 @@ impl Instr {
             | Instr::LoadGlobal { dst, .. }
             | Instr::LoadElem { dst, .. }
             | Instr::Input { dst } => Some(*dst),
-            Instr::Call { dst, .. } => *dst,
+            Instr::Call { dst, .. } => dst.get(),
             Instr::StoreLocal { .. }
             | Instr::StoreGlobal { .. }
             | Instr::StoreElem { .. }
@@ -332,8 +447,9 @@ impl Instr {
     }
 
     /// The registers this instruction reads, in operand order: up to
-    /// two fixed operand slots, then a call's argument list.
-    pub fn uses(&self) -> Uses<'_> {
+    /// two fixed operand slots, then a call's arguments from `pool`,
+    /// the argument pool of the body holding the instruction.
+    pub fn uses<'a>(&self, pool: &'a [VReg]) -> Uses<'a> {
         const NONE: VReg = VReg(0);
         let (fixed, n_fixed, args): ([VReg; 2], u8, &[VReg]) = match self {
             Instr::Const { .. }
@@ -348,7 +464,7 @@ impl Instr {
             | Instr::Output { src } => ([*src, NONE], 1, &[]),
             Instr::LoadElem { index, .. } => ([*index, NONE], 1, &[]),
             Instr::StoreElem { index, src, .. } => ([*index, *src], 2, &[]),
-            Instr::Call { args, .. } => ([NONE; 2], 0, args),
+            Instr::Call { args, .. } => ([NONE; 2], 0, &pool[args.range()]),
         };
         Uses {
             fixed,
@@ -455,20 +571,21 @@ mod tests {
             rhs: VReg(2),
         };
         assert_eq!(i.def(), Some(VReg(3)));
-        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(1), VReg(2)]);
+        assert_eq!(i.uses(&[]).collect::<Vec<_>>(), vec![VReg(1), VReg(2)]);
         assert!(!i.has_side_effects());
     }
 
     #[test]
     fn call_without_dst_has_no_def() {
+        let pool = [VReg(4), VReg(5)];
         let i = Instr::Call {
-            dst: None,
+            dst: CallDst::NONE,
             callee: CalleeRef::Id(RoutineId(0)),
-            args: vec![VReg(5)],
+            args: ArgSpan::new(1, 1),
             site: CallSiteId(0),
         };
         assert_eq!(i.def(), None);
-        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(5)]);
+        assert_eq!(i.uses(&pool).collect::<Vec<_>>(), vec![VReg(5)]);
         assert!(i.has_side_effects());
     }
 
@@ -487,14 +604,14 @@ mod tests {
 
     #[test]
     fn uses_lists_every_operand_in_order() {
-        // The backend's call arity limit (`cmo_llo::regalloc::MAX_ARGS`).
-        const MAX_ARGS: u32 = 8;
         let (d, a, b) = (VReg(9), VReg(1), VReg(2));
         let g = GlobalRef::Id(GlobalId(0));
-        let call = |n: u32| Instr::Call {
-            dst: Some(d),
+        // A pool with an entry before and after each span read.
+        let pool: Vec<VReg> = (9..19).map(VReg).collect();
+        let call = |n: u8| Instr::Call {
+            dst: Some(d).into(),
             callee: CalleeRef::Id(RoutineId(0)),
-            args: (10..10 + n).map(VReg).collect(),
+            args: ArgSpan::new(1, n),
             site: CallSiteId(0),
         };
         let cases: [(Instr, &[VReg]); 15] = [
@@ -557,17 +674,37 @@ mod tests {
             ),
             (call(0), &[]),
             (call(1), &[VReg(10)]),
-            (call(MAX_ARGS), &[10, 11, 12, 13, 14, 15, 16, 17].map(VReg)),
+            (
+                call(MAX_CALL_ARGS as u8),
+                &[10, 11, 12, 13, 14, 15, 16, 17].map(VReg),
+            ),
             (Instr::Input { dst: d }, &[]),
             (Instr::Output { src: b }, &[b]),
         ];
         for (instr, want) in &cases {
-            assert!(instr.uses().eq(want.iter().copied()), "{instr:?}");
+            assert!(instr.uses(&pool).eq(want.iter().copied()), "{instr:?}");
             // Exhausted stays exhausted.
-            let mut it = instr.uses();
+            let mut it = instr.uses(&pool);
             it.by_ref().for_each(drop);
             assert_eq!(it.next(), None, "{instr:?}");
         }
+    }
+
+    #[test]
+    fn an_il_instruction_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Instr>() <= 24);
+        assert_eq!(std::mem::size_of::<CallDst>(), 4);
+        assert_eq!(std::mem::size_of::<ArgSpan>(), 5);
+    }
+
+    #[test]
+    fn call_dst_is_an_option_in_four_bytes() {
+        assert_eq!(CallDst::NONE.get(), None);
+        assert_eq!(CallDst::from(Some(VReg(7))).get(), Some(VReg(7)));
+        assert_eq!(CallDst::from(None), CallDst::NONE);
+        assert_eq!(CallDst::NONE.raw(), u32::MAX);
+        assert_eq!(CallDst::from_raw(3).get(), Some(VReg(3)));
+        assert_eq!(format!("{:?}", CallDst::from_raw(2)), "Some(%2)");
     }
 
     #[test]

@@ -62,7 +62,10 @@ pub mod validate;
 
 pub use builder::{IlObjectBuilder, RoutineBuilder};
 pub use ids::{Block, CallSiteId, GlobalId, Local, ModuleId, RoutineId, Sym, VReg};
-pub use instr::{BinOp, CalleeRef, GlobalRef, Instr, MemBase, Terminator, UnOp, Uses};
+pub use instr::{
+    ArgSpan, BinOp, CallDst, CalleeRef, GlobalRef, Instr, MemBase, Terminator, UnOp, Uses,
+    MAX_CALL_ARGS,
+};
 pub use intern::{hash_name, Interner, NameIndex};
 pub use link::{link_objects, LinkError, LinkedUnit};
 pub use module::{GlobalInit, GlobalVar, Linkage, ModuleInfo, ModuleSymbols};

@@ -338,6 +338,7 @@ impl Resolver<'_> {
 
     fn resolve_body(&mut self, body: &mut RoutineBody) -> Result<(), LinkError> {
         body.blocks.shrink_to_fit();
+        body.args.shrink_to_fit();
         body.locals.shrink_to_fit();
         for block in &mut body.blocks {
             block.instrs.shrink_to_fit();
@@ -356,7 +357,6 @@ impl Resolver<'_> {
                     Instr::Call {
                         callee, args, dst, ..
                     } => {
-                        args.shrink_to_fit();
                         if let CalleeRef::Name(sym) = *callee {
                             let rid = self.callee(sym)?;
                             let meta = self.program.routine(rid);

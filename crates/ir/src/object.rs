@@ -11,7 +11,7 @@ use crate::ids::Sym;
 use crate::intern::Interner;
 use crate::module::{Linkage, ModuleSymbols};
 use crate::relocs::{
-    decode_body, decode_sig, decode_symbols, encode_body, encode_sig, encode_symbols,
+    capacity, decode_body, decode_sig, decode_symbols, encode_body, encode_sig, encode_symbols,
 };
 use crate::routine::RoutineBody;
 use crate::types::Signature;
@@ -156,7 +156,9 @@ impl IlObject {
         }
         let symbols = decode_symbols(&mut dec)?;
         let n_routines = dec.read_usize()?;
-        let mut routines = Vec::with_capacity(n_routines.min(65536));
+        // A routine is at least a name, a signature, a linkage, a line
+        // count and a body header: nine bytes.
+        let mut routines = Vec::with_capacity(capacity(&dec, n_routines, 9));
         for _ in 0..n_routines {
             let name = Sym(dec.read_u32()?);
             let sig = decode_sig(&mut dec)?;

@@ -80,12 +80,13 @@ pub fn print_routine(name: &str, body: &RoutineBody, program: Option<&Program>) 
                     args,
                     site,
                 } => {
-                    let args = args
+                    let args = body
+                        .call_args(*args)
                         .iter()
                         .map(|a| format!("{a}"))
                         .collect::<Vec<_>>()
                         .join(", ");
-                    match dst {
+                    match dst.get() {
                         Some(d) => {
                             format!(
                                 "{d} = call {}({args}) !{site}",

@@ -15,7 +15,9 @@
 //! difference from the Convex Application Compiler called out in §7).
 
 use crate::ids::{Block, CallSiteId, GlobalId, Local, RoutineId, Sym, VReg};
-use crate::instr::{BinOp, CalleeRef, GlobalRef, Instr, MemBase, Terminator, UnOp};
+use crate::instr::{
+    ArgSpan, BinOp, CallDst, CalleeRef, GlobalRef, Instr, MemBase, Terminator, UnOp, MAX_CALL_ARGS,
+};
 use crate::module::{GlobalInit, GlobalVar, Linkage, ModuleSymbols};
 use crate::routine::{BlockData, LocalDecl, RoutineBody};
 use crate::types::{Const, Signature, Ty, VarTy};
@@ -99,7 +101,10 @@ pub(crate) fn encode_sig(sig: &Signature, enc: &mut Encoder) {
 
 pub(crate) fn decode_sig(dec: &mut Decoder<'_>) -> Result<Signature, DecodeError> {
     let n = dec.read_usize()?;
-    let mut params = Vec::with_capacity(n.min(1024));
+    if n > MAX_CALL_ARGS {
+        return Err(CORRUPT("routine arity above MAX_CALL_ARGS"));
+    }
+    let mut params = Vec::with_capacity(n);
     for _ in 0..n {
         params.push(decode_ty(dec)?);
     }
@@ -260,7 +265,7 @@ fn un_op_code(op: UnOp) -> u8 {
         .expect("every UnOp is in UN_OPS") as u8
 }
 
-fn encode_instr(i: &Instr, enc: &mut Encoder) {
+fn encode_instr(i: &Instr, pool: &[VReg], enc: &mut Encoder) {
     match i {
         Instr::Const { dst, value } => {
             enc.write_u8(T_CONST);
@@ -324,13 +329,10 @@ fn encode_instr(i: &Instr, enc: &mut Encoder) {
             site,
         } => {
             enc.write_u8(T_CALL);
-            match dst {
-                None => enc.write_u32(u32::MAX),
-                Some(d) => enc.write_u32(d.0),
-            }
+            enc.write_u32(dst.raw());
             encode_callee_ref(*callee, enc);
             enc.write_usize(args.len());
-            for a in args {
+            for a in &pool[args.range()] {
                 enc.write_u32(a.0);
             }
             enc.write_u32(site.0);
@@ -346,7 +348,8 @@ fn encode_instr(i: &Instr, enc: &mut Encoder) {
     }
 }
 
-fn decode_instr(dec: &mut Decoder<'_>) -> Result<Instr, DecodeError> {
+/// Reads one instruction, appending a call's arguments to `pool`.
+fn decode_instr(dec: &mut Decoder<'_>, pool: &mut Vec<VReg>) -> Result<Instr, DecodeError> {
     let tag = dec.read_u8()?;
     Ok(match tag {
         T_CONST => Instr::Const {
@@ -403,22 +406,21 @@ fn decode_instr(dec: &mut Decoder<'_>) -> Result<Instr, DecodeError> {
             src: VReg(dec.read_u32()?),
         },
         T_CALL => {
-            let dst_raw = dec.read_u32()?;
-            let dst = if dst_raw == u32::MAX {
-                None
-            } else {
-                Some(VReg(dst_raw))
-            };
+            let dst = CallDst::from_raw(dec.read_u32()?);
             let callee = decode_callee_ref(dec)?;
             let n = dec.read_usize()?;
-            let mut args = Vec::with_capacity(n.min(256));
+            if n > MAX_CALL_ARGS {
+                return Err(CORRUPT("call arity above MAX_CALL_ARGS"));
+            }
+            let start =
+                u32::try_from(pool.len()).map_err(|_| CORRUPT("argument pool too large"))?;
             for _ in 0..n {
-                args.push(VReg(dec.read_u32()?));
+                pool.push(VReg(dec.read_u32()?));
             }
             Instr::Call {
                 dst,
                 callee,
-                args,
+                args: ArgSpan::new(start, n as u8),
                 site: CallSiteId(dec.read_u32()?),
             }
         }
@@ -493,36 +495,49 @@ pub(crate) fn encode_body(body: &RoutineBody, enc: &mut Encoder) {
     for b in &body.blocks {
         enc.write_usize(b.instrs.len());
         for i in &b.instrs {
-            encode_instr(i, enc);
+            encode_instr(i, &body.args, enc);
         }
         encode_term(&b.term, enc);
     }
 }
 
-/// Reads a routine body from its relocatable image.
+/// A table's capacity for a stated count of items encoded in at least
+/// `min_bytes` each: no more than the bytes left can hold, so a count
+/// bomb allocates nothing the input does not pay for.
+pub(crate) fn capacity(dec: &Decoder<'_>, count: usize, min_bytes: usize) -> usize {
+    count.min(dec.remaining() / min_bytes)
+}
+
+/// Reads a routine body from its relocatable image. The argument pool
+/// comes back holding exactly what the calls name, in instruction order.
 pub(crate) fn decode_body(dec: &mut Decoder<'_>) -> Result<RoutineBody, DecodeError> {
     let n_vregs = dec.read_u32()?;
     let next_site = dec.read_u32()?;
     let n_locals = dec.read_usize()?;
-    let mut locals = Vec::with_capacity(n_locals.min(4096));
+    // A local is a type tag, an element count and a flag.
+    let mut locals = Vec::with_capacity(capacity(dec, n_locals, 3));
     for _ in 0..n_locals {
         let ty = decode_var_ty(dec)?;
         let is_param = dec.read_bool()?;
         locals.push(LocalDecl { ty, is_param });
     }
     let n_blocks = dec.read_usize()?;
-    let mut blocks = Vec::with_capacity(n_blocks.min(4096));
+    // A block is an instruction count and a terminator.
+    let mut blocks = Vec::with_capacity(capacity(dec, n_blocks, 2));
+    let mut args = Vec::new();
     for _ in 0..n_blocks {
         let n_instrs = dec.read_usize()?;
-        let mut instrs = Vec::with_capacity(n_instrs.min(4096));
+        // The shortest instruction is a tag and one register.
+        let mut instrs = Vec::with_capacity(capacity(dec, n_instrs, 2));
         for _ in 0..n_instrs {
-            instrs.push(decode_instr(dec)?);
+            instrs.push(decode_instr(dec, &mut args)?);
         }
         let term = decode_term(dec)?;
         blocks.push(BlockData { instrs, term });
     }
     Ok(RoutineBody {
         blocks,
+        args,
         locals,
         n_vregs,
         next_site,
@@ -561,7 +576,8 @@ pub(crate) fn encode_symbols(st: &ModuleSymbols, enc: &mut Encoder) {
 
 pub(crate) fn decode_symbols(dec: &mut Decoder<'_>) -> Result<ModuleSymbols, DecodeError> {
     let n = dec.read_usize()?;
-    let mut globals = Vec::with_capacity(n.min(65536));
+    // A global is a name, a type, a linkage and an initializer tag.
+    let mut globals = Vec::with_capacity(capacity(dec, n, 5));
     for _ in 0..n {
         let name = Sym(dec.read_u32()?);
         let ty = decode_var_ty(dec)?;
@@ -571,7 +587,7 @@ pub(crate) fn decode_symbols(dec: &mut Decoder<'_>) -> Result<ModuleSymbols, Dec
             1 => GlobalInit::Scalar(decode_const(dec)?),
             2 => {
                 let len = dec.read_usize()?;
-                let mut v = Vec::with_capacity(len.min(1 << 20));
+                let mut v = Vec::with_capacity(capacity(dec, len, 1));
                 for _ in 0..len {
                     v.push(dec.read_i64()?);
                 }
@@ -579,7 +595,7 @@ pub(crate) fn decode_symbols(dec: &mut Decoder<'_>) -> Result<ModuleSymbols, Dec
             }
             3 => {
                 let len = dec.read_usize()?;
-                let mut v = Vec::with_capacity(len.min(1 << 20));
+                let mut v = Vec::with_capacity(capacity(dec, len, 8));
                 for _ in 0..len {
                     v.push(dec.read_f64()?);
                 }
@@ -741,10 +757,11 @@ mod tests {
         });
         b.blocks.push(b0);
         let mut b1 = BlockData::new(Terminator::Jump(Block(2)));
+        let args = b.push_args([r0, r1]);
         b1.instrs.push(Instr::Call {
-            dst: Some(r2),
+            dst: Some(r2).into(),
             callee: CalleeRef::Name(Sym(4)),
-            args: vec![r0, r1],
+            args,
             site,
         });
         b1.instrs.push(Instr::StoreElem {

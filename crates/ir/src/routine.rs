@@ -6,12 +6,15 @@
 //! organization of Figure 3.
 
 use crate::ids::{Block, CallSiteId, Local, ModuleId, Sym, VReg};
-use crate::instr::{Instr, Terminator};
+use crate::instr::{ArgSpan, Instr, Terminator};
 use crate::module::Linkage;
 use crate::types::{Signature, VarTy};
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Not comparable on its own: its calls' arguments live in the body's
+/// pool, so compare bodies.
+#[derive(Debug, Clone)]
 pub struct BlockData {
     /// Instructions in execution order.
     pub instrs: Vec<Instr>,
@@ -63,10 +66,19 @@ pub struct RoutineMeta {
 /// Bodies live in NAIM pools: analysis results about a body (liveness,
 /// dominators, loop info) are *derived* data kept in side structures
 /// that are discarded when the body is unloaded, never encoded.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two bodies are equal when they have the same blocks, locals and
+/// counters and each call passes the same argument registers: the
+/// layout of the argument pool, and the entries in it that no call
+/// names any more, do not count.
+#[derive(Debug, Clone)]
 pub struct RoutineBody {
     /// Basic blocks; block 0 is the entry.
     pub blocks: Vec<BlockData>,
+    /// The argument pool: each [`Instr::Call`]'s [`ArgSpan`] names a
+    /// run of it. A call that is deleted leaves its run behind; the
+    /// encoding writes only what live calls name.
+    pub args: Vec<VReg>,
     /// Local variable declarations; parameter slots come first.
     pub locals: Vec<LocalDecl>,
     /// Number of virtual registers in use.
@@ -81,6 +93,7 @@ impl RoutineBody {
     pub fn new() -> Self {
         RoutineBody {
             blocks: Vec::new(),
+            args: Vec::new(),
             locals: Vec::new(),
             n_vregs: 0,
             next_site: 0,
@@ -99,6 +112,31 @@ impl RoutineBody {
         let s = CallSiteId(self.next_site);
         self.next_site += 1;
         s
+    }
+
+    /// Appends a call's argument registers to the pool and returns the
+    /// span that names them.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 255 arguments (the backend takes
+    /// [`MAX_CALL_ARGS`](crate::MAX_CALL_ARGS); validation rejects more)
+    /// or once the pool holds `u32::MAX` entries.
+    pub fn push_args(&mut self, args: impl IntoIterator<Item = VReg>) -> ArgSpan {
+        let start = self.args.len();
+        self.args.extend(args);
+        let len = u8::try_from(self.args.len() - start).expect("at most 255 call arguments");
+        ArgSpan::new(u32::try_from(start).expect("argument pool fits u32"), len)
+    }
+
+    /// The argument registers `span` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` is not a span of this body's pool.
+    #[must_use]
+    pub fn call_args(&self, span: ArgSpan) -> &[VReg] {
+        &self.args[span.range()]
     }
 
     /// Allocates a fresh local slot.
@@ -163,22 +201,60 @@ impl RoutineBody {
 
     /// Approximate expanded heap bytes, mirroring what an
     /// address-pointer representation with annotation slots would
-    /// occupy. Instruction payloads (`Call` argument vectors) are
-    /// included.
+    /// occupy: the body, its block, instruction, argument-pool and
+    /// local vectors at their capacities.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>();
         bytes += self.blocks.capacity() * std::mem::size_of::<BlockData>();
         for b in &self.blocks {
             bytes += b.instrs.capacity() * std::mem::size_of::<Instr>();
-            for i in &b.instrs {
-                if let Instr::Call { args, .. } = i {
-                    bytes += args.capacity() * std::mem::size_of::<VReg>();
-                }
-            }
         }
+        bytes += self.args.capacity() * std::mem::size_of::<VReg>();
         bytes += self.locals.capacity() * std::mem::size_of::<LocalDecl>();
         bytes
+    }
+}
+
+impl PartialEq for RoutineBody {
+    fn eq(&self, other: &Self) -> bool {
+        let same_instr = |a: &Instr, b: &Instr| match (a, b) {
+            (
+                Instr::Call {
+                    dst,
+                    callee,
+                    args,
+                    site,
+                },
+                Instr::Call {
+                    dst: dst2,
+                    callee: callee2,
+                    args: args2,
+                    site: site2,
+                },
+            ) => {
+                (dst, callee, site) == (dst2, callee2, site2)
+                    && self.call_args(*args) == other.call_args(*args2)
+            }
+            _ => a == b,
+        };
+        let same_block = |a: &BlockData, b: &BlockData| {
+            a.term == b.term
+                && a.instrs.len() == b.instrs.len()
+                && a.instrs
+                    .iter()
+                    .zip(&b.instrs)
+                    .all(|(x, y)| same_instr(x, y))
+        };
+        self.n_vregs == other.n_vregs
+            && self.next_site == other.next_site
+            && self.locals == other.locals
+            && self.blocks.len() == other.blocks.len()
+            && self
+                .blocks
+                .iter()
+                .zip(&other.blocks)
+                .all(|(a, b)| same_block(a, b))
     }
 }
 
@@ -200,10 +276,11 @@ mod tests {
         let r0 = b.new_vreg();
         let site = b.new_site();
         let mut blk = BlockData::new(Terminator::Return(Some(r0)));
+        let args = b.push_args([r0]);
         blk.instrs.push(Instr::Call {
-            dst: Some(r0),
+            dst: Some(r0).into(),
             callee: CalleeRef::Id(RoutineId(1)),
-            args: vec![],
+            args,
             site,
         });
         b.blocks.push(blk);
@@ -220,6 +297,29 @@ mod tests {
         let l = b.new_local(VarTy::scalar(Ty::I64), true);
         assert_eq!(l.index(), 0);
         assert!(b.locals[0].is_param);
+    }
+
+    #[test]
+    fn equality_compares_call_arguments_not_pool_layout() {
+        let a = body_with_call();
+        // The same call, its argument behind a run a deleted call left.
+        let mut b = body_with_call();
+        b.args = vec![VReg(9), VReg(9), VReg(0)];
+        let Instr::Call { args, .. } = &mut b.blocks[0].instrs[0] else {
+            unreachable!()
+        };
+        *args = ArgSpan::new(2, 1);
+        assert_eq!(a, b);
+        // A different argument register is a different body.
+        b.args[2] = VReg(1);
+        assert_ne!(a, b);
+        // So is one argument fewer.
+        let mut c = body_with_call();
+        let Instr::Call { args, .. } = &mut c.blocks[0].instrs[0] else {
+            unreachable!()
+        };
+        *args = ArgSpan::new(0, 0);
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -178,7 +178,7 @@ fn record_words(s: &RoutineSummary) -> impl Iterator<Item = u32> + '_ {
 mod tests {
     use super::*;
     use crate::ids::VReg;
-    use crate::instr::{CalleeRef, Terminator};
+    use crate::instr::{ArgSpan, CallDst, CalleeRef, Terminator};
     use crate::routine::BlockData;
 
     fn body(instrs: Vec<Instr>) -> RoutineBody {
@@ -191,9 +191,9 @@ mod tests {
 
     fn call(site: u32, callee: u32) -> Instr {
         Instr::Call {
-            dst: None,
+            dst: CallDst::NONE,
             callee: CalleeRef::Id(RoutineId(callee)),
-            args: vec![],
+            args: ArgSpan::default(),
             site: CallSiteId(site),
         }
     }

@@ -6,7 +6,7 @@
 //! phase boundary instead of miscompiling silently.
 
 use crate::ids::RoutineId;
-use crate::instr::{CalleeRef, GlobalRef, Instr, MemBase, Terminator};
+use crate::instr::{CalleeRef, GlobalRef, Instr, MemBase, Terminator, MAX_CALL_ARGS};
 use crate::program::Program;
 use crate::routine::RoutineBody;
 use std::collections::HashSet;
@@ -41,9 +41,11 @@ fn err(routine: RoutineId, what: impl Into<String>) -> ValidateError {
 /// Validates one routine body against `program`.
 ///
 /// Checks: block/register/local/global/callee indices are in range,
-/// terminator targets exist, call arities match callee signatures, call
-/// sites are unique, scalar/array access shapes match, and the entry
-/// block exists.
+/// terminator targets exist, call arities match callee signatures and
+/// neither a call nor the routine's own signature passes more than
+/// [`MAX_CALL_ARGS`] arguments, call argument spans lie in the pool,
+/// call sites are unique, scalar/array access shapes match, and the
+/// entry block exists.
 ///
 /// # Errors
 ///
@@ -55,6 +57,15 @@ pub fn validate_body(
 ) -> Result<(), ValidateError> {
     if body.blocks.is_empty() {
         return Err(err(rid, "routine has no blocks"));
+    }
+    if let Some(meta) = program.routines().get(rid.index()) {
+        let arity = meta.sig.arity();
+        if arity > MAX_CALL_ARGS {
+            return Err(err(
+                rid,
+                format!("routine takes {arity} parameters, at most {MAX_CALL_ARGS}"),
+            ));
+        }
     }
     let n_blocks = body.blocks.len();
     let n_vregs = body.n_vregs;
@@ -98,10 +109,21 @@ pub fn validate_body(
 
     for (bid, block) in body.iter_blocks() {
         for instr in &block.instrs {
+            if let Instr::Call { args, .. } = instr {
+                if args.len() > MAX_CALL_ARGS {
+                    return Err(err(
+                        rid,
+                        format!("call passes {} args, at most {MAX_CALL_ARGS}", args.len()),
+                    ));
+                }
+                if args.range().end > body.args.len() {
+                    return Err(err(rid, format!("call arguments {args:?} beyond the pool")));
+                }
+            }
             if let Some(d) = instr.def() {
                 check_vreg(d, "destination")?;
             }
-            for u in instr.uses() {
+            for u in instr.uses(&body.args) {
                 check_vreg(u, "source")?;
             }
             match instr {
@@ -235,6 +257,44 @@ mod tests {
         let (program, mut bodies) = linked_simple();
         bodies[0].blocks.clear();
         assert!(validate_unit(&program, &bodies).is_err());
+    }
+
+    #[test]
+    fn a_ninth_argument_or_parameter_is_caught() {
+        let mut b = IlObjectBuilder::new("m");
+        let wide = Signature::new(vec![crate::Ty::I64; MAX_CALL_ARGS + 1], None);
+        let mut w = b.routine("wide", wide);
+        w.ret(None);
+        w.finish();
+        let mut f = b.routine("main", Signature::default());
+        let x = f.const_i64(1);
+        f.call_void("wide", [x; MAX_CALL_ARGS + 1]);
+        f.ret(None);
+        f.finish();
+        let unit = link_objects(vec![b.finish()]).unwrap();
+        let (wide, main) = (RoutineId(0), RoutineId(1));
+        let e = validate_body(wide, &unit.bodies[0], &unit.program).unwrap_err();
+        assert!(e.what.contains("takes 9 parameters"), "{e}");
+        let e = validate_body(main, &unit.bodies[1], &unit.program).unwrap_err();
+        assert!(e.what.contains("passes 9 args"), "{e}");
+    }
+
+    #[test]
+    fn a_call_span_beyond_the_pool_is_caught() {
+        let mut b = IlObjectBuilder::new("m");
+        let mut f = b.routine("main", Signature::default());
+        f.call_void("main", []);
+        f.ret(None);
+        f.finish();
+        let unit = link_objects(vec![b.finish()]).unwrap();
+        let (program, mut bodies) = (unit.program, unit.bodies);
+        let spare = bodies[0].push_args([VReg(0)]);
+        if let Instr::Call { args, .. } = &mut bodies[0].blocks[0].instrs[0] {
+            *args = spare;
+        }
+        bodies[0].args.clear();
+        let e = validate_unit(&program, &bodies).unwrap_err();
+        assert!(e.what.contains("beyond the pool"), "{e}");
     }
 
     #[test]

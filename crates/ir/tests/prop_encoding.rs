@@ -3,9 +3,9 @@
 //! panic.
 
 use cmo_ir::{
-    BinOp, Block, BlockData, CallSiteId, Const, GlobalId, GlobalInit, GlobalRef, GlobalVar, Instr,
-    Linkage, Local, MemBase, ModuleSymbols, RoutineBody, RoutineId, Sym, Terminator, Transitory,
-    Ty, UnOp, VReg, VarTy,
+    ArgSpan, BinOp, Block, BlockData, CallSiteId, Const, GlobalId, GlobalInit, GlobalRef,
+    GlobalVar, IlObject, Instr, Linkage, Local, MemBase, ModuleSymbols, RoutineBody, RoutineId,
+    Sym, Terminator, Transitory, Ty, UnOp, VReg, VarTy,
 };
 use cmo_naim::{Decoder, Encoder, Relocatable};
 use proptest::prelude::*;
@@ -70,8 +70,9 @@ fn vreg() -> impl Strategy<Value = VReg> {
     (0u32..256).prop_map(VReg)
 }
 
-fn arb_instr() -> impl Strategy<Value = Instr> {
-    prop_oneof![
+/// An instruction, and a call's arguments for [`arb_body`] to pool.
+fn arb_instr() -> impl Strategy<Value = (Instr, Vec<VReg>)> {
+    let plain = prop_oneof![
         (vreg(), arb_const()).prop_map(|(dst, value)| Instr::Const { dst, value }),
         (vreg(), arb_binop(), vreg(), vreg()).prop_map(|(dst, op, lhs, rhs)| Instr::Bin {
             dst,
@@ -101,21 +102,34 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
             index,
             src
         }),
-        (
-            proptest::option::of(vreg()),
-            0u32..500,
-            proptest::collection::vec(vreg(), 0..6),
-            0u32..64
-        )
-            .prop_map(|(dst, callee, args, site)| Instr::Call {
-                dst,
-                callee: cmo_ir::CalleeRef::Id(RoutineId(callee)),
-                args,
-                site: CallSiteId(site),
-            }),
         vreg().prop_map(|dst| Instr::Input { dst }),
         vreg().prop_map(|src| Instr::Output { src }),
-    ]
+    ];
+    let call = (
+        proptest::option::of(vreg()),
+        0u32..500,
+        proptest::collection::vec(vreg(), 0..=cmo_ir::MAX_CALL_ARGS),
+        0u32..64,
+    )
+        .prop_map(|(dst, callee, args, site)| {
+            let call = Instr::Call {
+                dst: dst.into(),
+                callee: cmo_ir::CalleeRef::Id(RoutineId(callee)),
+                args: ArgSpan::default(),
+                site: CallSiteId(site),
+            };
+            (call, args)
+        });
+    // One call in thirteen, as when calls were one arm of thirteen.
+    (0u32..13, plain, call).prop_map(
+        |(pick, plain, call)| {
+            if pick == 0 {
+                call
+            } else {
+                (plain, Vec::new())
+            }
+        },
+    )
 }
 
 fn arb_term(n_blocks: u32) -> impl Strategy<Value = Terminator> {
@@ -145,13 +159,23 @@ prop_compose! {
             ],
             0..8,
         ),
+        // Pool entries no call names, as a deleted call leaves them.
+        junk in proptest::collection::vec(vreg(), 0..4),
     ) -> RoutineBody {
         let mut body = RoutineBody::new();
         for ty in locals {
             body.new_local(ty, false);
         }
         for (instrs, term) in blocks {
-            body.blocks.push(BlockData { instrs, term });
+            let mut block = BlockData::new(term);
+            for (mut instr, regs) in instrs {
+                if let Instr::Call { args, .. } = &mut instr {
+                    body.args.extend(&junk);
+                    *args = body.push_args(regs);
+                }
+                block.instrs.push(instr);
+            }
+            body.blocks.push(block);
         }
         body.n_vregs = 256;
         body.next_site = 64;
@@ -198,6 +222,33 @@ fn arb_symtab() -> impl Strategy<Value = ModuleSymbols> {
     })
 }
 
+/// Only the in-memory form moved when call arguments went to a pool:
+/// every module object of full-scale `mcad1` decodes and encodes back
+/// to its own bytes, and so does each routine body as a NAIM pool.
+#[test]
+fn every_full_scale_mcad1_object_re_encodes_byte_for_byte() {
+    let app = cmo_synth::generate(&cmo_synth::mcad_preset("mcad1", 1.0));
+    let mut calls = 0;
+    for (name, src) in &app.modules {
+        let bytes = cmo_frontend::compile_module(name, src).unwrap().to_bytes();
+        let object = IlObject::from_bytes(&bytes).unwrap();
+        assert_eq!(object.to_bytes(), bytes, "{name}");
+        for r in object.routines {
+            calls += r.body.args.len();
+            let pool = Transitory::Routine(r.body);
+            let mut enc = Encoder::new();
+            pool.compact(&mut enc);
+            let compact = enc.into_bytes();
+            let back = Transitory::uncompact(&mut Decoder::new(&compact)).unwrap();
+            assert_eq!(back, pool, "{name}");
+            let mut again = Encoder::new();
+            back.compact(&mut again);
+            assert_eq!(again.into_bytes(), compact, "{name}");
+        }
+    }
+    assert!(calls > 1000, "{calls} call arguments");
+}
+
 fn bits_eq(a: &Transitory, b: &Transitory) -> bool {
     // Float payloads must survive bit-exactly (NaN included), which
     // `PartialEq` on f64 does not capture; compare via re-encoding.
@@ -219,6 +270,12 @@ proptest! {
         let back = Transitory::uncompact(&mut dec).expect("decode");
         prop_assert!(dec.is_at_end(), "trailing bytes after decode");
         prop_assert!(bits_eq(&t, &back));
+        // The pool comes back holding exactly what the calls pass.
+        let live: usize = t.routine().blocks.iter().flat_map(|b| &b.instrs).map(|i| match i {
+            Instr::Call { args, .. } => args.len(),
+            _ => 0,
+        }).sum();
+        prop_assert_eq!(back.routine().args.len(), live);
     }
 
     #[test]

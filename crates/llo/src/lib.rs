@@ -18,7 +18,7 @@
 //!    ([`regalloc`]) with spill code — register pressure is real, so
 //!    over-aggressive inlining costs spills, reproducing the tension
 //!    the paper's inlining heuristics manage;
-//! 4. machine-code emission ([`lower_routine`]) with optional profile
+//! 4. machine-code emission ([`lower_owned`]) with optional profile
 //!    probes (`+I`), producing relocatable per-routine code the linker
 //!    concatenates.
 //!
@@ -42,7 +42,8 @@ pub mod regalloc;
 mod scratch;
 
 pub use lower::{
-    lower_routine, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort, OptEffortOpt,
+    lower_owned, lower_routine, shape_of, GlobalLayout, LloOptions, LoweredRoutine, OptEffort,
+    OptEffortOpt,
 };
 
 #[cfg(test)]

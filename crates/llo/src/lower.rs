@@ -136,11 +136,9 @@ pub fn shape_of(body: &RoutineBody) -> RoutineShape {
     }
 }
 
-/// Reusable tables for [`lower_routine`].
+/// Reusable tables for [`lower_owned`].
 #[derive(Default)]
 pub(crate) struct LowerScratch {
-    /// Block counts, maintained through local optimization.
-    counts: Vec<u64>,
     /// Block emission order.
     order: Vec<Block>,
     /// Frame slot of each local's base.
@@ -193,6 +191,14 @@ impl Emitter<'_> {
         }
     }
 
+    /// Emits `make(r)`, which computes vreg `v` into register `r`, and
+    /// stores `r` to `v`'s spill slot if it has one.
+    fn def(&mut self, v: VReg, make: impl FnOnce(Reg) -> MInstr) {
+        let r = self.write_reg(v);
+        self.code.push(make(r));
+        self.finish_write(v, r);
+    }
+
     fn finish_write(&mut self, v: VReg, r: Reg) {
         if let Loc::Spill(s) = self.locs[v.index()] {
             self.code.push(MInstr::StSlot {
@@ -203,18 +209,7 @@ impl Emitter<'_> {
     }
 }
 
-/// Lowers one routine to machine code.
-///
-/// The body must be fully resolved (post IL-link). The returned code is
-/// relocatable: `Jmp`/`Br` targets are relative to the routine start,
-/// and `Call` operands are program routine ids the linker maps to
-/// image indices.
-///
-/// # Panics
-///
-/// Panics if a call passes more than [`MAX_ARGS`] arguments (the MLC
-/// frontend enforces this bound) or if the body contains unresolved
-/// references.
+/// [`lower_owned`] on a copy of `body`, for a caller that keeps it.
 #[must_use]
 pub fn lower_routine(
     rid: RoutineId,
@@ -223,53 +218,68 @@ pub fn lower_routine(
     globals: &GlobalLayout,
     options: &LloOptions,
 ) -> LoweredRoutine {
-    scratch::with(|s| lower_with(s, rid, body, program, globals, options))
+    lower_owned(rid, body.clone(), program, globals, options.clone())
+}
+
+/// Lowers one routine to machine code, optimizing its body (and
+/// maintaining its block counts) in place.
+///
+/// The body must be fully resolved (post IL-link). The returned code is
+/// relocatable: `Jmp`/`Br` targets are relative to the routine start,
+/// and `Call` operands are program routine ids the linker maps to
+/// image indices.
+///
+/// # Panics
+///
+/// Panics if the routine takes, or a call passes, more than
+/// [`MAX_ARGS`] arguments (the front end, `cmo_ir::validate` and the IL
+/// decoder reject such bodies) or if the body contains unresolved
+/// references.
+#[must_use]
+pub fn lower_owned(
+    rid: RoutineId,
+    mut body: RoutineBody,
+    program: &Program,
+    globals: &GlobalLayout,
+    options: LloOptions,
+) -> LoweredRoutine {
+    scratch::with(|s| lower_with(s, rid, &mut body, program, globals, options))
 }
 
 fn lower_with(
     scratch: &mut LloScratch,
     rid: RoutineId,
-    body: &RoutineBody,
+    body: &mut RoutineBody,
     program: &Program,
     globals: &GlobalLayout,
-    options: &LloOptions,
+    options: LloOptions,
 ) -> LoweredRoutine {
     let meta = program.routine(rid);
     let name = program.name(meta.name).to_owned();
     let LowerScratch {
-        counts,
         order,
         local_base,
         block_offset,
         fixups,
     } = &mut scratch.lower;
 
-    // 1. Local optimization on a working copy. Block counts arrive in
-    //    the pre-optimization (frontend/HLO) block-id domain and are
+    // 1. Local optimization, in place. Block counts arrive in the
+    //    pre-optimization (frontend/HLO) block-id domain and are
     //    maintained through every structural change. Instrumented
     //    builds skip IL optimization entirely so probes map 1:1 onto
     //    that stable domain — this is what keeps the profile database
     //    correlated across option levels (§3, §6.2).
-    let mut counts = options.block_counts.as_deref().map(|c| {
-        counts.clear();
-        counts.extend_from_slice(c);
-        counts.resize(body.blocks.len(), 0);
-        counts
+    let mut counts = options.block_counts.map(|mut c| {
+        c.resize(body.blocks.len(), 0);
+        c
     });
-    let optimized;
-    let body = if options.effort.0 >= OptEffort::O2 && !options.instrument {
-        let mut copy = body.clone();
-        scratch.opt.optimize(&mut copy, counts.as_deref_mut());
-        optimized = copy;
-        &optimized
-    } else {
-        body
-    };
+    if options.effort.0 >= OptEffort::O2 && !options.instrument {
+        scratch.opt.optimize(body, counts.as_mut());
+    }
     let shape = shape_of(body);
 
     // 2. Layout.
-    let counts = counts.map(|c| c.as_slice());
-    scratch.layout.order_into(body, counts, order);
+    scratch.layout.order_into(body, counts.as_deref(), order);
 
     // 3. Register allocation.
     let (spill_slots, llo_work_bytes) = scratch.alloc.allocate(body, order);
@@ -318,7 +328,14 @@ fn lower_with(
         }
         for instr in &body.blocks[b.index()].instrs {
             e.scratch_next = 0;
-            emit_instr(&mut e, instr, globals, options.instrument, &mut probes);
+            emit_instr(
+                &mut e,
+                instr,
+                &body.args,
+                globals,
+                options.instrument,
+                &mut probes,
+            );
         }
         e.scratch_next = 0;
         let next = order.get(pos + 1).copied();
@@ -387,118 +404,89 @@ fn lower_with(
 fn emit_instr(
     e: &mut Emitter<'_>,
     instr: &Instr,
+    pool: &[VReg],
     globals: &GlobalLayout,
     instrument: bool,
     probes: &mut Vec<ProbeKind>,
 ) {
-    match instr {
-        Instr::Const { dst, value } => {
-            let r = e.write_reg(*dst);
-            match value {
-                cmo_ir::Const::I(v) => e.code.push(MInstr::LdImm { dst: r, value: *v }),
-                cmo_ir::Const::F(v) => e.code.push(MInstr::LdImmF { dst: r, value: *v }),
-            }
-            e.finish_write(*dst, r);
-        }
+    match *instr {
+        Instr::Const { dst, value } => e.def(dst, |dst| match value {
+            cmo_ir::Const::I(value) => MInstr::LdImm { dst, value },
+            cmo_ir::Const::F(value) => MInstr::LdImmF { dst, value },
+        }),
         Instr::Bin { dst, op, lhs, rhs } => {
-            let a = e.read(*lhs);
-            let b = e.read(*rhs);
-            let r = e.write_reg(*dst);
-            e.code.push(MInstr::Bin {
-                op: *op,
-                dst: r,
-                lhs: a,
-                rhs: b,
-            });
-            e.finish_write(*dst, r);
+            let (lhs, rhs) = (e.read(lhs), e.read(rhs));
+            e.def(dst, |dst| MInstr::Bin { op, dst, lhs, rhs });
         }
         Instr::Un { dst, op, src } => {
-            let s = e.read(*src);
-            let r = e.write_reg(*dst);
-            e.code.push(MInstr::Un {
-                op: *op,
-                dst: r,
-                src: s,
-            });
-            e.finish_write(*dst, r);
+            let src = e.read(src);
+            e.def(dst, |dst| MInstr::Un { op, dst, src });
         }
         Instr::Mov { dst, src } => {
-            let s = e.read(*src);
-            let r = e.write_reg(*dst);
+            let s = e.read(src);
+            let r = e.write_reg(dst);
             if s != r {
                 e.code.push(MInstr::Mov { dst: r, src: s });
             }
-            e.finish_write(*dst, r);
+            e.finish_write(dst, r);
         }
         Instr::LoadLocal { dst, local } => {
             let slot = e.local_base[local.index()];
-            let r = e.write_reg(*dst);
-            e.code.push(MInstr::LdSlot { dst: r, slot });
-            e.finish_write(*dst, r);
+            e.def(dst, |dst| MInstr::LdSlot { dst, slot });
         }
         Instr::StoreLocal { local, src } => {
-            let s = e.read(*src);
+            let src = e.read(src);
             let slot = e.local_base[local.index()];
-            e.code.push(MInstr::StSlot { slot, src: s });
+            e.code.push(MInstr::StSlot { slot, src });
         }
         Instr::LoadGlobal { dst, global } => {
-            let g = global.id();
-            let r = e.write_reg(*dst);
-            e.code.push(MInstr::LdGlobal {
-                dst: r,
-                addr: globals.addr(g),
-            });
-            e.finish_write(*dst, r);
+            let addr = globals.addr(global.id());
+            e.def(dst, |dst| MInstr::LdGlobal { dst, addr });
         }
         Instr::StoreGlobal { global, src } => {
-            let s = e.read(*src);
-            e.code.push(MInstr::StGlobal {
-                addr: globals.addr(global.id()),
-                src: s,
-            });
+            let src = e.read(src);
+            let addr = globals.addr(global.id());
+            e.code.push(MInstr::StGlobal { addr, src });
         }
         Instr::LoadElem { dst, base, index } => {
-            let i = e.read(*index);
-            let r = e.write_reg(*dst);
+            let index = e.read(index);
             match base {
-                MemBase::Local(l) => e.code.push(MInstr::LdSlotElem {
-                    dst: r,
-                    base_slot: e.local_base[l.index()],
-                    len: elem_len_local(e, *l),
-                    index: i,
-                }),
+                MemBase::Local(l) => {
+                    let (base_slot, len) = (e.local_base[l.index()], elem_len_local(e, l));
+                    e.def(dst, |dst| MInstr::LdSlotElem {
+                        dst,
+                        base_slot,
+                        len,
+                        index,
+                    });
+                }
                 MemBase::Global(g) => {
-                    let g = g.id();
-                    e.code.push(MInstr::LdGlobalElem {
-                        dst: r,
-                        base: globals.addr(g),
-                        len: globals.len(g),
-                        index: i,
+                    let (base, len) = (globals.addr(g.id()), globals.len(g.id()));
+                    e.def(dst, |dst| MInstr::LdGlobalElem {
+                        dst,
+                        base,
+                        len,
+                        index,
                     });
                 }
             }
-            e.finish_write(*dst, r);
         }
         Instr::StoreElem { base, index, src } => {
-            let i = e.read(*index);
-            let s = e.read(*src);
-            match base {
-                MemBase::Local(l) => e.code.push(MInstr::StSlotElem {
+            let (index, src) = (e.read(index), e.read(src));
+            e.code.push(match base {
+                MemBase::Local(l) => MInstr::StSlotElem {
                     base_slot: e.local_base[l.index()],
-                    len: elem_len_local(e, *l),
-                    index: i,
-                    src: s,
-                }),
-                MemBase::Global(g) => {
-                    let g = g.id();
-                    e.code.push(MInstr::StGlobalElem {
-                        base: globals.addr(g),
-                        len: globals.len(g),
-                        index: i,
-                        src: s,
-                    });
-                }
-            }
+                    len: elem_len_local(e, l),
+                    index,
+                    src,
+                },
+                MemBase::Global(g) => MInstr::StGlobalElem {
+                    base: globals.addr(g.id()),
+                    len: globals.len(g.id()),
+                    index,
+                    src,
+                },
+            });
         }
         Instr::Call {
             dst,
@@ -506,32 +494,31 @@ fn emit_instr(
             args,
             site,
         } => {
-            assert!(args.len() <= MAX_ARGS, "call arity exceeds backend limit");
             if instrument {
                 probes.push(ProbeKind::Site(site.0));
                 e.code.push(MInstr::Probe {
                     id: (probes.len() - 1) as u32,
                 });
             }
-            let arg_regs: CallArgs = args.iter().map(|a| e.read(*a)).collect();
-            let r = dst.map(|d| e.write_reg(d));
-            e.code.push(MInstr::Call {
-                routine: callee.id().0,
-                args: arg_regs,
-                dst: r,
-            });
-            if let (Some(d), Some(r)) = (dst, r) {
-                e.finish_write(*d, r);
+            let args: CallArgs = pool[args.range()].iter().map(|&a| e.read(a)).collect();
+            let routine = callee.id().0;
+            match dst.get() {
+                Some(d) => e.def(d, |dst| MInstr::Call {
+                    routine,
+                    args,
+                    dst: Some(dst),
+                }),
+                None => e.code.push(MInstr::Call {
+                    routine,
+                    args,
+                    dst: None,
+                }),
             }
         }
-        Instr::Input { dst } => {
-            let r = e.write_reg(*dst);
-            e.code.push(MInstr::Input { dst: r });
-            e.finish_write(*dst, r);
-        }
+        Instr::Input { dst } => e.def(dst, |dst| MInstr::Input { dst }),
         Instr::Output { src } => {
-            let s = e.read(*src);
-            e.code.push(MInstr::Output { src: s });
+            let src = e.read(src);
+            e.code.push(MInstr::Output { src });
         }
     }
 }

@@ -193,14 +193,14 @@ pub fn routine_key(
                     args,
                     site,
                 } => {
-                    match dst {
+                    match dst.get() {
                         None => m.head(11, 0, 0),
                         Some(d) => m.head(11, 1, d.0),
                     }
                     let (callee, _) = ordinal_of(&mut refs.callees, callee.id());
                     m.pair(callee, site.0);
                     m.word(args.len() as u64);
-                    for two in args.chunks(2) {
+                    for two in body.call_args(*args).chunks(2) {
                         m.pair(two[0].0, two.get(1).map_or(0, |a| a.0));
                     }
                 }
@@ -371,8 +371,8 @@ mod tests {
     use crate::OptEffortOpt;
     use cmo_frontend::compile_module;
     use cmo_ir::{
-        link_objects, BinOp, Block, BlockData, CallSiteId, CalleeRef, LinkedUnit, Local, LocalDecl,
-        UnOp, VReg, VarTy,
+        link_objects, BinOp, Block, BlockData, CallDst, CallSiteId, CalleeRef, LinkedUnit, Local,
+        LocalDecl, UnOp, VReg, VarTy,
     };
 
     /// Five routines (so callee ids can be told apart) and four globals:
@@ -409,6 +409,8 @@ mod tests {
     /// global's address or the callee's id.
     fn subject_body() -> RoutineBody {
         let v = VReg;
+        let mut pool = RoutineBody::new();
+        let args = [[v(0), v(2)], [v(9), v(0)], [v(0), v(0)]].map(|a| pool.push_args(a));
         let block0 = BlockData {
             instrs: vec![
                 Instr::Const {
@@ -471,21 +473,21 @@ mod tests {
                     src: v(8),
                 },
                 Instr::Call {
-                    dst: Some(v(9)),
+                    dst: Some(v(9)).into(),
                     callee: F1,
-                    args: vec![v(0), v(2)],
+                    args: args[0],
                     site: CallSiteId(0),
                 },
                 Instr::Call {
-                    dst: None,
+                    dst: CallDst::NONE,
                     callee: F0,
-                    args: vec![v(9), v(0)],
+                    args: args[1],
                     site: CallSiteId(1),
                 },
                 Instr::Call {
-                    dst: Some(v(10)),
+                    dst: Some(v(10)).into(),
                     callee: F1,
-                    args: vec![v(0), v(0)],
+                    args: args[2],
                     site: CallSiteId(2),
                 },
                 Instr::Input { dst: v(11) },
@@ -528,6 +530,7 @@ mod tests {
                     is_param: false,
                 },
             ],
+            args: pool.args,
             n_vregs: 12,
             next_site: 3,
         }
@@ -565,6 +568,20 @@ mod tests {
                     Box::new(|b: &mut RoutineBody| {
                         edit(b, $i, |instr| match instr {
                             Instr::$variant { $field, .. } => *$field = $value,
+                            other => panic!("instruction {} is {other:?}", $i),
+                        })
+                    }) as Box<dyn Fn(&mut RoutineBody)>,
+                )
+            };
+        }
+        macro_rules! call_args {
+            ($what:literal, $i:literal, $args:expr) => {
+                (
+                    $what,
+                    Box::new(|b: &mut RoutineBody| {
+                        let span = b.push_args($args);
+                        edit(b, $i, |instr| match instr {
+                            Instr::Call { args, .. } => *args = span,
                             other => panic!("instruction {} is {other:?}", $i),
                         })
                     }) as Box<dyn Fn(&mut RoutineBody)>,
@@ -627,18 +644,14 @@ mod tests {
                 12,
                 StoreElem.base = MemBase::Global(A0)
             ),
-            field!("call dst", 13, Call.dst = Some(VReg(10))),
-            field!("call dst dropped", 13, Call.dst = None),
-            field!("call dst added", 14, Call.dst = Some(VReg(0))),
+            field!("call dst", 13, Call.dst = Some(VReg(10)).into()),
+            field!("call dst dropped", 13, Call.dst = CallDst::NONE),
+            field!("call dst added", 14, Call.dst = Some(VReg(0)).into()),
             field!("call callee merged with the next", 13, Call.callee = F0),
             field!("call callee split from the first", 15, Call.callee = F0),
-            field!("call args", 13, Call.args = vec![VReg(2), VReg(0)]),
-            field!("call one arg fewer", 13, Call.args = vec![VReg(0)]),
-            field!(
-                "call one arg more",
-                13,
-                Call.args = vec![VReg(0), VReg(2), VReg(0)]
-            ),
+            call_args!("call args", 13, [VReg(2), VReg(0)]),
+            call_args!("call one arg fewer", 13, [VReg(0)]),
+            call_args!("call one arg more", 13, [VReg(0), VReg(2), VReg(0)]),
             field!("call site", 13, Call.site = CallSiteId(2)),
             field!("input dst", 16, Input.dst = VReg(0)),
             field!("output src", 17, Output.src = VReg(0)),
@@ -853,6 +866,36 @@ mod tests {
             }
         }
         body
+    }
+
+    /// The key reads the registers each call passes, never where they
+    /// sit in the pool or what a deleted call left there.
+    #[test]
+    fn the_argument_pool_layout_does_not_move_the_key() {
+        let unit = host();
+        let body = subject_body();
+        // Every call's arguments pushed again, behind a run of junk.
+        let mut moved = body.clone();
+        moved.args.insert(0, VReg(11));
+        let mut spans = Vec::new();
+        for instr in body.blocks.iter().flat_map(|b| &b.instrs) {
+            if let Instr::Call { args, .. } = instr {
+                spans.push(moved.push_args(body.call_args(*args).iter().copied()));
+            }
+        }
+        let calls = moved.blocks.iter_mut().flat_map(|b| &mut b.instrs);
+        for (instr, span) in calls.filter(|i| matches!(i, Instr::Call { .. })).zip(spans) {
+            if let Instr::Call { args, .. } = instr {
+                *args = span;
+            }
+        }
+        assert_ne!(body.args, moved.args);
+        assert_eq!(body, moved);
+        let options = options();
+        assert_eq!(
+            key_of(&unit, &body, &options),
+            key_of(&unit, &moved, &options)
+        );
     }
 
     /// A consistent renaming of callees and (equal-length) globals

@@ -181,8 +181,8 @@ impl OptScratch {
             .extend(body.locals.iter().map(|d| u32::from(d.ty.is_array())));
     }
 
-    fn count_reads(&mut self, instr: &Instr) {
-        for u in instr.uses() {
+    fn count_reads(&mut self, instr: &Instr, pool: &[VReg]) {
+        for u in instr.uses(pool) {
             self.use_count[u.index()] += 1;
         }
         if let Instr::LoadLocal { local, .. } = instr {
@@ -200,7 +200,8 @@ impl OptScratch {
             self.locals.resize(body.locals.len(), NO_FACTS);
         }
         self.reset_reads(body);
-        for block in &mut body.blocks {
+        let RoutineBody { blocks, args, .. } = body;
+        for block in blocks {
             // Facts are per block: a new epoch forgets them all.
             self.epoch += 1;
             for instr in &mut block.instrs {
@@ -222,7 +223,9 @@ impl OptScratch {
                         rewrite(index);
                         rewrite(src);
                     }
-                    Instr::Call { args, .. } => args.iter_mut().for_each(rewrite),
+                    Instr::Call { args: span, .. } => {
+                        args[span.range()].iter_mut().for_each(rewrite)
+                    }
                     _ => {}
                 }
 
@@ -290,7 +293,7 @@ impl OptScratch {
                     *instr = Instr::Const { dst, value };
                     stats.folded += 1;
                 }
-                self.count_reads(instr);
+                self.count_reads(instr, args);
             }
 
             // Fold constant branch conditions.
@@ -397,7 +400,7 @@ impl OptScratch {
         for block in &body.blocks {
             for instr in &block.instrs {
                 step(1);
-                self.count_reads(instr);
+                self.count_reads(instr, &body.args);
             }
             if let Some(u) = block.term.use_reg() {
                 self.use_count[u.index()] += 1;
@@ -411,12 +414,13 @@ impl OptScratch {
     fn sweep_dead(&mut self, body: &mut RoutineBody) -> OptStats {
         let (use_count, load_count) = (&mut self.use_count, &mut self.load_count);
         let mut stats = OptStats::default();
+        let RoutineBody { blocks, args, .. } = body;
         loop {
             // Set when a removal takes the last read of a vreg or
             // local: its definitions, possibly earlier in the sweep,
             // are dead now, so sweep again.
             let mut exposed = false;
-            for block in &mut body.blocks {
+            for block in blocks.iter_mut() {
                 block.instrs.retain(|i| {
                     step(1);
                     let dead = match i {
@@ -428,7 +432,7 @@ impl OptScratch {
                     };
                     if dead {
                         stats.dead += 1;
-                        for u in i.uses() {
+                        for u in i.uses(args) {
                             use_count[u.index()] -= 1;
                             exposed |= use_count[u.index()] == 0;
                         }

@@ -131,7 +131,7 @@ impl AllocScratch {
             let mut p = block_start[b];
             for instr in &block.instrs {
                 step(1);
-                for u in instr.uses() {
+                for u in instr.uses(&body.args) {
                     touch(u.index(), p);
                     if !test_bit(def_b, u.index()) {
                         set_bit(use_b, u.index());

@@ -77,7 +77,8 @@ impl Rng {
 const N_SCALAR_LOCALS: usize = 5;
 const ARRAY_LOCAL: Local = Local(5);
 
-fn gen_instr(rng: &mut Rng, n_vregs: usize, pool: usize) -> Instr {
+/// One random instruction; a call's arguments go to `body`'s pool.
+fn gen_instr(rng: &mut Rng, n_vregs: usize, pool: usize, body: &mut RoutineBody) -> Instr {
     // A small pool makes redefinitions, copies of copies and stale
     // sources frequent; the occasional wide pick keeps many vregs live.
     let v = |rng: &mut Rng| {
@@ -165,9 +166,9 @@ fn gen_instr(rng: &mut Rng, n_vregs: usize, pool: usize) -> Instr {
             src: v(rng),
         },
         _ => Instr::Call {
-            dst: rng.chance(70).then(|| v(rng)),
+            dst: rng.chance(70).then(|| v(rng)).into(),
             callee: CalleeRef::Id(RoutineId(rng.below(2) as u32)),
-            args: (0..rng.below(4)).map(|_| v(rng)).collect(),
+            args: body.push_args((0..rng.below(4)).map(|_| v(rng)).collect::<Vec<_>>()),
             site: CallSiteId(rng.below(4) as u32),
         },
     }
@@ -211,7 +212,8 @@ fn gen_body(seed: u64) -> RoutineBody {
             _ => rng.below(16),
         };
         for _ in 0..len {
-            block.instrs.push(gen_instr(&mut rng, n_vregs, pool));
+            let instr = gen_instr(&mut rng, n_vregs, pool, &mut body);
+            block.instrs.push(instr);
         }
         body.blocks.push(block);
     }

@@ -127,3 +127,49 @@ proptest! {
         prop_assert!(moved > 0, "the shuffle moved no id or address: nothing was relocated");
     }
 }
+
+/// FNV-1a over `CODE_KEY_GOLDEN`'s input, kept here so that neither a
+/// change of the repository's hash nor of the key's own mixer can move
+/// the golden by accident.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The hash of every routine's code key of eighth-scale `mcad1` after
+/// the profile-free HLO of [`after_hlo`] — bodies with inlined calls —
+/// at `+O1`, `+O2`, `+O2` with block counts and `+O2 +I`, in routine
+/// order. Recorded with the compiler of commit 8010b20, before IL
+/// instructions moved their call arguments into a per-body pool: a
+/// change that moves this moves every code-tier key, and must bump
+/// `LLO_REVISION` and re-record it.
+const CODE_KEY_GOLDEN: u64 = 0x1eff_1a01_2310_080c;
+
+#[test]
+fn code_keys_of_eighth_scale_mcad1_match_the_golden() {
+    let app = cmo_synth::generate(&cmo_synth::mcad_preset("mcad1", 0.125));
+    let (program, bodies) = after_hlo(&app.modules);
+    let layout = GlobalLayout::new(&program);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for (i, body) in bodies.iter().enumerate() {
+        let rid = RoutineId::from_index(i);
+        let name = program.name(program.routine(rid).name);
+        for (effort, instrument, counted) in [
+            (OptEffort::O1, false, false),
+            (OptEffort::O2, false, false),
+            (OptEffort::O2, false, true),
+            (OptEffort::O2, true, false),
+        ] {
+            let options = LloOptions {
+                effort: OptEffortOpt(effort),
+                instrument,
+                block_counts: counted.then(|| counts_for(name, body)),
+            };
+            let (key, _) = routine_key(rid, body, &program, &layout, &options);
+            hash = fnv1a(hash, &key.0.to_le_bytes());
+        }
+    }
+    assert!(bodies.len() > 100, "{} routines", bodies.len());
+    assert_eq!(hash, CODE_KEY_GOLDEN, "{hash:#018x}");
+}

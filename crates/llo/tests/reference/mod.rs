@@ -110,7 +110,7 @@ pub fn ref_const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
                     *src = resolve(&copy_of, *src);
                 }
                 Instr::Call { args, .. } => {
-                    for a in args.iter_mut() {
+                    for a in body.args[args.range()].iter_mut() {
                         *a = resolve(&copy_of, *a);
                     }
                 }
@@ -317,7 +317,7 @@ pub fn ref_dead_code_elim(body: &mut RoutineBody) -> OptStats {
         }
         for block in &body.blocks {
             for instr in &block.instrs {
-                for u in instr.uses() {
+                for u in instr.uses(&body.args) {
                     mark(u);
                 }
                 if let Instr::LoadLocal { local, .. } = instr {
@@ -547,7 +547,7 @@ pub fn ref_allocate(body: &RoutineBody, order: &[Block]) -> AllocResult {
     for (b, block) in body.blocks.iter().enumerate() {
         for instr in &block.instrs {
             uses_buf.clear();
-            uses_buf.extend(instr.uses());
+            uses_buf.extend(instr.uses(&body.args));
             for &u in &uses_buf {
                 if !def_m.get(b, u.index()) {
                     use_m.set(b, u.index());
@@ -627,7 +627,7 @@ pub fn ref_allocate(body: &RoutineBody, order: &[Block]) -> AllocResult {
         let mut p = block_start[bi];
         for instr in &body.blocks[bi].instrs {
             uses_buf.clear();
-            uses_buf.extend(instr.uses());
+            uses_buf.extend(instr.uses(&body.args));
             for &u in &uses_buf {
                 touch(u.index(), p, &mut start, &mut end);
             }
@@ -845,7 +845,14 @@ pub fn ref_lower_routine(
         }
         for instr in &body.blocks[b.index()].instrs {
             e.scratch_next = 0;
-            emit_instr(&mut e, instr, globals, options.instrument, &mut probes);
+            emit_instr(
+                &mut e,
+                instr,
+                &body.args,
+                globals,
+                options.instrument,
+                &mut probes,
+            );
         }
         e.scratch_next = 0;
         let next = order.get(pos + 1).copied();
@@ -914,6 +921,7 @@ pub fn ref_lower_routine(
 fn emit_instr(
     e: &mut Emitter<'_>,
     instr: &Instr,
+    pool: &[VReg],
     globals: &GlobalLayout,
     instrument: bool,
     probes: &mut Vec<ProbeKind>,
@@ -1040,7 +1048,8 @@ fn emit_instr(
                     id: (probes.len() - 1) as u32,
                 });
             }
-            let arg_regs: CallArgs = args.iter().map(|a| e.read(*a)).collect();
+            let arg_regs: CallArgs = pool[args.range()].iter().map(|a| e.read(*a)).collect();
+            let dst = &dst.get();
             let r = dst.map(|d| e.write_reg(d));
             e.code.push(MInstr::Call {
                 routine: callee.id().0,

@@ -7,7 +7,7 @@
 //! shadow exports, and two modules may define internal symbols with the
 //! same name without conflict.
 
-use crate::ids::{GlobalId, RoutineId, Sym};
+use crate::ids::{GlobalId, Local, RoutineId, Sym};
 use crate::instr::{CalleeRef, GlobalRef, Instr, MemBase};
 use crate::module::{GlobalInit, Linkage, ModuleInfo, ModuleSymbols};
 use crate::object::IlObject;
@@ -69,6 +69,15 @@ pub enum LinkError {
         /// The global's name.
         name: String,
     },
+    /// A body names a symbol its object does not have, a reference
+    /// already resolved, a local of the wrong shape, or a call site
+    /// twice or past its count: damage the decoder cannot see.
+    Malformed {
+        /// The damaged module.
+        module: String,
+        /// The defect.
+        what: String,
+    },
 }
 
 impl fmt::Display for LinkError {
@@ -108,6 +117,9 @@ impl fmt::Display for LinkError {
                 f,
                 "global `{name}` accessed with the wrong shape (scalar vs array) in `{module}`"
             ),
+            LinkError::Malformed { module, what } => {
+                write!(f, "corrupt IL object `{module}`: {what}")
+            }
         }
     }
 }
@@ -290,6 +302,24 @@ struct Resolver<'a> {
 }
 
 impl Resolver<'_> {
+    fn malformed(&self, what: String) -> LinkError {
+        LinkError::Malformed {
+            module: self.obj.module_name.clone(),
+            what,
+        }
+    }
+
+    fn wrong_shape(&self, l: Local) -> LinkError {
+        self.malformed(format!("local {l} accessed with the wrong shape"))
+    }
+
+    /// What `sym` resolves to in `table`, which has a slot for each of
+    /// the object's strings.
+    fn slot(&self, table: &[u32], sym: Sym) -> Result<u32, LinkError> {
+        (table.get(sym.index()).copied())
+            .ok_or_else(|| self.malformed(format!("symbol {sym} out of range")))
+    }
+
     fn undefined(&self, sym: Sym) -> LinkError {
         LinkError::Undefined {
             module: self.obj.module_name.clone(),
@@ -305,8 +335,11 @@ impl Resolver<'_> {
             .lookup(self.obj.strings.resolve(sym))
     }
 
-    fn global(&mut self, sym: Sym, want_array: bool) -> Result<GlobalId, LinkError> {
-        if self.scope.globals[sym.index()] == UNRESOLVED {
+    fn global(&mut self, global: GlobalRef, want_array: bool) -> Result<GlobalId, LinkError> {
+        let GlobalRef::Name(sym) = global else {
+            return Err(self.malformed("a resolved global in an unlinked object".to_owned()));
+        };
+        if self.slot(&self.scope.globals, sym)? == UNRESOLVED {
             let exported = self
                 .program_sym(sym)
                 .and_then(|s| self.program.find_global_sym(s))
@@ -326,7 +359,7 @@ impl Resolver<'_> {
     }
 
     fn callee(&mut self, sym: Sym) -> Result<RoutineId, LinkError> {
-        if self.scope.routines[sym.index()] == UNRESOLVED {
+        if self.slot(&self.scope.routines, sym)? == UNRESOLVED {
             let exported = self
                 .program_sym(sym)
                 .and_then(|s| self.program.find_routine_sym(s))
@@ -336,49 +369,85 @@ impl Resolver<'_> {
         Ok(RoutineId(self.scope.routines[sym.index()]))
     }
 
+    /// Resolves every name in `body`, checking what `validate_body`
+    /// would and neither decoding nor resolution already has: local
+    /// shapes and call sites.
+    ///
+    /// [`validate_body`]: crate::validate::validate_body
     fn resolve_body(&mut self, body: &mut RoutineBody) -> Result<(), LinkError> {
         body.blocks.shrink_to_fit();
         body.args.shrink_to_fit();
         body.locals.shrink_to_fit();
+        // Sites usually ascend in instruction order, which makes them
+        // distinct; only a body where they do not is sorted to find out.
+        let (mut last_site, mut ascending) = (None, true);
+        let is_array = |l: Local| body.locals.get(l.index()).map(|d| d.ty.is_array());
         for block in &mut body.blocks {
             block.instrs.shrink_to_fit();
             for instr in &mut block.instrs {
                 match instr {
+                    Instr::LoadLocal { local, .. } | Instr::StoreLocal { local, .. }
+                        if is_array(*local) != Some(false) =>
+                    {
+                        return Err(self.wrong_shape(*local));
+                    }
                     Instr::LoadGlobal { global, .. } | Instr::StoreGlobal { global, .. } => {
-                        if let GlobalRef::Name(sym) = *global {
-                            *global = GlobalRef::Id(self.global(sym, false)?);
-                        }
+                        *global = GlobalRef::Id(self.global(*global, false)?);
                     }
-                    Instr::LoadElem { base, .. } | Instr::StoreElem { base, .. } => {
-                        if let MemBase::Global(GlobalRef::Name(sym)) = *base {
-                            *base = MemBase::Global(GlobalRef::Id(self.global(sym, true)?));
+                    Instr::LoadElem { base, .. } | Instr::StoreElem { base, .. } => match base {
+                        MemBase::Local(l) if is_array(*l) != Some(true) => {
+                            return Err(self.wrong_shape(*l))
                         }
-                    }
+                        MemBase::Local(_) => {}
+                        MemBase::Global(g) => *g = GlobalRef::Id(self.global(*g, true)?),
+                    },
                     Instr::Call {
-                        callee, args, dst, ..
+                        callee,
+                        args,
+                        dst,
+                        site,
                     } => {
-                        if let CalleeRef::Name(sym) = *callee {
-                            let rid = self.callee(sym)?;
-                            let meta = self.program.routine(rid);
-                            if meta.sig.arity() != args.len() {
-                                return Err(LinkError::ArityMismatch {
-                                    module: self.obj.module_name.clone(),
-                                    callee: self.program.name(meta.name).to_owned(),
-                                    expected: meta.sig.arity(),
-                                    got: args.len(),
-                                });
-                            }
-                            if dst.is_some() && meta.sig.ret.is_none() {
-                                return Err(LinkError::ReturnMismatch {
-                                    module: self.obj.module_name.clone(),
-                                    callee: self.program.name(meta.name).to_owned(),
-                                });
-                            }
-                            *callee = CalleeRef::Id(rid);
+                        if site.0 >= body.next_site {
+                            return Err(self.malformed(format!("call site {site} past the count")));
                         }
+                        ascending &= last_site < Some(*site);
+                        last_site = Some(*site);
+                        let CalleeRef::Name(sym) = *callee else {
+                            return Err(self
+                                .malformed("a resolved callee in an unlinked object".to_owned()));
+                        };
+                        let rid = self.callee(sym)?;
+                        let meta = self.program.routine(rid);
+                        if meta.sig.arity() != args.len() {
+                            return Err(LinkError::ArityMismatch {
+                                module: self.obj.module_name.clone(),
+                                callee: self.program.name(meta.name).to_owned(),
+                                expected: meta.sig.arity(),
+                                got: args.len(),
+                            });
+                        }
+                        if dst.is_some() && meta.sig.ret.is_none() {
+                            return Err(LinkError::ReturnMismatch {
+                                module: self.obj.module_name.clone(),
+                                callee: self.program.name(meta.name).to_owned(),
+                            });
+                        }
+                        *callee = CalleeRef::Id(rid);
                     }
                     _ => {}
                 }
+            }
+        }
+        if !ascending {
+            let mut sites: Vec<_> = (body.blocks.iter().flat_map(|b| &b.instrs))
+                .filter_map(|i| match i {
+                    Instr::Call { site, .. } => Some(*site),
+                    _ => None,
+                })
+                .collect();
+            sites.sort_unstable();
+            if let Some(w) = sites.windows(2).find(|w| w[0] == w[1]) {
+                return Err(self.malformed(format!("call site {} twice", w[0])));
             }
         }
         Ok(())

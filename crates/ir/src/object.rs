@@ -85,6 +85,10 @@ impl Error for ObjectDecodeError {
     }
 }
 
+fn corrupt(what: &'static str) -> ObjectDecodeError {
+    ObjectDecodeError::Decode(DecodeError::Corrupt { what })
+}
+
 impl From<DecodeError> for ObjectDecodeError {
     fn from(e: DecodeError) -> Self {
         ObjectDecodeError::Decode(e)
@@ -155,12 +159,19 @@ impl IlObject {
             strings.intern(s);
         }
         let symbols = decode_symbols(&mut dec)?;
+        let named = |sym: Sym| sym.index() < strings.len();
+        if !symbols.globals.iter().all(|g| named(g.name)) {
+            return Err(corrupt("global name out of range"));
+        }
         let n_routines = dec.read_usize()?;
         // A routine is at least a name, a signature, a linkage, a line
         // count and a body header: nine bytes.
         let mut routines = Vec::with_capacity(capacity(&dec, n_routines, 9));
         for _ in 0..n_routines {
             let name = Sym(dec.read_u32()?);
+            if !named(name) {
+                return Err(corrupt("routine name out of range"));
+            }
             let sig = decode_sig(&mut dec)?;
             let linkage = match dec.read_u8()? {
                 0 => Linkage::Export,

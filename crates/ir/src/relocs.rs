@@ -188,6 +188,51 @@ fn decode_callee_ref(dec: &mut Decoder<'_>) -> Result<CalleeRef, DecodeError> {
     }
 }
 
+/// A body's register, local and block counts, read before its blocks,
+/// and one past the largest register, local and block that its
+/// operands have named since. Decoding keeps the maxima without a
+/// branch per operand and checks them once, after the last block.
+struct Bounds {
+    vregs: u32,
+    locals: usize,
+    blocks: usize,
+    vreg_end: u64,
+    local_end: u64,
+    block_end: u64,
+}
+
+impl Bounds {
+    fn vreg(&mut self, dec: &mut Decoder<'_>) -> Result<VReg, DecodeError> {
+        let r = dec.read_u32()?;
+        self.vreg_end = self.vreg_end.max(u64::from(r) + 1);
+        Ok(VReg(r))
+    }
+
+    fn local(&mut self, dec: &mut Decoder<'_>) -> Result<Local, DecodeError> {
+        let l = dec.read_u32()?;
+        self.local_end = self.local_end.max(u64::from(l) + 1);
+        Ok(Local(l))
+    }
+
+    fn block(&mut self, dec: &mut Decoder<'_>) -> Result<Block, DecodeError> {
+        let b = dec.read_u32()?;
+        self.block_end = self.block_end.max(u64::from(b) + 1);
+        Ok(Block(b))
+    }
+
+    fn check(&self) -> Result<(), DecodeError> {
+        if self.vreg_end > u64::from(self.vregs) {
+            Err(CORRUPT("register out of range"))
+        } else if self.local_end > self.locals as u64 {
+            Err(CORRUPT("local out of range"))
+        } else if self.block_end > self.blocks as u64 {
+            Err(CORRUPT("branch target out of range"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
 fn encode_mem_base(b: MemBase, enc: &mut Encoder) {
     match b {
         MemBase::Local(l) => {
@@ -201,9 +246,9 @@ fn encode_mem_base(b: MemBase, enc: &mut Encoder) {
     }
 }
 
-fn decode_mem_base(dec: &mut Decoder<'_>) -> Result<MemBase, DecodeError> {
+fn decode_mem_base(dec: &mut Decoder<'_>, bounds: &mut Bounds) -> Result<MemBase, DecodeError> {
     match dec.read_u8()? {
-        0 => Ok(MemBase::Local(Local(dec.read_u32()?))),
+        0 => Ok(MemBase::Local(bounds.local(dec)?)),
         1 => Ok(MemBase::Global(decode_global_ref(dec)?)),
         tag => Err(DecodeError::BadTag {
             tag,
@@ -349,11 +394,15 @@ fn encode_instr(i: &Instr, pool: &[VReg], enc: &mut Encoder) {
 }
 
 /// Reads one instruction, appending a call's arguments to `pool`.
-fn decode_instr(dec: &mut Decoder<'_>, pool: &mut Vec<VReg>) -> Result<Instr, DecodeError> {
+fn decode_instr(
+    dec: &mut Decoder<'_>,
+    bounds: &mut Bounds,
+    pool: &mut Vec<VReg>,
+) -> Result<Instr, DecodeError> {
     let tag = dec.read_u8()?;
     Ok(match tag {
         T_CONST => Instr::Const {
-            dst: VReg(dec.read_u32()?),
+            dst: bounds.vreg(dec)?,
             value: decode_const(dec)?,
         },
         T_BIN => {
@@ -361,9 +410,9 @@ fn decode_instr(dec: &mut Decoder<'_>, pool: &mut Vec<VReg>) -> Result<Instr, De
             let op = *BIN_OPS.get(code).ok_or(CORRUPT("bad binop code"))?;
             Instr::Bin {
                 op,
-                dst: VReg(dec.read_u32()?),
-                lhs: VReg(dec.read_u32()?),
-                rhs: VReg(dec.read_u32()?),
+                dst: bounds.vreg(dec)?,
+                lhs: bounds.vreg(dec)?,
+                rhs: bounds.vreg(dec)?,
             }
         }
         T_UN => {
@@ -371,42 +420,45 @@ fn decode_instr(dec: &mut Decoder<'_>, pool: &mut Vec<VReg>) -> Result<Instr, De
             let op = *UN_OPS.get(code).ok_or(CORRUPT("bad unop code"))?;
             Instr::Un {
                 op,
-                dst: VReg(dec.read_u32()?),
-                src: VReg(dec.read_u32()?),
+                dst: bounds.vreg(dec)?,
+                src: bounds.vreg(dec)?,
             }
         }
         T_MOV => Instr::Mov {
-            dst: VReg(dec.read_u32()?),
-            src: VReg(dec.read_u32()?),
+            dst: bounds.vreg(dec)?,
+            src: bounds.vreg(dec)?,
         },
         T_LOAD_LOCAL => Instr::LoadLocal {
-            dst: VReg(dec.read_u32()?),
-            local: Local(dec.read_u32()?),
+            dst: bounds.vreg(dec)?,
+            local: bounds.local(dec)?,
         },
         T_STORE_LOCAL => Instr::StoreLocal {
-            local: Local(dec.read_u32()?),
-            src: VReg(dec.read_u32()?),
+            local: bounds.local(dec)?,
+            src: bounds.vreg(dec)?,
         },
         T_LOAD_GLOBAL => Instr::LoadGlobal {
-            dst: VReg(dec.read_u32()?),
+            dst: bounds.vreg(dec)?,
             global: decode_global_ref(dec)?,
         },
         T_STORE_GLOBAL => Instr::StoreGlobal {
             global: decode_global_ref(dec)?,
-            src: VReg(dec.read_u32()?),
+            src: bounds.vreg(dec)?,
         },
         T_LOAD_ELEM => Instr::LoadElem {
-            dst: VReg(dec.read_u32()?),
-            base: decode_mem_base(dec)?,
-            index: VReg(dec.read_u32()?),
+            dst: bounds.vreg(dec)?,
+            base: decode_mem_base(dec, bounds)?,
+            index: bounds.vreg(dec)?,
         },
         T_STORE_ELEM => Instr::StoreElem {
-            base: decode_mem_base(dec)?,
-            index: VReg(dec.read_u32()?),
-            src: VReg(dec.read_u32()?),
+            base: decode_mem_base(dec, bounds)?,
+            index: bounds.vreg(dec)?,
+            src: bounds.vreg(dec)?,
         },
         T_CALL => {
             let dst = CallDst::from_raw(dec.read_u32()?);
+            if let Some(d) = dst.get() {
+                bounds.vreg_end = bounds.vreg_end.max(u64::from(d.0) + 1);
+            }
             let callee = decode_callee_ref(dec)?;
             let n = dec.read_usize()?;
             if n > MAX_CALL_ARGS {
@@ -415,7 +467,7 @@ fn decode_instr(dec: &mut Decoder<'_>, pool: &mut Vec<VReg>) -> Result<Instr, De
             let start =
                 u32::try_from(pool.len()).map_err(|_| CORRUPT("argument pool too large"))?;
             for _ in 0..n {
-                pool.push(VReg(dec.read_u32()?));
+                pool.push(bounds.vreg(dec)?);
             }
             Instr::Call {
                 dst,
@@ -425,10 +477,10 @@ fn decode_instr(dec: &mut Decoder<'_>, pool: &mut Vec<VReg>) -> Result<Instr, De
             }
         }
         T_INPUT => Instr::Input {
-            dst: VReg(dec.read_u32()?),
+            dst: bounds.vreg(dec)?,
         },
         T_OUTPUT => Instr::Output {
-            src: VReg(dec.read_u32()?),
+            src: bounds.vreg(dec)?,
         },
         tag => {
             return Err(DecodeError::BadTag {
@@ -463,16 +515,16 @@ fn encode_term(t: &Terminator, enc: &mut Encoder) {
     }
 }
 
-fn decode_term(dec: &mut Decoder<'_>) -> Result<Terminator, DecodeError> {
+fn decode_term(dec: &mut Decoder<'_>, bounds: &mut Bounds) -> Result<Terminator, DecodeError> {
     Ok(match dec.read_u8()? {
-        0 => Terminator::Jump(Block(dec.read_u32()?)),
+        0 => Terminator::Jump(bounds.block(dec)?),
         1 => Terminator::Branch {
-            cond: VReg(dec.read_u32()?),
-            then_bb: Block(dec.read_u32()?),
-            else_bb: Block(dec.read_u32()?),
+            cond: bounds.vreg(dec)?,
+            then_bb: bounds.block(dec)?,
+            else_bb: bounds.block(dec)?,
         },
         2 => Terminator::Return(None),
-        3 => Terminator::Return(Some(VReg(dec.read_u32()?))),
+        3 => Terminator::Return(Some(bounds.vreg(dec)?)),
         tag => {
             return Err(DecodeError::BadTag {
                 tag,
@@ -522,6 +574,17 @@ pub(crate) fn decode_body(dec: &mut Decoder<'_>) -> Result<RoutineBody, DecodeEr
         locals.push(LocalDecl { ty, is_param });
     }
     let n_blocks = dec.read_usize()?;
+    if n_blocks == 0 {
+        return Err(CORRUPT("routine body with no blocks"));
+    }
+    let mut bounds = Bounds {
+        vregs: n_vregs,
+        locals: locals.len(),
+        blocks: n_blocks,
+        vreg_end: 0,
+        local_end: 0,
+        block_end: 0,
+    };
     // A block is an instruction count and a terminator.
     let mut blocks = Vec::with_capacity(capacity(dec, n_blocks, 2));
     let mut args = Vec::new();
@@ -530,11 +593,12 @@ pub(crate) fn decode_body(dec: &mut Decoder<'_>) -> Result<RoutineBody, DecodeEr
         // The shortest instruction is a tag and one register.
         let mut instrs = Vec::with_capacity(capacity(dec, n_instrs, 2));
         for _ in 0..n_instrs {
-            instrs.push(decode_instr(dec, &mut args)?);
+            instrs.push(decode_instr(dec, &mut bounds, &mut args)?);
         }
-        let term = decode_term(dec)?;
+        let term = decode_term(dec, &mut bounds)?;
         blocks.push(BlockData { instrs, term });
     }
+    bounds.check()?;
     Ok(RoutineBody {
         blocks,
         args,

@@ -12,9 +12,16 @@
 //! → `a_ninth_argument_or_parameter_is_a_typed_error`; any table's
 //! capacity — routines, globals, locals, blocks, instructions, array
 //! initializers — taken from its stated count instead of the bytes left
-//! → `count_and_length_bombs_allocate_a_bounded_amount`.
+//! → `count_and_length_bombs_allocate_a_bounded_amount`; any operand
+//! bound dropped from `decode_body` (no blocks, register, local, branch
+//! target, call destination) → `operands_outside_the_body_are_typed_errors`.
+//! And of `link.rs`, caught by the flips that link: a symbol looked up
+//! without its range check (an index panic), the call-site order check
+//! or the local shape check dropped (a linked program `validate_unit`
+//! rejects).
 
-use cmo_ir::{IlObject, ObjectDecodeError, Transitory, IL_MAGIC, MAX_CALL_ARGS};
+use cmo_ir::validate::validate_unit;
+use cmo_ir::{link_objects, IlObject, ObjectDecodeError, Transitory, IL_MAGIC, MAX_CALL_ARGS};
 use cmo_naim::{DecodeError, Decoder, Encoder, Relocatable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -65,18 +72,24 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, REQUESTED.with(Cell::get) - before)
 }
 
-/// The largest module object of eighth-scale `mcad1`: globals with
-/// array initializers, calls, branches and a string table.
-fn real_object() -> Vec<u8> {
+/// The largest module object of eighth-scale `mcad1` — globals with
+/// array initializers, calls, branches and a string table — and the
+/// program's other objects, decoded.
+fn real_object() -> (Vec<u8>, Vec<IlObject>) {
     let app = cmo_synth::generate(&cmo_synth::mcad_preset("mcad1", 0.125));
-    let objects = app
+    let mut objects: Vec<Vec<u8>> = app
         .modules
         .iter()
-        .map(|(name, src)| cmo_frontend::compile_module(name, src).unwrap().to_bytes());
-    let bytes = objects.max_by_key(Vec::len).unwrap();
+        .map(|(name, src)| cmo_frontend::compile_module(name, src).unwrap().to_bytes())
+        .collect();
+    let largest = (0..objects.len())
+        .max_by_key(|&i| objects[i].len())
+        .unwrap();
+    let bytes = objects.swap_remove(largest);
     let object = IlObject::from_bytes(&bytes).unwrap();
     assert!(!object.symbols.globals.is_empty() && object.routines.len() > 1);
-    bytes
+    let others = objects.iter().map(|b| IlObject::from_bytes(b).unwrap());
+    (bytes, others.collect())
 }
 
 /// `IL_MAGIC`, then whatever `body` writes.
@@ -89,13 +102,15 @@ fn forged(body: impl FnOnce(&mut Encoder)) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// An object header: names, line count, an empty string table and no
-/// globals; the routine count and routines are the caller's.
+/// An object header: names, line count, a string table of one name
+/// (`Sym(0)`) and no globals; the routine count and routines are the
+/// caller's.
 fn header(enc: &mut Encoder) {
     enc.write_str("m");
     enc.write_str("mlc");
     enc.write_u32(1);
-    enc.write_usize(0); // strings
+    enc.write_usize(1); // strings
+    enc.write_str("f");
     enc.write_usize(0); // globals
 }
 
@@ -121,9 +136,12 @@ fn uncompact(bytes: &[u8]) -> Result<Transitory, DecodeError> {
 
 #[test]
 fn truncated_and_flipped_objects_decode_or_fail_typed() {
-    let bytes = real_object();
+    let (bytes, others) = real_object();
     let (whole, _) = counted(|| IlObject::from_bytes(&bytes));
-    assert_eq!(whole.unwrap().to_bytes(), bytes);
+    let whole = whole.unwrap();
+    assert_eq!(whole.to_bytes(), bytes);
+    let link = |object: IlObject| link_objects([vec![object], others.clone()].concat());
+    assert!(link(whole).is_ok());
 
     // Every strict prefix is an error: the last routine's body runs to
     // the last byte, so a prefix runs out of it.
@@ -139,9 +157,10 @@ fn truncated_and_flipped_objects_decode_or_fail_typed() {
     }
 
     // Sampled single-byte flips past the magic: a typed error or an
-    // object, never a panic.
+    // object, never a panic; and an object that links with the rest of
+    // the program is a valid one.
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let (mut ok, mut failed) = (0, 0);
+    let (mut ok, mut failed, mut linked) = (0, 0, 0);
     for _ in 0..3000 {
         x ^= x << 13;
         x ^= x >> 7;
@@ -157,12 +176,102 @@ fn truncated_and_flipped_objects_decode_or_fail_typed() {
         let (object, requested) = counted(|| IlObject::from_bytes(&damaged));
         assert!(requested <= 64 * bytes.len() as u64 + 4096);
         match object {
-            Ok(_) => ok += 1,
+            Ok(object) => {
+                ok += 1;
+                if let Ok(unit) = link(object) {
+                    linked += 1;
+                    if let Err(e) = validate_unit(&unit.program, &unit.bodies) {
+                        panic!("flipping byte {at} linked an invalid program: {e}");
+                    }
+                }
+            }
             Err(ObjectDecodeError::Decode(_)) => failed += 1,
             Err(e) => panic!("a flip past the magic gave {e}"),
         }
     }
-    assert!(ok > 0 && failed > 0, "{ok} decoded, {failed} failed");
+    assert!(
+        linked > 0 && ok > linked && failed > 0,
+        "{ok} decoded, {linked} linked, {failed} failed"
+    );
+}
+
+#[test]
+fn operands_outside_the_body_are_typed_errors() {
+    // One block of `instrs`' instructions, ending in `term`'s
+    // terminator, in a body of 16 vregs and no locals.
+    let body = |n_blocks: usize, instrs: &[&dyn Fn(&mut Encoder)], term: &dyn Fn(&mut Encoder)| {
+        uncompact(&payload(0, |enc| {
+            body_header(enc, n_blocks);
+            for _ in 0..n_blocks.min(1) {
+                enc.write_usize(instrs.len());
+                for instr in instrs {
+                    instr(enc);
+                }
+                term(enc);
+            }
+        }))
+    };
+    let output = |r: u32| {
+        move |enc: &mut Encoder| {
+            enc.write_u8(12); // output
+            enc.write_u32(r);
+        }
+    };
+    let ret = |enc: &mut Encoder| enc.write_u8(2);
+    let jump = |b: u32| {
+        move |enc: &mut Encoder| {
+            enc.write_u8(0);
+            enc.write_u32(b);
+        }
+    };
+    let corrupt = |what| Err(DecodeError::Corrupt { what });
+
+    assert!(body(1, &[&output(15)], &jump(0)).is_ok());
+    assert_eq!(body(0, &[], &ret), corrupt("routine body with no blocks"));
+    assert_eq!(
+        body(1, &[&output(16)], &ret),
+        corrupt("register out of range")
+    );
+    let branch_on = |cond: u32| {
+        move |enc: &mut Encoder| {
+            enc.write_u8(1);
+            enc.write_u32(cond);
+            enc.write_u32(0);
+            enc.write_u32(0);
+        }
+    };
+    assert_eq!(
+        body(1, &[], &branch_on(99)),
+        corrupt("register out of range")
+    );
+    let load_local = |enc: &mut Encoder| {
+        enc.write_u8(4); // load local
+        enc.write_u32(0);
+        enc.write_u32(0);
+    };
+    assert_eq!(body(1, &[&load_local], &ret), corrupt("local out of range"));
+    let call_into = |dst: u32| {
+        move |enc: &mut Encoder| {
+            enc.write_u8(10); // call
+            enc.write_u32(dst);
+            enc.write_u8(1); // resolved callee
+            enc.write_u32(0);
+            enc.write_usize(0);
+            enc.write_u32(0); // site
+        }
+    };
+    assert!(
+        body(1, &[&call_into(u32::MAX)], &ret).is_ok(),
+        "no destination"
+    );
+    assert_eq!(
+        body(1, &[&call_into(16)], &ret),
+        corrupt("register out of range")
+    );
+    assert_eq!(
+        body(1, &[], &jump(1)),
+        corrupt("branch target out of range")
+    );
 }
 
 #[test]

@@ -166,6 +166,11 @@ prop_compose! {
         for ty in locals {
             body.new_local(ty, false);
         }
+        // Instructions name locals below 64, and the decoder rejects a
+        // local the body does not declare.
+        while body.locals.len() < 64 {
+            body.new_local(VarTy::scalar(Ty::I64), false);
+        }
         for (instrs, term) in blocks {
             let mut block = BlockData::new(term);
             for (mut instr, regs) in instrs {

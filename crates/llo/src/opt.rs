@@ -108,6 +108,55 @@ const NO_FACTS: Facts = Facts {
 /// Chains longer than this are followed no further.
 const MAX_COPY_HOPS: u32 = 64;
 
+/// Reads of each vreg and loads of each local, which the dead-code
+/// sweep deletes by; `exposed` once one may have reached zero since.
+#[derive(Default)]
+struct Reads {
+    vreg: Vec<u32>,
+    local: Vec<u32>,
+    exposed: bool,
+}
+
+impl Reads {
+    /// Zeroes the counts. Array locals start with a load nothing takes
+    /// back: any element access pins the whole array.
+    fn reset(&mut self, body: &RoutineBody) {
+        self.vreg.clear();
+        self.vreg.resize(body.n_vregs as usize, 0);
+        self.local.clear();
+        self.local
+            .extend(body.locals.iter().map(|d| u32::from(d.ty.is_array())));
+        self.exposed = true;
+    }
+
+    fn count(&mut self, instr: &Instr, pool: &[VReg]) {
+        for u in instr.uses(pool) {
+            self.vreg[u.index()] += 1;
+        }
+        if let Instr::LoadLocal { local, .. } = instr {
+            self.local[local.index()] += 1;
+        }
+    }
+
+    fn drop_vreg(&mut self, r: VReg) {
+        let c = &mut self.vreg[r.index()];
+        *c -= 1;
+        self.exposed |= *c == 0;
+    }
+
+    /// Takes back what [`Reads::count`] added for `instr`.
+    fn drop(&mut self, instr: &Instr, pool: &[VReg]) {
+        for u in instr.uses(pool) {
+            self.drop_vreg(u);
+        }
+        if let Instr::LoadLocal { local, .. } = instr {
+            let c = &mut self.local[local.index()];
+            *c -= 1;
+            self.exposed |= *c == 0;
+        }
+    }
+}
+
 /// Reusable tables for the passes below.
 #[derive(Default)]
 pub(crate) struct OptScratch {
@@ -116,9 +165,10 @@ pub(crate) struct OptScratch {
     epoch: u64,
     vregs: Vec<Facts>,
     locals: Vec<Facts>,
-    /// Reads of each vreg / loads of each local, left by propagation.
-    use_count: Vec<u32>,
-    load_count: Vec<u32>,
+    /// Counted by a full propagation, then kept exact by every pass.
+    reads: Reads,
+    /// Blocks `merge_blocks` appended another block to.
+    grown: Vec<bool>,
     /// `merge_blocks` / `remove_unreachable`.
     pred_count: Vec<u32>,
     reachable: Vec<bool>,
@@ -171,27 +221,22 @@ impl OptScratch {
         r
     }
 
-    /// Zeroes the read counts. Array locals start with a load nothing
-    /// takes back: any element access pins the whole array.
-    fn reset_reads(&mut self, body: &RoutineBody) {
-        self.use_count.clear();
-        self.use_count.resize(body.n_vregs as usize, 0);
-        self.load_count.clear();
-        self.load_count
-            .extend(body.locals.iter().map(|d| u32::from(d.ty.is_array())));
+    /// Rewrites source `r` through its copy chain; unless the counts
+    /// are being taken `fresh`, moves the read along with it.
+    fn rewrite(&mut self, r: &mut VReg, fresh: bool) {
+        let s = self.resolve(*r);
+        if !fresh && s != *r {
+            self.reads.vreg[s.index()] += 1;
+            self.reads.drop_vreg(*r);
+        }
+        *r = s;
     }
 
-    fn count_reads(&mut self, instr: &Instr, pool: &[VReg]) {
-        for u in instr.uses(pool) {
-            self.use_count[u.index()] += 1;
-        }
-        if let Instr::LoadLocal { local, .. } = instr {
-            self.load_count[local.index()] += 1;
-        }
-    }
-
-    /// Also counts, for `sweep_dead`, each instruction's reads once final.
-    pub(crate) fn const_and_copy_prop(&mut self, body: &mut RoutineBody) -> OptStats {
+    /// Propagates every block, counting reads afresh for `sweep_dead`
+    /// (`fresh`), or only the blocks `merge_blocks` grew, adjusting the
+    /// counts for each read it moves or drops: propagating any other
+    /// block again would change nothing (ARCHITECTURE.md).
+    fn propagate(&mut self, body: &mut RoutineBody, fresh: bool) -> OptStats {
         let mut stats = OptStats::default();
         if self.vregs.len() < body.n_vregs as usize {
             self.vregs.resize(body.n_vregs as usize, NO_FACTS);
@@ -199,32 +244,38 @@ impl OptScratch {
         if self.locals.len() < body.locals.len() {
             self.locals.resize(body.locals.len(), NO_FACTS);
         }
-        self.reset_reads(body);
+        if fresh {
+            self.reads.reset(body);
+        }
         let RoutineBody { blocks, args, .. } = body;
-        for block in blocks {
+        for (b, block) in blocks.iter_mut().enumerate() {
+            if !fresh && !self.grown[b] {
+                continue;
+            }
             // Facts are per block: a new epoch forgets them all.
             self.epoch += 1;
             for instr in &mut block.instrs {
                 step(1);
                 // Rewrite sources through copy chains first.
-                let rewrite = |r: &mut VReg| *r = self.resolve(*r);
                 match instr {
                     Instr::Bin { lhs, rhs, .. } => {
-                        rewrite(lhs);
-                        rewrite(rhs);
+                        self.rewrite(lhs, fresh);
+                        self.rewrite(rhs, fresh);
                     }
                     Instr::Un { src, .. }
                     | Instr::Mov { src, .. }
                     | Instr::StoreLocal { src, .. }
                     | Instr::StoreGlobal { src, .. }
-                    | Instr::Output { src } => rewrite(src),
-                    Instr::LoadElem { index, .. } => rewrite(index),
+                    | Instr::Output { src } => self.rewrite(src, fresh),
+                    Instr::LoadElem { index, .. } => self.rewrite(index, fresh),
                     Instr::StoreElem { index, src, .. } => {
-                        rewrite(index);
-                        rewrite(src);
+                        self.rewrite(index, fresh);
+                        self.rewrite(src, fresh);
                     }
                     Instr::Call { args: span, .. } => {
-                        args[span.range()].iter_mut().for_each(rewrite)
+                        for a in &mut args[span.range()] {
+                            self.rewrite(a, fresh);
+                        }
                     }
                     _ => {}
                 }
@@ -280,6 +331,10 @@ impl OptScratch {
                         let c = self.lconst(local);
                         if c.is_none() {
                             if let Some(v) = self.copy_source(self.locals[local.index()].copy) {
+                                if !fresh {
+                                    self.reads.drop(instr, args);
+                                    self.reads.vreg[v.index()] += 1;
+                                }
                                 *instr = Instr::Mov { dst, src: v };
                                 self.vregs[dst.index()].copy = self.copy_fact(v);
                             }
@@ -289,11 +344,16 @@ impl OptScratch {
                     _ => None,
                 };
                 if let Some((dst, value)) = folded {
+                    if !fresh {
+                        self.reads.drop(instr, args);
+                    }
                     self.set_vconst(dst, value);
                     *instr = Instr::Const { dst, value };
                     stats.folded += 1;
                 }
-                self.count_reads(instr, args);
+                if fresh {
+                    self.reads.count(instr, args);
+                }
             }
 
             // Fold constant branch conditions.
@@ -306,16 +366,20 @@ impl OptScratch {
                 if let Some(c) = self.vconst(self.resolve(cond)) {
                     block.term = Terminator::Jump(if c.is_zero() { else_bb } else { then_bb });
                     stats.branches += 1;
+                    if !fresh {
+                        self.reads.drop_vreg(cond);
+                    }
                 }
             }
-            if let Some(u) = block.term.use_reg() {
-                self.use_count[u.index()] += 1;
+            if let (true, Some(u)) = (fresh, block.term.use_reg()) {
+                self.reads.vreg[u.index()] += 1;
             }
         }
         stats
     }
 
-    pub(crate) fn merge_blocks(&mut self, body: &mut RoutineBody) -> OptStats {
+    /// `exact`: the read counts are exact on entry and stay so.
+    fn merge_blocks(&mut self, body: &mut RoutineBody, exact: bool) -> OptStats {
         let mut stats = OptStats::default();
         let n = body.blocks.len();
 
@@ -323,12 +387,17 @@ impl OptScratch {
         for block in &mut body.blocks {
             step(1);
             if let Terminator::Branch {
-                then_bb, else_bb, ..
+                cond,
+                then_bb,
+                else_bb,
             } = block.term
             {
                 if then_bb == else_bb {
                     block.term = Terminator::Jump(then_bb);
                     stats.branches += 1;
+                    if exact {
+                        self.reads.drop_vreg(cond);
+                    }
                 }
             }
         }
@@ -375,6 +444,8 @@ impl OptScratch {
                 pred_count[s.index()] += 1;
             }
         }
+        self.grown.clear();
+        self.grown.resize(n, false);
         for a in 0..n {
             step(1);
             while let Terminator::Jump(b) = body.blocks[a].term {
@@ -389,71 +460,82 @@ impl OptScratch {
                 pred_count[b.index()] = 0;
                 body.blocks[a].instrs.append(&mut merged);
                 body.blocks[a].term = term;
+                self.grown[a] = true;
                 stats.unreachable += 1;
             }
         }
         stats
     }
 
+    /// Whether `merge_blocks` would leave `body` as it is: no branch with
+    /// equal targets, and no edge into an empty block that jumps on.
+    fn merge_is_noop(body: &RoutineBody) -> bool {
+        let threads = |t: Block| {
+            let target = &body.blocks[t.index()];
+            matches!(target.term, Terminator::Jump(next) if next != t && target.instrs.is_empty())
+        };
+        body.blocks.iter().all(|block| {
+            step(1);
+            match block.term {
+                Terminator::Jump(t) => !threads(t),
+                Terminator::Branch {
+                    then_bb, else_bb, ..
+                } => then_bb != else_bb && !threads(then_bb) && !threads(else_bb),
+                Terminator::Return(_) => true,
+            }
+        })
+    }
+
     pub(crate) fn dead_code_elim(&mut self, body: &mut RoutineBody) -> OptStats {
-        self.reset_reads(body);
+        self.reads.reset(body);
         for block in &body.blocks {
             for instr in &block.instrs {
                 step(1);
-                self.count_reads(instr, &body.args);
+                self.reads.count(instr, &body.args);
             }
             if let Some(u) = block.term.use_reg() {
-                self.use_count[u.index()] += 1;
+                self.reads.vreg[u.index()] += 1;
             }
         }
         self.sweep_dead(body)
     }
 
-    /// DCE over read counts already taken; removals keep them exact, so
-    /// later rounds need no recount.
+    /// DCE over read counts already taken; removals keep them exact.
     fn sweep_dead(&mut self, body: &mut RoutineBody) -> OptStats {
-        let (use_count, load_count) = (&mut self.use_count, &mut self.load_count);
+        let reads = &mut self.reads;
         let mut stats = OptStats::default();
         let RoutineBody { blocks, args, .. } = body;
-        loop {
-            // Set when a removal takes the last read of a vreg or
-            // local: its definitions, possibly earlier in the sweep,
-            // are dead now, so sweep again.
-            let mut exposed = false;
+        // `exposed` is set again when a removal takes the last read of
+        // a vreg or local: its definitions, possibly earlier in the
+        // sweep, are dead now, so sweep again.
+        while std::mem::take(&mut reads.exposed) {
             for block in blocks.iter_mut() {
                 block.instrs.retain(|i| {
                     step(1);
                     let dead = match i {
-                        Instr::StoreLocal { local, .. } => load_count[local.index()] == 0,
+                        Instr::StoreLocal { local, .. } => reads.local[local.index()] == 0,
                         _ => {
                             !i.has_side_effects()
-                                && i.def().is_some_and(|d| use_count[d.index()] == 0)
+                                && i.def().is_some_and(|d| reads.vreg[d.index()] == 0)
                         }
                     };
                     if dead {
                         stats.dead += 1;
-                        for u in i.uses(args) {
-                            use_count[u.index()] -= 1;
-                            exposed |= use_count[u.index()] == 0;
-                        }
-                        if let Instr::LoadLocal { local, .. } = i {
-                            load_count[local.index()] -= 1;
-                            exposed |= load_count[local.index()] == 0;
-                        }
+                        reads.drop(i, args);
                     }
                     !dead
                 });
             }
-            if !exposed {
-                return stats;
-            }
         }
+        stats
     }
 
-    pub(crate) fn remove_unreachable(
+    /// `exact`: the read counts are exact on entry and stay so.
+    fn remove_unreachable(
         &mut self,
         body: &mut RoutineBody,
         counts: Option<&mut Vec<u64>>,
+        exact: bool,
     ) -> OptStats {
         let mut stats = OptStats::default();
         let n = body.blocks.len();
@@ -491,10 +573,21 @@ impl OptScratch {
             next += u32::from(keep);
             Block(new)
         }));
+        let (reads, args) = (&mut self.reads, &body.args);
         let mut old = 0;
-        body.blocks.retain(|_| {
+        body.blocks.retain(|block| {
             old += 1;
-            reachable[old - 1]
+            let keep = reachable[old - 1];
+            if exact && !keep {
+                for instr in &block.instrs {
+                    step(1);
+                    reads.drop(instr, args);
+                }
+                if let Some(u) = block.term.use_reg() {
+                    reads.drop_vreg(u);
+                }
+            }
+            keep
         });
         if let Some(counts) = counts {
             counts.resize(n, 0);
@@ -520,22 +613,27 @@ impl OptScratch {
         stats
     }
 
+    /// Rounds of merge, propagation, sweep and unreachable removal until
+    /// one changes nothing, or would: a round that changed no control
+    /// flow and left nothing for `merge_blocks` is not confirmed by
+    /// another (ARCHITECTURE.md, "The incremental fixed point").
     pub(crate) fn optimize(
         &mut self,
         body: &mut RoutineBody,
         mut counts: Option<&mut Vec<u64>>,
     ) -> OptStats {
         let mut total = OptStats::default();
-        for _ in 0..12 {
-            let m = self.merge_blocks(body);
-            let a = self.const_and_copy_prop(body);
+        for round in 0..12 {
+            let m = self.merge_blocks(body, round > 0);
+            let a = self.propagate(body, round == 0);
             let b = self.sweep_dead(body);
-            let c = self.remove_unreachable(body, counts.as_deref_mut());
+            let c = self.remove_unreachable(body, counts.as_deref_mut(), true);
             total.folded += a.folded;
             total.branches += a.branches + m.branches;
             total.dead += b.dead;
             total.unreachable += c.unreachable + m.unreachable;
-            if m.unreachable + m.branches + a.folded + a.branches + b.dead + c.unreachable == 0 {
+            let reshaped = m.unreachable + m.branches + a.branches + c.unreachable != 0;
+            if !reshaped && (a.folded + b.dead == 0 || Self::merge_is_noop(body)) {
                 break;
             }
         }
@@ -557,7 +655,7 @@ impl OptScratch {
 /// Vreg and local ids must be in range for `body` (as
 /// `cmo_ir::validate` checks); the same holds for every pass here.
 pub fn const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
-    scratch::with(|s| s.opt.const_and_copy_prop(body))
+    scratch::with(|s| s.opt.propagate(body, true))
 }
 
 /// Straightens control flow: threads jumps through empty blocks,
@@ -567,7 +665,7 @@ pub fn const_and_copy_prop(body: &mut RoutineBody) -> OptStats {
 /// block ends in a jump to the single-predecessor callee entry, and
 /// after merging, constant arguments flow into the callee body.
 pub fn merge_blocks(body: &mut RoutineBody) -> OptStats {
-    scratch::with(|s| s.opt.merge_blocks(body))
+    scratch::with(|s| s.opt.merge_blocks(body, false))
 }
 
 /// Removes instructions whose results are never used anywhere in the
@@ -585,7 +683,7 @@ pub fn dead_code_elim(body: &mut RoutineBody) -> OptStats {
 /// correlates profile information from the database with current
 /// program structures").
 pub fn remove_unreachable(body: &mut RoutineBody, counts: Option<&mut Vec<u64>>) -> OptStats {
-    scratch::with(|s| s.opt.remove_unreachable(body, counts))
+    scratch::with(|s| s.opt.remove_unreachable(body, counts, false))
 }
 
 /// The full local optimization pipeline, iterated until quiescent.
@@ -879,6 +977,108 @@ mod complexity_tests {
         // that counted reads for itself would make this 3n.
         assert!(
             2 * steps <= 5 * n as u64,
+            "{steps} steps for {n} instructions"
+        );
+    }
+
+    /// `n / 4` groups of `k = const 3; t = add k, k; output t;
+    /// u = input` appended to `block`: each `add` folds, and each `k`
+    /// is then dead.
+    fn push_folding(body: &mut RoutineBody, block: &mut BlockData, n: usize) {
+        for _ in 0..n / 4 {
+            let (k, t, u) = (body.new_vreg(), body.new_vreg(), body.new_vreg());
+            block.instrs.extend([
+                Instr::Const {
+                    dst: k,
+                    value: Const::I(3),
+                },
+                Instr::Bin {
+                    dst: t,
+                    op: BinOp::Add,
+                    lhs: k,
+                    rhs: k,
+                },
+                Instr::Output { src: t },
+                Instr::Input { dst: u },
+            ]);
+        }
+    }
+
+    #[test]
+    fn a_round_that_only_folded_is_not_confirmed() {
+        let n = 800;
+        let mut body = RoutineBody::new();
+        let mut block = BlockData::new(Terminator::Return(None));
+        push_folding(&mut body, &mut block, n);
+        body.blocks.push(block);
+        let before = STEPS.get();
+        let stats = optimize(&mut body);
+        let steps = STEPS.get() - before;
+        assert_eq!((stats.folded, stats.dead), (n / 4, n / 4));
+        // One propagation walk and one sweep. The round changed no
+        // control flow, so a second one would change nothing: running
+        // it anyway walks the surviving 3n/4 twice more (3.5n).
+        assert!(
+            4 * steps <= 9 * n as u64,
+            "{steps} steps for {n} instructions"
+        );
+    }
+
+    #[test]
+    fn a_second_round_re_propagates_only_merged_blocks() {
+        // 0: c = const 1; br c, 1, 2      (folds to `jmp 1`)
+        // 1: x = input; output x; jmp 3   (merges into 0 in round two)
+        // 2: y = input; jmp 3             (unreachable after the fold)
+        // 3: i = input; br i, 4, 5        (merges into 0 in round two)
+        // 4, 5: n/2 folding instructions each; jmp 6
+        // 6: return
+        let n = 800;
+        let mut body = RoutineBody::new();
+        let (c, x, y, i) = (
+            body.new_vreg(),
+            body.new_vreg(),
+            body.new_vreg(),
+            body.new_vreg(),
+        );
+        let mut b0 = BlockData::new(Terminator::Branch {
+            cond: c,
+            then_bb: Block(1),
+            else_bb: Block(2),
+        });
+        b0.instrs.push(Instr::Const {
+            dst: c,
+            value: Const::I(1),
+        });
+        let mut b1 = BlockData::new(Terminator::Jump(Block(3)));
+        b1.instrs
+            .extend([Instr::Input { dst: x }, Instr::Output { src: x }]);
+        let mut b2 = BlockData::new(Terminator::Jump(Block(3)));
+        b2.instrs.push(Instr::Input { dst: y });
+        let mut b3 = BlockData::new(Terminator::Branch {
+            cond: i,
+            then_bb: Block(4),
+            else_bb: Block(5),
+        });
+        b3.instrs.push(Instr::Input { dst: i });
+        let mut b4 = BlockData::new(Terminator::Jump(Block(6)));
+        push_folding(&mut body, &mut b4, n / 2);
+        let mut b5 = BlockData::new(Terminator::Jump(Block(6)));
+        push_folding(&mut body, &mut b5, n / 2);
+        let b6 = BlockData::new(Terminator::Return(None));
+        body.blocks.extend([b0, b1, b2, b3, b4, b5, b6]);
+        let before = STEPS.get();
+        let stats = optimize(&mut body);
+        let steps = STEPS.get() - before;
+        assert_eq!(stats.branches, 1);
+        // Block 2, then 1 and 3 once merged and once as removed husks.
+        assert_eq!(stats.unreachable, 5);
+        assert_eq!(body.blocks.len(), 4);
+        // Round one walks the body to propagate and to sweep; round two
+        // re-propagates block 0 (four instructions) and sweeps nothing,
+        // since no count reached zero; round three merges nothing and
+        // stops. Walking every block again costs 2n per round.
+        assert!(
+            4 * steps <= 9 * n as u64,
             "{steps} steps for {n} instructions"
         );
     }

@@ -46,24 +46,31 @@ pub struct AllocResult {
 /// Reusable tables for [`AllocScratch::allocate`].
 #[derive(Default)]
 pub(crate) struct AllocScratch {
-    /// Four `n_blocks × words_per_row` bit planes, back to back: use,
-    /// def, live-in, live-out.
+    /// Four `n_blocks × words_per_row` bit planes over the columns,
+    /// back to back: use, def, live-in, live-out.
     bits: Vec<u64>,
     block_start: Vec<usize>,
     block_end: Vec<usize>,
     start: Vec<usize>,
     end: Vec<usize>,
-    /// `start << 32 | vreg` per interval (positions and vregs are u32).
-    intervals: Vec<u64>,
-    active: Vec<usize>,
+    /// Per vreg: `1 +` the block that last defined it (0: none), and its
+    /// column, `NO_COL` unless some block reads it before writing it.
+    defined_in: Vec<u32>,
+    col: Vec<u32>,
+    /// The vreg of each column, and `(block, column)` per such read.
+    exposed: Vec<u32>,
+    exposed_uses: Vec<(u32, u32)>,
+    /// Counting-sort buckets, and the intervals' vregs by (start, vreg)
+    /// and by (end, vreg).
+    bucket: Vec<u32>,
+    by_start: Vec<u32>,
+    by_end: Vec<u32>,
     free: Vec<u8>,
     /// Location of each virtual register after the last `allocate`.
     pub(crate) locs: Vec<Loc>,
 }
 
-fn test_bit(row: &[u64], col: usize) -> bool {
-    row[col / 64] & (1 << (col % 64)) != 0
-}
+const NO_COL: u32 = u32::MAX;
 
 fn set_bit(row: &mut [u64], col: usize) {
     row[col / 64] |= 1 << (col % 64);
@@ -82,6 +89,50 @@ fn for_each_bit(row: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
+/// Orders the vregs that have an interval (`start[v] != UNSET`) by
+/// `(start, vreg)` into `by_start` and by `(end, vreg)` into `by_end`:
+/// a counting sort over the `n_pos` positions for each key, the two
+/// sharing their passes over the vregs.
+fn sort_intervals(
+    start: &[usize],
+    end: &[usize],
+    n_pos: usize,
+    bucket: &mut Vec<u32>,
+    by_start: &mut Vec<u32>,
+    by_end: &mut Vec<u32>,
+) {
+    bucket.clear();
+    bucket.resize(2 * (n_pos + 1), 0);
+    let (at_start, at_end) = bucket.split_at_mut(n_pos + 1);
+    let mut n = 0;
+    for (&s, &e) in start.iter().zip(end) {
+        step(1);
+        if s != UNSET {
+            at_start[s + 1] += 1;
+            at_end[e + 1] += 1;
+            n += 1;
+        }
+    }
+    for p in 1..=n_pos {
+        at_start[p] += at_start[p - 1];
+        at_end[p] += at_end[p - 1];
+    }
+    by_start.clear();
+    by_start.resize(n, 0);
+    by_end.clear();
+    by_end.resize(n, 0);
+    for (v, (&s, &e)) in start.iter().zip(end).enumerate() {
+        if s != UNSET {
+            by_start[at_start[s] as usize] = v as u32;
+            at_start[s] += 1;
+            by_end[at_end[e] as usize] = v as u32;
+            at_end[e] += 1;
+        }
+    }
+}
+
+const UNSET: usize = usize::MAX;
+
 impl AllocScratch {
     /// Liveness + linear scan for `body` linearized in `order` (every
     /// block once); leaves the locations in `self.locs` and returns
@@ -89,14 +140,6 @@ impl AllocScratch {
     pub(crate) fn allocate(&mut self, body: &RoutineBody, order: &[Block]) -> (u32, usize) {
         let n_blocks = body.blocks.len();
         let n_vregs = body.n_vregs as usize;
-        let words = n_vregs.div_ceil(64);
-        let plane = n_blocks * words;
-        self.bits.clear();
-        self.bits.resize(4 * plane, 0);
-        let (use_m, rest) = self.bits.split_at_mut(plane);
-        let (def_m, rest) = rest.split_at_mut(plane);
-        let (live_in, live_out) = rest.split_at_mut(plane);
-        let row = |b: usize| b * words..(b + 1) * words;
 
         // Linear positions in emission order: each block occupies
         // [start, start + len + 1] (terminator gets its own position).
@@ -114,7 +157,6 @@ impl AllocScratch {
 
         // Intervals: [first, last] position at which each vreg is
         // mentioned (the use/def walk) or live (block edges, after it).
-        const UNSET: usize = usize::MAX;
         let (start, end) = (&mut self.start, &mut self.end);
         start.clear();
         start.resize(n_vregs, UNSET);
@@ -125,113 +167,155 @@ impl AllocScratch {
             end[v] = end[v].max(p);
         };
 
-        // use[b] = read before written in b; def[b] = written in b.
+        // Only a vreg some block reads before writing it can be live
+        // into a block (every live-in set grows from those reads), so
+        // liveness needs a column for those alone: usually none.
+        let (defined_in, col) = (&mut self.defined_in, &mut self.col);
+        defined_in.clear();
+        defined_in.resize(n_vregs, 0);
+        col.clear();
+        col.resize(n_vregs, NO_COL);
+        let (exposed, exposed_uses) = (&mut self.exposed, &mut self.exposed_uses);
+        exposed.clear();
+        exposed_uses.clear();
+        let mut read = |b: usize, u: usize, defined_in: &[u32]| {
+            if defined_in[u] != b as u32 + 1 {
+                if col[u] == NO_COL {
+                    col[u] = exposed.len() as u32;
+                    exposed.push(u as u32);
+                }
+                exposed_uses.push((b as u32, col[u]));
+            }
+        };
         for (b, block) in body.blocks.iter().enumerate() {
-            let (use_b, def_b) = (&mut use_m[row(b)], &mut def_m[row(b)]);
             let mut p = block_start[b];
             for instr in &block.instrs {
                 step(1);
                 for u in instr.uses(&body.args) {
                     touch(u.index(), p);
-                    if !test_bit(def_b, u.index()) {
-                        set_bit(use_b, u.index());
-                    }
+                    read(b, u.index(), defined_in);
                 }
                 if let Some(d) = instr.def() {
                     touch(d.index(), p);
-                    set_bit(def_b, d.index());
+                    defined_in[d.index()] = b as u32 + 1;
                 }
                 p += 1;
             }
             if let Some(u) = block.term.use_reg() {
                 touch(u.index(), p);
-                if !test_bit(def_b, u.index()) {
-                    set_bit(use_b, u.index());
-                }
+                read(b, u.index(), defined_in);
             }
         }
 
-        // Backward iterative live-in/live-out.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in (0..n_blocks).rev() {
-                for succ in body.blocks[b].term.successors() {
-                    for (out, &inn) in live_out[row(b)].iter_mut().zip(&live_in[row(succ.index())])
-                    {
-                        changed |= inn & !*out != 0;
-                        *out |= inn;
+        if !exposed.is_empty() {
+            // use[b] = read before written in b; def[b] = written in b;
+            // both over the columns.
+            let words = exposed.len().div_ceil(64);
+            let plane = n_blocks * words;
+            self.bits.clear();
+            self.bits.resize(4 * plane, 0);
+            let (use_m, rest) = self.bits.split_at_mut(plane);
+            let (def_m, rest) = rest.split_at_mut(plane);
+            let (live_in, live_out) = rest.split_at_mut(plane);
+            let row = |b: usize| b * words..(b + 1) * words;
+            for &(b, c) in exposed_uses.iter() {
+                set_bit(&mut use_m[row(b as usize)], c as usize);
+            }
+            for (b, block) in body.blocks.iter().enumerate() {
+                for instr in &block.instrs {
+                    step(1);
+                    let c = instr.def().map(|d| col[d.index()]);
+                    if let Some(c) = c.filter(|&c| c != NO_COL) {
+                        set_bit(&mut def_m[row(b)], c as usize);
                     }
                 }
-                // in[b] = use[b] ∪ (out[b] − def[b])
-                for w in row(b) {
-                    let add = use_m[w] | (live_out[w] & !def_m[w]);
-                    changed |= add & !live_in[w] != 0;
-                    live_in[w] |= add;
+            }
+
+            // Backward iterative live-in/live-out.
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for b in (0..n_blocks).rev() {
+                    for succ in body.blocks[b].term.successors() {
+                        for (out, &inn) in
+                            live_out[row(b)].iter_mut().zip(&live_in[row(succ.index())])
+                        {
+                            changed |= inn & !*out != 0;
+                            *out |= inn;
+                        }
+                    }
+                    // in[b] = use[b] ∪ (out[b] − def[b])
+                    for w in row(b) {
+                        let add = use_m[w] | (live_out[w] & !def_m[w]);
+                        changed |= add & !live_in[w] != 0;
+                        live_in[w] |= add;
+                    }
                 }
+            }
+
+            for b in 0..n_blocks {
+                for_each_bit(&live_in[row(b)], |c| {
+                    touch(exposed[c] as usize, block_start[b])
+                });
+                for_each_bit(&live_out[row(b)], |c| {
+                    touch(exposed[c] as usize, block_end[b])
+                });
             }
         }
 
-        for b in 0..n_blocks {
-            for_each_bit(&live_in[row(b)], |v| touch(v, block_start[b]));
-            for_each_bit(&live_out[row(b)], |v| touch(v, block_end[b]));
-        }
-
-        // Linear scan (Poletto–Sarkar) in (start, vreg) order, packed
-        // so the sort compares plain integers.
-        let intervals = &mut self.intervals;
-        intervals.clear();
-        let packed = (0..n_vregs).filter(|&v| start[v] != UNSET);
-        intervals.extend(packed.map(|v| (start[v] as u64) << 32 | v as u64));
-        // Keys are distinct, so the unstable sort (which, unlike the
-        // stable one, needs no buffer) gives the one possible order.
-        intervals.sort_unstable();
+        // Linear scan (Poletto–Sarkar), visiting intervals in (start,
+        // vreg) order and expiring them in (end, vreg) order.
+        let (bucket, by_start, by_end) = (&mut self.bucket, &mut self.by_start, &mut self.by_end);
+        sort_intervals(start, end, pos, bucket, by_start, by_end);
         let locs = &mut self.locs;
         locs.clear();
         locs.resize(n_vregs, Loc::Reg(Reg(0)));
-        let active = &mut self.active; // vregs in registers, sorted by end
-        active.clear();
         let free = &mut self.free;
         free.clear();
         free.extend((0..NUM_ALLOCATABLE).rev());
+        // The interval holding each register; exactly the active ones
+        // whenever `free` is empty.
+        let mut owner = [0u32; NUM_ALLOCATABLE as usize];
+        let mut expired = 0;
         let mut next_spill = 0u32;
-        for &key in intervals.iter() {
-            let v = key as u32 as usize;
-            // Expire: `active` is sorted by end, so the intervals that
-            // ended before this one starts are a prefix of it.
-            let expired = active.partition_point(|&a| end[a] < start[v]);
-            for a in active.drain(..expired) {
-                if let Loc::Reg(r) = locs[a] {
+        for &v in by_start.iter() {
+            step(1);
+            let v = v as usize;
+            // Every interval that ended before this one starts has been
+            // visited; those still in a register give it back.
+            while let Some(&a) = by_end.get(expired) {
+                if end[a as usize] >= start[v] {
+                    break;
+                }
+                expired += 1;
+                if let Loc::Reg(r) = locs[a as usize] {
                     free.push(r.0);
                 }
             }
-            let insert_at = |active: &[usize]| {
-                active
-                    .binary_search_by(|&a| end[a].cmp(&end[v]).then(a.cmp(&v)))
-                    .unwrap_or_else(|e| e)
-            };
             if let Some(r) = free.pop() {
                 locs[v] = Loc::Reg(Reg(r));
-                active.insert(insert_at(active), v);
+                owner[r as usize] = v as u32;
             } else {
                 // Spill whichever of (current, furthest active) ends last.
-                let last = *active.last().expect("active nonempty when no free regs");
+                let (r, &last) = (owner.iter().enumerate())
+                    .max_by_key(|&(_, &a)| (end[a as usize], a))
+                    .expect("registers to allocate");
+                let last = last as usize;
                 if end[last] > end[v] {
                     locs[v] = locs[last];
+                    owner[r] = v as u32;
                     locs[last] = Loc::Spill(next_spill);
-                    next_spill += 1;
-                    active.pop();
-                    active.insert(insert_at(active), v);
                 } else {
                     locs[v] = Loc::Spill(next_spill);
-                    next_spill += 1;
                 }
+                next_spill += 1;
             }
         }
 
         // The modelled footprint of a from-scratch run (four liveness
-        // planes plus the interval and block-position tables), not
-        // what this reused scratch happens to hold.
+        // planes over every vreg plus the interval and block-position
+        // tables), not what this reused scratch happens to hold.
+        let plane = n_blocks * n_vregs.div_ceil(64);
         let work_bytes = 4 * plane * std::mem::size_of::<u64>()
             + n_vregs * 2 * std::mem::size_of::<usize>()
             + n_blocks * 2 * std::mem::size_of::<usize>();
@@ -399,5 +483,42 @@ mod tests {
             large <= 5 * small,
             "{small} steps for 4 blocks, {large} for 16"
         );
+    }
+
+    #[test]
+    fn liveness_costs_nothing_for_block_local_registers() {
+        use cmo_ir::{BlockData, Instr, Terminator};
+        // A chain of `n_blocks` blocks, each writing then reading 16
+        // vregs of its own: no vreg is live into any block.
+        let steps = |n_blocks: usize| {
+            let mut body = RoutineBody::new();
+            for b in 0..n_blocks {
+                let term = if b + 1 < n_blocks {
+                    Terminator::Jump(Block::from_index(b + 1))
+                } else {
+                    Terminator::Return(None)
+                };
+                let mut block = BlockData::new(term);
+                for _ in 0..16 {
+                    let v = body.new_vreg();
+                    block.instrs.push(Instr::Input { dst: v });
+                    block.instrs.push(Instr::Output { src: v });
+                }
+                body.blocks.push(block);
+            }
+            let order = order_blocks(&body, None);
+            let before = crate::scratch::STEPS.get();
+            let alloc = allocate(&body, &order);
+            assert_eq!(alloc.spill_slots, 0);
+            crate::scratch::STEPS.get() - before
+        };
+        // 32 instructions and 16 intervals per block. Liveness over
+        // every vreg walked blocks x vregs / 64 plane words twice: at
+        // 256 blocks, four more steps per instruction.
+        for n_blocks in [16, 256] {
+            let instrs = 32 * n_blocks as u64;
+            let s = steps(n_blocks);
+            assert!(s <= 3 * instrs, "{s} steps for {instrs} instructions");
+        }
     }
 }

@@ -173,3 +173,52 @@ fn code_keys_of_eighth_scale_mcad1_match_the_golden() {
     assert!(bodies.len() > 100, "{} routines", bodies.len());
     assert_eq!(hash, CODE_KEY_GOLDEN, "{hash:#018x}");
 }
+
+/// The hash of every `LoweredRoutine` (code, frame slots, probes,
+/// shape, `il_after_opt`, `llo_work_bytes`) of eighth-scale `mcad1`
+/// after the HLO of [`after_hlo`], at the four option sets of
+/// [`CODE_KEY_GOLDEN`], in routine order. Recorded with the compiler of
+/// commit 6bf31c8. The code tier replays stored lowerings under an
+/// unchanged key, so a change that moves this must also bump
+/// `LLO_REVISION` in `memo.rs` and re-record both goldens.
+const LOWERED_GOLDEN: u64 = 0x63c2_b34c_6322_2014;
+
+#[test]
+fn lowered_routines_of_eighth_scale_mcad1_match_the_golden() {
+    let app = cmo_synth::generate(&cmo_synth::mcad_preset("mcad1", 0.125));
+    let (program, bodies) = after_hlo(&app.modules);
+    let layout = GlobalLayout::new(&program);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for (i, body) in bodies.iter().enumerate() {
+        let rid = RoutineId::from_index(i);
+        let name = program.name(program.routine(rid).name);
+        for (effort, instrument, counted) in [
+            (OptEffort::O1, false, false),
+            (OptEffort::O2, false, false),
+            (OptEffort::O2, false, true),
+            (OptEffort::O2, true, false),
+        ] {
+            let options = LloOptions {
+                effort: OptEffortOpt(effort),
+                instrument,
+                block_counts: counted.then(|| counts_for(name, body)),
+            };
+            let lowered = lower_routine(rid, body, &program, &layout, &options);
+            let fields = format!(
+                "{:?}|{}|{:?}|{:?}|{}|{}",
+                lowered.code,
+                lowered.frame_slots,
+                lowered.probes,
+                lowered.shape,
+                lowered.il_after_opt,
+                lowered.llo_work_bytes
+            );
+            hash = fnv1a(hash, fields.as_bytes());
+        }
+    }
+    assert!(bodies.len() > 100, "{} routines", bodies.len());
+    assert_eq!(
+        hash, LOWERED_GOLDEN,
+        "{hash:#018x}: the lowered code moved; a deliberate change bumps LLO_REVISION in memo.rs"
+    );
+}
